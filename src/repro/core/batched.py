@@ -13,25 +13,25 @@ that capability on the simulated device:
   per step instead of once per matrix - exactly why batching wins for
   small sizes.
 
-Since the graph-native batching PR, ``batch=`` is a first-class axis of
-the stage-graph engine rather than a closed-form detour:
-:func:`emit_batched_graph` emits a *replayable* batched
-:class:`~repro.sim.graph.LaunchGraph` whose nodes carry both the batched
-cost keys and the per-problem tile coordinates (``meta[0]`` is the
-problem subset, ``meta[1:]`` the square node's meta), so the graph flows
-through the same rewriter stack as every other axis:
+``batch=`` is a first-class axis of the stage-graph engine rather than
+a closed-form detour: :func:`emit_batched_graph` emits a *replayable*
+batched :class:`~repro.sim.graph.LaunchGraph` whose nodes carry both the
+batched cost keys and the per-problem tile coordinates (``meta[0]`` is
+the problem subset, ``meta[1:]`` the square node's meta), so the graph
+flows through the same rewriter stack as every other axis:
 ``streams=k`` splits the batch into ``k`` round-robin chains that the
 list scheduler overlaps, :func:`repro.sim.partition.partition_graph`
 shards the batch round-robin across devices (comm only for the result
 gather), and :func:`repro.sim.outofcore.rewrite_out_of_core` streams
 whole problems through a bounded device window shared by every in-flight
-problem.  :func:`predict_batched_resolved` is the emit -> (partition ->)
-(rewrite ->) price pipeline behind ``Solver.predict(n, batch=b, ...)``;
-the pre-composition pricing survives as
-:func:`batched_closed_form_resolved`, the consistency oracle the tests
-pin the graph path against.  :func:`replay_batched_graph` replays any
-replayable batched graph (sharded or out-of-core) numerically, bitwise
-identical to solving each matrix alone.
+problem.  ``Solver.predict(n, batch=b, ...)`` composes and prices it
+like every other workload, and :func:`bind_batched_table` is its
+shape-parametric binder for the plain single-device query; the
+pre-composition pricing survives as :func:`batched_closed_form_resolved`,
+the consistency oracle the tests pin the graph path against.
+:func:`replay_batched_graph` replays any replayable batched graph
+(sharded or out-of-core) numerically, bitwise identical to solving each
+matrix alone.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ import numpy as np
 
 from ..backends.backend import BackendLike
 from ..config import SolveConfig
-from ..errors import CapacityError, InvalidParamsError, ShapeError
+from ..errors import CapacityError, ShapeError
 from ..precision import PrecisionLike
 from ..sim.costmodel import (
     DEFAULT_COEFFS,
@@ -55,12 +55,7 @@ from ..sim.costmodel import (
     panel_cost,
     update_cost,
 )
-from ..sim.graph import (
-    AnalyticExecutor,
-    LaunchGraph,
-    LaunchNode,
-    NumericExecutor,
-)
+from ..sim.graph import LaunchGraph, LaunchNode, NumericExecutor
 from ..sim.params import KernelParams
 from ..sim.schedule import TimeBreakdown
 from ..sim.table import (
@@ -70,7 +65,12 @@ from ..sim.table import (
     price_table,
 )
 from ..sim.tracing import Stage
-from .svd import _rescale_factor, emit_svd_graph, svdvals_resolved
+from .svd import (
+    _rescale_factor,
+    cast_to_storage,
+    emit_svd_graph,
+    svdvals_resolved,
+)
 from .tiling import ntiles
 
 __all__ = [
@@ -448,120 +448,6 @@ def check_batched_capacity(
         )
 
 
-def predict_batched_resolved(
-    n: int,
-    batch: int,
-    config: SolveConfig,
-    ngpu: int = 1,
-    nodes: int = 1,
-    streams: int = 1,
-    out_of_core: bool = False,
-    link_gbs: Optional[float] = None,
-    fabric_gbs: Optional[float] = None,
-    budget_bytes: Optional[float] = None,
-    check_capacity: bool = True,
-):
-    """Batched-prediction implementation against a resolved config.
-
-    The single shared code path behind :meth:`repro.Solver.predict` with
-    ``batch=`` and the legacy :func:`predict_batched` shim - and since
-    the graph-native batching PR the full composition pipeline: emit the
-    batched launch graph (``streams`` chains), shard the batch round-robin
-    across ``ngpu`` devices with an explicit ``batch_gather`` comm node,
-    rewrite each device's chains against its memory budget
-    (``out_of_core=True``: whole problems stream through the window,
-    sharing the budget across in-flight problems), and price the result -
-    analytically for ``streams == 1``, through the device-aware list
-    scheduler otherwise (returning a
-    :class:`~repro.sim.timeline.StreamSchedule`).
-
-    ``nodes >= 2`` shards the batch round-robin across all
-    ``nodes * ngpu`` device ranks instead, with per-source gather comm
-    nodes priced at the tier they cross, and runs the discrete-event
-    simulator (:func:`repro.sim.events.simulate_events`) so concurrent
-    inter-node gathers queue on the destination's fabric lane (returns
-    an :class:`~repro.sim.events.EventSchedule`); it does not compose
-    with ``out_of_core``.
-
-    The plain single-device path (``ngpu=1, streams=1``, in-core) never
-    materializes nodes at all: it binds the shape-parametric structure
-    (:func:`bind_batched_table`) and prices the table.  Composed graphs
-    are memoized per axes through the same bound-structure memo, so
-    repeated predictions (``Solver.tune`` candidates, admission pricing)
-    re-emit nothing.
-    """
-    storage = config.require_precision("batched prediction")
-    if n < 1 or batch < 1:
-        raise ShapeError(f"need positive n and batch, got n={n}, batch={batch}")
-    if nodes < 1:
-        raise InvalidParamsError(
-            f"nodes must be a positive node count, got {nodes}"
-        )
-    if out_of_core and nodes > 1:
-        raise InvalidParamsError(
-            f"out_of_core streaming and multi-node execution do not "
-            f"compose yet; got out_of_core=True with nodes={nodes} "
-            f"(drop one of the two axes)"
-        )
-    if check_capacity and not out_of_core:
-        check_batched_capacity(n, batch, config, nodes * ngpu)
-
-    if nodes > 1:
-        from ..sim.events import simulate_events
-        from ..sim.partition import partition_graph
-
-        fabric = config.fabric_spec(link_gbs, fabric_gbs)
-
-        def _compose_cluster() -> LaunchGraph:
-            graph = emit_batched_graph(n, batch, config, streams=streams)
-            return partition_graph(graph, ngpu, nodes=nodes, fabric=fabric)
-
-        graph = bound_structure(
-            (
-                "bat_cluster_graph", config, n, batch,
-                min(streams, batch), nodes, ngpu, fabric,
-            ),
-            _compose_cluster,
-        )
-        return simulate_events(graph, config, storage, streams=streams)
-
-    if ngpu == 1 and streams == 1 and not out_of_core:
-        return price_table(
-            bind_batched_table(n, batch, config), config, storage, None
-        )
-
-    # lazy: the rewriters live in repro.sim, which core already imports,
-    # but partition/outofcore import this module's graph kinds
-    from ..sim.outofcore import rewrite_out_of_core
-    from ..sim.partition import partition_graph, price_partitioned
-    from ..sim.timeline import schedule_streams
-
-    link = config.link_spec(link_gbs) if ngpu > 1 else None
-
-    def _compose() -> LaunchGraph:
-        graph = emit_batched_graph(n, batch, config, streams=streams)
-        if ngpu > 1:
-            graph = partition_graph(graph, ngpu, link)
-        if out_of_core:
-            graph = rewrite_out_of_core(
-                graph, config, storage, budget_bytes=budget_bytes
-            )
-        return graph
-
-    graph = bound_structure(
-        (
-            "bat_graph", config, n, batch, min(streams, batch), ngpu, link,
-            out_of_core, budget_bytes,
-        ),
-        _compose,
-    )
-    if streams > 1:
-        return schedule_streams(graph, config, storage, streams)
-    if ngpu > 1:
-        return price_partitioned(graph, config, storage)
-    return AnalyticExecutor(config, storage).run(graph)
-
-
 def batched_closed_form_resolved(
     n: int, batch: int, config: SolveConfig
 ) -> TimeBreakdown:
@@ -724,10 +610,6 @@ def replay_batched_graph(
             f"graph tilesize {graph.ts} does not match config tilesize "
             f"{config.params.tilesize}"
         )
-    if config.check_finite and any(
-        not np.all(np.isfinite(a)) for a in mats
-    ):
-        raise ShapeError("input matrix contains NaN or Inf entries")
     compute = config.backend.compute_precision(storage)
     compute_dtype = compute.dtype if compute is not storage else None
 
@@ -737,7 +619,9 @@ def replay_batched_graph(
     for p, a in enumerate(mats):
         scale = _rescale_factor(a, storage) if config.rescale else 1.0
         scales.append(scale)
-        W[p, :n, :n] = a if scale == 1.0 else a * scale
+        W[p, :n, :n] = cast_to_storage(
+            a if scale == 1.0 else a * scale, storage, config.check_finite
+        )
 
     ex = NumericExecutor(
         W, graph.ts, storage.eps, session=None, compute_dtype=compute_dtype,
@@ -810,7 +694,10 @@ def svdvals_batched_resolved(
         )
     if not return_info:
         return out
-    bd = predict_batched_resolved(n, len(mats), batch_config)
+    bd = price_table(
+        bind_batched_table(n, len(mats), batch_config), batch_config,
+        storage, None,
+    )
     return out, bd
 
 

@@ -35,7 +35,13 @@ from ..errors import ShapeError
 from ..sim.graph import LaunchGraph, LaunchNode, NumericExecutor
 from ..sim.table import NodeTable, bound_structure
 from ..sim.tracing import Stage
-from .svd import SVDInfo, _rescale_factor, bind_svd_table, emit_svd_graph
+from .svd import (
+    SVDInfo,
+    _rescale_factor,
+    bind_svd_table,
+    cast_to_storage,
+    emit_svd_graph,
+)
 from .tiling import pad_to_tiles
 
 __all__ = [
@@ -214,17 +220,7 @@ def eigh_resolved(
     n = A.shape[0]
     if n == 0:
         raise ShapeError("empty matrix")
-    if config.check_finite and not np.all(np.isfinite(A)):
-        raise ShapeError("input matrix contains NaN or Inf entries")
     A64 = np.asarray(A, dtype=np.float64)
-    scale_ref = float(np.max(np.abs(A64))) if A64.size else 0.0
-    if not np.allclose(
-        A64, A64.T, rtol=0.0, atol=64.0 * np.finfo(np.float64).eps * scale_ref
-    ):
-        raise ShapeError(
-            "eigh expects a symmetric matrix; symmetrize the input "
-            "(A + A.T) / 2 first"
-        )
 
     be = config.backend
     storage = config.storage_for(A.dtype)
@@ -237,8 +233,19 @@ def eigh_resolved(
     scale = _rescale_factor(M, storage) if config.rescale else 1.0
     if scale != 1.0:
         M = M * scale
+    # the cast names non-finite input before the symmetry test can
+    # misreport it as asymmetry
+    M = cast_to_storage(M, storage, config.check_finite)
+    scale_ref = float(np.max(np.abs(A64))) if A64.size else 0.0
+    if not np.allclose(
+        A64, A64.T, rtol=0.0, atol=64.0 * np.finfo(np.float64).eps * scale_ref
+    ):
+        raise ShapeError(
+            "eigh expects a symmetric matrix; symmetrize the input "
+            "(A + A.T) / 2 first"
+        )
 
-    W, _ = pad_to_tiles(np.asarray(M, dtype=storage.dtype), ts)
+    W, _ = pad_to_tiles(M, ts)
     compute_dtype = (
         session.compute.dtype if session.compute is not storage else None
     )

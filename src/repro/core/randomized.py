@@ -40,7 +40,7 @@ from ..sim.graph import LaunchGraph, LaunchNode
 from ..sim.table import NodeTable, bound_structure
 from ..sim.tracing import Stage
 from .rectangular import _emit_tallqr_nodes, qr_reduce_tall
-from .svd import SVDInfo, emit_svd_graph, svdvals_resolved
+from .svd import SVDInfo, cast_to_storage, emit_svd_graph, svdvals_resolved
 from .tiling import ntiles
 
 __all__ = [
@@ -215,8 +215,6 @@ def svd_lowrank_resolved(
         )
     m, n = A.shape
     check_rank(rank, m, n)
-    if config.check_finite and not np.all(np.isfinite(A)):
-        raise ShapeError("input matrix contains NaN or Inf entries")
 
     be = config.backend
     storage = config.storage_for(A.dtype)
@@ -229,7 +227,7 @@ def svd_lowrank_resolved(
         session.compute.dtype if session.compute is not storage else None
     )
 
-    As = np.asarray(A, dtype=storage.dtype)
+    As = cast_to_storage(A, storage, config.check_finite)
     Omega = gaussian_sketch(n, l, seed=seed, precision=storage)
     Y = np.asarray(As @ Omega, dtype=storage.dtype)
     session.launch_gemm(m, n, l)

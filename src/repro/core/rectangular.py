@@ -33,7 +33,7 @@ from ..sim.graph import LaunchGraph, LaunchNode, NumericExecutor
 from ..sim.params import KernelParams
 from ..sim.session import Session
 from ..sim.tracing import Stage
-from .svd import SVDInfo, svdvals_resolved
+from .svd import SVDInfo, cast_to_storage, svdvals_resolved
 from .tiling import ntiles
 
 __all__ = ["emit_tallqr_graph", "qr_reduce_tall", "svdvals_rect"]
@@ -200,7 +200,7 @@ def svdvals_rect_resolved(
             )
         W = workspace
         W.fill(0)
-    W[:m, :n] = np.asarray(A, dtype=storage.dtype)
+    W[:m, :n] = cast_to_storage(A, storage, config.check_finite)
     compute_dtype = (
         session.compute.dtype if session.compute is not session.storage else None
     )

@@ -98,6 +98,36 @@ def _rescale_factor(A: np.ndarray, storage: Precision) -> float:
     return 1.0
 
 
+def cast_to_storage(
+    A: np.ndarray, storage: Precision, check_finite: bool = True
+) -> np.ndarray:
+    """``A`` cast to the storage dtype, rejecting non-finite values first.
+
+    The one storage upload every driver shares.  With ``check_finite``
+    the input must be finite, and so must its cast: a value beyond the
+    storage precision's range (65504 in fp16) would round to Inf and
+    leave the solver iterating on garbage, so it fails here instead,
+    naming the precision.  Both checks raise
+    :class:`~repro.errors.ShapeError`.
+    """
+    A = np.asarray(A)
+    if check_finite and not np.all(np.isfinite(A)):
+        raise ShapeError("input matrix contains NaN or Inf entries")
+    with np.errstate(over="ignore"):
+        out = np.asarray(A, dtype=storage.dtype)
+    # only a narrowing cast (say fp64 -> fp16) can overflow to Inf
+    narrowing = not np.can_cast(A.dtype, out.dtype)
+    if check_finite and narrowing and not np.all(np.isfinite(out)):
+        raise ShapeError(
+            f"input matrix contains NaN or Inf entries after the cast to "
+            f"{storage.name} storage: its largest magnitude "
+            f"{float(np.max(np.abs(A))):.4g} exceeds the {storage.name} "
+            f"range {storage.fmax:.6g}; construct the Solver with "
+            f"rescale=True (the default) or scale the input into range"
+        )
+    return out
+
+
 def emit_svd_graph(
     n: int, config: SolveConfig, streams: int = 1, counted: bool = False
 ) -> LaunchGraph:
@@ -318,8 +348,6 @@ def svdvals_resolved(
     n = A.shape[0]
     if n == 0:
         raise ShapeError("empty matrix")
-    if config.check_finite and not np.all(np.isfinite(A)):
-        raise ShapeError("input matrix contains NaN or Inf entries")
 
     be = config.backend
     storage = config.storage_for(A.dtype)
@@ -330,11 +358,13 @@ def svdvals_resolved(
 
     # optional exact power-of-two rescaling into the precision's safe range
     scale = _rescale_factor(A, storage) if config.rescale else 1.0
-    src = A if scale == 1.0 else A * scale
+    src = cast_to_storage(
+        A if scale == 1.0 else A * scale, storage, config.check_finite
+    )
 
     # upload in storage precision and zero-pad to full tiles
     if workspace is None:
-        W, _ = pad_to_tiles(np.asarray(src, dtype=storage.dtype), ts)
+        W, _ = pad_to_tiles(src, ts)
     else:
         npad_want = ntiles(n, ts) * ts
         if workspace.shape != (npad_want, npad_want) or (

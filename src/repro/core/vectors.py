@@ -334,7 +334,7 @@ def svd_full_resolved(A: np.ndarray, config, return_info: bool = False):
     The single shared code path behind :meth:`repro.Solver.svd` and the
     legacy :func:`svd_full` shim.
     """
-    from .svd import SVDInfo
+    from .svd import SVDInfo, cast_to_storage
 
     A = np.asarray(A)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -342,8 +342,6 @@ def svd_full_resolved(A: np.ndarray, config, return_info: bool = False):
     n = A.shape[0]
     if n == 0:
         raise ShapeError("empty matrix")
-    if config.check_finite and not np.all(np.isfinite(A)):
-        raise ShapeError("input matrix contains NaN or Inf entries")
 
     be = config.backend
     storage = config.storage_for(A.dtype)
@@ -353,7 +351,8 @@ def svd_full_resolved(A: np.ndarray, config, return_info: bool = False):
 
     # vectors are accumulated in compute precision for stability
     work_dtype = session.compute.dtype
-    W, _ = pad_to_tiles(np.asarray(A, dtype=storage.dtype).astype(work_dtype), ts)
+    stored = cast_to_storage(A, storage, config.check_finite)
+    W, _ = pad_to_tiles(stored.astype(work_dtype), ts)
     npad = W.shape[0]
     Ut = np.eye(npad, dtype=work_dtype)
     Vt = np.eye(npad, dtype=work_dtype)

@@ -18,9 +18,9 @@ with explicit host-link transfer nodes (square graphs by tile panels,
 batched graphs by whole problems).  Cluster graphs are priced by
 :func:`simulate_events` (:mod:`repro.sim.events`), a discrete-event
 simulation in which launches occupy stream/link/fabric resources with
-FIFO queueing — the greedy list scheduler is the fast approximation,
-the event simulator is the oracle, and on contention-free graphs the
-two agree exactly.
+FIFO queueing; on contention-free graphs it agrees exactly with the
+greedy list scheduler, and on predict graphs it is the faster of the
+two (see :mod:`repro.sim.events`).
 """
 
 from .costmodel import (

@@ -100,6 +100,7 @@ __all__ = [
     "check_shard_capacity",
     "fleet_scale",
     "fleet_weights",
+    "is_weighted_fleet",
     "partition_graph",
     "price_partitioned",
     "price_partitioned_scalar",
@@ -255,11 +256,27 @@ def check_shard_capacity(n: int, config, ngpu: int, nodes: int = 1) -> None:
         )
 
 
+def is_weighted_fleet(topology: Topology, config) -> bool:
+    """True unless ``topology`` is a uniform fleet of the handle's device.
+
+    A uniform fleet of the handle's own device is the ``ngpu=`` /
+    ``nodes=`` spelling: balanced shards, priced against the handle's
+    backend.  Every other fleet (mixed types, or another device than the
+    handle's) is sharded by :func:`fleet_weights` and event-simulated at
+    each rank's own speed.
+    """
+    return not (
+        topology.is_uniform and topology.device == config.backend.device.name
+    )
+
+
 def check_fleet_capacity(
     n: int,
     config,
     topology: Topology,
     weights: Optional[Tuple[float, ...]] = None,
+    *,
+    batch: Optional[int] = None,
 ) -> None:
     """Raise :class:`CapacityError` if a rank's shard exceeds its memory.
 
@@ -267,32 +284,54 @@ def check_fleet_capacity(
     weighted tile-row quota (rounded up) plus one panel copy must fit
     that rank's *own* device memory - a weighted partition deliberately
     loads the fast devices heavier, so the uniform per-device bound does
-    not apply.  Uniform fleets of the handle's device delegate to
-    :func:`check_shard_capacity` exactly.
+    not apply.  With ``batch``, each rank instead holds its
+    :func:`shard_rows_weighted` share of the ``batch`` problems (the
+    split the batched partition uses), each ``n x n`` with the same 1.25
+    working-set factor.  Uniform fleets of the handle's device delegate
+    to :func:`check_shard_capacity` (or, with ``batch``, to
+    :func:`repro.core.batched.check_batched_capacity`) exactly.
     """
+    from ..core.batched import check_batched_capacity
     from ..core.tiling import ntiles
 
     storage = config.require_precision("fleet prediction")
-    total = topology.ngpu
-    if topology.is_uniform and topology.device == config.backend.device.name:
-        check_shard_capacity(n, config, topology.per_node,
-                             nodes=topology.nodes)
+    if not is_weighted_fleet(topology, config):
+        if batch is not None:
+            check_batched_capacity(n, batch, config, topology.ngpu)
+        else:
+            check_shard_capacity(n, config, topology.per_node,
+                                 nodes=topology.nodes)
         return
     if weights is None:
         weights = fleet_weights(topology, config)
-    ts = config.params.tilesize
-    nbt = ntiles(n, ts)
-    npad = nbt * ts
-    total_w = float(sum(weights))
-    for rank, (spec, w) in enumerate(zip(topology.specs(), weights)):
-        shard_rows_n = math.ceil(nbt * float(w) / total_w) * ts
-        shard_bytes = (shard_rows_n * npad + npad * ts) * storage.sizeof * 1.25
-        if shard_bytes > spec.mem_bytes:
+    if batch is not None:
+        # whole problems per rank, split the way the batched partition
+        # splits them
+        elems = [
+            (hi - lo) * n * n
+            for lo, hi in shard_rows_weighted(0, batch, weights)
+        ]
+        what = f"batch of {batch} {n}x{n} {storage.name} matrices"
+        smaller = "batch"
+    else:
+        ts = config.params.tilesize
+        nbt = ntiles(n, ts)
+        npad = nbt * ts
+        total_w = float(sum(weights))
+        elems = [
+            math.ceil(nbt * float(w) / total_w) * ts * npad + npad * ts
+            for w in weights
+        ]
+        what = f"{n}x{n} {storage.name} matrix"
+        smaller = "matrix"
+    for rank, (spec, count) in enumerate(zip(topology.specs(), elems)):
+        need = count * storage.sizeof * 1.25
+        if need > spec.mem_bytes:
             raise CapacityError(
-                f"{n}x{n} {storage.name} matrix sharded over {topology!r} "
-                f"needs {shard_bytes / 2**30:.1f} GiB on rank {rank} "
-                f"({spec.name}, {spec.mem_gb} GiB) "
-                f"(use more devices or a smaller matrix)"
+                f"{what} sharded over {topology!r} needs "
+                f"{need / 2**30:.1f} GiB on rank {rank} ({spec.name}, "
+                f"{spec.mem_gb} GiB) (use more devices or a smaller "
+                f"{smaller})"
             )
 
 

@@ -2,32 +2,20 @@
 
 The paper closes with: "we aim to incorporate support for out-of-core
 execution, multi-GPU scaling, and heterogeneous environments, enabling
-larger problem sizes and better resource utilization."  This module
-extends the analytic schedule model to both regimes so the design space
-can be explored ahead of a kernel port:
+larger problem sizes and better resource utilization."  Both regimes are
+graph axes of :meth:`repro.Solver.predict` - ``out_of_core=True``
+rewrites the launch graph through
+:func:`repro.sim.outofcore.rewrite_out_of_core` (explicit
+``h2d_tile``/``d2h_tile`` transfer nodes, priced as ``io_s``) and
+``ngpu=g`` shards it through :func:`repro.sim.partition.partition_graph`
+(explicit comm nodes, priced as ``comm_s``).  This module keeps what
+predates those rewriters:
 
-* :func:`predict_out_of_core` prices the stage-1 reduction when the matrix
-  exceeds device memory through the graph path: the emitted launch graph
-  is rewritten by :func:`repro.sim.outofcore.rewrite_out_of_core` into a
-  host-resident plan - pinned panels, trailing tile rows streamed through
-  a bounded device window via explicit ``h2d_tile``/``d2h_tile`` transfer
-  nodes - and priced with transfer time as the breakdown's own ``io_s``
-  component.  The pre-rewriter closed form survives as
-  :func:`out_of_core_closed_form_resolved`, its consistency oracle;
-* :func:`predict_multi_gpu` prices a tile-row partitioned multi-GPU
-  stage 1 through the graph path: the emitted launch graph is sharded by
-  :func:`repro.sim.partition.partition_graph` (explicit comm nodes,
-  per-device update chunks, serial panel chain) and priced by
-  :func:`~repro.sim.partition.price_partitioned`.  The pre-partitioner
-  closed form survives as :func:`multi_gpu_closed_form_resolved`, the
-  consistency oracle the tests pin the graph path against.
-
-Both return the same :class:`~repro.sim.schedule.TimeBreakdown` used by
-the single-GPU model, so all reporting utilities apply; out-of-core
-composes with ``streams`` (returning a
-:class:`~repro.sim.timeline.StreamSchedule`) and with ``ngpu``
-(partition first, then rewrite each device's shard against its own
-budget).
+* :func:`predict_out_of_core` and :func:`predict_multi_gpu`, the legacy
+  one-shot shims over ``Solver.predict``;
+* :func:`out_of_core_closed_form_resolved` and
+  :func:`multi_gpu_closed_form_resolved`, the pre-rewriter closed forms
+  kept as consistency oracles the tests pin the graph paths against.
 """
 
 from __future__ import annotations
@@ -40,7 +28,7 @@ from ..errors import ShapeError
 from ..precision import PrecisionLike
 from .costmodel import DEFAULT_COEFFS, CostCoefficients
 from .params import KernelParams
-from .schedule import TimeBreakdown, predict_resolved
+from .schedule import TimeBreakdown
 
 __all__ = [
     "multi_gpu_closed_form_resolved",
@@ -70,8 +58,10 @@ def out_of_core_closed_form_resolved(n: int, config) -> TimeBreakdown:
     if n < 1:
         raise ShapeError(f"matrix order must be positive, got {n}")
 
+    from ..solver import Solver
+
     # in-core baseline without the capacity guard
-    bd = predict_resolved(n, config, check_capacity=False)
+    bd = Solver.from_config(config).predict(n, check_capacity=False)
     if n <= be.max_n(storage):
         return bd  # fits: out-of-core machinery is a no-op
 
@@ -96,67 +86,6 @@ def out_of_core_closed_form_resolved(n: int, config) -> TimeBreakdown:
     )
     ooc.launches["h2d_stream"] = 2 * (nbt - 1)
     return ooc
-
-
-def predict_out_of_core_resolved(
-    n: int,
-    config,
-    ngpu: int = 1,
-    streams: int = 1,
-    link_gbs: Optional[float] = None,
-    budget_bytes: Optional[float] = None,
-):
-    """Out-of-core prediction against a resolved ``SolveConfig``.
-
-    The single shared code path behind :meth:`repro.Solver.predict` with
-    ``out_of_core=True`` and the legacy :func:`predict_out_of_core`
-    shim: emit the launch graph the numeric driver would replay,
-    partition it when ``ngpu > 1``, rewrite each device's shard against
-    its memory budget (``budget_bytes``, default the backend's device
-    memory) with explicit host-link transfer nodes, and price the
-    result - analytically for ``streams == 1`` (transfer time as the
-    breakdown's ``io_s``), through the device-aware list scheduler for
-    ``streams > 1`` (transfers overlap compute on a dedicated host-link
-    lane, returning a :class:`~repro.sim.timeline.StreamSchedule`).
-
-    In-core problems pass through unrewritten, so ``io_s`` is nonzero
-    only past capacity and ``ngpu=1, streams=1`` reproduces the default
-    prediction exactly.
-    """
-    storage = config.require_precision("out-of-core prediction")
-    if n < 1:
-        raise ShapeError(f"matrix order must be positive, got {n}")
-
-    # the emitter lives with the drivers; lazy import keeps repro.sim
-    # importable before repro.core
-    from ..core.svd import emit_svd_graph
-    from .graph import AnalyticExecutor
-    from .outofcore import rewrite_out_of_core
-    from .partition import partition_graph, price_partitioned
-    from .table import bound_structure
-    from .timeline import schedule_streams
-
-    link = config.link_spec(link_gbs) if ngpu > 1 else None
-
-    def _compose():
-        graph = emit_svd_graph(n, config, streams=streams)
-        if ngpu > 1:
-            graph = partition_graph(graph, ngpu, link)
-        return rewrite_out_of_core(
-            graph, config, storage, budget_bytes=budget_bytes
-        )
-
-    # memoized per axes: repeated predictions of the same composition
-    # (tune candidates, admission re-pricing) reuse the rewritten graph
-    graph = bound_structure(
-        ("sq_ooc_graph", config, n, ngpu, streams, link, budget_bytes),
-        _compose,
-    )
-    if streams > 1:
-        return schedule_streams(graph, config, storage, streams)
-    if ngpu > 1:
-        return price_partitioned(graph, config, storage)
-    return AnalyticExecutor(config, storage).run(graph)
 
 
 def predict_out_of_core(
@@ -205,7 +134,9 @@ def multi_gpu_closed_form_resolved(
     storage = config.require_precision("multi-GPU prediction")
     params = config.params
 
-    bd = predict_resolved(n, config, check_capacity=False)
+    from ..solver import Solver
+
+    bd = Solver.from_config(config).predict(n, check_capacity=False)
     if ngpus == 1:
         return bd
 
@@ -234,42 +165,6 @@ def multi_gpu_closed_form_resolved(
     )
     out.launches["panel_bcast"] = 2 * (nbt - 1)
     return out
-
-
-def predict_multi_gpu_resolved(
-    n: int, config, ngpus: int, link_gbs: Optional[float] = None
-) -> TimeBreakdown:
-    """Multi-GPU prediction against a resolved ``SolveConfig``.
-
-    Since the partitioner landed this is a thin shim over the graph
-    path: emit the single-device launch graph, shard it tile-row-wise
-    across ``ngpus`` devices with explicit comm nodes, and price the
-    partitioned graph (launch counts come from that graph; comm time is
-    its own :class:`TimeBreakdown` component).  ``ngpus=1`` reproduces
-    the single-device pricing exactly.  The single shared code path
-    behind :meth:`repro.Solver.predict` with ``ngpu=`` and the legacy
-    :func:`predict_multi_gpu` shim.
-    """
-    if ngpus < 1:
-        raise ShapeError(f"need at least one GPU, got {ngpus}")
-    storage = config.require_precision("multi-GPU prediction")
-    if ngpus == 1:
-        return predict_resolved(n, config, check_capacity=False)
-
-    # the emitter lives with the drivers; lazy import keeps repro.sim
-    # importable before repro.core
-    from ..core.svd import emit_svd_graph
-    from .partition import partition_graph, price_partitioned
-    from .table import bound_structure
-
-    link = config.link_spec(link_gbs)
-    # memoized per axes: the partitioned structure is built once and
-    # repeated predictions (tune candidates) price its cached table
-    pgraph = bound_structure(
-        ("sq_part_graph", config, n, ngpus, link),
-        lambda: partition_graph(emit_svd_graph(n, config), ngpus, link),
-    )
-    return price_partitioned(pgraph, config, storage)
 
 
 def predict_multi_gpu(

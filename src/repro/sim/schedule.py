@@ -1,13 +1,14 @@
-"""Analytic runtime prediction: price the launch graph without numerics.
+"""Analytic runtime prediction: the result type and the legacy shim.
 
-The solver's launch schedule is fully static per problem shape.  Since the
-stage-graph refactor there is exactly *one* encoding of it - the
-:class:`~repro.sim.graph.LaunchGraph` emitted by
-:func:`repro.core.emit_svd_graph` - and this module is a thin wrapper that
-prices that graph with the :class:`~repro.sim.graph.AnalyticExecutor`.
-The launch sequence and its cost are computed without touching matrix
-data, which lets the benchmark harness price the paper's full size grid
-(up to 131072 for FP16 on H100) in milliseconds.
+The solver's launch schedule is fully static per problem shape and has
+exactly *one* encoding - the :class:`~repro.sim.graph.LaunchGraph`
+emitted by :func:`repro.core.emit_svd_graph` (or its shape-parametric
+binder) - which :meth:`repro.Solver.predict` prices without touching
+matrix data; that lets the benchmark harness price the paper's full size
+grid (up to 131072 for FP16 on H100) in milliseconds.  This module holds
+the :class:`TimeBreakdown` every pricer returns, the legacy one-shot
+:func:`predict` shim over ``Solver.predict``, and
+:func:`stage1_launch_count`.
 
 Consistency guarantee: the numeric driver replays the *same* graph, so
 ``predict(...)`` charges identical launches and per-stage seconds by
@@ -158,31 +159,6 @@ def stage1_launch_count(nbtiles: int, fused: bool = True) -> int:
         if r2 > 0:
             total += 2 if fused else 2 * r2
     return total
-
-
-def predict_resolved(
-    n: int, config, check_capacity: bool = True
-) -> TimeBreakdown:
-    """Single-matrix prediction against a resolved ``SolveConfig``.
-
-    The single shared code path behind :meth:`repro.Solver.predict` and
-    the legacy :func:`predict` shim: bind the shape-parametric sweep
-    structure to ``(n, config)`` (memoized; no per-tile node emission)
-    and price the struct-of-arrays table analytically.  Float-identical
-    to pricing ``emit_svd_graph(n, config, counted=True)`` node by node.
-    """
-    # the structure binder lives with the drivers; importing it lazily
-    # keeps repro.sim importable before repro.core
-    from ..core.svd import bind_svd_table
-
-    storage = config.require_precision("prediction")
-    if n < 1:
-        raise ShapeError(f"matrix order must be positive, got {n}")
-    if check_capacity:
-        config.backend.check_capacity(n, storage)
-    from .table import price_table
-
-    return price_table(bind_svd_table(n, config), config, storage, None)
 
 
 def predict(

@@ -14,15 +14,15 @@ True
 
 ``Solver.predict``, ``Solver.tune``, serving admission and
 ``partition_graph`` all accept ``topology=``.  The legacy spellings
-(``ngpu=``, ``nodes=``, ``fabric_gbs=``, ``link_gbs=``) remain as thin
-shims describing a uniform fleet of the handle's backend; passing both
-spellings raises a validation error naming the conflicting axes.  The
-core invariant (pinned by ``tests/test_partition.py``): a **uniform**
-topology of the handle's own device routes through exactly the legacy
-code path, so ``Topology.uniform(dev, g, nodes=m)`` produces graphs and
-prices byte-identical to ``ngpu=g, nodes=m``.  Heterogeneous fleets take
-the cost-weighted path instead (see
-:func:`repro.sim.partition.shard_rows_weighted`).
+(``ngpu=``, ``nodes=``, ``fabric_gbs=``, ``link_gbs=``) describe a
+uniform fleet of the handle's backend, and ``Solver.predict`` folds them
+into exactly that topology at its door; passing both spellings raises a
+validation error naming the conflicting axes.  So a **uniform** topology
+of the handle's own device *is* the legacy spelling:
+``Topology.uniform(dev, g, nodes=m)`` produces graphs and prices
+byte-identical to ``ngpu=g, nodes=m`` (pinned by
+``tests/test_partition.py``).  Every other fleet takes the cost-weighted
+path instead (see :func:`repro.sim.partition.shard_rows_weighted`).
 """
 
 from __future__ import annotations

@@ -46,7 +46,8 @@ Quickstart
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple, Union
+from functools import partial
+from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -56,41 +57,74 @@ from .errors import InvalidParamsError, ShapeError
 from .precision import Precision, PrecisionLike
 from .sim.costmodel import CostCoefficients, FabricSpec, LinkSpec
 from .sim.events import EventSchedule, simulate_events
-from .sim.graph import AnalyticExecutor
+from .sim.graph import AnalyticExecutor, LaunchGraph
 from .sim.params import KernelParams
-from .sim.schedule import TimeBreakdown, predict_resolved
+from .sim.schedule import TimeBreakdown
 from .sim.timeline import StreamSchedule, schedule_streams
 from .core.batched import (
-    check_batched_capacity,
+    bind_batched_table,
     emit_batched_graph,
-    predict_batched_resolved,
     svdvals_batched_resolved,
 )
-from .core.eigh import eigh_resolved, emit_eigh_graph
+from .core.eigh import bind_eigh_table, eigh_resolved, emit_eigh_graph
 from .core.jacobi import jacobi_svdvals_resolved
 from .core.randomized import (
+    bind_lowrank_table,
     check_rank,
     emit_lowrank_graph,
     svd_lowrank_resolved,
 )
 from .core.rectangular import emit_tallqr_graph, svdvals_rect_resolved
-from .core.svd import emit_svd_graph, svdvals_resolved
+from .core.svd import bind_svd_table, emit_svd_graph, svdvals_resolved
 from .core.tiling import ntiles
 from .core.vectors import svd_full_resolved
 from .sim.outofcore import rewrite_out_of_core
 from .sim.partition import (
     check_fleet_capacity,
-    check_shard_capacity,
     fleet_scale,
     fleet_weights,
+    is_weighted_fleet,
     partition_graph,
     price_partitioned,
 )
-from .sim.scaling import predict_multi_gpu_resolved, predict_out_of_core_resolved
-from .sim.table import bound_structure
+from .sim.table import bound_structure, price_table
 from .sim.topology import Topology, require_no_conflicts
 
 __all__ = ["Solver", "SvdPlan"]
+
+
+def compose_graph(
+    emit: Callable[[], LaunchGraph],
+    config: SolveConfig,
+    topology: Topology,
+    out_of_core: bool = False,
+    budget_bytes: Optional[float] = None,
+) -> LaunchGraph:
+    """Emit -> partition -> rewrite: the one composition of a launch graph.
+
+    ``emit()`` builds the single-device graph (any replayable workload
+    kind, any ``streams``); :func:`~repro.sim.partition.partition_graph`
+    shards it over ``topology`` - evenly for a uniform fleet of the
+    handle's device, by :func:`~repro.sim.partition.fleet_weights`
+    otherwise, a no-op on one device - and ``out_of_core=True`` then
+    rewrites each device's shard against ``budget_bytes``
+    (:func:`~repro.sim.outofcore.rewrite_out_of_core`; default: device
+    memory).  Partition always precedes rewrite, the fixed order
+    ``partition_graph`` enforces.  Pure: the result depends on the
+    arguments alone, so callers may memoize it (:meth:`Solver.predict`
+    keys it per axes in the bound-structure memo).
+    """
+    weights = (
+        fleet_weights(topology, config)
+        if is_weighted_fleet(topology, config) else None
+    )
+    graph = partition_graph(
+        emit(), topology=topology, config=config, weights=weights
+    )
+    if out_of_core:
+        storage = config.require_precision("out-of-core prediction")
+        graph = rewrite_out_of_core(graph, config, storage, budget_bytes)
+    return graph
 
 
 class Solver:
@@ -346,102 +380,68 @@ class Solver:
     ) -> Union[TimeBreakdown, StreamSchedule, EventSchedule]:
         """Predict the simulated runtime of an ``n x n`` solve.
 
-        One front door for every analytic model:
+        One front door and one pipeline for every analytic model.  The
+        workload axis picks an emitter and a binder: the square SVD
+        (default), ``batch=b`` problems through the batched launch graph
+        (one grid covers all problems per schedule step, so launch
+        overheads amortize across the batch), ``workload="eigh"`` (the
+        symmetric eigensolver graph: same sweeps, ``steig_cpu`` tail) or
+        ``rank=r`` (the randomized low-rank graph; ``workload="lowrank"``
+        requires it and ``rank=`` alone implies it).  ``batch`` does not
+        compose with the other workloads.
 
-        * default: the single-stream launch graph priced end to end;
-        * ``batch=b``: ``b`` problems through the batched launch graph -
-          one grid covers all problems per schedule step, so launch
-          overheads amortize across the batch;
-        * ``ngpu=g``: the emitted graph is sharded tile-row-wise across
-          ``g`` devices with explicit comm nodes (panel broadcast,
-          boundary exchange, band gather) and priced from the
-          partitioned graph - launch counts come from that graph, comm
-          time is reported as the breakdown's own ``comm_s`` component,
-          and ``ngpu=1`` reproduces single-device pricing exactly.
-          ``link_gbs`` overrides the interconnect bandwidth (default:
-          the backend's link - NVLink on H100/A100, Infinity Fabric on
-          MI250, ...; the handle's ``link=`` axis overrides the backend
-          default);
-        * ``nodes=m`` (m >= 2): cluster execution over an ``m x g``
-          two-tier topology - the graph is sharded across all
-          ``m * g`` device ranks, comm nodes are priced at the tier
-          they cross (node-local link vs inter-node fabric, hierarchical
-          panel broadcast spanning both), and the result comes from the
-          discrete-event simulator
-          (:func:`repro.sim.events.simulate_events`), which queues
-          launches on per-device streams and per-tier link lanes and so
-          reports queueing/contention the greedy scheduler cannot see
-          (returns an :class:`~repro.sim.events.EventSchedule`).
-          ``fabric_gbs`` overrides the inter-node fabric bandwidth (the
-          handle's ``fabric=`` axis overrides the default fabric);
-        * ``out_of_core=True``: host-resident execution beyond device
-          memory - the emitted graph is rewritten by
-          :func:`repro.sim.outofcore.rewrite_out_of_core` to stream
-          tile panels through a bounded device window with explicit
-          ``h2d_tile``/``d2h_tile`` transfer nodes, and transfer time is
-          reported as the breakdown's own ``io_s`` component (zero when
-          the problem fits; launch counts come from the rewritten
-          graph).  ``oc_budget_gb`` overrides the per-device window
-          budget (default: the backend's device memory);
-        * ``streams=k`` (k >= 2): lookahead execution across ``k``
-          streams - trailing updates are split so their remainders
-          overlap the next panel factorization, and the graph is priced
-          by the greedy critical-path scheduler (returns a
-          :class:`~repro.sim.timeline.StreamSchedule`).
+        The device axes are two spellings of one
+        :class:`~repro.Topology`: ``ngpu=g, nodes=m`` (with the
+        ``link_gbs`` / ``fabric_gbs`` bandwidth overrides; defaults are
+        the handle's ``link=`` / ``fabric=`` axes, else the backend's
+        link and the default inter-node fabric) is
+        ``Topology.uniform(<handle device>, m * g, nodes=m)``, and
+        ``topology=`` names any fleet directly (passing both spellings
+        raises naming the conflicting axes).  Every query then runs:
 
-        Every execution axis **composes**: ``predict(n, ngpu=g,
-        streams=k)`` emits the lookahead graph, partitions it, and runs
-        the device-aware scheduler with ``k`` streams per device (comm
-        nodes occupy each device's link lane); adding
-        ``out_of_core=True`` partitions first, then rewrites each
-        device's shard against its own budget - under the scheduler the
-        transfers occupy a dedicated per-device host-link lane, so
-        prefetch overlaps compute.  ``batch`` runs the same pipeline on
-        the batched launch graph: ``streams=k`` splits the batch into
-        ``k`` concurrent chains, ``ngpu=g`` shards it round-robin across
-        devices (comm only for the result gather), and
-        ``out_of_core=True`` streams whole problems through the device
-        window, the budget shared across every in-flight problem.
+        1. **capacity** - each rank's shard must fit that rank's own
+           memory (:func:`repro.sim.partition.check_fleet_capacity`:
+           the tile-row shard plus a panel copy, or the rank's share of
+           the batch); skipped for ``out_of_core=True``, whose purpose
+           is exceeding it, and with ``check_capacity=False``;
+        2. **structure** - on one device of the handle's own type with
+           ``streams=1`` and in-core, the workload's shape-parametric
+           binder table; otherwise :func:`compose_graph` (emit ->
+           :func:`~repro.sim.partition.partition_graph` ->
+           :func:`~repro.sim.outofcore.rewrite_out_of_core`), memoized
+           per axes.  ``streams=k`` emits the lookahead graph (split
+           trailing updates overlap the next panel; batches split into
+           ``k`` chains); partitioning shards tile rows (square
+           workloads), sketch GEMM rows (low-rank) or problems (batched)
+           with explicit comm nodes priced at the tier they cross; a
+           uniform fleet of the handle's device shards evenly, any other
+           fleet proportionally to each rank's cost-model throughput
+           (:func:`~repro.sim.partition.fleet_weights`);
+           ``out_of_core=True`` then streams each device's shard through
+           a window of ``oc_budget_gb`` (default: device memory) with
+           explicit ``h2d_tile`` / ``d2h_tile`` nodes, raising
+           :class:`~repro.errors.CapacityError` when the budget cannot
+           hold the minimum window;
+        3. **price** - chosen by the structure alone:
 
-        ``check_capacity`` applies to every in-core mode; with
-        ``ngpu > 1`` it checks the *per-device* footprint - the tile-row
-        shard for square predictions, the round-robin sub-batch for
-        batched ones - so multi-GPU extends capacity (pass
-        ``check_capacity=False`` to price beyond it).  Out-of-core
-        predictions skip the device capacity check - exceeding it is
-        their purpose - but raise
-        :class:`~repro.errors.CapacityError` when the budget cannot hold
-        even the minimum streaming window.  Requires a handle
-        constructed with an explicit precision.
+           =============================  ========================  =================
+           structure                      pricer                    result
+           =============================  ========================  =================
+           multi-node or weighted fleet   ``simulate_events``       ``EventSchedule``
+           ``streams > 1``                ``schedule_streams``      ``StreamSchedule``
+           several devices                ``price_partitioned``     ``TimeBreakdown``
+           one device                     ``price_table``           ``TimeBreakdown``
+           =============================  ========================  =================
 
-        ``topology=`` (a :class:`repro.Topology`) is the fleet spelling
-        of the device axes and is mutually exclusive with
-        ``ngpu``/``nodes``/``link_gbs``/``fabric_gbs`` (passing both
-        raises naming the conflicting axes).  A *uniform* topology of
-        the handle's own device routes through exactly the legacy paths
-        above — graphs and prices are byte-identical to the ``ngpu=``
-        spelling.  A heterogeneous fleet (mixed device types, or a
-        uniform fleet of a different device than the handle's) takes the
-        cost-weighted path: every sweep's tile rows are sharded
-        proportionally to each rank's cost-model throughput
-        (:func:`repro.sim.partition.fleet_weights`), per-rank compute
-        durations are scaled to that rank's own speed, and the result
-        always comes from the discrete-event simulator (an
-        :class:`~repro.sim.events.EventSchedule` whose ``breakdown()``
-        carries per-device busy/utilization).  ``streams``,
-        ``out_of_core`` and ``batch`` compose with fleets the same way
-        they compose with ``ngpu=``; capacity is checked against each
-        rank's *own* memory (:func:`repro.sim.partition.check_fleet_capacity`).
+           The event simulator queues launches on per-device stream pools
+           and per-tier link lanes, so it reports the queueing a greedy
+           schedule cannot see; weighted fleets run each rank's compute
+           at its own speed and report per-rank busy time.  Comm and
+           transfer time land in ``comm_s`` / ``io_s``.
 
-        ``workload=`` selects which emitter feeds the pipeline:
-        ``"svd"`` (default, everything above), ``"eigh"`` (the symmetric
-        eigensolver graph - same sweeps, ``steig_cpu`` tail) or
-        ``"lowrank"`` (the randomized low-rank graph; requires
-        ``rank=``).  Passing ``rank=`` alone implies
-        ``workload="lowrank"``.  Both new workloads run the same emit ->
-        partition -> rewrite -> price pipeline, so ``streams``, ``ngpu``,
-        ``nodes``, ``topology`` and ``out_of_core`` all compose;
-        ``batch`` stays an SVD-only axis.
+        Requires a handle constructed with an explicit precision.
+        ``out_of_core`` does not compose with ``nodes > 1`` nor with
+        weighted batched fleets.
         """
         # the method guard comes first so a Jacobi handle is told about
         # its real problem, not about whichever axis value it passed
@@ -477,7 +477,6 @@ class Solver:
             )
         if workload == "lowrank":
             check_rank(rank, n, n)
-        hetero = False
         if topology is not None:
             require_no_conflicts(
                 topology,
@@ -486,17 +485,11 @@ class Solver:
                 fabric_gbs=fabric_gbs,
                 link_gbs=link_gbs,
             )
-            # a uniform fleet of the handle's own device takes the legacy
-            # routing below (byte-identical by construction); anything
-            # else is priced by the fleet path after the shared guards
+            # the shared guards below read the fleet's axes
             ngpu = topology.per_node
             nodes = topology.nodes
             link_gbs = topology.link_gbs
             fabric_gbs = topology.fabric_gbs
-            hetero = (
-                not topology.is_uniform
-                or topology.device != self._config.backend.device.name
-            )
         if ngpu < 1:
             raise InvalidParamsError(
                 f"ngpu must be a positive device count, got {ngpu}"
@@ -532,320 +525,71 @@ class Solver:
                     f"got {oc_budget_gb}"
                 )
         storage = self._config.require_precision("predict")
-        if workload != "svd":
-            return self._predict_workload(
-                n,
-                workload,
-                rank,
-                ngpu=ngpu,
-                nodes=nodes,
-                streams=streams,
-                out_of_core=out_of_core,
-                check_capacity=check_capacity,
-                link_gbs=link_gbs,
-                fabric_gbs=fabric_gbs,
-                oc_budget_gb=oc_budget_gb,
-                topology=topology if hetero else None,
+        config = self._config
+        if topology is None:
+            topology = Topology.uniform(
+                config.backend.device.name, ngpu * nodes, nodes=nodes,
+                fabric_gbs=fabric_gbs, link_gbs=link_gbs,
             )
-        if hetero:
-            return self._predict_fleet(
-                n,
-                topology,
-                batch=batch,
-                streams=streams,
-                out_of_core=out_of_core,
-                check_capacity=check_capacity,
-                oc_budget_gb=oc_budget_gb,
+        weighted = is_weighted_fleet(topology, config)
+        if batch is not None and weighted and out_of_core:
+            raise InvalidParamsError(
+                "out_of_core streaming and heterogeneous batched fleets do "
+                "not compose yet; drop one of the two axes"
             )
+
+        # the workload's emitter, binder and memo shape (the WORKLOADS
+        # registry pins conformance shapes, so it cannot route queries)
         if batch is not None:
-            # the batched graph runs the same emit -> partition ->
-            # rewrite -> price pipeline as every other axis
-            return predict_batched_resolved(
-                n,
-                batch,
-                self._config,
-                ngpu=ngpu,
-                nodes=nodes,
-                streams=streams,
-                out_of_core=out_of_core,
-                link_gbs=link_gbs,
-                fabric_gbs=fabric_gbs,
-                budget_bytes=(
-                    oc_budget_gb * 2**30 if oc_budget_gb is not None else None
-                ),
-                check_capacity=check_capacity,
+            emit = partial(
+                emit_batched_graph, n, batch, config, streams=streams
             )
-        if nodes > 1:
-            # emit -> partition across the two-tier fabric -> simulate:
-            # only the discrete-event engine can price the queueing and
-            # fabric contention a cluster graph exhibits, so the cluster
-            # path always returns an EventSchedule
-            if check_capacity:
-                check_shard_capacity(n, self._config, ngpu, nodes=nodes)
-            config = self._config
-            fabric = config.fabric_spec(link_gbs, fabric_gbs)
-
-            def _compose_cluster():
-                graph = emit_svd_graph(n, config, streams=streams)
-                return partition_graph(
-                    graph, ngpu, nodes=nodes, fabric=fabric
-                )
-
-            graph = bound_structure(
-                ("sq_cluster_graph", config, n, nodes, ngpu, streams, fabric),
-                _compose_cluster,
+            bind = partial(bind_batched_table, n, batch, config)
+            shape: Tuple = ("batched", n, batch, min(streams, batch))
+        elif workload == "eigh":
+            emit = partial(emit_eigh_graph, n, config, streams=streams)
+            bind = partial(bind_eigh_table, n, config)
+            shape = ("eigh", n, streams)
+        elif workload == "lowrank":
+            emit = partial(
+                emit_lowrank_graph, n, n, rank, config, streams=streams
             )
-            return simulate_events(graph, config, storage, streams=streams)
-        if out_of_core:
-            return predict_out_of_core_resolved(
-                n,
-                self._config,
-                ngpu=ngpu,
-                streams=streams,
-                link_gbs=link_gbs,
-                budget_bytes=(
-                    oc_budget_gb * 2**30 if oc_budget_gb is not None else None
-                ),
-            )
-        if ngpu == 1 and streams == 1:
-            return predict_resolved(
-                n, self._config, check_capacity=check_capacity
-            )
-        if check_capacity:
-            if ngpu == 1:
-                self._config.backend.check_capacity(n, storage)
-            else:
-                check_shard_capacity(n, self._config, ngpu)
-        if ngpu > 1 and streams == 1:
-            # emit -> partition -> price (the TimeBreakdown path)
-            return predict_multi_gpu_resolved(
-                n, self._config, ngpu, link_gbs=link_gbs
-            )
-        config = self._config
-        link = config.link_spec(link_gbs) if ngpu > 1 else None
-
-        def _compose():
-            graph = emit_svd_graph(n, config, streams=streams)
-            if ngpu > 1:
-                graph = partition_graph(graph, ngpu, link)
-            return graph
-
-        # memoized per axes (see repro.sim.table): repeated stream-path
-        # predictions reuse the emitted/partitioned graph and its table
-        graph = bound_structure(
-            ("sq_stream_graph", config, n, streams, ngpu, link), _compose
-        )
-        return schedule_streams(graph, config, storage, streams)
-
-    def _predict_fleet(
-        self,
-        n: int,
-        topology: Topology,
-        *,
-        batch: Optional[int] = None,
-        streams: int = 1,
-        out_of_core: bool = False,
-        check_capacity: bool = True,
-        oc_budget_gb: Optional[float] = None,
-    ) -> EventSchedule:
-        """Price a heterogeneous fleet through the discrete-event engine.
-
-        The one pipeline behind every fleet prediction: emit -> weighted
-        partition (:func:`repro.sim.partition.shard_rows_weighted`, one
-        shard per rank sized by its cost-model throughput) -> optional
-        out-of-core rewrite -> :func:`repro.sim.events.simulate_events`
-        with per-rank compute-duration scales and labels, so the
-        returned :class:`~repro.sim.events.EventSchedule` carries each
-        rank's busy occupancy.  Composed graphs are memoized per axes
-        through the bound-structure memo (the frozen topology is part of
-        the key), so tune's placement search re-emits nothing.
-        """
-        config = self._config
-        storage = config.require_precision("predict")
-        weights = fleet_weights(topology, config)
-        scale = fleet_scale(topology, config)
-        labels = tuple(
-            f"dev{i}:{d}" for i, d in enumerate(topology.devices)
-        )
-        budget_bytes = (
-            oc_budget_gb * 2**30 if oc_budget_gb is not None else None
-        )
-        if batch is not None:
-            if n < 1 or batch < 1:
-                raise ShapeError(
-                    f"need positive n and batch, got n={n}, batch={batch}"
-                )
-            if out_of_core:
-                raise InvalidParamsError(
-                    "out_of_core streaming and heterogeneous batched "
-                    "fleets do not compose yet; drop one of the two axes"
-                )
-            if check_capacity:
-                check_batched_capacity(n, batch, config, topology.ngpu)
-
-            def _compose_fleet_batch():
-                graph = emit_batched_graph(n, batch, config, streams=streams)
-                return partition_graph(
-                    graph, topology=topology, config=config, weights=weights
-                )
-
-            graph = bound_structure(
-                (
-                    "bat_fleet_graph", config, n, batch,
-                    min(streams, batch), topology,
-                ),
-                _compose_fleet_batch,
-            )
-            return simulate_events(
-                graph, config, storage, streams=streams,
-                device_scale=scale, device_labels=labels,
-            )
-        if check_capacity and not out_of_core:
-            check_fleet_capacity(n, config, topology, weights)
-
-        def _compose_fleet():
-            graph = emit_svd_graph(n, config, streams=streams)
-            graph = partition_graph(
-                graph, topology=topology, config=config, weights=weights
-            )
-            if out_of_core:
-                return rewrite_out_of_core(
-                    graph, config, storage, budget_bytes
-                )
-            return graph
-
-        graph = bound_structure(
-            (
-                "sq_fleet_graph", config, n, topology, streams,
-                out_of_core, budget_bytes,
-            ),
-            _compose_fleet,
-        )
-        return simulate_events(
-            graph, config, storage, streams=streams,
-            device_scale=scale, device_labels=labels,
-        )
-
-    def _predict_workload(
-        self,
-        n: int,
-        workload: str,
-        rank: Optional[int],
-        *,
-        ngpu: int = 1,
-        nodes: int = 1,
-        streams: int = 1,
-        out_of_core: bool = False,
-        check_capacity: bool = True,
-        link_gbs: Optional[float] = None,
-        fabric_gbs: Optional[float] = None,
-        oc_budget_gb: Optional[float] = None,
-        topology: Optional[Topology] = None,
-    ) -> Union[TimeBreakdown, StreamSchedule, EventSchedule]:
-        """Route a non-SVD workload through the shared graph pipeline.
-
-        One pipeline for both new emitters: emit (the eigensolver or
-        low-rank graph) -> partition (uniform peers, two-tier cluster or
-        cost-weighted fleet) -> optional out-of-core rewrite -> price
-        (analytic for the serial graph, greedy scheduler for streams,
-        discrete-event simulator for clusters and fleets).  Composed
-        graphs are memoized per axes exactly like the SVD paths.
-        ``topology`` is only passed here when heterogeneous (uniform
-        fleets of the handle's device were already folded into ``ngpu``
-        / ``nodes`` by :meth:`predict`).
-        """
-        config = self._config
-        storage = config.require_precision("predict")
-        budget_bytes = (
-            oc_budget_gb * 2**30 if oc_budget_gb is not None else None
-        )
-        if workload == "eigh":
-            tag = "eigh"
-            shape_key: Tuple = (n,)
-
-            def emit():
-                return emit_eigh_graph(n, config, streams=streams)
+            bind = partial(bind_lowrank_table, n, n, rank, config)
+            shape = ("lowrank", n, rank, streams)
         else:
-            tag = "lr"
-            shape_key = (n, rank)
+            emit = partial(emit_svd_graph, n, config, streams=streams)
+            bind = partial(bind_svd_table, n, config)
+            shape = ("svd", n, streams)
 
-            def emit():
-                return emit_lowrank_graph(n, n, rank, config, streams=streams)
-
-        if topology is not None:
-            weights = fleet_weights(topology, config)
-            scale = fleet_scale(topology, config)
-            labels = tuple(
-                f"dev{i}:{d}" for i, d in enumerate(topology.devices)
-            )
-            if check_capacity and not out_of_core and workload == "eigh":
-                check_fleet_capacity(n, config, topology, weights)
-
-            def _compose_fleet():
-                graph = partition_graph(
-                    emit(), topology=topology, config=config, weights=weights
-                )
-                if out_of_core:
-                    return rewrite_out_of_core(
-                        graph, config, storage, budget_bytes
-                    )
-                return graph
-
-            graph = bound_structure(
-                (
-                    tag + "_fleet_graph", config, *shape_key, topology,
-                    streams, out_of_core, budget_bytes,
-                ),
-                _compose_fleet,
-            )
+        if check_capacity and not out_of_core:
+            check_fleet_capacity(n, config, topology, batch=batch)
+        single = topology.ngpu == 1 and not weighted
+        if single and streams == 1 and not out_of_core:
+            return price_table(bind(), config, storage, None)
+        budget_bytes = (
+            oc_budget_gb * 2**30 if oc_budget_gb is not None else None
+        )
+        graph = bound_structure(
+            ("predict_graph", config, shape, topology, out_of_core,
+             budget_bytes),
+            partial(compose_graph, emit, config, topology,
+                    out_of_core=out_of_core, budget_bytes=budget_bytes),
+        )
+        if weighted:
             return simulate_events(
                 graph, config, storage, streams=streams,
-                device_scale=scale, device_labels=labels,
-            )
-        if check_capacity and not out_of_core:
-            # the eigensolver shard has the square footprint; low-rank
-            # shards are strictly smaller than the full input, so only
-            # the single-device case is checked against the whole matrix
-            if workload == "eigh" and ngpu * nodes > 1:
-                check_shard_capacity(n, config, ngpu, nodes=nodes)
-            elif ngpu * nodes == 1:
-                config.backend.check_capacity(n, storage)
-        if nodes > 1:
-            fabric = config.fabric_spec(link_gbs, fabric_gbs)
-            graph = bound_structure(
-                (
-                    tag + "_cluster_graph", config, *shape_key, nodes,
-                    ngpu, streams, fabric,
-                ),
-                lambda: partition_graph(
-                    emit(), ngpu, nodes=nodes, fabric=fabric
+                device_scale=fleet_scale(topology, config),
+                device_labels=tuple(
+                    f"dev{i}:{d}" for i, d in enumerate(topology.devices)
                 ),
             )
+        if topology.nodes > 1:
             return simulate_events(graph, config, storage, streams=streams)
-        link = config.link_spec(link_gbs) if ngpu > 1 else None
-
-        def _compose():
-            graph = emit()
-            if ngpu > 1:
-                graph = partition_graph(graph, ngpu, link)
-            if out_of_core:
-                graph = rewrite_out_of_core(
-                    graph, config, storage, budget_bytes
-                )
-            return graph
-
-        graph = bound_structure(
-            (
-                tag + "_graph", config, *shape_key, ngpu, streams,
-                out_of_core, link, budget_bytes,
-            ),
-            _compose,
-        )
         if streams > 1:
             return schedule_streams(graph, config, storage, streams)
-        if ngpu > 1:
+        if topology.ngpu > 1:
             return price_partitioned(graph, config, storage)
-        return AnalyticExecutor(config, storage).run(graph)
+        return price_table(graph.table(), config, storage, None)
 
     # ------------------------------------------------------------------ #
     # analytic autotuning
@@ -1074,7 +818,9 @@ class SvdPlan:
         accounting of the rectangular driver).
         """
         if self.kind == "batched":
-            return predict_batched_resolved(self.n, self.batch, self.config)
+            return Solver.from_config(self.config).predict(
+                self.n, batch=self.batch
+            )
         sq = self._square_breakdown
         bd = TimeBreakdown(
             n=sq.n, panel_s=sq.panel_s, update_s=sq.update_s,

@@ -34,11 +34,10 @@ import numpy as np
 from repro.config import SolveConfig
 from repro.core.workloads import WORKLOADS
 from repro.sim.events import simulate_events
-from repro.sim.outofcore import rewrite_out_of_core
-from repro.sim.partition import fleet_weights, partition_graph
 from repro.sim.timeline import schedule_streams
 from repro.sim.topology import Topology
 from repro.solver import Solver
+from repro.solver import compose_graph as solver_compose_graph
 
 #: Numeric rows run the full resolved drivers; the grid stays tight.
 BACKENDS = ("h100", "mi250")
@@ -188,42 +187,46 @@ OOC_SQUARE_N = 256
 
 
 def compose_graph(row: Row, config: SolveConfig):
-    """emit -> partition -> rewrite for one analytic row."""
+    """Compose one analytic row through the production pipeline.
+
+    emit -> partition -> rewrite is :func:`repro.solver.compose_graph`,
+    the function behind every composed ``Solver.predict``; the harness
+    supplies its own emitter (the registry's conformance shapes) and
+    out-of-core budgets.
+    """
     spec = WORKLOADS[row.workload]
     storage = config.require_precision("conformance")
-    graph = spec.emit(ANALYTIC_N, config, streams=row.streams)
-    if row.out_of_core and graph.kind == "square":
-        graph = spec.emit(OOC_SQUARE_N, config, streams=row.streams)
+    emitted = spec.emit(ANALYTIC_N, config, streams=row.streams)
+    if row.out_of_core and emitted.kind == "square":
+        emitted = spec.emit(OOC_SQUARE_N, config, streams=row.streams)
     if row.hetero:
         half = row.ngpu // 2
-        topo = Topology(
+        topology = Topology(
             devices=("h100",) * half + ("a100",) * (row.ngpu - half)
         )
-        graph = partition_graph(
-            graph, topology=topo, config=config,
-            weights=fleet_weights(topo, config),
+    else:
+        topology = Topology.uniform(
+            config.backend.device.name, row.ngpu * row.nodes, nodes=row.nodes
         )
-    elif row.nodes > 1:
-        graph = partition_graph(
-            graph, row.ngpu, nodes=row.nodes,
-            fabric=config.fabric_spec(),
-        )
-    elif row.ngpu > 1:
-        graph = partition_graph(graph, row.ngpu, config.link_spec())
+    budget = None
     if row.out_of_core:
         ts = config.params.tilesize
-        if graph.kind == "batched":
+        if emitted.kind == "batched":
             # grant exactly three resident problems (the rewriter's
             # working factor included): enough for every chain in the
             # matrix's streams axis, fewer than any device's sub-batch
-            budget = 3.01 * float(graph.npad) ** 2 * storage.sizeof * 1.25
-        elif graph.kind == "square":
+            budget = 3.01 * float(emitted.npad) ** 2 * storage.sizeof * 1.25
+        elif emitted.kind == "square":
             # three tile rows: above the pinned-panel minimum, below
             # every device shard's resident footprint
-            budget = 3 * graph.nbt * ts * ts * storage.sizeof * 1.25 * 1.01
+            budget = 3 * emitted.nbt * ts * ts * storage.sizeof * 1.25 * 1.01
         else:
-            budget = _OOC_FRACTION * _in_core_bytes(graph, storage)
-        graph = rewrite_out_of_core(graph, config, storage, budget)
+            budget = _OOC_FRACTION * _in_core_bytes(emitted, storage)
+    graph = solver_compose_graph(
+        lambda: emitted, config, topology,
+        out_of_core=row.out_of_core, budget_bytes=budget,
+    )
+    if row.out_of_core:
         assert graph.out_of_core, (
             "out-of-core budget did not force the rewrite"
         )

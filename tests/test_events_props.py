@@ -7,8 +7,7 @@ stream counts and cluster topologies:
   and above by the no-overlap serial sum;
 * when contention is impossible (one device, at least as many streams
   as the graph is wide), the event makespan equals the greedy list
-  scheduler's **exactly** - greedy is the fast approximation, the event
-  simulation is the oracle;
+  scheduler's **exactly** - the two differ only by queueing;
 * simulation is deterministic: same graph, same result, including the
   full critical-chain decomposition;
 * the critical-chain decomposition sums to the makespan (the chain is
