@@ -230,13 +230,13 @@ def check_shard_capacity(n: int, config, ngpu: int, nodes: int = 1) -> None:
     working-set factor the single-device capacity model uses.
     ``nodes=1, ngpu=1`` delegates to ``Backend.check_capacity`` exactly.
     """
-    from ..core.tiling import ntiles
-
     storage = config.require_precision("multi-GPU prediction")
     total = nodes * ngpu
     if total == 1:
         config.backend.check_capacity(n, storage)
         return
+    from ..core.tiling import ntiles
+
     ts = config.params.tilesize
     nbt = ntiles(n, ts)
     npad = nbt * ts
@@ -274,43 +274,48 @@ def check_fleet_capacity(
     n: int,
     config,
     topology: Topology,
-    weights: Optional[Tuple[float, ...]] = None,
     *,
     batch: Optional[int] = None,
+    streams: int = 1,
 ) -> None:
     """Raise :class:`CapacityError` if a rank's shard exceeds its memory.
 
     The fleet analogue of :func:`check_shard_capacity`: every rank's
-    weighted tile-row quota (rounded up) plus one panel copy must fit
-    that rank's *own* device memory - a weighted partition deliberately
-    loads the fast devices heavier, so the uniform per-device bound does
-    not apply.  With ``batch``, each rank instead holds its
-    :func:`shard_rows_weighted` share of the ``batch`` problems (the
-    split the batched partition uses), each ``n x n`` with the same 1.25
-    working-set factor.  Uniform fleets of the handle's device delegate
-    to :func:`check_shard_capacity` (or, with ``batch``, to
+    :func:`fleet_weights` tile-row quota (rounded up) plus one panel copy
+    must fit that rank's *own* device memory - a weighted partition
+    deliberately loads the fast devices heavier, so the uniform
+    per-device bound does not apply.  With ``batch``, each rank instead
+    holds whole ``n x n`` problems (same 1.25 working-set factor), as
+    many as the batched partition gives it: ``streams=k`` emits
+    ``min(k, batch)`` round-robin chains and each chain is split by
+    :func:`shard_rows_weighted` on its own, so the per-chain roundings
+    add up.  Uniform fleets of the handle's device delegate to
+    :func:`check_shard_capacity` (or, with ``batch``, to
     :func:`repro.core.batched.check_batched_capacity`) exactly.
     """
-    from ..core.batched import check_batched_capacity
+    if not is_weighted_fleet(topology, config):
+        if batch is None:
+            check_shard_capacity(n, config, topology.per_node,
+                                 nodes=topology.nodes)
+        else:
+            from ..core.batched import check_batched_capacity
+
+            check_batched_capacity(n, batch, config, topology.ngpu)
+        return
     from ..core.tiling import ntiles
 
     storage = config.require_precision("fleet prediction")
-    if not is_weighted_fleet(topology, config):
-        if batch is not None:
-            check_batched_capacity(n, batch, config, topology.ngpu)
-        else:
-            check_shard_capacity(n, config, topology.per_node,
-                                 nodes=topology.nodes)
-        return
-    if weights is None:
-        weights = fleet_weights(topology, config)
+    weights = fleet_weights(topology, config)
     if batch is not None:
-        # whole problems per rank, split the way the batched partition
-        # splits them
-        elems = [
-            (hi - lo) * n * n
-            for lo, hi in shard_rows_weighted(0, batch, weights)
-        ]
+        nchains = min(streams, batch)
+        problems = [0] * topology.ngpu
+        for j in range(nchains):
+            chain = len(range(j, batch, nchains))
+            for d, (lo, hi) in enumerate(
+                shard_rows_weighted(0, chain, weights)
+            ):
+                problems[d] += hi - lo
+        elems = [count * n * n for count in problems]
         what = f"batch of {batch} {n}x{n} {storage.name} matrices"
         smaller = "batch"
     else:

@@ -45,7 +45,11 @@ class Topology:
 
     ``devices`` names every device rank in global order (rank ``d`` lives
     on node ``d // per_node``); names resolve through the Table 2 device
-    registry, so aliases (``"nvidia-h100"``) canonicalize.  ``nodes``
+    registry, so aliases (``"nvidia-h100"``) canonicalize, while a
+    :class:`~repro.backends.device.DeviceSpec` entry stands for itself by
+    its name (so a handle built on a spec outside the registry still
+    names its own uniform fleet; pricing any *other* fleet resolves each
+    rank through the registry).  ``nodes``
     splits the ranks into equal-size hosts; ``link_gbs`` / ``fabric_gbs``
     override the intra-node link and inter-node fabric bandwidths exactly
     like the legacy ``Solver.predict`` keywords.  Hashable by value, so a
@@ -59,7 +63,7 @@ class Topology:
 
     def __post_init__(self) -> None:
         """Canonicalize device names and validate the axes."""
-        from ..backends.device import get_device
+        from ..backends.device import DeviceSpec, get_device
 
         if isinstance(self.devices, str):
             raise InvalidParamsError(
@@ -67,7 +71,10 @@ class Topology:
                 f"string {self.devices!r} (did you mean "
                 f"Topology.uniform({self.devices!r}, ngpu)?)"
             )
-        names = tuple(get_device(d).name for d in self.devices)
+        names = tuple(
+            d.name if isinstance(d, DeviceSpec) else get_device(d).name
+            for d in self.devices
+        )
         if not names:
             raise InvalidParamsError("a topology needs at least one device")
         object.__setattr__(self, "devices", names)
@@ -113,7 +120,9 @@ class Topology:
         The topology spelling of the legacy ``ngpu=`` / ``nodes=``
         keywords: ``ngpu`` is the total device count (``nodes *
         per_node``), matching ``Solver.predict(n, ngpu=g, nodes=m)``
-        which shards over ``m * g`` ranks.
+        which shards over ``m * g`` ranks.  ``device`` is a registry name
+        or a :class:`~repro.backends.device.DeviceSpec` (how
+        ``Solver.predict`` folds a handle's own device).
         """
         if ngpu < 1:
             raise InvalidParamsError(

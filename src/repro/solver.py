@@ -46,12 +46,13 @@ Quickstart
 
 from __future__ import annotations
 
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .backends.backend import Backend, BackendLike
+from .backends.device import DeviceSpec
 from .config import SolveConfig
 from .errors import InvalidParamsError, ShapeError
 from .precision import Precision, PrecisionLike
@@ -125,6 +126,24 @@ def compose_graph(
         storage = config.require_precision("out-of-core prediction")
         graph = rewrite_out_of_core(graph, config, storage, budget_bytes)
     return graph
+
+
+@lru_cache(maxsize=64)
+def _handle_fleet(
+    device: DeviceSpec,
+    ngpu: int,
+    nodes: int,
+    fabric_gbs: Optional[float],
+    link_gbs: Optional[float],
+) -> Topology:
+    """The ``ngpu=`` / ``nodes=`` axes as a uniform fleet of ``device``.
+
+    Keyed by the handle's spec itself, so a spec outside the device
+    registry folds too, and memoized so a warm :meth:`Solver.predict`
+    reuses the topology instead of re-validating one per call.
+    """
+    return Topology.uniform(device, ngpu, nodes=nodes,
+                            fabric_gbs=fabric_gbs, link_gbs=link_gbs)
 
 
 class Solver:
@@ -527,10 +546,8 @@ class Solver:
         storage = self._config.require_precision("predict")
         config = self._config
         if topology is None:
-            topology = Topology.uniform(
-                config.backend.device.name, ngpu * nodes, nodes=nodes,
-                fabric_gbs=fabric_gbs, link_gbs=link_gbs,
-            )
+            topology = _handle_fleet(config.backend.device, ngpu * nodes,
+                                     nodes, fabric_gbs, link_gbs)
         weighted = is_weighted_fleet(topology, config)
         if batch is not None and weighted and out_of_core:
             raise InvalidParamsError(
@@ -562,7 +579,9 @@ class Solver:
             shape = ("svd", n, streams)
 
         if check_capacity and not out_of_core:
-            check_fleet_capacity(n, config, topology, batch=batch)
+            check_fleet_capacity(
+                n, config, topology, batch=batch, streams=streams
+            )
         single = topology.ngpu == 1 and not weighted
         if single and streams == 1 and not out_of_core:
             return price_table(bind(), config, storage, None)

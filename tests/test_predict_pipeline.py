@@ -8,10 +8,13 @@ on the fleets that used to bypass it, the single memo key the two device
 spellings share, and the fail-fast storage cast of every numeric driver.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro import Solver, Topology
+from repro.backends.device import get_device
 from repro.core.batched import (
     check_batched_capacity,
     emit_batched_graph,
@@ -44,6 +47,32 @@ class TestBatchedFleetCapacity:
         assert isinstance(fits, EventSchedule)
         assert forced.total_s > fits.total_s > 0.0
 
+    def test_stream_chains_split_one_by_one(self):
+        # a100 / rtx4060 shard fp32 work 0.378 / 0.622: 12 problems split
+        # 5 / 7 in one chain, but 4 chains of 3 split 1 / 2 each, so the
+        # 8 GiB rank holds 8 problems of 1.05 GiB at streams=4
+        solver = Solver("h100", precision="fp32")
+        config = solver.config
+        fleet = Topology(("a100", "rtx4060"))
+
+        def held(streams):
+            graph = compose_graph(
+                lambda: emit_batched_graph(256, 12, config, streams=streams),
+                config, fleet,
+            )
+            return [
+                sum(len(range(*node.meta[0][1:])) for node in graph.nodes
+                    if node.kind == "bdsqr_cpu_b" and node.device == d)
+                for d in range(2)
+            ]
+
+        assert held(1) == [5, 7] and held(4) == [4, 8]
+        assert isinstance(
+            solver.predict(15000, batch=12, topology=fleet), EventSchedule
+        )
+        with pytest.raises(CapacityError, match=r"rank 1 \(rtx4060"):
+            solver.predict(15000, batch=12, streams=4, topology=fleet)
+
     def test_uniform_handle_fleet_keeps_the_batched_rule(self):
         solver = Solver("h100", precision="fp32")
         with pytest.raises(CapacityError) as legacy:
@@ -73,6 +102,26 @@ class TestLowrankFleetCapacity:
 
 
 class TestOnePipeline:
+    @pytest.mark.parametrize(
+        "axes",
+        [{}, {"ngpu": 2}, {"streams": 2}, {"ngpu": 2, "nodes": 2},
+         {"batch": 4, "ngpu": 2}, {"out_of_core": True, "oc_budget_gb": 0.01}],
+        ids=["plain", "ngpu2", "streams2", "nodes2", "batched", "ooc"],
+    )
+    def test_unregistered_device_spec_handle_prices(self, axes):
+        # the handle's own device folds into its topology by spec, with
+        # no registry lookup, and prices exactly like the registered twin
+        custom = Solver(replace(get_device("h100"), name="custom-x"),
+                        precision="fp32")
+        twin = Solver("h100", precision="fp32")
+        assert custom.predict(2048, **axes) == twin.predict(2048, **axes)
+
+    def test_unregistered_device_spec_handle_plans_and_tunes(self):
+        custom = Solver(replace(get_device("h100"), name="custom-x"),
+                        precision="fp32")
+        assert custom.plan((4, 256, 256)).breakdown().total_s > 0.0
+        assert custom.tune(1024, budget=8).best.predicted_s > 0.0
+
     def test_both_device_spellings_share_one_memo_entry(self):
         solver = Solver("h100", precision="fp32")
         clear_bound_tables()
