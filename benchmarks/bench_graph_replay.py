@@ -27,6 +27,14 @@ bind-and-price wall-clock by the old emit-and-scalar-price wall-clock on
 the same host, so host speed cancels to first order.  Its committed
 baseline is hand-pinned at 0.08 - with the gate's 25% tolerance the
 check fails exactly when bind-and-price drops below a 10x speedup.
+
+The numeric replay's stage 2 is pinned the same way:
+``brd_wave_scalar_ratio@384`` divides the wavefront bulge chase
+(:func:`repro.core.brd.band_to_bidiagonal`) by the scalar chase it is
+bitwise equal to (:func:`repro.core.brd.band_to_bidiagonal_reference`),
+best of 3 each, on one fp64 ``384 x 384`` band-32 matrix.  Its baseline
+is hand-pinned at 0.53: the gate fails once the wavefront is less than
+1.5x faster.
 """
 
 import argparse
@@ -51,6 +59,10 @@ REPS = 50
 #: Size the gated speedup ratio is measured at (the tentpole criterion).
 RATIO_N = 32768
 
+#: Order and bandwidth of the gated stage-2 (bulge chase) ratio.
+BRD_N = 384
+BRD_BAND = 32
+
 
 def _time(fn, reps: int, trials: int = 3) -> float:
     best = float("inf")
@@ -60,6 +72,29 @@ def _time(fn, reps: int, trials: int = 3) -> float:
             fn()
         best = min(best, (time.perf_counter() - t0) / reps)
     return best
+
+
+def brd_ratio(n: int = BRD_N, band: int = BRD_BAND, trials: int = 3) -> float:
+    """Wavefront over scalar stage-2 wall-clock, best of ``trials`` each.
+
+    The two chases alternate, so a change of host speed during the
+    measurement slows both.
+    """
+    from repro.core.brd import band_to_bidiagonal, band_to_bidiagonal_reference
+    from repro.core.tiling import extract_band
+
+    A = extract_band(np.random.default_rng(0).standard_normal((n, n)), band)
+    wave = band_to_bidiagonal(A, band)  # warm the wave-schedule memo
+    scalar = band_to_bidiagonal_reference(A, band)
+    for got, want in zip(wave, scalar):
+        np.testing.assert_array_equal(got, want)
+    wave_s = scalar_s = float("inf")
+    for _ in range(trials):
+        wave_s = min(wave_s, _time(lambda: band_to_bidiagonal(A, band), 1, 1))
+        scalar_s = min(
+            scalar_s, _time(lambda: band_to_bidiagonal_reference(A, band), 1, 1)
+        )
+    return wave_s / scalar_s
 
 
 def phase_rows(solver, sizes=SIZES) -> list:
@@ -167,11 +202,12 @@ def run(
 def metrics() -> dict:
     """Metrics for the CI regression gate.
 
-    Simulated predicted seconds (deterministic across machines), plus two
-    tentpole guards: the dimensionless ``bindprice_emitscalar_ratio``
-    (both timings share the host, so its baseline transfers) and the
-    deterministic bound-structure miss count per tune candidate (proof
-    the candidate loop binds instead of re-emitting).
+    Simulated predicted seconds (deterministic across machines), plus
+    tentpole guards: the dimensionless ``bindprice_emitscalar_ratio`` and
+    ``brd_wave_scalar_ratio`` (both timings of each share the host, so
+    their baselines transfer) and the deterministic bound-structure miss
+    count per tune candidate (proof the candidate loop binds instead of
+    re-emitting).
     """
     from conftest import get_solver
 
@@ -200,6 +236,9 @@ def metrics() -> dict:
     solver.predict(RATIO_N)  # prime: steady-state predict is a memo hit
     new_s = _time(lambda: solver.predict(RATIO_N), 3, trials=2)
     out[f"graph_replay/bindprice_emitscalar_ratio@{RATIO_N}"] = new_s / old_s
+
+    # stage 2 of the numeric replay: the wavefront vs the scalar chase
+    out[f"graph_replay/brd_wave_scalar_ratio@{BRD_N}"] = brd_ratio()
 
     # re-emission is gone from the candidate loop: a cold tune binds a
     # handful of structures (one per distinct execution-axis family),

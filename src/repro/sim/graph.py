@@ -761,8 +761,8 @@ class NumericExecutor:
         base = node.kind[:-2]  # strip the "_b" suffix
         if base == "brd_chase":
             if node.primary:
-                for p in probs:
-                    self._sub(p)._run_stage2()
+                # one stacked chase advances every problem's bulges together
+                self._run_stage2([self._sub(p) for p in probs])
             return
         if base == "bdsqr_cpu":
             sq = LaunchNode(base, node.stage, ("solve", node.key[2]))
@@ -775,19 +775,26 @@ class NumericExecutor:
         for p in probs:
             self._sub(p)._dispatch(sq)
 
-    def _run_stage2(self) -> None:
-        """Band -> bidiagonal numerics (once, on the first stage-2 node)."""
-        if self.d is not None:
-            return
+    def _run_stage2(self, subs=None) -> None:
+        """Band -> bidiagonal numerics (once, on the first stage-2 node).
+
+        ``subs`` (batched replay) are child executors whose bands are
+        chased as one ``(B, n, n)`` stack - bitwise equal to chasing each
+        alone; by default this executor's own workspace is chased.
+        """
         from ..core.brd import band_to_bidiagonal
 
-        band = self._extract_band(self.W, self.ts)
+        todo = [ex for ex in (subs or [self]) if ex.d is None]
+        if not todo:
+            return
         work_dtype = (
             self.compute_dtype
             if self.compute_dtype is not None
             else self.storage.dtype
         )
-        band_c = band.astype(work_dtype, copy=False)
-        self.d, self.e = band_to_bidiagonal(
-            band_c, self.ts, session=None, inplace=True
-        )
+        bands = self._np.stack(
+            [self._extract_band(ex.W, self.ts) for ex in todo]
+        ).astype(work_dtype, copy=False)
+        d, e = band_to_bidiagonal(bands, self.ts)
+        for ex, dp, ep in zip(todo, d, e):
+            ex.d, ex.e = dp, ep
