@@ -8,10 +8,11 @@ matters most — a 64-matrix batch of small (128 x 128) solves — three ways:
 
 1. **setup microbenchmark**: the non-numeric prologue of one solve
    (resolution + session + capacity + workspace + full launch pricing)
-   vs a planned solve's prologue (dict lookups into the plan's tables);
-2. **end-to-end**: `Solver.solve` per matrix in a loop vs
-   `plan.execute` on the same batch, asserting the planned path is no
-   slower while returning bitwise-identical values.
+   vs a planned square solve's prologue (dict lookups into the plan's
+   tables);
+2. **end-to-end**: `Solver.solve` per matrix in a loop vs a batched
+   plan's `plan.execute` on the same batch (one replay of the batched
+   launch graph), asserting bitwise-identical values.
 
 The rendered table reports the per-call setup saved and its share of the
 total batch runtime.
@@ -60,12 +61,13 @@ def _unplanned_setup(solver) -> None:
 
 
 def test_plan_amortizes_setup(benchmark, solver):
+    square = solver.plan((N, N))
     plan = solver.plan((BATCH, N, N))
 
     def planned_setup():
-        cfg = plan.config
-        cfg.session(plan.storage, cost_cache=plan._cost_cache)
-        plan._workspace.fill(0)
+        cfg = square.config
+        cfg.session(square.storage, cost_cache=square._cost_cache)
+        square._workspace.fill(0)
 
     unplanned_us = _time(lambda: _unplanned_setup(solver), REPS) * 1e6
     planned_us = _time(planned_setup, REPS) * 1e6
@@ -101,7 +103,7 @@ def test_plan_amortizes_setup(benchmark, solver):
                  f"{saved_us * BATCH / 1e3:8.2f} ms"],
                 [f"loop of {BATCH} Solver.solve", f"{loop_s * 1e3:8.1f} ms"],
                 [f"plan.execute({BATCH}-batch)", f"{plan_s * 1e3:8.1f} ms"],
-                ["launch shapes pre-priced", str(plan.launch_prices)],
+                ["launch shapes pre-priced", str(square.launch_prices)],
             ],
             title=f"SvdPlan reuse on {BATCH} x {N}x{N} fp32 (h100)",
         ),

@@ -6,7 +6,9 @@ tuned libraries below 256 because tiny problems cannot occupy a large GPU
 the established answer for many-small-matrix workloads.  This module adds
 that capability on the simulated device:
 
-* numerically, each matrix runs the same unified pipeline;
+* numerically, a stack replays its batched launch graph once
+  (:func:`replay_batched_graph`), each matrix running the square
+  pipeline's exact kernel sequence;
 * in the cost model, the batch executes as *batched launches*: one grid
   covers all problems at each schedule step, so occupancy is driven by
   ``batch x per-problem work`` and the per-launch overhead is paid once
@@ -29,9 +31,11 @@ like every other workload, and :func:`bind_batched_table` is its
 shape-parametric binder for the plain single-device query; the
 pre-composition pricing survives as :func:`batched_closed_form_resolved`,
 the consistency oracle the tests pin the graph path against.
-:func:`replay_batched_graph` replays any replayable batched graph
-(sharded or out-of-core) numerically, bitwise identical to solving each
-matrix alone.
+:func:`replay_batched_graph` is the one numeric path for a stack: it
+uploads every problem, replays any replayable batched graph (sharded or
+out-of-core) once, and is bitwise identical to solving each matrix
+alone.  ``Solver.solve`` on a stack, batched plans and the serving
+layer's ``BatchRunner`` all run through it.
 """
 
 from __future__ import annotations
@@ -65,12 +69,7 @@ from ..sim.table import (
     price_table,
 )
 from ..sim.tracing import Stage
-from .svd import (
-    _rescale_factor,
-    cast_to_storage,
-    emit_svd_graph,
-    svdvals_resolved,
-)
+from .svd import upload
 from .tiling import ntiles
 
 __all__ = [
@@ -562,107 +561,109 @@ def predict_batched(
     return solver.predict(n, batch=batch)
 
 
+def _problems(As: Union[np.ndarray, Sequence[np.ndarray]]) -> List[np.ndarray]:
+    """The matrices of a ``(batch, n, n)`` array or a sequence of them."""
+    if isinstance(As, np.ndarray) and As.ndim != 3:
+        raise ShapeError(f"expected (batch, n, n) array, got {As.shape}")
+    mats = [np.asarray(a) for a in As]
+    if not mats:
+        raise ShapeError("empty batch")
+    return mats
+
+
 def replay_batched_graph(
     As: Union[np.ndarray, Sequence[np.ndarray]],
     graph: LaunchGraph,
     config: SolveConfig,
-) -> np.ndarray:
+) -> Union[np.ndarray, List[np.ndarray]]:
     """Numerically replay a replayable batched launch graph.
 
-    Accepts any batched graph in replayable form - straight from
+    The one numeric path for a stack of matrices: it uploads each
+    problem (:func:`~repro.core.svd.upload`), zero-pads the stack to
+    ``graph.npad``, runs the :class:`~repro.sim.graph.NumericExecutor`
+    once, and truncates and unscales each problem's values.  Any batched
+    graph in replayable form works - straight from
     :func:`emit_batched_graph` (any ``streams``), sharded by
     :func:`repro.sim.partition.partition_graph`, and/or rewritten by
-    :func:`repro.sim.outofcore.rewrite_out_of_core` - and executes it
-    through the :class:`~repro.sim.graph.NumericExecutor` on a 3-D
-    workspace stack.  Each problem runs the exact kernel sequence of the
-    square driver, so the returned ``(batch, n)`` values are bitwise
-    identical to solving every matrix alone (out-of-core graphs replay
-    under the enforced problem-window budget).
+    :func:`repro.sim.outofcore.rewrite_out_of_core` (replayed under the
+    enforced problem-window budget).  Each problem runs the exact kernel
+    sequence of the square driver, so its values are bitwise identical
+    to solving the matrix alone.
+
+    A problem may have any order that pads to ``graph.npad`` (a serving
+    shape class mixes them).  Returns a ``(batch, n)`` array when every
+    problem has order ``n``, else a list of per-problem value vectors.
     """
-    if isinstance(As, np.ndarray):
-        if As.ndim != 3:
-            raise ShapeError(f"expected (batch, n, n) array, got {As.shape}")
-        mats: List[np.ndarray] = [As[i] for i in range(As.shape[0])]
-    else:
-        mats = [np.asarray(a) for a in As]
-    if not mats:
-        raise ShapeError("empty batch")
-    n = mats[0].shape[0]
-    if n == 0:
-        raise ShapeError("empty matrix")
-    for a in mats:
-        if a.shape != (n, n):
-            raise ShapeError("all batch matrices must be square and equal-size")
+    mats = _problems(As)
     if graph.kind != "batched" or graph.counted:
         raise ShapeError(
             f"replay_batched_graph needs a replayable batched graph, got "
             f"kind={graph.kind!r} (counted={graph.counted})"
         )
-    if graph.n != n or graph.batch != len(mats):
-        raise ShapeError(
-            f"graph was emitted for batch={graph.batch} n={graph.n}, got "
-            f"batch={len(mats)} n={n}"
-        )
-
-    storage = config.storage_for(mats[0].dtype)
     if graph.ts != config.params.tilesize:
         raise ShapeError(
             f"graph tilesize {graph.ts} does not match config tilesize "
             f"{config.params.tilesize}"
         )
-    compute = config.backend.compute_precision(storage)
-    compute_dtype = compute.dtype if compute is not storage else None
-
-    npad = graph.npad
-    W = np.zeros((len(mats), npad, npad), dtype=storage.dtype)
-    scales = []
-    for p, a in enumerate(mats):
-        scale = _rescale_factor(a, storage) if config.rescale else 1.0
-        scales.append(scale)
-        W[p, :n, :n] = cast_to_storage(
-            a if scale == 1.0 else a * scale, storage, config.check_finite
+    for a in mats:
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise ShapeError(
+                f"batch matrices must be square, got shape {a.shape}"
+            )
+        if a.shape[0] == 0:
+            raise ShapeError("empty matrix")
+    orders = [a.shape[0] for a in mats]
+    if graph.batch != len(mats) or any(
+        ntiles(n, graph.ts) * graph.ts != graph.npad for n in orders
+    ):
+        raise ShapeError(
+            f"graph was emitted for batch={graph.batch} padded to "
+            f"npad={graph.npad}, got batch={len(mats)} of orders "
+            f"{sorted(set(orders))}"
         )
 
+    storage = config.storage_for(mats[0].dtype)
+    compute = config.backend.compute_precision(storage)
+    W = np.zeros((len(mats), graph.npad, graph.npad), dtype=storage.dtype)
+    scales = []
+    for p, (a, n) in enumerate(zip(mats, orders)):
+        stored, scale = upload(a, storage, config)
+        W[p, :n, :n] = stored
+        scales.append(scale)
+
     ex = NumericExecutor(
-        W, graph.ts, storage.eps, session=None, compute_dtype=compute_dtype,
+        W, graph.ts, storage.eps, session=None,
+        compute_dtype=compute.dtype if compute is not storage else None,
         storage=storage, stage3=config.stage3,
     )
     ex.run(graph)
 
-    out = np.empty((len(mats), n), dtype=np.float64)
-    for p, scale in enumerate(scales):
+    out = []
+    for p, (n, scale) in enumerate(zip(orders, scales)):
         vals = ex.values_by_problem[p][:n].copy()
         if scale != 1.0:
             vals /= scale
-        out[p] = vals
-    return out
+        out.append(vals)
+    return np.stack(out) if len(set(orders)) == 1 else out
 
 
 def svdvals_batched_resolved(
     As: Union[np.ndarray, Sequence[np.ndarray]],
     config: SolveConfig,
     return_info: bool = False,
-    workspace: Optional[np.ndarray] = None,
-    cost_cache: Optional[dict] = None,
-    graph: Optional[LaunchGraph] = None,
+    graphs: Optional[Dict[int, LaunchGraph]] = None,
 ) -> Union[np.ndarray, Tuple[np.ndarray, TimeBreakdown]]:
     """Batched-driver implementation against a resolved config.
 
     The single shared code path behind :meth:`repro.Solver.solve` for 3-D
-    inputs and the legacy :func:`svdvals_batched` shim.  ``workspace``,
-    ``cost_cache`` and ``graph`` (the per-matrix square launch graph) come
-    from a reused :class:`repro.SvdPlan`; when absent, one padded buffer,
-    one launch-price memo and one emitted graph are still allocated *once
-    per batch* so every matrix after the first skips that setup.
+    inputs, batched :meth:`repro.SvdPlan.execute` and the legacy
+    :func:`svdvals_batched` shim: checks the per-matrix capacity, emits
+    the batched graph of the stack's batch count and replays it once
+    through :func:`replay_batched_graph`.  ``graphs`` (a plan's memo)
+    maps batch counts to emitted graphs; a missing count is emitted into
+    it.  ``return_info`` adds the analytic price of the batched graph.
     """
-    if isinstance(As, np.ndarray):
-        if As.ndim != 3:
-            raise ShapeError(f"expected (batch, n, n) array, got {As.shape}")
-        mats: List[np.ndarray] = [As[i] for i in range(As.shape[0])]
-    else:
-        mats = [np.asarray(a) for a in As]
-    if not mats:
-        raise ShapeError("empty batch")
+    mats = _problems(As)
     n = mats[0].shape[0]
     if n == 0:
         raise ShapeError("empty matrix")
@@ -677,21 +678,14 @@ def svdvals_batched_resolved(
         config if config.precision is not None
         else config.with_(precision=storage)
     )
-    if cost_cache is None:
-        cost_cache = {}
-    if workspace is None:
-        ts = batch_config.params.tilesize
-        npad = ntiles(n, ts) * ts
-        workspace = np.zeros((npad, npad), dtype=storage.dtype)
+    batch_config.backend.check_capacity(n, storage)
+    graphs = {} if graphs is None else graphs
+    graph = graphs.get(len(mats))
     if graph is None:
-        graph = emit_svd_graph(n, batch_config)
-
-    out = np.empty((len(mats), n), dtype=np.float64)
-    for i, a in enumerate(mats):
-        out[i] = svdvals_resolved(
-            a, batch_config, workspace=workspace, cost_cache=cost_cache,
-            graph=graph,
+        graph = graphs[len(mats)] = emit_batched_graph(
+            n, len(mats), batch_config
         )
+    out = replay_batched_graph(mats, graph, batch_config)
     if not return_info:
         return out
     bd = price_table(

@@ -35,13 +35,7 @@ from ..errors import ShapeError
 from ..sim.graph import LaunchGraph, LaunchNode, NumericExecutor
 from ..sim.table import NodeTable, bound_structure
 from ..sim.tracing import Stage
-from .svd import (
-    SVDInfo,
-    _rescale_factor,
-    bind_svd_table,
-    cast_to_storage,
-    emit_svd_graph,
-)
+from .svd import SVDInfo, bind_svd_table, emit_svd_graph, upload
 from .tiling import pad_to_tiles
 
 __all__ = [
@@ -222,20 +216,15 @@ def eigh_resolved(
         raise ShapeError("empty matrix")
     A64 = np.asarray(A, dtype=np.float64)
 
-    be = config.backend
     storage = config.storage_for(A.dtype)
     session = config.session(storage, cost_cache=cost_cache)
-    be.check_capacity(n, storage)
+    config.backend.check_capacity(n, storage)
     ts = session.params.tilesize
 
     c = shift_for(A64)
-    M = A64 + c * np.eye(n)
-    scale = _rescale_factor(M, storage) if config.rescale else 1.0
-    if scale != 1.0:
-        M = M * scale
-    # the cast names non-finite input before the symmetry test can
+    # the upload names non-finite input before the symmetry test can
     # misreport it as asymmetry
-    M = cast_to_storage(M, storage, config.check_finite)
+    M, scale = upload(A64 + c * np.eye(n), storage, config)
     scale_ref = float(np.max(np.abs(A64))) if A64.size else 0.0
     if not np.allclose(
         A64, A64.T, rtol=0.0, atol=64.0 * np.finfo(np.float64).eps * scale_ref
@@ -277,17 +266,4 @@ def eigh_resolved(
 
     if not return_info:
         return vals
-    tracer = session.tracer
-    info = SVDInfo(
-        n=n,
-        backend=be.name,
-        precision=storage.name_lower,
-        params=session.params,
-        fused=config.fused,
-        simulated_seconds=tracer.total_seconds,
-        stage_seconds=tracer.stage_breakdown(),
-        launch_counts=tracer.kernel_counts(),
-        flops=tracer.total_flops,
-        bytes=tracer.total_bytes,
-    )
-    return vals, info
+    return vals, SVDInfo.traced(n, session, config.fused)

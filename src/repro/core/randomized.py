@@ -40,7 +40,7 @@ from ..sim.graph import LaunchGraph, LaunchNode
 from ..sim.table import NodeTable, bound_structure
 from ..sim.tracing import Stage
 from .rectangular import _emit_tallqr_nodes, qr_reduce_tall
-from .svd import SVDInfo, cast_to_storage, emit_svd_graph, svdvals_resolved
+from .svd import SVDInfo, emit_svd_graph, svdvals_resolved, upload
 from .tiling import ntiles
 
 __all__ = [
@@ -216,10 +216,9 @@ def svd_lowrank_resolved(
     m, n = A.shape
     check_rank(rank, m, n)
 
-    be = config.backend
     storage = config.storage_for(A.dtype)
     session = config.session(storage, cost_cache=cost_cache)
-    be.check_capacity(int(np.sqrt(m * n)) + 1, storage)
+    config.backend.check_capacity(int(np.sqrt(m * n)) + 1, storage)
     ts = session.params.tilesize
     l = sketch_width(rank, m, n, config)
     lpad = ntiles(l, ts) * ts
@@ -227,7 +226,7 @@ def svd_lowrank_resolved(
         session.compute.dtype if session.compute is not storage else None
     )
 
-    As = cast_to_storage(A, storage, config.check_finite)
+    As, scale = upload(A, storage, config)
     Omega = gaussian_sketch(n, l, seed=seed, precision=storage)
     Y = np.asarray(As @ Omega, dtype=storage.dtype)
     session.launch_gemm(m, n, l)
@@ -261,17 +260,10 @@ def svd_lowrank_resolved(
     out = svdvals_resolved(
         R2, square_config, return_info=return_info, cost_cache=cost_cache
     )
+    vals, info = out if return_info else (out, None)
+    vals = vals[:rank]
+    if scale != 1.0:
+        vals /= scale
     if not return_info:
-        return out[:rank]
-    vals, info = out
-    pre = session.tracer
-    info.simulated_seconds += pre.total_seconds
-    for stage, seconds in pre.stage_breakdown().items():
-        info.stage_seconds[stage] = (
-            info.stage_seconds.get(stage, 0.0) + seconds
-        )
-    for kernel, count in pre.kernel_counts().items():
-        info.launch_counts[kernel] = info.launch_counts.get(kernel, 0) + count
-    info.flops += pre.total_flops
-    info.bytes += pre.total_bytes
-    return vals[:rank], info
+        return vals
+    return vals, info.merge(session)

@@ -33,7 +33,7 @@ from ..sim.graph import LaunchGraph, LaunchNode, NumericExecutor
 from ..sim.params import KernelParams
 from ..sim.session import Session
 from ..sim.tracing import Stage
-from .svd import SVDInfo, cast_to_storage, svdvals_resolved
+from .svd import SVDInfo, svdvals_resolved, upload
 from .tiling import ntiles
 
 __all__ = ["emit_tallqr_graph", "qr_reduce_tall", "svdvals_rect"]
@@ -182,10 +182,9 @@ def svdvals_rect_resolved(
             prep_graph=prep_graph, square_graph=square_graph,
         )
 
-    be = config.backend
     storage = config.storage_for(A.dtype)
     session = config.session(storage, cost_cache=cost_cache)
-    be.check_capacity(int(np.sqrt(m * n)) + 1, storage)
+    config.backend.check_capacity(int(np.sqrt(m * n)) + 1, storage)
     ts = session.params.tilesize
 
     mpad = ntiles(m, ts) * ts
@@ -200,7 +199,8 @@ def svdvals_rect_resolved(
             )
         W = workspace
         W.fill(0)
-    W[:m, :n] = cast_to_storage(A, storage, config.check_finite)
+    stored, scale = upload(A, storage, config)
+    W[:m, :n] = stored
     compute_dtype = (
         session.compute.dtype if session.compute is not session.storage else None
     )
@@ -218,19 +218,13 @@ def svdvals_rect_resolved(
         workspace=square_workspace, cost_cache=cost_cache,
         graph=square_graph,
     )
+    vals, info = out if return_info else (out, None)
+    if scale != 1.0:
+        vals /= scale
     if not return_info:
-        return out[:n] if out.shape[0] > n else out
-    vals, info = out
+        return vals
     # merge the preprocessing launches into the report
-    pre = session.tracer
-    info.simulated_seconds += pre.total_seconds
-    for stage, seconds in pre.stage_breakdown().items():
-        info.stage_seconds[stage] = info.stage_seconds.get(stage, 0.0) + seconds
-    for kernel, count in pre.kernel_counts().items():
-        info.launch_counts[kernel] = info.launch_counts.get(kernel, 0) + count
-    info.flops += pre.total_flops
-    info.bytes += pre.total_bytes
-    return vals, info
+    return vals, info.merge(session)
 
 
 def svdvals_rect(

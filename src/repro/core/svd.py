@@ -31,13 +31,14 @@ from ..precision import Precision, PrecisionLike
 from ..sim.costmodel import DEFAULT_COEFFS, CostCoefficients, brd_launch_count
 from ..sim.graph import LaunchGraph, LaunchNode, NumericExecutor
 from ..sim.params import KernelParams
+from ..sim.session import Session
 from ..sim.table import FAMILIES, NodeTable, bound_structure
 from ..sim.tracing import Stage
 from .banddiag import emit_band_reduction
 from .brd import emit_brd_chase
 from .tiling import ntiles, pad_to_tiles
 
-__all__ = ["SVDInfo", "bind_svd_table", "emit_svd_graph", "svdvals"]
+__all__ = ["SVDInfo", "bind_svd_table", "emit_svd_graph", "svdvals", "upload"]
 
 _FAM = {name: i for i, name in enumerate(FAMILIES)}
 _SID = {stage: i for i, stage in enumerate(Stage.ALL)}
@@ -72,6 +73,39 @@ class SVDInfo:
             return {}
         return {k: v / total for k, v in self.stage_seconds.items()}
 
+    @classmethod
+    def traced(cls, n: int, session: Session, fused: bool) -> "SVDInfo":
+        """The report of one run: every launch ``session`` traced."""
+        tracer = session.tracer
+        return cls(
+            n=n,
+            backend=session.backend.name,
+            precision=session.storage.name_lower,
+            params=session.params,
+            fused=fused,
+            simulated_seconds=tracer.total_seconds,
+            stage_seconds=tracer.stage_breakdown(),
+            launch_counts=tracer.kernel_counts(),
+            flops=tracer.total_flops,
+            bytes=tracer.total_bytes,
+        )
+
+    def merge(self, session: Session) -> "SVDInfo":
+        """Add the launches ``session`` traced (say, preprocessing)."""
+        tracer = session.tracer
+        self.simulated_seconds += tracer.total_seconds
+        for stage, seconds in tracer.stage_breakdown().items():
+            self.stage_seconds[stage] = (
+                self.stage_seconds.get(stage, 0.0) + seconds
+            )
+        for kernel, count in tracer.kernel_counts().items():
+            self.launch_counts[kernel] = (
+                self.launch_counts.get(kernel, 0) + count
+            )
+        self.flops += tracer.total_flops
+        self.bytes += tracer.total_bytes
+        return self
+
 
 def _rescale_factor(A: np.ndarray, storage: Precision) -> float:
     """Power-of-two factor bringing ``A`` into the precision's safe range.
@@ -103,11 +137,12 @@ def cast_to_storage(
 ) -> np.ndarray:
     """``A`` cast to the storage dtype, rejecting non-finite values first.
 
-    The one storage upload every driver shares.  With ``check_finite``
-    the input must be finite, and so must its cast: a value beyond the
-    storage precision's range (65504 in fp16) would round to Inf and
-    leave the solver iterating on garbage, so it fails here instead,
-    naming the precision.  Both checks raise
+    The cast half of :func:`upload` (the vector pipeline behind
+    ``Solver.svd`` calls it alone, without rescaling).  With
+    ``check_finite`` the input must be finite, and so must its cast: a
+    value beyond the storage precision's range (65504 in fp16) would
+    round to Inf and leave the solver iterating on garbage, so it fails
+    here instead, naming the precision.  Both checks raise
     :class:`~repro.errors.ShapeError`.
     """
     A = np.asarray(A)
@@ -126,6 +161,25 @@ def cast_to_storage(
             f"rescale=True (the default) or scale the input into range"
         )
     return out
+
+
+def upload(
+    A: np.ndarray, storage: Precision, config: SolveConfig
+) -> Tuple[np.ndarray, float]:
+    """``A`` in storage precision, and the power of two it was scaled by.
+
+    The one storage upload every numeric driver shares.  With
+    ``config.rescale`` the exact :func:`_rescale_factor` first brings
+    ``A`` into the precision's safe range; :func:`cast_to_storage` then
+    casts it, checking finiteness when ``config.check_finite``.  The
+    stored matrix has ``scale`` times the singular values of ``A``, so
+    callers divide the scale back out of their results.
+    """
+    scale = _rescale_factor(A, storage) if config.rescale else 1.0
+    stored = cast_to_storage(
+        A if scale == 1.0 else A * scale, storage, config.check_finite
+    )
+    return stored, scale
 
 
 def emit_svd_graph(
@@ -349,20 +403,13 @@ def svdvals_resolved(
     if n == 0:
         raise ShapeError("empty matrix")
 
-    be = config.backend
     storage = config.storage_for(A.dtype)
     session = config.session(storage, cost_cache=cost_cache)
-    be.check_capacity(n, storage)
-    kp = session.params
-    ts = kp.tilesize
-
-    # optional exact power-of-two rescaling into the precision's safe range
-    scale = _rescale_factor(A, storage) if config.rescale else 1.0
-    src = cast_to_storage(
-        A if scale == 1.0 else A * scale, storage, config.check_finite
-    )
+    config.backend.check_capacity(n, storage)
+    ts = session.params.tilesize
 
     # upload in storage precision and zero-pad to full tiles
+    src, scale = upload(A, storage, config)
     if workspace is None:
         W, _ = pad_to_tiles(src, ts)
     else:
@@ -411,20 +458,7 @@ def svdvals_resolved(
 
     if not return_info:
         return vals
-    tracer = session.tracer
-    info = SVDInfo(
-        n=n,
-        backend=be.name,
-        precision=storage.name_lower,
-        params=kp,
-        fused=config.fused,
-        simulated_seconds=tracer.total_seconds,
-        stage_seconds=tracer.stage_breakdown(),
-        launch_counts=tracer.kernel_counts(),
-        flops=tracer.total_flops,
-        bytes=tracer.total_bytes,
-    )
-    return vals, info
+    return vals, SVDInfo.traced(n, session, config.fused)
 
 
 def svdvals(

@@ -343,10 +343,9 @@ def svd_full_resolved(A: np.ndarray, config, return_info: bool = False):
     if n == 0:
         raise ShapeError("empty matrix")
 
-    be = config.backend
     storage = config.storage_for(A.dtype)
     session = config.session(storage)
-    be.check_capacity(n, storage)
+    config.backend.check_capacity(n, storage)
     ts = session.params.tilesize
 
     # vectors are accumulated in compute precision for stability
@@ -392,20 +391,7 @@ def svd_full_resolved(A: np.ndarray, config, return_info: bool = False):
     result = SVDResult(U=U_out, s=s_out, Vt=np.ascontiguousarray(V_out.T))
     if not return_info:
         return result
-    tracer = session.tracer
-    info = SVDInfo(
-        n=n,
-        backend=be.name,
-        precision=storage.name_lower,
-        params=session.params,
-        fused=True,
-        simulated_seconds=tracer.total_seconds,
-        stage_seconds=tracer.stage_breakdown(),
-        launch_counts=tracer.kernel_counts(),
-        flops=tracer.total_flops,
-        bytes=tracer.total_bytes,
-    )
-    return result, info
+    return result, SVDInfo.traced(n, session, fused=True)
 
 
 def svd_full(

@@ -1,7 +1,7 @@
 """Dynamic batching: group compatible requests, run them as one graph.
 
 The serving layer's throughput comes from the graph-native ``batch=``
-axis (PR 2): many small SVDs in one batched :class:`~repro.sim.graph.
+axis: many small SVDs in one batched :class:`~repro.sim.graph.
 LaunchGraph` amortize per-launch overhead across problems.  Two requests
 are *compatible* when they share a :class:`~repro.tuning.ShapeClass` -
 the padded tile geometry ``(npad, nbt, tilesize)`` under the service's
@@ -18,7 +18,9 @@ deterministic simulator in :mod:`repro.serve.replay`; it trades latency
 for occupancy through the ``max_batch`` / ``max_wait_s`` knobs.
 :class:`BatchRunner` is the execution backend: emit (or reuse) the
 batched graph of a shape class, optionally rewrite it out-of-core, and
-replay it through the :class:`~repro.sim.graph.NumericExecutor`.
+replay it through :func:`~repro.core.batched.replay_batched_graph`, the
+same upload and batched replay a stack takes through
+:meth:`repro.Solver.solve`.
 """
 
 from __future__ import annotations
@@ -29,10 +31,9 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from ..config import SolveConfig
-from ..core.batched import emit_batched_graph
-from ..core.svd import _rescale_factor
+from ..core.batched import emit_batched_graph, replay_batched_graph
 from ..errors import InvalidParamsError
-from ..sim.graph import LaunchGraph, NumericExecutor
+from ..sim.graph import LaunchGraph
 from ..tuning.planner import ShapeClass
 
 __all__ = ["Batch", "BatchRunner", "DynamicBatcher", "SvdRequest"]
@@ -173,20 +174,17 @@ class BatchRunner:
     ``n`` within the class share it) and memoized per ``(npad, count,
     streams, out_of_core)`` - the serving analogue of
     :class:`repro.SvdPlan`'s precomputed graph, with hit counters
-    surfaced in :class:`~repro.serve.ServiceStats`.  Numerics mirror the
-    square driver exactly: the rescale factor comes from each request's
-    *original* matrix, padding is zero-fill to ``npad``, and each
-    request receives its leading ``n`` values scaled back.
+    surfaced in :class:`~repro.serve.ServiceStats`.  Numerics are
+    :func:`~repro.core.batched.replay_batched_graph`'s, the path every
+    stack takes: each request's *original* matrix is uploaded (rescale
+    factor and storage cast), zero-padded to ``npad``, and receives its
+    leading ``n`` values scaled back.
     """
 
     def __init__(self, config: SolveConfig) -> None:
         """Pin the resolved config and storage precision for the service."""
         self.config = config
         self.storage = config.require_precision("serve")
-        compute = config.backend.compute_precision(self.storage)
-        self._compute_dtype = (
-            compute.dtype if compute is not self.storage else None
-        )
         self._graphs: Dict[Tuple, LaunchGraph] = {}
         self.graph_hits = 0
         self.graph_misses = 0
@@ -234,35 +232,12 @@ class BatchRunner:
         rounding, same rescale factor (computed on the original matrix),
         same padded kernel sequence, same truncation.
         """
-        cls = requests[0].cls
         graph = self.graph_for(
-            cls, len(requests), streams=streams, out_of_core=out_of_core,
-            budget_bytes=budget_bytes,
+            requests[0].cls, len(requests), streams=streams,
+            out_of_core=out_of_core, budget_bytes=budget_bytes,
         )
-        npad = cls.npad
-        W = np.zeros((len(requests), npad, npad), dtype=self.storage.dtype)
-        scales: List[float] = []
-        for p, req in enumerate(requests):
-            a = req.A
-            scale = (
-                _rescale_factor(a, self.storage)
-                if self.config.rescale else 1.0
-            )
-            scales.append(scale)
-            W[p, : req.n, : req.n] = a if scale == 1.0 else a * scale
-
-        ex = NumericExecutor(
-            W, cls.tilesize, self.storage.eps, session=None,
-            compute_dtype=self._compute_dtype, storage=self.storage,
-            stage3=self.config.stage3,
+        values = replay_batched_graph(
+            [req.A for req in requests], graph, self.config
         )
-        ex.run(graph)
-
-        values: List[np.ndarray] = []
-        for p, req in enumerate(requests):
-            vals = ex.values_by_problem[p][: req.n].copy()
-            if scales[p] != 1.0:
-                vals /= scales[p]
-            values.append(vals)
         replayed_s = price(graph) if price is not None else 0.0
-        return values, replayed_s
+        return list(values), replayed_s

@@ -29,6 +29,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from ..core.svd import upload
 from ..errors import InvalidParamsError, ShapeError
 from ..tuning.planner import shape_class
 from .admission import AdmissionController
@@ -171,10 +172,12 @@ class SvdService:
     ) -> "asyncio.Future":
         """Enqueue one square matrix; returns the result future.
 
-        Validation (shape, finiteness) happens here, synchronously, so
-        malformed inputs fail at the call site instead of poisoning a
-        batch.  The call itself blocks only when ``max_depth`` requests
-        are already in flight (backpressure); the returned future
+        Validation (shape, finiteness, the storage cast) happens here,
+        synchronously, raising the :class:`~repro.errors.ShapeError`
+        :meth:`repro.Solver.solve` would, so malformed inputs fail at
+        the call site instead of poisoning a batch.  The call itself
+        blocks only when ``max_depth`` requests are already in flight
+        (backpressure); the returned future
         resolves to the descending singular values (float64) or raises
         :class:`~repro.errors.ShedError` if admission sheds the request.
         """
@@ -187,8 +190,9 @@ class SvdService:
             )
         if A.shape[0] == 0:
             raise ShapeError("empty matrix")
-        if self._config.check_finite and not np.all(np.isfinite(A)):
-            raise ShapeError("input matrix contains NaN or Inf entries")
+        # the upload the batch replay runs: an input the storage precision
+        # cannot hold raises here, as Solver.solve would, not in its batch
+        upload(A, self._config.precision, self._config)
         if slo_s is not None and slo_s <= 0:
             raise InvalidParamsError(
                 f"slo_s must be a positive deadline, got {slo_s}"

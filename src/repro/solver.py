@@ -47,7 +47,7 @@ Quickstart
 from __future__ import annotations
 
 from functools import lru_cache, partial
-from typing import Callable, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -249,7 +249,9 @@ class Solver:
 
         * ``(n, n)`` square  -> two-stage QR driver;
         * ``(m, n)`` rectangular -> tall-QR preprocessing + square driver;
-        * ``(batch, n, n)`` stack -> batched driver.
+        * ``(batch, n, n)`` stack -> batched driver: one batched launch
+          graph replayed once for the whole stack, each matrix's values
+          bitwise identical to solving it alone.
 
         Returns descending singular values (``(min(m, n),)`` for 2-D
         inputs, ``(batch, n)`` for stacks), plus the execution report when
@@ -357,25 +359,15 @@ class Solver:
 
     # internal single-shape paths (the legacy shims call these directly to
     # preserve their historical shape contracts)
-    def _solve_square(self, A, return_info=False, workspace=None, cost_cache=None):
-        return svdvals_resolved(
-            A,
-            self._config,
-            return_info=return_info,
-            workspace=workspace,
-            cost_cache=cost_cache,
-        )
+    def _solve_square(self, A, return_info=False):
+        return svdvals_resolved(A, self._config, return_info=return_info)
 
     def _solve_rect(self, A, return_info=False):
         return svdvals_rect_resolved(A, self._config, return_info=return_info)
 
-    def _solve_batched(self, As, return_info=False, workspace=None, cost_cache=None):
+    def _solve_batched(self, As, return_info=False):
         return svdvals_batched_resolved(
-            As,
-            self._config,
-            return_info=return_info,
-            workspace=workspace,
-            cost_cache=cost_cache,
+            As, self._config, return_info=return_info
         )
 
     # ------------------------------------------------------------------ #
@@ -731,7 +723,9 @@ class SvdPlan:
     full launch-price table (filled by pricing the graph analytically).
     :meth:`execute` then replays the cached graph with zero
     schedule-construction cost — results are bitwise identical to
-    one-shot :meth:`Solver.solve` calls.
+    one-shot :meth:`Solver.solve` calls.  A batched plan instead keeps
+    one batched graph per batch count (the planned count's emitted up
+    front) and replays a whole stack through it at once.
 
     A plan owns one workspace buffer, so a single plan instance must not
     be executed concurrently from multiple threads.
@@ -792,26 +786,38 @@ class SvdPlan:
                 (self.npad, self.npad), dtype=storage.dtype
             )
         else:
+            # a batched plan checks one matrix, as Solver.solve does, and
+            # its replay allocates the padded stack per call
             config.backend.check_capacity(n, storage)
             self.mpad = self.npad
-            self._workspace = np.zeros(
-                (self.npad, self.npad), dtype=storage.dtype
+            self._workspace = (
+                None if self.kind == "batched"
+                else np.zeros((self.npad, self.npad), dtype=storage.dtype)
             )
             self._square_workspace = None
 
-        #: The emitted launch graph of the planned (square) solve; rect
-        #: plans additionally cache the tall-QR preprocessing graph, and
-        #: batched plans replay the square graph once per matrix.
+        #: Shared launch-price memo (see ``Session.cost_cache``), filled
+        #: by pricing the cached graph(s) - the numeric replay requests
+        #: exactly these keys, so no cost-model arithmetic remains on the
+        #: solve path.  Batched replay traces no launches, so a batched
+        #: plan prices nothing.
+        self._cost_cache: dict = {}
+        #: A batched plan's emitted graph per batch count (the planned
+        #: count's up front): a stack replays once through its count's.
+        self._batched_graphs: Dict[int, LaunchGraph] = {}
+        if self.kind == "batched":
+            self._graph = self._batched_graphs[self.batch] = (
+                emit_batched_graph(n, self.batch, config)
+            )
+            self._prep_graph = None
+            return
+        #: The emitted launch graph of the planned square solve; rect
+        #: plans additionally cache the tall-QR preprocessing graph.
         self._graph = emit_svd_graph(self.n, config)
         self._prep_graph = (
             emit_tallqr_graph(self.m, self.n, config)
             if self.kind == "rect" else None
         )
-        #: Shared launch-price memo (see ``Session.cost_cache``), filled
-        #: by pricing the cached graph(s) - the numeric replay requests
-        #: exactly these keys, so no cost-model arithmetic remains on the
-        #: solve path.
-        self._cost_cache: dict = {}
         pricer = AnalyticExecutor(config, storage, cache=self._cost_cache)
         self._square_breakdown = pricer.run(self._graph)
         self._prep_breakdown = (
@@ -821,7 +827,11 @@ class SvdPlan:
     # ------------------------------------------------------------------ #
     @property
     def graph(self):
-        """The cached :class:`~repro.sim.graph.LaunchGraph` replayed per solve."""
+        """The cached :class:`~repro.sim.graph.LaunchGraph` of the planned shape.
+
+        Square and rect plans replay it per solve; a batched plan's is
+        the batched graph of its planned batch count.
+        """
         return self._graph
 
     @property
@@ -868,12 +878,8 @@ class SvdPlan:
         """
         if self.kind == "batched":
             return svdvals_batched_resolved(
-                A,
-                self.config,
-                return_info=return_info,
-                workspace=self._workspace,
-                cost_cache=self._cost_cache,
-                graph=self._graph,
+                A, self.config, return_info=return_info,
+                graphs=self._batched_graphs,
             )
         A = np.asarray(A)
         if self.kind == "square":

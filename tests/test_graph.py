@@ -171,13 +171,18 @@ class TestGraphReplayBitwise:
             svdvals_resolved(A, cfg, graph=emit_svd_graph(96, cfg))
 
     def test_batched_replay_shares_one_graph(self):
-        solver = Solver(backend="h100", precision="fp32")
-        As = np.random.default_rng(2).standard_normal((4, 48, 48)).astype(
-            np.float32
-        )
-        plan = solver.plan((4, 48, 48))
-        singles = np.stack([solver.solve(a) for a in As])
-        np.testing.assert_array_equal(plan.execute(As), singles)
+        # fp16 / fp64 storage, and an order that is not a tile multiple
+        for precision, batch, n in (
+            ("fp32", 4, 48), ("fp16", 4, 48), ("fp64", 4, 48),
+            ("fp32", 3, 200),
+        ):
+            solver = Solver(backend="h100", precision=precision)
+            As = np.random.default_rng(2).standard_normal(
+                (batch, n, n)
+            ).astype(solver.precision.dtype)
+            plan = solver.plan((batch, n, n))
+            singles = np.stack([solver.solve(a) for a in As])
+            np.testing.assert_array_equal(plan.execute(As), singles)
 
 
 class TestMultiStream:

@@ -4,10 +4,45 @@ import numpy as np
 import pytest
 
 from tests.conftest import rel_err, scipy_svdvals
-from repro.core import svdvals
+from repro import Solver
+from repro.core import WORKLOADS, svdvals
 from repro.core.svd import _rescale_factor
 from repro.errors import ShapeError
 from repro.precision import Precision
+
+#: The front doors the rescale contract covers, by input shape.  The
+#: square door is the legacy shim; the rest run through a Solver.
+FRONT_DOORS = {
+    "square": (32, 32),
+    "tall": (64, 32),
+    "wide": (32, 64),
+    "lowrank": (64, 32),
+}
+
+
+def solve_through(door, A, **axes):
+    """Singular values of ``A`` from one front door on an H100."""
+    if door == "square":
+        return svdvals(A, backend="h100", **axes)
+    solver = Solver(backend="h100", **axes)
+    if door == "lowrank":
+        return solver.svd_lowrank(A, rank=4)
+    return solver.solve(A)
+
+
+def check_rescaled(door, A, precision, tol):
+    """Accurate values of ``A`` - or, from the low-rank door, estimates
+    within the projection bound that track those of ``A``'s unit-scale
+    copy (an exact power of two away)."""
+    got = solve_through(door, A, precision=precision)
+    assert np.all(np.isfinite(got)), door
+    if door != "lowrank":
+        assert rel_err(got, scipy_svdvals(A)) < tol, door
+        return
+    WORKLOADS["lowrank"].check(got, A, precision)
+    unit = 2.0 ** -round(np.log2(np.max(np.abs(A))))
+    ref = solve_through(door, A * unit, precision=precision)
+    assert rel_err(got * unit, ref) < tol, door
 
 
 class TestCheckFinite:
@@ -58,25 +93,28 @@ class TestRescaleFactor:
 class TestRescaledSolves:
     def test_fp16_overflow_avoided(self, rng):
         """Values above FP16's 65504 max would become Inf unscaled."""
-        A = (5.0e4 * rng.standard_normal((32, 32))).astype(np.float64)
-        ref = scipy_svdvals(A)
-        got = svdvals(A, backend="h100", precision="fp16", rescale=True)
-        assert np.all(np.isfinite(got))
-        assert rel_err(got, ref) < 5e-2
-        # without rescaling the FP16 cast overflows to Inf: the upload
-        # rejects it at once, naming the precision and the fix
-        with pytest.raises(ShapeError, match=r"FP16 storage.*rescale=True"):
-            svdvals(A, backend="h100", precision="fp16", rescale=False)
+        for door, shape in FRONT_DOORS.items():
+            A = (5.0e4 * rng.standard_normal(shape)).astype(np.float64)
+            check_rescaled(door, A, "fp16", 5e-2)
+            # without rescaling the FP16 cast overflows to Inf: the upload
+            # rejects it at once, naming the precision and the fix
+            with pytest.raises(
+                ShapeError, match=r"FP16 storage.*rescale=True"
+            ):
+                solve_through(door, A, precision="fp16", rescale=False)
 
     def test_fp32_huge_scale(self, rng):
-        A = 1e25 * rng.standard_normal((32, 32))
-        got = svdvals(A, backend="h100", precision="fp32")
-        assert rel_err(got, scipy_svdvals(A)) < 1e-5
+        for door, shape in FRONT_DOORS.items():
+            A = 1e25 * rng.standard_normal(shape)
+            check_rescaled(door, A, "fp32", 1e-5)
 
     def test_tiny_scale_upscaled(self, rng):
-        A = 1e-30 * rng.standard_normal((32, 32))
-        got = svdvals(A, backend="h100", precision="fp32")
-        assert rel_err(got, scipy_svdvals(A)) < 1e-5
+        for precision, magnitude, tol in (
+            ("fp32", 1e-30, 1e-5), ("fp16", 1e-6, 5e-2)
+        ):
+            for door, shape in FRONT_DOORS.items():
+                A = magnitude * rng.standard_normal(shape)
+                check_rescaled(door, A, precision, tol)
 
     def test_results_scaled_back_exactly(self, rng):
         """Power-of-two scaling is exact: scaled and unscaled runs agree

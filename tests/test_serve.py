@@ -141,6 +141,25 @@ class TestSubmitValidation:
 
         asyncio.run(go())
 
+    def test_storage_overflow_fails_at_submit(self, rng):
+        """An input past FP16's range raises at submit - the ShapeError
+        Solver.solve raises - instead of failing its whole batch after
+        thousands of sweeps; the in-range request is served alone."""
+        solver = Solver(backend="h100", precision="fp16", rescale=False)
+        big = 1e5 * rng.standard_normal((32, 32))
+        ok = rng.standard_normal((32, 32))
+        overflow = r"FP16 storage.*rescale=True"
+
+        async def go():
+            async with solver.serve(max_batch=4, max_wait_s=0.05) as svc:
+                with pytest.raises(ShapeError, match=overflow):
+                    await svc.submit(big)
+                return await (await svc.submit(ok))
+
+        assert np.array_equal(asyncio.run(go()), solver.solve(ok))
+        with pytest.raises(ShapeError, match=overflow):
+            solver.solve(big)
+
     def test_requires_explicit_precision_and_qr(self):
         with pytest.raises(Exception, match="precision"):
             Solver(backend="h100").serve()

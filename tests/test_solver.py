@@ -225,14 +225,45 @@ class TestPlan:
         assert info2.simulated_seconds == pytest.approx(info1.simulated_seconds)
         assert info2.launch_counts == info1.launch_counts
 
-    def test_batched_plan(self, rng, solver):
-        As = rng.standard_normal((5, 32, 32)).astype(np.float32)
-        plan = solver.plan((5, 32, 32))
-        np.testing.assert_array_equal(plan.execute(As), solver.solve(As))
-        # a batched plan accepts any batch count of the planned order
-        np.testing.assert_array_equal(
-            plan.execute(As[:2]), solver.solve(As[:2])
+    def test_batched_plan(self, rng):
+        # fp16 / fp64 storage, and an order that is not a tile multiple
+        for precision, batch, n in (
+            ("fp32", 5, 32), ("fp16", 5, 32), ("fp64", 5, 32),
+            ("fp32", 3, 200),
+        ):
+            solver = Solver(backend="h100", precision=precision)
+            As = rng.standard_normal((batch, n, n)).astype(
+                solver.precision.dtype
+            )
+            plan = solver.plan((batch, n, n))
+            np.testing.assert_array_equal(plan.execute(As), solver.solve(As))
+            # a batched plan accepts any batch count of the planned order
+            np.testing.assert_array_equal(
+                plan.execute(As[:2]), solver.solve(As[:2])
+            )
+
+    @pytest.mark.parametrize("entry", ["solve", "plan"])
+    def test_stack_replays_one_batched_graph(self, monkeypatch, rng, entry):
+        """A stack runs the executor once, on its batched graph - not
+        one square replay per matrix."""
+        from repro.sim.graph import NumericExecutor
+
+        kinds = []
+        run = NumericExecutor.run
+
+        def spy(self, graph):
+            kinds.append(graph.kind)
+            return run(self, graph)
+
+        solver = Solver(backend="h100", precision="fp32")
+        As = rng.standard_normal((4, 48, 48)).astype(np.float32)
+        execute = (
+            solver.solve if entry == "solve"
+            else solver.plan((4, 48, 48)).execute
         )
+        monkeypatch.setattr(NumericExecutor, "run", spy)
+        execute(As)
+        assert kinds == ["batched"]
 
     def test_rect_plan(self, rng, solver):
         A = rng.standard_normal((80, 40)).astype(np.float32)
