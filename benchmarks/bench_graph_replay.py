@@ -35,6 +35,13 @@ bitwise equal to (:func:`repro.core.brd.band_to_bidiagonal_reference`),
 best of 3 each, on one fp64 ``384 x 384`` band-32 matrix.  Its baseline
 is hand-pinned at 0.53: the gate fails once the wavefront is less than
 1.5x faster.
+
+Stage 3 likewise: ``stage3_kernel_gk_ratio@512`` divides the lock-step
+Sturm kernel (:func:`repro.core.bidiag.bisect`) by Golub-Kahan QR
+iteration (:func:`repro.core.bidiag.golub_kahan`), best of 3 each,
+interleaved, on one fixed random ``n = 512`` bidiagonal.  Its baseline is
+hand-pinned at 0.5: with the gate's 25% tolerance it fails above 0.625,
+once the kernel is less than 1.6x faster.
 """
 
 import argparse
@@ -62,6 +69,9 @@ RATIO_N = 32768
 #: Order and bandwidth of the gated stage-2 (bulge chase) ratio.
 BRD_N = 384
 BRD_BAND = 32
+
+#: Order of the gated stage-3 (Sturm kernel vs QR iteration) ratio.
+STAGE3_N = 512
 
 
 def _time(fn, reps: int, trials: int = 3) -> float:
@@ -95,6 +105,26 @@ def brd_ratio(n: int = BRD_N, band: int = BRD_BAND, trials: int = 3) -> float:
             scalar_s, _time(lambda: band_to_bidiagonal_reference(A, band), 1, 1)
         )
     return wave_s / scalar_s
+
+
+def stage3_ratio(n: int = STAGE3_N, trials: int = 3) -> float:
+    """Sturm kernel over Golub-Kahan stage-3 wall-clock, best of ``trials``.
+
+    Both solve one fixed random bidiagonal and alternate, so a change of
+    host speed during the measurement slows both.
+    """
+    from repro.core.bidiag import bisect, golub_kahan
+
+    rng = np.random.default_rng(0)
+    d, e = rng.standard_normal(n), rng.standard_normal(n - 1)
+    np.testing.assert_allclose(
+        bisect(d, e), golub_kahan(d, e), rtol=0.0, atol=1e-12 * np.abs(d).max()
+    )
+    kernel_s = gk_s = float("inf")
+    for _ in range(trials):
+        kernel_s = min(kernel_s, _time(lambda: bisect(d, e), 1, 1))
+        gk_s = min(gk_s, _time(lambda: golub_kahan(d, e), 1, 1))
+    return kernel_s / gk_s
 
 
 def phase_rows(solver, sizes=SIZES) -> list:
@@ -203,9 +233,10 @@ def metrics() -> dict:
     """Metrics for the CI regression gate.
 
     Simulated predicted seconds (deterministic across machines), plus
-    tentpole guards: the dimensionless ``bindprice_emitscalar_ratio`` and
-    ``brd_wave_scalar_ratio`` (both timings of each share the host, so
-    their baselines transfer) and the deterministic bound-structure miss
+    speedup guards: the dimensionless ``bindprice_emitscalar_ratio``,
+    ``brd_wave_scalar_ratio`` and ``stage3_kernel_gk_ratio`` (both timings
+    of each share the host, so their baselines transfer) and the
+    deterministic bound-structure miss
     count per tune candidate (proof the candidate loop binds instead of
     re-emitting).
     """
@@ -239,6 +270,9 @@ def metrics() -> dict:
 
     # stage 2 of the numeric replay: the wavefront vs the scalar chase
     out[f"graph_replay/brd_wave_scalar_ratio@{BRD_N}"] = brd_ratio()
+
+    # stage 3 of the numeric replay: the Sturm kernel vs QR iteration
+    out[f"graph_replay/stage3_kernel_gk_ratio@{STAGE3_N}"] = stage3_ratio()
 
     # re-emission is gone from the candidate loop: a cold tune binds a
     # handful of structures (one per distinct execution-axis family),

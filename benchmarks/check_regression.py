@@ -22,11 +22,13 @@ wall-clock, e.g. ``graph_replay/bindprice_emitscalar_ratio@32768``) are
 also admissible: host speed cancels to first order.  Their baselines may
 be hand-pinned floors rather than measurements - the ratio baseline of
 0.08 with the 25% tolerance fails the gate exactly when bind-and-price
-drops below a 10x speedup over emit-and-scalar-price, and
+drops below a 10x speedup over emit-and-scalar-price,
 ``graph_replay/brd_wave_scalar_ratio@384`` pinned at 0.53 fails once the
-wavefront bulge chase is less than 1.5x faster than the scalar chase -
-so they routinely print "improved"; do not ``--update`` them down to the
-measured value.
+wavefront bulge chase is less than 1.5x faster than the scalar chase, and
+``graph_replay/stage3_kernel_gk_ratio@512`` pinned at 0.5 fails once the
+lock-step Sturm kernel is less than 1.6x faster than Golub-Kahan QR
+iteration - so they routinely print "improved"; do not ``--update`` them
+down to the measured value.
 """
 
 import argparse

@@ -7,12 +7,22 @@ scratch and keeps SciPy only as an optional oracle:
 * :func:`golub_kahan` - implicit-shift QR iteration in the style of LAPACK
   ``bdsqr``, with Demmel-Kahan zero-shift sweeps for accuracy near zero,
   2x2 closed forms, splitting, deflation and zero-diagonal handling;
-* :func:`bisect` - bisection on Sturm counts of the Golub-Kahan tridiagonal
-  ``TGK = [[0, B^T], [B, 0]]`` permuted to a zero-diagonal tridiagonal with
-  offdiagonals ``d1, e1, d2, e2, ...``; the counts for all ``n`` targets
-  advance in lock-step as one vectorized recurrence;
+* :func:`bisect` - the lock-step Sturm bisection kernel.  Every singular
+  value of every stacked problem is one *lane*; a pass bisects all lanes
+  with one count, the differential stationary qd transform (Dhillon &
+  Parlett, *Linear Algebra Appl.* 387, 2004) on ``q_i = d_i^2`` and
+  ``e_i^2``: ``D_i = s_i + q_i``, ``s_{i+1} = s_i (e_i^2 / D_i) - tau``
+  from ``s_0 = -tau``, whose negative ``D_i`` number the singular values
+  below ``sqrt(tau)`` - four in-place ufunc calls per step over every
+  lane at once.  A lane freezes once its bracket converges, so a stack
+  gives each problem exactly what it gets alone;
 * :func:`svdvals_bidiag` - the dispatcher (``method="auto"`` picks QR
-  iteration for small blocks and bisection for large ones).
+  iteration up to :data:`AUTO_BISECT_THRESHOLD` and bisection above).
+
+The bisection loop (:func:`_bisect_lanes`) and the count
+(:func:`_negcounter`) exist once: :func:`repro.core.eigh.eigh_tridiagonal`
+runs the same loop with the classical ``LDL^T`` Sturm count, and the
+eigensolver's ``steig_cpu`` tail calls :func:`bisect` directly.
 
 All solvers return singular values sorted in descending order as float64.
 """
@@ -23,7 +33,7 @@ import math
 
 import numpy as np
 
-from ..errors import ConvergenceError
+from ..errors import ConvergenceError, ShapeError
 
 __all__ = ["golub_kahan", "bisect", "svdvals_bidiag", "singular_2x2"]
 
@@ -227,84 +237,203 @@ def golub_kahan(
 
 
 # --------------------------------------------------------------------- #
-# Sturm-count bisection on the Golub-Kahan tridiagonal
+# lock-step Sturm bisection
 # --------------------------------------------------------------------- #
-def _sturm_counts(a2: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Eigenvalues of the zero-diagonal TGK tridiagonal below each ``x``.
+#: Pivots smaller than this in magnitude are taken as ``-_PIVMIN`` when a
+#: count is redone after a zero pivot (as LAPACK ``dlaneg`` redoes it).  Counts run on
+#: data scaled below 1 in magnitude, so ``1 / _PIVMIN`` cannot overflow.
+_PIVMIN = float(np.finfo(np.float64).tiny) / _EPS
 
-    ``a2`` holds the squared offdiagonals ``[d1^2, e1^2, d2^2, ...]``
-    (length ``2n-1``); ``xs`` is a vector of positive shifts.  Uses the
-    LDL^T pivot recurrence ``q <- -x - a^2 / q`` and counts negative
-    pivots, advancing all shifts in lock-step (vectorized across ``xs``).
+#: Bisection passes a lane may take before it stops where it is.
+_MAXITER = 90
+
+#: Pivots one pass may hold: lanes are bisected in chunks of at most
+#: ``_PIVOT_BUDGET // steps`` (8 MiB of float64 pivots per chunk).
+_PIVOT_BUDGET = 1 << 20
+
+
+def _negcounter(Q: np.ndarray, W: np.ndarray, qd: bool):
+    """The Sturm count over a set of lanes: ``count(tau)``, negative pivots.
+
+    Column ``j`` of ``Q`` (``m`` rows) and ``W`` (``m - 1`` rows) is lane
+    ``j``'s matrix; ``count(tau)`` factors every lane's matrix shifted by
+    ``tau[j]`` as ``L D L^T`` and counts the negative ``D_i``.  Every lane
+    runs ``D_i = s_i + Q_i`` from ``s_0 = -tau``:
+
+    * ``qd`` - the differential stationary qd transform (Dhillon & Parlett,
+      2004) of ``B^T B = L D L^T`` with ``Q = d^2``, ``W = e^2``:
+      ``s_{i+1} = s_i (W_i / D_i) - tau``;
+    * otherwise the classical Sturm count of a symmetric tridiagonal ``T``
+      with ``Q = alpha``, ``W = -beta^2``: ``s_{i+1} = W_i / D_i - tau``.
+
+    Each step is four in-place ufunc calls over all lanes at once (three
+    without ``qd``) on row views made once, here, for every pass.  A lane
+    whose last pivot is not finite met a zero pivot (or an overflowing
+    one) and is counted again with ``|D_i| < _PIVMIN`` replaced by
+    ``-_PIVMIN`` (LAPACK ``dlaneg``); every other lane's count is the
+    plain IEEE recurrence, so no lane depends on another.
     """
-    xs = np.asarray(xs, dtype=np.float64)
-    tiny = np.finfo(np.float64).tiny
-    q = -xs.copy()
-    count = (q < 0.0).astype(np.int64)
-    for a in a2:
-        q = np.where(q == 0.0, -tiny, q)
-        q = -xs - a / q
-        count += q < 0.0
+    m = Q.shape[0]
+    D = np.empty(Q.shape)
+    rows = list(zip(D, Q, W))  # steps 0 .. m - 2
+
+    def pivots(views, qlast, last, tau, guard):
+        s = np.negative(tau)
+        t = np.empty_like(tau)
+        for Di, Qi, Wi in views:
+            np.add(s, Qi, out=Di)
+            if guard:
+                Di[np.abs(Di) < _PIVMIN] = -_PIVMIN
+            np.divide(Wi, Di, out=t)
+            if qd:
+                np.multiply(s, t, out=t)
+            np.subtract(t, tau, out=s)
+        np.add(s, qlast, out=last)
+
+    def count(tau: np.ndarray) -> np.ndarray:
+        # zero pivots are expected here: their lanes are counted again
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            pivots(rows, Q[m - 1], D[m - 1], tau, guard=False)
+        negative = np.count_nonzero(np.signbit(D), axis=0)
+        bad = np.flatnonzero(~np.isfinite(D[m - 1]))
+        if bad.size:
+            Db = np.empty((m, bad.size))
+            pivots(
+                list(zip(Db, Q[:, bad], W[:, bad])), Q[m - 1, bad], Db[m - 1],
+                tau[bad], guard=True,
+            )
+            negative[bad] = np.count_nonzero(np.signbit(Db), axis=0)
+        return negative
+
     return count
+
+
+def _bisect_lanes(
+    q: np.ndarray,
+    w: np.ndarray,
+    prob: np.ndarray,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    rank: np.ndarray,
+    atol: float,
+    rel_tol: float,
+    maxiter: int,
+    qd: bool,
+) -> np.ndarray:
+    """Lock-step bisection: the one Sturm bisection loop of the package.
+
+    Lane ``j`` brackets the value ``x`` in ``[lo[j], hi[j]]`` above which
+    problem ``prob[j]`` (column of ``q``/``w``, see :func:`_negcounter`)
+    has more than ``rank[j]`` pivots negative; the shift is ``x^2`` for
+    the ``qd`` count (``x`` is a singular value) and ``x`` otherwise.
+    Each pass halves every live bracket with one count over all lanes.  A
+    lane freezes once ``hi - lo <= max(rel_tol * max(|lo|, |hi|), atol)``,
+    or after ``maxiter`` passes: its result never depends on which other
+    lanes share the pass, so a stack of problems gives each problem
+    exactly what it gets alone.  Returns the bracket midpoints.
+    """
+    chunk = max(1, _PIVOT_BUDGET // q.shape[0])
+    for c in range(0, prob.size, chunk):
+        part = slice(c, c + chunk)
+        count = _negcounter(q[:, prob[part]], w[:, prob[part]], qd)
+        lo_c, hi_c, rank_c = lo[part], hi[part], rank[part]
+        live = np.ones(lo_c.shape, dtype=bool)
+        for _ in range(maxiter):
+            width = np.maximum(np.abs(lo_c), np.abs(hi_c))
+            live &= hi_c - lo_c > np.maximum(rel_tol * width, atol)
+            if not live.any():
+                break
+            mid = 0.5 * (lo_c + hi_c)
+            below = count(mid * mid if qd else mid) > rank_c
+            np.copyto(hi_c, mid, where=live & below)
+            np.copyto(lo_c, mid, where=live & ~below)
+    return 0.5 * (lo + hi)
 
 
 def bisect(
     d: np.ndarray,
     e: np.ndarray,
-    maxiter: int = 90,
+    maxiter: int = _MAXITER,
     rel_tol: float = 4.0 * _EPS,
 ) -> np.ndarray:
-    """Singular values of ``bidiag(d, e)`` by vectorized Sturm bisection.
+    """Singular values of ``bidiag(d, e)`` by lock-step Sturm bisection.
 
-    All ``n`` values converge simultaneously: each bisection round performs
-    one batched Sturm-count pass over the ``2n-1`` offdiagonals of the
-    Golub-Kahan tridiagonal.  Accuracy is absolute at ``O(eps * sigma_max)``
-    (like the normal-equations bound), which matches the paper's reported
-    relative-Frobenius accuracy regime.
+    ``d`` is ``(n,)`` or a ``(B, n)`` stack, ``e`` ``(n - 1,)`` or
+    ``(B, n - 1)``; the result has ``d``'s shape, each row descending.
+    Every singular value of every problem is one lane of
+    :func:`_bisect_lanes`, counted by the qd recurrence of
+    :func:`_negcounter` on ``q = d^2``, ``e^2`` after an exact power-of-two
+    scale that puts each problem's largest entry in ``[1/2, 1)`` (so
+    ``sigma < 2``, the starting bracket).  Trailing all-zero rows (tile
+    padding: ``d_i = 0`` and ``e_{i-1} = 0``) are set aside as exact
+    zeros; the count runs over each problem's leading part, aligned to
+    end on the last step (zero rows ahead of it add exactly one negative
+    pivot each).  A lane stops once its bracket is within ``rel_tol`` of
+    its upper end or within ``2 rel_tol eps`` (of the scaled bound 2), or
+    after ``maxiter`` passes: ``O(eps * sigma_max)`` absolute accuracy or
+    better.  Bitwise, a stack gives each problem what it gets alone.
     """
     d = np.asarray(d, dtype=np.float64)
     e = np.asarray(e, dtype=np.float64)
-    n = d.shape[0]
+    n = d.shape[-1]
+    if e.shape[-1] != max(0, n - 1) or e.shape[:-1] != d.shape[:-1]:
+        raise ValueError(f"superdiagonal length {e.shape[-1]} != n-1 = {n - 1}")
     if n == 0:
-        return np.zeros(0)
-    if e.shape[0] != n - 1:
-        raise ValueError(f"superdiagonal length {e.shape[0]} != n-1 = {n - 1}")
-    if n == 1:
-        return np.abs(d)
+        return np.zeros(d.shape)
+    d2 = d.reshape(-1, n)
+    e2 = e.reshape(d2.shape[0], n - 1)
+    nprob = d2.shape[0]
+    amax = np.maximum(np.abs(d2).max(axis=1), np.abs(e2).max(axis=1, initial=0.0))
+    _, k = np.frexp(amax)
+    ds = np.ldexp(d2, -k[:, None])
+    es = np.ldexp(e2, -k[:, None])
+    nonzero = ds != 0.0
+    nonzero[:, 1:] |= es != 0.0
+    order = np.where(
+        nonzero.any(axis=1), n - np.argmax(nonzero[:, ::-1], axis=1), 0
+    )
+    steps = int(order.max())
+    out = np.zeros((nprob, n))
+    if steps:
+        q = np.zeros((steps, nprob))
+        w = np.zeros((steps - 1, nprob))
+        for p, m in enumerate(order):
+            q[steps - m :, p] = ds[p, :m] ** 2
+            w[steps - m :, p] = es[p, : max(0, m - 1)] ** 2
+        prob = np.repeat(np.arange(nprob), order)
+        rank = np.concatenate([np.arange(steps - m, steps) for m in order])
+        vals = _bisect_lanes(
+            q, w, prob, np.zeros(prob.size), np.full(prob.size, 2.0), rank,
+            rel_tol * _EPS * 2.0, rel_tol, maxiter, qd=True,
+        )
+        out[np.arange(n) >= n - order[:, None]] = vals
+        out = np.ldexp(out, k[:, None])
+    out.sort(axis=1)
+    return out[:, ::-1].reshape(d.shape).copy()
 
-    a = np.empty(2 * n - 1, dtype=np.float64)
-    a[0::2] = d
-    a[1::2] = e
-    aa = np.abs(a)
-    if aa.max() == 0.0:
-        return np.zeros(n)
-    # Gershgorin bound for the zero-diagonal tridiagonal
-    left = np.concatenate(([0.0], aa))
-    right = np.concatenate((aa, [0.0]))
-    ub = float((left + right).max()) * (1.0 + 16.0 * _EPS) + np.finfo(np.float64).tiny
 
-    a2 = a * a
-    targets = np.arange(n)  # want the k-th smallest singular value
-    lo = np.zeros(n)
-    hi = np.full(n, ub)
-    for _ in range(maxiter):
-        mid = 0.5 * (lo + hi)
-        cnt = _sturm_counts(a2, mid) - n  # number of sigma < mid
-        too_high = cnt > targets
-        hi = np.where(too_high, mid, hi)
-        lo = np.where(too_high, lo, mid)
-        if np.all(hi - lo <= rel_tol * np.maximum(hi, ub * _EPS)):
-            break
-    out = 0.5 * (lo + hi)
-    out.sort()
-    return out[::-1].copy()
+def _require_finite(d: np.ndarray, e: np.ndarray) -> None:
+    """Reject a non-finite bidiagonal before a stage-3 solve sees it."""
+    if not (np.all(np.isfinite(d)) and np.all(np.isfinite(e))):
+        raise ShapeError(
+            "bidiagonal contains NaN or Inf entries: the input was not finite "
+            "or the reduction overflowed its storage precision; construct the "
+            "Solver with rescale=True (the default) or scale the input into "
+            "range"
+        )
 
 
 # --------------------------------------------------------------------- #
 # dispatcher
 # --------------------------------------------------------------------- #
-#: Block size above which ``auto`` switches from QR iteration to bisection.
-AUTO_BISECT_THRESHOLD = 512
+#: Largest order ``auto`` leaves to QR iteration; above it, bisection.
+#: Measured single-problem crossover on the stage-3 bidiagonals of fp32
+#: and fp64 reductions (one 2-core x86-64 Xeon host, NumPy 2.4, one BLAS
+#: thread), kernel time over QR iteration's: 1.4-5.0x at order 32, even
+#: at 64 (0.74-1.35x by how much of the order is tile padding, 0.92x
+#: over all), 0.51-0.55x at 96 and 0.37x at 128.  Orders are tile
+#: multiples (32), so 64 is the last order QR iteration keeps.
+AUTO_BISECT_THRESHOLD = 64
 
 
 def svdvals_bidiag(
@@ -315,18 +444,25 @@ def svdvals_bidiag(
     """Singular values of the upper bidiagonal matrix ``bidiag(d, e)``.
 
     ``method`` is one of ``"auto"``, ``"gk"`` (Golub-Kahan QR iteration),
-    ``"bisect"`` or ``"lapack"`` (SciPy oracle, used by baselines/tests).
+    ``"bisect"`` or ``"lapack"`` (SciPy oracle, used by baselines/tests);
+    ``auto`` picks from the order ``n`` alone.  ``d`` may be a ``(B, n)``
+    stack (with ``e`` ``(B, n - 1)``): bisection solves it in one call,
+    the other methods row by row.  Non-finite entries raise
+    :class:`~repro.errors.ShapeError`.
     """
-    n = np.asarray(d).shape[0]
+    d = np.asarray(d, dtype=np.float64)
+    e = np.asarray(e, dtype=np.float64)
     if method == "auto":
-        method = "gk" if n <= AUTO_BISECT_THRESHOLD else "bisect"
-    if method == "gk":
-        return golub_kahan(d, e)
-    if method == "bisect":
-        return bisect(d, e)
-    if method == "lapack":
-        return _lapack_bidiag(d, e)
-    raise ValueError(f"unknown bidiagonal solver {method!r}")
+        method = "gk" if d.shape[-1] <= AUTO_BISECT_THRESHOLD else "bisect"
+    solve = {"gk": golub_kahan, "bisect": bisect, "lapack": _lapack_bidiag}.get(
+        method
+    )
+    if solve is None:
+        raise ValueError(f"unknown bidiagonal solver {method!r}")
+    _require_finite(d, e)
+    if d.ndim == 1 or solve is bisect:
+        return solve(d, e)
+    return np.stack([solve(dp, ep) for dp, ep in zip(d, e)])
 
 
 def _lapack_bidiag(d: np.ndarray, e: np.ndarray) -> np.ndarray:

@@ -7,9 +7,9 @@ values **are** the eigenvalues.  The driver therefore shifts the input by
 an exact power of two ``c`` with ``c >= 2 * ||A||`` so that
 ``M = A + c I`` is positive definite and well conditioned
 (``lambda(M) in [c/2, 3c/2]``), runs the unmodified dense -> band ->
-bidiagonal reduction on ``M``, and finishes with a tridiagonal solve on
-the Gram matrix ``T = B^T B`` (Sturm-count bisection) instead of the
-bidiagonal SVD.  Eigenvalues of ``A`` are recovered exactly as
+bidiagonal reduction on ``M``, and finishes with the lock-step Sturm
+bisection on the bidiagonal itself (:func:`steig_values`; the Gram matrix
+``B^T B`` is never formed).  Eigenvalues of ``A`` are recovered exactly as
 ``sigma(M) - c`` - the shift is a power of two, so no rounding is
 reintroduced.
 
@@ -35,6 +35,7 @@ from ..errors import ShapeError
 from ..sim.graph import LaunchGraph, LaunchNode, NumericExecutor
 from ..sim.table import NodeTable, bound_structure
 from ..sim.tracing import Stage
+from .bidiag import _EPS, _MAXITER, _bisect_lanes, _require_finite, bisect
 from .svd import SVDInfo, bind_svd_table, emit_svd_graph, upload
 from .tiling import pad_to_tiles
 
@@ -50,16 +51,13 @@ __all__ = [
 def eigh_tridiagonal(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
     """Eigenvalues of a symmetric tridiagonal matrix, ascending.
 
-    Sturm-count bisection on the shifted LDL^T recurrence
-    ``q_i = (alpha_i - x) - beta_{i-1}^2 / q_{i-1}``: the number of
-    negative ``q_i`` counts the eigenvalues below ``x`` (Sturm sequence
-    property), so each eigenvalue is located independently by bisection
-    inside the Gershgorin interval.  All ``n`` bisections advance together
-    (one vectorized count per iteration), converging to roughly machine
-    precision relative to the spectral bound.
-
     ``alpha`` is the diagonal (length ``n``), ``beta`` the off-diagonal
-    (length ``n - 1``).
+    (length ``n - 1``).  Runs the package's one lock-step Sturm bisection
+    (:func:`repro.core.bidiag._bisect_lanes`) with the classical ``LDL^T``
+    count ``D_i = (alpha_i - x) - beta_{i-1}^2 / D_{i-1}``, whose negative
+    pivots number the eigenvalues below ``x``: one lane per eigenvalue,
+    all inside the Gershgorin interval, after an exact power-of-two scale.
+    Accuracy is absolute at about ``2 eps`` times the Gershgorin bound.
     """
     alpha = np.asarray(alpha, dtype=np.float64)
     beta = np.asarray(beta, dtype=np.float64)
@@ -69,64 +67,41 @@ def eigh_tridiagonal(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
             f"off-diagonal must have length n - 1 = {n - 1}, got "
             f"{beta.shape}"
         )
-    if n == 0:
-        return np.empty(0, dtype=np.float64)
-    if n == 1:
-        return alpha.copy()
-    beta2 = beta * beta
-    tiny = np.finfo(np.float64).tiny
-
-    def count_below(x: np.ndarray) -> np.ndarray:
-        q = alpha[0] - x
-        c = (q < 0.0).astype(np.int64)
-        for i in range(1, n):
-            denom = np.where(np.abs(q) < tiny, np.copysign(tiny, q + tiny), q)
-            q = (alpha[i] - x) - beta2[i - 1] / denom
-            c += q < 0.0
-        return c
-
-    radius = np.zeros(n, dtype=np.float64)
-    radius[:-1] += np.abs(beta)
-    radius[1:] += np.abs(beta)
-    bound = max(float(np.max(np.abs(alpha) + radius)), tiny)
-    lo = np.full(n, float(np.min(alpha - radius)) - tiny, dtype=np.float64)
-    hi = np.full(n, float(np.max(alpha + radius)) + tiny, dtype=np.float64)
-    tol = 2.0 * np.finfo(np.float64).eps * bound
-    # Gershgorin width halves per iteration; cap well past fp64 exhaustion
-    for _ in range(128):
-        if float(np.max(hi - lo)) <= tol:
-            break
-        mid = 0.5 * (lo + hi)
-        c = count_below(mid)
-        k = np.arange(n)
-        above = c > k  # more than k eigenvalues below mid -> lambda_k < mid
-        hi = np.where(above, mid, hi)
-        lo = np.where(above, lo, mid)
-    return 0.5 * (lo + hi)
+    amax = max(np.abs(alpha).max(initial=0.0), np.abs(beta).max(initial=0.0))
+    if amax == 0.0:
+        return np.zeros(n)
+    k = math.frexp(amax)[1]
+    a = np.ldexp(alpha, -k)
+    b = np.ldexp(beta, -k)
+    radius = np.zeros(n)
+    radius[:-1] += np.abs(b)
+    radius[1:] += np.abs(b)
+    glo, ghi = float(np.min(a - radius)), float(np.max(a + radius))
+    tol = 2.0 * _EPS * max(abs(glo), abs(ghi))
+    lanes = np.arange(n)
+    vals = _bisect_lanes(
+        a[:, None], -(b * b)[:, None], np.zeros(n, dtype=np.intp),
+        np.full(n, glo - tol), np.full(n, ghi + tol), lanes, tol, 0.0,
+        _MAXITER, qd=False,
+    )
+    vals.sort()
+    return np.ldexp(vals, k)
 
 
 def steig_values(d: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """Singular values of an upper bidiagonal ``B`` via its Gram matrix.
+    """Singular values of an upper bidiagonal ``B``, descending.
 
-    The ``steig_cpu`` tail of the eigensolver pipeline: forms the
-    symmetric tridiagonal ``T = B^T B`` (diagonal ``d_i^2 + e_{i-1}^2``,
-    off-diagonal ``d_i e_i``) and returns ``sqrt`` of its eigenvalues in
-    descending order.  For the shifted eigensolver input the pipeline
-    guarantees ``sigma(B) >= c/2``, far from the underflow region where
-    forming the Gram matrix would lose accuracy.
+    The ``steig_cpu`` tail of the eigensolver pipeline: the eigenvalues of
+    the shifted input ``M`` are the singular values of its bidiagonal
+    ``B``, found by the lock-step Sturm kernel
+    (:func:`repro.core.bidiag.bisect`) directly on ``d`` and ``e`` - the
+    Gram matrix ``B^T B`` is never formed.  Non-finite entries raise
+    :class:`~repro.errors.ShapeError`.
     """
     d = np.asarray(d, dtype=np.float64)
     e = np.asarray(e, dtype=np.float64)
-    n = d.size
-    alpha = d * d
-    if n > 1:
-        alpha = alpha.copy()
-        alpha[1:] += e[: n - 1] * e[: n - 1]
-        beta = d[: n - 1] * e[: n - 1]
-    else:
-        beta = np.empty(0, dtype=np.float64)
-    mu = eigh_tridiagonal(alpha, beta)
-    return np.sqrt(np.clip(mu, 0.0, None))[::-1].copy()
+    _require_finite(d, e)
+    return bisect(d, e)
 
 
 def emit_eigh_graph(

@@ -716,8 +716,7 @@ class NumericExecutor:
             self.values = svdvals_bidiag(d, e, method=self.stage3)
         elif kind == "steig_cpu":
             # symmetric-eigensolver tail: same band -> bidiagonal front as
-            # bdsqr_cpu, then the tridiagonal Gram finish (T = B^T B,
-            # Sturm bisection) instead of a bidiagonal SVD
+            # bdsqr_cpu, always finished by the Sturm bisection kernel
             np = self._np
             self._run_stage2()
             n = node.key[1]
@@ -765,11 +764,18 @@ class NumericExecutor:
                 self._run_stage2([self._sub(p) for p in probs])
             return
         if base == "bdsqr_cpu":
-            sq = LaunchNode(base, node.stage, ("solve", node.key[2]))
-            for p in probs:
-                sub = self._sub(p)
-                sub._dispatch(sq)
-                self.values_by_problem[p] = sub.values
+            # one stacked stage-3 call; each problem's values equal its
+            # square replay's (the Sturm kernel's lanes are independent)
+            from ..core.bidiag import svdvals_bidiag
+
+            subs = [self._sub(p) for p in probs]
+            self._run_stage2(subs)
+            np = self._np
+            dtype = self.storage.dtype
+            d = np.stack([ex.d for ex in subs]).astype(dtype).astype(np.float64)
+            e = np.stack([ex.e for ex in subs]).astype(dtype).astype(np.float64)
+            values = svdvals_bidiag(d, e, method=self.stage3)
+            self.values_by_problem.update(zip(probs, values))
             return
         sq = LaunchNode(base, node.stage, node.key, node.meta[1:])
         for p in probs:

@@ -170,11 +170,11 @@ class Session:
             self._record("brd_chase", Stage.BRD, LaunchCost(0.0), 1, band)
 
     def launch_solve(self, n: int, kernel: str = "bdsqr_cpu") -> None:
-        """Record the stage-3 CPU finish (bidiagonal SVD or tridiagonal eig).
+        """Record the stage-3 CPU finish (bidiagonal SVD, either pipeline).
 
         ``kernel`` names the traced launch: ``"bdsqr_cpu"`` for the SVD
         pipeline's bidiagonal solve, ``"steig_cpu"`` for the symmetric
-        eigensolver's tridiagonal finish.  Both share the ``("solve", n)``
+        eigensolver's bisection finish.  Both share the ``("solve", n)``
         cost key - the finish is an ``O(n^2)`` CPU call either way.
         """
         cost = self._cached(

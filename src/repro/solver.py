@@ -329,7 +329,8 @@ class Solver:
         its singular values are its eigenvalues and ``lambda(A) =
         sigma(A + c I) - c`` exactly (see :mod:`repro.core.eigh`).  The
         launch schedule differs from :meth:`solve` only in the final CPU
-        node (tridiagonal Sturm bisection instead of the bidiagonal SVD).
+        node (``steig_cpu``: always the Sturm bisection kernel, whatever
+        the handle's ``stage3``).
         """
         if self._config.method != "qr":
             raise InvalidParamsError(

@@ -47,3 +47,11 @@ def rel_err(computed: np.ndarray, reference: np.ndarray) -> float:
     b = np.sort(np.asarray(reference, dtype=np.float64))[::-1]
     denom = max(np.linalg.norm(b), 1e-300)
     return float(np.linalg.norm(a - b) / denom)
+
+
+def same_bytes(x, y):
+    """Bitwise equality (a +0.0 / -0.0 difference fails)."""
+    np.testing.assert_array_equal(
+        np.ascontiguousarray(x).view(np.uint8),
+        np.ascontiguousarray(y).view(np.uint8),
+    )

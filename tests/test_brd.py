@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.core.brd as brd
-from tests.conftest import rel_err, scipy_svdvals
+from tests.conftest import rel_err, same_bytes, scipy_svdvals
 from repro.core.brd import (
     band_to_bidiagonal,
     band_to_bidiagonal_reference,
@@ -174,14 +174,6 @@ def chase_inputs(rng, B, n, band, dtype, zeros, negzeros, keep):
     A[:, keep:, :] = 0.0
     A[:, :, keep:] = 0.0
     return A.astype(dtype)
-
-
-def same_bytes(x, y):
-    """Bitwise equality (a +0.0 / -0.0 difference fails)."""
-    np.testing.assert_array_equal(
-        np.ascontiguousarray(x).view(np.uint8),
-        np.ascontiguousarray(y).view(np.uint8),
-    )
 
 
 class TestWavefrontOracle:

@@ -63,6 +63,18 @@ class TestCheckFinite:
         out = svdvals(A, check_finite=False)
         assert np.all(np.isfinite(out))
 
+    # the overflow below is the point of the test; nothing else is ignored
+    @pytest.mark.filterwarnings("ignore:overflow encountered in cast:RuntimeWarning")
+    def test_reduction_overflow_fails_fast(self):
+        """An in-range fp16 input whose reduction overflows without
+        rescaling: stage 3 names the cause instead of iterating on Inf
+        and NaN (Golub-Kahan spent 122,880 sweeps before giving up)."""
+        rng = np.random.default_rng(0)
+        A = (3e4 + 1e3 * rng.standard_normal((64, 64))).astype(np.float16)
+        solver = Solver(backend="h100", precision="fp16", rescale=False)
+        with pytest.raises(ShapeError, match="rescale=True"):
+            solver.solve(A)
+
 
 class TestRescaleFactor:
     def test_no_scaling_in_safe_range(self, rng):
