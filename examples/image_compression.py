@@ -7,10 +7,16 @@ error trade-off.  The reconstruction uses this library's own ``svd_full`` extens
 paper lists singular vectors as future work), so both the rank decision
 and the compressed reconstruction come from the reproduced system.
 
+The truncation error predicted from the values alone must match the error
+measured from the factors ``U``, ``s``, ``Vt`` to within 1%; otherwise the
+script exits non-zero, so running it checks the singular vectors.
+
 Usage::
 
     python examples/image_compression.py
 """
+
+import sys
 
 import numpy as np
 
@@ -30,7 +36,11 @@ def synthetic_image(n: int = 256) -> np.ndarray:
     return img.astype(np.float32)
 
 
-def main() -> None:
+#: Largest relative gap allowed between predicted and measured error.
+AGREEMENT = 0.01
+
+
+def main() -> int:
     img = synthetic_image()
     n = img.shape[0]
 
@@ -43,6 +53,7 @@ def main() -> None:
     # full factors for the reconstructions (our svd_full extension)
     res = repro.svd_full(img, backend="rtx4060", precision="fp32")
     body = []
+    worst = 0.0
     for target in (0.90, 0.99, 0.999, 0.9999):
         k = int(np.searchsorted(np.cumsum(sv**2) / total_energy, target)) + 1
         # predicted relative Frobenius error from the tail of the spectrum
@@ -52,6 +63,7 @@ def main() -> None:
         measured = float(
             np.linalg.norm(img - approx) / np.linalg.norm(img)
         )
+        worst = max(worst, abs(measured - predicted) / predicted)
         ratio = (2 * n * k + k) / (n * n)
         body.append([
             f"{target:.2%}", str(k), f"{predicted:.2e}", f"{measured:.2e}",
@@ -62,10 +74,15 @@ def main() -> None:
         body,
         title="rank selection from the unified spectrum",
     ))
-    print("predicted error (from singular values alone) matches the "
-          "measured truncation error - the values-only solver suffices "
-          "for rank selection.")
+    if worst > AGREEMENT:
+        print(f"FAIL: predicted and measured errors differ by "
+              f"{worst:.2%} (> {AGREEMENT:.0%})")
+        return 1
+    print(f"predicted error (from singular values alone) matches the "
+          f"measured truncation error (largest relative gap {worst:.1e}) - "
+          f"the values-only solver suffices for rank selection.")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

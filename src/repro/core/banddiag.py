@@ -26,6 +26,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
+from ..errors import InvalidParamsError
 from ..kernels import ftsmqr, ftsqrt, geqrt, tsmqr, tsqrt, unmqr
 from ..sim.graph import LaunchNode, NumericExecutor
 from ..sim.session import Session
@@ -62,7 +63,7 @@ def _chunk_width(width: int, ts: int, streams: int) -> List[Tuple[int, int]]:
 
 def emit_band_reduction(
     nbt: int, ts: int, fused: bool = True, streams: int = 1,
-    counted: bool = False,
+    counted: bool = False, vectors: bool = False,
 ) -> List[LaunchNode]:
     """Emit the stage-1 launch nodes for an ``nbt x nbt`` tile grid.
 
@@ -79,17 +80,38 @@ def emit_band_reduction(
     analytic predictor stays O(tiles) on the quadratic unfused schedule;
     counted graphs are not replayable numerically.
 
+    ``vectors=True`` (replay-only) also applies each sweep's reflectors to
+    ``U^T`` (RQ) or ``V^T`` (LQ) over the padded width: an ``unmqr_acc``
+    after each UNMQR and the final GEQRT, an ``ftsmqr_acc`` after each
+    FTSMQR (``tsmqr_acc`` after each TSMQR), the last reader of its taus.
+
     Every node's ``meta`` ends with its sweep index and carries the tile
     coordinates the multi-GPU partitioner shards by (see
     :mod:`repro.sim.partition`); changing a meta layout here requires
     updating the partitioner's per-kind parsing in lock-step.
     """
+    if vectors and (streams != 1 or counted):
+        raise InvalidParamsError(
+            "vector graphs are replay-only: emit them with streams=1 and "
+            "counted=False"
+        )
     nodes: List[LaunchNode] = []
 
     def add(kind, stage, key, meta, deps, count=1) -> int:
         nodes.append(LaunchNode(kind, stage, key, meta, tuple(deps),
                                 count=count))
         return len(nodes) - 1
+
+    last_acc = {}  # lq -> the last update of U^T (False) or V^T (True)
+
+    def accumulate(kind, meta, panel, nrows, has_top_row) -> None:
+        if vectors:
+            lq = meta[0]
+            deps = [panel] + ([last_acc[lq]] if lq in last_acc else [])
+            last_acc[lq] = add(
+                kind, Stage.UPDATE, ("update", nbt * ts, nrows, has_top_row),
+                meta, deps,
+            )
 
     prev_heads: List[int] = []  # prior-sweep updates feeding the next panel
     prev_rems: List[int] = []  # prior-sweep remainder chunks (lookahead)
@@ -114,6 +136,7 @@ def emit_band_reduction(
                 )
                 for off, cw in chunks
             ]
+            accumulate("unmqr_acc", (lq, row0, k, sweep), g, 1, False)
             if r > 0:
                 if fused:
                     fq = add(
@@ -128,6 +151,9 @@ def emit_band_reduction(
                         )
                         for ci, (off, cw) in enumerate(chunks)
                     ]
+                    accumulate(
+                        "ftsmqr_acc", (lq, row0, k, below, sweep), fq, r, True
+                    )
                     heads, rems = [fm_ids[0]], fm_ids[1:] + u_ids[1:]
                 elif counted and streams == 1:
                     tq = add(
@@ -156,6 +182,9 @@ def emit_band_reduction(
                             )
                             for ci, (off, cw) in enumerate(chunks)
                         ]
+                        accumulate(
+                            "tsmqr_acc", (lq, row0, k, l, sweep), tq, 1, True
+                        )
                         prev_tq = tq
                     heads, rems = [prev_tm[0]], prev_tm[1:]
             else:
@@ -163,11 +192,9 @@ def emit_band_reduction(
             prev_heads, prev_rems = heads, rems
 
     # final diagonal tile: GEQRT only (Algorithm 2 line 6)
-    add(
-        "geqrt", Stage.PANEL, ("panel", 1, 1),
-        (False, nbt - 1, nbt - 1, 2 * (nbt - 1)),
-        prev_heads + prev_rems,
-    )
+    last = (False, nbt - 1, nbt - 1, 2 * (nbt - 1))
+    g = add("geqrt", Stage.PANEL, ("panel", 1, 1), last, prev_heads + prev_rems)
+    accumulate("unmqr_acc", last, g, 1, False)
     return nodes
 
 

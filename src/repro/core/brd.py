@@ -45,6 +45,12 @@ schedule: a finite chase maps them to zeros and so skips every rotation
 there.  A ``(B, n, n)`` stack advances the bulges of all ``B`` matrices
 in each wave.  Orthogonal equivalence preserves the singular values; the
 property tests pin this against SciPy on random band matrices.
+
+**Accumulators.**  One matrix's chase can also rotate the columns of ``U``
+(left rotations) and ``V`` (right ones), keeping ``U B V^T`` invariant.  A
+wave rotates disjoint column pairs, and two rotations sharing a column
+share a band cell too, so the waves already keep the scalar order: one
+block update per wave is bitwise equal to the scalar chase's.
 """
 
 from __future__ import annotations
@@ -198,12 +204,14 @@ def wave_schedule(n: int, band: int, nw: int) -> Waves:
     return Waves(*arrays, sweeps=nsweeps, max_steps=int(nsteps.max()))
 
 
-def _chase(P: np.ndarray, m: int, band: int) -> None:
+def _chase(P: np.ndarray, m: int, band: int, acc=(None, None)) -> None:
     """Chase the bulges of the leading ``m x m`` blocks of a padded
     ``(B, n, n + band + 2)`` stack of ``n x n`` band matrices in place.
 
     Left rotations still span ``band + 2`` columns, so they rotate the
     cells right of the block exactly as a chase of the whole matrix does.
+    Even waves rotate row pairs of ``acc[0]`` (``V^T`` or ``None``), odd
+    waves of ``acc[1]`` (``U^T``), from the first cell's column on.
     """
     nprob, n, nw = P.shape
     waves = wave_schedule(m, min(band, m - 1), nw)
@@ -212,6 +220,7 @@ def _chase(P: np.ndarray, m: int, band: int) -> None:
     dtype = P.dtype
     rotate = givens  # looked up per call, so a wrapped ``givens`` is seen
     span = np.arange(width)
+    pair = np.arange(2)  # an accumulator pair's two rows
     # a rotation's a- and b-line cells relative to its first cell
     lines = (
         np.stack([span * nw, span * nw + 1]), np.stack([span, span + nw])
@@ -237,6 +246,7 @@ def _chase(P: np.ndarray, m: int, band: int) -> None:
         # wave's annihilations, whose sweeps cannot be dead yet
         nann = nprob if annlen else 0
         kind = w & 1
+        Q = acc[kind]
         dead = w <= dead_until
         if hi - lo <= small:
             st = slot[lo:hi] if nprob == 1 else [
@@ -281,6 +291,10 @@ def _chase(P: np.ndarray, m: int, band: int) -> None:
                     Y = R[:, 0] * X[:, :1] + R[:, 1] * X[:, 1:]
                     Y[:, 1, 0] = 0.0
                     F[idx] = Y
+                    if Q is not None:
+                        pairs = idx[:, :1, 0] % nw + pair
+                        Z = Q[pairs]
+                        Q[pairs] = R[:, 0] * Z[:, :1] + R[:, 1] * Z[:, 1:]
                 continue
         off, step = geometry[kind]
         for r, s0 in enumerate(st):
@@ -299,6 +313,21 @@ def _chase(P: np.ndarray, m: int, band: int) -> None:
             F[s0:stop:step] = c * a + s * b
             F[s0 + off : stop + off : step] = -s * a + c * b
             F[s0 + off] = 0.0
+            if Q is not None:
+                k = s0 % nw
+                _rot_rows(Q, k, k + 1, 0, Q.shape[1] - 1, c, s)
+
+
+def _check_accumulators(A: np.ndarray, U, V) -> None:
+    """Accumulators pair with one matrix: 2-D, ``n`` columns, its dtype."""
+    for X in (U, V):
+        if X is not None and (A.ndim, X.ndim, X.shape[1:], X.dtype) != (
+            2, 2, A.shape[1:], A.dtype
+        ):
+            raise ShapeError(
+                f"accumulator {X.shape}/{X.dtype} does not fit a single "
+                f"matrix {A.shape}/{A.dtype}: it needs 2-D, n columns"
+            )
 
 
 def band_to_bidiagonal(
@@ -306,6 +335,8 @@ def band_to_bidiagonal(
     band: int,
     session: Optional[Session] = None,
     inplace: bool = False,
+    U: Optional[np.ndarray] = None,
+    V: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Reduce an upper-band matrix (or a stack of them) to bidiagonal form.
 
@@ -324,6 +355,9 @@ def band_to_bidiagonal(
         per matrix.
     inplace:
         Leave the reduced matrix in ``A`` instead of working on a copy.
+    U, V:
+        Optional ``(k, n)`` accumulators of one matrix, in its dtype and
+        rotated in place (fastest as transposes of C-ordered arrays).
 
     Returns
     -------
@@ -331,9 +365,11 @@ def band_to_bidiagonal(
         Main diagonal (length ``n``) and superdiagonal (length ``n-1``) of
         the bidiagonal matrix, in ``A``'s dtype; ``(B, n)`` and
         ``(B, n-1)`` for a stack.  Bitwise equal to chasing each matrix
-        alone with :func:`band_to_bidiagonal_reference`.
+        alone with :func:`band_to_bidiagonal_reference`, accumulators
+        included.
     """
     _check_input(A)
+    _check_accumulators(A, U, V)
     n = A.shape[-1]
     if session is not None:
         for _ in range(1 if A.ndim == 2 else A.shape[0]):
@@ -351,13 +387,18 @@ def band_to_bidiagonal(
     # zeros that every rotation of the whole chase maps to zeros, so their
     # rotations are all skipped: chase only the leading block.  Only a
     # non-finite value could spread into them, and once one appears it
-    # survives to the end, so a non-finite result reruns the whole chase.
+    # survives to the end, so a non-finite result reruns the whole chase,
+    # accumulators included.
     m = _live_order(stack)
+    acc = (None if V is None else V.T, None if U is None else U.T)
     if m > 2:
-        _chase(P, m, band)
+        entry = [(Q, Q.copy()) for Q in acc if Q is not None and m < n]
+        _chase(P, m, band, acc)
         if m < n and not np.isfinite(P).all():
             P[:, :, :n] = stack
-            _chase(P, n, band)
+            for Q, Q0 in entry:
+                Q[...] = Q0
+            _chase(P, n, band, acc)
     W = P[:, :, :n]
     if inplace:
         A[...] = W.reshape(A.shape)
@@ -385,18 +426,29 @@ def _rot_rows(A: np.ndarray, i1: int, i2: int, c0: int, c1: int, c: float, s: fl
 
 
 def band_to_bidiagonal_reference(
-    A: np.ndarray, band: int, inplace: bool = False
+    A: np.ndarray,
+    band: int,
+    inplace: bool = False,
+    U: Optional[np.ndarray] = None,
+    V: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """The scalar chase: one rotation at a time, sweep after sweep.
 
     The bitwise oracle of :func:`band_to_bidiagonal` for one ``(n, n)``
-    matrix, kept for the tests and for ``benchmarks/bench_graph_replay.py``'s
-    oracle timing; nothing else calls it.
+    matrix and its optional accumulators, kept for the tests and for
+    ``benchmarks/bench_graph_replay.py``'s oracle timing; nothing else
+    calls it.
     """
     _check_input(A)
     if A.ndim != 2:
         raise ShapeError(f"expected a square matrix, got shape {A.shape}")
+    _check_accumulators(A, U, V)
     n = A.shape[0]
+
+    def accumulate(X, j, c, s):
+        """Rotate columns ``j - 1, j`` of an accumulator, if there is one."""
+        if X is not None:
+            _rot_cols(X, j - 1, j, 0, X.shape[0] - 1, c, s)
     if band <= 1 or n <= 2:
         d = np.diagonal(A).copy()
         e = np.diagonal(A, 1).copy()
@@ -417,6 +469,7 @@ def band_to_bidiagonal_reference(
             # current in-flight bulge live in rows i..j
             _rot_cols(W, j - 1, j, i, min(n - 1, j), c, s)
             W[i, j] = 0.0
+            accumulate(V, j, c, s)
             # chase the below-diagonal bulge created at (j, j-1)
             p = j
             while p < n:
@@ -427,6 +480,7 @@ def band_to_bidiagonal_reference(
                     cend = min(n - 1, p + band)
                     _rot_rows(W, p - 1, p, p - 1, cend, c, s)
                     W[p, p - 1] = 0.0
+                    accumulate(U, p, c, s)
                 # the left rotation filled (p-1, p+band) beyond the band
                 q = p + band
                 if q > n - 1:
@@ -437,6 +491,7 @@ def band_to_bidiagonal_reference(
                     c, s, _ = givens(f, g)
                     _rot_cols(W, q - 1, q, p - 1, min(n - 1, q), c, s)
                     W[p - 1, q] = 0.0
+                    accumulate(V, q, c, s)
                 p = q
 
     d = np.diagonal(W).copy()

@@ -137,9 +137,8 @@ def cast_to_storage(
 ) -> np.ndarray:
     """``A`` cast to the storage dtype, rejecting non-finite values first.
 
-    The cast half of :func:`upload` (the vector pipeline behind
-    ``Solver.svd`` calls it alone, without rescaling).  With
-    ``check_finite`` the input must be finite, and so must its cast: a
+    The cast half of :func:`upload`, which every numeric driver calls.
+    With ``check_finite`` the input must be finite, and so must its cast: a
     value beyond the storage precision's range (65504 in fp16) would
     round to Inf and leave the solver iterating on garbage, so it fails
     here instead, naming the precision.  Both checks raise
@@ -183,7 +182,8 @@ def upload(
 
 
 def emit_svd_graph(
-    n: int, config: SolveConfig, streams: int = 1, counted: bool = False
+    n: int, config: SolveConfig, streams: int = 1, counted: bool = False,
+    vectors: bool = False,
 ) -> LaunchGraph:
     """Emit the full three-stage launch graph for an ``n x n`` solve.
 
@@ -196,7 +196,10 @@ def emit_svd_graph(
     lookahead (analytic-only) variant whose update launches are split for
     multi-stream overlap, and ``counted=True`` folds the unfused
     TSQRT/TSMQR runs into counted nodes (analytic-only, O(tiles) nodes
-    for the quadratic unfused launch schedule).
+    for the quadratic unfused launch schedule).  ``vectors=True`` adds
+    the singular-vector accumulator updates ``Solver.svd`` replays (see
+    :func:`~repro.core.banddiag.emit_band_reduction`); such graphs are
+    replay-only.
 
     The emitted graph is also the input of
     :func:`repro.sim.partition.partition_graph`, which shards it across
@@ -209,7 +212,8 @@ def emit_svd_graph(
     nbt = ntiles(n, ts)
     npad = nbt * ts
     nodes = emit_band_reduction(
-        nbt, ts, fused=config.fused, streams=streams, counted=counted
+        nbt, ts, fused=config.fused, streams=streams, counted=counted,
+        vectors=vectors,
     )
     tail = len(nodes) - 1
     brd_nodes = emit_brd_chase(

@@ -2,14 +2,16 @@
 
 The paper computes values only and plans "to extend the implementation to
 compute singular vectors, enabling full-rank SVD functionality".  This
-module implements that extension on the same kernel set:
+module implements that extension on the same launch graph the values
+replay (``emit_svd_graph(n, config, vectors=True)``):
 
 * **Stage 1** transformations are accumulated with the *existing* UNMQR /
-  TSMQR kernels applied to the accumulator's lazy transpose: the reduction
+  (F)TSMQR kernels applied to the accumulator's transpose: the reduction
   computes ``B = Q1^T A Q2`` sweep by sweep, and the accumulators update as
   ``U <- U Q1`` = ``(Q1^T U^T)^T`` — one more instance of the paper's
-  transpose trick, no new kernels;
-* **Stage 2** Givens rotations are mirrored into the accumulators;
+  transpose trick, no new kernels, one ``*_acc`` launch per update;
+* **Stage 2** the wavefront chase rotates the accumulators wave by wave
+  (:func:`repro.core.brd.band_to_bidiagonal`);
 * **Stage 3** runs the Golub-Kahan QR iteration with rotation accumulation
   (the vector-bearing variant of :mod:`repro.core.bidiag`).
 
@@ -20,15 +22,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
 
 import numpy as np
 
 from ..errors import ConvergenceError, ShapeError
-from ..sim.session import Session
-from ..kernels import ftsmqr, ftsqrt, geqrt, unmqr
-from .bidiag import _rotg, singular_2x2
-from .tiling import extract_band, ntiles, pad_to_tiles, tile
+from ..sim.graph import NumericExecutor
+from .bidiag import _require_finite, _rotg, singular_2x2
+from .tiling import pad_to_tiles
 
 __all__ = ["svd_full", "SVDResult"]
 
@@ -47,93 +47,7 @@ class SVDResult:
 
 
 # --------------------------------------------------------------------- #
-# stage 1 with accumulation
-# --------------------------------------------------------------------- #
-def _getsmqrt_acc(
-    B: np.ndarray,
-    acc_t: np.ndarray,
-    k: int,
-    ts: int,
-    eps: float,
-    lq: bool,
-    session: Optional[Session],
-) -> None:
-    """One GETSMQRT sweep, mirroring every update into ``acc_t``.
-
-    ``acc_t`` is the transposed accumulator (``U^T`` for RQ sweeps on
-    ``A``, ``V^T`` for LQ sweeps on ``A^T``): the left-applied reflectors
-    of the sweep are applied to its *full row width*.
-    """
-    npad = B.shape[0]
-    nbt = ntiles(npad, ts)
-    row0 = k + 1 if lq else k
-    if row0 >= nbt:
-        return
-
-    diag = tile(B, row0, k, ts)
-    tau0 = np.zeros(ts, dtype=B.dtype)
-    geqrt(diag, tau0, eps)
-    if session is not None:
-        session.launch_panel("geqrt", 1, 1)
-
-    c0 = (k + 1) * ts
-    width = npad - c0
-    if width > 0:
-        unmqr(diag, tau0, B[row0 * ts : (row0 + 1) * ts, c0:])
-        if session is not None:
-            session.launch_update("unmqr", width, 1, False)
-    # accumulate: the same reflectors hit the accumulator's full width
-    unmqr(diag, tau0, acc_t[row0 * ts : (row0 + 1) * ts, :])
-    if session is not None:
-        session.launch_update("unmqr_acc", npad, 1, False)
-
-    below = list(range(row0 + 1, nbt))
-    if not below:
-        return
-    taus = [np.zeros(ts, dtype=B.dtype) for _ in below]
-    Bs = [tile(B, l, k, ts) for l in below]
-    ftsqrt(diag, Bs, taus, eps)
-    if session is not None:
-        session.launch_panel("ftsqrt", len(below), 2)
-    if width > 0:
-        Y = B[row0 * ts : (row0 + 1) * ts, c0:]
-        Xs = [B[l * ts : (l + 1) * ts, c0:] for l in below]
-        ftsmqr(Bs, taus, Y, Xs)
-        if session is not None:
-            session.launch_update("ftsmqr", width, len(below), True)
-    Ya = acc_t[row0 * ts : (row0 + 1) * ts, :]
-    Xsa = [acc_t[l * ts : (l + 1) * ts, :] for l in below]
-    ftsmqr(Bs, taus, Ya, Xsa)
-    if session is not None:
-        session.launch_update("ftsmqr_acc", npad, len(below), True)
-
-
-def _reduce_to_band_acc(
-    A: np.ndarray,
-    Ut: np.ndarray,
-    Vt: np.ndarray,
-    ts: int,
-    eps: float,
-    session: Optional[Session],
-) -> None:
-    """Stage 1 with U/V accumulation (in place on all three arrays)."""
-    npad = A.shape[0]
-    nbt = npad // ts
-    for k in range(nbt - 1):
-        _getsmqrt_acc(A, Ut, k, ts, eps, lq=False, session=session)
-        _getsmqrt_acc(A.T, Vt, k, ts, eps, lq=True, session=session)
-    tau = np.zeros(ts, dtype=A.dtype)
-    diag = tile(A, nbt - 1, nbt - 1, ts)
-    geqrt(diag, tau, eps)
-    if session is not None:
-        session.launch_panel("geqrt", 1, 1)
-    unmqr(diag, tau, Ut[(nbt - 1) * ts :, :])
-    if session is not None:
-        session.launch_update("unmqr_acc", npad, 1, False)
-
-
-# --------------------------------------------------------------------- #
-# stage 2 with accumulation
+# stage 3 with accumulation
 # --------------------------------------------------------------------- #
 def _rot_cols_acc(M, j1, j2, c, s):
     a = M[:, j1].copy()
@@ -142,76 +56,9 @@ def _rot_cols_acc(M, j1, j2, c, s):
     M[:, j2] = -s * a + c * b
 
 
-def _band_to_bidiagonal_acc(
-    W: np.ndarray,
-    U: np.ndarray,
-    V: np.ndarray,
-    band: int,
-    session: Optional[Session],
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Bulge chasing with accumulation (left rotations -> U, right -> V)."""
-    from .brd import givens
-
-    n = W.shape[0]
-    if session is not None:
-        session.launch_brd(n, band)
-    if band <= 1 or n <= 2:
-        d = np.ascontiguousarray(np.diagonal(W)).copy()
-        e = (
-            np.ascontiguousarray(np.diagonal(W, 1)).copy()
-            if n > 1
-            else np.zeros(0, W.dtype)
-        )
-        return d, e
-
-    for i in range(n - 1):
-        hi = min(i + band, n - 1)
-        for j in range(hi, i + 1, -1):
-            g = float(W[i, j])
-            if g != 0.0:
-                c, s, _ = givens(float(W[i, j - 1]), g)
-                r0, r1 = i, min(n - 1, j)
-                a = W[r0 : r1 + 1, j - 1].copy()
-                b = W[r0 : r1 + 1, j]
-                W[r0 : r1 + 1, j - 1] = c * a + s * b
-                W[r0 : r1 + 1, j] = -s * a + c * b
-                W[i, j] = 0.0
-                _rot_cols_acc(V, j - 1, j, c, s)
-            p = j
-            while p < n:
-                g = float(W[p, p - 1])
-                if g != 0.0:
-                    c, s, _ = givens(float(W[p - 1, p - 1]), g)
-                    cend = min(n - 1, p + band)
-                    a = W[p - 1, p - 1 : cend + 1].copy()
-                    b = W[p, p - 1 : cend + 1]
-                    W[p - 1, p - 1 : cend + 1] = c * a + s * b
-                    W[p, p - 1 : cend + 1] = -s * a + c * b
-                    W[p, p - 1] = 0.0
-                    _rot_cols_acc(U, p - 1, p, c, s)
-                q = p + band
-                if q > n - 1:
-                    break
-                g = float(W[p - 1, q])
-                if g != 0.0:
-                    c, s, _ = givens(float(W[p - 1, q - 1]), g)
-                    a = W[p - 1 : min(n - 1, q) + 1, q - 1].copy()
-                    b = W[p - 1 : min(n - 1, q) + 1, q]
-                    W[p - 1 : min(n - 1, q) + 1, q - 1] = c * a + s * b
-                    W[p - 1 : min(n - 1, q) + 1, q] = -s * a + c * b
-                    W[p - 1, q] = 0.0
-                    _rot_cols_acc(V, q - 1, q, c, s)
-                p = q
-    d = np.ascontiguousarray(np.diagonal(W)).copy()
-    e = np.ascontiguousarray(np.diagonal(W, 1)).copy()
-    return d, e
-
-
-# --------------------------------------------------------------------- #
-# stage 3 with accumulation
-# --------------------------------------------------------------------- #
 def _gk_vectors(d, e, U, V, maxiter_factor: int = 30) -> np.ndarray:
     """Golub-Kahan QR iteration accumulating rotations into U and V."""
+    _require_finite(d, e)
     n = d.shape[0]
     if n == 1:
         if d[0] < 0:
@@ -332,9 +179,11 @@ def svd_full_resolved(A: np.ndarray, config, return_info: bool = False):
     """Full-SVD implementation against a resolved :class:`SolveConfig`.
 
     The single shared code path behind :meth:`repro.Solver.svd` and the
-    legacy :func:`svd_full` shim.
+    legacy :func:`svd_full` shim: :func:`~repro.core.svd.upload`, one
+    replay of the vector graph, then signs, order and the basis of the
+    zero singular values.
     """
-    from .svd import SVDInfo, cast_to_storage
+    from .svd import SVDInfo, emit_svd_graph, upload
 
     A = np.asarray(A)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -348,28 +197,18 @@ def svd_full_resolved(A: np.ndarray, config, return_info: bool = False):
     config.backend.check_capacity(n, storage)
     ts = session.params.tilesize
 
-    # vectors are accumulated in compute precision for stability
-    work_dtype = session.compute.dtype
-    stored = cast_to_storage(A, storage, config.check_finite)
-    W, _ = pad_to_tiles(stored.astype(work_dtype), ts)
+    # vectors are accumulated in compute precision for stability, and the
+    # workspace is kept there too: the executor replays it as its storage,
+    # so the bidiagonal reaches stage 3 unrounded
+    stored, scale = upload(A, storage, config)
+    W, _ = pad_to_tiles(stored.astype(session.compute.dtype), ts)
     npad = W.shape[0]
-    Ut = np.eye(npad, dtype=work_dtype)
-    Vt = np.eye(npad, dtype=work_dtype)
-
-    _reduce_to_band_acc(W, Ut, Vt, ts, storage.eps, session)
-
-    band = extract_band(W, ts)
-    d, e = _band_to_bidiagonal_acc(
-        band, Ut.T, Vt.T, ts, session=None
+    ex = NumericExecutor(
+        W, ts, storage.eps, session=session, storage=session.compute,
+        Ut=np.eye(npad, dtype=W.dtype), Vt=np.eye(npad, dtype=W.dtype),
     )
-    session.launch_brd(npad, ts)
-
-    d64 = d.astype(np.float64)
-    e64 = e.astype(np.float64)
-    U = Ut.T.astype(np.float64)
-    V = Vt.T.astype(np.float64)
-    session.launch_solve(n)
-    s = _gk_vectors(d64, e64, U, V)
+    ex.run(emit_svd_graph(n, config, vectors=True))
+    s, U, V = ex.values, ex.U, ex.V
 
     # fix signs, sort descending, strip padding
     neg = s < 0
@@ -388,10 +227,12 @@ def svd_full_resolved(A: np.ndarray, config, return_info: bool = False):
     if dead.any():
         U_out = _complete_basis(U_out, ~dead)
         V_out = _complete_basis(V_out, ~dead)
+    if scale != 1.0:
+        s_out /= scale
     result = SVDResult(U=U_out, s=s_out, Vt=np.ascontiguousarray(V_out.T))
     if not return_info:
         return result
-    return result, SVDInfo.traced(n, session, fused=True)
+    return result, SVDInfo.traced(n, session, config.fused)
 
 
 def svd_full(

@@ -42,6 +42,7 @@ from .randomized import (
 )
 from .rectangular import emit_tallqr_graph, svdvals_rect_resolved
 from .svd import bind_svd_table, emit_svd_graph, svdvals_resolved
+from .vectors import svd_full_resolved
 
 __all__ = [
     "CONFORMANCE_BATCH",
@@ -155,6 +156,10 @@ def _lr_rank(n: int) -> int:
     return min(CONFORMANCE_RANK, n)
 
 
+def _svdvals64(A: np.ndarray) -> np.ndarray:
+    return np.linalg.svd(np.asarray(A, dtype=np.float64), compute_uv=False)
+
+
 def _check_close(values: np.ndarray, A: np.ndarray, precision: str,
                  reference: Callable) -> None:
     """Relative Frobenius agreement with the oracle, per precision."""
@@ -201,14 +206,9 @@ register_workload(WorkloadSpec(
     make_input=_square_input,
     run=lambda A, config: svdvals_resolved(A, config),
     run_info=lambda A, config: svdvals_resolved(A, config, return_info=True),
-    reference=lambda A: np.linalg.svd(
-        np.asarray(A, dtype=np.float64), compute_uv=False
-    ),
+    reference=_svdvals64,
     check=lambda values, A, precision: _check_close(
-        values, A, precision,
-        lambda M: np.linalg.svd(
-            np.asarray(M, dtype=np.float64), compute_uv=False
-        ),
+        values, A, precision, _svdvals64
     ),
     analytic_counts=lambda n, config: emit_svd_graph(
         n, config
@@ -222,6 +222,37 @@ register_workload(WorkloadSpec(
         {"streams", "ngpu", "nodes", "topology", "out_of_core", "predict"}
     ),
     notes="the paper's square two-stage pipeline",
+))
+
+
+def _factors(result) -> np.ndarray:
+    """``U``, ``s`` and ``Vt`` of an ``n x n`` SVD as one ``(2n + 1, n)``
+    array (``s`` is row ``n``), so the harness compares them bitwise."""
+    return np.vstack([result.U, result.s, result.Vt])
+
+
+def _svd_vectors_info(A: np.ndarray, config: SolveConfig):
+    result, info = svd_full_resolved(A, config, return_info=True)
+    return _factors(result), info
+
+
+register_workload(WorkloadSpec(
+    name="svd_vectors",
+    emit=lambda n, config, streams=1: emit_svd_graph(
+        n, config, streams=streams, vectors=True
+    ),
+    make_input=_square_input,
+    run=lambda A, config: _factors(svd_full_resolved(A, config)),
+    run_info=_svd_vectors_info,
+    reference=_svdvals64,
+    check=lambda factors, A, precision: _check_close(
+        factors[A.shape[0]], A, precision, _svdvals64
+    ),
+    analytic_counts=lambda n, config: emit_svd_graph(
+        n, config, vectors=True
+    ).launch_counts(),
+    notes="Solver.svd: the square graph plus the accumulator updates; "
+          "replay-only (one device, streams=1, in-core, no predict route)",
 ))
 
 
@@ -244,14 +275,9 @@ register_workload(WorkloadSpec(
     run_info=lambda A, config: svdvals_rect_resolved(
         A, config, return_info=True
     ),
-    reference=lambda A: np.linalg.svd(
-        np.asarray(A, dtype=np.float64), compute_uv=False
-    ),
+    reference=_svdvals64,
     check=lambda values, A, precision: _check_close(
-        values, A, precision,
-        lambda M: np.linalg.svd(
-            np.asarray(M, dtype=np.float64), compute_uv=False
-        ),
+        values, A, precision, _svdvals64
     ),
     analytic_counts=_tallqr_counts,
     supports=frozenset(),

@@ -490,6 +490,11 @@ class NumericExecutor:
     ``emit_tallqr_graph``) need no ``storage``/``stage3``; full square
     graphs run stage 2/3 as well and leave the singular values in
     ``self.values``.
+
+    A vector graph (``emit_svd_graph(..., vectors=True)``) replays with
+    the accumulators ``Ut``, ``Vt`` (``W``'s dtype) attached: ``*_acc``
+    nodes and the chase update them, and ``bdsqr_cpu`` runs the rotation-
+    accumulating QR iteration, leaving float64 factors in ``U``, ``V``.
     """
 
     def __init__(
@@ -501,6 +506,8 @@ class NumericExecutor:
         compute_dtype=None,
         storage=None,
         stage3: str = "auto",
+        Ut=None,
+        Vt=None,
     ) -> None:
         import numpy as np
 
@@ -512,6 +519,8 @@ class NumericExecutor:
         self.compute_dtype = compute_dtype
         self.storage = storage
         self.stage3 = stage3
+        self.Ut = Ut
+        self.Vt = Vt
         self._np = np
         #: Tile-residency tracker of an out-of-core replay (``None`` for
         #: in-core graphs); installed by :meth:`run` from the graph's
@@ -534,6 +543,8 @@ class NumericExecutor:
         self.d = None
         self.e = None
         self.values = None
+        self.U = None
+        self.V = None
         # kernels are imported lazily: repro.core and repro.kernels import
         # this module at load time, so a module-level import would cycle.
         from ..kernels import ftsmqr, ftsqrt, geqrt, tsmqr, tsqrt, unmqr
@@ -582,6 +593,16 @@ class NumericExecutor:
             self.ts, dtype=self.compute_dtype or self.W.dtype
         )
 
+    def _read(self, registers, key):
+        """A tau register, freed by its last reader: the matrix update,
+        or the accumulator update that follows it in a vector graph."""
+        return registers[key] if self.Ut is not None else registers.pop(key)
+
+    def _acc(self, lq: bool, l: int):
+        """Tile row ``l`` of the accumulator of the sweep's side."""
+        ts = self.ts
+        return (self.Vt if lq else self.Ut)[l * ts : (l + 1) * ts]
+
     def _dispatch(self, node: LaunchNode) -> None:
         kind = node.kind
         if kind in TRANSFER_KINDS:
@@ -608,19 +629,22 @@ class NumericExecutor:
             tau0 = self._zeros_tau()
             self._tau0[sweep] = tau0
             geqrt(diag, tau0, self.eps, self.compute_dtype)
-            if self.session is not None:
-                self.session.launch_panel(kind, *node.key[1:])
         elif kind == "unmqr":
             lq, row, col, c0t, off, cw, sweep = node.meta
             B = self._view(lq)
             diag = tile(B, row, col, ts)
             c0 = c0t * ts + off
             view = B[row * ts : (row + 1) * ts, c0 : c0 + cw]
-            # each tau register has exactly one consumer; popping keeps
-            # the replay's live set at one sweep, like the old loops
-            unmqr(diag, self._tau0.pop(sweep), view, self.compute_dtype)
-            if self.session is not None:
-                self.session.launch_update(kind, *node.key[1:])
+            # popping each tau register at its last reader keeps the
+            # replay's live set at one sweep, like the old loops
+            unmqr(diag, self._read(self._tau0, sweep), view, self.compute_dtype)
+        elif kind == "unmqr_acc":
+            lq, row, col, sweep = node.meta
+            diag = tile(self._view(lq), row, col, ts)
+            unmqr(
+                diag, self._tau0.pop(sweep), self._acc(lq, row),
+                self.compute_dtype,
+            )
         elif kind == "ftsqrt":
             lq, row, col, rows, sweep = node.meta
             B = self._view(lq)
@@ -629,8 +653,6 @@ class NumericExecutor:
             self._taus[sweep] = (rows[0], rows[1], taus)
             Bs = [tile(B, l, col, ts) for l in range(rows[0], rows[1])]
             ftsqrt(diag, Bs, taus, self.eps, self.compute_dtype)
-            if self.session is not None:
-                self.session.launch_panel(kind, *node.key[1:])
         elif kind == "ftsmqr":
             # `rows` may be a sub-range of the FTSQRT rows: a partitioned
             # graph shards one fused update into per-device row chunks,
@@ -665,11 +687,18 @@ class NumericExecutor:
                 if hi == stop:
                     Y[...] = Yw
                     del self._ylive[sweep]
-            if hi == stop:
+            if hi == stop and self.Ut is None:
                 # last chunk: the sweep's tau registers are fully consumed
                 del self._taus[sweep]
-            if self.session is not None:
-                self.session.launch_update(kind, *node.key[1:])
+        elif kind == "ftsmqr_acc":
+            lq, row, col, (lo, hi), sweep = node.meta
+            B = self._view(lq)
+            taus = self._taus.pop(sweep)[2]
+            ftsmqr(
+                [tile(B, l, col, ts) for l in range(lo, hi)], taus,
+                self._acc(lq, row), [self._acc(lq, l) for l in range(lo, hi)],
+                self.compute_dtype,
+            )
         elif kind == "tsqrt":
             lq, row, col, l, sweep = node.meta
             B = self._view(lq)
@@ -679,8 +708,6 @@ class NumericExecutor:
                 tile(B, row, col, ts), tile(B, l, col, ts), taul, self.eps,
                 self.compute_dtype,
             )
-            if self.session is not None:
-                self.session.launch_panel(kind, *node.key[1:])
         elif kind == "tsmqr":
             lq, row, col, l, c0t, off, cw, sweep = node.meta
             B = self._view(lq)
@@ -688,11 +715,15 @@ class NumericExecutor:
             Y = B[row * ts : (row + 1) * ts, c0 : c0 + cw]
             X = B[l * ts : (l + 1) * ts, c0 : c0 + cw]
             tsmqr(
-                tile(B, l, col, ts), self._tau1.pop((sweep, l)), Y, X,
+                tile(B, l, col, ts), self._read(self._tau1, (sweep, l)), Y, X,
                 self.compute_dtype,
             )
-            if self.session is not None:
-                self.session.launch_update(kind, *node.key[1:])
+        elif kind == "tsmqr_acc":
+            lq, row, col, l, sweep = node.meta
+            tsmqr(
+                tile(self._view(lq), l, col, ts), self._tau1.pop((sweep, l)),
+                self._acc(lq, row), self._acc(lq, l), self.compute_dtype,
+            )
         elif kind == "brd_chase":
             if node.primary:
                 if self.session is not None:
@@ -701,32 +732,30 @@ class NumericExecutor:
                     # the follow-up non-primary nodes represent
                     self.session.launch_brd(node.key[1], node.key[2])
                 self._run_stage2()
-        elif kind == "bdsqr_cpu":
+        elif kind in ("bdsqr_cpu", "steig_cpu"):
             np = self._np
             self._run_stage2()
-            n = node.key[1]
             if self.session is not None:
-                self.session.launch_solve(n)
-            from ..core.bidiag import svdvals_bidiag
-
+                self.session.launch_solve(node.key[1], kernel=kind)
             # round through storage precision, as a device-resident
             # result would be
             d = self.d.astype(self.storage.dtype).astype(np.float64)
             e = self.e.astype(self.storage.dtype).astype(np.float64)
-            self.values = svdvals_bidiag(d, e, method=self.stage3)
-        elif kind == "steig_cpu":
-            # symmetric-eigensolver tail: same band -> bidiagonal front as
-            # bdsqr_cpu, always finished by the Sturm bisection kernel
-            np = self._np
-            self._run_stage2()
-            n = node.key[1]
-            if self.session is not None:
-                self.session.launch_solve(n, kernel=kind)
-            from ..core.eigh import steig_values
+            if kind == "steig_cpu":
+                # the symmetric-eigensolver tail always bisects
+                from ..core.eigh import steig_values
 
-            d = self.d.astype(self.storage.dtype).astype(np.float64)
-            e = self.e.astype(self.storage.dtype).astype(np.float64)
-            self.values = steig_values(d, e)
+                self.values = steig_values(d, e)
+            elif self.Ut is not None:
+                from ..core.vectors import _gk_vectors
+
+                self.U = self.Ut.T.astype(np.float64)
+                self.V = self.Vt.T.astype(np.float64)
+                self.values = _gk_vectors(d, e, self.U, self.V)
+            else:
+                from ..core.bidiag import svdvals_bidiag
+
+                self.values = svdvals_bidiag(d, e, method=self.stage3)
         elif kind in COMM_KINDS:
             # pure data movement: a numeric no-op on the simulation's
             # shared-memory fabric, but traced and priced like a launch
@@ -734,6 +763,13 @@ class NumericExecutor:
                 self.session.launch_comm(kind, node.key)
         else:  # pragma: no cover - emitter bug
             raise ValueError(f"unknown launch kind {kind!r}")
+        # the stage-1 kernels above are recorded here, after they ran
+        if self.session is None:
+            return
+        if node.stage == Stage.PANEL:
+            self.session.launch_panel(kind, *node.key[1:])
+        elif node.stage == Stage.UPDATE:
+            self.session.launch_update(kind, *node.key[1:])
 
     def _sub(self, p: int) -> "NumericExecutor":
         """Child executor replaying problem ``p`` of a batched workspace."""
@@ -801,6 +837,11 @@ class NumericExecutor:
         bands = self._np.stack(
             [self._extract_band(ex.W, self.ts) for ex in todo]
         ).astype(work_dtype, copy=False)
+        if self.Ut is not None:  # a vector graph replays one problem
+            self.d, self.e = band_to_bidiagonal(
+                bands[0], self.ts, U=self.Ut.T, V=self.Vt.T
+            )
+            return
         d, e = band_to_bidiagonal(bands, self.ts)
         for ex, dp, ep in zip(todo, d, e):
             ex.d, ex.e = dp, ep

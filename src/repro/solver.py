@@ -281,11 +281,12 @@ class Solver:
         """Full SVD ``A = U diag(s) Vt`` of a square matrix.
 
         Returns an :class:`~repro.SVDResult` (plus ``SVDInfo`` with
-        ``return_info=True``).  Honors the handle's backend, precision,
-        hyperparameters, coefficients and ``check_finite``; the
-        ``stage3`` / ``fused`` / ``rescale`` axes do not apply to the
-        vector-bearing pipeline (it always uses the fused kernels and the
-        rotation-accumulating Golub-Kahan solver, with no rescaling).
+        ``return_info=True``).  Replays the launch graph of :meth:`solve`
+        with the singular-vector accumulator updates added, honoring the
+        handle's backend, precision, hyperparameters, coefficients,
+        ``fused``, ``rescale`` and ``check_finite``.  The ``stage3`` axis
+        does not apply: the vectors come from the rotation-accumulating
+        Golub-Kahan solver.
         """
         if self._config.method != "qr":
             raise InvalidParamsError(

@@ -188,10 +188,11 @@ class TestWavefrontOracle:
         zeros=st.sampled_from([0.0, 0.05, 0.3]),
         negzeros=st.sampled_from([0.0, 0.1]),
         pad=st.integers(0, 80),
+        accumulate=st.sampled_from(["", "U", "V", "UV"]),
     )
     @settings(max_examples=30, deadline=None)
     def test_bitwise_equal_to_scalar_chase(
-        self, n, band_over, dtype, B, seed, zeros, negzeros, pad
+        self, n, band_over, dtype, B, seed, zeros, negzeros, pad, accumulate
     ):
         band = 2 + band_over % (n + 4)  # 2 .. n + 5
         keep = n - pad % n  # 1 .. n kept rows/columns
@@ -201,15 +202,25 @@ class TestWavefrontOracle:
         d, e = band_to_bidiagonal(W, band, inplace=True)
         assert d.dtype == e.dtype == A.dtype
         for p in range(B):
+            # random accumulators, U C-ordered and V a transposed view
+            acc = {
+                "U": rng.standard_normal((n + 3, n)).astype(dtype),
+                "V": rng.standard_normal((n, n + 3)).astype(dtype).T,
+            }
+            acc = {k: acc[k] for k in accumulate}
+            ref = {k: X.copy() for k, X in acc.items()}
             R = A[p].copy()
-            d0, e0 = band_to_bidiagonal_reference(R, band, inplace=True)
+            d0, e0 = band_to_bidiagonal_reference(R, band, inplace=True, **ref)
             same_bytes(d[p], d0)
             same_bytes(e[p], e0)
             same_bytes(W[p], R)
-            # the stack equals its problems chased one at a time
-            dp, ep = band_to_bidiagonal(A[p], band)
+            # the stack equals its problems chased one at a time, and the
+            # 2-D chase's accumulators equal the scalar chase's
+            dp, ep = band_to_bidiagonal(A[p], band, **acc)
             same_bytes(dp, d0)
             same_bytes(ep, e0)
+            for k, X in acc.items():
+                same_bytes(X, ref[k])
 
     @pytest.mark.parametrize("n,band", [(128, 32), (96, 32), (64, 16)])
     def test_dense_sizes_bitwise(self, rng, n, band):
@@ -257,12 +268,33 @@ class TestWavefrontOracle:
             d, e = band_to_bidiagonal(W, 6, inplace=True)
         for p in range(2):
             R = A[p].copy()
+            U, V = np.eye(24, dtype=dtype), np.eye(24, dtype=dtype)
+            U0, V0 = U.copy(), V.copy()
             with np.errstate(all="ignore"):
-                d0, e0 = band_to_bidiagonal_reference(R, 6, inplace=True)
+                d0, e0 = band_to_bidiagonal_reference(
+                    R, 6, inplace=True, U=U0, V=V0
+                )
+                # the rerun of the whole chase restarts the accumulators
+                band_to_bidiagonal(A[p], 6, U=U, V=V)
             assert np.isfinite(R).all() == (p == 1)
             same_bytes(d[p], d0)
             same_bytes(e[p], e0)
             same_bytes(W[p], R)
+            same_bytes(U, U0)
+            same_bytes(V, V0)
+
+    def test_accumulators_fit_one_matrix(self, rng):
+        A = chase_inputs(rng, 2, 10, 3, np.float32, 0.0, 0.0, 10)
+        U = np.eye(10, dtype=np.float32)
+        for bad in (
+            dict(A=A, U=U),  # a stack
+            dict(A=A[0], U=U.astype(np.float64)),  # another dtype
+            dict(A=A[0], V=U[:, :9]),  # too few columns
+        ):
+            with pytest.raises(ShapeError, match="accumulator"):
+                band_to_bidiagonal(band=3, **bad)
+        with pytest.raises(ShapeError, match="accumulator"):
+            band_to_bidiagonal_reference(A[0], 3, U=U[None])
 
     def test_stack_shapes(self, rng):
         A = chase_inputs(rng, 3, 10, 3, np.float32, 0.0, 0.0, 10)

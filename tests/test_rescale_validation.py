@@ -11,30 +11,40 @@ from repro.errors import ShapeError
 from repro.precision import Precision
 
 #: The front doors the rescale contract covers, by input shape.  The
-#: square door is the legacy shim; the rest run through a Solver.
+#: square door is the legacy shim; the rest run through a Solver, the
+#: vector door through ``Solver.svd``.
 FRONT_DOORS = {
     "square": (32, 32),
     "tall": (64, 32),
     "wide": (32, 64),
     "lowrank": (64, 32),
+    "vectors": (32, 32),
 }
 
 
 def solve_through(door, A, **axes):
-    """Singular values of ``A`` from one front door on an H100."""
+    """Singular values of ``A`` from one front door on an H100 (the
+    vector door's whole ``SVDResult``)."""
     if door == "square":
         return svdvals(A, backend="h100", **axes)
     solver = Solver(backend="h100", **axes)
     if door == "lowrank":
         return solver.svd_lowrank(A, rank=4)
+    if door == "vectors":
+        return solver.svd(A)
     return solver.solve(A)
 
 
 def check_rescaled(door, A, precision, tol):
     """Accurate values of ``A`` - or, from the low-rank door, estimates
     within the projection bound that track those of ``A``'s unit-scale
-    copy (an exact power of two away)."""
+    copy (an exact power of two away).  The vector door's factors must
+    also rebuild ``A`` to ``tol`` relative to its norm."""
     got = solve_through(door, A, precision=precision)
+    if door == "vectors":
+        rebuilt = np.linalg.norm(A - got.reconstruct()) / np.linalg.norm(A)
+        assert rebuilt < tol, door
+        got = got.s
     assert np.all(np.isfinite(got)), door
     if door != "lowrank":
         assert rel_err(got, scipy_svdvals(A)) < tol, door

@@ -3,11 +3,15 @@
 import numpy as np
 import pytest
 
-from tests.conftest import rel_err, scipy_svdvals
+from tests.conftest import rel_err, same_bytes, scipy_svdvals
+from repro import Solver
 from repro.core import svd_full, svdvals
-from repro.errors import ShapeError
+from repro.core.svd import emit_svd_graph
+from repro.core.tiling import pad_to_tiles
+from repro.errors import InvalidParamsError, ShapeError
 from repro.matrices import make_test_matrix
 from repro.sim import KernelParams
+from repro.sim.graph import NumericExecutor
 
 
 def check_factorization(A, res, tol):
@@ -99,13 +103,70 @@ class TestFullSVD:
             svd_full(rng.standard_normal((4, 5)))
 
     def test_info(self, rng):
-        res, info = svd_full(rng.standard_normal((32, 32)), return_info=True)
+        res, info = svd_full(rng.standard_normal((70, 70)), return_info=True)
         assert info.simulated_seconds > 0
-        # vector accumulation adds its own launches
-        assert any(k.endswith("_acc") for k in info.launch_counts)
+        # vector accumulation adds its own launches: one per FTSMQR, and
+        # one UNMQR per sweep plus the final diagonal tile
+        counts = info.launch_counts
+        assert counts["ftsmqr_acc"] == counts["ftsmqr"]
+        assert counts["unmqr_acc"] == counts["geqrt"]
 
     def test_vector_time_exceeds_values_only(self, rng):
         A = rng.standard_normal((96, 96))
         _, iv = svd_full(A, return_info=True)
         _, i0 = svdvals(A, return_info=True)
         assert iv.simulated_seconds > i0.simulated_seconds
+
+
+class TestVectorGraph:
+    """``Solver.svd`` replays the values graph plus accumulator updates."""
+
+    @pytest.mark.parametrize("precision", ["fp32", "fp64"])
+    @pytest.mark.parametrize("n", [45, 100])
+    def test_accumulators_never_touch_the_matrix(self, rng, precision, n):
+        """On one workspace the vector graph leaves the reduced matrix,
+        ``d`` and ``e`` byte-equal to the values graph's."""
+        config = Solver(backend="h100", precision=precision).config
+        storage = config.storage_for(np.float64)
+        ts = config.params.tilesize
+        A = rng.standard_normal((n, n)).astype(storage.dtype)
+        W, _ = pad_to_tiles(A, ts)
+        values = NumericExecutor(W.copy(), ts, storage.eps, storage=storage)
+        values.run(emit_svd_graph(n, config))
+        eye = np.eye(W.shape[0], dtype=W.dtype)
+        vectors = NumericExecutor(
+            W.copy(), ts, storage.eps, storage=storage, Ut=eye, Vt=eye.copy()
+        )
+        vectors.run(emit_svd_graph(n, config, vectors=True))
+        same_bytes(vectors.W, values.W)
+        same_bytes(vectors.d, values.d)
+        same_bytes(vectors.e, values.e)
+
+    def test_unfused_gives_the_same_bytes(self, rng):
+        A = rng.standard_normal((45, 45))
+        params = KernelParams(16, 16, 4)
+        fused = Solver(params=params).svd(A)
+        unfused, info = Solver(params=params, fused=False).svd(
+            A, return_info=True
+        )
+        for x, y in ((fused.U, unfused.U), (fused.s, unfused.s),
+                     (fused.Vt, unfused.Vt)):
+            same_bytes(x, y)
+        assert info.launch_counts["tsmqr_acc"] == info.launch_counts["tsmqr"]
+        assert "ftsmqr_acc" not in info.launch_counts
+
+    def test_vector_graphs_are_replay_only(self):
+        config = Solver(backend="h100", precision="fp32").config
+        for axes in ({"streams": 2}, {"counted": True}):
+            with pytest.raises(InvalidParamsError, match="replay-only"):
+                emit_svd_graph(96, config, vectors=True, **axes)
+
+    def test_non_finite_bidiagonal_fails_fast(self, rng):
+        """A NaN that passes ``check_finite=False`` is rejected before the
+        vector QR iteration, as ``Solver.solve`` rejects it (the iteration
+        used to spin through 30 n^2 sweeps and raise ConvergenceError)."""
+        A = rng.standard_normal((32, 32))
+        A[3, 5] = np.nan
+        solver = Solver(backend="h100", precision="fp64", check_finite=False)
+        with pytest.raises(ShapeError, match="bidiagonal contains NaN"):
+            solver.svd(A)
