@@ -42,6 +42,15 @@ iteration (:func:`repro.core.bidiag.golub_kahan`), best of 3 each,
 interleaved, on one fixed random ``n = 512`` bidiagonal.  Its baseline is
 hand-pinned at 0.5: with the gate's 25% tolerance it fails above 0.625,
 once the kernel is less than 1.6x faster.
+
+Stage 1 too: ``stage1_block_ref_ratio@512`` replays
+``emit_band_reduction(16, 32)`` through ``NumericExecutor`` on one fixed
+fp32 ``512 x 512`` matrix, with the compact-WY update kernels over their
+reflector-at-a-time ``*_reference`` twins (swapped onto
+:mod:`repro.kernels`, where the executor resolves them), best of 3 each,
+alternating, after checking that both bands have the same singular values
+within ``ORACLE_TOL``.  Its baseline is hand-pinned at 0.5: the gate fails
+once block stage 1 is less than 1.6x faster.
 """
 
 import argparse
@@ -72,6 +81,12 @@ BRD_BAND = 32
 
 #: Order of the gated stage-3 (Sturm kernel vs QR iteration) ratio.
 STAGE3_N = 512
+
+#: Order and tile size of the gated stage-1 (block vs reference) ratio.
+STAGE1_N = 512
+STAGE1_TS = 32
+#: The update kernels the stage-1 ratio swaps for their ``*_reference``.
+UPDATE_KERNELS = ("unmqr", "tsmqr", "ftsmqr")
 
 
 def _time(fn, reps: int, trials: int = 3) -> float:
@@ -125,6 +140,52 @@ def stage3_ratio(n: int = STAGE3_N, trials: int = 3) -> float:
         kernel_s = min(kernel_s, _time(lambda: bisect(d, e), 1, 1))
         gk_s = min(gk_s, _time(lambda: golub_kahan(d, e), 1, 1))
     return kernel_s / gk_s
+
+
+def stage1_ratio(
+    n: int = STAGE1_N, ts: int = STAGE1_TS, trials: int = 3
+) -> float:
+    """Block over reference stage-1 wall-clock, best of ``trials`` each.
+
+    Both replay one fixed fp32 matrix and alternate, so a change of host
+    speed during the measurement slows both.
+    """
+    import repro.kernels as kernels
+    from repro.core.banddiag import emit_band_reduction
+    from repro.core.tiling import extract_band
+    from repro.core.workloads import ORACLE_TOL
+    from repro.sim import NumericExecutor
+
+    A = np.random.default_rng(0).standard_normal((n, n)).astype(np.float32)
+    nodes = emit_band_reduction(n // ts, ts)
+    eps = float(np.finfo(np.float32).eps)
+    block = {k: getattr(kernels, k) for k in UPDATE_KERNELS}
+    reference = {k: getattr(kernels, f"{k}_reference") for k in UPDATE_KERNELS}
+
+    def stage1(impl) -> np.ndarray:
+        # the executor resolves the kernels on repro.kernels when built
+        for name, fn in impl.items():
+            setattr(kernels, name, fn)
+        try:
+            W = A.copy()
+            NumericExecutor(W, ts, eps).run(nodes)
+        finally:
+            for name, fn in block.items():
+                setattr(kernels, name, fn)
+        return W
+
+    def svals(W) -> np.ndarray:
+        band = extract_band(W, ts).astype(np.float64)
+        return np.linalg.svd(band, compute_uv=False)
+
+    got, want = svals(stage1(block)), svals(stage1(reference))
+    err = np.linalg.norm(got - want) / np.linalg.norm(want)
+    assert err < ORACLE_TOL["fp32"], err
+    block_s = ref_s = float("inf")
+    for _ in range(trials):
+        block_s = min(block_s, _time(lambda: stage1(block), 1, 1))
+        ref_s = min(ref_s, _time(lambda: stage1(reference), 1, 1))
+    return block_s / ref_s
 
 
 def phase_rows(solver, sizes=SIZES) -> list:
@@ -234,8 +295,9 @@ def metrics() -> dict:
 
     Simulated predicted seconds (deterministic across machines), plus
     speedup guards: the dimensionless ``bindprice_emitscalar_ratio``,
-    ``brd_wave_scalar_ratio`` and ``stage3_kernel_gk_ratio`` (both timings
-    of each share the host, so their baselines transfer) and the
+    ``brd_wave_scalar_ratio``, ``stage3_kernel_gk_ratio`` and
+    ``stage1_block_ref_ratio`` (both timings of each share the host, so
+    their baselines transfer) and the
     deterministic bound-structure miss
     count per tune candidate (proof the candidate loop binds instead of
     re-emitting).
@@ -273,6 +335,9 @@ def metrics() -> dict:
 
     # stage 3 of the numeric replay: the Sturm kernel vs QR iteration
     out[f"graph_replay/stage3_kernel_gk_ratio@{STAGE3_N}"] = stage3_ratio()
+
+    # stage 1 of the numeric replay: compact-WY vs per-reflector updates
+    out[f"graph_replay/stage1_block_ref_ratio@{STAGE1_N}"] = stage1_ratio()
 
     # re-emission is gone from the candidate loop: a cold tune binds a
     # handful of structures (one per distinct execution-axis family),

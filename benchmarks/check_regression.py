@@ -27,8 +27,10 @@ drops below a 10x speedup over emit-and-scalar-price,
 wavefront bulge chase is less than 1.5x faster than the scalar chase, and
 ``graph_replay/stage3_kernel_gk_ratio@512`` pinned at 0.5 fails once the
 lock-step Sturm kernel is less than 1.6x faster than Golub-Kahan QR
-iteration - so they routinely print "improved"; do not ``--update`` them
-down to the measured value.
+iteration, and ``graph_replay/stage1_block_ref_ratio@512`` pinned at 0.5
+fails once stage 1 with the compact-WY update kernels is less than 1.6x
+faster than with their reflector-at-a-time references - so they routinely
+print "improved"; do not ``--update`` them down to the measured value.
 """
 
 import argparse

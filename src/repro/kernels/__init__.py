@@ -3,21 +3,28 @@
 One precision- and backend-generic implementation of each kernel
 (GEQRT, TSQRT, UNMQR, TSMQR and the fused FTSQRT/FTSMQR); LQ sweeps reuse
 the same kernels on lazy-transpose views exactly as the Julia code does.
+
+The update kernels (UNMQR, TSMQR, FTSMQR) apply each tile's reflectors as
+one compact-WY block; their ``*_reference`` twins keep the paper's
+reflector-at-a-time loops as the oracle the tests pin them against.
 """
 
-from .fused import ftsmqr, ftsqrt
+from .fused import ftsmqr, ftsmqr_reference, ftsqrt
 from .geqrt import geqrt
 from .householder import make_reflector
-from .tsmqr import tsmqr
+from .tsmqr import tsmqr, tsmqr_reference
 from .tsqrt import tsqrt
-from .unmqr import unmqr
+from .unmqr import unmqr, unmqr_reference
 
 __all__ = [
     "ftsmqr",
+    "ftsmqr_reference",
     "ftsqrt",
     "geqrt",
     "make_reflector",
     "tsmqr",
+    "tsmqr_reference",
     "tsqrt",
     "unmqr",
+    "unmqr_reference",
 ]

@@ -14,6 +14,9 @@ fused kernels process the whole panel in a single launch:
 
 Numerically the fused kernels execute the *same operations in the same
 order* as the unfused sequence - a property the test suite pins exactly.
+FTSMQR builds the compact-WY ``T`` factors of all its rows in one
+lock-step recurrence, which gives every row the bytes TSMQR builds alone.
+:func:`ftsmqr_reference` is the reflector-at-a-time oracle.
 """
 
 from __future__ import annotations
@@ -22,10 +25,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .tsmqr import tsmqr_body
+from .tsmqr import tsmqr_reference, tsmqr_rows
 from .tsqrt import tsqrt_body
 
-__all__ = ["ftsqrt", "ftsmqr"]
+__all__ = ["ftsmqr", "ftsmqr_reference", "ftsqrt"]
 
 
 def ftsqrt(
@@ -84,7 +87,8 @@ def ftsmqr(
     Y:
         ``(ts, m)`` top tile-row view, resident across the whole launch.
     Xs:
-        Below tile-row views, each ``(ts, m)``, updated in place.
+        Below tile-row views, each ``(ts, m)``, updated in place; each is
+        read and written once, in its own (storage) precision.
     compute_dtype:
         Arithmetic dtype; defaults to the views' dtype.
     """
@@ -92,14 +96,28 @@ def ftsmqr(
         raise ValueError("Vs, taus and Xs must have equal length")
     if not Vs or Y.shape[1] == 0:
         return
-    if compute_dtype is None or Y.dtype == compute_dtype:
-        for V, tau, X in zip(Vs, taus, Xs):
-            Vw = V if V.dtype == Y.dtype else V.astype(Y.dtype)
-            tsmqr_body(Vw, tau, Y, X)
+    tsmqr_rows(Vs, taus, Y, Xs, compute_dtype)  # top row loaded once (Figure 2)
+
+
+def ftsmqr_reference(
+    Vs: Sequence[np.ndarray],
+    taus: Sequence[np.ndarray],
+    Y: np.ndarray,
+    Xs: Sequence[np.ndarray],
+    compute_dtype: Optional[np.dtype] = None,
+) -> None:
+    """Reflector-at-a-time FTSMQR: the oracle :func:`ftsmqr` is tested against.
+
+    Same arguments as :func:`ftsmqr`; runs :func:`tsmqr_reference` row by
+    row against ``Y``, held in compute precision for the whole launch.
+    """
+    if not (len(Vs) == len(taus) == len(Xs)):
+        raise ValueError("Vs, taus and Xs must have equal length")
+    if not Vs or Y.shape[1] == 0:
         return
-    Yw = Y.astype(compute_dtype)  # top row loaded once (Figure 2)
+    dtype = Y.dtype if compute_dtype is None else compute_dtype
+    Yw = Y if Y.dtype == dtype else Y.astype(dtype)
     for V, tau, X in zip(Vs, taus, Xs):
-        Xw = X.astype(compute_dtype)
-        tsmqr_body(V.astype(compute_dtype), tau, Yw, Xw)
-        X[...] = Xw
-    Y[...] = Yw
+        tsmqr_reference(V, tau, Yw, X, compute_dtype)
+    if Yw is not Y:
+        Y[...] = Yw

@@ -15,6 +15,11 @@ Tiny reflectors (``|x| < 10 eps``) arise when the pivot column is already
 numerically zero - e.g. in zero-padded tiles.  Algorithm 3 lines 14-15
 clamp ``x`` to ``10 eps`` and force ``tau_hat = 2`` (a pure sign flip),
 which this module reproduces verbatim.
+
+The update kernels apply a tile's reflectors as one block: the product
+``H_0 H_1 ... H_{k-1} = I - V T V^T`` of Schreiber & Van Loan's
+compact-WY form, with the upper-triangular ``T`` built from the stored
+``V`` and ``tau`` by :func:`larft`.
 """
 
 from __future__ import annotations
@@ -22,7 +27,9 @@ from __future__ import annotations
 import math
 from typing import Tuple
 
-__all__ = ["make_reflector", "apply_factor"]
+import numpy as np
+
+__all__ = ["apply_factor", "larft", "make_reflector"]
 
 
 def make_reflector(
@@ -80,3 +87,34 @@ def apply_factor(tau: float, x: float, pivot_row, dot_row):
     degrades to the corrected form of line 15 when ``tau_hat == 2``.
     """
     return tau * (pivot_row + dot_row / x)
+
+
+def larft(V: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """Triangular factor ``T`` of the compact-WY form ``I - V T V^T``.
+
+    ``I - V T V^T`` equals ``H_0 H_1 ... H_{k-1}`` for the reflectors
+    ``H_j = I - tau_j v_j v_j^T`` stored as the columns of ``V``.  This is
+    LAPACK ``larft``'s forward, columnwise recurrence::
+
+        T[j, j] = tau_j
+        T[:j, j] = -tau_j * T[:j, :j] @ (V^T V)[:j, j]
+
+    ``V`` is ``(r, m, k)`` and ``tau`` ``(r, k)``: a stack of ``r`` tiles
+    built in lock-step, each by the same operations as a stack of one, so
+    every tile gets the bytes it would get alone.  Only the strict upper
+    triangle of ``V^T V`` is read, so a TSQRT block passes its tails alone
+    (its unit top rows ``[I; V]`` add only to the diagonal).  A zero
+    ``tau_j`` leaves row and column ``j`` of ``T`` zero: reflector ``j``
+    then contributes nothing.
+    """
+    k = tau.shape[-1]
+    gram = np.swapaxes(V, -1, -2) @ V
+    T = np.zeros(gram.shape, dtype=gram.dtype)
+    diag = np.arange(k)
+    T[:, diag, diag] = tau
+    ntau = -tau[:, :, None]
+    for j in range(1, k):
+        T[:, :j, j : j + 1] = (
+            T[:, :j, :j] @ gram[:, :j, j : j + 1]
+        ) * ntau[:, j : j + 1]
+    return T

@@ -35,6 +35,9 @@ class ServiceStats:
     completed: int
     #: Requests shed by admission control (each saw a ``ShedError``).
     shed: int
+    #: Admitted requests whose batch raised while running (each saw that
+    #: exception); ``completed + shed + failed == submitted`` once drained.
+    failed: int
     #: Batches dispatched to the device.
     batches: int
     #: Dispatched batches that ran out-of-core (spilled past the budget).
@@ -69,7 +72,7 @@ class ServiceStats:
         lines = [
             f"requests   submitted={self.submitted} "
             f"completed={self.completed} shed={self.shed} "
-            f"slo_met={self.slo_met}",
+            f"failed={self.failed} slo_met={self.slo_met}",
             f"batches    dispatched={self.batches} "
             f"spilled={self.spilled_batches} "
             f"mean_size={self.mean_batch_size:.2f} "
@@ -95,6 +98,7 @@ class MetricsCollector:
         self.submitted = 0
         self.completed = 0
         self.shed = 0
+        self.failed = 0
         self.batches = 0
         self.spilled_batches = 0
         self.batch_sizes: List[int] = []
@@ -115,6 +119,10 @@ class MetricsCollector:
     def record_shed(self) -> None:
         """One request shed by admission control."""
         self.shed += 1
+
+    def record_failed(self) -> None:
+        """One admitted request whose batch raised while running."""
+        self.failed += 1
 
     def record_batch(
         self, size: int, predicted_s: float, replayed_s: float,
@@ -160,6 +168,7 @@ class MetricsCollector:
             submitted=self.submitted,
             completed=self.completed,
             shed=self.shed,
+            failed=self.failed,
             batches=self.batches,
             spilled_batches=self.spilled_batches,
             mean_batch_size=mean_size,

@@ -269,8 +269,10 @@ class SvdService:
                     price=self._admission.price_graph,
                 ),
             )
-        except Exception as exc:  # pragma: no cover - executor bug surface
+        except Exception as exc:
+            # a failed batch fails its requests, not the dispatch loop
             for req in decision.admitted:
+                self._metrics.record_failed()
                 self._resolve(req, error=exc)
             return
         t_done = self._clock()

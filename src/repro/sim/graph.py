@@ -25,8 +25,9 @@ Two executors consume the graph:
 
 * :class:`NumericExecutor` replays the nodes in order against a
   :class:`~repro.sim.session.Session`, invoking the NumPy kernels on a
-  padded workspace.  Node order equals the historical driver loop order,
-  so results are bitwise identical to the pre-graph drivers.
+  padded workspace.  Node order is the reduction loop's order, so every
+  replay of one graph - partitioned, batched, planned or served - makes
+  the same kernel calls in the same order and gives the same bytes.
 * :class:`AnalyticExecutor` prices the same nodes without touching data,
   producing the :class:`~repro.sim.schedule.TimeBreakdown` that
   :meth:`repro.Solver.predict` returns.  Because both executors walk the
@@ -472,9 +473,11 @@ class AnalyticExecutor:
 class NumericExecutor:
     """Replay a :class:`LaunchGraph` numerically on a padded workspace.
 
-    Nodes are executed in list order, which reproduces the historical
-    driver loops kernel call for kernel call - results are bitwise
-    identical to the pre-graph code path.  Every launch is recorded
+    Nodes are executed in list order, Algorithm 2's loop order kernel call
+    for kernel call, so each replay of a graph gives the same bytes; the
+    stage-1 update kernels apply each tile's reflectors as one compact-WY
+    block, within a stated tolerance of the paper's reflector-at-a-time
+    loops (their ``*_reference`` twins).  Every launch is recorded
     through ``session`` (when given) with the same cost keys the graph
     carries, so a plan-shared ``Session.cost_cache`` is hit, never
     re-priced.
@@ -482,9 +485,11 @@ class NumericExecutor:
     Partitioned graphs (``ngpu > 1``) replay too: each sharded update
     chunk runs against its device's tile-row views of the shared
     workspace (the per-device buffers of the simulated fabric), comm
-    nodes are numeric no-ops, and the chunk order equals the monolithic
-    row order - so partitioned replay is bitwise identical to the
-    single-device run (pinned in ``tests/test_partition.py``).
+    nodes are numeric no-ops, the chunk order equals the monolithic row
+    order, and FTSMQR builds each row's compact-WY factor the same in a
+    chunk as in the whole launch - so partitioned replay is bitwise
+    identical to the single-device run (pinned in
+    ``tests/test_partition.py``).
 
     Stage-1-only node lists (from ``emit_band_reduction`` /
     ``emit_tallqr_graph``) need no ``storage``/``stage3``; full square
@@ -548,11 +553,9 @@ class NumericExecutor:
         # kernels are imported lazily: repro.core and repro.kernels import
         # this module at load time, so a module-level import would cycle.
         from ..kernels import ftsmqr, ftsqrt, geqrt, tsmqr, tsqrt, unmqr
-        from ..kernels.tsmqr import tsmqr_body
         from ..core.tiling import extract_band, tile
 
         self._k = (geqrt, unmqr, ftsqrt, ftsmqr, tsqrt, tsmqr)
-        self._tsmqr_body = tsmqr_body
         self._tile = tile
         self._extract_band = extract_band
 
@@ -668,25 +671,19 @@ class NumericExecutor:
             Xs = [
                 B[l * ts : (l + 1) * ts, c0 : c0 + cw] for l in range(lo, hi)
             ]
-            if self.compute_dtype is None or Y.dtype == self.compute_dtype:
-                ftsmqr(Bs, tau_slice, Y, Xs, self.compute_dtype)
-            else:
+            Yw = Y
+            if self.compute_dtype is not None and Y.dtype != self.compute_dtype:
                 # the real fused kernel keeps Y resident in compute
                 # precision for the *whole* launch; carrying the live copy
                 # across row chunks keeps sharded replay bitwise identical
                 # to the monolithic launch
                 Yw = self._ylive.get(sweep)
                 if Yw is None:
-                    Yw = Y.astype(self.compute_dtype)
-                    self._ylive[sweep] = Yw
-                body = self._tsmqr_body
-                for V, tau, X in zip(Bs, tau_slice, Xs):
-                    Xw = X.astype(self.compute_dtype)
-                    body(V.astype(self.compute_dtype), tau, Yw, Xw)
-                    X[...] = Xw
-                if hi == stop:
-                    Y[...] = Yw
-                    del self._ylive[sweep]
+                    Yw = self._ylive[sweep] = Y.astype(self.compute_dtype)
+            ftsmqr(Bs, tau_slice, Yw, Xs, self.compute_dtype)
+            if hi == stop and Yw is not Y:
+                Y[...] = Yw
+                del self._ylive[sweep]
             if hi == stop and self.Ut is None:
                 # last chunk: the sweep's tau registers are fully consumed
                 del self._taus[sweep]

@@ -10,6 +10,7 @@ import pytest
 import scipy.linalg as sla
 
 from hypothesis import settings
+from hypothesis import strategies as st
 
 # The weekly scheduled CI run exercises the property tests much harder
 # than the per-PR gate; select with HYPOTHESIS_PROFILE=ci (see ci.yml).
@@ -55,3 +56,64 @@ def same_bytes(x, y):
         np.ascontiguousarray(x).view(np.uint8),
         np.ascontiguousarray(y).view(np.uint8),
     )
+
+
+#: (storage, compute) dtypes the kernel oracle properties cover: fp64,
+#: fp32, and fp16 storage with fp32 compute (the FP16 upcast path).
+KERNEL_PRECISIONS = (
+    (np.float64, np.float64),
+    (np.float32, np.float32),
+    (np.float16, np.float32),
+)
+
+#: Hypothesis arguments shared by the kernel oracle properties: tile
+#: size, row width (0 included), RQ or LQ (transposed) views, all-zero
+#: columns (clamped reflectors) and magnitude.
+KERNEL_CASES = dict(
+    seed=st.integers(0, 2**32 - 1),
+    prec=st.sampled_from(KERNEL_PRECISIONS),
+    ts=st.sampled_from([4, 8, 16, 32]),
+    m=st.integers(0, 40),
+    lq=st.booleans(),
+    zero_cols=st.sets(st.integers(0, 31), max_size=3),
+    scale=st.sampled_from([1e-2, 1.0, 1e2]),
+)
+
+#: The kernel oracle rule: a compact-WY update kernel (``unmqr``,
+#: ``tsmqr``, ``ftsmqr``) and its reflector-at-a-time ``*_reference``,
+#: given identical compute-precision inputs, agree entry by entry within
+#: ``BLOCK_ORACLE_C * ts * eps(compute) * max(|Y|, |X|)``.  The block
+#: reassociates the loop's sums; the largest gaps measured over random
+#: tiles with clamped reflectors, LQ views and magnitudes 1e-2..1e2 were
+#: about 3-6 eps - 0.9 ts eps at ts = 4, 0.2 ts eps at ts = 32 - so c = 4
+#: leaves 4x headroom at the smallest tile and far more at ts = 32, while
+#: any algebra slip shows as an O(1) gap.
+BLOCK_ORACLE_C = 4.0
+
+
+def kernel_operand(rng, shape, dtype, lq=False, scale=1.0):
+    """Random ``shape`` operand in ``dtype``; a lazy-transpose view when
+    ``lq``, the layout LQ sweeps hand the kernels."""
+    a = (scale * rng.standard_normal(shape[::-1] if lq else shape)).astype(dtype)
+    return a.T if lq else a
+
+
+def clone(a):
+    """A copy that keeps ``a``'s memory layout (transposed views stay so)."""
+    return a.copy(order="K")
+
+
+def assert_near_reference(got, want, ts, compute_dtype, scale):
+    """Each array of ``got`` within the kernel oracle bound of ``want``."""
+    bound = BLOCK_ORACLE_C * ts * float(np.finfo(compute_dtype).eps) * scale
+    for g, w in zip(got, want):
+        gap = float(
+            np.abs(np.asarray(g, np.float64) - np.asarray(w, np.float64))
+            .max(initial=0.0)
+        )
+        assert gap <= bound, f"block/reference gap {gap:.3e} > {bound:.3e}"
+
+
+def magnitude(*arrays) -> float:
+    """``max |a|`` over every array (0 for empty ones)."""
+    return max(float(np.abs(a).max(initial=0.0)) for a in arrays)

@@ -6,8 +6,25 @@ in the same order as the unfused sequence, so results are bit-identical.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.kernels import ftsmqr, ftsqrt, geqrt, tsmqr, tsqrt
+from repro.kernels import (
+    ftsmqr,
+    ftsmqr_reference,
+    ftsqrt,
+    geqrt,
+    tsmqr,
+    tsqrt,
+)
+from tests.conftest import (
+    KERNEL_CASES,
+    assert_near_reference,
+    clone,
+    kernel_operand,
+    magnitude,
+    same_bytes,
+)
 
 EPS64 = float(np.finfo(np.float64).eps)
 
@@ -95,3 +112,48 @@ class TestFtsmqrEquivalence:
         ftsmqr(below, taus, Y, Xs, compute_dtype=np.float32)
         assert Y.dtype == np.float16
         assert all(np.isfinite(x.astype(np.float64)).all() for x in Xs)
+
+
+class TestFtsmqrOracle:
+    """The compact-WY fused kernel against the reflector-at-a-time oracle."""
+
+    @given(**KERNEL_CASES, nrows=st.integers(1, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_block_matches_reference(
+        self, seed, prec, ts, nrows, m, lq, zero_cols, scale
+    ):
+        storage, compute = prec
+        rng = np.random.default_rng(seed)
+        R = np.triu(kernel_operand(rng, (ts, ts), storage, lq, scale))
+        Vs = [kernel_operand(rng, (ts, ts), storage, lq, scale)
+              for _ in range(nrows)]
+        for c in zero_cols:  # an all-zero column clamps its reflectors
+            R[:, c % ts] = 0.0
+            for V in Vs:
+                V[:, c % ts] = 0.0
+        taus = [np.zeros(ts, dtype=compute) for _ in range(nrows)]
+        ftsqrt(R, Vs, taus, float(np.finfo(storage).eps), compute)
+        Y = kernel_operand(rng, (ts, m), storage, lq, scale)
+        Xs = [kernel_operand(rng, (ts, m), storage, lq, scale)
+              for _ in range(nrows)]
+
+        # identical compute-precision inputs: within the oracle bound
+        Yb, Xb = Y.astype(compute), [X.astype(compute) for X in Xs]
+        Yr, Xr = clone(Yb), [clone(X) for X in Xb]
+        Yu, Xu = clone(Yb), [clone(X) for X in Xb]
+        ftsmqr(Vs, taus, Yb, Xb, compute)
+        ftsmqr_reference(Vs, taus, Yr, Xr, compute)
+        assert_near_reference(
+            [Yb, *Xb], [Yr, *Xr], ts, compute, magnitude(Y, *Xs)
+        )
+
+        # the lock-step T build: fused is bitwise the unfused sequence
+        for V, tau, X in zip(Vs, taus, Xu):
+            tsmqr(V, tau, Yu, X, compute)
+        for a, b in zip([Yb, *Xb], [Yu, *Xu]):
+            same_bytes(a, b)
+
+        # storage-precision rows get the compute result, rounded once
+        ftsmqr(Vs, taus, Y, Xs, compute)
+        for a, b in zip([Y, *Xs], [Yb, *Xb]):
+            same_bytes(a, b.astype(storage))

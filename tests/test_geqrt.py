@@ -6,7 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.kernels import geqrt, unmqr
+from repro.kernels import geqrt, unmqr, unmqr_reference
+from tests.conftest import (
+    KERNEL_CASES,
+    assert_near_reference,
+    clone,
+    kernel_operand,
+    magnitude,
+    same_bytes,
+)
 
 EPS = {d: float(np.finfo(d).eps) for d in (np.float16, np.float32, np.float64)}
 
@@ -160,3 +168,38 @@ class TestGeqrtUnmqrConsistency:
     def test_unmqr_row_mismatch(self):
         with pytest.raises(ValueError):
             unmqr(np.zeros((4, 4)), np.zeros(4), np.zeros((5, 3)))
+
+
+class TestUnmqrOracle:
+    """The compact-WY kernel against the reflector-at-a-time oracle."""
+
+    @given(**KERNEL_CASES, last_tau=st.sampled_from([0.0, 1.5, -3.0]))
+    @settings(max_examples=60, deadline=None)
+    def test_block_matches_reference(
+        self, seed, prec, ts, m, lq, zero_cols, scale, last_tau
+    ):
+        storage, compute = prec
+        rng = np.random.default_rng(seed)
+        V = kernel_operand(rng, (ts, ts), storage, lq, scale)
+        for c in zero_cols:  # an all-zero column clamps its reflector
+            V[:, c % ts] = 0.0
+        tau = np.zeros(ts, dtype=compute)
+        geqrt(V, tau, float(np.finfo(storage).eps), compute)
+        X = kernel_operand(rng, (ts, m), storage, lq, scale)
+        Xb = X.astype(compute)
+        Xr = clone(Xb)
+        unmqr(V, tau, Xb, compute)
+        unmqr_reference(V, tau, Xr, compute)
+        assert_near_reference([Xb], [Xr], ts, compute, magnitude(X))
+
+        # GEQRT's last column has no reflector: a stray tau there is
+        # ignored, bit for bit
+        stray = tau.copy()
+        stray[ts - 1] = last_tau
+        Xs = X.astype(compute)
+        unmqr(V, stray, Xs, compute)
+        same_bytes(Xs, Xb)
+
+        # a storage-precision row gets the compute result, rounded once
+        unmqr(V, tau, X, compute)
+        same_bytes(X, Xb.astype(storage))

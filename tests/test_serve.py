@@ -235,7 +235,8 @@ class TestServiceStats:
         _, stats = serve_all(solver, mats, max_batch=2, max_wait_s=0.01)
         assert isinstance(stats, ServiceStats)
         assert stats.submitted == 5
-        assert stats.completed + stats.shed == 5
+        assert stats.failed == 0
+        assert stats.completed + stats.shed + stats.failed == 5
         assert stats.batches >= 3  # 5 requests at max_batch=2
         assert stats.mean_batch_size <= 2.0
         assert 0.0 < stats.occupancy <= 1.0
@@ -246,6 +247,43 @@ class TestServiceStats:
         assert stats.graph_cache_hits >= 1
         assert stats.price_cache_hits >= 1
         assert "goodput" in stats.summary()
+
+    def test_failed_batch_is_counted_and_the_next_is_served(
+        self, rng, monkeypatch
+    ):
+        """A batch whose run raises fails its requests, not the service."""
+        boom = RuntimeError("replay failed")
+        real_run = BatchRunner.run
+        calls = []
+
+        def flaky_run(self, *args, **kwargs):
+            calls.append(len(args[0]))
+            if len(calls) == 1:
+                raise boom
+            return real_run(self, *args, **kwargs)
+
+        monkeypatch.setattr(BatchRunner, "run", flaky_run)
+        solver = Solver(backend="h100", precision="fp32")
+        mats = [
+            rng.standard_normal((32, 32)).astype(np.float32) for _ in range(4)
+        ]
+
+        async def go():
+            async with solver.serve(max_batch=2, max_wait_s=0.01) as svc:
+                futs = [await svc.submit(A) for A in mats]
+                done = await asyncio.gather(*futs, return_exceptions=True)
+                return done, svc.stats()
+
+        results, stats = asyncio.run(go())
+        failed = [r for r in results if r is boom]
+        assert calls[0] == len(failed) == 2  # every admitted future raises
+        for A, got in zip(mats, results):
+            if got is not boom:  # the later batch is served, bitwise
+                np.testing.assert_array_equal(got, solver.solve(A))
+        assert stats.submitted == 4
+        assert (stats.completed, stats.shed, stats.failed) == (2, 0, 2)
+        assert stats.completed + stats.shed + stats.failed == stats.submitted
+        assert "failed=2" in stats.summary()
 
 
 class TestAdmissionController:

@@ -2,8 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from repro.kernels import geqrt, tsmqr, tsqrt
+from repro.kernels import geqrt, tsmqr, tsmqr_reference, tsqrt
+from tests.conftest import (
+    KERNEL_CASES,
+    assert_near_reference,
+    clone,
+    kernel_operand,
+    magnitude,
+    same_bytes,
+)
 
 EPS64 = float(np.finfo(np.float64).eps)
 
@@ -141,3 +150,36 @@ class TestTsmqr:
         tsmqr(V, tau, Y1, X1)
         np.testing.assert_array_equal(Y1, Y)
         np.testing.assert_array_equal(X1, X)
+
+
+class TestTsmqrOracle:
+    """The compact-WY kernel against the reflector-at-a-time oracle."""
+
+    @given(**KERNEL_CASES)
+    @settings(max_examples=60, deadline=None)
+    def test_block_matches_reference(
+        self, seed, prec, ts, m, lq, zero_cols, scale
+    ):
+        storage, compute = prec
+        rng = np.random.default_rng(seed)
+        R = np.triu(kernel_operand(rng, (ts, ts), storage, lq, scale))
+        V = kernel_operand(rng, (ts, ts), storage, lq, scale)
+        for c in zero_cols:  # an all-zero column clamps its reflector
+            R[:, c % ts] = 0.0
+            V[:, c % ts] = 0.0
+        tau = np.zeros(ts, dtype=compute)
+        tsqrt(R, V, tau, float(np.finfo(storage).eps), compute)
+        Y = kernel_operand(rng, (ts, m), storage, lq, scale)
+        X = kernel_operand(rng, (ts, m), storage, lq, scale)
+
+        # identical compute-precision inputs: within the oracle bound
+        Yb, Xb = Y.astype(compute), X.astype(compute)
+        Yr, Xr = clone(Yb), clone(Xb)
+        tsmqr(V, tau, Yb, Xb, compute)
+        tsmqr_reference(V, tau, Yr, Xr, compute)
+        assert_near_reference([Yb, Xb], [Yr, Xr], ts, compute, magnitude(Y, X))
+
+        # storage-precision operands get the compute result, rounded once
+        tsmqr(V, tau, Y, X, compute)
+        same_bytes(Y, Yb.astype(storage))
+        same_bytes(X, Xb.astype(storage))
