@@ -41,7 +41,9 @@ Sturm kernel (:func:`repro.core.bidiag.bisect`) by Golub-Kahan QR
 iteration (:func:`repro.core.bidiag.golub_kahan`), best of 3 each,
 interleaved, on one fixed random ``n = 512`` bidiagonal.  Its baseline is
 hand-pinned at 0.5: with the gate's 25% tolerance it fails above 0.625,
-once the kernel is less than 1.6x faster.
+once the kernel is less than 1.6x faster.  ``stage3_stack_gk_ratio@64``
+does the same at serving size: the kernel on one fixed random ``(8, 64)``
+stack in one call over Golub-Kahan row by row, also hand-pinned at 0.5.
 
 Stage 1 too: ``stage1_block_ref_ratio@512`` replays
 ``emit_band_reduction(16, 32)`` through ``NumericExecutor`` on one fixed
@@ -81,6 +83,8 @@ BRD_BAND = 32
 
 #: Order of the gated stage-3 (Sturm kernel vs QR iteration) ratio.
 STAGE3_N = 512
+#: Stack of the gated serving-size stage-3 ratio.
+STAGE3_STACK = (8, 64)
 
 #: Order and tile size of the gated stage-1 (block vs reference) ratio.
 STAGE1_N = 512
@@ -122,23 +126,34 @@ def brd_ratio(n: int = BRD_N, band: int = BRD_BAND, trials: int = 3) -> float:
     return wave_s / scalar_s
 
 
-def stage3_ratio(n: int = STAGE3_N, trials: int = 3) -> float:
+def stage3_ratio(shape: tuple = (STAGE3_N,), trials: int = 3) -> float:
     """Sturm kernel over Golub-Kahan stage-3 wall-clock, best of ``trials``.
 
-    Both solve one fixed random bidiagonal and alternate, so a change of
-    host speed during the measurement slows both.
+    Both solve one fixed random bidiagonal, or ``(B, n)`` stack of them
+    (the kernel in one call, Golub-Kahan row by row), and alternate, so a
+    change of host speed during the measurement slows both.
     """
     from repro.core.bidiag import bisect, golub_kahan
 
     rng = np.random.default_rng(0)
-    d, e = rng.standard_normal(n), rng.standard_normal(n - 1)
+    n = shape[-1]
+    d = rng.standard_normal(shape)
+    e = rng.standard_normal(shape[:-1] + (n - 1,))
+
+    def rows():
+        return [
+            golub_kahan(dp, ep)
+            for dp, ep in zip(d.reshape(-1, n), e.reshape(-1, n - 1))
+        ]
+
     np.testing.assert_allclose(
-        bisect(d, e), golub_kahan(d, e), rtol=0.0, atol=1e-12 * np.abs(d).max()
+        bisect(d, e).reshape(-1, n), rows(), rtol=0.0,
+        atol=1e-12 * np.abs(d).max(),
     )
     kernel_s = gk_s = float("inf")
     for _ in range(trials):
         kernel_s = min(kernel_s, _time(lambda: bisect(d, e), 1, 1))
-        gk_s = min(gk_s, _time(lambda: golub_kahan(d, e), 1, 1))
+        gk_s = min(gk_s, _time(rows, 1, 1))
     return kernel_s / gk_s
 
 
@@ -295,8 +310,9 @@ def metrics() -> dict:
 
     Simulated predicted seconds (deterministic across machines), plus
     speedup guards: the dimensionless ``bindprice_emitscalar_ratio``,
-    ``brd_wave_scalar_ratio``, ``stage3_kernel_gk_ratio`` and
-    ``stage1_block_ref_ratio`` (both timings of each share the host, so
+    ``brd_wave_scalar_ratio``, ``stage3_kernel_gk_ratio``,
+    ``stage3_stack_gk_ratio`` and ``stage1_block_ref_ratio`` (both
+    timings of each share the host, so
     their baselines transfer) and the
     deterministic bound-structure miss
     count per tune candidate (proof the candidate loop binds instead of
@@ -335,6 +351,9 @@ def metrics() -> dict:
 
     # stage 3 of the numeric replay: the Sturm kernel vs QR iteration
     out[f"graph_replay/stage3_kernel_gk_ratio@{STAGE3_N}"] = stage3_ratio()
+    out[f"graph_replay/stage3_stack_gk_ratio@{STAGE3_STACK[-1]}"] = (
+        stage3_ratio(STAGE3_STACK)
+    )
 
     # stage 1 of the numeric replay: compact-WY vs per-reflector updates
     out[f"graph_replay/stage1_block_ref_ratio@{STAGE1_N}"] = stage1_ratio()

@@ -27,7 +27,11 @@ drops below a 10x speedup over emit-and-scalar-price,
 wavefront bulge chase is less than 1.5x faster than the scalar chase, and
 ``graph_replay/stage3_kernel_gk_ratio@512`` pinned at 0.5 fails once the
 lock-step Sturm kernel is less than 1.6x faster than Golub-Kahan QR
-iteration, and ``graph_replay/stage1_block_ref_ratio@512`` pinned at 0.5
+iteration on one order-512 bidiagonal,
+``graph_replay/stage3_stack_gk_ratio@64`` pinned at 0.5 fails once the
+kernel on one ``(8, 64)`` stack is less than 1.6x faster than Golub-Kahan
+row by row (the serving-size stage 3),
+and ``graph_replay/stage1_block_ref_ratio@512`` pinned at 0.5
 fails once stage 1 with the compact-WY update kernels is less than 1.6x
 faster than with their reflector-at-a-time references - so they routinely
 print "improved"; do not ``--update`` them down to the measured value.

@@ -103,7 +103,7 @@ from .sim import (
 from .solver import Solver, SvdPlan
 from .serve import ServiceStats, SvdService
 
-__version__ = "1.10.0"
+__version__ = "2.0.0"
 
 __all__ = [
     # unified handle surface (the recommended API)

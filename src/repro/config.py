@@ -4,8 +4,8 @@ The legacy entry points each re-resolved the backend, precision,
 hyperparameters and cost coefficients on every call.  :class:`SolveConfig`
 is the single resolution point behind :class:`repro.Solver`: it validates
 the full configuration at construction time (unknown backends, unsupported
-backend/precision pairs, invalid hyperparameters and stage-3 method names
-all fail fast, before any matrix is touched) and is immutable afterwards,
+backend/precision pairs, invalid hyperparameters and method names all
+fail fast, before any matrix is touched) and is immutable afterwards,
 so a handle can be shared and reused safely.
 """
 
@@ -27,10 +27,7 @@ from .sim.costmodel import (
 from .sim.params import KernelParams
 from .sim.session import Session
 
-__all__ = ["METHODS", "STAGE3_METHODS", "SolveConfig"]
-
-#: Valid stage-3 bidiagonal solver names (see :func:`repro.core.svdvals_bidiag`).
-STAGE3_METHODS = ("auto", "gk", "bisect", "lapack")
+__all__ = ["METHODS", "SolveConfig"]
 
 #: Valid solver algorithms: the two-stage QR pipeline (the paper's
 #: contribution) or the one-sided Jacobi cross-check.
@@ -51,7 +48,6 @@ class SolveConfig:
     precision: Optional[Precision]
     params: KernelParams
     coeffs: CostCoefficients
-    stage3: str = "auto"
     fused: bool = True
     check_finite: bool = True
     rescale: bool = True
@@ -79,7 +75,6 @@ class SolveConfig:
         precision: Optional[PrecisionLike] = None,
         params: Optional[KernelParams] = None,
         coeffs: Optional[CostCoefficients] = None,
-        stage3: str = "auto",
         fused: bool = True,
         check_finite: bool = True,
         rescale: bool = True,
@@ -99,7 +94,7 @@ class SolveConfig:
         UnsupportedPrecisionError
             Precision not supported by the backend (paper Figure 5 gaps).
         InvalidParamsError
-            Invalid hyperparameters or unknown ``stage3`` / ``method``.
+            Invalid hyperparameters or unknown ``method``.
         """
         be = resolve_backend(backend)
         prec = be.check_precision(precision) if precision is not None else None
@@ -111,11 +106,6 @@ class SolveConfig:
             )
         if coeffs is None:
             coeffs = DEFAULT_COEFFS
-        if stage3 not in STAGE3_METHODS:
-            raise InvalidParamsError(
-                f"unknown stage3 method {stage3!r}; expected one of "
-                f"{STAGE3_METHODS}"
-            )
         if method not in METHODS:
             raise InvalidParamsError(
                 f"unknown method {method!r}; expected one of {METHODS}"
@@ -157,7 +147,6 @@ class SolveConfig:
             precision=prec,
             params=params,
             coeffs=coeffs,
-            stage3=stage3,
             fused=bool(fused),
             check_finite=bool(check_finite),
             rescale=bool(rescale),

@@ -48,7 +48,7 @@ import numpy as np
 
 from ..backends.backend import BackendLike
 from ..config import SolveConfig
-from ..errors import CapacityError, ShapeError
+from ..errors import ShapeError
 from ..precision import PrecisionLike
 from ..sim.costmodel import (
     DEFAULT_COEFFS,
@@ -422,31 +422,6 @@ def _build_batched_table(
     )
 
 
-def check_batched_capacity(
-    n: int, batch: int, config: SolveConfig, ngpu: int = 1
-) -> None:
-    """Raise :class:`CapacityError` if a device's sub-batch exceeds memory.
-
-    Each device of a round-robin batch shard holds ``ceil(batch / g)``
-    matrices, with the same 1.25 working-set factor the single-matrix
-    capacity model uses.
-    """
-    storage = config.require_precision("batched prediction")
-    spec = config.backend.device
-    per_dev = math.ceil(batch / max(1, ngpu))
-    if per_dev * n * n * storage.sizeof * 1.25 > spec.mem_bytes:
-        where = (
-            f"{spec.mem_gb} GiB device memory"
-            if ngpu == 1
-            else f"{spec.mem_gb} GiB per device across {ngpu} devices"
-        )
-        raise CapacityError(
-            f"batch of {batch} {n}x{n} {storage.name} matrices exceeds "
-            f"{where} (use more devices, out_of_core=True, or a smaller "
-            f"batch)"
-        )
-
-
 def batched_closed_form_resolved(
     n: int, batch: int, config: SolveConfig
 ) -> TimeBreakdown:
@@ -634,7 +609,7 @@ def replay_batched_graph(
     ex = NumericExecutor(
         W, graph.ts, storage.eps, session=None,
         compute_dtype=compute.dtype if compute is not storage else None,
-        storage=storage, stage3=config.stage3,
+        storage=storage,
     )
     ex.run(graph)
 

@@ -1,30 +1,28 @@
 """Stage 3: singular values of a real upper-bidiagonal matrix.
 
 The paper hands this final, cheapest stage to a high-quality CPU library
-(LAPACK divide & conquer).  This reproduction implements the solvers from
-scratch and keeps SciPy only as an optional oracle:
+(LAPACK divide & conquer).  This reproduction implements it from scratch
+and keeps SciPy only as an optional oracle:
 
-* :func:`golub_kahan` - implicit-shift QR iteration in the style of LAPACK
-  ``bdsqr``, with Demmel-Kahan zero-shift sweeps for accuracy near zero,
-  2x2 closed forms, splitting, deflation and zero-diagonal handling;
-* :func:`bisect` - the lock-step Sturm bisection kernel.  Every singular
-  value of every stacked problem is one *lane*; a pass bisects all lanes
-  with one count, the differential stationary qd transform (Dhillon &
-  Parlett, *Linear Algebra Appl.* 387, 2004) on ``q_i = d_i^2`` and
-  ``e_i^2``: ``D_i = s_i + q_i``, ``s_{i+1} = s_i (e_i^2 / D_i) - tau``
-  from ``s_0 = -tau``, whose negative ``D_i`` number the singular values
-  below ``sqrt(tau)`` - four in-place ufunc calls per step over every
-  lane at once.  A lane freezes once its bracket converges, so a stack
+* :func:`svdvals_bidiag` - stage 3 of every values door at every order:
+  the non-finite check, then :func:`bisect`;
+* :func:`bisect` - the lock-step Sturm multisection kernel.  Every
+  singular value of every stacked problem is one *lane*; a pass cuts
+  every live bracket into ``k`` with one count of ``k - 1`` shifts, the
+  differential stationary qd transform (Dhillon & Parlett, *Linear
+  Algebra Appl.* 387, 2004) on ``q_i = d_i^2`` and ``e_i^2``:
+  ``D_i = s_i + q_i``, ``s_{i+1} = s_i (e_i^2 / D_i) - tau`` from
+  ``s_0 = -tau``, whose negative ``D_i`` number the singular values below
+  ``sqrt(tau)``.  A lane freezes once its bracket converges, so a stack
   gives each problem exactly what it gets alone;
-* :func:`svdvals_bidiag` - the dispatcher (``method="auto"`` picks QR
-  iteration up to :data:`AUTO_BISECT_THRESHOLD` and bisection above).
+* :func:`golub_kahan` - implicit-shift QR iteration in the style of LAPACK
+  ``bdsqr`` (zero-shift sweeps, 2x2 closed forms, splitting, deflation);
+  no door calls it: it is a test oracle and a benchmark reference.
 
-The bisection loop (:func:`_bisect_lanes`) and the count
-(:func:`_negcounter`) exist once: :func:`repro.core.eigh.eigh_tridiagonal`
-runs the same loop with the classical ``LDL^T`` Sturm count, and the
-eigensolver's ``steig_cpu`` tail calls :func:`bisect` directly.
-
-All solvers return singular values sorted in descending order as float64.
+The loop (:func:`_bisect_lanes`) and the count (:func:`_negcounter`)
+exist once: :func:`repro.core.eigh.eigh_tridiagonal` runs the same loop
+with the classical ``LDL^T`` Sturm count.  All solvers return singular
+values sorted in descending order as float64.
 """
 
 from __future__ import annotations
@@ -247,8 +245,9 @@ _PIVMIN = float(np.finfo(np.float64).tiny) / _EPS
 #: Bisection passes a lane may take before it stops where it is.
 _MAXITER = 90
 
-#: Pivots one pass may hold: lanes are bisected in chunks of at most
-#: ``_PIVOT_BUDGET // steps`` (8 MiB of float64 pivots per chunk).
+#: Pivots one pass may hold: lanes are cut in chunks of at most
+#: ``_PIVOT_BUDGET // (steps * (k - 1))``, so a chunk's ``k - 1`` lane
+#: copies hold 8 MiB of float64 pivots at most.
 _PIVOT_BUDGET = 1 << 20
 
 
@@ -290,11 +289,16 @@ def _negcounter(Q: np.ndarray, W: np.ndarray, qd: bool):
             np.subtract(t, tau, out=s)
         np.add(s, qlast, out=last)
 
+    def negatives(P):
+        # summed as bytes: several times faster than count_nonzero(axis=0)
+        return np.add.reduce(np.signbit(P).view(np.uint8), axis=0,
+                             dtype=np.int32)
+
     def count(tau: np.ndarray) -> np.ndarray:
         # zero pivots are expected here: their lanes are counted again
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             pivots(rows, Q[m - 1], D[m - 1], tau, guard=False)
-        negative = np.count_nonzero(np.signbit(D), axis=0)
+        negative = negatives(D)
         bad = np.flatnonzero(~np.isfinite(D[m - 1]))
         if bad.size:
             Db = np.empty((m, bad.size))
@@ -302,10 +306,26 @@ def _negcounter(Q: np.ndarray, W: np.ndarray, qd: bool):
                 list(zip(Db, Q[:, bad], W[:, bad])), Q[m - 1, bad], Db[m - 1],
                 tau[bad], guard=True,
             )
-            negative[bad] = np.count_nonzero(np.signbit(Db), axis=0)
+            negative[bad] = negatives(Db)
         return negative
 
     return count
+
+
+def _sections(n: int) -> int:
+    """The ``k`` of a length-``n`` problem: from ``n`` alone, never the batch.
+
+    Measured on the stage-3 bidiagonals of the three ``make_test_matrix``
+    spectra at fp16/fp32/fp64 (2-core x86-64 host, NumPy 2.4, one BLAS
+    thread, best of 7, interleaved), kernel over Golub-Kahan time with this
+    ``k`` (with ``k = 2``): 0.64-0.66x (1.7-1.8x) at order 32, 0.36-0.39x
+    (0.80-0.87x) at 64, 0.30-0.38x (0.51-0.55x) at 96 and 0.26-0.31x
+    (0.39-0.40x) at 128; each is the fastest ``k`` of 2-32 or within 10%.
+    At 256, ``k = 4`` saves under 10%; ``k = 2`` keeps bisection's bytes.
+    Golub-Kahan stays ahead only at a tiny true order in a padded tile:
+    about 0.1 ms per problem at 16 in 32, 0.5 ms at 8 in 32.
+    """
+    return 16 if n <= 32 else 8 if n <= 64 else 4 if n <= 128 else 2
 
 
 def _bisect_lanes(
@@ -319,34 +339,55 @@ def _bisect_lanes(
     rel_tol: float,
     maxiter: int,
     qd: bool,
+    k: int,
 ) -> np.ndarray:
-    """Lock-step bisection: the one Sturm bisection loop of the package.
+    """Lock-step multisection: the one Sturm bisection loop of the package.
 
     Lane ``j`` brackets the value ``x`` in ``[lo[j], hi[j]]`` above which
     problem ``prob[j]`` (column of ``q``/``w``, see :func:`_negcounter`)
     has more than ``rank[j]`` pivots negative; the shift is ``x^2`` for
     the ``qd`` count (``x`` is a singular value) and ``x`` otherwise.
-    Each pass halves every live bracket with one count over all lanes.  A
-    lane freezes once ``hi - lo <= max(rel_tol * max(|lo|, |hi|), atol)``,
-    or after ``maxiter`` passes: its result never depends on which other
-    lanes share the pass, so a stack of problems gives each problem
-    exactly what it gets alone.  Returns the bracket midpoints.
+    Each pass cuts every live bracket into ``k`` (a power of two) with one
+    count of the ``k - 1`` shifts ``((k - i) lo + i hi) / k`` of every
+    live lane (H. D. Simon, SIAM J. Sci. Stat. Comput. 10(1), 1989), and
+    keeps the piece below the first shift the value lies under; ``k = 2``
+    is bisection, midpoint for midpoint.  A lane freezes once
+    ``hi - lo <= max(rel_tol * max(|lo|, |hi|), atol)``, or after
+    ``maxiter`` passes, and once half the counted lanes are frozen the
+    count is rebuilt on the live ones.  A lane's result never depends on
+    which other lanes share the pass, so a stack of problems gives each
+    problem exactly what it gets alone.  Returns the bracket midpoints.
     """
-    chunk = max(1, _PIVOT_BUDGET // q.shape[0])
+    i = np.arange(k + 1)[:, None]
+    chunk = max(1, _PIVOT_BUDGET // (q.shape[0] * (k - 1)))
     for c in range(0, prob.size, chunk):
-        part = slice(c, c + chunk)
-        count = _negcounter(q[:, prob[part]], w[:, prob[part]], qd)
-        lo_c, hi_c, rank_c = lo[part], hi[part], rank[part]
-        live = np.ones(lo_c.shape, dtype=bool)
+        held = np.arange(c, min(c + chunk, prob.size))  # lanes counted
+        count = None
         for _ in range(maxiter):
-            width = np.maximum(np.abs(lo_c), np.abs(hi_c))
-            live &= hi_c - lo_c > np.maximum(rel_tol * width, atol)
-            if not live.any():
+            l, h = lo[held], hi[held]
+            width = np.maximum(np.abs(l), np.abs(h))
+            live = h - l > np.maximum(rel_tol * width, atol)
+            nlive = np.count_nonzero(live)
+            if not nlive:
                 break
-            mid = 0.5 * (lo_c + hi_c)
-            below = count(mid * mid if qd else mid) > rank_c
-            np.copyto(hi_c, mid, where=live & below)
-            np.copyto(lo_c, mid, where=live & ~below)
+            if count is None or 2 * nlive <= held.size:
+                # count the live lanes alone, one copy per shift; take()
+                # keeps each step's row contiguous
+                held, l, h, live = held[live], l[live], h[live], live[live]
+                cols = np.tile(prob[held], k - 1)
+                count = _negcounter(
+                    q.take(cols, axis=1), w.take(cols, axis=1), qd
+                )
+            grid = ((k - i) * l + i * h) / k
+            grid[0], grid[k] = l, h
+            x = grid[1:k]
+            below = np.ones((k, held.size), dtype=bool)  # x_k = hi
+            counts = count((x * x if qd else x).ravel()).reshape(x.shape)
+            np.greater(counts, rank[held], out=below[:-1])
+            first = np.argmax(below, axis=0)
+            lanes = np.arange(held.size)
+            lo[held] = np.where(live, grid[first, lanes], l)
+            hi[held] = np.where(live, grid[first + 1, lanes], h)
     return 0.5 * (lo + hi)
 
 
@@ -356,12 +397,13 @@ def bisect(
     maxiter: int = _MAXITER,
     rel_tol: float = 4.0 * _EPS,
 ) -> np.ndarray:
-    """Singular values of ``bidiag(d, e)`` by lock-step Sturm bisection.
+    """Singular values of ``bidiag(d, e)`` by lock-step Sturm multisection.
 
     ``d`` is ``(n,)`` or a ``(B, n)`` stack, ``e`` ``(n - 1,)`` or
     ``(B, n - 1)``; the result has ``d``'s shape, each row descending.
     Every singular value of every problem is one lane of
-    :func:`_bisect_lanes`, counted by the qd recurrence of
+    :func:`_bisect_lanes`, cut ``k = _sections(n)`` ways a pass (bisection
+    above ``n = 128``) and counted by the qd recurrence of
     :func:`_negcounter` on ``q = d^2``, ``e^2`` after an exact power-of-two
     scale that puts each problem's largest entry in ``[1/2, 1)`` (so
     ``sigma < 2``, the starting bracket).  Trailing all-zero rows (tile
@@ -404,7 +446,7 @@ def bisect(
         rank = np.concatenate([np.arange(steps - m, steps) for m in order])
         vals = _bisect_lanes(
             q, w, prob, np.zeros(prob.size), np.full(prob.size, 2.0), rank,
-            rel_tol * _EPS * 2.0, rel_tol, maxiter, qd=True,
+            rel_tol * _EPS * 2.0, rel_tol, maxiter, qd=True, k=_sections(n),
         )
         out[np.arange(n) >= n - order[:, None]] = vals
         out = np.ldexp(out, k[:, None])
@@ -423,46 +465,15 @@ def _require_finite(d: np.ndarray, e: np.ndarray) -> None:
         )
 
 
-# --------------------------------------------------------------------- #
-# dispatcher
-# --------------------------------------------------------------------- #
-#: Largest order ``auto`` leaves to QR iteration; above it, bisection.
-#: Measured single-problem crossover on the stage-3 bidiagonals of fp32
-#: and fp64 reductions (one 2-core x86-64 Xeon host, NumPy 2.4, one BLAS
-#: thread), kernel time over QR iteration's: 1.4-5.0x at order 32, even
-#: at 64 (0.74-1.35x by how much of the order is tile padding, 0.92x
-#: over all), 0.51-0.55x at 96 and 0.37x at 128.  Orders are tile
-#: multiples (32), so 64 is the last order QR iteration keeps.
-AUTO_BISECT_THRESHOLD = 64
-
-
-def svdvals_bidiag(
-    d: np.ndarray,
-    e: np.ndarray,
-    method: str = "auto",
-) -> np.ndarray:
+def svdvals_bidiag(d: np.ndarray, e: np.ndarray) -> np.ndarray:
     """Singular values of the upper bidiagonal matrix ``bidiag(d, e)``.
 
-    ``method`` is one of ``"auto"``, ``"gk"`` (Golub-Kahan QR iteration),
-    ``"bisect"`` or ``"lapack"`` (SciPy oracle, used by baselines/tests);
-    ``auto`` picks from the order ``n`` alone.  ``d`` may be a ``(B, n)``
-    stack (with ``e`` ``(B, n - 1)``): bisection solves it in one call,
-    the other methods row by row.  Non-finite entries raise
-    :class:`~repro.errors.ShapeError`.
+    The stage-3 values solver of every door: :func:`bisect` on ``d``
+    ``(n,)`` or a ``(B, n)`` stack (with ``e`` ``(B, n - 1)``), solved in
+    one call.  Non-finite entries raise :class:`~repro.errors.ShapeError`.
     """
-    d = np.asarray(d, dtype=np.float64)
-    e = np.asarray(e, dtype=np.float64)
-    if method == "auto":
-        method = "gk" if d.shape[-1] <= AUTO_BISECT_THRESHOLD else "bisect"
-    solve = {"gk": golub_kahan, "bisect": bisect, "lapack": _lapack_bidiag}.get(
-        method
-    )
-    if solve is None:
-        raise ValueError(f"unknown bidiagonal solver {method!r}")
     _require_finite(d, e)
-    if d.ndim == 1 or solve is bisect:
-        return solve(d, e)
-    return np.stack([solve(dp, ep) for dp, ep in zip(d, e)])
+    return bisect(d, e)
 
 
 def _lapack_bidiag(d: np.ndarray, e: np.ndarray) -> np.ndarray:

@@ -8,7 +8,7 @@ an exact power of two ``c`` with ``c >= 2 * ||A||`` so that
 ``M = A + c I`` is positive definite and well conditioned
 (``lambda(M) in [c/2, 3c/2]``), runs the unmodified dense -> band ->
 bidiagonal reduction on ``M``, and finishes with the lock-step Sturm
-bisection on the bidiagonal itself (:func:`steig_values`; the Gram matrix
+kernel on the bidiagonal itself (:func:`steig_values`; the Gram matrix
 ``B^T B`` is never formed).  Eigenvalues of ``A`` are recovered exactly as
 ``sigma(M) - c`` - the shift is a power of two, so no rounding is
 reintroduced.
@@ -35,7 +35,7 @@ from ..errors import ShapeError
 from ..sim.graph import LaunchGraph, LaunchNode, NumericExecutor
 from ..sim.table import NodeTable, bound_structure
 from ..sim.tracing import Stage
-from .bidiag import _EPS, _MAXITER, _bisect_lanes, _require_finite, bisect
+from .bidiag import _EPS, _MAXITER, _bisect_lanes, _sections, svdvals_bidiag
 from .svd import SVDInfo, bind_svd_table, emit_svd_graph, upload
 from .tiling import pad_to_tiles
 
@@ -82,26 +82,16 @@ def eigh_tridiagonal(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
     vals = _bisect_lanes(
         a[:, None], -(b * b)[:, None], np.zeros(n, dtype=np.intp),
         np.full(n, glo - tol), np.full(n, ghi + tol), lanes, tol, 0.0,
-        _MAXITER, qd=False,
+        _MAXITER, qd=False, k=_sections(n),
     )
     vals.sort()
     return np.ldexp(vals, k)
 
 
-def steig_values(d: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """Singular values of an upper bidiagonal ``B``, descending.
-
-    The ``steig_cpu`` tail of the eigensolver pipeline: the eigenvalues of
-    the shifted input ``M`` are the singular values of its bidiagonal
-    ``B``, found by the lock-step Sturm kernel
-    (:func:`repro.core.bidiag.bisect`) directly on ``d`` and ``e`` - the
-    Gram matrix ``B^T B`` is never formed.  Non-finite entries raise
-    :class:`~repro.errors.ShapeError`.
-    """
-    d = np.asarray(d, dtype=np.float64)
-    e = np.asarray(e, dtype=np.float64)
-    _require_finite(d, e)
-    return bisect(d, e)
+#: The ``steig_cpu`` tail: the eigenvalues of the shifted input ``M`` are
+#: the singular values of its bidiagonal ``B``, found by the one stage-3
+#: solver on ``d`` and ``e`` (the Gram matrix ``B^T B`` is never formed).
+steig_values = svdvals_bidiag
 
 
 def emit_eigh_graph(
@@ -228,7 +218,7 @@ def eigh_resolved(
         )
     ex = NumericExecutor(
         W, ts, storage.eps, session=session, compute_dtype=compute_dtype,
-        storage=storage, stage3=config.stage3,
+        storage=storage,
     )
     ex.run(graph)
 

@@ -451,7 +451,7 @@ def svdvals_resolved(
         )
     ex = NumericExecutor(
         W, ts, storage.eps, session=session, compute_dtype=compute_dtype,
-        storage=storage, stage3=config.stage3,
+        storage=storage,
     )
     ex.run(graph)
 
@@ -471,7 +471,6 @@ def svdvals(
     precision: Optional[PrecisionLike] = None,
     params: Optional[KernelParams] = None,
     fused: bool = True,
-    stage3: str = "auto",
     return_info: bool = False,
     coeffs: CostCoefficients = DEFAULT_COEFFS,
     check_finite: bool = True,
@@ -501,9 +500,6 @@ def svdvals(
     fused:
         Use the fused FTSQRT/FTSMQR kernels (Figure 2).  Numerics are
         identical either way; launch counts and simulated time differ.
-    stage3:
-        Bidiagonal solver: ``"auto"``, ``"gk"``, ``"bisect"`` or
-        ``"lapack"``.
     return_info:
         Also return an :class:`SVDInfo` with simulated per-stage timing.
     coeffs:
@@ -529,7 +525,6 @@ def svdvals(
         precision=precision,
         params=params,
         coeffs=coeffs,
-        stage3=stage3,
         fused=fused,
         check_finite=check_finite,
         rescale=rescale,

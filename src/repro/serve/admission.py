@@ -48,7 +48,7 @@ from .batcher import Batch, SvdRequest
 __all__ = ["AdmissionController", "AdmissionDecision", "PricedBatch"]
 
 #: Working-set factor of the capacity model (matches
-#: ``repro.core.batched.check_batched_capacity`` and the out-of-core
+#: ``repro.sim.partition.check_fleet_capacity`` and the out-of-core
 #: window accounting).
 WORKING_FACTOR = 1.25
 

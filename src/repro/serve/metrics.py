@@ -36,8 +36,12 @@ class ServiceStats:
     #: Requests shed by admission control (each saw a ``ShedError``).
     shed: int
     #: Admitted requests whose batch raised while running (each saw that
-    #: exception); ``completed + shed + failed == submitted`` once drained.
+    #: exception).
     failed: int
+    #: Requests whose future was already done (cancelled) when their batch
+    #: came up, dropped before admission; ``completed + shed + failed +
+    #: cancelled == submitted`` once drained.
+    cancelled: int
     #: Batches dispatched to the device.
     batches: int
     #: Dispatched batches that ran out-of-core (spilled past the budget).
@@ -72,7 +76,8 @@ class ServiceStats:
         lines = [
             f"requests   submitted={self.submitted} "
             f"completed={self.completed} shed={self.shed} "
-            f"failed={self.failed} slo_met={self.slo_met}",
+            f"failed={self.failed} cancelled={self.cancelled} "
+            f"slo_met={self.slo_met}",
             f"batches    dispatched={self.batches} "
             f"spilled={self.spilled_batches} "
             f"mean_size={self.mean_batch_size:.2f} "
@@ -99,6 +104,7 @@ class MetricsCollector:
         self.completed = 0
         self.shed = 0
         self.failed = 0
+        self.cancelled = 0
         self.batches = 0
         self.spilled_batches = 0
         self.batch_sizes: List[int] = []
@@ -123,6 +129,10 @@ class MetricsCollector:
     def record_failed(self) -> None:
         """One admitted request whose batch raised while running."""
         self.failed += 1
+
+    def record_cancelled(self) -> None:
+        """One request dropped before admission: its future was done."""
+        self.cancelled += 1
 
     def record_batch(
         self, size: int, predicted_s: float, replayed_s: float,
@@ -169,6 +179,7 @@ class MetricsCollector:
             completed=self.completed,
             shed=self.shed,
             failed=self.failed,
+            cancelled=self.cancelled,
             batches=self.batches,
             spilled_batches=self.spilled_batches,
             mean_batch_size=mean_size,

@@ -249,7 +249,15 @@ class SvdService:
         self._sem.release()
 
     async def _dispatch(self, batch: Batch) -> None:
-        """Admit one batch, shed the infeasible, execute the rest."""
+        """Drop cancelled requests, admit the batch, shed the infeasible,
+        execute the rest."""
+        live = [req for req in batch.requests if not req.future.done()]
+        for _ in range(batch.size - len(live)):
+            self._metrics.record_cancelled()
+            self._sem.release()
+        if not live:
+            return
+        batch = Batch(cls=batch.cls, requests=live)
         decision = self._admission.admit(batch, self._clock())
         for req, err in decision.shed:
             self._metrics.record_shed()

@@ -492,7 +492,7 @@ class NumericExecutor:
     ``tests/test_partition.py``).
 
     Stage-1-only node lists (from ``emit_band_reduction`` /
-    ``emit_tallqr_graph``) need no ``storage``/``stage3``; full square
+    ``emit_tallqr_graph``) need no ``storage``; full square
     graphs run stage 2/3 as well and leave the singular values in
     ``self.values``.
 
@@ -510,7 +510,6 @@ class NumericExecutor:
         session=None,
         compute_dtype=None,
         storage=None,
-        stage3: str = "auto",
         Ut=None,
         Vt=None,
     ) -> None:
@@ -523,7 +522,6 @@ class NumericExecutor:
         self.session = session
         self.compute_dtype = compute_dtype
         self.storage = storage
-        self.stage3 = stage3
         self.Ut = Ut
         self.Vt = Vt
         self._np = np
@@ -739,7 +737,7 @@ class NumericExecutor:
             d = self.d.astype(self.storage.dtype).astype(np.float64)
             e = self.e.astype(self.storage.dtype).astype(np.float64)
             if kind == "steig_cpu":
-                # the symmetric-eigensolver tail always bisects
+                # the eigensolver tail is the same solver, by its own name
                 from ..core.eigh import steig_values
 
                 self.values = steig_values(d, e)
@@ -752,7 +750,7 @@ class NumericExecutor:
             else:
                 from ..core.bidiag import svdvals_bidiag
 
-                self.values = svdvals_bidiag(d, e, method=self.stage3)
+                self.values = svdvals_bidiag(d, e)
         elif kind in COMM_KINDS:
             # pure data movement: a numeric no-op on the simulation's
             # shared-memory fabric, but traced and priced like a launch
@@ -775,7 +773,6 @@ class NumericExecutor:
             ex = NumericExecutor(
                 self.W[p], self.ts, self.eps, session=None,
                 compute_dtype=self.compute_dtype, storage=self.storage,
-                stage3=self.stage3,
             )
             self._subs[p] = ex
         return ex
@@ -807,7 +804,7 @@ class NumericExecutor:
             dtype = self.storage.dtype
             d = np.stack([ex.d for ex in subs]).astype(dtype).astype(np.float64)
             e = np.stack([ex.e for ex in subs]).astype(dtype).astype(np.float64)
-            values = svdvals_bidiag(d, e, method=self.stage3)
+            values = svdvals_bidiag(d, e)
             self.values_by_problem.update(zip(probs, values))
             return
         sq = LaunchNode(base, node.stage, node.key, node.meta[1:])

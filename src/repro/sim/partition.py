@@ -284,37 +284,36 @@ def check_fleet_capacity(
     :func:`fleet_weights` tile-row quota (rounded up) plus one panel copy
     must fit that rank's *own* device memory - a weighted partition
     deliberately loads the fast devices heavier, so the uniform
-    per-device bound does not apply.  With ``batch``, each rank instead
-    holds whole ``n x n`` problems (same 1.25 working-set factor), as
-    many as the batched partition gives it: ``streams=k`` emits
-    ``min(k, batch)`` round-robin chains and each chain is split by
-    :func:`shard_rows_weighted` on its own, so the per-chain roundings
-    add up.  Uniform fleets of the handle's device delegate to
-    :func:`check_shard_capacity` (or, with ``batch``, to
-    :func:`repro.core.batched.check_batched_capacity`) exactly.
+    per-device bound does not apply.  With ``batch``, on any fleet, each
+    rank instead holds whole ``n x n`` problems (same 1.25 working-set
+    factor), as many as the batched partition gives it: ``streams=k``
+    emits ``min(k, batch)`` round-robin chains and each chain is split on
+    its own - round-robin strides on a uniform fleet of the handle's
+    device, :func:`shard_rows_weighted` runs otherwise - so the
+    per-chain splits add up.  Without ``batch``, uniform fleets of the
+    handle's device delegate to :func:`check_shard_capacity` exactly.
     """
-    if not is_weighted_fleet(topology, config):
-        if batch is None:
-            check_shard_capacity(n, config, topology.per_node,
-                                 nodes=topology.nodes)
-        else:
-            from ..core.batched import check_batched_capacity
-
-            check_batched_capacity(n, batch, config, topology.ngpu)
+    weighted = is_weighted_fleet(topology, config)
+    if batch is None and not weighted:
+        check_shard_capacity(n, config, topology.per_node,
+                             nodes=topology.nodes)
         return
     from ..core.tiling import ntiles
 
     storage = config.require_precision("fleet prediction")
-    weights = fleet_weights(topology, config)
+    weights = fleet_weights(topology, config) if weighted else None
     if batch is not None:
+        g = topology.ngpu
         nchains = min(streams, batch)
-        problems = [0] * topology.ngpu
+        problems = [0] * g
         for j in range(nchains):
             chain = len(range(j, batch, nchains))
-            for d, (lo, hi) in enumerate(
-                shard_rows_weighted(0, chain, weights)
-            ):
-                problems[d] += hi - lo
+            if weighted:
+                split = [hi - lo for lo, hi in
+                         shard_rows_weighted(0, chain, weights)]
+            else:  # _partition_batched's round-robin strides
+                split = [len(range(d, chain, g)) for d in range(g)]
+            problems = [p + s for p, s in zip(problems, split)]
         elems = [count * n * n for count in problems]
         what = f"batch of {batch} {n}x{n} {storage.name} matrices"
         smaller = "batch"
@@ -329,7 +328,10 @@ def check_fleet_capacity(
         ]
         what = f"{n}x{n} {storage.name} matrix"
         smaller = "matrix"
-    for rank, (spec, count) in enumerate(zip(topology.specs(), elems)):
+    # a uniform fleet is the handle's own device (possibly unregistered)
+    specs = (topology.specs() if weighted
+             else (config.backend.device,) * topology.ngpu)
+    for rank, (spec, count) in enumerate(zip(specs, elems)):
         need = count * storage.sizeof * 1.25
         if need > spec.mem_bytes:
             raise CapacityError(

@@ -163,7 +163,6 @@ class Solver:
         precision: Optional[PrecisionLike] = None,
         params: Optional[KernelParams] = None,
         coeffs: Optional[CostCoefficients] = None,
-        stage3: str = "auto",
         fused: bool = True,
         check_finite: bool = True,
         rescale: bool = True,
@@ -179,7 +178,6 @@ class Solver:
             precision=precision,
             params=params,
             coeffs=coeffs,
-            stage3=stage3,
             fused=fused,
             check_finite=check_finite,
             rescale=rescale,
@@ -238,7 +236,7 @@ class Solver:
         prec = cfg.precision.name_lower if cfg.precision else "auto"
         return (
             f"Solver(backend={cfg.backend.name!r}, precision={prec!r}, "
-            f"params={cfg.params}, stage3={cfg.stage3!r}, fused={cfg.fused})"
+            f"params={cfg.params}, fused={cfg.fused})"
         )
 
     # ------------------------------------------------------------------ #
@@ -284,9 +282,9 @@ class Solver:
         ``return_info=True``).  Replays the launch graph of :meth:`solve`
         with the singular-vector accumulator updates added, honoring the
         handle's backend, precision, hyperparameters, coefficients,
-        ``fused``, ``rescale`` and ``check_finite``.  The ``stage3`` axis
-        does not apply: the vectors come from the rotation-accumulating
-        Golub-Kahan solver.
+        ``fused``, ``rescale`` and ``check_finite``.  Stage 3 is the one
+        path that is not :meth:`solve`'s Sturm kernel: values and vectors
+        come from the rotation-accumulating Golub-Kahan solver.
         """
         if self._config.method != "qr":
             raise InvalidParamsError(
@@ -330,8 +328,8 @@ class Solver:
         its singular values are its eigenvalues and ``lambda(A) =
         sigma(A + c I) - c`` exactly (see :mod:`repro.core.eigh`).  The
         launch schedule differs from :meth:`solve` only in the final CPU
-        node (``steig_cpu``: always the Sturm bisection kernel, whatever
-        the handle's ``stage3``).
+        node (``steig_cpu``), which runs the same Sturm kernel as
+        :meth:`solve`'s ``bdsqr_cpu`` on the bidiagonal.
         """
         if self._config.method != "qr":
             raise InvalidParamsError(

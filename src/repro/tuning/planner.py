@@ -308,7 +308,7 @@ def tune_resolved(
     stage so a large coarse grid cannot starve it.  Results are memoized
     per (resolved config, shape, axes) - the frozen
     :class:`~repro.SolveConfig` hashes by value, so any axis that
-    changes predictions (coefficients, link, stage3, ...) splits the
+    changes predictions (coefficients, link, fused, ...) splits the
     cache entry; :func:`clear_tune_cache` drops the memo.  ``nodes``
     opts the search into the cluster axis (default
     :data:`DEFAULT_NODES`, i.e. single-node only): multi-node
@@ -354,7 +354,7 @@ def tune_resolved(
             f"counts, got {nodes}"
         )
     # the frozen SolveConfig hashes by value, so *every* axis that can
-    # change a prediction (coeffs, link, stage3, fused, params, ...)
+    # change a prediction (coeffs, link, fabric, fused, params, ...)
     # participates in the memo key - two solvers share a cached plan
     # only when their predictions are genuinely interchangeable.  The
     # shape participates as its padded tile geometry class rather than

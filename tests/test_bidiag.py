@@ -1,5 +1,7 @@
 """Tests for the bidiagonal singular value solvers (stage 3)."""
 
+import asyncio
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,6 @@ import repro.core.bidiag as bidiag_mod
 from tests.conftest import rel_err, same_bytes, scipy_svdvals
 from repro.core.batched import emit_batched_graph, replay_batched_graph
 from repro.core.bidiag import (
-    AUTO_BISECT_THRESHOLD,
     _lapack_bidiag,
     bisect,
     golub_kahan,
@@ -156,24 +157,6 @@ class TestBisectSpecifics:
         d = 1e6 * rng.standard_normal(20)
         e = 1e6 * rng.standard_normal(19)
         assert rel_err(bisect(d, e), reference(d, e)) < 1e-12
-
-
-class TestDispatcher:
-    def test_auto_small_uses_gk(self, rng):
-        d, e = rng.standard_normal(10), rng.standard_normal(9)
-        np.testing.assert_array_equal(
-            svdvals_bidiag(d, e, "auto"), golub_kahan(d, e)
-        )
-
-    def test_explicit_methods(self, rng):
-        d, e = rng.standard_normal(10), rng.standard_normal(9)
-        for method in ("gk", "bisect", "lapack"):
-            got = svdvals_bidiag(d, e, method)
-            assert rel_err(got, reference(d, e)) < 1e-10
-
-    def test_unknown_method(self, rng):
-        with pytest.raises(ValueError):
-            svdvals_bidiag(np.ones(3), np.ones(2), "magic")
 
 
 class TestProperties:
@@ -391,7 +374,7 @@ class TestNonFinite:
 
     @pytest.mark.parametrize("where", ["d", "e"])
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
-    @pytest.mark.parametrize("n", [8, AUTO_BISECT_THRESHOLD + 32])
+    @pytest.mark.parametrize("n", [8, 96])
     def test_entry_points_reject(self, where, bad, n):
         d, e = np.ones(n), np.ones(n - 1)
         (d if where == "d" else e)[3] = bad
@@ -403,37 +386,19 @@ class TestNonFinite:
         d, e = np.ones((2, 8)), np.ones((2, 7))
         d[1, 0] = np.nan
         with pytest.raises(ShapeError, match="NaN or Inf"):
-            svdvals_bidiag(d, e, "gk")
-
-
-class TestAutoThreshold:
-    def test_at_threshold_uses_gk(self, rng):
-        n = AUTO_BISECT_THRESHOLD
-        d, e = rng.standard_normal(n), rng.standard_normal(n - 1)
-        same_bytes(svdvals_bidiag(d, e), golub_kahan(d, e))
-
-    def test_above_threshold_uses_kernel(self, rng):
-        n = AUTO_BISECT_THRESHOLD + 1
-        d, e = rng.standard_normal(n), rng.standard_normal(n - 1)
-        same_bytes(svdvals_bidiag(d, e), bisect(d, e))
-
-    def test_stack_picks_from_order(self, rng):
-        """A stack takes the method its order picks, never its size."""
-        for n in (AUTO_BISECT_THRESHOLD, AUTO_BISECT_THRESHOLD + 1):
-            d, e = rng.standard_normal((3, n)), rng.standard_normal((3, n - 1))
-            got = svdvals_bidiag(d, e)
-            for p in range(3):
-                same_bytes(got[p], svdvals_bidiag(d[p], e[p]))
+            svdvals_bidiag(d, e)
 
 
 class TestBatchedStage3:
-    """Above the threshold a ``bdsqr_cpu_b`` node is one stacked call."""
+    """A ``bdsqr_cpu_b`` node is one stacked call at every order."""
 
-    @pytest.mark.parametrize("streams", [1, 2])
-    def test_one_call_per_node_bitwise_square(self, monkeypatch, rng, streams):
+    @staticmethod
+    def replay_spied(monkeypatch, rng, npad, orders, streams):
+        """Replay a batched graph with the stage-3 calls recorded; check
+        one stacked call per node and every problem's bytes against
+        ``Solver.solve``."""
         solver = repro.Solver(backend="h100", precision="fp32")
         config = solver.config
-        orders = [96, 80, 96, 70]  # dense and padded (npad = 96 > threshold)
         mats = [
             rng.standard_normal((n, n)).astype(np.float32) for n in orders
         ]
@@ -441,19 +406,68 @@ class TestBatchedStage3:
         shapes = []
         solve = bidiag_mod.svdvals_bidiag
 
-        def spy(d, e, method="auto"):
+        def spy(d, e):
             shapes.append(np.shape(d))
-            return solve(d, e, method)
+            return solve(d, e)
 
         monkeypatch.setattr(bidiag_mod, "svdvals_bidiag", spy)
-        graph = emit_batched_graph(96, len(mats), config, streams=streams)
+        graph = emit_batched_graph(npad, len(mats), config, streams=streams)
         nodes = [nd for nd in graph.nodes if nd.kind == "bdsqr_cpu_b"]
         got = replay_batched_graph(mats, graph, config)
         assert len(shapes) == len(nodes) == streams
         assert sum(s[0] for s in shapes) == len(mats)
-        assert all(len(s) == 2 and s[1] == 96 for s in shapes)
+        assert all(len(s) == 2 and s[1] == npad for s in shapes)
         for g, want in zip(got, square):
             same_bytes(g, want)
+
+    @pytest.mark.parametrize("streams", [1, 2])
+    def test_one_call_per_node_bitwise_square(self, monkeypatch, rng, streams):
+        # dense and padded orders of one class (npad = 96)
+        self.replay_spied(monkeypatch, rng, 96, [96, 80, 96, 70], streams)
+
+    @pytest.mark.parametrize(
+        "npad, orders", [(32, [32] * 8), (64, [48] * 8)], ids=["32", "48in64"]
+    )
+    def test_serve_burst_classes(self, monkeypatch, rng, npad, orders):
+        """The shape classes of a served burst: n = 32, and 48 in 64."""
+        self.replay_spied(monkeypatch, rng, npad, orders, 1)
+
+
+class TestOneValuesPath:
+    """No values door reaches Golub-Kahan: it is only a test oracle."""
+
+    def test_no_door_calls_golub_kahan(self, monkeypatch, rng):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("golub_kahan reached from a values path")
+
+        monkeypatch.setattr(bidiag_mod, "golub_kahan", forbidden)
+        solver = repro.Solver(backend="h100", precision="fp32")
+        for n in (8, 32, 48, 64):
+            A = rng.standard_normal((n, n)).astype(np.float32)
+            assert rel_err(solver.solve(A), scipy_svdvals(A)) < 1e-5
+        stack = rng.standard_normal((8, 48, 48)).astype(np.float32)
+        assert solver.solve(stack).shape == (8, 48)
+        A = rng.standard_normal((64, 64)).astype(np.float32)
+        same_bytes(solver.plan(A.shape).execute(A), solver.solve(A))
+        burst = [
+            rng.standard_normal((n, n)).astype(np.float32)
+            for n in (32, 32, 48) * 2
+        ]
+
+        async def serve():
+            async with solver.serve(max_batch=8) as service:
+                futures = [await service.submit(M) for M in burst]
+                return await asyncio.gather(*futures)
+
+        for M, got in zip(burst, asyncio.run(serve())):
+            same_bytes(got, solver.solve(M))
+        tall = rng.standard_normal((256, 64)).astype(np.float32)
+        assert solver.svd_lowrank(tall, rank=8).shape == (8,)
+        S = rng.standard_normal((48, 48))
+        S = S + S.T
+        ref = np.sort(np.linalg.eigvalsh(S))[::-1]
+        fp64 = repro.Solver(backend="h100", precision="fp64")
+        assert rel_err(fp64.eigh(S), ref) < 1e-12
 
 
 class TestEighTridiagonal:

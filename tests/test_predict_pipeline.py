@@ -15,11 +15,7 @@ import pytest
 
 from repro import Solver, Topology
 from repro.backends.device import get_device
-from repro.core.batched import (
-    check_batched_capacity,
-    emit_batched_graph,
-    replay_batched_graph,
-)
+from repro.core.batched import emit_batched_graph, replay_batched_graph
 from repro.core.svd import cast_to_storage
 from repro.errors import CapacityError, ShapeError
 from repro.precision import Precision
@@ -73,13 +69,37 @@ class TestBatchedFleetCapacity:
         with pytest.raises(CapacityError, match=r"rank 1 \(rtx4060"):
             solver.predict(15000, batch=12, streams=4, topology=fleet)
 
-    def test_uniform_handle_fleet_keeps_the_batched_rule(self):
+    def test_uniform_fleet_counts_each_chain(self):
+        # two chains {0, 2, 4} and {1, 3, 5} are each split round-robin
+        # over 2 devices, so device 0 holds problems {0, 1, 4, 5}: 4 x
+        # 68256^2 fp32 x 1.25 = 86.8 GiB of its 80 GiB (3 would fit)
         solver = Solver("h100", precision="fp32")
-        with pytest.raises(CapacityError) as legacy:
-            check_batched_capacity(32768, 64, solver.config, 2)
-        with pytest.raises(CapacityError) as fleet:
-            solver.predict(32768, batch=64, topology=Topology.uniform("h100", 2))
-        assert str(fleet.value) == str(legacy.value)
+        config = solver.config
+        fleet = Topology.uniform("h100", 2)
+        graph = compose_graph(
+            lambda: emit_batched_graph(256, 6, config, streams=2),
+            config, fleet,
+        )
+        held = [
+            sum(len(range(*node.meta[0][1:])) for node in graph.nodes
+                if node.kind == "bdsqr_cpu_b" and node.device == d)
+            for d in range(2)
+        ]
+        assert held == [4, 2]
+        assert solver.predict(68256, batch=6, ngpu=2).total_s > 0.0
+        for axes in ({"ngpu": 2}, {"topology": fleet}):
+            with pytest.raises(CapacityError, match=r"needs 86\.8 GiB on rank 0"):
+                solver.predict(68256, batch=6, streams=2, **axes)
+
+    def test_single_device_batch_rule_is_unchanged(self):
+        # one device holds the whole batch: b n^2 fp32 words at 1.25
+        solver = Solver("h100", precision="fp32")
+        fits = int(get_device("h100").mem_bytes // (32768**2 * 4 * 1.25))
+        assert fits == 15
+        assert solver.predict(32768, batch=fits, streams=2).total_s > 0.0
+        for streams in (1, 2):
+            with pytest.raises(CapacityError, match="batch of 16 32768x"):
+                solver.predict(32768, batch=fits + 1, streams=streams)
 
 
 class TestLowrankFleetCapacity:

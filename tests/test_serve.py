@@ -285,6 +285,40 @@ class TestServiceStats:
         assert stats.completed + stats.shed + stats.failed == stats.submitted
         assert "failed=2" in stats.summary()
 
+    def test_cancelled_request_is_dropped_and_counted(self, rng, monkeypatch):
+        """A request cancelled before its batch runs is not replayed."""
+        real_run = BatchRunner.run
+        sizes = []
+
+        def counting_run(self, *args, **kwargs):
+            sizes.append(len(args[0]))
+            return real_run(self, *args, **kwargs)
+
+        monkeypatch.setattr(BatchRunner, "run", counting_run)
+        solver = Solver(backend="h100", precision="fp32")
+        mats = [
+            rng.standard_normal((32, 32)).astype(np.float32) for _ in range(3)
+        ]
+
+        async def go():
+            async with solver.serve(max_batch=8, max_wait_s=0.05) as svc:
+                futs = [await svc.submit(A) for A in mats]
+                futs[1].cancel()  # before the batch is due
+                done = await asyncio.gather(*futs, return_exceptions=True)
+                return done, svc.stats()
+
+        results, stats = asyncio.run(go())
+        assert sizes == [2]
+        assert isinstance(results[1], asyncio.CancelledError)
+        for i in (0, 2):
+            np.testing.assert_array_equal(results[i], solver.solve(mats[i]))
+        assert (stats.submitted, stats.completed, stats.cancelled) == (3, 2, 1)
+        assert (
+            stats.completed + stats.shed + stats.failed + stats.cancelled
+            == stats.submitted
+        )
+        assert "cancelled=1" in stats.summary()
+
 
 class TestAdmissionController:
     def test_spill_decision_prices_out_of_core(self):

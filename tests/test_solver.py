@@ -44,8 +44,10 @@ class TestConstruction:
             Solver(backend="m1pro", precision="fp64")
 
     def test_bad_stage3_fails_at_construction(self):
-        with pytest.raises(InvalidParamsError):
-            Solver(stage3="qr_iteration")
+        # stage 3 has one solver and no option
+        for stage3 in ("gk", "qr_iteration"):
+            with pytest.raises(TypeError):
+                Solver(stage3=stage3)
 
     def test_bad_params_type_rejected(self):
         with pytest.raises(InvalidParamsError):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from tests.conftest import rel_err, scipy_svdvals
+from repro.core import bidiag as bidiag_mod
 from repro.core import svdvals
 from repro.errors import (
     CapacityError,
@@ -47,10 +48,31 @@ class TestCorrectness:
         assert info.precision == "fp64"
 
     @pytest.mark.parametrize("stage3", ["gk", "bisect", "lapack", "auto"])
-    def test_stage3_methods_agree(self, rng, stage3):
+    def test_stage3_methods_agree(self, monkeypatch, rng, stage3):
+        """The one stage-3 kernel agrees with each reference solver on the
+        bidiagonal the driver reduced ``A`` to (``auto``: with SciPy on
+        ``A`` alone)."""
+        reference = {
+            "gk": bidiag_mod.golub_kahan,
+            "bisect": bidiag_mod.bisect,
+            "lapack": bidiag_mod._lapack_bidiag,
+            "auto": None,
+        }[stage3]
+        solve = bidiag_mod.svdvals_bidiag
+        seen = []
+
+        def spy(d, e):
+            seen.append((d.copy(), e.copy()))
+            return solve(d, e)
+
+        monkeypatch.setattr(bidiag_mod, "svdvals_bidiag", spy)
         A = rng.standard_normal((48, 48))
-        got = svdvals(A, backend="h100", stage3=stage3)
+        got = svdvals(A, backend="h100")
         assert rel_err(got, scipy_svdvals(A)) < 1e-11
+        assert len(seen) == 1
+        if reference is not None:
+            want = reference(*seen[0])[: got.shape[0]]
+            assert rel_err(got, want) < 1e-11
 
     def test_custom_tilesize(self, rng):
         A = rng.standard_normal((64, 64))
