@@ -6,7 +6,7 @@ problem shape maps to one :class:`~repro.sim.graph.LaunchGraph`
 the numeric and analytic executors both consume.
 """
 
-from .banddiag import emit_band_reduction, getsmqrt, reduce_to_band
+from .banddiag import emit_band_reduction
 from .eigh import bind_eigh_table, eigh_tridiagonal, emit_eigh_graph
 from .randomized import (
     bind_lowrank_table,
@@ -59,13 +59,11 @@ __all__ = [
     "band_width",
     "bisect",
     "extract_band",
-    "getsmqrt",
     "givens",
     "golub_kahan",
     "is_upper_band",
     "ntiles",
     "pad_to_tiles",
-    "reduce_to_band",
     "singular_2x2",
     "svdvals",
     "svdvals_bidiag",

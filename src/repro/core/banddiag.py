@@ -1,6 +1,8 @@
-"""Stage 1: reduction of a dense square matrix to upper band form.
+"""Stage 1: the launch schedule that reduces a dense square matrix to band.
 
-This is Algorithm 1/2 of the paper.  For each diagonal tile ``k``:
+:func:`emit_band_reduction` emits Algorithm 1/2 of the paper as launch
+nodes; the :class:`~repro.sim.graph.NumericExecutor` replays them on a
+padded workspace.  For each diagonal tile ``k``:
 
 * an **RQ sweep** makes tile ``(k, k)`` upper triangular (GEQRT), applies
   the reflectors to the tile row (UNMQR), then annihilates every tile below
@@ -22,18 +24,13 @@ Below-band storage holds the reflector tails and is ignored downstream.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
-
-import numpy as np
+from typing import List, Tuple
 
 from ..errors import InvalidParamsError
-from ..kernels import ftsmqr, ftsqrt, geqrt, tsmqr, tsqrt, unmqr
-from ..sim.graph import LaunchNode, NumericExecutor
-from ..sim.session import Session
+from ..sim.graph import LaunchNode
 from ..sim.tracing import Stage
-from .tiling import ntiles, tile
 
-__all__ = ["emit_band_reduction", "getsmqrt", "reduce_to_band"]
+__all__ = ["emit_band_reduction"]
 
 
 def _chunk_width(width: int, ts: int, streams: int) -> List[Tuple[int, int]]:
@@ -67,9 +64,9 @@ def emit_band_reduction(
 ) -> List[LaunchNode]:
     """Emit the stage-1 launch nodes for an ``nbt x nbt`` tile grid.
 
-    This is the declarative form of :func:`reduce_to_band` (Algorithm 2):
+    This is the paper's ``banddiag!`` (Algorithm 2) as launch nodes:
     alternating RQ/LQ sweeps of GEQRT + UNMQR + (F)TSQRT/(F)TSMQR plus the
-    final diagonal GEQRT, in the exact order the numeric loop runs them.
+    final diagonal GEQRT, in the order the numeric executor runs them.
     Dependencies encode, per sweep, panel -> update ordering and the
     previous sweep's updates feeding the next pivot; with ``streams > 1``
     updates are split into head/remainder chunks (see :mod:`repro.sim.graph`)
@@ -196,122 +193,3 @@ def emit_band_reduction(
     g = add("geqrt", Stage.PANEL, ("panel", 1, 1), last, prev_heads + prev_rems)
     accumulate("unmqr_acc", last, g, 1, False)
     return nodes
-
-
-def getsmqrt(
-    B: np.ndarray,
-    k: int,
-    ts: int,
-    eps: float,
-    session: Optional[Session] = None,
-    lq: bool = False,
-    fused: bool = True,
-    compute_dtype: Optional[np.dtype] = None,
-) -> None:
-    """One panel factorization + trailing update (paper's ``GETSMQRT``).
-
-    Parameters
-    ----------
-    B:
-        Full (padded) matrix view - pass ``A`` for the RQ sweep and the
-        lazy transpose ``A.T`` for the LQ sweep.
-    k:
-        Sweep index (0-based diagonal tile).
-    ts:
-        Tile size (TILESIZE).
-    eps:
-        Machine epsilon of the input precision.
-    session:
-        Simulator session; when given, every kernel launch is priced and
-        traced.  ``None`` runs numerics only.
-    lq:
-        False: pivot tile is ``(k, k)`` (RQ sweep).  True: pivot tile is
-        ``(k+1, k)`` of the transposed view (LQ sweep), i.e. ``(k, k+1)``
-        of the original matrix.
-    fused:
-        Use the fused FTSQRT/FTSMQR kernels (default) or the classic
-        row-by-row TSQRT/TSMQR launches.
-    compute_dtype:
-        Arithmetic dtype when it differs from storage (FP16 upcast).
-    """
-    npad = B.shape[0]
-    nbt = ntiles(npad, ts)
-    row0 = k + 1 if lq else k
-    if row0 >= nbt:
-        return
-
-    diag = tile(B, row0, k, ts)
-    tau0 = np.zeros(ts, dtype=compute_dtype or B.dtype)
-
-    # ---- GEQRT on the pivot tile ---------------------------------------- #
-    geqrt(diag, tau0, eps, compute_dtype)
-    if session is not None:
-        session.launch_panel("geqrt", nbodies=1, body_tiles=1)
-
-    # ---- UNMQR on the pivot tile row ------------------------------------ #
-    c0 = (k + 1) * ts
-    width = npad - c0
-    if width > 0:
-        row_view = B[row0 * ts : (row0 + 1) * ts, c0:]
-        unmqr(diag, tau0, row_view, compute_dtype)
-        if session is not None:
-            session.launch_update("unmqr", width, nrows=1, has_top_row=False)
-
-    # ---- panel: TSQRT/TSMQR over below rows ------------------------------ #
-    below = list(range(row0 + 1, nbt))
-    if not below:
-        return
-    taus = [np.zeros(ts, dtype=compute_dtype or B.dtype) for _ in below]
-    Bs = [tile(B, l, k, ts) for l in below]
-
-    if fused:
-        ftsqrt(diag, Bs, taus, eps, compute_dtype)
-        if session is not None:
-            session.launch_panel("ftsqrt", nbodies=len(below), body_tiles=2)
-        if width > 0:
-            Y = B[row0 * ts : (row0 + 1) * ts, c0:]
-            Xs = [B[l * ts : (l + 1) * ts, c0:] for l in below]
-            ftsmqr(Bs, taus, Y, Xs, compute_dtype)
-            if session is not None:
-                session.launch_update(
-                    "ftsmqr", width, nrows=len(below), has_top_row=True
-                )
-    else:
-        Y = B[row0 * ts : (row0 + 1) * ts, c0:]
-        for l, Bl, taul in zip(below, Bs, taus):
-            tsqrt(diag, Bl, taul, eps, compute_dtype)
-            if session is not None:
-                session.launch_panel("tsqrt", nbodies=1, body_tiles=2)
-            if width > 0:
-                X = B[l * ts : (l + 1) * ts, c0:]
-                tsmqr(Bl, taul, Y, X, compute_dtype)
-                if session is not None:
-                    session.launch_update(
-                        "tsmqr", width, nrows=1, has_top_row=True
-                    )
-
-
-def reduce_to_band(
-    A: np.ndarray,
-    ts: int,
-    eps: float,
-    session: Optional[Session] = None,
-    fused: bool = True,
-    compute_dtype: Optional[np.dtype] = None,
-) -> None:
-    """Reduce a padded square matrix to upper band form in place.
-
-    This is the paper's ``banddiag!`` (Algorithm 2): alternate RQ and LQ
-    sweeps over the diagonal tiles, the LQ sweep running the same code on
-    the lazy transpose, then a final GEQRT on the last diagonal tile.
-    The sweep structure is emitted once by :func:`emit_band_reduction`
-    and replayed by the :class:`~repro.sim.graph.NumericExecutor`.
-    """
-    npad = A.shape[0]
-    if npad % ts != 0:
-        raise ValueError(f"matrix order {npad} is not a multiple of TILESIZE {ts}")
-    nbt = npad // ts
-    nodes = emit_band_reduction(nbt, ts, fused=fused)
-    NumericExecutor(
-        A, ts, eps, session=session, compute_dtype=compute_dtype
-    ).run(nodes)

@@ -148,6 +148,16 @@ def _kill_col(d, e, k: int, lo: int) -> None:
             e[j - 1] = c * e[j - 1]
 
 
+def _check_shapes(d: np.ndarray, e: np.ndarray) -> None:
+    """``e`` has ``d``'s shape with one fewer entry on the last axis."""
+    expected = d.shape[:-1] + (max(0, d.shape[-1] - 1),)
+    if e.shape != expected:
+        raise ValueError(
+            f"superdiagonal shape {e.shape} does not fit diagonal shape "
+            f"{d.shape}: expected {expected}"
+        )
+
+
 def golub_kahan(
     d: np.ndarray,
     e: np.ndarray,
@@ -169,9 +179,8 @@ def golub_kahan(
     """
     d = np.asarray(d, dtype=np.float64).copy()
     e = np.asarray(e, dtype=np.float64).copy()
+    _check_shapes(d, e)
     n = d.shape[0]
-    if e.shape[0] != max(0, n - 1):
-        raise ValueError(f"superdiagonal length {e.shape[0]} != n-1 = {n - 1}")
     if n == 0:
         return np.zeros(0)
     if n == 1:
@@ -417,9 +426,8 @@ def bisect(
     """
     d = np.asarray(d, dtype=np.float64)
     e = np.asarray(e, dtype=np.float64)
+    _check_shapes(d, e)
     n = d.shape[-1]
-    if e.shape[-1] != max(0, n - 1) or e.shape[:-1] != d.shape[:-1]:
-        raise ValueError(f"superdiagonal length {e.shape[-1]} != n-1 = {n - 1}")
     if n == 0:
         return np.zeros(d.shape)
     d2 = d.reshape(-1, n)

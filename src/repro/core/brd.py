@@ -61,10 +61,9 @@ from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from ..errors import ShapeError
+from ..errors import InvalidParamsError, ShapeError
 from ..sim.costmodel import brd_launch_count
 from ..sim.graph import LaunchNode
-from ..sim.session import Session
 from ..sim.tracing import Stage
 
 __all__ = ["band_to_bidiagonal", "emit_brd_chase", "givens"]
@@ -80,12 +79,13 @@ def emit_brd_chase(
     """Emit the stage-2 bulge-chasing launch nodes for an ``n x n`` band.
 
     The chase issues :func:`~repro.sim.costmodel.brd_launch_count` fused
-    kernel launches; the aggregate stage cost rides on the first (primary)
-    node and the remaining launches charge only their overhead, exactly
-    like :meth:`repro.sim.session.Session.launch_brd` records them.
-    ``deps`` anchors the first launch on the tail of stage 1, ``start`` is
-    the global index these nodes begin at (the chase is a serial chain, so
-    launch ``i`` depends on launch ``i - 1``).
+    kernel launches (none for ``band <= 1``); the aggregate stage cost
+    rides on the first (primary) node and the follow-up launches
+    (``primary=False``) charge only their overhead, priced and traced
+    like every other node.  ``deps`` anchors the first launch on the
+    tail of stage 1, ``start`` is the global index these nodes begin at
+    (the chase is a serial chain, so launch ``i`` depends on launch
+    ``i - 1``).
     """
     nbrd = brd_launch_count(n, band, coeffs)
     nodes: List[LaunchNode] = []
@@ -135,6 +135,22 @@ def _check_input(A: np.ndarray) -> None:
     if A.dtype.kind != "f" or A.dtype.itemsize > 8:
         raise ShapeError(
             f"expected float16, float32 or float64 input, got dtype {A.dtype}"
+        )
+
+
+def _check_band(band) -> None:
+    """Accept a non-negative integer bandwidth (NumPy integers included).
+
+    A negative band would return the diagonal alone as if it were the
+    bidiagonal, and a float one fails deep inside the chase.
+    """
+    if (
+        not isinstance(band, (int, np.integer))
+        or isinstance(band, bool)
+        or band < 0
+    ):
+        raise InvalidParamsError(
+            f"band must be a non-negative integer, got band={band!r}"
         )
 
 
@@ -333,7 +349,6 @@ def _check_accumulators(A: np.ndarray, U, V) -> None:
 def band_to_bidiagonal(
     A: np.ndarray,
     band: int,
-    session: Optional[Session] = None,
     inplace: bool = False,
     U: Optional[np.ndarray] = None,
     V: Optional[np.ndarray] = None,
@@ -349,10 +364,8 @@ def band_to_bidiagonal(
         resident reflector tails can be passed through
         :func:`repro.core.tiling.extract_band` first.
     band:
-        Upper bandwidth of the input (``TILESIZE`` after stage 1).
-    session:
-        Simulator session; charged with the aggregate stage-2 cost, once
-        per matrix.
+        Upper bandwidth of the input (``TILESIZE`` after stage 1): a
+        non-negative integer, else :class:`~repro.errors.InvalidParamsError`.
     inplace:
         Leave the reduced matrix in ``A`` instead of working on a copy.
     U, V:
@@ -370,10 +383,8 @@ def band_to_bidiagonal(
     """
     _check_input(A)
     _check_accumulators(A, U, V)
+    _check_band(band)
     n = A.shape[-1]
-    if session is not None:
-        for _ in range(1 if A.ndim == 2 else A.shape[0]):
-            session.launch_brd(n, band)
     if band <= 1 or n <= 2:
         d = np.diagonal(A, axis1=-2, axis2=-1).copy()
         e = np.diagonal(A, 1, axis1=-2, axis2=-1).copy()

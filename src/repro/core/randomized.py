@@ -17,14 +17,14 @@ form that needs no ``Q``:
 6. ``sigma(R2) = sigma(T) = sigma(Q^T A)``  (square pipeline at ``l``)
 
 The first ``rank`` values of step 6 are the randomized singular-value
-estimates.  Every step is a traced launch (``launch_gemm`` /
-``launch_trsm`` / the tall-QR and square-pipeline kernels), and
-:func:`emit_lowrank_graph` emits the same schedule declaratively so the
-analytic pricers, the multi-GPU partitioner, the out-of-core rewriter and
-the event simulator all see the workload through the one shared IR.  The
-composed graph is analytic-only: numeric execution runs through
+estimates.  :func:`emit_lowrank_graph` emits the schedule declaratively so
+the analytic pricers, the multi-GPU partitioner, the out-of-core rewriter
+and the event simulator all see the workload through the one shared IR.
+The composed graph is analytic-only: numeric execution runs through
 :func:`svd_lowrank_resolved`, which replays the tall-QR and square
-sub-graphs bitwise.
+sub-graphs bitwise and hands its GEMM and TRSM launch nodes to
+:meth:`~repro.sim.session.Session.record`, so every step is traced and
+priced by the one launch pricer.
 """
 
 from __future__ import annotations
@@ -229,14 +229,14 @@ def svd_lowrank_resolved(
     As, scale = upload(A, storage, config)
     Omega = gaussian_sketch(n, l, seed=seed, precision=storage)
     Y = np.asarray(As @ Omega, dtype=storage.dtype)
-    session.launch_gemm(m, n, l)
+    session.record(LaunchNode("gemm", Stage.UPDATE, ("gemm", m, n, l)))
 
     Wy = np.zeros((ntiles(m, ts) * ts, lpad), dtype=storage.dtype)
     Wy[:m, :l] = Y
     R1 = qr_reduce_tall(Wy, ts, storage.eps, session, compute_dtype)[:l, :l]
 
     Z = np.asarray(As.T @ Y, dtype=storage.dtype)
-    session.launch_gemm(n, m, l)
+    session.record(LaunchNode("gemm", Stage.UPDATE, ("gemm", n, m, l)))
 
     # T = Z R1^+ (= A^T Q): the float64 CPU solve runs through the
     # pseudo-inverse so a rank-deficient sample (Y loses columns when
@@ -246,7 +246,7 @@ def svd_lowrank_resolved(
     T = (
         Z.astype(np.float64) @ np.linalg.pinv(R1.astype(np.float64), rcond)
     ).astype(storage.dtype)
-    session.launch_trsm(n, l)
+    session.record(LaunchNode("trsm", Stage.UPDATE, ("trsm", n, l)))
 
     Wt = np.zeros((ntiles(n, ts) * ts, lpad), dtype=storage.dtype)
     Wt[:n, :l] = T

@@ -57,7 +57,6 @@ __all__ = [
     "update_rate",
     "brd_cost",
     "bidiag_solve_cost",
-    "transfer_cost",
 ]
 
 
@@ -552,10 +551,3 @@ def bidiag_solve_cost(
         memory_seconds=xfer,
     )
 
-
-def transfer_cost(
-    nbytes: float, coeffs: CostCoefficients = DEFAULT_COEFFS
-) -> LaunchCost:
-    """Host<->device transfer over the PCIe-class link."""
-    s = nbytes / (coeffs.pcie_gbs * 1e9)
-    return LaunchCost(seconds=s, bytes=nbytes, memory_seconds=s)

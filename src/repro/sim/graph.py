@@ -31,9 +31,11 @@ Two executors consume the graph:
 * :class:`AnalyticExecutor` prices the same nodes without touching data,
   producing the :class:`~repro.sim.schedule.TimeBreakdown` that
   :meth:`repro.Solver.predict` returns.  Because both executors walk the
-  same nodes, the consistency between traced and predicted schedules is
-  structural rather than maintained by hand (pinned in
-  ``tests/test_graph.py``).
+  same nodes and price their keys the same way (:func:`price_node` for a
+  traced launch, its float-identical struct-of-arrays mirror in
+  :mod:`repro.sim.table` for a prediction), the consistency between
+  traced and predicted schedules is structural rather than maintained by
+  hand (pinned in ``tests/test_graph.py``).
 
 Multi-stream graphs (``streams > 1``) model the *lookahead* variant of
 the algorithm: every trailing-update launch is split into a head chunk
@@ -275,10 +277,13 @@ def price_node(
 ) -> LaunchCost:
     """Price one node against a resolved config.
 
-    Keys of the ``panel`` / ``update`` / ``brd`` / ``solve`` families are
-    identical to the keys :class:`~repro.sim.session.Session` uses, so a
-    plan-owned ``cache`` is shared between analytic pricing and numeric
-    execution.  Non-primary nodes are free (overhead-only launches).
+    The one launch pricer: the analytic executors and
+    :meth:`repro.sim.session.Session.record` (every traced numeric
+    launch) both call it, so a plan-owned ``cache`` keyed by
+    ``node.key`` is shared between analytic pricing and numeric
+    execution.  ``config`` needs only ``backend``, ``params`` and
+    ``coeffs`` (a :class:`~repro.sim.session.Session` has them).
+    Non-primary nodes are free (overhead-only launches).
     """
     if not node.primary:
         return ZERO_COST
@@ -477,10 +482,10 @@ class NumericExecutor:
     for kernel call, so each replay of a graph gives the same bytes; the
     stage-1 update kernels apply each tile's reflectors as one compact-WY
     block, within a stated tolerance of the paper's reflector-at-a-time
-    loops (their ``*_reference`` twins).  Every launch is recorded
-    through ``session`` (when given) with the same cost keys the graph
-    carries, so a plan-shared ``Session.cost_cache`` is hit, never
-    re-priced.
+    loops (their ``*_reference`` twins).  After each node runs, it is
+    handed to ``session.record`` (when a session is given), which prices
+    it with :func:`price_node` under the node's own key, so a plan-shared
+    ``Session.cost_cache`` is hit, never re-priced.
 
     Partitioned graphs (``ngpu > 1``) replay too: each sharded update
     chunk runs against its device's tile-row views of the shared
@@ -580,8 +585,13 @@ class NumericExecutor:
             from .outofcore import WindowTracker
 
             self._window = WindowTracker(graph)
+        session = self.session
         for node in nodes:
             self._dispatch(node)
+            if session is not None:
+                # the one per-node hook: priced by the analytic pricer's
+                # own functions after the launch ran
+                session.record(node)
         return self
 
     # ------------------------------------------------------------------ #
@@ -612,8 +622,6 @@ class NumericExecutor:
             # is traced and priced like a launch
             if self._window is not None:
                 self._window.on_transfer(node)
-            if self.session is not None:
-                self.session.launch_comm(kind, node.key, stage=Stage.TRANSFER)
             return
         if self._window is not None:
             self._window.require(node)
@@ -720,18 +728,13 @@ class NumericExecutor:
                 self._acc(lq, row), self._acc(lq, l), self.compute_dtype,
             )
         elif kind == "brd_chase":
+            # the whole chase runs on the primary node; its follow-up
+            # launches are numeric no-ops
             if node.primary:
-                if self.session is not None:
-                    # records the full launch pattern (aggregate cost on
-                    # the first launch, overhead-only on the rest), which
-                    # the follow-up non-primary nodes represent
-                    self.session.launch_brd(node.key[1], node.key[2])
                 self._run_stage2()
         elif kind in ("bdsqr_cpu", "steig_cpu"):
             np = self._np
             self._run_stage2()
-            if self.session is not None:
-                self.session.launch_solve(node.key[1], kernel=kind)
             # round through storage precision, as a device-resident
             # result would be
             d = self.d.astype(self.storage.dtype).astype(np.float64)
@@ -754,17 +757,9 @@ class NumericExecutor:
         elif kind in COMM_KINDS:
             # pure data movement: a numeric no-op on the simulation's
             # shared-memory fabric, but traced and priced like a launch
-            if self.session is not None:
-                self.session.launch_comm(kind, node.key)
+            pass
         else:  # pragma: no cover - emitter bug
             raise ValueError(f"unknown launch kind {kind!r}")
-        # the stage-1 kernels above are recorded here, after they ran
-        if self.session is None:
-            return
-        if node.stage == Stage.PANEL:
-            self.session.launch_panel(kind, *node.key[1:])
-        elif node.stage == Stage.UPDATE:
-            self.session.launch_update(kind, *node.key[1:])
 
     def _sub(self, p: int) -> "NumericExecutor":
         """Child executor replaying problem ``p`` of a batched workspace."""

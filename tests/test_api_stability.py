@@ -70,7 +70,6 @@ CORE_ALL = [
     "emit_svd_graph",
     "emit_tallqr_graph",
     "extract_band",
-    "getsmqrt",
     "givens",
     "golub_kahan",
     "is_upper_band",
@@ -80,7 +79,6 @@ CORE_ALL = [
     "pad_to_tiles",
     "predict_batched",
     "qr_reduce_tall",
-    "reduce_to_band",
     "register_workload",
     "singular_2x2",
     "sketch_width",

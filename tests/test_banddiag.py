@@ -6,17 +6,19 @@ import pytest
 import repro.kernels
 from tests.conftest import rel_err, scipy_svdvals
 from repro import Solver
-from repro.core.banddiag import getsmqrt, reduce_to_band
+from repro.core.banddiag import emit_band_reduction
 from repro.core.tiling import band_width, extract_band
 from repro.core.workloads import ORACLE_TOL
-from repro.sim import KernelParams, Session
+from repro.sim import KernelParams, NumericExecutor, Session
 
 EPS64 = float(np.finfo(np.float64).eps)
 
 
 def run_stage1(A, ts, fused=True, session=None):
+    """Replay the stage-1 nodes on a copy of the padded matrix ``A``."""
     W = A.copy()
-    reduce_to_band(W, ts, EPS64, session=session, fused=fused)
+    nodes = emit_band_reduction(W.shape[0] // ts, ts, fused=fused)
+    NumericExecutor(W, ts, EPS64, session=session).run(nodes)
     return W
 
 
@@ -81,8 +83,7 @@ class TestSingularValuePreservation:
         W = np.zeros((npad, npad))
         W[:n, :n] = rng.standard_normal((n, n))
         A = W.copy()
-        reduce_to_band(W, ts, EPS64)
-        band = extract_band(W, ts)
+        band = extract_band(run_stage1(W, ts), ts)
         assert rel_err(
             scipy_svdvals(band)[:n], scipy_svdvals(A[:n, :n])
         ) < 1e-13
@@ -108,16 +109,6 @@ class TestSessionIntegration:
         assert counts["ftsqrt"] == 3
         assert counts["ftsmqr"] == 3
         assert counts["unmqr"] == 4
-
-    def test_invalid_tile_multiple(self, rng):
-        with pytest.raises(ValueError):
-            reduce_to_band(rng.standard_normal((33, 33)), 32, EPS64)
-
-    def test_getsmqrt_noop_beyond_grid(self, rng):
-        A = rng.standard_normal((32, 32))
-        A0 = A.copy()
-        getsmqrt(A, 5, 32, EPS64)  # row0 out of grid: no-op
-        np.testing.assert_array_equal(A, A0)
 
 
 class TestBlockKernelOracle:

@@ -1,6 +1,7 @@
 """Tests for the bidiagonal singular value solvers (stage 3)."""
 
 import asyncio
+import re
 
 import numpy as np
 import pytest
@@ -99,7 +100,13 @@ class TestSolverBasics:
         assert rel_err(solver(d, e), reference(d, e)) < 1e-12
 
     def test_length_mismatch(self, solver):
-        with pytest.raises(ValueError):
+        with pytest.raises(
+            ValueError,
+            match=re.escape(
+                "superdiagonal shape (5,) does not fit diagonal shape (5,): "
+                "expected (4,)"
+            ),
+        ):
             solver(np.ones(5), np.ones(5))
 
     def test_empty(self, solver):
@@ -365,7 +372,15 @@ class TestSturmKernel:
             assert np.max(np.abs(got - ref)) <= 1e-13 * ref[0]
 
     def test_stack_shape_mismatch(self):
-        with pytest.raises(ValueError):
+        """A stack of the wrong count names both shapes and the expected
+        one (it used to say "superdiagonal length 4 != n-1 = 4")."""
+        with pytest.raises(
+            ValueError,
+            match=re.escape(
+                "superdiagonal shape (3, 4) does not fit diagonal shape "
+                "(2, 5): expected (2, 4)"
+            ),
+        ):
             bisect(np.ones((2, 5)), np.ones((3, 4)))
 
 

@@ -16,7 +16,7 @@ from repro.core.brd import (
     wave_schedule,
 )
 from repro.core.tiling import extract_band
-from repro.errors import ShapeError
+from repro.errors import InvalidParamsError, ShapeError
 
 
 def random_band(rng, n, band):
@@ -107,6 +107,25 @@ class TestStructure:
     def test_non_float_dtypes_rejected(self, dtype):
         with pytest.raises(ShapeError, match="dtype"):
             band_to_bidiagonal(np.eye(4, dtype=dtype), 2)
+
+    @pytest.mark.parametrize("band", [-1, 2.5, 4.0])
+    def test_bad_band_rejected(self, band):
+        """The band is validated at entry: ``band=-1`` used to return the
+        diagonal alone as the bidiagonal (on this input, a top singular
+        value of 2.56 against a true 4.14), and a float band died in the
+        chase with a bare ``TypeError``."""
+        A = random_band(np.random.default_rng(0), 12, 4)
+        with pytest.raises(
+            InvalidParamsError, match=re.escape(f"band={band!r}")
+        ):
+            band_to_bidiagonal(A, band)
+
+    def test_numpy_integer_band_accepted(self, rng):
+        A = random_band(rng, 12, 4)
+        for got, want in zip(
+            band_to_bidiagonal(A, np.int64(4)), band_to_bidiagonal(A, 4)
+        ):
+            same_bytes(got, want)
 
     def test_tiny_matrices(self, rng):
         for n in (1, 2):
@@ -414,12 +433,3 @@ class TestBatchedReplay:
         for p in range(8):
             same_bytes(vals[p], solver.solve(A[p]))
 
-
-class TestSessionCharge:
-    def test_brd_cost_recorded(self, rng):
-        from repro.sim import Session, Stage
-
-        sess = Session.create("h100", "fp64")
-        A = random_band(rng, 64, 32)
-        band_to_bidiagonal(A, 32, session=sess)
-        assert sess.tracer.stage_seconds(Stage.BRD) > 0.0

@@ -12,7 +12,6 @@ from repro.sim.costmodel import (
     bidiag_solve_cost,
     brd_cost,
     panel_cost,
-    transfer_cost,
     update_cost,
 )
 
@@ -151,10 +150,6 @@ class TestSolveAndTransfer:
     def test_solve_has_fixed_overhead(self):
         t = bidiag_solve_cost(H100, 2, FP32).seconds
         assert t >= DEFAULT_COEFFS.cpu_call_overhead_s
-
-    def test_transfer(self):
-        c = transfer_cost(25e9)  # one second at 25 GB/s
-        assert c.seconds == pytest.approx(1.0)
 
 
 class TestCoefficients:

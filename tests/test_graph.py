@@ -13,7 +13,12 @@ import pytest
 
 import repro
 from repro import Solver
-from repro.core import emit_batched_graph, emit_svd_graph, emit_tallqr_graph
+from repro.core import (
+    emit_batched_graph,
+    emit_eigh_graph,
+    emit_svd_graph,
+    emit_tallqr_graph,
+)
 from repro.core.svd import svdvals_resolved
 from repro.errors import InvalidParamsError, ShapeError
 from repro.sim import (
@@ -21,6 +26,8 @@ from repro.sim import (
     KernelParams,
     NumericExecutor,
     Stage,
+    partition_graph,
+    rewrite_out_of_core,
     schedule_streams,
     stage1_launch_count,
 )
@@ -67,6 +74,55 @@ class TestAnalyticMatchesTraced:
         # float-association differs
         assert info.flops == pytest.approx(bd.flops, rel=1e-12)
         assert info.bytes == pytest.approx(bd.bytes, rel=1e-12)
+
+    @pytest.mark.parametrize("backend,precision", BACKENDS)
+    @pytest.mark.parametrize("fused", [True, False])
+    @pytest.mark.parametrize(
+        "case", ["partitioned", "out_of_core", "partitioned_out_of_core",
+                 "eigh", "svd"],
+    )
+    def test_recording_branches(self, backend, precision, fused, case):
+        """Comm, transfer, ``steig_cpu`` and ``*_acc`` launches: a traced
+        replay charges exactly what the analytic executor prices."""
+        n, ts = 130, 32
+        solver = make_solver(backend, precision, ts, fused)
+        cfg, storage = solver.config, solver.precision
+        A = np.random.default_rng(7).standard_normal((n, n))
+        if case == "eigh":
+            graph = emit_eigh_graph(n, cfg)
+            _, info = solver.eigh(A + A.T, return_info=True)
+        elif case == "svd":
+            graph = emit_svd_graph(n, cfg, vectors=True)
+            _, info = solver.svd(A, return_info=True)
+        else:
+            graph = emit_svd_graph(n, cfg)
+            if case.startswith("partitioned"):
+                ngpu = 2 if case.endswith("out_of_core") else 4
+                graph = partition_graph(graph, ngpu, cfg.backend.link)
+            if case.endswith("out_of_core"):
+                # a 16-tile window, smaller than the 5 x 5 tile grid
+                budget = 16 * ts * ts * storage.sizeof * 1.25
+                graph = rewrite_out_of_core(graph, cfg, storage, budget)
+            _, info = svdvals_resolved(A, cfg, graph=graph, return_info=True)
+        bd = AnalyticExecutor(cfg, storage).run(graph)
+
+        assert info.launch_counts == bd.launches
+        predicted = {
+            Stage.PANEL: bd.panel_s, Stage.UPDATE: bd.update_s,
+            Stage.BRD: bd.brd_s, Stage.SOLVE: bd.solve_s,
+            Stage.COMM: bd.comm_s, Stage.TRANSFER: bd.io_s,
+        }
+        for stage, seconds in predicted.items():
+            assert info.stage_seconds.get(stage, 0.0) == seconds, stage
+        # each case reaches the recording branch it is named for
+        reached = {
+            "partitioned": bd.comm_s > 0,
+            "out_of_core": bd.io_s > 0,
+            "partitioned_out_of_core": bd.comm_s > 0 and bd.io_s > 0,
+            "eigh": "steig_cpu" in bd.launches,
+            "svd": "ftsmqr_acc" in bd.launches or "tsmqr_acc" in bd.launches,
+        }
+        assert reached[case]
 
     def test_rect_driver_matches_plan_breakdown(self):
         solver = Solver(backend="h100", precision="fp32")

@@ -5,9 +5,10 @@ import json
 import numpy as np
 import pytest
 
-from repro.core.banddiag import reduce_to_band
+from repro.core.banddiag import emit_band_reduction
 from repro.sim import (
     KernelParams,
+    NumericExecutor,
     Session,
     Stage,
     Tracer,
@@ -25,7 +26,8 @@ EPS = float(np.finfo(np.float64).eps)
 def traced_session(rng, n=96, ts=32):
     sess = Session.create("h100", "fp64", params=KernelParams(ts, 32, 8))
     A = rng.standard_normal((n, n))
-    reduce_to_band(A, ts, EPS, sess)
+    nodes = emit_band_reduction(n // ts, ts)
+    NumericExecutor(A, ts, EPS, session=sess).run(nodes)
     return sess
 
 
