@@ -16,21 +16,26 @@ that capability on the simulated device:
   small sizes.
 
 ``batch=`` is a first-class axis of the stage-graph engine rather than
-a closed-form detour: :func:`emit_batched_graph` emits a *replayable*
+a closed-form detour, and it has no schedule of its own: the batched
+schedule is the square one lifted per round-robin chain.
+:func:`emit_batched_graph` lifts the fused
+:func:`~repro.core.svd.emit_svd_graph` graph into a *replayable*
 batched :class:`~repro.sim.graph.LaunchGraph` whose nodes carry both the
-batched cost keys and the per-problem tile coordinates (``meta[0]`` is
-the problem subset, ``meta[1:]`` the square node's meta), so the graph
-flows through the same rewriter stack as every other axis:
-``streams=k`` splits the batch into ``k`` round-robin chains that the
-list scheduler overlaps, :func:`repro.sim.partition.partition_graph`
-shards the batch round-robin across devices (comm only for the result
-gather), and :func:`repro.sim.outofcore.rewrite_out_of_core` streams
-whole problems through a bounded device window shared by every in-flight
-problem.  ``Solver.predict(n, batch=b, ...)`` composes and prices it
-like every other workload, and :func:`bind_batched_table` is its
-shape-parametric binder for the plain single-device query; the
-pre-composition pricing survives as :func:`batched_closed_form_resolved`,
-the consistency oracle the tests pin the graph path against.
+batched cost keys (:func:`~repro.sim.graph.lift_batched`) and the
+per-problem tile coordinates (``meta[0]`` is the problem subset,
+``meta[1:]`` the square node's meta), and :func:`bind_batched_table`
+lifts the columns of :func:`~repro.core.svd.bind_svd_table` the same
+way for the plain single-device query.  The graph flows through the
+same rewriter stack as every other axis: ``streams=k`` splits the batch
+into ``k`` round-robin chains that the list scheduler overlaps,
+:func:`repro.sim.partition.partition_graph` shards each chain
+round-robin across devices (comm only for the result gather), and
+:func:`repro.sim.outofcore.rewrite_out_of_core` streams whole problems
+through a bounded device window shared by every in-flight problem.
+``Solver.predict(n, batch=b, ...)`` composes and prices it like every
+other workload; the pre-composition pricing survives as
+:func:`batched_closed_form_resolved`, the consistency oracle the tests
+pin the graph path against.
 :func:`replay_batched_graph` is the one numeric path for a stack: it
 uploads every problem, replays any replayable batched graph (sharded or
 out-of-core) once, and is bitwise identical to solving each matrix
@@ -42,6 +47,7 @@ from __future__ import annotations
 
 import math
 
+from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -59,17 +65,17 @@ from ..sim.costmodel import (
     panel_cost,
     update_cost,
 )
-from ..sim.graph import LaunchGraph, LaunchNode, NumericExecutor
+from ..sim.graph import (
+    LaunchGraph,
+    LaunchNode,
+    NumericExecutor,
+    lift_batched,
+    lift_batched_columns,
+)
 from ..sim.params import KernelParams
 from ..sim.schedule import TimeBreakdown
-from ..sim.table import (
-    FAMILIES,
-    NodeTable,
-    bound_structure,
-    price_table,
-)
-from ..sim.tracing import Stage
-from .svd import upload
+from ..sim.table import NodeTable, bound_structure, price_table
+from .svd import bind_svd_table, emit_svd_graph, upload
 from .tiling import ntiles
 
 __all__ = [
@@ -81,8 +87,23 @@ __all__ = [
     "svdvals_batched",
 ]
 
-_FAM = {name: i for i, name in enumerate(FAMILIES)}
-_SID = {stage: i for i, stage in enumerate(Stage.ALL)}
+
+def _fused(config: SolveConfig) -> SolveConfig:
+    """``config`` with the fused stage-1 kernels, which every batch runs."""
+    return config if config.fused else replace(config, fused=True)
+
+
+def _check_axes(n: int, batch: int, streams: int) -> None:
+    """Reject a non-positive order, batch or stream count."""
+    if n < 1 or batch < 1:
+        raise ShapeError(f"need positive n and batch, got n={n}, batch={batch}")
+    if streams < 1:
+        raise ShapeError(f"need at least one stream, got {streams}")
+
+
+def _chain_sizes(batch: int, nchains: int) -> List[int]:
+    """Problems per round-robin chain (chain ``j`` owns ``j, j+k, ...``)."""
+    return [len(range(j, batch, nchains)) for j in range(nchains)]
 
 
 def emit_batched_graph(
@@ -90,87 +111,50 @@ def emit_batched_graph(
 ) -> LaunchGraph:
     """Emit the batched launch graph: one grid covers all problems per step.
 
-    Batched panel launches (``panel_b`` cost family) run their problems'
-    independent single-chain bodies concurrently across SMs; batched
-    update launches process ``problems x width`` columns in one grid; the
-    stage-2 chase and CPU solve scale their work batch-fold while sharing
-    launch overheads (``brd_b`` / ``solve_b`` families).  With
-    ``streams=1`` the whole batch executes launch-by-launch, so
-    dependencies form one serial chain and launch counts are independent
-    of the batch size; ``streams=k`` splits the batch into ``k``
-    round-robin *chains* (chain ``j`` owns problems ``j, j+k, ...``) that
-    carry no cross-chain dependencies, so the list scheduler overlaps
-    them across streams.
+    The fused square graph (:func:`~repro.core.svd.emit_svd_graph`,
+    whatever ``config.fused`` says) lifted per chain: ``streams=k``
+    splits the batch into ``min(k, batch)`` round-robin *chains* (chain
+    ``j`` owns problems ``j, j+k, ...``), and each chain repeats every
+    square node as its ``_b`` kind with ``meta = (problem subset, *square
+    meta)``, its key lifted to the chain's problem count
+    (:func:`~repro.sim.graph.lift_batched`) and its deps re-chained
+    serially.  So batched panel launches (``panel_b``) run their
+    problems' independent single-chain bodies concurrently across SMs,
+    batched updates process ``problems x width`` columns in one grid, and
+    the stage-2 chase and CPU solve scale their work with the count
+    while sharing launch overheads (``brd_b`` / ``solve_b``).  With
+    ``streams=1`` launch counts are independent of the batch size;
+    chains carry no cross-chain dependencies, so the list scheduler
+    overlaps them across streams.
 
-    Every node's ``meta`` is ``(problem subset, *square meta)`` - the
-    same tile coordinates the square emitter records - which is what
-    makes batched graphs replayable (:func:`replay_batched_graph`),
-    partitionable (round-robin over devices) and rewritable out-of-core
-    (whole problems streamed through the window).
+    The square meta is what makes batched graphs replayable
+    (:func:`replay_batched_graph`), partitionable (round-robin over
+    devices) and rewritable out-of-core (whole problems streamed through
+    the window).
     """
-    if n < 1 or batch < 1:
-        raise ShapeError(f"need positive n and batch, got n={n}, batch={batch}")
-    if streams < 1:
-        raise ShapeError(f"need at least one stream, got {streams}")
-    ts = config.params.tilesize
-    nbt = ntiles(n, ts)
-    npad = nbt * ts
+    _check_axes(n, batch, streams)
+    square = emit_svd_graph(n, _fused(config))
     nchains = min(streams, batch)
-    nbrd = brd_launch_count(npad, ts, config.coeffs)
+    lifted: Dict[int, List[Tuple]] = {}  # chain size -> lifted keys
     nodes: List[LaunchNode] = []
-
-    for j in range(nchains):
+    for j, count in enumerate(_chain_sizes(batch, nchains)):
+        keys = lifted.get(count)
+        if keys is None:
+            keys = lifted[count] = [
+                lift_batched(node.key, count) for node in square.nodes
+            ]
         probs = ("b", j, batch, nchains)
-        bcount = len(range(j, batch, nchains))
-        prev: Optional[int] = None
-
-        def add(kind, stage, key, meta, primary=True) -> None:
-            nonlocal prev
-            deps = (prev,) if prev is not None else ()
-            nodes.append(
-                LaunchNode(kind, stage, key, meta, deps, primary=primary)
+        first = len(nodes)
+        nodes.extend(
+            LaunchNode(
+                node.kind + "_b", node.stage, key, (probs,) + node.meta,
+                (first + i - 1,) if i else (), primary=node.primary,
             )
-            prev = len(nodes) - 1
-
-        for k in range(nbt - 1):
-            w = nbt - 1 - k
-            width = w * ts * bcount  # this chain's trailing columns
-            for lq in (False, True):
-                row0 = k + 1 if lq else k
-                r = nbt - row0 - 1  # w on the RQ sweep, w - 1 on the LQ
-                sweep = 2 * k + (1 if lq else 0)
-                add(
-                    "geqrt_b", Stage.PANEL, ("panel_b", bcount, 1, 1),
-                    (probs, lq, row0, k, sweep),
-                )
-                add(
-                    "unmqr_b", Stage.UPDATE, ("update", width, 1, False),
-                    (probs, lq, row0, k, k + 1, 0, w * ts, sweep),
-                )
-                if r > 0:
-                    below = (row0 + 1, nbt)
-                    add(
-                        "ftsqrt_b", Stage.PANEL, ("panel_b", bcount, r, 2),
-                        (probs, lq, row0, k, below, sweep),
-                    )
-                    add(
-                        "ftsmqr_b", Stage.UPDATE, ("update", width, r, True),
-                        (probs, lq, row0, k, below, k + 1, 0, w * ts, sweep),
-                    )
-        add(
-            "geqrt_b", Stage.PANEL, ("panel_b", bcount, 1, 1),
-            (probs, False, nbt - 1, nbt - 1, 2 * (nbt - 1)),
+            for i, (node, key) in enumerate(zip(square.nodes, keys))
         )
-        for i in range(nbrd):
-            add(
-                "brd_chase_b", Stage.BRD, ("brd_b", bcount, npad, ts),
-                (probs,), primary=(i == 0),
-            )
-        add("bdsqr_cpu_b", Stage.SOLVE, ("solve_b", bcount, n), (probs,))
-
     return LaunchGraph(
-        nodes=nodes, kind="batched", n=n, npad=npad, ts=ts, nbt=nbt,
-        fused=True, streams=nchains, batch=batch,
+        nodes=nodes, kind="batched", n=n, npad=square.npad, ts=square.ts,
+        nbt=square.nbt, fused=True, streams=nchains, batch=batch,
     )
 
 
@@ -179,246 +163,64 @@ def bind_batched_table(
 ) -> NodeTable:
     """Bind the batched sweep structure to ``(n, batch)`` as a node table.
 
-    Shape-parametric emission for the batched family: the round-robin
-    chain structure of :func:`emit_batched_graph` is assembled directly
-    as the struct-of-arrays :class:`~repro.sim.table.NodeTable` - one
-    key block per distinct chain size, closed-form index arrays over the
-    sweep count - and memoized process-wide per
-    ``(config, n, batch, chains)`` through
+    Shape-parametric emission for the batched family: the columns of the
+    fused square table (:func:`~repro.core.svd.bind_svd_table`) lifted
+    per chain the way :func:`emit_batched_graph` lifts its nodes - one
+    key block per distinct chain size, the square keys lifted by
+    :func:`~repro.sim.graph.lift_batched_columns` (the array form of the
+    emitter's :func:`~repro.sim.graph.lift_batched`), and the node
+    columns tiled once per chain with its block's key-id offset -
+    memoized process-wide per ``(config, n, batch, chains)`` through
     :func:`~repro.sim.table.bound_structure`.  Node for node equal to
     ``emit_batched_graph(n, batch, config, streams).table()`` (pinned by
     ``tests/test_table_props.py``); this is what single-device batched
-    prediction and admission pricing consume instead of re-emitting.
-
-    Binding is two-level: the count-invariant chain *skeleton* (node
-    columns, kind/stage/key layout) is built once per
-    ``(config, n, chains, remainder)`` and each concrete ``batch`` only
-    recomputes the key operand rows - so the admission controller's shed
-    loop re-prices a shrinking batch incrementally instead of re-emitting
-    per round.
+    prediction and admission pricing consume instead of re-emitting.  A
+    new batch count only re-lifts the memoized square table (array work
+    alone), so the admission controller's shed loop re-prices a
+    shrinking batch without emitting nodes.
     """
-    if n < 1 or batch < 1:
-        raise ShapeError(f"need positive n and batch, got n={n}, batch={batch}")
-    if streams < 1:
-        raise ShapeError(f"need at least one stream, got {streams}")
+    _check_axes(n, batch, streams)
     nchains = min(streams, batch)
     return bound_structure(
         ("bat_table", config, n, batch, nchains),
-        lambda: _bind_batched_count(n, batch, nchains, config),
+        lambda: _lift_table(
+            bind_svd_table(n, _fused(config)), _chain_sizes(batch, nchains)
+        ),
     )
 
 
-def _batched_key_ops(
-    bcount: int, n: int, npad: int, ts: int, nbt: int,
-    widths: np.ndarray, k: np.ndarray, r: np.ndarray,
-) -> List[Tuple[float, float, float, float]]:
-    """Operand rows of one chain-size key block (families are invariant).
-
-    Layout per block: the chain's GEQRT_B key, per-k UNMQR_B widths,
-    per-r FTSQRT_B panels, per-sweep FTSMQR_B updates, then the chain's
-    stage-2/3 keys - the only place the problem count enters the table.
-    """
-    ops = [(float(bcount), 1.0, 1.0, 0.0)]
-    ops += [(float(w * bcount), 1.0, 0.0, 0.0) for w in widths.tolist()]
-    ops += [(float(bcount), float(rr), 2.0, 0.0) for rr in range(1, nbt)]
-    ops += [
-        (float(w * bcount), float(rr), 1.0, 0.0)
-        for w, rr in zip(widths[k].tolist(), r.tolist())
-    ]
-    ops += [
-        (float(bcount), float(npad), float(ts), 0.0),
-        (float(bcount), float(n), 0.0, 0.0),
-    ]
-    return ops
-
-
-def _bind_batched_count(
-    n: int, batch: int, nchains: int, config: SolveConfig
-) -> NodeTable:
-    """Bind the memoized chain skeleton to a concrete problem count.
-
-    ``batch`` distributes round-robin as ``rem`` chains of ``q + 1``
-    problems and the rest of ``q``; every count with the same
-    ``(nchains, rem)`` shares one skeleton's column arrays, so binding a
-    new count is O(unique keys), not O(nodes).
-    """
-    q, rem = divmod(batch, nchains)
-    skel = bound_structure(
-        ("bat_skel", config, n, nchains, rem),
-        lambda: _build_batched_table(n, nchains + rem, nchains, config),
+def _lift_table(square: NodeTable, sizes: List[int]) -> NodeTable:
+    """``square``'s columns lifted per chain of ``sizes[j]`` problems."""
+    blocks = list(dict.fromkeys(sizes))  # distinct sizes, first seen first
+    fams, opss = zip(
+        *(lift_batched_columns(square.fam, square.ops, c) for c in blocks)
     )
-    ts = config.params.tilesize
-    nbt = ntiles(n, ts)
-    npad = nbt * ts
-    F = max(2 * (nbt - 1) - 1, 0)
-    s = np.arange(F, dtype=np.int64)
-    k = s >> 1
-    r = nbt - 1 - k - (s & 1)
-    widths = np.arange(nbt - 1, 0, -1, dtype=np.int64) * ts
-    ops: List[Tuple[float, float, float, float]] = []
-    for b in ([q + 1] * min(rem, 1) + [q]) if rem else [q]:
-        ops += _batched_key_ops(b, n, npad, ts, nbt, widths, k, r)
+    offsets = np.repeat(
+        np.array([blocks.index(c) for c in sizes]) * square.fam.size,
+        len(square),
+    )
+
+    def tiled(col: np.ndarray) -> np.ndarray:
+        return np.tile(col, len(sizes))
+
     return NodeTable(
         kind="batched",
-        n=n,
-        npad=npad,
-        ts=ts,
-        nbt=nbt,
+        n=square.n,
+        npad=square.npad,
+        ts=square.ts,
+        nbt=square.nbt,
         ngpu=1,
         out_of_core=False,
-        kinds=skel.kinds,
-        kind_id=skel.kind_id,
-        stage_id=skel.stage_id,
-        key_id=skel.key_id,
-        counts=skel.counts,
-        primary=skel.primary,
-        device=skel.device,
-        sweep=skel.sweep,
-        fam=skel.fam,
-        ops=np.asarray(ops, dtype=np.float64).reshape(len(ops), 4),
-    )
-
-
-def _build_batched_table(
-    n: int, batch: int, nchains: int, config: SolveConfig
-) -> NodeTable:
-    """Assemble a batched table from scratch (the skeleton builder)."""
-    ts = config.params.tilesize
-    nbt = ntiles(n, ts)
-    npad = nbt * ts
-    nbrd = brd_launch_count(npad, ts, config.coeffs)
-    PANEL, UPDATE = _SID[Stage.PANEL], _SID[Stage.UPDATE]
-    BRD, SOLVE = _SID[Stage.BRD], _SID[Stage.SOLVE]
-
-    S = 2 * (nbt - 1)  # sweeps; the last one has no rows below the pivot
-    F = max(S - 1, 0)  # sweeps emitting a full panel/update pair
-    s = np.arange(F, dtype=np.int64)
-    k = s >> 1
-    r = nbt - 1 - k - (s & 1)  # rows below the pivot, per sweep
-    widths = np.arange(nbt - 1, 0, -1, dtype=np.int64) * ts  # k ascending
-
-    kinds: Tuple[str, ...] = (
-        ("geqrt_b",)
-        if nbt == 1
-        else ("geqrt_b", "unmqr_b", "ftsqrt_b", "ftsmqr_b")
-    )
-    brd_kind = len(kinds)
-    solve_kind = brd_kind + (1 if nbrd else 0)
-    if nbrd:
-        kinds = kinds + ("brd_chase_b",)
-    kinds = kinds + ("bdsqr_cpu_b",)
-
-    # chains of the same size share one key block and one node-column
-    # block (chain j owns problems j, j+nchains, ...; at most two sizes)
-    fam: List[int] = []
-    ops: List[Tuple[float, float, float, float]] = []
-    blocks: Dict[int, Tuple[np.ndarray, ...]] = {}
-    segs: List[Tuple[np.ndarray, ...]] = []
-    for j in range(nchains):
-        bcount = len(range(j, batch, nchains))
-        block = blocks.get(bcount)
-        if block is None:
-            # key block: the chain's GEQRT_B key, per-k UNMQR_B widths,
-            # per-r FTSQRT_B panels, per-sweep FTSMQR_B updates, then the
-            # chain's stage-2/3 keys
-            base = len(fam)
-            fam.append(_FAM["panel_b"])
-            ops.append((float(bcount), 1.0, 1.0, 0.0))
-            fam += [_FAM["update"]] * (nbt - 1)
-            ops += [(float(w * bcount), 1.0, 0.0, 0.0) for w in widths.tolist()]
-            fam += [_FAM["panel_b"]] * (nbt - 1)
-            ops += [
-                (float(bcount), float(rr), 2.0, 0.0) for rr in range(1, nbt)
-            ]
-            fam += [_FAM["update"]] * F
-            ops += [
-                (float(w * bcount), float(rr), 1.0, 0.0)
-                for w, rr in zip(widths[k].tolist(), r.tolist())
-            ]
-            brd_id = base + 2 * nbt - 1 + F
-            fam += [_FAM["brd_b"], _FAM["solve_b"]]
-            ops += [
-                (float(bcount), float(npad), float(ts), 0.0),
-                (float(bcount), float(n), 0.0, 0.0),
-            ]
-
-            # node columns: F full sweeps of four launches, the below-less
-            # tail sweep, the final diagonal GEQRT_B, stage-2 chain, solve
-            chain_segs: List[Tuple[np.ndarray, ...]] = []
-            if nbt > 1:
-                neg = np.full(F, -1, dtype=np.int64)
-                chain_segs.append(
-                    (
-                        np.tile(np.arange(4, dtype=np.int64), F),
-                        np.tile(
-                            np.array(
-                                [PANEL, UPDATE, PANEL, UPDATE], np.int64
-                            ),
-                            F,
-                        ),
-                        np.stack(
-                            [
-                                np.full(F, base, np.int64),
-                                base + 1 + k,
-                                base + nbt - 1 + r,
-                                base + 2 * nbt - 1 + s,
-                            ],
-                            axis=1,
-                        ).ravel(),
-                        np.stack([neg, s, neg, s], axis=1).ravel(),
-                        np.ones(4 * F, np.int64),
-                        np.ones(4 * F, bool),
-                    )
-                )
-                chain_segs.append(
-                    (  # tail sweep (s = S-1): GEQRT_B + UNMQR_B
-                        np.array([0, 1], np.int64),
-                        np.array([PANEL, UPDATE], np.int64),
-                        np.array([base, base + nbt - 1], np.int64),
-                        np.array([-1, S - 1], np.int64),
-                        np.ones(2, np.int64),
-                        np.ones(2, bool),
-                    )
-                )
-            primary_tail = np.ones(nbrd + 2, bool)
-            primary_tail[2:-1] = False  # chase cost rides on launch one
-            chain_segs.append(
-                (
-                    np.r_[0, [brd_kind] * nbrd, solve_kind].astype(np.int64),
-                    np.r_[PANEL, [BRD] * nbrd, SOLVE].astype(np.int64),
-                    np.r_[base, [brd_id] * nbrd, brd_id + 1].astype(np.int64),
-                    np.full(nbrd + 2, -1, dtype=np.int64),
-                    np.ones(nbrd + 2, np.int64),
-                    primary_tail,
-                )
-            )
-            block = tuple(
-                np.concatenate([seg[i] for seg in chain_segs])
-                for i in range(6)
-            )
-            blocks[bcount] = block
-        segs.append(block)
-    kind_id, stage_id, key_id, sweep, counts, primary = (
-        np.concatenate([seg[i] for seg in segs]) for i in range(6)
-    )
-    return NodeTable(
-        kind="batched",
-        n=n,
-        npad=npad,
-        ts=ts,
-        nbt=nbt,
-        ngpu=1,
-        out_of_core=False,
-        kinds=kinds,
-        kind_id=kind_id,
-        stage_id=stage_id,
-        key_id=key_id,
-        counts=counts,
-        primary=primary,
-        device=np.zeros(kind_id.size, dtype=np.int64),
-        sweep=sweep,
-        fam=np.asarray(fam, dtype=np.int64),
-        ops=np.asarray(ops, dtype=np.float64).reshape(len(fam), 4),
+        kinds=tuple(kind + "_b" for kind in square.kinds),
+        kind_id=tiled(square.kind_id),
+        stage_id=tiled(square.stage_id),
+        key_id=tiled(square.key_id) + offsets,
+        counts=tiled(square.counts),
+        primary=tiled(square.primary),
+        device=tiled(square.device),
+        sweep=tiled(square.sweep),
+        fam=np.concatenate(fams),
+        ops=np.concatenate(opss),
     )
 
 

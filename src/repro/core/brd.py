@@ -64,6 +64,7 @@ import numpy as np
 from ..errors import InvalidParamsError, ShapeError
 from ..sim.costmodel import brd_launch_count
 from ..sim.graph import LaunchNode
+from ..sim.topology import require_int
 from ..sim.tracing import Stage
 
 __all__ = ["band_to_bidiagonal", "emit_brd_chase", "givens"]
@@ -144,11 +145,8 @@ def _check_band(band) -> None:
     A negative band would return the diagonal alone as if it were the
     bidiagonal, and a float one fails deep inside the chase.
     """
-    if (
-        not isinstance(band, (int, np.integer))
-        or isinstance(band, bool)
-        or band < 0
-    ):
+    require_int("band", band)
+    if band < 0:
         raise InvalidParamsError(
             f"band must be a non-negative integer, got band={band!r}"
         )

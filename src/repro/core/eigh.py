@@ -36,7 +36,7 @@ from ..sim.graph import LaunchGraph, LaunchNode, NumericExecutor
 from ..sim.table import NodeTable, bound_structure
 from ..sim.tracing import Stage
 from .bidiag import _EPS, _MAXITER, _bisect_lanes, _sections, svdvals_bidiag
-from .svd import SVDInfo, bind_svd_table, emit_svd_graph, upload
+from .svd import SVDInfo, bind_svd_table, emit_svd_graph, require_real, upload
 from .tiling import pad_to_tiles
 
 __all__ = [
@@ -179,6 +179,7 @@ def eigh_resolved(
     n = A.shape[0]
     if n == 0:
         raise ShapeError("empty matrix")
+    require_real(A)  # before the float64 cast below, not at the upload
     A64 = np.asarray(A, dtype=np.float64)
 
     storage = config.storage_for(A.dtype)

@@ -6,7 +6,7 @@ QR-based method it implements).  This module provides a from-scratch
 one-sided Jacobi solver, used as
 
 * an *independent numerical cross-check* for the two-stage pipeline (the
-  two algorithms share no code, so agreement is strong evidence), and
+  two algorithms share no numerics, so agreement is strong evidence), and
 * a high-relative-accuracy reference: one-sided Jacobi computes small
   singular values to high relative accuracy, which QR-based methods only
   achieve in the absolute sense.
@@ -25,6 +25,7 @@ from typing import Optional
 import numpy as np
 
 from ..errors import ConvergenceError, ShapeError
+from .svd import require_real
 
 __all__ = ["jacobi_svdvals"]
 
@@ -78,6 +79,7 @@ def _jacobi_svdvals_impl(
     max_sweeps: int = 60,
 ) -> np.ndarray:
     """The one-sided Jacobi iteration itself (no configuration axes)."""
+    require_real(A)
     A = np.asarray(A, dtype=np.float64)
     if A.ndim != 2:
         raise ShapeError(f"expected a 2-D matrix, got shape {A.shape}")

@@ -38,7 +38,10 @@ from .banddiag import emit_band_reduction
 from .brd import emit_brd_chase
 from .tiling import ntiles, pad_to_tiles
 
-__all__ = ["SVDInfo", "bind_svd_table", "emit_svd_graph", "svdvals", "upload"]
+__all__ = [
+    "SVDInfo", "bind_svd_table", "emit_svd_graph", "require_real", "svdvals",
+    "upload",
+]
 
 _FAM = {name: i for i, name in enumerate(FAMILIES)}
 _SID = {stage: i for i, stage in enumerate(Stage.ALL)}
@@ -162,18 +165,38 @@ def cast_to_storage(
     return out
 
 
+def require_real(A: np.ndarray) -> None:
+    """Raise :class:`~repro.errors.ShapeError` unless ``A`` is real.
+
+    The pipeline runs real arithmetic only: a cast would silently drop a
+    complex input's imaginary part (NumPy warns, nothing fails) and an
+    object or string input would die untyped inside the rescale, so every
+    numeric door checks the dtype before its first cast.  Float, integer
+    and bool inputs pass.
+    """
+    dtype = np.asarray(A).dtype
+    if dtype.kind not in "biuf":
+        raise ShapeError(
+            f"input matrix has dtype {dtype}, but singular values are "
+            f"computed for real matrices only; pass a float, integer or "
+            f"bool array"
+        )
+
+
 def upload(
     A: np.ndarray, storage: Precision, config: SolveConfig
 ) -> Tuple[np.ndarray, float]:
     """``A`` in storage precision, and the power of two it was scaled by.
 
-    The one storage upload every numeric driver shares.  With
-    ``config.rescale`` the exact :func:`_rescale_factor` first brings
-    ``A`` into the precision's safe range; :func:`cast_to_storage` then
-    casts it, checking finiteness when ``config.check_finite``.  The
-    stored matrix has ``scale`` times the singular values of ``A``, so
-    callers divide the scale back out of their results.
+    The one storage upload every numeric driver shares.  A non-real ``A``
+    fails first (:func:`require_real`).  With ``config.rescale`` the
+    exact :func:`_rescale_factor` then brings ``A`` into the precision's
+    safe range; :func:`cast_to_storage` casts it, checking finiteness
+    when ``config.check_finite``.  The stored matrix has ``scale`` times
+    the singular values of ``A``, so callers divide the scale back out
+    of their results.
     """
+    require_real(A)
     scale = _rescale_factor(A, storage) if config.rescale else 1.0
     stored = cast_to_storage(
         A if scale == 1.0 else A * scale, storage, config.check_finite

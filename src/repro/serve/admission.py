@@ -21,10 +21,10 @@ Pricing is memoized per ``(shape class, count)`` - the same shape-class
 collapsing that keys the tune/plan caches - so steady-state traffic
 admits without re-running the oracle.  Since the struct-of-arrays
 pricing PR the oracle itself is *bind-and-price*: in-core single-stream
-batches bind the memoized chain skeleton of their shape family
-(:func:`repro.core.batched.bind_batched_table`) instead of emitting
-launch nodes, so a shed cascade that re-prices a shrinking batch each
-round costs one O(unique keys) rebind per round rather than a full
+batches bind their table by lifting the memoized square table of their
+shape family per chain (:func:`repro.core.batched.bind_batched_table`)
+instead of emitting launch nodes, so a shed cascade that re-prices a
+shrinking batch each round costs one lift per round rather than a full
 re-emission - the old O(shed^2) node churn is gone
 (:meth:`AdmissionController.bind_stats` exposes the proof counters).
 With ``tune=True`` the controller additionally consults
@@ -276,9 +276,9 @@ class AdmissionController:
         Shedding shrinks the batch and therefore its predicted service
         time, so the loop re-prices until the survivors are all
         deadline-feasible (or the batch is empty).  Each round's price
-        is an incremental rebind of the shape family's chain skeleton
-        (new problem count, same node structure), not a re-emission, so
-        a long cascade stays linear in its rounds.  A batch that cannot
+        lifts the shape family's memoized square table to the new
+        problem count, not a re-emission, so a long cascade stays
+        linear in its rounds.  A batch that cannot
         run even out-of-core sheds every member with the underlying
         :class:`~repro.errors.CapacityError` chained as the cause.
         """

@@ -80,6 +80,8 @@ __all__ = [
     "LaunchNode",
     "NumericExecutor",
     "TRANSFER_KINDS",
+    "lift_batched",
+    "lift_batched_columns",
     "node_overhead_s",
     "price_key",
     "price_node",
@@ -136,16 +138,71 @@ def problem_range(probs: Tuple) -> range:
     return range(probs[1], probs[2], probs[3])
 
 
+#: Square cost-key families a batched launch renames, putting its problem
+#: count in slot 1 ahead of the square operands; an ``update`` key keeps
+#: its family and multiplies its width (slot 1) by the count instead.
+_BATCHED_FAMILIES = {"panel": "panel_b", "brd": "brd_b", "solve": "solve_b"}
+
+
+def lift_batched(key: Tuple, count: int) -> Tuple:
+    """The batched cost key of a square launch covering ``count`` problems.
+
+    The batched emitter lifts every square key through here: ``panel`` /
+    ``brd`` / ``solve`` keys become ``panel_b`` / ``brd_b`` / ``solve_b``
+    with the count in slot 1, and an ``update`` key's column width is
+    multiplied by the count (one grid covers every problem's columns).
+    :func:`lift_batched_columns` is its array form for bound tables, and
+    :func:`rekey_batched` re-counts the result.
+    """
+    family = key[0]
+    if family in _BATCHED_FAMILIES:
+        return (_BATCHED_FAMILIES[family], count) + key[1:]
+    if family == "update":
+        return ("update", key[1] * count) + key[2:]
+    raise ValueError(f"no batched form of cost key {key!r}")
+
+
+def lift_batched_columns(fam, ops, count: int):
+    """:func:`lift_batched` over a bound table's unique-key columns.
+
+    ``fam`` holds :data:`repro.sim.table.FAMILIES` codes and ``ops`` the
+    operand rows (column ``i`` is key slot ``i + 1``).  Returns the
+    lifted ``(fam, ops)`` pair, row for row the columns of the lifted key
+    tuples, so the batched binder lifts keys exactly as the emitter does
+    (pinned by ``tests/test_table_props.py``).
+    """
+    import numpy as np
+
+    from .table import FAMILIES  # table imports this module
+
+    # family code -> the code of its batched family (-1: none)
+    codes = np.array([
+        FAMILIES.index(_BATCHED_FAMILIES.get(f, f))
+        if f in _BATCHED_FAMILIES or f == "update" else -1
+        for f in FAMILIES
+    ])
+    lifted_fam = codes[fam]
+    if (lifted_fam < 0).any():
+        raise ValueError("no batched form of a cost key in these columns")
+    renamed = lifted_fam != fam
+    lifted_ops = ops.copy()
+    lifted_ops[:, 0] *= count  # update widths
+    lifted_ops[renamed, 0] = count
+    lifted_ops[renamed, 1:] = ops[renamed, :3]
+    return lifted_fam, lifted_ops
+
+
 def rekey_batched(key: Tuple, old_count: int, new_count: int) -> Tuple:
     """Re-price a batched cost key for a different problem count.
 
     Used by the graph rewriters when they split one batched launch into
     per-device or per-window sub-launches: ``panel_b`` / ``brd_b`` /
     ``solve_b`` keys carry the count directly, ``update`` keys scale
-    their column width (which is ``per-problem width x count``).
+    their column width (which is ``per-problem width x count``, as
+    :func:`lift_batched` builds it).
     """
     family = key[0]
-    if family in ("panel_b", "brd_b", "solve_b"):
+    if family in _BATCHED_FAMILIES.values():
         return (family, new_count) + key[2:]
     if family == "update":
         return ("update", key[1] // old_count * new_count) + key[2:]

@@ -44,9 +44,11 @@ plus a panel copy.
 
 Batched graphs partition at *problem* granularity instead: problems are
 independent, so every aggregate launch splits into per-device launches
-over round-robin problem subsets, chains carry no cross-device
-dependencies, and a single ``batch_gather`` comm node collecting the
-results to device 0 is the only communication.  Pricing is
+over round-robin problem subsets (each stream chain starting on its own
+device, so ``batch=g, streams=g`` puts one problem on each of ``g``
+devices), chains carry no cross-device dependencies, and a single
+``batch_gather`` comm node collecting the results to device 0 is the
+only communication.  Pricing is
 device-concurrent (each stage charges its maximum over devices).
 
 Cluster topologies (``nodes > 1``) extend the same partition across a
@@ -288,10 +290,11 @@ def check_fleet_capacity(
     rank instead holds whole ``n x n`` problems (same 1.25 working-set
     factor), as many as the batched partition gives it: ``streams=k``
     emits ``min(k, batch)`` round-robin chains and each chain is split on
-    its own - round-robin strides on a uniform fleet of the handle's
-    device, :func:`shard_rows_weighted` runs otherwise - so the
-    per-chain splits add up.  Without ``batch``, uniform fleets of the
-    handle's device delegate to :func:`check_shard_capacity` exactly.
+    its own - round-robin strides from device ``j mod g`` for chain
+    ``j`` on a uniform fleet of the handle's device,
+    :func:`shard_rows_weighted` runs otherwise - so the per-chain splits
+    add up.  Without ``batch``, uniform fleets of the handle's device
+    delegate to :func:`check_shard_capacity` exactly.
     """
     weighted = is_weighted_fleet(topology, config)
     if batch is None and not weighted:
@@ -311,8 +314,8 @@ def check_fleet_capacity(
             if weighted:
                 split = [hi - lo for lo, hi in
                          shard_rows_weighted(0, chain, weights)]
-            else:  # _partition_batched's round-robin strides
-                split = [len(range(d, chain, g)) for d in range(g)]
+            else:  # _partition_batched's strides, from device j mod g
+                split = [len(range((d - j) % g, chain, g)) for d in range(g)]
             problems = [p + s for p, s in zip(problems, split)]
         elems = [count * n * n for count in problems]
         what = f"batch of {batch} {n}x{n} {storage.name} matrices"
@@ -842,9 +845,11 @@ def _partition_batched(
 
     Problems are independent, so the partition is embarrassingly simple:
     every aggregate launch splits into per-device launches covering that
-    device's round-robin problem subset (device ``d`` of a node covering
-    ``range(start, stop, step)`` takes ``range(start + d*step, stop,
-    step*g)``, ``g`` the total device count), chains stay serial
+    device's round-robin problem subset: the ``i``-th problem of a node
+    covering ``range(start, stop, step)`` goes to device
+    ``(start + i) mod g``, ``g`` the total device count.  Stream chain
+    ``j`` starts at problem ``j``, so its stride starts at device
+    ``j mod g`` and the chains spread over the fleet.  Chains stay serial
     *within* a device and carry no cross-device dependencies, and
     communication is the gather of the non-root devices' singular values
     to device 0 - the only inter-device movement a batch needs.  On one
@@ -879,7 +884,7 @@ def _partition_batched(
         per: Dict[int, int] = {}
         if weights is None:
             assignments = [
-                ("b", start + d * step, stop, step * total)
+                ("b", start + (d - start) % total * step, stop, step * total)
                 for d in range(total)
             ]
         else:

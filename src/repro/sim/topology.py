@@ -30,13 +30,28 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
+import numpy as np
+
 from ..errors import InvalidParamsError
 
-__all__ = ["Topology"]
+__all__ = ["Topology", "require_int"]
 
 #: The legacy Solver axes a ``topology=`` argument replaces; used to name
 #: conflicting axes in validation errors.
 _LEGACY_AXES = ("ngpu", "nodes", "fabric_gbs", "link_gbs")
+
+
+def require_int(axis: str, value) -> None:
+    """Reject a count axis that is not a Python or NumPy integer.
+
+    A float would be truncated (``ngpu=2.9`` pricing two devices) or fail
+    deep inside emission, and a ``bool`` would count as one, so both
+    raise :class:`~repro.errors.InvalidParamsError` naming the axis.
+    """
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise InvalidParamsError(
+            f"{axis} must be an integer, got {axis}={value!r}"
+        )
 
 
 @dataclass(frozen=True)
@@ -78,6 +93,7 @@ class Topology:
         if not names:
             raise InvalidParamsError("a topology needs at least one device")
         object.__setattr__(self, "devices", names)
+        require_int("nodes", self.nodes)
         if self.nodes < 1:
             raise InvalidParamsError(
                 f"nodes must be a positive node count, got {self.nodes}"
@@ -124,12 +140,13 @@ class Topology:
         or a :class:`~repro.backends.device.DeviceSpec` (how
         ``Solver.predict`` folds a handle's own device).
         """
+        require_int("ngpu", ngpu)
         if ngpu < 1:
             raise InvalidParamsError(
                 f"ngpu must be a positive device count, got {ngpu}"
             )
         return cls(
-            devices=(device,) * int(ngpu),
+            devices=(device,) * ngpu,
             nodes=nodes,
             fabric_gbs=fabric_gbs,
             link_gbs=link_gbs,

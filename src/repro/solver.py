@@ -89,7 +89,7 @@ from .sim.partition import (
     price_partitioned,
 )
 from .sim.table import bound_structure, price_table
-from .sim.topology import Topology, require_no_conflicts
+from .sim.topology import Topology, require_int, require_no_conflicts
 
 __all__ = ["Solver", "SvdPlan"]
 
@@ -452,7 +452,9 @@ class Solver:
 
         Requires a handle constructed with an explicit precision.
         ``out_of_core`` does not compose with ``nodes > 1`` nor with
-        weighted batched fleets.
+        weighted batched fleets.  The count axes (``n``, ``batch``,
+        ``ngpu``, ``nodes``, ``streams``, ``rank``) must be Python or
+        NumPy integers, not ``bool``.
         """
         # the method guard comes first so a Jacobi handle is told about
         # its real problem, not about whichever axis value it passed
@@ -461,6 +463,13 @@ class Solver:
                 "prediction models the two-stage QR pipeline; construct "
                 "the Solver with method='qr'"
             )
+        for axis, value in (
+            ("n", n), ("ngpu", ngpu), ("nodes", nodes), ("streams", streams)
+        ):
+            require_int(axis, value)
+        for axis, value in (("batch", batch), ("rank", rank)):
+            if value is not None:
+                require_int(axis, value)
         if workload not in ("svd", "eigh", "lowrank"):
             raise InvalidParamsError(
                 f"unknown workload {workload!r}; expected one of "

@@ -8,6 +8,7 @@ on the fleets that used to bypass it, the single memo key the two device
 spellings share, and the fail-fast storage cast of every numeric driver.
 """
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -17,7 +18,7 @@ from repro import Solver, Topology
 from repro.backends.device import get_device
 from repro.core.batched import emit_batched_graph, replay_batched_graph
 from repro.core.svd import cast_to_storage
-from repro.errors import CapacityError, ShapeError
+from repro.errors import CapacityError, InvalidParamsError, ShapeError
 from repro.precision import Precision
 from repro.sim.events import EventSchedule
 from repro.sim.partition import partition_graph
@@ -25,6 +26,47 @@ from repro.sim.table import bound_table_stats, clear_bound_tables
 from repro.solver import compose_graph
 
 RTX_PAIR = Topology(("rtx4060",) * 2)
+
+
+def held(graph, ngpu):
+    """Problems each device of a partitioned batched graph solves."""
+    return [
+        sum(len(range(*node.meta[0][1:])) for node in graph.nodes
+            if node.kind == "bdsqr_cpu_b" and node.device == d)
+        for d in range(ngpu)
+    ]
+
+
+class TestIntegerAxes:
+    """Every count axis must be an integer: a float is not truncated
+    (``ngpu=2.9`` used to price 2 devices) and a bool does not count as
+    one; each raises naming the axis and the value."""
+
+    @pytest.mark.parametrize("value", [2.5, 2.0, True], ids=repr)
+    @pytest.mark.parametrize(
+        "axis", ["n", "batch", "ngpu", "nodes", "streams", "rank"]
+    )
+    def test_predict_door(self, axis, value):
+        solver = Solver("h100", precision="fp32")
+        with pytest.raises(
+            InvalidParamsError,
+            match=re.escape(f"{axis} must be an integer, got {axis}={value!r}"),
+        ):
+            solver.predict(**{"n": 256, axis: value})
+
+    @pytest.mark.parametrize("value", [2.5, 2.0, True], ids=repr)
+    def test_topology(self, value):
+        with pytest.raises(InvalidParamsError, match="ngpu must be an integer"):
+            Topology.uniform("h100", value)
+        with pytest.raises(InvalidParamsError, match="nodes must be an integer"):
+            Topology(("h100",) * 2, nodes=value)
+
+    def test_numpy_integers_pass(self):
+        solver = Solver("h100", precision="fp32")
+        assert solver.predict(
+            np.int64(256), batch=np.int32(2), ngpu=np.int64(2),
+            streams=np.int16(2),
+        ) == solver.predict(256, batch=2, ngpu=2, streams=2)
 
 
 class TestBatchedFleetCapacity:
@@ -51,18 +93,13 @@ class TestBatchedFleetCapacity:
         config = solver.config
         fleet = Topology(("a100", "rtx4060"))
 
-        def held(streams):
-            graph = compose_graph(
+        def split(streams):
+            return held(compose_graph(
                 lambda: emit_batched_graph(256, 12, config, streams=streams),
                 config, fleet,
-            )
-            return [
-                sum(len(range(*node.meta[0][1:])) for node in graph.nodes
-                    if node.kind == "bdsqr_cpu_b" and node.device == d)
-                for d in range(2)
-            ]
+            ), 2)
 
-        assert held(1) == [5, 7] and held(4) == [4, 8]
+        assert split(1) == [5, 7] and split(4) == [4, 8]
         assert isinstance(
             solver.predict(15000, batch=12, topology=fleet), EventSchedule
         )
@@ -70,26 +107,38 @@ class TestBatchedFleetCapacity:
             solver.predict(15000, batch=12, streams=4, topology=fleet)
 
     def test_uniform_fleet_counts_each_chain(self):
-        # two chains {0, 2, 4} and {1, 3, 5} are each split round-robin
-        # over 2 devices, so device 0 holds problems {0, 1, 4, 5}: 4 x
-        # 68256^2 fp32 x 1.25 = 86.8 GiB of its 80 GiB (3 would fit)
+        # chains {0, 2, 4, 6} and {1, 3, 5} are each split round-robin
+        # over 2 devices, chain j from device j: device 0 holds {0, 4, 3}
+        # and device 1 holds {2, 6, 1, 5}, so 4 x 68256^2 fp32 x 1.25 =
+        # 86.8 GiB of rank 1's 80 GiB (3 fit: a batch of 6 splits 3 / 3)
         solver = Solver("h100", precision="fp32")
         config = solver.config
         fleet = Topology.uniform("h100", 2)
-        graph = compose_graph(
-            lambda: emit_batched_graph(256, 6, config, streams=2),
-            config, fleet,
-        )
-        held = [
-            sum(len(range(*node.meta[0][1:])) for node in graph.nodes
-                if node.kind == "bdsqr_cpu_b" and node.device == d)
-            for d in range(2)
-        ]
-        assert held == [4, 2]
-        assert solver.predict(68256, batch=6, ngpu=2).total_s > 0.0
+
+        def split(batch):
+            return held(compose_graph(
+                lambda: emit_batched_graph(256, batch, config, streams=2),
+                config, fleet,
+            ), 2)
+
+        assert split(6) == [3, 3] and split(7) == [3, 4]
         for axes in ({"ngpu": 2}, {"topology": fleet}):
-            with pytest.raises(CapacityError, match=r"needs 86\.8 GiB on rank 0"):
-                solver.predict(68256, batch=6, streams=2, **axes)
+            assert solver.predict(
+                68256, batch=6, streams=2, **axes
+            ).total_s > 0.0
+            with pytest.raises(CapacityError, match=r"needs 86\.8 GiB on rank 1"):
+                solver.predict(68256, batch=7, streams=2, **axes)
+
+    @pytest.mark.parametrize("ngpu", [2, 4])
+    def test_one_chain_per_device(self, ngpu):
+        # batch=g, streams=g: chain j holds problem j and starts on
+        # device j, so every device solves exactly one problem
+        config = Solver("h100", precision="fp32").config
+        graph = compose_graph(
+            lambda: emit_batched_graph(256, ngpu, config, streams=ngpu),
+            config, Topology.uniform("h100", ngpu),
+        )
+        assert held(graph, ngpu) == [1] * ngpu
 
     def test_single_device_batch_rule_is_unchanged(self):
         # one device holds the whole batch: b n^2 fp32 words at 1.25

@@ -1,5 +1,8 @@
 """Tests for input validation and the automatic rescaling extension."""
 
+import asyncio
+import re
+
 import numpy as np
 import pytest
 
@@ -84,6 +87,76 @@ class TestCheckFinite:
         solver = Solver(backend="h100", precision="fp16", rescale=False)
         with pytest.raises(ShapeError, match="rescale=True"):
             solver.solve(A)
+
+
+def non_real(kind, shape, rng):
+    """A complex (with nonzero imaginary part), object or string matrix."""
+    A = rng.standard_normal(shape)
+    if kind == "complex":
+        return (A + 1j * rng.standard_normal(shape)).astype(np.complex64)
+    if kind == "object":
+        return A.astype(object)
+    return A.astype(str)
+
+
+NON_REAL = ("complex", "object", "str")
+
+
+class TestRealInputOnly:
+    """Complex, object and string input fails at the upload boundary with
+    one ShapeError naming the dtype - never a silent cast to Re(A) or a
+    bare TypeError from the rescale - while int and bool inputs work."""
+
+    @staticmethod
+    def names_dtype(A):
+        return pytest.raises(
+            ShapeError, match=rf"dtype {re.escape(str(A.dtype))}.*real"
+        )
+
+    @pytest.mark.parametrize("kind", NON_REAL)
+    @pytest.mark.parametrize("door", sorted(FRONT_DOORS))
+    def test_front_doors(self, door, kind, rng):
+        A = non_real(kind, FRONT_DOORS[door], rng)
+        with self.names_dtype(A):
+            solve_through(door, A, precision="fp32")
+
+    @pytest.mark.parametrize("kind", NON_REAL)
+    def test_eigh_stack_plan_and_jacobi(self, kind, rng):
+        solver = Solver(backend="h100", precision="fp32")
+        A = non_real(kind, (16, 16), rng)
+        for run in (
+            lambda: solver.eigh(A),
+            lambda: solver.solve(np.stack([A, A])),
+            lambda: solver.plan((16, 16)).execute(A),
+            lambda: Solver(method="jacobi").solve(A),
+        ):
+            with self.names_dtype(A):
+                run()
+
+    @pytest.mark.parametrize("kind", NON_REAL)
+    def test_served_request(self, kind, rng):
+        solver = Solver(backend="h100", precision="fp32")
+        A = non_real(kind, (16, 16), rng)
+
+        async def go():
+            async with solver.serve() as svc:
+                with self.names_dtype(A):
+                    await svc.submit(A)
+
+        asyncio.run(go())
+
+    def test_int_and_bool_still_work(self, rng):
+        solver = Solver(backend="h100", precision="fp64")
+        for A in (rng.integers(-4, 5, (16, 16)), rng.random((16, 16)) > 0.5):
+            ref = scipy_svdvals(A.astype(np.float64))
+            assert rel_err(solver.solve(A), ref) < 1e-12
+            assert rel_err(Solver(method="jacobi").solve(A), ref) < 1e-12
+            S = A.T @ A if A.dtype != bool else A & A.T
+            assert np.allclose(
+                np.sort(solver.eigh(S)),
+                np.linalg.eigvalsh(S.astype(np.float64)),
+                atol=1e-10 * max(1.0, float(np.abs(S).max())),
+            )
 
 
 class TestRescaleFactor:

@@ -359,11 +359,11 @@ class TestAdmissionController:
         """Call-count pin: a shed cascade never re-emits launch nodes.
 
         Shedding shrinks the batch and re-prices it, so one admit runs
-        the oracle once per round.  Every round must be a bound-table
-        rebind of the shared chain skeleton - zero emit_batched_graph
-        calls, one skeleton build, one table bind per distinct count -
-        and a repeat admit of the surviving count must be a pure price
-        memo hit (no new binds at all).
+        the oracle once per round.  Every round must lift the shared
+        square table - zero emit_batched_graph calls, one square table
+        bind, one batched table bind per distinct count - and a repeat
+        admit of the surviving count must be a pure price memo hit (no
+        new binds at all).
         """
         from repro.core import batched as batched_mod
         from repro.sim.table import bound_table_stats, clear_bound_tables
@@ -393,7 +393,7 @@ class TestAdmissionController:
         assert not emits
         assert ctrl.reprice_rounds == 2  # priced at 12, re-priced at 4
         stats = bound_table_stats()
-        # one bound table per distinct count plus one shared skeleton
+        # one bound table per distinct count plus the shared square one
         assert stats["misses"] == 3
         assert ctrl.price_misses == 2
 

@@ -99,14 +99,22 @@ class TestVectorizedPricingIsTheScalarOracle:
     @given(
         backend=st.sampled_from(BACKENDS),
         precision=st.sampled_from(PRECISIONS),
+        fused=st.booleans(),
         n=st.integers(1, 300),
         batch=st.integers(1, 24),
         streams=st.integers(1, 4),
     )
     @settings(max_examples=30, deadline=None)
-    def test_batched_serial(self, backend, precision, n, batch, streams):
+    def test_batched_serial(
+        self, backend, precision, fused, n, batch, streams
+    ):
         config, storage = resolved(backend, precision)
+        # a batch always runs the fused schedule, whatever the handle says
+        config = config.with_(fused=fused)
         graph = emit_batched_graph(n, batch, config, streams=streams)
+        assert graph.fused and {"tsqrt_b", "tsmqr_b"}.isdisjoint(
+            graph.launch_counts()
+        )
         table_bd = AnalyticExecutor(config, storage).run(graph)
         scalar_bd = AnalyticExecutor(config, storage).run_scalar(graph)
         assert_breakdowns_identical(table_bd, scalar_bd)
@@ -207,13 +215,16 @@ class TestBoundTablesMatchEmittedGraphs:
     @given(
         backend=st.sampled_from(BACKENDS),
         precision=st.sampled_from(PRECISIONS),
+        fused=st.booleans(),
         n=st.integers(1, 400),
         batch=st.integers(1, 24),
         streams=st.integers(1, 5),
     )
     @settings(max_examples=40, deadline=None)
-    def test_batched(self, backend, precision, n, batch, streams):
+    def test_batched(self, backend, precision, fused, n, batch, streams):
         config, storage = resolved(backend, precision)
+        # a fused=False handle binds the fused batched schedule as well
+        config = config.with_(fused=fused)
         clear_bound_tables()
         bound = bind_batched_table(n, batch, config, streams=streams)
         emitted = emit_batched_graph(n, batch, config, streams=streams).table()
