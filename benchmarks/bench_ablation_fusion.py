@@ -8,7 +8,7 @@ the numerics are identical while only the schedule differs.
 
 import numpy as np
 from conftest import save_result
-from repro.core import svdvals
+from repro import Solver
 from repro.experiments import ablations
 
 
@@ -27,8 +27,9 @@ def test_fusion_ablation(benchmark):
     # numeric equality at a real size
     rng = np.random.default_rng(0)
     A = rng.standard_normal((96, 96))
-    vf = svdvals(A, backend="h100", fused=True)
-    vu = svdvals(A, backend="h100", fused=False)
+    fused = Solver(backend="h100", fused=True)
+    vf = fused.solve(A)
+    vu = fused.with_(fused=False).solve(A)
     np.testing.assert_array_equal(vf, vu)
 
-    benchmark(lambda: svdvals(A, backend="h100", fused=True))
+    benchmark(lambda: fused.solve(A))

@@ -8,7 +8,7 @@ changes numerics; benchmarks the analytic sweep.
 
 import numpy as np
 from conftest import save_result
-from repro.core import svdvals
+from repro import Solver
 from repro.experiments import ablations
 from repro.sim import KernelParams
 
@@ -28,7 +28,8 @@ def test_splitk_ablation(benchmark):
     # SPLITK is computational only: values identical across settings
     rng = np.random.default_rng(1)
     A = rng.standard_normal((64, 64))
-    ref = svdvals(A, backend="h100", params=KernelParams(32, 32, 1))
+    solver = Solver(backend="h100")
+    ref = solver.with_(params=KernelParams(32, 32, 1)).solve(A)
     for sk in (2, 8, 16):
-        got = svdvals(A, backend="h100", params=KernelParams(32, 32, sk))
+        got = solver.with_(params=KernelParams(32, 32, sk)).solve(A)
         np.testing.assert_array_equal(got, ref)

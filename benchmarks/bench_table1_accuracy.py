@@ -5,8 +5,7 @@ paper grid), regenerates the table, asserts the per-precision error
 magnitudes, and benchmarks one representative unified solve.
 """
 
-from conftest import save_result
-from repro.core import svdvals
+from conftest import get_solver, save_result
 from repro.experiments import table1
 from repro.matrices import make_test_matrix
 
@@ -28,4 +27,5 @@ def test_table1_regenerates(benchmark):
 
     # benchmark one representative solve (FP32, logarithmic spectrum)
     tm = make_test_matrix(96, "logarithmic", precision="fp32", seed=0)
-    benchmark(lambda: svdvals(tm.A, backend="h100", precision="fp32"))
+    solver = get_solver("h100", "fp32")
+    benchmark(lambda: solver.solve(tm.A))

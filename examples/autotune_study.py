@@ -14,7 +14,7 @@ Usage::
 
 import repro
 from repro.report import format_seconds, format_table
-from repro.sim import KernelParams, predict
+from repro.sim import KernelParams
 from repro.tuning import grid_search
 
 
@@ -31,8 +31,10 @@ def main() -> None:
     body = []
     for backend, precision, n in configs:
         res = grid_search(n, backend, precision)
-        ref = predict(n, backend, precision, params=KernelParams(),
-                      check_capacity=False).total_s
+        solver = repro.Solver(backend=backend, precision=precision)
+        ref = solver.with_(params=KernelParams()).predict(
+            n, check_capacity=False
+        ).total_s
         gain = 100.0 * (ref - res.best_seconds) / ref
         body.append([
             backend, precision, str(n), str(res.best),
@@ -46,11 +48,12 @@ def main() -> None:
 
     # show the Table 3 trade-off explicitly on one configuration
     print("\nTILESIZE sweep, H100 FP32 (per-size optimum shifts):")
+    h100 = repro.Solver(backend="h100", precision="fp32")
     for n in (512, 8192, 32768):
         times = {
-            ts: predict(n, "h100", "fp32",
-                        params=KernelParams(ts, min(ts, 32), 8),
-                        check_capacity=False).total_s
+            ts: h100.with_(params=KernelParams(ts, min(ts, 32), 8)).predict(
+                n, check_capacity=False
+            ).total_s
             for ts in (16, 32, 64, 128)
         }
         best = min(times, key=times.get)

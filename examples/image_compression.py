@@ -3,9 +3,10 @@
 A classic SVD application (the paper cites signal/image processing): build
 a synthetic test image, compute its spectrum with the unified API, choose
 truncation ranks from the energy profile, and report the compression-
-error trade-off.  The reconstruction uses this library's own ``svd_full`` extension (the
-paper lists singular vectors as future work), so both the rank decision
-and the compressed reconstruction come from the reproduced system.
+error trade-off.  The reconstruction uses this library's own ``Solver.svd``
+extension (the paper lists singular vectors as future work), so both the
+rank decision and the compressed reconstruction come from the reproduced
+system.
 
 The truncation error predicted from the values alone must match the error
 measured from the factors ``U``, ``s``, ``Vt`` to within 1%; otherwise the
@@ -44,14 +45,14 @@ def main() -> int:
     img = synthetic_image()
     n = img.shape[0]
 
-    sv, info = repro.svdvals(img, backend="rtx4060", precision="fp32",
-                             return_info=True)
+    solver = repro.Solver(backend="rtx4060", precision="fp32")
+    sv, info = solver.solve(img, return_info=True)
     print(f"{n}x{n} image, simulated RTX4060 time "
           f"{info.simulated_seconds * 1e3:.2f} ms")
 
     total_energy = float(np.sum(sv**2))
-    # full factors for the reconstructions (our svd_full extension)
-    res = repro.svd_full(img, backend="rtx4060", precision="fp32")
+    # full factors for the reconstructions (the Solver.svd extension)
+    res = solver.svd(img)
     body = []
     worst = 0.0
     for target in (0.90, 0.99, 0.999, 0.9999):

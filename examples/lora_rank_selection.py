@@ -39,8 +39,8 @@ def main() -> None:
     print(f"weight matrix: {n} x {n} FP16 "
           f"({W.nbytes / 1024:.0f} KiB vs {W.nbytes * 2 / 1024:.0f} KiB FP32)")
 
-    sv, info = repro.svdvals(
-        W, backend="h100", precision="fp16", return_info=True
+    sv, info = repro.Solver(backend="h100", precision="fp16").solve(
+        W, return_info=True
     )
     rank = select_rank(sv)
     print(f"planted update rank:  {planted_rank}")
@@ -56,7 +56,8 @@ def main() -> None:
           f"fp32 {be.max_n('fp32')}, fp64 {be.max_n('fp64')}")
 
     # compare against an FP32 run: same rank decision, larger footprint
-    sv32 = repro.svdvals(W.astype(np.float32), backend="h100", precision="fp32")
+    fp32 = repro.Solver(backend="h100", precision="fp32")
+    sv32 = fp32.solve(W.astype(np.float32))
     assert select_rank(sv32) == rank
     print("FP32 run selects the same rank - FP16 is sufficient here.")
 

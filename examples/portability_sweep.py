@@ -15,7 +15,6 @@ import numpy as np
 import repro
 from repro.errors import UnsupportedPrecisionError
 from repro.report import format_seconds, format_table
-from repro.sim import predict
 from repro.tuning import autotune
 
 
@@ -28,7 +27,7 @@ def numeric_check() -> None:
     for be in repro.list_backends():
         for prec in ("fp16", "fp32", "fp64"):
             try:
-                sv = repro.svdvals(A64, backend=be, precision=prec)
+                sv = repro.Solver(backend=be, precision=prec).solve(A64)
                 err = np.linalg.norm(sv - ref) / np.linalg.norm(ref)
                 print(f"  {be.name:14s} {prec}: rel err {err:.1e}")
             except UnsupportedPrecisionError as exc:
@@ -53,8 +52,9 @@ def predicted_curves() -> None:
                 if n > be.max_n(p):
                     row.append("OOM")
                     continue
-                params = autotune(n, be, p)
-                t = predict(n, be, p, params=params).total_s
+                solver = repro.Solver(backend=be, precision=p)
+                tuned = solver.with_(params=autotune(n, be, p))
+                t = tuned.predict(n).total_s
                 row.append(format_seconds(t).strip())
         body.append(row)
     print()

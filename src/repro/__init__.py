@@ -35,9 +35,9 @@ price pipeline.  :meth:`Solver.tune` searches that whole space
 analytically — kernel hyperparameters × ``streams`` × ``ngpu`` ×
 window budget, plus the ``nodes`` cluster axis on request — and
 returns a ranked :class:`repro.tuning.TunePlan` whose winner is never
-analytically slower than the untuned default.
-``method="jacobi"`` runs the one-sided Jacobi cross-check through the
-same handle.
+analytically slower than the untuned default.  The handle has one
+method, the two-stage QR pipeline; the one-sided Jacobi cross-check is
+the plain oracle function :func:`repro.core.jacobi.jacobi_svdvals`.
 
 Every driver is backed by one **stage-graph execution engine** (see
 ``ARCHITECTURE.md``): the problem shape is emitted once as a declarative
@@ -61,25 +61,17 @@ out-of-core spilling) and executed through the batched graph replay —
 bitwise identical to synchronous solves.
 
 Pass ``return_info=True`` to any solve for the simulated per-stage timing
-report.  The historical free functions (:func:`svdvals`,
-:func:`svdvals_rect`, :func:`svdvals_batched`, :func:`svd_full`,
-:func:`predict`, :func:`jacobi_svdvals`, ...) remain available as thin
-shims over a one-shot ``Solver`` — no migration required, but new code
-should hold a handle.
+report.  ``Solver`` is the only front door: the one-shot free functions
+of versions before 4.0 (``svdvals``, ``svdvals_rect``,
+``svdvals_batched``, ``svd_full``, ``predict``, ``predict_batched``,
+``predict_multi_gpu``, ``predict_out_of_core``) are gone, and each has a
+one-line ``Solver`` spelling with the same arguments (``CHANGES.md``
+maps them).
 """
 
 from .backends import Backend, DeviceMatrix, DeviceSpec, list_backends, resolve_backend
 from .config import SolveConfig
-from .core import (
-    SVDInfo,
-    SVDResult,
-    jacobi_svdvals,
-    predict_batched,
-    svd_full,
-    svdvals,
-    svdvals_batched,
-    svdvals_rect,
-)
+from .core import SVDInfo, SVDResult
 from .errors import (
     CapacityError,
     ConvergenceError,
@@ -92,18 +84,11 @@ from .errors import (
     WindowOverflowError,
 )
 from .precision import Precision, resolve_precision
-from .sim import (
-    REFERENCE_PARAMS,
-    KernelParams,
-    Topology,
-    predict,
-    predict_multi_gpu,
-    predict_out_of_core,
-)
+from .sim import REFERENCE_PARAMS, KernelParams, Topology
 from .solver import Solver, SvdPlan
 from .serve import ServiceStats, SvdService
 
-__version__ = "3.0.0"
+__version__ = "4.0.0"
 
 __all__ = [
     # unified handle surface (the recommended API)
@@ -137,15 +122,5 @@ __all__ = [
     "UnsupportedBackendError",
     "UnsupportedPrecisionError",
     "WindowOverflowError",
-    # legacy one-shot shims (delegate to Solver)
-    "jacobi_svdvals",
-    "predict",
-    "predict_batched",
-    "predict_multi_gpu",
-    "predict_out_of_core",
-    "svd_full",
-    "svdvals",
-    "svdvals_batched",
-    "svdvals_rect",
     "__version__",
 ]

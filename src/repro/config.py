@@ -1,12 +1,11 @@
 """Frozen solve configuration: everything a solve needs, resolved once.
 
-The legacy entry points each re-resolved the backend, precision,
-hyperparameters and cost coefficients on every call.  :class:`SolveConfig`
-is the single resolution point behind :class:`repro.Solver`: it validates
-the full configuration at construction time (unknown backends, unsupported
-backend/precision pairs, invalid hyperparameters and method names all
-fail fast, before any matrix is touched) and is immutable afterwards,
-so a handle can be shared and reused safely.
+:class:`SolveConfig` is the single resolution point behind
+:class:`repro.Solver`: it validates the full configuration at
+construction time (unknown backends, unsupported backend/precision
+pairs and invalid hyperparameters all fail fast, before any matrix is
+touched) and is immutable afterwards, so a handle can be shared and
+reused safely.
 """
 
 from __future__ import annotations
@@ -27,11 +26,7 @@ from .sim.costmodel import (
 from .sim.params import KernelParams
 from .sim.session import Session
 
-__all__ = ["METHODS", "SolveConfig"]
-
-#: Valid solver algorithms: the two-stage QR pipeline (the paper's
-#: contribution) or the one-sided Jacobi cross-check.
-METHODS = ("qr", "jacobi")
+__all__ = ["SolveConfig"]
 
 
 @dataclass(frozen=True)
@@ -51,9 +46,6 @@ class SolveConfig:
     fused: bool = True
     check_finite: bool = True
     rescale: bool = True
-    method: str = "qr"
-    jacobi_tol: Optional[float] = None
-    jacobi_max_sweeps: int = 60
     #: Extra sketch columns of the randomized low-rank workload: the
     #: Gaussian sample is ``rank + oversample`` columns wide (clamped to
     #: the matrix), trading a slightly larger small solve for sharper
@@ -78,9 +70,6 @@ class SolveConfig:
         fused: bool = True,
         check_finite: bool = True,
         rescale: bool = True,
-        method: str = "qr",
-        jacobi_tol: Optional[float] = None,
-        jacobi_max_sweeps: int = 60,
         oversample: int = 8,
         link: Optional[LinkSpec] = None,
         fabric: Optional[FabricSpec] = None,
@@ -94,7 +83,7 @@ class SolveConfig:
         UnsupportedPrecisionError
             Precision not supported by the backend (paper Figure 5 gaps).
         InvalidParamsError
-            Invalid hyperparameters or unknown ``method``.
+            Invalid hyperparameters, ``oversample``, ``link`` or ``fabric``.
         """
         be = resolve_backend(backend)
         prec = be.check_precision(precision) if precision is not None else None
@@ -106,14 +95,6 @@ class SolveConfig:
             )
         if coeffs is None:
             coeffs = DEFAULT_COEFFS
-        if method not in METHODS:
-            raise InvalidParamsError(
-                f"unknown method {method!r}; expected one of {METHODS}"
-            )
-        if jacobi_max_sweeps < 1:
-            raise InvalidParamsError(
-                f"jacobi_max_sweeps must be positive, got {jacobi_max_sweeps}"
-            )
         if oversample < 1:
             raise InvalidParamsError(
                 f"oversample must be positive, got oversample={oversample}"
@@ -150,9 +131,6 @@ class SolveConfig:
             fused=bool(fused),
             check_finite=bool(check_finite),
             rescale=bool(rescale),
-            method=method,
-            jacobi_tol=jacobi_tol,
-            jacobi_max_sweeps=int(jacobi_max_sweeps),
             oversample=int(oversample),
             link=link,
             fabric=fabric,

@@ -15,18 +15,13 @@ from .randomized import (
     sketch_width,
 )
 from .workloads import WORKLOADS, WorkloadSpec, register_workload
-from .batched import (
-    bind_batched_table,
-    emit_batched_graph,
-    predict_batched,
-    svdvals_batched,
-)
+from .batched import bind_batched_table, emit_batched_graph
 from .jacobi import jacobi_svdvals
-from .rectangular import emit_tallqr_graph, qr_reduce_tall, svdvals_rect
-from .vectors import SVDResult, svd_full
+from .rectangular import emit_tallqr_graph, qr_reduce_tall
+from .vectors import SVDResult
 from .bidiag import bisect, golub_kahan, singular_2x2, svdvals_bidiag
 from .brd import band_to_bidiagonal, emit_brd_chase, givens
-from .svd import SVDInfo, bind_svd_table, emit_svd_graph, svdvals
+from .svd import SVDInfo, bind_svd_table, emit_svd_graph
 from .tiling import band_width, extract_band, is_upper_band, ntiles, pad_to_tiles, tile
 
 __all__ = [
@@ -49,12 +44,8 @@ __all__ = [
     "lowrank_reference",
     "register_workload",
     "sketch_width",
-    "predict_batched",
-    "svdvals_batched",
     "jacobi_svdvals",
     "qr_reduce_tall",
-    "svd_full",
-    "svdvals_rect",
     "band_to_bidiagonal",
     "band_width",
     "bisect",
@@ -65,7 +56,6 @@ __all__ = [
     "ntiles",
     "pad_to_tiles",
     "singular_2x2",
-    "svdvals",
     "svdvals_bidiag",
     "tile",
 ]

@@ -52,13 +52,9 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..backends.backend import BackendLike
 from ..config import SolveConfig
 from ..errors import ShapeError
-from ..precision import PrecisionLike
 from ..sim.costmodel import (
-    DEFAULT_COEFFS,
-    CostCoefficients,
     bidiag_solve_cost,
     brd_cost,
     brd_launch_count,
@@ -72,7 +68,6 @@ from ..sim.graph import (
     lift_batched,
     lift_batched_columns,
 )
-from ..sim.params import KernelParams
 from ..sim.schedule import TimeBreakdown
 from ..sim.table import NodeTable, bound_structure, price_table
 from .svd import bind_svd_table, emit_svd_graph, upload
@@ -82,9 +77,7 @@ __all__ = [
     "batched_closed_form_resolved",
     "bind_batched_table",
     "emit_batched_graph",
-    "predict_batched",
     "replay_batched_graph",
-    "svdvals_batched",
 ]
 
 
@@ -312,32 +305,6 @@ def batched_closed_form_resolved(
     )
 
 
-def predict_batched(
-    n: int,
-    batch: int,
-    backend: BackendLike,
-    precision: PrecisionLike,
-    params: Optional[KernelParams] = None,
-    coeffs: CostCoefficients = DEFAULT_COEFFS,
-) -> TimeBreakdown:
-    """Predict the simulated runtime of ``batch`` SVDs of order ``n``.
-
-    The schedule is the single-matrix schedule with every launch widened
-    ``batch``-fold: panel kernels run ``batch`` independent thread blocks
-    per step (they parallelize perfectly across problems), update kernels
-    process ``batch x width`` columns, and the stage-2/3 work scales
-    linearly while sharing launch overheads.  Thin shim over
-    :class:`repro.Solver`; compose with ``ngpu`` / ``streams`` /
-    ``out_of_core`` through :meth:`repro.Solver.predict` directly.
-    """
-    from ..solver import Solver
-
-    solver = Solver(
-        backend=backend, precision=precision, params=params, coeffs=coeffs
-    )
-    return solver.predict(n, batch=batch)
-
-
 def _problems(As: Union[np.ndarray, Sequence[np.ndarray]]) -> List[np.ndarray]:
     """The matrices of a ``(batch, n, n)`` array or a sequence of them."""
     if isinstance(As, np.ndarray) and As.ndim != 3:
@@ -432,11 +399,10 @@ def svdvals_batched_resolved(
 ) -> Union[np.ndarray, Tuple[np.ndarray, TimeBreakdown]]:
     """Batched-driver implementation against a resolved config.
 
-    The single shared code path behind :meth:`repro.Solver.solve` for 3-D
-    inputs, batched :meth:`repro.SvdPlan.execute` and the legacy
-    :func:`svdvals_batched` shim: checks the per-matrix capacity, emits
-    the batched graph of the stack's batch count and replays it once
-    through :func:`replay_batched_graph`.  ``graphs`` (a plan's memo)
+    The code path behind :meth:`repro.Solver.solve` for 3-D inputs and
+    batched :meth:`repro.SvdPlan.execute`: checks the per-matrix
+    capacity, emits the batched graph of the stack's batch count and
+    replays it once through :func:`replay_batched_graph`.  ``graphs`` (a plan's memo)
     maps batch counts to emitted graphs; a missing count is emitted into
     it.  ``return_info`` adds the analytic price of the batched graph.
     """
@@ -470,23 +436,3 @@ def svdvals_batched_resolved(
         storage, None,
     )
     return out, bd
-
-
-def svdvals_batched(
-    As: Union[np.ndarray, Sequence[np.ndarray]],
-    backend: BackendLike = "h100",
-    precision: Optional[PrecisionLike] = None,
-    params: Optional[KernelParams] = None,
-    return_info: bool = False,
-) -> Union[np.ndarray, Tuple[np.ndarray, TimeBreakdown]]:
-    """Singular values of a batch of equal-size square matrices.
-
-    Accepts a 3-D array ``(batch, n, n)`` or a sequence of ``(n, n)``
-    arrays; returns a ``(batch, n)`` array of descending singular values
-    (and the batched-cost :class:`TimeBreakdown` with ``return_info``).
-    Thin shim over :class:`repro.Solver`.
-    """
-    from ..solver import Solver
-
-    solver = Solver(backend=backend, precision=precision, params=params)
-    return solver._solve_batched(As, return_info=return_info)

@@ -3,7 +3,9 @@
 Section 3 of the paper lists Jacobi-based methods as one of the three
 standard approaches to dense SVD (alongside divide & conquer and the
 QR-based method it implements).  This module provides a from-scratch
-one-sided Jacobi solver, used as
+one-sided Jacobi solver as a plain oracle function outside the
+:class:`repro.Solver` handle - the role
+:func:`~repro.core.bidiag.golub_kahan` plays for stage 3 - used as
 
 * an *independent numerical cross-check* for the two-stage pipeline (the
   two algorithms share no numerics, so agreement is strong evidence), and
@@ -30,27 +32,12 @@ from .svd import require_real
 __all__ = ["jacobi_svdvals"]
 
 
-def jacobi_svdvals_resolved(A: np.ndarray, config) -> np.ndarray:
-    """Jacobi-driver implementation against a resolved config.
-
-    The code path behind :meth:`repro.Solver.solve` when the handle was
-    constructed with ``method="jacobi"``; the algorithm has no
-    backend/precision axes, so only ``jacobi_tol`` and
-    ``jacobi_max_sweeps`` apply.
-    """
-    return _jacobi_svdvals_impl(
-        A, tol=config.jacobi_tol, max_sweeps=config.jacobi_max_sweeps
-    )
-
-
 def jacobi_svdvals(
     A: np.ndarray,
     tol: Optional[float] = None,
     max_sweeps: int = 60,
 ) -> np.ndarray:
     """Singular values of a real matrix by one-sided Jacobi iteration.
-
-    Thin shim over :class:`repro.Solver` with ``method="jacobi"``.
 
     Parameters
     ----------
@@ -67,18 +54,6 @@ def jacobi_svdvals(
     -------
     ``min(m, n)`` singular values in descending order (float64).
     """
-    from ..solver import Solver
-
-    solver = Solver(method="jacobi", jacobi_tol=tol, jacobi_max_sweeps=max_sweeps)
-    return solver.solve(A)
-
-
-def _jacobi_svdvals_impl(
-    A: np.ndarray,
-    tol: Optional[float] = None,
-    max_sweeps: int = 60,
-) -> np.ndarray:
-    """The one-sided Jacobi iteration itself (no configuration axes)."""
     require_real(A)
     A = np.asarray(A, dtype=np.float64)
     if A.ndim != 2:

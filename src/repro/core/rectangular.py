@@ -24,19 +24,15 @@ from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
-from ..backends.backend import BackendLike
 from ..config import SolveConfig
 from ..errors import ShapeError
-from ..precision import PrecisionLike
-from ..sim.costmodel import DEFAULT_COEFFS, CostCoefficients
 from ..sim.graph import LaunchGraph, LaunchNode, NumericExecutor
-from ..sim.params import KernelParams
 from ..sim.session import Session
 from ..sim.tracing import Stage
 from .svd import SVDInfo, svdvals_resolved, upload
 from .tiling import ntiles
 
-__all__ = ["emit_tallqr_graph", "qr_reduce_tall", "svdvals_rect"]
+__all__ = ["emit_tallqr_graph", "qr_reduce_tall"]
 
 
 def _emit_tallqr_nodes(mt: int, nt: int, ts: int) -> List[LaunchNode]:
@@ -156,8 +152,8 @@ def svdvals_rect_resolved(
 ) -> Union[np.ndarray, Tuple[np.ndarray, SVDInfo]]:
     """Rectangular-driver implementation against a resolved config.
 
-    The single shared code path behind :meth:`repro.Solver.solve` for 2-D
-    non-square inputs and the legacy :func:`svdvals_rect` shim.
+    The code path :meth:`repro.Solver.solve` takes for 2-D non-square
+    inputs.
     ``workspace`` (a zeroable ``(mpad, npad)`` buffer), ``square_workspace``
     (the ``(npad, npad)`` buffer for the R-factor solve), ``cost_cache``
     and the two pre-emitted launch graphs come from a reused
@@ -225,26 +221,3 @@ def svdvals_rect_resolved(
         return vals
     # merge the preprocessing launches into the report
     return vals, info.merge(session)
-
-
-def svdvals_rect(
-    A: np.ndarray,
-    backend: BackendLike = "h100",
-    precision: Optional[PrecisionLike] = None,
-    params: Optional[KernelParams] = None,
-    return_info: bool = False,
-    coeffs: CostCoefficients = DEFAULT_COEFFS,
-) -> Union[np.ndarray, Tuple[np.ndarray, SVDInfo]]:
-    """Singular values of an arbitrary ``m x n`` real matrix.
-
-    Returns ``min(m, n)`` values in descending order.  Square inputs fall
-    through to the standard driver; rectangular inputs run the tall-QR
-    preprocessing (on the lazy transpose when ``m < n``) before the square
-    pipeline.  Thin shim over :class:`repro.Solver`.
-    """
-    from ..solver import Solver
-
-    solver = Solver(
-        backend=backend, precision=precision, params=params, coeffs=coeffs
-    )
-    return solver._solve_rect(A, return_info=return_info)

@@ -1,6 +1,7 @@
 """The unified singular-value driver (the paper's public entry point).
 
-:func:`svdvals` is the reproduction of the paper's single, hardware- and
+:func:`svdvals_resolved`, the square path of :meth:`repro.Solver.solve`,
+is the reproduction of the paper's single, hardware- and
 precision-agnostic function: one code path serves every simulated backend
 and every supported precision, specialized only through the backend's
 behaviour rules and the kernel hyperparameters.
@@ -24,11 +25,10 @@ from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
 
-from ..backends.backend import BackendLike
 from ..config import SolveConfig
 from ..errors import ShapeError
-from ..precision import Precision, PrecisionLike
-from ..sim.costmodel import DEFAULT_COEFFS, CostCoefficients, brd_launch_count
+from ..precision import Precision
+from ..sim.costmodel import brd_launch_count
 from ..sim.graph import LaunchGraph, LaunchNode, NumericExecutor
 from ..sim.params import KernelParams
 from ..sim.session import Session
@@ -39,8 +39,7 @@ from .brd import emit_brd_chase
 from .tiling import ntiles, pad_to_tiles
 
 __all__ = [
-    "SVDInfo", "bind_svd_table", "emit_svd_graph", "require_real", "svdvals",
-    "upload",
+    "SVDInfo", "bind_svd_table", "emit_svd_graph", "require_real", "upload",
 ]
 
 _FAM = {name: i for i, name in enumerate(FAMILIES)}
@@ -49,7 +48,7 @@ _SID = {stage: i for i, stage in enumerate(Stage.ALL)}
 
 @dataclass
 class SVDInfo:
-    """Execution report of one unified ``svdvals`` run."""
+    """Execution report of one traced solve (``return_info=True``)."""
 
     n: int
     backend: str
@@ -413,8 +412,8 @@ def svdvals_resolved(
 ) -> Union[np.ndarray, Tuple[np.ndarray, SVDInfo]]:
     """Square-driver implementation against a resolved :class:`SolveConfig`.
 
-    This is the single shared code path behind :meth:`repro.Solver.solve`
-    and the legacy :func:`svdvals` shim.  ``workspace`` (a zeroable padded
+    The code path :meth:`repro.Solver.solve` takes for square inputs
+    (and the square solve of the rectangular driver).  ``workspace`` (a zeroable padded
     buffer in storage precision), ``cost_cache`` (a launch-price memo) and
     ``graph`` (the pre-emitted :class:`~repro.sim.graph.LaunchGraph`) are
     supplied by a reused :class:`repro.SvdPlan` to skip the per-call
@@ -423,8 +422,9 @@ def svdvals_resolved(
     A = np.asarray(A)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ShapeError(
-            f"unified svdvals expects a square matrix, got shape {A.shape} "
-            "(use repro.svdvals_rect for rectangular inputs)"
+            f"the square driver expects a square matrix, got shape "
+            f"{A.shape} (Solver.solve runs rectangular inputs through the "
+            f"tall-QR driver)"
         )
     n = A.shape[0]
     if n == 0:
@@ -486,70 +486,3 @@ def svdvals_resolved(
     if not return_info:
         return vals
     return vals, SVDInfo.traced(n, session, config.fused)
-
-
-def svdvals(
-    A: np.ndarray,
-    backend: BackendLike = "h100",
-    precision: Optional[PrecisionLike] = None,
-    params: Optional[KernelParams] = None,
-    fused: bool = True,
-    return_info: bool = False,
-    coeffs: CostCoefficients = DEFAULT_COEFFS,
-    check_finite: bool = True,
-    rescale: bool = True,
-) -> Union[np.ndarray, Tuple[np.ndarray, SVDInfo]]:
-    """Compute all singular values of a square matrix on a simulated GPU.
-
-    This is a thin shim over :class:`repro.Solver` (the recommended
-    surface): it builds a one-shot handle and runs the square driver.
-
-    Parameters
-    ----------
-    A:
-        Square input matrix (any real dtype; converted to ``precision``).
-    backend:
-        Target device name (``"h100"``, ``"mi250"``, ``"m1pro"``, ...) or a
-        resolved :class:`~repro.backends.Backend`.
-    precision:
-        Input precision (``"fp16"`` / ``"fp32"`` / ``"fp64"``).  Defaults
-        to the dtype of ``A`` when supported, else FP64.  Unsupported
-        backend/precision pairs raise
-        :class:`~repro.errors.UnsupportedPrecisionError` exactly where the
-        paper reports gaps (AMD FP16, Apple FP64).
-    params:
-        Kernel hyperparameters (TILESIZE / COLPERBLOCK / SPLITK); defaults
-        to the paper's reference configuration.
-    fused:
-        Use the fused FTSQRT/FTSMQR kernels (Figure 2).  Numerics are
-        identical either way; launch counts and simulated time differ.
-    return_info:
-        Also return an :class:`SVDInfo` with simulated per-stage timing.
-    coeffs:
-        Cost-model coefficients (exposed for calibration studies).
-    check_finite:
-        Reject inputs containing NaN or Inf (on by default; disable for
-        hot paths that guarantee finiteness).
-    rescale:
-        Pre-scale the matrix by an exact power of two when its magnitude
-        would overflow/underflow the storage precision (essential for
-        FP16, whose largest finite value is 65504) and scale the results
-        back.  See the paper's section 3.2 future-work note.
-
-    Returns
-    -------
-    Singular values in descending order (float64), optionally with the
-    execution report.
-    """
-    from ..solver import Solver
-
-    solver = Solver(
-        backend=backend,
-        precision=precision,
-        params=params,
-        coeffs=coeffs,
-        fused=fused,
-        check_finite=check_finite,
-        rescale=rescale,
-    )
-    return solver._solve_square(A, return_info=return_info)

@@ -30,7 +30,7 @@ from ..sim.graph import NumericExecutor
 from .bidiag import _require_finite, _rotg, singular_2x2
 from .tiling import pad_to_tiles
 
-__all__ = ["svd_full", "SVDResult"]
+__all__ = ["SVDResult"]
 
 
 @dataclass
@@ -178,16 +178,15 @@ def _complete_basis(Q: np.ndarray, keep: np.ndarray) -> np.ndarray:
 def svd_full_resolved(A: np.ndarray, config, return_info: bool = False):
     """Full-SVD implementation against a resolved :class:`SolveConfig`.
 
-    The single shared code path behind :meth:`repro.Solver.svd` and the
-    legacy :func:`svd_full` shim: :func:`~repro.core.svd.upload`, one
-    replay of the vector graph, then signs, order and the basis of the
-    zero singular values.
+    The code path behind :meth:`repro.Solver.svd`:
+    :func:`~repro.core.svd.upload`, one replay of the vector graph, then
+    signs, order and the basis of the zero singular values.
     """
     from .svd import SVDInfo, emit_svd_graph, upload
 
     A = np.asarray(A)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ShapeError(f"svd_full expects a square matrix, got {A.shape}")
+        raise ShapeError(f"Solver.svd expects a square matrix, got {A.shape}")
     n = A.shape[0]
     if n == 0:
         raise ShapeError("empty matrix")
@@ -233,27 +232,3 @@ def svd_full_resolved(A: np.ndarray, config, return_info: bool = False):
     if not return_info:
         return result
     return result, SVDInfo.traced(n, session, config.fused)
-
-
-def svd_full(
-    A: np.ndarray,
-    backend="h100",
-    precision=None,
-    params=None,
-    return_info: bool = False,
-):
-    """Full SVD ``A = U diag(s) Vt`` on the simulated GPU.
-
-    Implements the paper's future-work extension with the same three-stage
-    pipeline, accumulating the orthogonal transformations of every stage.
-    Vector accumulation runs in the backend's compute precision.
-
-    Returns an :class:`SVDResult` (and the driver's ``SVDInfo`` when
-    ``return_info=True``).  Singular values are sorted in descending order
-    with columns of ``U`` / rows of ``Vt`` permuted to match.  Thin shim
-    over :class:`repro.Solver`.
-    """
-    from ..solver import Solver
-
-    solver = Solver(backend=backend, precision=precision, params=params)
-    return solver.svd(A, return_info=return_info)

@@ -18,7 +18,7 @@ from typing import List, Optional, Sequence
 
 from ..backends import resolve_backend
 from ..report import format_seconds, format_table
-from ..sim import predict
+from ..solver import Solver
 from ..tuning import autotune
 
 __all__ = ["Fig5Series", "run", "render", "main", "FIG5_DEVICES", "FIG5_PRECISIONS"]
@@ -59,12 +59,11 @@ def run(
                 continue
             cap = be.max_n(prec)
             usable = [n for n in sizes if n <= cap]
+            solver = Solver(backend=be, precision=prec)
             secs = []
             for n in usable:
-                params = autotune(n, be, prec)
-                secs.append(
-                    predict(n, be, prec, params=params, check_capacity=True).total_s
-                )
+                tuned = solver.with_(params=autotune(n, be, prec))
+                secs.append(tuned.predict(n, check_capacity=True).total_s)
             series.append(Fig5Series(dev, prec, True, cap, usable, secs))
     return series
 

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 from typing import List, Sequence
 
 from ..report import format_table
-from ..sim import Stage, predict
+from ..sim import Stage
+from ..solver import Solver
 
 __all__ = ["Fig6Row", "run", "render", "main", "FIG6_DEVICES"]
 
@@ -50,8 +51,9 @@ def run(
     """Compute stage fractions for every device and size."""
     rows: List[Fig6Row] = []
     for dev in devices:
+        solver = Solver(backend=dev, precision=precision)
         for n in sizes:
-            bd = predict(n, dev, precision, check_capacity=False)
+            bd = solver.predict(n, check_capacity=False)
             fr = bd.stage_fractions()
             rows.append(
                 Fig6Row(

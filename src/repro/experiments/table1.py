@@ -2,7 +2,7 @@
 
 Reproduces the paper's accuracy study: for each matrix size and each of
 the three singular-value distributions, generate matrices ``A = U' S V``
-with known spectra, run the unified ``svdvals`` in FP64/FP32/FP16, and
+with known spectra, run the unified ``Solver.solve`` in FP64/FP32/FP16, and
 report the *maximum relative Frobenius-norm error* across runs, alongside
 the reference library (cuSOLVER in the paper; its LAPACK-backed numeric
 oracle here - FP16 has no reference, exactly as in the paper).
@@ -19,10 +19,10 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from ..baselines import get_baseline
-from ..core import svdvals
 from ..matrices import DISTRIBUTIONS, make_test_matrix
 from ..precision import Precision
 from ..report import format_table
+from ..solver import Solver
 from .common import table1_runs, table1_sizes
 
 __all__ = ["Table1Row", "run", "render", "main"]
@@ -68,6 +68,7 @@ def run(
         uni: Dict[str, float] = {}
         ref: Dict[str, Optional[float]] = {}
         for prec in PRECISIONS:
+            solver = Solver(backend=backend, precision=prec)
             max_u = 0.0
             max_r: Optional[float] = None
             for dist in DISTRIBUTIONS:
@@ -75,7 +76,7 @@ def run(
                     tm = make_test_matrix(
                         n, dist, precision=prec, seed=1000 * n + seed
                     )
-                    vals = svdvals(tm.A, backend=backend, precision=prec)
+                    vals = solver.solve(tm.A)
                     max_u = max(max_u, relative_error(vals, tm.sigma))
                     if prec is not Precision.FP16:
                         rv = reference.svdvals(tm.A, precision=prec)

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from ..report import format_table
-from ..sim import KernelParams, predict
+from ..sim import KernelParams
+from ..solver import Solver
 from .common import SIZES_TABLE3
 
 __all__ = ["Table3Cell", "run", "render", "main", "CONFIGS"]
@@ -45,10 +46,10 @@ class Table3Cell:
     delta_pct: float  # positive: the changed-to value is faster
 
 
-def _delta(n: int, backend: str, precision: str, a: KernelParams, b: KernelParams) -> float:
+def _delta(solver: Solver, n: int, a: KernelParams, b: KernelParams) -> float:
     """Percent runtime reduction going from params ``a`` to params ``b``."""
-    ta = predict(n, backend, precision, params=a, check_capacity=False).total_s
-    tb = predict(n, backend, precision, params=b, check_capacity=False).total_s
+    ta = solver.with_(params=a).predict(n, check_capacity=False).total_s
+    tb = solver.with_(params=b).predict(n, check_capacity=False).total_s
     return 100.0 * (ta - tb) / ta
 
 
@@ -58,10 +59,11 @@ def run(sizes: Sequence[int] = SIZES_TABLE3) -> List[Table3Cell]:
     ts64 = REFERENCE.with_(tilesize=64)
     cpb16 = REFERENCE.with_(colperblock=16)
     for be, prec in CONFIGS:
+        solver = Solver(backend=be, precision=prec)
         for n in sizes:
             cells.append(
                 Table3Cell(
-                    "tilesize", be, prec, n, _delta(n, be, prec, ts64, REFERENCE)
+                    "tilesize", be, prec, n, _delta(solver, n, ts64, REFERENCE)
                 )
             )
             cells.append(
@@ -71,7 +73,7 @@ def run(sizes: Sequence[int] = SIZES_TABLE3) -> List[Table3Cell]:
                     prec,
                     n,
                     # paper convention: negative = reference (32) is better
-                    -_delta(n, be, prec, cpb16, REFERENCE),
+                    -_delta(solver, n, cpb16, REFERENCE),
                 )
             )
     return cells

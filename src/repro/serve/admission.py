@@ -41,7 +41,9 @@ from typing import Dict, List, Optional, Tuple
 
 from ..config import SolveConfig
 from ..errors import CapacityError, InvalidParamsError, ShedError
-from ..sim.graph import AnalyticExecutor, LaunchGraph
+from ..sim.graph import LaunchGraph
+from ..sim.topology import Topology, require_no_conflicts
+from ..solver import Solver, price_composed
 from ..tuning.planner import ShapeClass
 from .batcher import Batch, SvdRequest
 
@@ -103,11 +105,11 @@ class AdmissionController:
         in-core budget scales with the fleet's total rank count, and -
         exactly like ``nodes >= 2`` - over-budget batches are rejected
         rather than spilled.  Passing both ``topology=`` and ``nodes=``
-        raises the conflicting-axes validation error.
+        raises the conflicting-axes validation error.  :attr:`fleet` is
+        the priced fleet either way - the ``nodes=`` spelling as the
+        uniform fleet of the handle's device ``Solver.predict`` folds it
+        to - and the runner composes the executed graph over it.
         """
-        from ..sim.topology import require_no_conflicts
-        from ..solver import Solver
-
         if nodes < 1:
             raise InvalidParamsError(
                 f"nodes must be a positive node count, got {nodes}"
@@ -119,6 +121,11 @@ class AdmissionController:
             nodes = topology.nodes
         self.topology = topology
         self.nodes = int(nodes)
+        self.fleet = (
+            topology if topology is not None
+            else Topology.uniform(config.backend.device, self.nodes,
+                                  nodes=self.nodes)
+        )
         self.config = config
         self.storage = config.require_precision("serve")
         self.solver = Solver.from_config(config)
@@ -169,10 +176,9 @@ class AdmissionController:
         with a ``topology=`` fleet every rank holds its weighted shard,
         so capacity scales with the fleet's total device count.
         """
-        ranks = self.topology.ngpu if self.topology is not None else self.nodes
         return int(
             self.mem_budget_bytes // self.per_problem_bytes(cls)
-        ) * ranks
+        ) * self.fleet.ngpu
 
     def streams_for(self, cls: ShapeClass) -> int:
         """The tuned in-core ``streams`` axis of a shape class.
@@ -219,15 +225,9 @@ class AdmissionController:
         self.reprice_rounds += 1
         if count <= self.capacity_for(cls):
             streams = self.streams_for(cls)
-            if self.topology is not None:
-                kwargs = {"topology": self.topology}
-            elif self.nodes > 1:
-                kwargs = {"nodes": self.nodes}
-            else:
-                kwargs = {}
             result = self.solver.predict(
                 cls.npad, batch=count, streams=streams,
-                check_capacity=False, **kwargs
+                check_capacity=False, topology=self.fleet,
             )
             priced = PricedBatch(
                 predicted_s=result.total_s, out_of_core=False, streams=streams
@@ -257,15 +257,19 @@ class AdmissionController:
         self._prices[key] = priced
         return priced
 
-    def price_graph(self, graph: LaunchGraph) -> float:
-        """Analytic seconds of an already-built (possibly rewritten) graph."""
-        if graph.streams > 1:
-            from ..sim.timeline import schedule_streams
+    def price_graph(self, graph: LaunchGraph, streams: int = 1) -> float:
+        """Analytic seconds of a graph composed over :attr:`fleet`.
 
-            return schedule_streams(
-                graph, self.config, self.storage, graph.streams
-            ).total_s
-        return AnalyticExecutor(self.config, self.storage).run(graph).total_s
+        ``graph`` is what the runner executes (``compose_graph`` over the
+        fleet, possibly rewritten out-of-core) and ``streams`` the axis it
+        was emitted with; it is priced through the structure -> pricer
+        table of :meth:`repro.Solver.predict`
+        (:func:`repro.solver.price_composed`), so it equals the
+        admission price of the same batch.
+        """
+        return price_composed(
+            graph, self.config, self.storage, self.fleet, streams
+        ).total_s
 
     # ------------------------------------------------------------------ #
     # admission

@@ -16,16 +16,17 @@ truncates its padded value vector, exactly as the square driver does).
 numerics), shared by the live :class:`~repro.serve.SvdService` and the
 deterministic simulator in :mod:`repro.serve.replay`; it trades latency
 for occupancy through the ``max_batch`` / ``max_wait_s`` knobs.
-:class:`BatchRunner` is the execution backend: emit (or reuse) the
-batched graph of a shape class, optionally rewrite it out-of-core, and
-replay it through :func:`~repro.core.batched.replay_batched_graph`, the
-same upload and batched replay a stack takes through
-:meth:`repro.Solver.solve`.
+:class:`BatchRunner` is the execution backend: compose (or reuse) the
+batched graph of a shape class over the service's fleet - partitioned
+across devices, optionally rewritten out-of-core - and replay it through
+:func:`~repro.core.batched.replay_batched_graph`, the same upload and
+batched replay a stack takes through :meth:`repro.Solver.solve`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -34,6 +35,8 @@ from ..config import SolveConfig
 from ..core.batched import emit_batched_graph, replay_batched_graph
 from ..errors import InvalidParamsError
 from ..sim.graph import LaunchGraph
+from ..sim.topology import Topology
+from ..solver import compose_graph
 from ..tuning.planner import ShapeClass
 
 __all__ = ["Batch", "BatchRunner", "DynamicBatcher", "SvdRequest"]
@@ -171,20 +174,31 @@ class BatchRunner:
     """Execute one admitted batch as a single batched launch graph.
 
     The graph is emitted at the class's ``npad`` (so heterogeneous
-    ``n`` within the class share it) and memoized per ``(npad, count,
-    streams, out_of_core)`` - the serving analogue of
-    :class:`repro.SvdPlan`'s precomputed graph, with hit counters
-    surfaced in :class:`~repro.serve.ServiceStats`.  Numerics are
-    :func:`~repro.core.batched.replay_batched_graph`'s, the path every
-    stack takes: each request's *original* matrix is uploaded (rescale
-    factor and storage cast), zero-padded to ``npad``, and receives its
-    leading ``n`` values scaled back.
+    ``n`` within the class share it), composed over the service's fleet
+    by :func:`repro.solver.compose_graph` (the identity on one device)
+    and memoized per ``(npad, count, streams, out_of_core)`` - the
+    serving analogue of :class:`repro.SvdPlan`'s precomputed graph, with
+    hit counters surfaced in :class:`~repro.serve.ServiceStats`.
+    Numerics are :func:`~repro.core.batched.replay_batched_graph`'s, the
+    path every stack takes: each request's *original* matrix is uploaded
+    (rescale factor and storage cast), zero-padded to ``npad``, and
+    receives its leading ``n`` values scaled back.
     """
 
-    def __init__(self, config: SolveConfig) -> None:
-        """Pin the resolved config and storage precision for the service."""
+    def __init__(
+        self, config: SolveConfig, topology: Optional[Topology] = None
+    ) -> None:
+        """Pin the config, storage precision and fleet for the service.
+
+        ``topology`` is the fleet admission prices (default: one device
+        of the handle's type).
+        """
         self.config = config
         self.storage = config.require_precision("serve")
+        self.topology = (
+            topology if topology is not None
+            else Topology.uniform(config.backend.device, 1)
+        )
         self._graphs: Dict[Tuple, LaunchGraph] = {}
         self.graph_hits = 0
         self.graph_misses = 0
@@ -204,13 +218,12 @@ class BatchRunner:
             self.graph_hits += 1
             return graph
         self.graph_misses += 1
-        graph = emit_batched_graph(cls.npad, count, self.config, streams=streams)
-        if out_of_core:
-            from ..sim.outofcore import rewrite_out_of_core
-
-            graph = rewrite_out_of_core(
-                graph, self.config, self.storage, budget_bytes=budget_bytes
-            )
+        graph = compose_graph(
+            partial(emit_batched_graph, cls.npad, count, self.config,
+                    streams=streams),
+            self.config, self.topology, out_of_core=out_of_core,
+            budget_bytes=budget_bytes,
+        )
         self._graphs[key] = graph
         return graph
 
@@ -220,17 +233,17 @@ class BatchRunner:
         streams: int = 1,
         out_of_core: bool = False,
         budget_bytes: Optional[float] = None,
-        price: Optional[Callable[[LaunchGraph], float]] = None,
+        price: Optional[Callable[[LaunchGraph, int], float]] = None,
     ) -> Tuple[List[np.ndarray], float]:
         """Replay one admitted batch; return per-request values and price.
 
         Returns ``(values, replayed_s)`` where ``values[i]`` is request
         ``i``'s descending singular values (float64, length ``n_i``) and
-        ``replayed_s`` is the analytic price of the executed graph via
-        ``price`` (0.0 when no pricer is supplied).  Bitwise identity
-        with per-request :meth:`repro.Solver.solve`: same storage
-        rounding, same rescale factor (computed on the original matrix),
-        same padded kernel sequence, same truncation.
+        ``replayed_s`` is ``price(graph, streams)``, the analytic price
+        of the executed graph (0.0 when no pricer is supplied).  Bitwise
+        identity with per-request :meth:`repro.Solver.solve`: same
+        storage rounding, same rescale factor (computed on the original
+        matrix), same padded kernel sequence, same truncation.
         """
         graph = self.graph_for(
             requests[0].cls, len(requests), streams=streams,
@@ -239,5 +252,5 @@ class BatchRunner:
         values = replay_batched_graph(
             [req.A for req in requests], graph, self.config
         )
-        replayed_s = price(graph) if price is not None else 0.0
+        replayed_s = price(graph, streams) if price is not None else 0.0
         return list(values), replayed_s

@@ -48,7 +48,7 @@ class SvdService:
             future = await service.submit(A, slo_s=0.05)
             values = await future
 
-    Construction validates the handle (explicit precision, QR method);
+    Construction validates the handle (explicit precision);
     the dispatch task starts on ``__aenter__`` (or :meth:`start`) and
     drains remaining requests on ``__aexit__`` (or :meth:`close`).
     """
@@ -81,11 +81,6 @@ class SvdService:
         ``Solver.predict(topology=...)``.
         """
         config = solver.config
-        if config.method != "qr":
-            raise InvalidParamsError(
-                "serving batches the two-stage QR pipeline; construct "
-                "the Solver with method='qr'"
-            )
         config.require_precision("serve")
         if max_depth < 1:
             raise InvalidParamsError(
@@ -106,7 +101,7 @@ class SvdService:
             nodes=nodes,
             topology=topology,
         )
-        self._runner = BatchRunner(config)
+        self._runner = BatchRunner(config, topology=self._admission.fleet)
         self._metrics = MetricsCollector()
         self._seq = 0
         self._task: Optional[asyncio.Task] = None

@@ -6,8 +6,9 @@ drivers in :mod:`repro.core`); the :class:`NumericExecutor` replays it in
 NumPy while pricing each launch with the analytic roofline/occupancy model
 parameterized by the Table 2 device specs, the :class:`AnalyticExecutor`
 prices the same graph without numerics for arbitrary matrix sizes
-(:func:`predict`), and :func:`schedule_streams` prices multi-stream
-lookahead overlap with a greedy critical-path scheduler.  Graph
+(behind :meth:`repro.Solver.predict`, the one prediction door), and
+:func:`schedule_streams` prices multi-stream lookahead overlap with a
+greedy critical-path scheduler.  Graph
 rewriters extend the same IR across devices and memory tiers:
 :func:`partition_graph` shards a graph across devices with explicit comm
 nodes (square graphs tile-row-wise, batched graphs round-robin over
@@ -49,8 +50,7 @@ from .partition import (
     shard_rows,
     shard_rows_weighted,
 )
-from .scaling import predict_multi_gpu, predict_out_of_core
-from .schedule import TimeBreakdown, predict, stage1_launch_count
+from .schedule import TimeBreakdown, stage1_launch_count
 from .session import Session
 from .table import (
     NodeTable,
@@ -102,9 +102,6 @@ __all__ = [
     "panel_cost",
     "param_grid",
     "partition_graph",
-    "predict",
-    "predict_multi_gpu",
-    "predict_out_of_core",
     "price_partitioned",
     "price_table",
     "rewrite_out_of_core",

@@ -98,6 +98,7 @@ from .topology import Topology, require_no_conflicts
 from .tracing import Stage
 
 __all__ = [
+    "batch_shares",
     "check_fleet_capacity",
     "check_shard_capacity",
     "fleet_scale",
@@ -272,6 +273,47 @@ def is_weighted_fleet(topology: Topology, config) -> bool:
     )
 
 
+def _chain_offset(start: int, stop: int, step: int) -> int:
+    """Problems of the round-robin chains dealt before ``start``'s.
+
+    A batch of ``stop`` problems split into ``step`` chains gives chain
+    ``j`` the problems ``range(j, stop, step)``; dealing the chains in
+    order, chain ``start`` begins at this running count, so on ``g``
+    devices it starts at device ``offset mod g``.
+    """
+    return sum(len(range(j, stop, step)) for j in range(start))
+
+
+def batch_shares(
+    batch: int,
+    streams: int,
+    g: int,
+    weights: Optional[Tuple[float, ...]] = None,
+) -> List[int]:
+    """Problems each of ``g`` ranks holds under the batched partition.
+
+    ``streams=k`` emits ``min(k, batch)`` round-robin chains and each
+    chain is split on its own, so the per-chain splits add up: a chain
+    is dealt round-robin from the rank where the previous chain stopped
+    (:func:`_chain_offset`), or into contiguous
+    :func:`shard_rows_weighted` runs with ``weights`` (a weighted
+    fleet).  Mirrors :func:`_partition_batched` exactly; unweighted
+    shares differ by at most one.
+    """
+    nchains = min(streams, batch)
+    shares = [0] * g
+    for j in range(nchains):
+        chain = len(range(j, batch, nchains))
+        if weights is not None:
+            split = [hi - lo for lo, hi in
+                     shard_rows_weighted(0, chain, weights)]
+        else:
+            first = _chain_offset(j, batch, nchains)
+            split = [len(range((d - first) % g, chain, g)) for d in range(g)]
+        shares = [p + s for p, s in zip(shares, split)]
+    return shares
+
+
 def check_fleet_capacity(
     n: int,
     config,
@@ -288,13 +330,9 @@ def check_fleet_capacity(
     deliberately loads the fast devices heavier, so the uniform
     per-device bound does not apply.  With ``batch``, on any fleet, each
     rank instead holds whole ``n x n`` problems (same 1.25 working-set
-    factor), as many as the batched partition gives it: ``streams=k``
-    emits ``min(k, batch)`` round-robin chains and each chain is split on
-    its own - round-robin strides from device ``j mod g`` for chain
-    ``j`` on a uniform fleet of the handle's device,
-    :func:`shard_rows_weighted` runs otherwise - so the per-chain splits
-    add up.  Without ``batch``, uniform fleets of the handle's device
-    delegate to :func:`check_shard_capacity` exactly.
+    factor), as many as the batched partition gives it
+    (:func:`batch_shares`).  Without ``batch``, uniform fleets of the
+    handle's device delegate to :func:`check_shard_capacity` exactly.
     """
     weighted = is_weighted_fleet(topology, config)
     if batch is None and not weighted:
@@ -306,17 +344,7 @@ def check_fleet_capacity(
     storage = config.require_precision("fleet prediction")
     weights = fleet_weights(topology, config) if weighted else None
     if batch is not None:
-        g = topology.ngpu
-        nchains = min(streams, batch)
-        problems = [0] * g
-        for j in range(nchains):
-            chain = len(range(j, batch, nchains))
-            if weighted:
-                split = [hi - lo for lo, hi in
-                         shard_rows_weighted(0, chain, weights)]
-            else:  # _partition_batched's strides, from device j mod g
-                split = [len(range((d - j) % g, chain, g)) for d in range(g)]
-            problems = [p + s for p, s in zip(problems, split)]
+        problems = batch_shares(batch, streams, topology.ngpu, weights)
         elems = [count * n * n for count in problems]
         what = f"batch of {batch} {n}x{n} {storage.name} matrices"
         smaller = "batch"
@@ -845,20 +873,22 @@ def _partition_batched(
 
     Problems are independent, so the partition is embarrassingly simple:
     every aggregate launch splits into per-device launches covering that
-    device's round-robin problem subset: the ``i``-th problem of a node
-    covering ``range(start, stop, step)`` goes to device
-    ``(start + i) mod g``, ``g`` the total device count.  Stream chain
-    ``j`` starts at problem ``j``, so its stride starts at device
-    ``j mod g`` and the chains spread over the fleet.  Chains stay serial
-    *within* a device and carry no cross-device dependencies, and
+    device's round-robin problem subset.  The chains are dealt one after
+    another: the ``i``-th problem of chain ``j`` goes to device
+    ``(o_j + i) mod g``, ``g`` the total device count and ``o_j`` the
+    problems of the chains before ``j`` (:func:`_chain_offset`), so each
+    chain starts where the previous one stopped and every device holds
+    ``floor(b/g)`` or ``ceil(b/g)`` of the ``b`` problems.  Chains stay
+    serial *within* a device and carry no cross-device dependencies, and
     communication is the gather of the non-root devices' singular values
     to device 0 - the only inter-device movement a batch needs.  On one
     node that is a single ``batch_gather``; on a cluster each source
-    device ships its results separately (``batch_gather`` from device
-    0's node-local peers, ``batch_gather_inter`` from every other node -
-    the concurrent arrivals that queue on node 0's fabric lane in the
-    event simulation).  Devices left without problems (``g > batch``)
-    receive no nodes.
+    device ships all of its chains' results in one gather
+    (``batch_gather`` from device 0's node-local peers,
+    ``batch_gather_inter`` from every other node - the concurrent
+    arrivals that queue on node 0's fabric lane in the event
+    simulation), after every one of its chains' solves.  Devices left
+    without problems (``g > batch``) receive no nodes.
 
     With ``weights`` (heterogeneous fleet), each aggregate range splits
     into *contiguous* per-device problem runs sized by
@@ -873,9 +903,10 @@ def _partition_batched(
     #: old node index -> device -> replacement index
     mapped: List[Dict[int, int]] = []
     solve_tails: List[int] = []
-    #: device -> (tail index, problem count) for the per-source gathers
-    tail_of: Dict[int, Tuple[int, int]] = {}
-    remote_problems = 0
+    #: device -> its chains' solve tails, for the per-source gathers
+    tails_of: Dict[int, List[int]] = {}
+    #: device -> problems it solves
+    solved: Dict[int, int] = {}
 
     for node in graph.nodes:
         probs = node.meta[0]
@@ -883,8 +914,9 @@ def _partition_batched(
         old_count = len(problem_range(probs))
         per: Dict[int, int] = {}
         if weights is None:
+            first = _chain_offset(start, stop, step)
             assignments = [
-                ("b", start + (d - start) % total * step, stop, step * total)
+                ("b", start + (d - first) % total * step, stop, step * total)
                 for d in range(total)
             ]
         else:
@@ -913,10 +945,10 @@ def _partition_batched(
             per[d] = len(new_nodes) - 1
             if node.kind == "bdsqr_cpu_b":
                 solve_tails.append(per[d])
-                tail_of[d] = (per[d], bcount)
-                if d != 0:
-                    remote_problems += bcount
+                tails_of.setdefault(d, []).append(per[d])
+                solved[d] = solved.get(d, 0) + bcount
         mapped.append(per)
+    remote_problems = sum(c for d, c in solved.items() if d != 0)
 
     if nodes == 1:
         # one gather of the non-root devices' results (n values per problem)
@@ -933,10 +965,9 @@ def _partition_batched(
         # per-source gathers, rooted at the destination (device 0): the
         # receiving link / fabric lane serializes concurrent arrivals in
         # the event simulation
-        for d in sorted(tail_of):
+        for d in sorted(tails_of):
             if d == 0:
                 continue
-            tail, bcount = tail_of[d]
             if d // gpn == 0:
                 kind, cbw, clat = "batch_gather", bw, lat
             else:
@@ -946,8 +977,8 @@ def _partition_batched(
                 LaunchNode(
                     kind,
                     Stage.COMM,
-                    ("comm", bcount * graph.n, 1, cbw, clat),
-                    deps=(tail,),
+                    ("comm", solved[d] * graph.n, 1, cbw, clat),
+                    deps=tuple(tails_of[d]),
                     device=0,
                 )
             )

@@ -9,32 +9,21 @@ rewrites the launch graph through
 ``h2d_tile``/``d2h_tile`` transfer nodes, priced as ``io_s``) and
 ``ngpu=g`` shards it through :func:`repro.sim.partition.partition_graph`
 (explicit comm nodes, priced as ``comm_s``).  This module keeps what
-predates those rewriters:
-
-* :func:`predict_out_of_core` and :func:`predict_multi_gpu`, the legacy
-  one-shot shims over ``Solver.predict``;
-* :func:`out_of_core_closed_form_resolved` and
-  :func:`multi_gpu_closed_form_resolved`, the pre-rewriter closed forms
-  kept as consistency oracles the tests pin the graph paths against.
+predates those rewriters: :func:`out_of_core_closed_form_resolved` and
+:func:`multi_gpu_closed_form_resolved`, the pre-rewriter closed forms
+kept as consistency oracles the tests pin the graph paths against.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Optional
 
-from ..backends.backend import BackendLike
 from ..errors import ShapeError
-from ..precision import PrecisionLike
-from .costmodel import DEFAULT_COEFFS, CostCoefficients
-from .params import KernelParams
 from .schedule import TimeBreakdown
 
 __all__ = [
     "multi_gpu_closed_form_resolved",
     "out_of_core_closed_form_resolved",
-    "predict_multi_gpu",
-    "predict_out_of_core",
 ]
 
 
@@ -88,32 +77,6 @@ def out_of_core_closed_form_resolved(n: int, config) -> TimeBreakdown:
     return ooc
 
 
-def predict_out_of_core(
-    n: int,
-    backend: BackendLike,
-    precision: PrecisionLike,
-    params: Optional[KernelParams] = None,
-    coeffs: CostCoefficients = DEFAULT_COEFFS,
-) -> TimeBreakdown:
-    """Predict runtime when the matrix exceeds device memory.
-
-    The rewritten launch graph keeps the active panel and pivot row
-    pinned and streams the trailing tile rows through a bounded,
-    double-buffered device window; every host<->device movement is an
-    explicit ``h2d_tile``/``d2h_tile`` node priced over the PCIe link.
-    Total host traffic is about ``2 * sum_k (n - k*ts)^2 ~ (2/3) n^3 /
-    ts`` elements - the classic out-of-core LU/QR bound - reported as
-    the breakdown's ``io_s`` component.  Thin shim over
-    :class:`repro.Solver`.
-    """
-    from ..solver import Solver
-
-    solver = Solver(
-        backend=backend, precision=precision, params=params, coeffs=coeffs
-    )
-    return solver.predict(n, out_of_core=True)
-
-
 def multi_gpu_closed_form_resolved(
     n: int, config, ngpus: int, link_gbs: float = 100.0
 ) -> TimeBreakdown:
@@ -165,35 +128,3 @@ def multi_gpu_closed_form_resolved(
     )
     out.launches["panel_bcast"] = 2 * (nbt - 1)
     return out
-
-
-def predict_multi_gpu(
-    n: int,
-    backend: BackendLike,
-    precision: PrecisionLike,
-    ngpus: int,
-    params: Optional[KernelParams] = None,
-    coeffs: CostCoefficients = DEFAULT_COEFFS,
-    link_gbs: float = 100.0,
-) -> TimeBreakdown:
-    """Predict stage-1 scaling over ``ngpus`` identical devices.
-
-    The launch graph is sharded tile-row-wise: trailing-update launches
-    split into concurrent per-device chunks, the panel factorization
-    chain stays serial (ownership rotates per sweep), and each sweep
-    broadcasts its panel tiles and exchanges the shard boundary over the
-    interconnect as explicit comm launches.  Stages 2-3 remain
-    single-device after a band gather (they are small; the paper defers
-    their distribution to the Dagger integration it envisions).
-
-    Amdahl's law emerges naturally: speedup saturates once the serial
-    panel chain dominates.  Thin shim over :class:`repro.Solver`.
-    """
-    from ..solver import Solver
-
-    if ngpus < 1:  # the historical shim contract raises ShapeError
-        raise ShapeError(f"need at least one GPU, got {ngpus}")
-    solver = Solver(
-        backend=backend, precision=precision, params=params, coeffs=coeffs
-    )
-    return solver.predict(n, ngpu=ngpus, link_gbs=link_gbs, check_capacity=False)

@@ -1,4 +1,4 @@
-"""Analytic runtime prediction: the result type and the legacy shim.
+"""Analytic runtime prediction: the result type every pricer returns.
 
 The solver's launch schedule is fully static per problem shape and has
 exactly *one* encoding - the :class:`~repro.sim.graph.LaunchGraph`
@@ -6,12 +6,11 @@ emitted by :func:`repro.core.emit_svd_graph` (or its shape-parametric
 binder) - which :meth:`repro.Solver.predict` prices without touching
 matrix data; that lets the benchmark harness price the paper's full size
 grid (up to 131072 for FP16 on H100) in milliseconds.  This module holds
-the :class:`TimeBreakdown` every pricer returns, the legacy one-shot
-:func:`predict` shim over ``Solver.predict``, and
+the :class:`TimeBreakdown` every pricer returns and
 :func:`stage1_launch_count`.
 
 Consistency guarantee: the numeric driver replays the *same* graph, so
-``predict(...)`` charges identical launches and per-stage seconds by
+``Solver.predict`` charges identical launches and per-stage seconds by
 construction (pinned by the property tests in ``tests/test_graph.py``).
 
 Fused vs unfused (Figure 2): ``fused=True`` prices one FTSQRT + one FTSMQR
@@ -23,16 +22,12 @@ scaling (:func:`stage1_launch_count` is the closed-form count).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
-from ..backends.backend import BackendLike
 from ..errors import ShapeError
-from ..precision import PrecisionLike
-from .costmodel import DEFAULT_COEFFS, CostCoefficients
-from .params import KernelParams
 from .tracing import Stage
 
-__all__ = ["TimeBreakdown", "predict", "stage1_launch_count"]
+__all__ = ["TimeBreakdown", "stage1_launch_count"]
 
 
 @dataclass
@@ -159,27 +154,3 @@ def stage1_launch_count(nbtiles: int, fused: bool = True) -> int:
         if r2 > 0:
             total += 2 if fused else 2 * r2
     return total
-
-
-def predict(
-    n: int,
-    backend: BackendLike,
-    precision: PrecisionLike,
-    params: Optional[KernelParams] = None,
-    fused: bool = True,
-    coeffs: CostCoefficients = DEFAULT_COEFFS,
-    check_capacity: bool = True,
-) -> TimeBreakdown:
-    """Predict the simulated runtime of ``svdvals`` on an ``n x n`` matrix.
-
-    Parameters mirror :func:`repro.svdvals`; this function never executes
-    numerics and is safe for the paper's largest sizes.  Thin shim over
-    :class:`repro.Solver`.
-    """
-    from ..solver import Solver
-
-    solver = Solver(
-        backend=backend, precision=precision, params=params, coeffs=coeffs,
-        fused=fused,
-    )
-    return solver.predict(n, check_capacity=check_capacity)

@@ -39,7 +39,7 @@ _COLUMN_SLOT = {"update": 1, "gemm": 3, "trsm": 2}
 
 @dataclass
 class Session:
-    """Bound execution context for one ``svdvals`` run."""
+    """Bound execution context for one traced solve."""
 
     backend: Backend
     storage: Precision

@@ -6,17 +6,15 @@ at the API level with the handle + plan/execute idiom of production GPU
 math libraries (cuSOLVER handles, FFTW plans):
 
 * the **handle** is constructed once — backend, precision, hyperparameters,
-  cost coefficients, stage-3 method and fusion mode are resolved and
-  validated up front (:class:`repro.SolveConfig`) and never re-resolved per
-  call;
+  cost coefficients and fusion mode are resolved and validated up front
+  (:class:`repro.SolveConfig`) and never re-resolved per call;
 * :meth:`Solver.solve` dispatches on the input's shape — square matrices
   run the two-stage QR driver, rectangular matrices the tall-QR
-  preprocessing, 3-D stacks the batched driver — so callers stop choosing
-  between ``svdvals`` / ``svdvals_rect`` / ``svdvals_batched`` by hand;
-* :meth:`Solver.predict` is the one prediction front door replacing the
-  four ``predict*`` variants (single-GPU, batched, multi-GPU, out-of-core);
-  its execution axes (``batch``, ``streams``, ``ngpu``, ``out_of_core``)
-  all compose through one emit -> partition -> rewrite -> price pipeline;
+  preprocessing, 3-D stacks the batched driver;
+* :meth:`Solver.predict` is the one prediction front door: its execution
+  axes (``batch``, ``streams``, ``ngpu``, ``nodes``, ``topology``,
+  ``out_of_core``) all compose through one emit -> partition -> rewrite
+  -> price pipeline (:func:`compose_graph`, then :func:`price_composed`);
 * :meth:`Solver.tune` searches those axes analytically (plus the kernel
   hyperparameters) and returns a ranked :class:`~repro.tuning.TunePlan`
   that constructs the winning handle;
@@ -26,11 +24,9 @@ math libraries (cuSOLVER handles, FFTW plans):
   per-call setup entirely (results are bitwise identical to one-shot
   calls).
 
-Every legacy entry point (``repro.svdvals``, ``svdvals_rect``,
-``svdvals_batched``, ``svd_full``, ``predict``, ``predict_batched``,
-``predict_multi_gpu``, ``predict_out_of_core``) is now a thin shim over a
-one-shot ``Solver``, so there is exactly one dispatch point where batching,
-caching and multi-backend sharding can hook in.
+The handle is the only front door and the two-stage QR pipeline its only
+method, so there is exactly one dispatch point where batching, caching
+and multi-backend sharding hook in.
 
 Quickstart
 ----------
@@ -68,7 +64,6 @@ from .core.batched import (
     svdvals_batched_resolved,
 )
 from .core.eigh import bind_eigh_table, eigh_resolved, emit_eigh_graph
-from .core.jacobi import jacobi_svdvals_resolved
 from .core.randomized import (
     bind_lowrank_table,
     check_rank,
@@ -128,6 +123,48 @@ def compose_graph(
     return graph
 
 
+def price_composed(
+    graph: LaunchGraph,
+    config: SolveConfig,
+    storage: Precision,
+    topology: Topology,
+    streams: int = 1,
+) -> Union[TimeBreakdown, StreamSchedule, EventSchedule]:
+    """Price a :func:`compose_graph` graph, the pricer chosen by structure.
+
+    The one structure -> pricer table, shared by :meth:`Solver.predict`
+    and serving admission's pricing of the graph a batch executes, so the
+    two agree by construction:
+
+    =============================  ========================  =================
+    structure                      pricer                    result
+    =============================  ========================  =================
+    multi-node or weighted fleet   ``simulate_events``       ``EventSchedule``
+    ``streams > 1``                ``schedule_streams``      ``StreamSchedule``
+    several devices                ``price_partitioned``     ``TimeBreakdown``
+    one device                     ``price_table``           ``TimeBreakdown``
+    =============================  ========================  =================
+
+    ``topology`` and ``streams`` are the axes ``graph`` was composed
+    with.
+    """
+    if is_weighted_fleet(topology, config):
+        return simulate_events(
+            graph, config, storage, streams=streams,
+            device_scale=fleet_scale(topology, config),
+            device_labels=tuple(
+                f"dev{i}:{d}" for i, d in enumerate(topology.devices)
+            ),
+        )
+    if topology.nodes > 1:
+        return simulate_events(graph, config, storage, streams=streams)
+    if streams > 1:
+        return schedule_streams(graph, config, storage, streams)
+    if topology.ngpu > 1:
+        return price_partitioned(graph, config, storage)
+    return price_table(graph.table(), config, storage, None)
+
+
 @lru_cache(maxsize=64)
 def _handle_fleet(
     device: DeviceSpec,
@@ -166,9 +203,6 @@ class Solver:
         fused: bool = True,
         check_finite: bool = True,
         rescale: bool = True,
-        method: str = "qr",
-        jacobi_tol: Optional[float] = None,
-        jacobi_max_sweeps: int = 60,
         oversample: int = 8,
         link: Optional[LinkSpec] = None,
         fabric: Optional[FabricSpec] = None,
@@ -181,9 +215,6 @@ class Solver:
             fused=fused,
             check_finite=check_finite,
             rescale=rescale,
-            method=method,
-            jacobi_tol=jacobi_tol,
-            jacobi_max_sweeps=jacobi_max_sweeps,
             oversample=oversample,
             link=link,
             fabric=fabric,
@@ -253,27 +284,25 @@ class Solver:
 
         Returns descending singular values (``(min(m, n),)`` for 2-D
         inputs, ``(batch, n)`` for stacks), plus the execution report when
-        ``return_info=True``.  Handles constructed with
-        ``method="jacobi"`` run the one-sided Jacobi cross-check instead
-        (no simulated launches, hence no execution report).
+        ``return_info=True``.
         """
         A = np.asarray(A)
-        if self._config.method == "jacobi":
-            return self._solve_jacobi(A, return_info=return_info)
         if A.ndim == 3:
-            return self._solve_batched(A, return_info=return_info)
+            return svdvals_batched_resolved(
+                A, self._config, return_info=return_info
+            )
         if A.ndim == 2:
             if A.shape[0] == A.shape[1]:
-                return self._solve_square(A, return_info=return_info)
-            return self._solve_rect(A, return_info=return_info)
+                return svdvals_resolved(
+                    A, self._config, return_info=return_info
+                )
+            return svdvals_rect_resolved(
+                A, self._config, return_info=return_info
+            )
         raise ShapeError(
             f"Solver.solve expects a 2-D matrix or a (batch, n, n) stack, "
             f"got shape {A.shape}"
         )
-
-    def svdvals(self, A: np.ndarray, return_info: bool = False):
-        """Alias of :meth:`solve` (values only, any supported shape)."""
-        return self.solve(A, return_info=return_info)
 
     def svd(self, A: np.ndarray, return_info: bool = False):
         """Full SVD ``A = U diag(s) Vt`` of a square matrix.
@@ -286,11 +315,6 @@ class Solver:
         path that is not :meth:`solve`'s Sturm kernel: values and vectors
         come from the rotation-accumulating Golub-Kahan solver.
         """
-        if self._config.method != "qr":
-            raise InvalidParamsError(
-                "Solver.svd runs the two-stage QR vector pipeline; "
-                "construct the Solver with method='qr'"
-            )
         return svd_full_resolved(A, self._config, return_info=return_info)
 
     def svd_lowrank(
@@ -311,11 +335,6 @@ class Solver:
         ``seed`` keys the sketch, so repeated calls are bitwise
         reproducible.  Wide inputs run on the transpose.
         """
-        if self._config.method != "qr":
-            raise InvalidParamsError(
-                "Solver.svd_lowrank composes the two-stage QR pipeline; "
-                "construct the Solver with method='qr'"
-            )
         return svd_lowrank_resolved(
             A, rank, self._config, seed=seed, return_info=return_info
         )
@@ -331,44 +350,7 @@ class Solver:
         node (``steig_cpu``), which runs the same Sturm kernel as
         :meth:`solve`'s ``bdsqr_cpu`` on the bidiagonal.
         """
-        if self._config.method != "qr":
-            raise InvalidParamsError(
-                "Solver.eigh rides the two-stage QR pipeline; construct "
-                "the Solver with method='qr'"
-            )
         return eigh_resolved(A, self._config, return_info=return_info)
-
-    def _solve_jacobi(self, A, return_info=False):
-        if return_info:
-            raise InvalidParamsError(
-                "method='jacobi' runs on the host without simulated "
-                "launches; no execution report is available"
-            )
-        if A.ndim == 2:
-            return jacobi_svdvals_resolved(A, self._config)
-        if A.ndim == 3:
-            if A.shape[0] == 0:
-                raise ShapeError("empty batch")
-            return np.stack(
-                [jacobi_svdvals_resolved(a, self._config) for a in A]
-            )
-        raise ShapeError(
-            f"Solver.solve expects a 2-D matrix or a (batch, n, n) stack, "
-            f"got shape {A.shape}"
-        )
-
-    # internal single-shape paths (the legacy shims call these directly to
-    # preserve their historical shape contracts)
-    def _solve_square(self, A, return_info=False):
-        return svdvals_resolved(A, self._config, return_info=return_info)
-
-    def _solve_rect(self, A, return_info=False):
-        return svdvals_rect_resolved(A, self._config, return_info=return_info)
-
-    def _solve_batched(self, As, return_info=False):
-        return svdvals_batched_resolved(
-            As, self._config, return_info=return_info
-        )
 
     # ------------------------------------------------------------------ #
     # prediction front door
@@ -433,22 +415,15 @@ class Solver:
            explicit ``h2d_tile`` / ``d2h_tile`` nodes, raising
            :class:`~repro.errors.CapacityError` when the budget cannot
            hold the minimum window;
-        3. **price** - chosen by the structure alone:
-
-           =============================  ========================  =================
-           structure                      pricer                    result
-           =============================  ========================  =================
-           multi-node or weighted fleet   ``simulate_events``       ``EventSchedule``
-           ``streams > 1``                ``schedule_streams``      ``StreamSchedule``
-           several devices                ``price_partitioned``     ``TimeBreakdown``
-           one device                     ``price_table``           ``TimeBreakdown``
-           =============================  ========================  =================
-
-           The event simulator queues launches on per-device stream pools
-           and per-tier link lanes, so it reports the queueing a greedy
-           schedule cannot see; weighted fleets run each rank's compute
-           at its own speed and report per-rank busy time.  Comm and
-           transfer time land in ``comm_s`` / ``io_s``.
+        3. **price** - chosen by the structure alone
+           (:func:`price_composed`: the event simulator for multi-node
+           or weighted fleets, the stream scheduler for ``streams > 1``,
+           partitioned pricing on several devices, the table pricer on
+           one).  The event simulator queues launches on per-device
+           stream pools and per-tier link lanes, so it reports the
+           queueing a greedy schedule cannot see; weighted fleets run
+           each rank's compute at its own speed and report per-rank busy
+           time.  Comm and transfer time land in ``comm_s`` / ``io_s``.
 
         Requires a handle constructed with an explicit precision.
         ``out_of_core`` does not compose with ``nodes > 1`` nor with
@@ -456,13 +431,6 @@ class Solver:
         ``ngpu``, ``nodes``, ``streams``, ``rank``) must be Python or
         NumPy integers, not ``bool``.
         """
-        # the method guard comes first so a Jacobi handle is told about
-        # its real problem, not about whichever axis value it passed
-        if self._config.method != "qr":
-            raise InvalidParamsError(
-                "prediction models the two-stage QR pipeline; construct "
-                "the Solver with method='qr'"
-            )
         for axis, value in (
             ("n", n), ("ngpu", ngpu), ("nodes", nodes), ("streams", streams)
         ):
@@ -595,21 +563,7 @@ class Solver:
             partial(compose_graph, emit, config, topology,
                     out_of_core=out_of_core, budget_bytes=budget_bytes),
         )
-        if weighted:
-            return simulate_events(
-                graph, config, storage, streams=streams,
-                device_scale=fleet_scale(topology, config),
-                device_labels=tuple(
-                    f"dev{i}:{d}" for i, d in enumerate(topology.devices)
-                ),
-            )
-        if topology.nodes > 1:
-            return simulate_events(graph, config, storage, streams=streams)
-        if streams > 1:
-            return schedule_streams(graph, config, storage, streams)
-        if topology.ngpu > 1:
-            return price_partitioned(graph, config, storage)
-        return price_table(graph.table(), config, storage, None)
+        return price_composed(graph, config, storage, topology, streams)
 
     # ------------------------------------------------------------------ #
     # analytic autotuning
@@ -657,11 +611,6 @@ class Solver:
         so the winner is never analytically slower than it; the winning
         candidate's ``predict_kwargs()`` carry its topology.
         """
-        if self._config.method != "qr":
-            raise InvalidParamsError(
-                "tuning searches the two-stage QR pipeline; construct "
-                "the Solver with method='qr'"
-            )
         if topology is not None and nodes is not None:
             raise InvalidParamsError(
                 "topology= already fixes the fleet axes; also passing "
@@ -692,11 +641,6 @@ class Solver:
         handle constructed with an explicit precision (the plan pins the
         storage dtype of its workspace).
         """
-        if self._config.method != "qr":
-            raise InvalidParamsError(
-                "plans precompute the two-stage QR launch graph; construct "
-                "the Solver with method='qr'"
-            )
         return SvdPlan(self._config, shape)
 
     # ------------------------------------------------------------------ #
@@ -715,7 +659,7 @@ class Solver:
         ``mem_budget_gb``, ``tune``, ``clock``) are forwarded to
         :class:`~repro.serve.SvdService`; use ``async with
         solver.serve(...) as service:`` to run it.  Requires a handle
-        constructed with an explicit precision and ``method='qr'``.
+        constructed with an explicit precision.
         """
         from .serve import SvdService
 

@@ -17,7 +17,6 @@ from ..backends.backend import BackendLike, resolve_backend
 from ..precision import PrecisionLike, resolve_precision
 from ..sim.costmodel import DEFAULT_COEFFS, CostCoefficients
 from ..sim.params import KernelParams, param_grid
-from ..sim.schedule import predict
 
 __all__ = ["SearchResult", "grid_search", "autotune", "clear_autotune_cache"]
 
@@ -48,17 +47,17 @@ def grid_search(
     Uses the analytic schedule model, so the paper's full search space
     evaluates in well under a second even at 32k.
     """
+    from ..solver import Solver
+
     be = resolve_backend(backend)
     prec = be.check_precision(resolve_precision(precision))
     candidates = list(grid) if grid is not None else list(param_grid())
     if not candidates:
         raise ValueError("empty search grid")
+    solver = Solver(backend=be, precision=prec, fused=fused, coeffs=coeffs)
     scored = []
     for p in candidates:
-        t = predict(
-            n, be, prec, params=p, fused=fused, coeffs=coeffs,
-            check_capacity=False,
-        ).total_s
+        t = solver.with_(params=p).predict(n, check_capacity=False).total_s
         scored.append((p, t))
     scored.sort(key=lambda item: item[1])
     return SearchResult(

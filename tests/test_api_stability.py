@@ -35,18 +35,9 @@ REPRO_ALL = [
     "UnsupportedPrecisionError",
     "WindowOverflowError",
     "__version__",
-    "jacobi_svdvals",
     "list_backends",
-    "predict",
-    "predict_batched",
-    "predict_multi_gpu",
-    "predict_out_of_core",
     "resolve_backend",
     "resolve_precision",
-    "svd_full",
-    "svdvals",
-    "svdvals_batched",
-    "svdvals_rect",
 ]
 
 CORE_ALL = [
@@ -77,16 +68,11 @@ CORE_ALL = [
     "lowrank_reference",
     "ntiles",
     "pad_to_tiles",
-    "predict_batched",
     "qr_reduce_tall",
     "register_workload",
     "singular_2x2",
     "sketch_width",
-    "svd_full",
-    "svdvals",
-    "svdvals_batched",
     "svdvals_bidiag",
-    "svdvals_rect",
     "tile",
 ]
 
@@ -125,9 +111,6 @@ SIM_ALL = [
     "panel_cost",
     "param_grid",
     "partition_graph",
-    "predict",
-    "predict_multi_gpu",
-    "predict_out_of_core",
     "price_partitioned",
     "price_table",
     "render_timeline",

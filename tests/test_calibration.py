@@ -14,15 +14,17 @@ import pytest
 
 from repro.baselines import get_baseline
 from repro.report import geomean
-from repro.sim import KernelParams, predict
+from repro import Solver
+from repro.sim import KernelParams
 
 SIZES16 = (128, 256, 512, 1024, 2048, 4096, 8192, 16384)
 SIZES32 = SIZES16 + (32768,)
+H100 = Solver("h100", "fp32")
 
 
 def uni(n, backend, precision, params=None, **kw):
-    return predict(n, backend, precision, params=params,
-                   check_capacity=False, **kw).total_s
+    solver = Solver(backend, precision, params=params, **kw)
+    return solver.predict(n, check_capacity=False).total_s
 
 
 def delta_ts(n, backend, precision):
@@ -158,15 +160,15 @@ class TestTable4Bands:
 class TestFig6Trends:
     def test_stage1_share_grows(self):
         """Paper: reduction to band gains relative weight with size."""
-        small = predict(256, "h100", "fp32").stage_fractions()
-        large = predict(16384, "h100", "fp32", check_capacity=False).stage_fractions()
+        small = H100.predict(256).stage_fractions()
+        large = H100.predict(16384, check_capacity=False).stage_fractions()
         s1_small = small["panel"] + small["update"]
         s1_large = large["panel"] + large["update"]
         assert s1_large > s1_small
 
     def test_update_to_panel_ratio_grows(self):
         rs = [
-            predict(n, "h100", "fp32", check_capacity=False)
+            H100.predict(n, check_capacity=False)
             for n in (1024, 8192, 32768)
         ]
         ratios = [bd.update_s / bd.panel_s for bd in rs]
@@ -175,8 +177,8 @@ class TestFig6Trends:
     def test_rtx4060_steeper_than_h100(self):
         """Few SMs saturate early: trailing/panel explodes 8k -> 32k."""
         def growth(be):
-            a = predict(8192, be, "fp32", check_capacity=False)
-            b = predict(32768, be, "fp32", check_capacity=False)
+            a = Solver(be, "fp32").predict(8192, check_capacity=False)
+            b = Solver(be, "fp32").predict(32768, check_capacity=False)
             return (b.update_s / b.panel_s) / (a.update_s / a.panel_s)
 
         assert growth("rtx4060") > growth("h100")
@@ -190,7 +192,7 @@ class TestFig5Structure:
         assert t16 == pytest.approx(t32, rel=0.10)
 
     def test_fp16_reaches_131k_on_h100(self):
-        predict(131072, "h100", "fp16")  # must not raise
+        Solver("h100", "fp16").predict(131072)  # must not raise
 
     def test_fp64_slower_than_fp32(self):
         assert uni(8192, "h100", "fp64") > uni(8192, "h100", "fp32")

@@ -95,12 +95,12 @@ class TestShedError:
 def test_library_raises_only_repro_errors_for_bad_config():
     import numpy as np
 
-    from repro.core import svdvals
+    from repro import Solver
 
     bad_calls = [
-        lambda: svdvals(np.zeros((4, 5))),
-        lambda: svdvals(np.zeros((4, 4)), backend="nope"),
-        lambda: svdvals(np.zeros((4, 4)), backend="mi250", precision="fp16"),
+        lambda: Solver(precision="fp64").plan((4, 4)).execute(np.zeros((4, 5))),
+        lambda: Solver(backend="nope").solve(np.zeros((4, 4))),
+        lambda: Solver(backend="mi250", precision="fp16").solve(np.zeros((4, 4))),
     ]
     for call in bad_calls:
         with pytest.raises(ReproError):

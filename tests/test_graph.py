@@ -11,13 +11,13 @@ per-stage simulated seconds with float equality, totals to 1e-12.
 import numpy as np
 import pytest
 
-import repro
 from repro import Solver
 from repro.core import (
     emit_batched_graph,
     emit_eigh_graph,
     emit_svd_graph,
     emit_tallqr_graph,
+    jacobi_svdvals,
 )
 from repro.core.svd import svdvals_resolved
 from repro.errors import InvalidParamsError, ShapeError
@@ -168,7 +168,7 @@ class TestGraphStructure:
         }
         bat = emit_batched_graph(64, 8, cfg)
         assert bat.kind == "batched" and bat.batch == 8
-        bd = repro.predict_batched(64, 8, "h100", "fp32")
+        bd = Solver(backend="h100", precision="fp32").predict(64, batch=8)
         assert bat.launch_counts() == bd.launches
 
     def test_counted_unfused_graph_equivalent_and_small(self):
@@ -319,58 +319,24 @@ class TestMultiStream:
 
 
 class TestJacobiThroughSolver:
-    """Satellite: method="jacobi" routes through the one handle."""
-
-    def test_matches_standalone(self):
-        A = np.random.default_rng(5).standard_normal((24, 16))
-        np.testing.assert_array_equal(
-            Solver(method="jacobi").solve(A), repro.jacobi_svdvals(A)
-        )
-
-    def test_shim_delegates(self, monkeypatch):
-        calls = []
-        original = Solver.solve
-
-        def spy(self, *a, **k):
-            calls.append(self.config.method)
-            return original(self, *a, **k)
-
-        monkeypatch.setattr(Solver, "solve", spy)
-        repro.jacobi_svdvals(np.eye(8))
-        assert calls == ["jacobi"]
+    """Jacobi is an oracle function outside the handle: it keeps its
+    contract, and ``Solver`` has no method axis."""
 
     def test_jacobi_kwargs_forwarded(self):
         A = np.random.default_rng(6).standard_normal((12, 12))
         from repro.errors import ConvergenceError
 
         with pytest.raises(ConvergenceError):
-            repro.jacobi_svdvals(A, max_sweeps=1)
-        with pytest.raises(ConvergenceError):
-            Solver(method="jacobi", jacobi_max_sweeps=1).solve(A)
-
-    def test_batched_stack(self):
-        As = np.random.default_rng(8).standard_normal((3, 10, 10))
-        got = Solver(method="jacobi").solve(As)
-        assert got.shape == (3, 10)
-        np.testing.assert_array_equal(got[1], repro.jacobi_svdvals(As[1]))
+            jacobi_svdvals(A, max_sweeps=1)
 
     def test_unknown_method_rejected(self):
-        with pytest.raises(InvalidParamsError, match="method"):
-            Solver(method="divide_and_conquer")
-
-    def test_no_info_no_predict_no_plan(self):
-        solver = Solver(method="jacobi")
-        with pytest.raises(InvalidParamsError):
-            solver.solve(np.eye(8), return_info=True)
-        with pytest.raises(InvalidParamsError):
-            solver.predict(64)
-        with pytest.raises(InvalidParamsError):
-            solver.plan((64, 64))
-        with pytest.raises(InvalidParamsError):
-            solver.svd(np.eye(8))
+        # two-stage QR is the handle's only method: no method keyword
+        for method in ("jacobi", "divide_and_conquer"):
+            with pytest.raises(TypeError):
+                Solver(method=method)
 
     def test_shape_errors_preserved(self):
         with pytest.raises(ShapeError):
-            repro.jacobi_svdvals(np.zeros(5))
+            jacobi_svdvals(np.zeros(5))
         with pytest.raises(ShapeError, match="empty matrix"):
-            repro.jacobi_svdvals(np.zeros((0, 4)))
+            jacobi_svdvals(np.zeros((0, 4)))

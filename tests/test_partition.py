@@ -452,29 +452,6 @@ class TestPredictModeValidation:
             result = solver.predict(128, **kwargs)
             assert result.total_s > 0
 
-    def test_method_guard_fires_before_axis_validation(self):
-        """A Jacobi handle is told about its real problem first.
-
-        The axis-value validation used to fire before the method guard,
-        so ``Solver(method='jacobi').predict(n, streams=0)`` blamed the
-        stream count instead of the method.
-        """
-        jacobi = Solver(backend="h100", precision="fp32", method="jacobi")
-        for kwargs in (
-            dict(),
-            dict(streams=0),
-            dict(ngpu=0),
-            dict(oc_budget_gb=1.0),  # invalid without out_of_core
-            dict(oc_budget_gb=-1.0, out_of_core=True),
-        ):
-            with pytest.raises(
-                InvalidParamsError, match="two-stage QR"
-            ) as err:
-                jacobi.predict(128, **kwargs)
-            msg = str(err.value)
-            assert "streams" not in msg
-            assert "oc_budget_gb" not in msg
-
     def test_axis_validation_messages_for_qr_handles(self, solver):
         """QR handles still get the precise per-axis messages."""
         with pytest.raises(InvalidParamsError, match="streams must be"):

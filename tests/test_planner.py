@@ -120,8 +120,8 @@ class TestTunePlan:
             solver.tune(256, batch=0)
 
     def test_requires_qr_and_precision(self):
-        with pytest.raises(InvalidParamsError, match="method='qr'"):
-            Solver(method="jacobi").tune(256)
+        # two-stage QR is the handle's only method; precision is its one
+        # requirement
         with pytest.raises(InvalidParamsError, match="precision"):
             Solver(backend="h100").tune(256)
 

@@ -21,7 +21,7 @@ from repro.core.svd import cast_to_storage
 from repro.errors import CapacityError, InvalidParamsError, ShapeError
 from repro.precision import Precision
 from repro.sim.events import EventSchedule
-from repro.sim.partition import partition_graph
+from repro.sim.partition import batch_shares, partition_graph
 from repro.sim.table import bound_table_stats, clear_bound_tables
 from repro.solver import compose_graph
 
@@ -107,10 +107,11 @@ class TestBatchedFleetCapacity:
             solver.predict(15000, batch=12, streams=4, topology=fleet)
 
     def test_uniform_fleet_counts_each_chain(self):
-        # chains {0, 2, 4, 6} and {1, 3, 5} are each split round-robin
-        # over 2 devices, chain j from device j: device 0 holds {0, 4, 3}
-        # and device 1 holds {2, 6, 1, 5}, so 4 x 68256^2 fp32 x 1.25 =
-        # 86.8 GiB of rank 1's 80 GiB (3 fit: a batch of 6 splits 3 / 3)
+        # chains {0, 2, 4, 6} and {1, 3, 5} are dealt round-robin over 2
+        # devices, each from where the previous one stopped: device 0
+        # holds {0, 4, 1, 5} and device 1 holds {2, 6, 3}, so 4 x 68256^2
+        # fp32 x 1.25 = 86.8 GiB of rank 0's 80 GiB (3 fit: a batch of 6
+        # splits 3 / 3)
         solver = Solver("h100", precision="fp32")
         config = solver.config
         fleet = Topology.uniform("h100", 2)
@@ -121,12 +122,12 @@ class TestBatchedFleetCapacity:
                 config, fleet,
             ), 2)
 
-        assert split(6) == [3, 3] and split(7) == [3, 4]
+        assert split(6) == [3, 3] and split(7) == [4, 3]
         for axes in ({"ngpu": 2}, {"topology": fleet}):
             assert solver.predict(
                 68256, batch=6, streams=2, **axes
             ).total_s > 0.0
-            with pytest.raises(CapacityError, match=r"needs 86\.8 GiB on rank 1"):
+            with pytest.raises(CapacityError, match=r"needs 86\.8 GiB on rank 0"):
                 solver.predict(68256, batch=7, streams=2, **axes)
 
     @pytest.mark.parametrize("ngpu", [2, 4])
@@ -149,6 +150,48 @@ class TestBatchedFleetCapacity:
         for streams in (1, 2):
             with pytest.raises(CapacityError, match="batch of 16 32768x"):
                 solver.predict(32768, batch=fits + 1, streams=streams)
+
+
+class TestBatchedDeal:
+    """Chains are dealt from the device where the previous one stopped,
+    and each cluster gather ships all of its source's chains."""
+
+    def test_uniform_shares_balanced_and_mirrored(self):
+        config = Solver("h100", precision="fp32").config
+        for g in (2, 3, 4, 8):
+            fleet = Topology.uniform("h100", g)
+            for batch in range(1, 14):
+                for streams in range(1, 8):
+                    graph = compose_graph(
+                        lambda: emit_batched_graph(
+                            32, batch, config, streams=streams
+                        ),
+                        config, fleet,
+                    )
+                    counts = held(graph, g)
+                    case = (batch, streams, g, counts)
+                    assert max(counts) - min(counts) <= 1, case
+                    assert counts == batch_shares(batch, streams, g), case
+
+    @pytest.mark.parametrize("ngpu", [4, 8])  # 2 nodes x 2 or 4 devices
+    @pytest.mark.parametrize("streams", [1, 2, 3, 4])
+    def test_cluster_gathers_ship_every_chain(self, ngpu, streams):
+        config = Solver("h100", precision="fp32").config
+        n, batch = 64, 11
+        graph = compose_graph(
+            lambda: emit_batched_graph(n, batch, config, streams=streams),
+            config, Topology.uniform("h100", ngpu, nodes=2),
+        )
+        remote = batch - held(graph, ngpu)[0]
+        gathers = [node for node in graph.nodes
+                   if node.kind.startswith("batch_gather")]
+        assert sum(node.key[1] for node in gathers) == n * remote
+        # each gather waits on every solve of one source device
+        tails = [i for i, node in enumerate(graph.nodes)
+                 if node.kind == "bdsqr_cpu_b" and node.device != 0]
+        assert sorted(d for node in gathers for d in node.deps) == tails
+        for node in gathers:
+            assert len({graph.nodes[d].device for d in node.deps}) == 1
 
 
 class TestLowrankFleetCapacity:

@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tests.conftest import rel_err, scipy_svdvals
-from repro.core import svdvals, svdvals_rect
-from repro.sim import KernelParams, predict
+from repro import Solver
+from repro.sim import KernelParams
 
 
 @given(
@@ -20,8 +20,8 @@ def test_unified_matches_lapack_any_tiling(n, ts, seed):
     padding paths where n is not a tile multiple."""
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((n, n))
-    got = svdvals(A, backend="h100", precision="fp64",
-                  params=KernelParams(ts, min(ts, 32), 4))
+    params = KernelParams(ts, min(ts, 32), 4)
+    got = Solver(backend="h100", precision="fp64", params=params).solve(A)
     assert rel_err(got, scipy_svdvals(A)) < 1e-11
 
 
@@ -36,8 +36,8 @@ def test_scale_equivariance(n, seed, log_scale):
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((n, n))
     c = 2.0**log_scale
-    base = svdvals(A, backend="h100", precision="fp64")
-    scaled = svdvals(c * A, backend="h100", precision="fp64")
+    base = Solver(backend="h100", precision="fp64").solve(A)
+    scaled = Solver(backend="h100", precision="fp64").solve(c * A)
     np.testing.assert_allclose(scaled, c * base, rtol=1e-9, atol=1e-300)
 
 
@@ -50,7 +50,7 @@ def test_scale_equivariance(n, seed, log_scale):
 def test_rectangular_any_shape(m, n, seed):
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((m, n))
-    got = svdvals_rect(A, backend="h100", precision="fp64")
+    got = Solver(backend="h100", precision="fp64").solve(A)
     ref = scipy_svdvals(A)
     assert got.shape == (min(m, n),)
     assert np.max(np.abs(got - ref)) <= 1e-10 * max(ref[0], 1.0)
@@ -66,8 +66,8 @@ def test_orthogonal_invariance(n, seed):
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((n, n))
     Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
-    a = svdvals(A, backend="h100", precision="fp64")
-    b = svdvals(Q @ A, backend="h100", precision="fp64")
+    a = Solver(backend="h100", precision="fp64").solve(A)
+    b = Solver(backend="h100", precision="fp64").solve(Q @ A)
     np.testing.assert_allclose(a, b, atol=1e-11 * max(a[0], 1.0))
 
 
@@ -81,8 +81,10 @@ def test_orthogonal_invariance(n, seed):
 @settings(max_examples=40, deadline=None)
 def test_cost_model_total_positive_finite(n, backend, ts, cpb, sk):
     """The cost model must be well-defined over the whole parameter box."""
-    bd = predict(n, backend, "fp32", params=KernelParams(ts, min(cpb, ts), sk),
-                 check_capacity=False)
+    params = KernelParams(ts, min(cpb, ts), sk)
+    bd = Solver(backend, "fp32", params=params).predict(
+        n, check_capacity=False
+    )
     assert np.isfinite(bd.total_s)
     assert bd.total_s > 0
     assert bd.panel_s >= 0 and bd.update_s >= 0
@@ -98,7 +100,7 @@ def test_fp16_error_bounded(n, seed):
     """FP16 results stay within a few hundred half-eps of the truth."""
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((n, n)).astype(np.float16).astype(np.float64)
-    got = svdvals(A, backend="h100", precision="fp16")
+    got = Solver(backend="h100", precision="fp16").solve(A)
     ref = scipy_svdvals(A)
     eps16 = float(np.finfo(np.float16).eps)
     assert rel_err(got, ref) < 300 * eps16 * max(1.0, np.sqrt(n))

@@ -49,17 +49,17 @@ class TestReadmeQuickstart:
         A = np.random.default_rng(0).standard_normal((96, 96)).astype(
             np.float32
         )
-        sv = repro.svdvals(A, backend="h100", precision="fp32")
+        sv = repro.Solver(backend="h100", precision="fp32").solve(A)
         assert sv.shape == (96,)
-        sv, info = repro.svdvals(
-            A, backend="mi250", precision="fp64", return_info=True
+        sv, info = repro.Solver(backend="mi250", precision="fp64").solve(
+            A, return_info=True
         )
         assert info.simulated_seconds > 0
         with pytest.raises(repro.UnsupportedPrecisionError):
-            repro.svdvals(A, backend="mi250", precision="fp16")
+            repro.Solver(backend="mi250", precision="fp16").solve(A)
         with pytest.raises(repro.UnsupportedPrecisionError):
-            repro.svdvals(A, backend="m1pro", precision="fp64")
-        bd = repro.predict(32768, "h100", "fp32")
+            repro.Solver(backend="m1pro", precision="fp64").solve(A)
+        bd = repro.Solver(backend="h100", precision="fp32").predict(32768)
         assert bd.total_s > 0
         assert sum(bd.stage_fractions().values()) == pytest.approx(1.0)
 
@@ -72,11 +72,11 @@ class TestReadmeQuickstart:
     def test_extension_flow(self):
         rng = np.random.default_rng(2)
         A = rng.standard_normal((40, 40))
-        res = repro.svd_full(A)
+        res = repro.Solver().svd(A)
         assert np.linalg.norm(res.reconstruct() - A) < 1e-10
-        rect = repro.svdvals_rect(rng.standard_normal((60, 20)))
+        rect = repro.Solver().solve(rng.standard_normal((60, 20)))
         assert rect.shape == (20,)
-        batch = repro.svdvals_batched(rng.standard_normal((2, 16, 16)))
+        batch = repro.Solver().solve(rng.standard_normal((2, 16, 16)))
         assert batch.shape == (2, 16)
-        jac = repro.jacobi_svdvals(A)
+        jac = repro.core.jacobi_svdvals(A)
         np.testing.assert_allclose(jac, res.s, atol=1e-10 * res.s[0])

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from tests.conftest import rel_err, scipy_svdvals
-from repro.core import qr_reduce_tall, svdvals_rect
+from repro import Solver
+from repro.core import qr_reduce_tall
 from repro.errors import ShapeError
 from repro.sim import KernelParams, Session
 
@@ -49,53 +50,52 @@ class TestSvdvalsRect:
                                        (20, 130), (97, 33), (33, 97), (64, 64)])
     def test_matches_scipy(self, rng, shape):
         A = rng.standard_normal(shape)
-        got = svdvals_rect(A, backend="h100", precision="fp64")
+        got = Solver(backend="h100", precision="fp64").solve(A)
         ref = scipy_svdvals(A)
         assert got.shape == (min(shape),)
         assert rel_err(got, ref) < 1e-11
 
     def test_extreme_aspect_ratio(self, rng):
         A = rng.standard_normal((600, 8))
-        got = svdvals_rect(A)
+        got = Solver().solve(A)
         assert rel_err(got, scipy_svdvals(A)) < 1e-11
 
     def test_single_column(self, rng):
         A = rng.standard_normal((50, 1))
-        got = svdvals_rect(A)
+        got = Solver().solve(A)
         assert got[0] == pytest.approx(np.linalg.norm(A), rel=1e-12)
 
     def test_single_row(self, rng):
         A = rng.standard_normal((1, 50))
-        got = svdvals_rect(A)
+        got = Solver().solve(A)
         assert got[0] == pytest.approx(np.linalg.norm(A), rel=1e-12)
 
     def test_fp32(self, rng):
         A = rng.standard_normal((96, 48)).astype(np.float32)
-        got = svdvals_rect(A, precision="fp32")
+        got = Solver(precision="fp32").solve(A)
         assert rel_err(got, scipy_svdvals(A)) < 5e-6
 
     def test_rank_deficient_tall(self, rng):
         X = rng.standard_normal((100, 3))
         A = X @ rng.standard_normal((3, 20))
-        got = svdvals_rect(A)
+        got = Solver().solve(A)
         ref = scipy_svdvals(A)
         assert rel_err(got, ref) < 1e-11
         np.testing.assert_allclose(got[3:], 0.0, atol=1e-10 * ref[0])
 
     def test_empty_rejected(self):
         with pytest.raises(ShapeError):
-            svdvals_rect(np.zeros((0, 5)))
+            Solver().solve(np.zeros((0, 5)))
 
     def test_info_includes_preprocessing(self, rng):
-        _, info = svdvals_rect(rng.standard_normal((96, 48)),
-                               return_info=True)
+        _, info = Solver().solve(rng.standard_normal((96, 48)), return_info=True)
         assert info.simulated_seconds > 0
         # the tall-QR chain contributes panel launches beyond the square run
-        _, sq = svdvals_rect(rng.standard_normal((48, 48)), return_info=True)
+        _, sq = Solver().solve(rng.standard_normal((48, 48)), return_info=True)
         assert sum(info.launch_counts.values()) > sum(sq.launch_counts.values())
 
     def test_transpose_invariance(self, rng):
         A = rng.standard_normal((70, 30))
-        a = svdvals_rect(A)
-        b = svdvals_rect(A.T)
+        a = Solver().solve(A)
+        b = Solver().solve(A.T)
         np.testing.assert_allclose(a, b, atol=1e-12 * a[0])

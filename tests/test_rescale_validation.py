@@ -8,14 +8,13 @@ import pytest
 
 from tests.conftest import rel_err, scipy_svdvals
 from repro import Solver
-from repro.core import WORKLOADS, svdvals
+from repro.core import WORKLOADS, jacobi_svdvals
 from repro.core.svd import _rescale_factor
 from repro.errors import ShapeError
 from repro.precision import Precision
 
-#: The front doors the rescale contract covers, by input shape.  The
-#: square door is the legacy shim; the rest run through a Solver, the
-#: vector door through ``Solver.svd``.
+#: The front doors the rescale contract covers, by input shape.  All run
+#: through a Solver, the vector door through ``Solver.svd``.
 FRONT_DOORS = {
     "square": (32, 32),
     "tall": (64, 32),
@@ -28,8 +27,6 @@ FRONT_DOORS = {
 def solve_through(door, A, **axes):
     """Singular values of ``A`` from one front door on an H100 (the
     vector door's whole ``SVDResult``)."""
-    if door == "square":
-        return svdvals(A, backend="h100", **axes)
     solver = Solver(backend="h100", **axes)
     if door == "lowrank":
         return solver.svd_lowrank(A, rank=4)
@@ -63,17 +60,17 @@ class TestCheckFinite:
         A = rng.standard_normal((8, 8))
         A[2, 3] = np.nan
         with pytest.raises(ShapeError, match="NaN or Inf"):
-            svdvals(A)
+            Solver().solve(A)
 
     def test_inf_rejected(self, rng):
         A = rng.standard_normal((8, 8))
         A[0, 0] = np.inf
         with pytest.raises(ShapeError):
-            svdvals(A)
+            Solver().solve(A)
 
     def test_opt_out(self, rng):
         A = rng.standard_normal((8, 8))
-        out = svdvals(A, check_finite=False)
+        out = Solver(check_finite=False).solve(A)
         assert np.all(np.isfinite(out))
 
     # the overflow below is the point of the test; nothing else is ignored
@@ -128,7 +125,7 @@ class TestRealInputOnly:
             lambda: solver.eigh(A),
             lambda: solver.solve(np.stack([A, A])),
             lambda: solver.plan((16, 16)).execute(A),
-            lambda: Solver(method="jacobi").solve(A),
+            lambda: jacobi_svdvals(A),
         ):
             with self.names_dtype(A):
                 run()
@@ -150,7 +147,7 @@ class TestRealInputOnly:
         for A in (rng.integers(-4, 5, (16, 16)), rng.random((16, 16)) > 0.5):
             ref = scipy_svdvals(A.astype(np.float64))
             assert rel_err(solver.solve(A), ref) < 1e-12
-            assert rel_err(Solver(method="jacobi").solve(A), ref) < 1e-12
+            assert rel_err(jacobi_svdvals(A), ref) < 1e-12
             S = A.T @ A if A.dtype != bool else A & A.T
             assert np.allclose(
                 np.sort(solver.eigh(S)),
@@ -215,11 +212,11 @@ class TestRescaledSolves:
         """Power-of-two scaling is exact: scaled and unscaled runs agree
         bit-for-bit after the back-scale when no rounding boundary is hit."""
         A = rng.standard_normal((32, 32))
-        a = svdvals(A, rescale=True)
-        b = svdvals(A, rescale=False)
+        a = Solver(rescale=True).solve(A)
+        b = Solver(rescale=False).solve(A)
         np.testing.assert_array_equal(a, b)  # safe range: no-op
 
     def test_fp64_extreme_still_fine(self, rng):
         A = 1e150 * rng.standard_normal((24, 24))
-        got = svdvals(A, precision="fp64")
+        got = Solver(precision="fp64").solve(A)
         assert rel_err(got, scipy_svdvals(A)) < 1e-12

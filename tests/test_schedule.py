@@ -2,8 +2,11 @@
 
 import pytest
 
+from repro import Solver
 from repro.errors import CapacityError, ShapeError
-from repro.sim import KernelParams, predict, stage1_launch_count
+from repro.sim import KernelParams, stage1_launch_count
+
+H100 = Solver("h100", "fp32")
 
 
 class TestLaunchCount:
@@ -37,7 +40,7 @@ class TestLaunchCount:
 
 class TestPredict:
     def test_breakdown_positive(self):
-        bd = predict(1024, "h100", "fp32")
+        bd = H100.predict(1024)
         assert bd.panel_s > 0
         assert bd.update_s > 0
         assert bd.brd_s > 0
@@ -47,19 +50,19 @@ class TestPredict:
         )
 
     def test_monotone_in_n(self):
-        ts = [predict(n, "h100", "fp32").total_s for n in (256, 512, 1024, 2048)]
+        ts = [H100.predict(n).total_s for n in (256, 512, 1024, 2048)]
         assert all(a < b for a, b in zip(ts, ts[1:]))
 
     def test_fused_faster(self):
-        f = predict(2048, "h100", "fp32", fused=True).total_s
-        u = predict(2048, "h100", "fp32", fused=False).total_s
+        f = H100.with_(fused=True).predict(2048).total_s
+        u = H100.with_(fused=False).predict(2048).total_s
         assert f < u
 
     def test_launch_dict_matches_closed_form(self):
         p = KernelParams()
         for n in (96, 512, 1000):
             nbt = -(-n // p.tilesize)
-            bd = predict(n, "h100", "fp32", params=p)
+            bd = H100.with_(params=p).predict(n)
             stage1 = sum(
                 v
                 for k, v in bd.launches.items()
@@ -68,24 +71,24 @@ class TestPredict:
             assert stage1 == stage1_launch_count(nbt, fused=True)
 
     def test_stage_fractions_sum_to_one(self):
-        fr = predict(4096, "mi250", "fp64").stage_fractions()
+        fr = Solver("mi250", "fp64").predict(4096).stage_fractions()
         assert sum(fr.values()) == pytest.approx(1.0)
 
     def test_capacity_enforced(self):
         with pytest.raises(CapacityError):
-            predict(131072, "h100", "fp32")
-        predict(131072, "h100", "fp16")  # FP16 fits (paper sec. 4.3)
+            H100.predict(131072)
+        Solver("h100", "fp16").predict(131072)  # FP16 fits (paper sec. 4.3)
 
     def test_capacity_check_optional(self):
-        predict(131072, "h100", "fp32", check_capacity=False)
+        H100.predict(131072, check_capacity=False)
 
     def test_bad_n(self):
         with pytest.raises(ShapeError):
-            predict(0, "h100", "fp32")
+            H100.predict(0)
 
     def test_flops_scale(self):
         """Total flops track the (8/3) n^3 two-sided reduction."""
-        bd = predict(4096, "h100", "fp32")
+        bd = H100.predict(4096)
         expect = (8.0 / 3.0) * 4096**3
         assert 0.3 * expect < bd.flops < 3.0 * expect
 
@@ -93,14 +96,14 @@ class TestPredict:
         from repro.errors import UnsupportedPrecisionError
 
         with pytest.raises(UnsupportedPrecisionError):
-            predict(1024, "mi250", "fp16")
+            Solver("mi250", "fp16").predict(1024)
 
     def test_stage1_property(self):
-        bd = predict(512, "h100", "fp32")
+        bd = H100.predict(512)
         assert bd.stage1_s == pytest.approx(bd.panel_s + bd.update_s)
 
     def test_fp16_capacity_double_reach(self):
         """H100 FP16 supports sizes FP32 cannot hold (Figure 5)."""
-        predict(131072, "h100", "fp16")
+        Solver("h100", "fp16").predict(131072)
         with pytest.raises(CapacityError):
-            predict(131072, "h100", "fp32")
+            H100.predict(131072)

@@ -161,11 +161,10 @@ class TestSubmitValidation:
             solver.solve(big)
 
     def test_requires_explicit_precision_and_qr(self):
+        # two-stage QR is the handle's only method; precision is its one
+        # requirement
         with pytest.raises(Exception, match="precision"):
             Solver(backend="h100").serve()
-        with pytest.raises(InvalidParamsError, match="method='qr'"):
-            Solver(backend="h100", precision="fp32",
-                   method="jacobi").serve()
 
     def test_submit_outside_context_raises(self, rng):
         solver = Solver(backend="h100", precision="fp32")
@@ -318,6 +317,30 @@ class TestServiceStats:
             == stats.submitted
         )
         assert "cancelled=1" in stats.summary()
+
+
+class TestFleetServices:
+    """A fleet service executes the graph admission priced: partitioned
+    over the same fleet and priced by the same structure -> pricer table,
+    so ``replayed_s == predicted_s`` exactly on clusters and mixed fleets
+    too, and served values stay bitwise those of ``Solver.solve``."""
+
+    @pytest.mark.parametrize(
+        "axes",
+        [{"nodes": 2}, {"topology": repro.Topology(("h100", "a100"))}],
+        ids=["nodes2", "h100+a100"],
+    )
+    def test_replayed_equals_predicted(self, axes, rng):
+        solver = Solver(backend="h100", precision="fp32")
+        mats = [rng.standard_normal((32, 32)).astype(np.float32)
+                for _ in range(8)]
+        results, stats = serve_all(
+            solver, mats, max_batch=8, max_wait_s=60.0, **axes
+        )
+        assert stats.batches == 1 and stats.completed == 8
+        assert stats.replayed_s == stats.predicted_s
+        for A, got in zip(mats, results):
+            assert np.array_equal(got, solver.solve(A))
 
 
 class TestAdmissionController:

@@ -1,10 +1,10 @@
-"""The unified Solver handle: construction, dispatch, plans, delegation."""
+"""The unified Solver handle: construction, dispatch, plans, prediction."""
 
 import numpy as np
 import pytest
 
-import repro
 from repro import Solver, SolveConfig
+from repro.core import jacobi_svdvals
 from repro.errors import (
     InvalidParamsError,
     ShapeError,
@@ -73,33 +73,28 @@ class TestConstruction:
             Solver.from_config({"backend": "h100"})
 
 
+def one_shot():
+    """A fresh handle per call, as a caller without a held handle builds it."""
+    return Solver(backend="h100", precision="fp32")
+
+
 class TestShapeDispatch:
     def test_square_matches_legacy(self, rng, solver):
         A = rng.standard_normal((64, 64)).astype(np.float32)
-        np.testing.assert_array_equal(
-            solver.solve(A), repro.svdvals(A, backend="h100", precision="fp32")
-        )
+        np.testing.assert_array_equal(solver.solve(A), one_shot().solve(A))
 
     def test_rect_matches_legacy(self, rng, solver):
         for shape in ((80, 40), (40, 80)):
             A = rng.standard_normal(shape).astype(np.float32)
             got = solver.solve(A)
             assert got.shape == (40,)
-            np.testing.assert_array_equal(
-                got, repro.svdvals_rect(A, backend="h100", precision="fp32")
-            )
+            np.testing.assert_array_equal(got, one_shot().solve(A))
 
     def test_batched_matches_legacy(self, rng, solver):
         As = rng.standard_normal((3, 32, 32)).astype(np.float32)
         got = solver.solve(As)
         assert got.shape == (3, 32)
-        np.testing.assert_array_equal(
-            got, repro.svdvals_batched(As, backend="h100", precision="fp32")
-        )
-
-    def test_svdvals_is_solve_alias(self, rng, solver):
-        A = rng.standard_normal((48, 48)).astype(np.float32)
-        np.testing.assert_array_equal(solver.svdvals(A), solver.solve(A))
+        np.testing.assert_array_equal(got, one_shot().solve(As))
 
     def test_svd_full_vectors(self, rng):
         A = np.asarray(np.random.default_rng(2).standard_normal((40, 40)))
@@ -140,39 +135,40 @@ class TestEmptyShapeConsistency:
             solver.svd(np.zeros((0, 0)))
 
     def test_legacy_shims_match(self):
+        # one-shot handles, one per call
         with pytest.raises(ShapeError, match="empty matrix"):
-            repro.svdvals(np.zeros((0, 0)))
+            Solver().solve(np.zeros((0, 0)))
         with pytest.raises(ShapeError, match="empty matrix"):
-            repro.svdvals_rect(np.zeros((0, 5)))
+            Solver().solve(np.zeros((0, 5)))
         with pytest.raises(ShapeError, match="empty matrix"):
-            repro.svdvals_batched(np.zeros((2, 0, 0)))
+            Solver().solve(np.zeros((2, 0, 0)))
         with pytest.raises(ShapeError, match="empty batch"):
-            repro.svdvals_batched([])
+            one_shot().plan((2, 16, 16)).execute([])
         with pytest.raises(ShapeError, match="empty matrix"):
-            repro.svd_full(np.zeros((0, 0)))
+            Solver().svd(np.zeros((0, 0)))
         with pytest.raises(ShapeError, match="empty matrix"):
-            repro.jacobi_svdvals(np.zeros((0, 5)))
+            jacobi_svdvals(np.zeros((0, 5)))
 
 
 class TestPredictFrontDoor:
     def test_single_gpu(self, solver):
         bd = solver.predict(4096)
-        assert bd.total_s == pytest.approx(
-            repro.predict(4096, "h100", "fp32").total_s
-        )
+        assert bd.total_s == pytest.approx(one_shot().predict(4096).total_s)
 
     def test_batched(self, solver):
         bd = solver.predict(128, batch=64)
         assert bd.total_s == pytest.approx(
-            repro.predict_batched(128, 64, "h100", "fp32").total_s
+            one_shot().predict(128, batch=64).total_s
         )
 
     def test_multi_gpu(self, solver):
-        # the legacy shim's historical default link is 100 GB/s; the
-        # handle front door defaults to the backend's own link (NVLink)
+        # an explicit 100 GB/s link; the handle defaults to the backend's
+        # own link (NVLink)
         bd = solver.predict(8192, ngpu=4, link_gbs=100.0)
         assert bd.total_s == pytest.approx(
-            repro.predict_multi_gpu(8192, "h100", "fp32", 4).total_s
+            one_shot().predict(
+                8192, ngpu=4, link_gbs=100.0, check_capacity=False
+            ).total_s
         )
         assert bd.comm_s > 0
         nvlink = solver.predict(8192, ngpu=4)
@@ -182,7 +178,7 @@ class TestPredictFrontDoor:
         n = 2 * solver.backend.max_n("fp32")
         bd = solver.predict(n, out_of_core=True)
         assert bd.total_s == pytest.approx(
-            repro.predict_out_of_core(n, "h100", "fp32").total_s
+            one_shot().predict(n, out_of_core=True).total_s
         )
         assert bd.io_s > 0
 
@@ -332,49 +328,6 @@ class TestPlan:
             Solver(backend="h100").plan((64, 64))
 
 
-class TestLegacyShimsDelegate:
-    """Every legacy entry point routes through the one Solver code path."""
-
-    def _spy(self, monkeypatch, name):
-        calls = []
-        original = getattr(Solver, name)
-
-        def wrapper(self, *args, **kwargs):
-            calls.append(name)
-            return original(self, *args, **kwargs)
-
-        monkeypatch.setattr(Solver, name, wrapper)
-        return calls
-
-    def test_svdvals_delegates(self, monkeypatch, rng):
-        calls = self._spy(monkeypatch, "_solve_square")
-        repro.svdvals(rng.standard_normal((32, 32)))
-        assert calls == ["_solve_square"]
-
-    def test_svdvals_rect_delegates(self, monkeypatch, rng):
-        calls = self._spy(monkeypatch, "_solve_rect")
-        repro.svdvals_rect(rng.standard_normal((48, 24)))
-        assert calls == ["_solve_rect"]
-
-    def test_svdvals_batched_delegates(self, monkeypatch, rng):
-        calls = self._spy(monkeypatch, "_solve_batched")
-        repro.svdvals_batched(rng.standard_normal((2, 16, 16)))
-        assert calls == ["_solve_batched"]
-
-    def test_svd_full_delegates(self, monkeypatch, rng):
-        calls = self._spy(monkeypatch, "svd")
-        repro.svd_full(rng.standard_normal((24, 24)))
-        assert calls == ["svd"]
-
-    def test_predict_family_delegates(self, monkeypatch):
-        calls = self._spy(monkeypatch, "predict")
-        repro.predict(1024, "h100", "fp32")
-        repro.predict_batched(128, 8, "h100", "fp32")
-        repro.predict_multi_gpu(1024, "h100", "fp32", 2)
-        repro.predict_out_of_core(1024, "h100", "fp32")
-        assert calls == ["predict"] * 4
-
-
 class TestPrecisionFromDtype:
     """The one shared dtype -> Precision inference (satellite)."""
 
@@ -400,8 +353,8 @@ class TestPrecisionFromDtype:
             Precision, "from_dtype", classmethod(spy)
         )
         A = rng.standard_normal((16, 16)).astype(np.float32)
-        repro.svdvals(A)
-        repro.svdvals_rect(rng.standard_normal((20, 10)).astype(np.float32))
-        repro.svdvals_batched(A[None])
-        repro.svd_full(A)
+        Solver().solve(A)
+        Solver().solve(rng.standard_normal((20, 10)).astype(np.float32))
+        Solver().solve(A[None])
+        Solver().svd(A)
         assert len(seen) >= 4

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.sim import KernelParams, predict
+from repro import Solver
+from repro.sim import KernelParams
 from repro.tuning import autotune, clear_autotune_cache, grid_search
 
 
@@ -16,8 +17,8 @@ class TestGridSearch:
     def test_best_beats_reference(self):
         """Tuning can only help (the reference config is in the grid)."""
         res = grid_search(8192, "mi250", "fp64")
-        ref = predict(8192, "mi250", "fp64", params=KernelParams(),
-                      check_capacity=False).total_s
+        solver = Solver("mi250", "fp64", params=KernelParams())
+        ref = solver.predict(8192, check_capacity=False).total_s
         assert res.best_seconds <= ref
 
     def test_table_sorted(self):

@@ -5,7 +5,6 @@ import pytest
 
 from tests.conftest import rel_err, same_bytes, scipy_svdvals
 from repro import Solver
-from repro.core import svd_full, svdvals
 from repro.core.svd import emit_svd_graph
 from repro.core.tiling import pad_to_tiles
 from repro.errors import InvalidParamsError, ShapeError
@@ -28,23 +27,23 @@ class TestFullSVD:
     @pytest.mark.parametrize("n", [1, 3, 16, 32, 50, 96])
     def test_factorization(self, rng, n):
         A = rng.standard_normal((n, n))
-        res = svd_full(A, backend="h100", precision="fp64")
+        res = Solver(backend="h100", precision="fp64").svd(A)
         check_factorization(A, res, 1e-12)
 
     def test_values_match_values_only_driver(self, rng):
         A = rng.standard_normal((64, 64))
-        res = svd_full(A, backend="h100", precision="fp64")
-        vals = svdvals(A, backend="h100", precision="fp64")
+        res = Solver(backend="h100", precision="fp64").svd(A)
+        vals = Solver(backend="h100", precision="fp64").solve(A)
         np.testing.assert_allclose(res.s, vals, atol=1e-11 * vals[0])
 
     def test_values_match_scipy(self, rng):
         A = rng.standard_normal((48, 48))
-        res = svd_full(A)
+        res = Solver().svd(A)
         assert rel_err(res.s, scipy_svdvals(A)) < 1e-12
 
     def test_known_spectrum(self):
         tm = make_test_matrix(48, "logarithmic", seed=3)
-        res = svd_full(tm.A)
+        res = Solver().svd(tm.A)
         assert rel_err(res.s, tm.sigma) < 1e-12
 
     def test_subspace_recovery(self, rng):
@@ -53,57 +52,57 @@ class TestFullSVD:
         U0 = np.linalg.qr(rng.standard_normal((n, r)))[0]
         V0 = np.linalg.qr(rng.standard_normal((n, r)))[0]
         A = U0 @ np.diag([10.0, 8.0, 6.0, 4.0]) @ V0.T
-        res = svd_full(A)
+        res = Solver().svd(A)
         # leading r left vectors span col(U0)
         proj = U0 @ (U0.T @ res.U[:, :r])
         assert np.linalg.norm(proj - res.U[:, :r]) < 1e-10
 
     def test_fp32(self, rng):
         A = rng.standard_normal((48, 48)).astype(np.float32)
-        res = svd_full(A, backend="h100", precision="fp32")
+        res = Solver(backend="h100", precision="fp32").svd(A)
         check_factorization(A.astype(np.float64), res, 1e-4)
 
     def test_fp16_upcast(self, rng):
         A = (0.1 * rng.standard_normal((32, 32))).astype(np.float16)
-        res = svd_full(A, backend="h100", precision="fp16")
+        res = Solver(backend="h100", precision="fp16").svd(A)
         check_factorization(A.astype(np.float64), res, 5e-2)
 
     def test_rank_deficient(self, rng):
         X = rng.standard_normal((40, 5))
         A = X @ X.T
-        res = svd_full(A)
+        res = Solver().svd(A)
         check_factorization(A, res, 1e-11)
         assert np.all(res.s[5:] <= 1e-10 * res.s[0])
 
     def test_identity(self):
-        res = svd_full(np.eye(33))
+        res = Solver().svd(np.eye(33))
         np.testing.assert_allclose(res.s, 1.0, atol=1e-12)
         check_factorization(np.eye(33), res, 1e-12)
 
     def test_zero_matrix(self):
-        res = svd_full(np.zeros((20, 20)))
+        res = Solver().svd(np.zeros((20, 20)))
         np.testing.assert_allclose(res.s, 0.0)
         # factors still orthogonal
         assert np.linalg.norm(res.U.T @ res.U - np.eye(20)) < 1e-12
 
     def test_diagonal_with_negatives(self):
         d = np.array([3.0, -2.0, 1.0, -0.5])
-        res = svd_full(np.diag(d))
+        res = Solver().svd(np.diag(d))
         np.testing.assert_allclose(res.s, [3.0, 2.0, 1.0, 0.5], atol=1e-14)
         check_factorization(np.diag(d), res, 1e-13)
 
     def test_padding_path(self, rng):
         """Non-tile-multiple n exercises padded accumulators."""
         A = rng.standard_normal((45, 45))
-        res = svd_full(A, params=KernelParams(16, 16, 4))
+        res = Solver(params=KernelParams(16, 16, 4)).svd(A)
         check_factorization(A, res, 1e-12)
 
     def test_non_square_rejected(self, rng):
         with pytest.raises(ShapeError):
-            svd_full(rng.standard_normal((4, 5)))
+            Solver().svd(rng.standard_normal((4, 5)))
 
     def test_info(self, rng):
-        res, info = svd_full(rng.standard_normal((70, 70)), return_info=True)
+        res, info = Solver().svd(rng.standard_normal((70, 70)), return_info=True)
         assert info.simulated_seconds > 0
         # vector accumulation adds its own launches: one per FTSMQR, and
         # one UNMQR per sweep plus the final diagonal tile
@@ -113,8 +112,8 @@ class TestFullSVD:
 
     def test_vector_time_exceeds_values_only(self, rng):
         A = rng.standard_normal((96, 96))
-        _, iv = svd_full(A, return_info=True)
-        _, i0 = svdvals(A, return_info=True)
+        _, iv = Solver().svd(A, return_info=True)
+        _, i0 = Solver().solve(A, return_info=True)
         assert iv.simulated_seconds > i0.simulated_seconds
 
 
