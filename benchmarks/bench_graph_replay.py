@@ -19,7 +19,9 @@ times each phase separately across the paper's size grid:
 plus an end-to-end one-shot ``Solver.solve`` vs ``plan.execute``
 comparison (bitwise identity asserted).  ``--breakdown out.json`` dumps
 the per-phase rows as JSON (uploaded as a CI artifact by the bench-gate
-job).
+job), followed by one row per cold ``Solver.tune`` of :data:`TUNE_SIZES`
+(seconds, evaluations and bound-structure misses), so the tune path is
+read beside emit, bind, price and schedule.
 
 The regression gate (``check_regression.py``) pins the tentpole win as a
 *ratio*: ``bindprice_emitscalar_ratio@32768`` divides the new
@@ -91,6 +93,9 @@ STAGE1_N = 512
 STAGE1_TS = 32
 #: The update kernels the stage-1 ratio swaps for their ``*_reference``.
 UPDATE_KERNELS = ("unmqr", "tsmqr", "ftsmqr")
+
+#: Orders of the cold ``Solver.tune`` rows in the ``--breakdown`` dump.
+TUNE_SIZES = (1024, 2048)
 
 
 def _time(fn, reps: int, trials: int = 3) -> float:
@@ -252,6 +257,29 @@ def phase_rows(solver, sizes=SIZES) -> list:
     return rows
 
 
+def tune_rows(solver, sizes=TUNE_SIZES) -> list:
+    """One row per cold ``Solver.tune``: wall seconds, evaluations and the
+    bound-structure misses it paid (plan and structure memos cleared)."""
+    from repro.sim.table import bound_table_stats, clear_bound_tables
+    from repro.tuning.planner import clear_tune_cache
+
+    rows = []
+    for n in sizes:
+        clear_tune_cache()
+        clear_bound_tables()
+        t0 = time.perf_counter()
+        plan = solver.tune(n)
+        rows.append(
+            {
+                "tune_n": n,
+                "tune_s": time.perf_counter() - t0,
+                "evaluations": plan.evaluations,
+                "bound_misses": bound_table_stats()["misses"],
+            }
+        )
+    return rows
+
+
 def run(
     solver, sizes=SIZES, end_to_end_reps: int = 5, strict_timing: bool = True
 ) -> str:
@@ -359,8 +387,10 @@ def metrics() -> dict:
     out[f"graph_replay/stage1_block_ref_ratio@{STAGE1_N}"] = stage1_ratio()
 
     # re-emission is gone from the candidate loop: a cold tune binds a
-    # handful of structures (one per distinct execution-axis family),
-    # not one per candidate
+    # handful of structures (one per tile size and execution-axis
+    # family; colperblock / splitk siblings share one), not one per
+    # candidate.  The baseline is the measured 27 / 96, hand-pinned, so
+    # the gate fails once candidates stop sharing structure
     clear_tune_cache()
     clear_bound_tables()
     plan = solver.tune(4096, batch=8)
@@ -421,6 +451,7 @@ if __name__ == "__main__":
         print(run(shared))
     if args.breakdown:
         with open(args.breakdown, "w") as fh:
-            json.dump(phase_rows(shared, sizes), fh, indent=1)
+            json.dump(phase_rows(shared, sizes) + tune_rows(shared), fh,
+                      indent=1)
             fh.write("\n")
         print(f"wrote per-phase breakdown to {args.breakdown}")

@@ -69,7 +69,12 @@ from ..sim.graph import (
     lift_batched_columns,
 )
 from ..sim.schedule import TimeBreakdown
-from ..sim.table import NodeTable, bound_structure, price_table
+from ..sim.table import (
+    NodeTable,
+    bound_structure,
+    price_table,
+    structure_config,
+)
 from .svd import bind_svd_table, emit_svd_graph, upload
 from .tiling import ntiles
 
@@ -163,8 +168,9 @@ def bind_batched_table(
     :func:`~repro.sim.graph.lift_batched_columns` (the array form of the
     emitter's :func:`~repro.sim.graph.lift_batched`), and the node
     columns tiled once per chain with its block's key-id offset -
-    memoized process-wide per ``(config, n, batch, chains)`` through
-    :func:`~repro.sim.table.bound_structure`.  Node for node equal to
+    memoized process-wide per ``(structure_config(config), n, batch,
+    chains)`` through :func:`~repro.sim.table.bound_structure`.  Node
+    for node equal to
     ``emit_batched_graph(n, batch, config, streams).table()`` (pinned by
     ``tests/test_table_props.py``); this is what single-device batched
     prediction and admission pricing consume instead of re-emitting.  A
@@ -174,10 +180,11 @@ def bind_batched_table(
     """
     _check_axes(n, batch, streams)
     nchains = min(streams, batch)
+    skey = structure_config(config)
     return bound_structure(
-        ("bat_table", config, n, batch, nchains),
+        ("bat_table", skey, n, batch, nchains),
         lambda: _lift_table(
-            bind_svd_table(n, _fused(config)), _chain_sizes(batch, nchains)
+            bind_svd_table(n, _fused(skey)), _chain_sizes(batch, nchains)
         ),
     )
 
@@ -312,6 +319,8 @@ def _problems(As: Union[np.ndarray, Sequence[np.ndarray]]) -> List[np.ndarray]:
     mats = [np.asarray(a) for a in As]
     if not mats:
         raise ShapeError("empty batch")
+    if any(a.ndim != 2 for a in mats):
+        raise ShapeError("all batch matrices must be square and equal-size")
     return mats
 
 

@@ -33,7 +33,7 @@ import numpy as np
 from ..config import SolveConfig
 from ..errors import ShapeError
 from ..sim.graph import LaunchGraph, LaunchNode, NumericExecutor
-from ..sim.table import NodeTable, bound_structure
+from ..sim.table import NodeTable, bound_structure, structure_config
 from ..sim.tracing import Stage
 from .bidiag import _EPS, _MAXITER, _bisect_lanes, _sections, svdvals_bidiag
 from .svd import SVDInfo, bind_svd_table, emit_svd_graph, require_real, upload
@@ -132,11 +132,13 @@ def bind_eigh_table(n: int, config: SolveConfig) -> NodeTable:
     name of the final CPU launch (the ``("solve", n)`` cost key is
     shared), so the bound table is the memoized SVD table with the kind
     string patched - node for node equal to
-    ``emit_eigh_graph(n, config, counted=True).table()``.
+    ``emit_eigh_graph(n, config, counted=True).table()``, keyed by
+    :func:`~repro.sim.table.structure_config` like the SVD table.
     """
+    skey = structure_config(config)
     return bound_structure(
-        ("eigh_table", config, n),
-        lambda: _patch_table(bind_svd_table(n, config)),
+        ("eigh_table", skey, n),
+        lambda: _patch_table(bind_svd_table(n, skey)),
     )
 
 

@@ -37,7 +37,7 @@ from ..config import SolveConfig
 from ..errors import InvalidParamsError, ShapeError
 from ..matrices.generator import gaussian_sketch
 from ..sim.graph import LaunchGraph, LaunchNode
-from ..sim.table import NodeTable, bound_structure
+from ..sim.table import NodeTable, bound_structure, structure_config
 from ..sim.tracing import Stage
 from .rectangular import _emit_tallqr_nodes, qr_reduce_tall
 from .svd import SVDInfo, emit_svd_graph, svdvals_resolved, upload
@@ -172,12 +172,14 @@ def bind_lowrank_table(
 ) -> NodeTable:
     """Bind the low-rank schedule to ``(m, n, rank, config)`` as a table.
 
-    Memoized process-wide like the other binders; node for node equal to
+    Memoized process-wide per :func:`~repro.sim.table.structure_config`
+    like the other binders; node for node equal to
     ``emit_lowrank_graph(m, n, rank, config, counted=True).table()``.
     """
+    skey = structure_config(config)
     return bound_structure(
-        ("lowrank_table", config, m, n, rank),
-        lambda: emit_lowrank_graph(m, n, rank, config, counted=True).table(),
+        ("lowrank_table", skey, m, n, rank),
+        lambda: emit_lowrank_graph(m, n, rank, skey, counted=True).table(),
     )
 
 

@@ -32,7 +32,12 @@ from ..sim.costmodel import brd_launch_count
 from ..sim.graph import LaunchGraph, LaunchNode, NumericExecutor
 from ..sim.params import KernelParams
 from ..sim.session import Session
-from ..sim.table import FAMILIES, NodeTable, bound_structure
+from ..sim.table import (
+    FAMILIES,
+    NodeTable,
+    bound_structure,
+    structure_config,
+)
 from ..sim.tracing import Stage
 from .banddiag import emit_band_reduction
 from .brd import emit_brd_chase
@@ -261,15 +266,18 @@ def bind_svd_table(n: int, config: SolveConfig) -> NodeTable:
     :class:`~repro.sim.graph.LaunchNode` objects, the sweep structure of
     the shape family is assembled directly as the struct-of-arrays
     :class:`~repro.sim.table.NodeTable` - closed-form index arrays over
-    the sweep count - and memoized process-wide per ``(config, n)``
-    through :func:`~repro.sim.table.bound_structure`.  Node for node
+    the sweep count - and memoized process-wide per
+    ``(structure_config(config), n)`` through
+    :func:`~repro.sim.table.bound_structure`, so configs differing only
+    in ``colperblock`` / ``splitk`` share one table.  Node for node
     equal to ``emit_svd_graph(n, config, counted=True).table()`` (pinned
     by ``tests/test_table_props.py``): the analytic-only form whose
     unfused TSQRT/TSMQR runs are folded into counted rows.  This is what
     ``Solver.predict`` / ``Solver.tune`` price instead of re-emitting.
     """
+    skey = structure_config(config)
     return bound_structure(
-        ("svd_table", config, n), lambda: _build_svd_table(n, config)
+        ("svd_table", skey, n), lambda: _build_svd_table(n, skey)
     )
 
 

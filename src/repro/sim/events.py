@@ -34,12 +34,13 @@ same per-node duration vector :func:`~repro.sim.table.stream_costs`
 feeds the greedy scheduler - elapses.  On contention-free graphs every
 start time equals the dependency-ready time on both sides, so the event
 makespan equals the greedy makespan *exactly*; the pinned tests in
-``tests/test_events.py`` hold the two schedulers together.  The event
-simulation is not the slower of the two: on 30 ``Solver.predict`` graphs
-(n 1024-32768, 1-8 devices, 2-4 streams; H100 fp32 on a 2-core x86-64
-host) it ran 1.5-2.3x faster than ``schedule_streams`` and returned
-makespans 0.002-2.5% longer, the largest at n=1024 - the queueing the
-greedy placement cannot see.
+``tests/test_events.py`` hold the two schedulers together.  Both walk
+the graph's memoized dependency skeleton
+(:meth:`~repro.sim.graph.LaunchGraph.dependents`).  On 30 composed
+``Solver.predict`` graphs (n 1024-32768, 1-8 devices, 2-4 streams; H100
+fp32 on a 2-core x86-64 host) the event simulation took 1.1-1.9x the
+time of ``schedule_streams`` and returned makespans 0.002-2.5% longer,
+the largest at n=1024 - the queueing the greedy placement cannot see.
 
 The resulting :class:`EventSchedule` reports the makespan, the total
 FIFO wait (``contention_s``), the critical-path lower bound, and an
@@ -274,14 +275,9 @@ def simulate_events(
     transfer_id = stage_names.index(Stage.TRANSFER)
     gpn = max(1, graph.ngpu // graph.nnodes)
 
-    src = graph.nodes
-    N = len(src)
-    children: List[List[int]] = [[] for _ in range(N)]
-    indeg = [0] * N
-    for i, node in enumerate(src):
-        indeg[i] = len(node.deps)
-        for d in node.deps:
-            children[d].append(i)
+    N = len(graph.nodes)
+    ptr_a, kids_a, indeg_a = graph.dependents()
+    ptr, kids, indeg = ptr_a.tolist(), kids_a.tolist(), indeg_a.tolist()
 
     # serial per-tier comm folds (node order, like the analytic pricers)
     comm_intra_s = 0.0
@@ -354,7 +350,7 @@ def simulate_events(
         if st[1]:
             try_start(st[1].popleft(), t)
         fi = finish[i]
-        for c in children[i]:
+        for c in kids[ptr[i]:ptr[i + 1]]:
             indeg[c] -= 1
             if fi > ready[c] or blocker[c] < 0:
                 ready[c] = fi
@@ -368,7 +364,7 @@ def simulate_events(
     cp = [0.0] * N
     for i in range(N - 1, -1, -1):
         best = 0.0
-        for c in children[i]:
+        for c in kids[ptr[i]:ptr[i + 1]]:
             if cp[c] > best:
                 best = cp[c]
         cp[i] = durs[i] + best

@@ -55,7 +55,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Dict, List, Optional, Tuple
+
+import numpy as np
 
 from .costmodel import (
     LaunchCost,
@@ -289,9 +292,13 @@ class LaunchGraph:
     #: nodes (analytic-only; keeps the unfused O(tiles^2) launch schedule
     #: priceable in O(tiles) nodes, like the pre-graph closed form).
     counted: bool = False
-    #: Lazily-built struct-of-arrays view (:meth:`table`); never part of
-    #: equality or construction.
+    #: Lazily-built struct-of-arrays view (:meth:`table`) and dependency
+    #: skeleton (:meth:`dependents`); never part of equality or
+    #: construction.
     _table: Optional[object] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    _dependents: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -313,6 +320,34 @@ class LaunchGraph:
 
             self._table = NodeTable.from_graph(self)
         return self._table
+
+    def dependents(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Dependency skeleton ``(ptr, idx, indeg)``, built once and memoized.
+
+        The children of node ``i`` are ``idx[ptr[i]:ptr[i + 1]]``, in
+        ascending node order (CSR form), and ``indeg[i]`` is
+        ``len(nodes[i].deps)``; all three are int32 arrays.  The list
+        scheduler and the event simulator both walk it.  Safe to cache for
+        the reason :meth:`table` is; kept as arrays rather than per-node
+        lists, so the graphs the bound-structure memo retains add nothing
+        for the cyclic garbage collector to traverse.
+        """
+        if self._dependents is None:
+            deps = [node.deps for node in self.nodes]
+            n = len(deps)
+            indeg = np.fromiter(map(len, deps), dtype=np.int32, count=n)
+            parents = np.fromiter(
+                chain.from_iterable(deps), dtype=np.int32,
+                count=int(indeg.sum()),
+            )
+            # a stable sort by parent keeps each parent's children in
+            # ascending node order (the flat list is ordered by child)
+            order = np.argsort(parents, kind="stable")
+            idx = np.repeat(np.arange(n, dtype=np.int32), indeg)[order]
+            ptr = np.zeros(n + 1, dtype=np.int32)
+            ptr[1:] = np.cumsum(np.bincount(parents, minlength=n))
+            self._dependents = (ptr, idx, indeg)
+        return self._dependents
 
     def launch_counts(self) -> Dict[str, int]:
         """Kernel name -> launch count (matches the traced execution)."""

@@ -36,8 +36,11 @@ aggregated breakdown fields are memoized on the table per
 
 :func:`bound_structure` is the process-wide LRU memo behind
 shape-parametric emission (``repro.core.svd.bind_svd_table`` /
-``repro.core.batched.bind_batched_table``): bound tables and memoized
-graphs are keyed by ``(family, config, shape axes)``, and
+``repro.core.batched.bind_batched_table``) and ``Solver.predict``'s
+composed graphs: entries are keyed by ``(family, structure config, shape
+axes)``, where :func:`structure_config` fixes the kernel parameters that
+only enter prices (``colperblock``, ``splitk``), so configurations that
+differ only in those share one structure and price it each on their own.
 :func:`bound_table_stats` exposes hit/miss counters so callers (tune,
 admission) can prove re-emission is gone.
 """
@@ -46,7 +49,7 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -57,6 +60,7 @@ from .occupancy import (
     SATURATION_THREADS_PER_SM,
     warp_utilization,
 )
+from .params import KernelParams
 from .tracing import Stage
 
 __all__ = [
@@ -68,6 +72,7 @@ __all__ = [
     "price_partitioned_table",
     "price_table",
     "stream_costs",
+    "structure_config",
 ]
 
 #: Cost-key family names in ``fam``-code order.  A unique key's operands
@@ -819,15 +824,36 @@ _BOUND_HITS = 0
 _BOUND_MISSES = 0
 
 
+def structure_config(config):
+    """``config`` with its cost-only kernel parameters fixed: a structure key.
+
+    Emission, binding, partitioning and the out-of-core rewrite read the
+    tile size of :class:`~repro.sim.params.KernelParams` but never
+    ``colperblock`` or ``splitk``, which enter launch prices alone.  A
+    structure keyed *and built* by this config is therefore shared by
+    every configuration that differs from ``config`` only in those two,
+    and each still prices it with its own parameters (``NodeTable``
+    memoizes prices per ``(config, storage)``).  The one exception is a
+    weighted fleet's composed graph, whose shard weights price every
+    kernel parameter; it keeps the full config in its key.
+    """
+    ts = config.params.tilesize
+    if config.params.astuple() == (ts, ts, 1):
+        return config
+    return replace(config, params=KernelParams(ts, ts, 1))
+
+
 def bound_structure(key: Tuple, build: Callable[[], object]):
     """Process-wide LRU memo of bound tables and memoized graphs.
 
     ``key`` must capture every axis the built structure depends on (the
-    frozen config hashes by value, so it is a safe component).  The memo
-    is what turns ``Solver.tune``'s candidate loop and the admission
-    controller's re-pricing into bind-and-price: the sweep structure of a
-    shape family is built once and every later predict of the same axes
-    is a lookup.  Counters are exposed by :func:`bound_table_stats`.
+    frozen config hashes by value, so it is a safe component; binders
+    pass :func:`structure_config`).  The memo is what turns
+    ``Solver.tune``'s candidate loop and the admission controller's
+    re-pricing into bind-and-price: the sweep structure of a shape family
+    is built once and every later predict of the same axes - or of a
+    candidate differing only in cost-only parameters - is a lookup.
+    Counters are exposed by :func:`bound_table_stats`.
     """
     global _BOUND_HITS, _BOUND_MISSES
     value = _BOUND.get(key)

@@ -24,6 +24,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+import numpy as np
+
 from ..report import format_seconds, format_table
 from .graph import LaunchGraph
 from .table import stream_costs
@@ -37,6 +39,10 @@ __all__ = [
     "kernel_summary",
     "dump_json",
 ]
+
+#: Stage ids of the launches confined to one link or host-link lane.
+_COMM_ID = Stage.ALL.index(Stage.COMM)
+_TRANSFER_ID = Stage.ALL.index(Stage.TRANSFER)
 
 
 def timeline_rows(tracer: Tracer) -> List[Dict[str, object]]:
@@ -177,12 +183,15 @@ def schedule_streams(
 
     Classic list scheduling: each node's priority is its longest
     downstream path (critical path including itself); among ready nodes
-    the highest priority is placed on the lane where it can start
-    earliest (``start = max(lane available, deps finished)``).  The
-    chosen placement is written back to each node's ``stream`` field for
-    inspection (a later call overwrites it).  With ``streams=1`` this
-    degenerates to the serial sum the
-    :class:`~repro.sim.graph.AnalyticExecutor` charges.
+    the highest priority (then the lowest index) is placed on the first
+    lane where it can start earliest (``start = max(lane available, deps
+    finished)``).  The chosen placement is written back to each node's
+    ``stream`` field for inspection (a later call overwrites it).  With
+    ``streams=1`` this degenerates to the serial sum the
+    :class:`~repro.sim.graph.AnalyticExecutor` charges.  The walk reads
+    the graph's memoized dependency skeleton
+    (:meth:`~repro.sim.graph.LaunchGraph.dependents`) and table, so a
+    graph shared by several configs pays for them once.
 
     Partitioned graphs (``graph.ngpu > 1``) schedule device-aware: every
     device owns its own pool of ``streams`` compute lanes plus one link
@@ -204,59 +213,84 @@ def schedule_streams(
 
     # whole-array pricing over the struct-of-arrays table (float-identical
     # to the per-node loop; see repro.sim.table); the greedy placement
-    # below stays scalar - it is inherently sequential and cheap
+    # below stays scalar - it is inherently sequential
+    table = graph.table()
     durs_arr, stage_seconds, launches, serial_s = stream_costs(
-        graph.table(), config, storage, cache
+        table, config, storage, cache
     )
     durs = durs_arr.tolist()
+    ptr_a, kids_a, indeg_a = graph.dependents()
+    ptr, kids, indeg = ptr_a.tolist(), kids_a.tolist(), indeg_a.tolist()
 
     # longest path to a sink (node list order is topological)
-    children: List[List[int]] = [[] for _ in range(nnodes)]
-    indeg = [0] * nnodes
-    for i, node in enumerate(nodes):
-        indeg[i] = len(node.deps)
-        for d in node.deps:
-            children[d].append(i)
     prio = [0.0] * nnodes
     for i in range(nnodes - 1, -1, -1):
-        down = max((prio[c] for c in children[i]), default=0.0)
+        down = 0.0
+        for c in kids[ptr[i]:ptr[i + 1]]:
+            if prio[c] > down:
+                down = prio[c]
         prio[i] = durs[i] + down
+    # the ready heap holds ranks in (-prio, index) order: the highest
+    # priority pops first, ties to the lowest node index
+    order_a = np.lexsort((np.arange(nnodes), -np.asarray(prio)))
+    rank_a = np.empty(nnodes, dtype=np.int64)
+    rank_a[order_a] = np.arange(nnodes)
+    order, rank = order_a.tolist(), rank_a.tolist()
 
     # lane layout: per-device stream pools, then one link lane per device
     # (partitioned graphs), then one host-link lane per device
-    # (out-of-core graphs)
+    # (out-of-core graphs); a node may run on lanes [lo, hi)
     comm_lanes = ngpu if ngpu > 1 else 0
     xfer_lanes = ngpu if graph.out_of_core else 0
     nlanes = ngpu * streams + comm_lanes + xfer_lanes
+    lo_a = table.device * streams
+    single = np.zeros(nnodes, dtype=bool)
+    if comm_lanes:
+        comm = table.stage_id == _COMM_ID
+        lo_a = np.where(comm, ngpu * streams + table.device, lo_a)
+        single |= comm
+    if xfer_lanes:
+        xfer = table.stage_id == _TRANSFER_ID
+        lo_a = np.where(
+            xfer, ngpu * streams + comm_lanes + table.device, lo_a
+        )
+        single |= xfer
+    lo = lo_a.tolist()
+    hi = (lo_a + np.where(single, 1, streams)).tolist()
 
-    def lanes_for(node) -> range:
-        dev = node.device or 0
-        if node.stage == Stage.TRANSFER and xfer_lanes:
-            host_lane = ngpu * streams + comm_lanes + dev
-            return range(host_lane, host_lane + 1)
-        if ngpu > 1 and node.stage == Stage.COMM:
-            link_lane = ngpu * streams + dev
-            return range(link_lane, link_lane + 1)
-        return range(dev * streams, (dev + 1) * streams)
-
-    ready = [(-prio[i], i) for i in range(nnodes) if indeg[i] == 0]
+    ready = [rank[i] for i in range(nnodes) if indeg[i] == 0]
     heapq.heapify(ready)
     avail = [0.0] * nlanes
     busy = [0.0] * nlanes
+    dep_ready = [0.0] * nnodes
     finish = [0.0] * nnodes
+    lane = [0] * nnodes
     while ready:
-        _, i = heapq.heappop(ready)
-        dep_ready = max((finish[d] for d in nodes[i].deps), default=0.0)
-        s = min(lanes_for(nodes[i]), key=lambda q: max(avail[q], dep_ready))
-        start = max(avail[s], dep_ready)
-        finish[i] = start + durs[i]
-        avail[s] = finish[i]
-        busy[s] += durs[i]
-        nodes[i].stream = s  # record the placement back onto the IR
-        for c in children[i]:
+        i = order[heapq.heappop(ready)]
+        t = dep_ready[i]
+        # the first lane minimizing max(avail, t)
+        s = lo[i]
+        a = avail[s]
+        start = t if t > a else a
+        for q in range(s + 1, hi[i]):
+            a = avail[q]
+            v = t if t > a else a
+            if v < start:
+                start, s = v, q
+        d = durs[i]
+        f = finish[i] = start + d
+        avail[s] = f
+        busy[s] += d
+        lane[i] = s
+        for c in kids[ptr[i]:ptr[i + 1]]:
+            # the latest dependency finish is the child's ready time
+            if f > dep_ready[c]:
+                dep_ready[c] = f
             indeg[c] -= 1
             if indeg[c] == 0:
-                heapq.heappush(ready, (-prio[c], c))
+                heapq.heappush(ready, rank[c])
+    for node, s in zip(nodes, lane):
+        node.stream = s  # record the placement back onto the IR
 
     return StreamSchedule(
         n=graph.n,

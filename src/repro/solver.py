@@ -83,7 +83,7 @@ from .sim.partition import (
     partition_graph,
     price_partitioned,
 )
-from .sim.table import bound_structure, price_table
+from .sim.table import bound_structure, price_table, structure_config
 from .sim.topology import Topology, require_int, require_no_conflicts
 
 __all__ = ["Solver", "SvdPlan"]
@@ -109,6 +109,17 @@ def compose_graph(
     ``partition_graph`` enforces.  Pure: the result depends on the
     arguments alone, so callers may memoize it (:meth:`Solver.predict`
     keys it per axes in the bound-structure memo).
+
+    Of ``config`` it reads the backend's device (whether the fleet is
+    weighted; the default out-of-core budget), ``link`` / ``fabric``
+    (the comm keys of a partition), ``coeffs`` (the host link of an
+    out-of-core rewrite) and ``precision`` (its tile bytes); only a
+    weighted fleet reads the kernel parameters, all three of them, in
+    its shard weights.  ``emit`` reads the tile size, ``fused``,
+    ``coeffs`` (the stage-2 launch count) and, for the low-rank workload,
+    ``oversample``.  Neither reads ``colperblock`` or ``splitk`` on a
+    uniform fleet, which is why :meth:`Solver.predict` composes and keys
+    those graphs by :func:`~repro.sim.table.structure_config`.
     """
     weights = (
         fleet_weights(topology, config)
@@ -284,9 +295,17 @@ class Solver:
 
         Returns descending singular values (``(min(m, n),)`` for 2-D
         inputs, ``(batch, n)`` for stacks), plus the execution report when
-        ``return_info=True``.
+        ``return_info=True``.  A sequence of matrices that does not stack
+        (ragged sizes) raises the batched driver's
+        :class:`~repro.errors.ShapeError`.
         """
-        A = np.asarray(A)
+        try:
+            A = np.asarray(A)
+        except ValueError:
+            # a ragged sequence: the batched driver's check names the cause
+            return svdvals_batched_resolved(
+                A, self._config, return_info=return_info
+            )
         if A.ndim == 3:
             return svdvals_batched_resolved(
                 A, self._config, return_info=return_info
@@ -524,26 +543,31 @@ class Solver:
                 "not compose yet; drop one of the two axes"
             )
 
+        # the composed graph is built from (and keyed by) the structure
+        # config, so candidates differing only in cost-only kernel
+        # parameters share it - except on a weighted fleet, whose shard
+        # weights price every kernel parameter
+        gconfig = config if weighted else structure_config(config)
         # the workload's emitter, binder and memo shape (the WORKLOADS
         # registry pins conformance shapes, so it cannot route queries)
         if batch is not None:
             emit = partial(
-                emit_batched_graph, n, batch, config, streams=streams
+                emit_batched_graph, n, batch, gconfig, streams=streams
             )
             bind = partial(bind_batched_table, n, batch, config)
             shape: Tuple = ("batched", n, batch, min(streams, batch))
         elif workload == "eigh":
-            emit = partial(emit_eigh_graph, n, config, streams=streams)
+            emit = partial(emit_eigh_graph, n, gconfig, streams=streams)
             bind = partial(bind_eigh_table, n, config)
             shape = ("eigh", n, streams)
         elif workload == "lowrank":
             emit = partial(
-                emit_lowrank_graph, n, n, rank, config, streams=streams
+                emit_lowrank_graph, n, n, rank, gconfig, streams=streams
             )
             bind = partial(bind_lowrank_table, n, n, rank, config)
             shape = ("lowrank", n, rank, streams)
         else:
-            emit = partial(emit_svd_graph, n, config, streams=streams)
+            emit = partial(emit_svd_graph, n, gconfig, streams=streams)
             bind = partial(bind_svd_table, n, config)
             shape = ("svd", n, streams)
 
@@ -558,9 +582,9 @@ class Solver:
             oc_budget_gb * 2**30 if oc_budget_gb is not None else None
         )
         graph = bound_structure(
-            ("predict_graph", config, shape, topology, out_of_core,
+            ("predict_graph", gconfig, shape, topology, out_of_core,
              budget_bytes),
-            partial(compose_graph, emit, config, topology,
+            partial(compose_graph, emit, gconfig, topology,
                     out_of_core=out_of_core, budget_bytes=budget_bytes),
         )
         return price_composed(graph, config, storage, topology, streams)

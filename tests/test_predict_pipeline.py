@@ -21,6 +21,7 @@ from repro.core.svd import cast_to_storage
 from repro.errors import CapacityError, InvalidParamsError, ShapeError
 from repro.precision import Precision
 from repro.sim.events import EventSchedule
+from repro.sim.params import KernelParams
 from repro.sim.partition import batch_shares, partition_graph
 from repro.sim.table import bound_table_stats, clear_bound_tables
 from repro.solver import compose_graph
@@ -261,6 +262,52 @@ class TestOnePipeline:
         plain = compose_graph(emit, config, topo)
         manual = partition_graph(emit(), 2, config.link_spec())
         assert [n.key for n in plain.nodes] == [n.key for n in manual.nodes]
+
+
+#: Order of the sibling-sharing queries below.
+SWEEP_N = 1024
+
+#: The ten device and workload axes of the analytic sweep benchmark
+#: (``plan_sweep``), as ``Solver.predict`` keyword arguments at SWEEP_N.
+SWEEP_AXES = {
+    "plain": {},
+    "streams2": {"streams": 2},
+    "ngpu4": {"ngpu": 4},
+    "ngpu4_streams2": {"ngpu": 4, "streams": 2},
+    "ngpu2_nodes2": {"ngpu": 2, "nodes": 2},
+    "out_of_core": {"out_of_core": True,
+                    "oc_budget_gb": SWEEP_N**2 * 4 / 4 / 2**30},
+    "batch4": {"batch": 4},
+    "lowrank": {"rank": 64},
+    "eigh": {"workload": "eigh"},
+    "mixed_topology": {"topology": Topology(("h100", "h100", "a100", "a100"))},
+}
+
+
+class TestSiblingConfigsShareStructure:
+    """Configs differing only in ``colperblock`` / ``splitk`` share one
+    memoized structure (a weighted fleet excepted) and still price it
+    with their own parameters: a warm shared entry predicts exactly what
+    a cold memo does."""
+
+    @pytest.mark.parametrize("axis", sorted(SWEEP_AXES))
+    def test_warm_shared_entry_equals_cold(self, axis):
+        kwargs = SWEEP_AXES[axis]
+        base = Solver("h100", precision="fp32")
+        sibling = base.with_(params=KernelParams(32, 16, 4))
+        assert base.params.tilesize == sibling.params.tilesize
+        clear_bound_tables()
+        cold = sibling.predict(SWEEP_N, **kwargs)
+        clear_bound_tables()
+        own = base.predict(SWEEP_N, **kwargs)
+        before = bound_table_stats()
+        warm = sibling.predict(SWEEP_N, **kwargs)
+        after = bound_table_stats()
+        assert warm == cold and repr(warm) == repr(cold)
+        assert warm.total_s != own.total_s  # prices stay per config
+        weighted = axis == "mixed_topology"
+        assert after["hits"] - before["hits"] == int(not weighted)
+        assert after["misses"] - before["misses"] == int(weighted)
 
 
 class TestStorageCastFailsFast:

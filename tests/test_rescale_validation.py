@@ -156,6 +156,30 @@ class TestRealInputOnly:
             )
 
 
+class TestRaggedStack:
+    """A sequence of matrices that does not stack fails with the batched
+    driver's ShapeError at both stack doors - never NumPy's bare
+    ValueError from ``np.asarray``."""
+
+    @pytest.mark.parametrize(
+        "ragged",
+        [
+            [np.zeros((4, 4)), np.zeros((5, 5))],
+            [np.zeros((4, 4)), np.zeros((4, 5))],
+            (5.0, np.zeros((4, 4))),
+        ],
+        ids=["sizes", "non-square", "scalar"],
+    )
+    def test_solve_matches_batched_plan(self, ragged):
+        solver = Solver(backend="h100", precision="fp32")
+        for run in (
+            lambda: solver.solve(ragged),
+            lambda: solver.plan((2, 4, 4)).execute(ragged),
+        ):
+            with pytest.raises(ShapeError, match="square and equal-size"):
+                run()
+
+
 class TestRescaleFactor:
     def test_no_scaling_in_safe_range(self, rng):
         A = rng.standard_normal((16, 16))

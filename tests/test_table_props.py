@@ -9,18 +9,26 @@ fused x streams x ngpu x out_of_core x batch:
   to pricing every node through ``price_node``;
 * bound shape-parametric tables (:func:`repro.core.svd.bind_svd_table`,
   :func:`repro.core.batched.bind_batched_table`) are node-for-node equal
-  to the tables of directly-emitted graphs.
+  to the tables of directly-emitted graphs;
+* at a fixed tile size, bound tables and composed graphs do not depend on
+  ``colperblock`` / ``splitk`` - the fact that lets the memo key them by
+  :func:`repro.sim.table.structure_config` and tune candidates share them.
 """
+
+from functools import partial
 
 import numpy as np
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro import Solver
+from repro import Solver, Topology
 from repro.core.batched import bind_batched_table, emit_batched_graph
+from repro.core.eigh import bind_eigh_table, emit_eigh_graph
+from repro.core.randomized import bind_lowrank_table, emit_lowrank_graph
 from repro.core.svd import bind_svd_table, emit_svd_graph
-from repro.errors import UnsupportedPrecisionError
+from repro.errors import CapacityError, UnsupportedPrecisionError
+from repro.sim.params import KernelParams
 from repro.sim.graph import AnalyticExecutor, node_overhead_s, price_node
 from repro.sim.outofcore import rewrite_out_of_core
 from repro.sim.partition import (
@@ -28,7 +36,13 @@ from repro.sim.partition import (
     price_partitioned,
     price_partitioned_scalar,
 )
-from repro.sim.table import clear_bound_tables, price_table, stream_costs
+from repro.sim.table import (
+    bound_table_stats,
+    clear_bound_tables,
+    price_table,
+    stream_costs,
+)
+from repro.solver import compose_graph
 
 
 def resolved(backend, precision):
@@ -259,3 +273,136 @@ class TestCacheOverlaySemantics:
         # replay through the warm cache: still identical
         bd_t2 = AnalyticExecutor(config, storage, cache=c_table).run(graph)
         assert_breakdowns_identical(bd_t2, bd_s)
+
+
+@st.composite
+def sibling_params(draw):
+    """Two kernel-parameter triples sharing a tile size."""
+    ts = draw(st.sampled_from((16, 32, 64)))
+    cpbs = [c for c in (1, 2, 4, 8, 16, 32, 64) if ts % c == 0]
+    sks = list(range(1, KernelParams.max_splitk(ts) + 1))
+    return tuple(
+        KernelParams(ts, draw(st.sampled_from(cpbs)), draw(st.sampled_from(sks)))
+        for _ in range(2)
+    )
+
+
+def node_rows(graph):
+    """Every structural field of every node, in order."""
+    return [
+        (node.kind, node.stage, node.key, node.meta, node.deps, node.device,
+         node.primary, node.count)
+        for node in graph.nodes
+    ]
+
+
+#: The workload emitters the structure memo serves, as
+#: ``emit(n, batch, config, streams=)``.
+EMITTERS = {
+    "svd": lambda n, b, cfg, streams=1: emit_svd_graph(
+        n, cfg, streams=streams
+    ),
+    "eigh": lambda n, b, cfg, streams=1: emit_eigh_graph(
+        n, cfg, streams=streams
+    ),
+    "lowrank": lambda n, b, cfg, streams=1: emit_lowrank_graph(
+        n, n, min(8, n), cfg, streams=streams
+    ),
+    "batched": lambda n, b, cfg, streams=1: emit_batched_graph(
+        n, b, cfg, streams=streams
+    ),
+}
+
+#: The device axes of ``Solver.predict``'s composed graphs on uniform
+#: fleets: ``(devices, nodes, out_of_core)``.
+AXIS_FAMILIES = (
+    (1, 1, False),  # streams > 1 on one device
+    (2, 1, False),
+    (4, 1, False),
+    (4, 2, False),  # cluster: 2 nodes x 2 devices
+    (1, 1, True),
+    (2, 1, True),
+)
+
+
+class TestStructureIgnoresCostOnlyParams:
+    """Binder tables and composed graphs at one tile size are the same for
+    every ``colperblock`` / ``splitk``: what the structure memo shares."""
+
+    @given(
+        pair=sibling_params(),
+        precision=st.sampled_from(PRECISIONS),
+        fused=st.booleans(),
+        workload=st.sampled_from(sorted(EMITTERS)),
+        n=st.integers(1, 400),
+        batch=st.integers(1, 12),
+        streams=st.integers(1, 4),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_binders(self, pair, precision, fused, workload, n, batch,
+                     streams):
+        config, storage = resolved("h100", precision)
+        cfg_a, cfg_b = (config.with_(params=p, fused=fused) for p in pair)
+        if workload == "batched":
+            bind = partial(bind_batched_table, n, batch, streams=streams)
+            emitted = emit_batched_graph(n, batch, cfg_b, streams=streams)
+        elif workload == "lowrank":
+            bind = partial(bind_lowrank_table, n, n, min(8, n))
+            emitted = emit_lowrank_graph(n, n, min(8, n), cfg_b, counted=True)
+        elif workload == "eigh":
+            bind = partial(bind_eigh_table, n)
+            emitted = emit_eigh_graph(n, cfg_b, counted=True)
+        else:
+            bind = partial(bind_svd_table, n)
+            emitted = emit_svd_graph(n, cfg_b, counted=True)
+        clear_bound_tables()
+        bound = bind(config=cfg_a)
+        # the sibling's own schedule is the table a's binder memoized ...
+        assert_tables_equal(bound, emitted.table())
+        # ... and its lookup is a hit on that very table
+        before = bound_table_stats()
+        assert bind(config=cfg_b) is bound
+        after = bound_table_stats()
+        assert after["misses"] == before["misses"]
+        assert after["hits"] == before["hits"] + 1
+        assert_breakdowns_identical(
+            price_table(bound, cfg_b, storage, None),
+            price_table(emitted.table(), cfg_b, storage, None),
+        )
+
+    @given(
+        pair=sibling_params(),
+        precision=st.sampled_from(PRECISIONS),
+        workload=st.sampled_from(sorted(EMITTERS)),
+        axes=st.sampled_from(AXIS_FAMILIES),
+        n=st.integers(32, 400),
+        batch=st.integers(1, 12),
+        streams=st.integers(1, 3),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_composed_graphs(self, pair, precision, workload, axes, n,
+                             batch, streams):
+        g, nodes, out_of_core = axes
+        if g == 1 and not out_of_core:
+            streams = max(streams, 2)  # one device composes only streams
+        config, storage = resolved("h100", precision)
+        topology = Topology.uniform("h100", g, nodes=nodes)
+        problems = batch if workload == "batched" else 1
+        budget = n * n * storage.sizeof * problems / 2 if out_of_core else None
+        graphs = []
+        for params in pair:
+            cfg = config.with_(params=params)
+            try:
+                graphs.append(compose_graph(
+                    partial(EMITTERS[workload], n, batch, cfg,
+                            streams=streams),
+                    cfg, topology, out_of_core=out_of_core,
+                    budget_bytes=budget,
+                ))
+            except CapacityError:
+                graphs.append(None)  # the window check is structural too
+        a, b = graphs
+        assert (a is None) == (b is None)
+        assume(a is not None)
+        assert node_rows(a) == node_rows(b)
+        assert a == b
