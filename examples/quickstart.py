@@ -46,10 +46,11 @@ def main(n: int = 256) -> None:
     rect = solver.solve(A[:, : n // 2])
     print(f"rectangular:          {n} x {n // 2} -> {rect.shape[0]} values")
 
-    # repeated same-shape solves: plan once, execute many (identical values)
+    # repeated same-shape solves: a plan checks the shape once, then each
+    # execute is the same solve (identical values)
     plan = solver.plan((n, n))
     assert np.array_equal(plan.execute(A), values)
-    print(f"plan:                 {plan.launch_prices} launch shapes pre-priced")
+    print(f"plan:                 {plan.shape} padded to npad={plan.npad}")
 
     # the same line runs on every simulated backend
     for backend in ("mi250", "m1pro", "pvc"):

@@ -46,9 +46,10 @@ Every driver is backed by one **stage-graph execution engine** (see
 :class:`repro.sim.AnalyticExecutor` prices without touching data — so the
 numbers :meth:`Solver.predict` reports charge, by construction, exactly
 the launches a real solve performs.  For repeated same-shape solves,
-:meth:`Solver.plan` returns a reusable :class:`SvdPlan` that caches the
-emitted graph, the padded workspace and the launch-price table, so
-:meth:`~SvdPlan.execute` replays with zero schedule-construction cost:
+:meth:`Solver.plan` returns an :class:`SvdPlan` that validates the shape
+once; :meth:`~SvdPlan.execute` checks each input against it and is then
+:meth:`Solver.solve`'s own driver call (the graph is emitted and priced
+per solve, a small cost next to the numeric replay):
 
 >>> plan = solver.plan((128, 128))
 >>> sv128 = plan.execute(A[:128, :128])
@@ -88,7 +89,7 @@ from .sim import REFERENCE_PARAMS, KernelParams, Topology
 from .solver import Solver, SvdPlan
 from .serve import ServiceStats, SvdService
 
-__version__ = "4.0.0"
+__version__ = "5.0.0"
 
 __all__ = [
     # unified handle surface (the recommended API)

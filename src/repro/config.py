@@ -214,11 +214,12 @@ class SolveConfig:
             inter = inter.with_(bandwidth_gbs=float(fabric_gbs))
         return FabricSpec(intra=intra, inter=inter)
 
-    def session(self, storage: Precision, cost_cache: Optional[dict] = None) -> Session:
+    def session(self, storage: Precision) -> Session:
         """Fresh tracing session bound to this configuration.
 
-        ``cost_cache`` (a plan-owned dict) lets repeated same-shape solves
-        skip re-pricing identical kernel launches.
+        Its :meth:`~repro.sim.session.Session.record` prices each
+        replayed launch of one solve against this configuration's
+        backend, kernel parameters and coefficients.
         """
         return Session(
             backend=self.backend,
@@ -226,5 +227,4 @@ class SolveConfig:
             compute=self.backend.compute_precision(storage),
             params=self.params,
             coeffs=self.coeffs,
-            cost_cache=cost_cache,
         )

@@ -39,8 +39,8 @@ pin the graph path against.
 :func:`replay_batched_graph` is the one numeric path for a stack: it
 uploads every problem, replays any replayable batched graph (sharded or
 out-of-core) once, and is bitwise identical to solving each matrix
-alone.  ``Solver.solve`` on a stack, batched plans and the serving
-layer's ``BatchRunner`` all run through it.
+alone.  ``Solver.solve`` on a stack (and so a batched plan) and the
+serving layer's ``BatchRunner`` both run through it.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from __future__ import annotations
 import math
 
 from dataclasses import replace
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -400,20 +400,15 @@ def replay_batched_graph(
     return np.stack(out) if len(set(orders)) == 1 else out
 
 
-def svdvals_batched_resolved(
+def check_stack(
     As: Union[np.ndarray, Sequence[np.ndarray]],
-    config: SolveConfig,
-    return_info: bool = False,
-    graphs: Optional[Dict[int, LaunchGraph]] = None,
-) -> Union[np.ndarray, Tuple[np.ndarray, TimeBreakdown]]:
-    """Batched-driver implementation against a resolved config.
+) -> Tuple[List[np.ndarray], int]:
+    """The matrices of a stack of equal-size square matrices, and their order.
 
-    The code path behind :meth:`repro.Solver.solve` for 3-D inputs and
-    batched :meth:`repro.SvdPlan.execute`: checks the per-matrix
-    capacity, emits the batched graph of the stack's batch count and
-    replays it once through :func:`replay_batched_graph`.  ``graphs`` (a plan's memo)
-    maps batch counts to emitted graphs; a missing count is emitted into
-    it.  ``return_info`` adds the analytic price of the batched graph.
+    The batched driver's input check, shared with a batched
+    :meth:`repro.SvdPlan.execute`: a ``(batch, n, n)`` array or a
+    sequence of ``(n, n)`` matrices passes; an empty, ragged or
+    non-square stack raises :class:`~repro.errors.ShapeError`.
     """
     mats = _problems(As)
     n = mats[0].shape[0]
@@ -422,6 +417,23 @@ def svdvals_batched_resolved(
     for a in mats:
         if a.shape != (n, n):
             raise ShapeError("all batch matrices must be square and equal-size")
+    return mats, n
+
+
+def svdvals_batched_resolved(
+    As: Union[np.ndarray, Sequence[np.ndarray]],
+    config: SolveConfig,
+    return_info: bool = False,
+) -> Union[np.ndarray, Tuple[np.ndarray, TimeBreakdown]]:
+    """Batched-driver implementation against a resolved config.
+
+    The code path behind :meth:`repro.Solver.solve` for 3-D inputs (and
+    so batched :meth:`repro.SvdPlan.execute`): checks the per-matrix
+    capacity, emits the batched graph of the stack's batch count and
+    replays it once through :func:`replay_batched_graph`.
+    ``return_info`` adds the analytic price of the batched graph.
+    """
+    mats, n = check_stack(As)
 
     # resolve the precision once for the whole batch (from the first
     # matrix's dtype when the handle did not pin one)
@@ -431,17 +443,12 @@ def svdvals_batched_resolved(
         else config.with_(precision=storage)
     )
     batch_config.backend.check_capacity(n, storage)
-    graphs = {} if graphs is None else graphs
-    graph = graphs.get(len(mats))
-    if graph is None:
-        graph = graphs[len(mats)] = emit_batched_graph(
-            n, len(mats), batch_config
-        )
+    graph = emit_batched_graph(n, len(mats), batch_config)
     out = replay_batched_graph(mats, graph, batch_config)
     if not return_info:
         return out
     bd = price_table(
         bind_batched_table(n, len(mats), batch_config), batch_config,
-        storage, None,
+        storage,
     )
     return out, bd

@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 
 from dataclasses import replace
-from typing import Optional, Tuple, Union
+from typing import Tuple, Union
 
 import numpy as np
 
@@ -161,17 +161,13 @@ def eigh_resolved(
     A: np.ndarray,
     config: SolveConfig,
     return_info: bool = False,
-    cost_cache: Optional[dict] = None,
-    graph: Optional[LaunchGraph] = None,
 ) -> Union[np.ndarray, Tuple[np.ndarray, SVDInfo]]:
     """Eigenvalues of a symmetric matrix against a resolved config.
 
     The shared code path behind :meth:`repro.Solver.eigh`: validates
     symmetry, applies the exact power-of-two shift (:func:`shift_for`),
     replays the eigensolver graph on ``M = A + c I`` and returns
-    ``sigma(M) - c`` in descending order.  ``cost_cache`` and ``graph``
-    allow a caller to amortize setup across repeated solves, mirroring
-    :func:`~repro.core.svd.svdvals_resolved`.
+    ``sigma(M) - c`` in descending order.
     """
     A = np.asarray(A)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -185,7 +181,7 @@ def eigh_resolved(
     A64 = np.asarray(A, dtype=np.float64)
 
     storage = config.storage_for(A.dtype)
-    session = config.session(storage, cost_cache=cost_cache)
+    session = config.session(storage)
     config.backend.check_capacity(n, storage)
     ts = session.params.tilesize
 
@@ -206,24 +202,11 @@ def eigh_resolved(
     compute_dtype = (
         session.compute.dtype if session.compute is not storage else None
     )
-    if graph is None:
-        graph = emit_eigh_graph(n, config)
-    elif (
-        graph.kind != "square" or graph.streams != 1 or graph.counted
-        or graph.n != n or graph.ts != ts or graph.fused != config.fused
-        or graph.nodes[-1].kind != "steig_cpu"
-    ):
-        raise ShapeError(
-            f"launch graph ({graph.kind}, n={graph.n}, ts={graph.ts}, "
-            f"fused={graph.fused}, streams={graph.streams}, "
-            f"counted={graph.counted}) does not match the replayable "
-            f"eigensolve (n={n}, ts={ts}, fused={config.fused})"
-        )
     ex = NumericExecutor(
         W, ts, storage.eps, session=session, compute_dtype=compute_dtype,
         storage=storage,
     )
-    ex.run(graph)
+    ex.run(emit_eigh_graph(n, config))
 
     # sigma(M) >= c/2 > 0, so the padding's zero singular values sort
     # strictly after the n true values

@@ -29,7 +29,7 @@ priced by the one launch pricer.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple, Union
+from typing import Tuple, Union
 
 import numpy as np
 
@@ -189,7 +189,6 @@ def svd_lowrank_resolved(
     config: SolveConfig,
     seed: int = 0,
     return_info: bool = False,
-    cost_cache: Optional[dict] = None,
 ) -> Union[np.ndarray, Tuple[np.ndarray, SVDInfo]]:
     """Randomized top-``rank`` singular values against a resolved config.
 
@@ -212,14 +211,13 @@ def svd_lowrank_resolved(
         raise ShapeError("empty matrix")
     if A.shape[0] < A.shape[1]:
         return svd_lowrank_resolved(
-            A.T, rank, config, seed=seed, return_info=return_info,
-            cost_cache=cost_cache,
+            A.T, rank, config, seed=seed, return_info=return_info
         )
     m, n = A.shape
     check_rank(rank, m, n)
 
     storage = config.storage_for(A.dtype)
-    session = config.session(storage, cost_cache=cost_cache)
+    session = config.session(storage)
     config.backend.check_capacity(int(np.sqrt(m * n)) + 1, storage)
     ts = session.params.tilesize
     l = sketch_width(rank, m, n, config)
@@ -259,9 +257,7 @@ def svd_lowrank_resolved(
         config if config.precision is not None
         else config.with_(precision=storage)
     )
-    out = svdvals_resolved(
-        R2, square_config, return_info=return_info, cost_cache=cost_cache
-    )
+    out = svdvals_resolved(R2, square_config, return_info=return_info)
     vals, info = out if return_info else (out, None)
     vals = vals[:rank]
     if scale != 1.0:

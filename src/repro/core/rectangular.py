@@ -103,7 +103,6 @@ def qr_reduce_tall(
     eps: float,
     session: Optional[Session] = None,
     compute_dtype=None,
-    graph: Optional[LaunchGraph] = None,
 ) -> np.ndarray:
     """Reduce a tall ``m x n`` matrix (``m >= n``) to its ``n x n`` R factor.
 
@@ -111,8 +110,7 @@ def qr_reduce_tall(
     UNMQR the tile row, then one fused TSQRT/TSMQR pass down the remaining
     tile rows - the stage-1 RQ sweep generalized to a rectangular grid.
     ``A`` must be padded to tile multiples in both dimensions; the launch
-    sequence comes from :func:`emit_tallqr_graph` (or a plan-cached
-    ``graph``).
+    sequence is the nodes of :func:`emit_tallqr_graph`.
 
     Returns the upper-triangular ``n x n`` R factor (a copy; the reflector
     tails stored below the diagonal in ``A`` are stripped).
@@ -122,21 +120,9 @@ def qr_reduce_tall(
         raise ShapeError(f"padded shape required, got {A.shape} for ts={ts}")
     if m < n:
         raise ShapeError("qr_reduce_tall expects m >= n")
-    if graph is None:
-        nodes = _emit_tallqr_nodes(m // ts, n // ts, ts)
-    else:
-        if graph.kind != "tallqr" or graph.mpad != m or graph.npad != n or (
-            graph.ts != ts
-        ):
-            raise ShapeError(
-                f"tall-QR graph ({graph.kind}, mpad={graph.mpad}, "
-                f"npad={graph.npad}, ts={graph.ts}) does not match the "
-                f"requested chain ({m}, {n}) with ts={ts}"
-            )
-        nodes = graph.nodes
     NumericExecutor(
         A, ts, eps, session=session, compute_dtype=compute_dtype
-    ).run(nodes)
+    ).run(_emit_tallqr_nodes(m // ts, n // ts, ts))
     return np.triu(A[:n, :n])
 
 
@@ -144,20 +130,11 @@ def svdvals_rect_resolved(
     A: np.ndarray,
     config: SolveConfig,
     return_info: bool = False,
-    workspace: Optional[np.ndarray] = None,
-    cost_cache: Optional[dict] = None,
-    square_workspace: Optional[np.ndarray] = None,
-    prep_graph: Optional[LaunchGraph] = None,
-    square_graph: Optional[LaunchGraph] = None,
 ) -> Union[np.ndarray, Tuple[np.ndarray, SVDInfo]]:
     """Rectangular-driver implementation against a resolved config.
 
     The code path :meth:`repro.Solver.solve` takes for 2-D non-square
-    inputs.
-    ``workspace`` (a zeroable ``(mpad, npad)`` buffer), ``square_workspace``
-    (the ``(npad, npad)`` buffer for the R-factor solve), ``cost_cache``
-    and the two pre-emitted launch graphs come from a reused
-    :class:`repro.SvdPlan`.
+    inputs: the tall-QR chain, then the square driver on ``R``.
     """
     A = np.asarray(A)
     if A.ndim != 2:
@@ -166,54 +143,30 @@ def svdvals_rect_resolved(
         raise ShapeError("empty matrix")
     m, n = A.shape
     if m == n:
-        return svdvals_resolved(
-            A, config, return_info=return_info, graph=square_graph
-        )
+        return svdvals_resolved(A, config, return_info=return_info)
     if m < n:
         # singular values are transpose-invariant: zero-copy view
-        return svdvals_rect_resolved(
-            A.T, config, return_info=return_info,
-            workspace=workspace, cost_cache=cost_cache,
-            square_workspace=square_workspace,
-            prep_graph=prep_graph, square_graph=square_graph,
-        )
+        return svdvals_rect_resolved(A.T, config, return_info=return_info)
 
     storage = config.storage_for(A.dtype)
-    session = config.session(storage, cost_cache=cost_cache)
+    session = config.session(storage)
     config.backend.check_capacity(int(np.sqrt(m * n)) + 1, storage)
     ts = session.params.tilesize
 
-    mpad = ntiles(m, ts) * ts
-    npad = ntiles(n, ts) * ts
-    if workspace is None:
-        W = np.zeros((mpad, npad), dtype=storage.dtype)
-    else:
-        if workspace.shape != (mpad, npad) or workspace.dtype != storage.dtype:
-            raise ShapeError(
-                f"workspace {workspace.shape}/{workspace.dtype} does not "
-                f"match padded problem ({mpad}, {npad})/{storage.dtype}"
-            )
-        W = workspace
-        W.fill(0)
+    W = np.zeros((ntiles(m, ts) * ts, ntiles(n, ts) * ts), dtype=storage.dtype)
     stored, scale = upload(A, storage, config)
     W[:m, :n] = stored
     compute_dtype = (
         session.compute.dtype if session.compute is not session.storage else None
     )
-    R = qr_reduce_tall(
-        W, ts, storage.eps, session, compute_dtype, graph=prep_graph
-    )
+    R = qr_reduce_tall(W, ts, storage.eps, session, compute_dtype)
 
     # pin the inferred precision so the square solve of R cannot re-infer
     square_config = (
         config if config.precision is not None
         else config.with_(precision=storage)
     )
-    out = svdvals_resolved(
-        R[:n, :n], square_config, return_info=return_info,
-        workspace=square_workspace, cost_cache=cost_cache,
-        graph=square_graph,
-    )
+    out = svdvals_resolved(R[:n, :n], square_config, return_info=return_info)
     vals, info = out if return_info else (out, None)
     if scale != 1.0:
         vals /= scale

@@ -414,18 +414,17 @@ def svdvals_resolved(
     A: np.ndarray,
     config: SolveConfig,
     return_info: bool = False,
-    workspace: Optional[np.ndarray] = None,
-    cost_cache: Optional[dict] = None,
     graph: Optional[LaunchGraph] = None,
 ) -> Union[np.ndarray, Tuple[np.ndarray, SVDInfo]]:
     """Square-driver implementation against a resolved :class:`SolveConfig`.
 
     The code path :meth:`repro.Solver.solve` takes for square inputs
-    (and the square solve of the rectangular driver).  ``workspace`` (a zeroable padded
-    buffer in storage precision), ``cost_cache`` (a launch-price memo) and
-    ``graph`` (the pre-emitted :class:`~repro.sim.graph.LaunchGraph`) are
-    supplied by a reused :class:`repro.SvdPlan` to skip the per-call
-    setup; results are bitwise identical either way.
+    (and the square solve of the rectangular driver).  It replays
+    ``emit_svd_graph(n, config)``; ``graph`` replaces it with another
+    replayable square graph of the same solve - partitioned by
+    :func:`~repro.sim.partition.partition_graph` or rewritten by
+    :func:`~repro.sim.outofcore.rewrite_out_of_core` - whose values are
+    bitwise identical.
     """
     A = np.asarray(A)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -439,28 +438,13 @@ def svdvals_resolved(
         raise ShapeError("empty matrix")
 
     storage = config.storage_for(A.dtype)
-    session = config.session(storage, cost_cache=cost_cache)
+    session = config.session(storage)
     config.backend.check_capacity(n, storage)
     ts = session.params.tilesize
 
     # upload in storage precision and zero-pad to full tiles
     src, scale = upload(A, storage, config)
-    if workspace is None:
-        W, _ = pad_to_tiles(src, ts)
-    else:
-        npad_want = ntiles(n, ts) * ts
-        if workspace.shape != (npad_want, npad_want) or (
-            workspace.dtype != storage.dtype
-        ):
-            raise ShapeError(
-                f"workspace {workspace.shape}/{workspace.dtype} does not "
-                f"match padded problem ({npad_want}, {npad_want})/"
-                f"{storage.dtype}"
-            )
-        W = workspace
-        W.fill(0)
-        W[:n, :n] = src
-    npad = W.shape[0]
+    W, _ = pad_to_tiles(src, ts)
 
     compute_dtype = (
         session.compute.dtype if session.compute is not storage else None

@@ -42,6 +42,7 @@ from typing import Dict, List, Optional, Tuple
 from ..config import SolveConfig
 from ..errors import CapacityError, InvalidParamsError, ShedError
 from ..sim.graph import LaunchGraph
+from ..sim.partition import is_weighted_fleet
 from ..sim.topology import Topology, require_no_conflicts
 from ..solver import Solver, price_composed
 from ..tuning.planner import ShapeClass
@@ -97,18 +98,19 @@ class AdmissionController:
         ``tune_batch`` problems per class.  ``nodes >= 2`` prices batches
         against a cluster of that many nodes through the discrete-event
         simulator: the in-core budget scales with the node count (each
-        node holds its round-robin sub-batch) but batches beyond it are
-        rejected rather than spilled, since out-of-core streaming does
-        not compose with multi-node execution.  ``topology=`` is the
+        node holds its round-robin sub-batch).  ``topology=`` is the
         fleet spelling of the same axis (a :class:`repro.Topology`):
-        batches are priced through ``Solver.predict(topology=...)``, the
-        in-core budget scales with the fleet's total rank count, and -
-        exactly like ``nodes >= 2`` - over-budget batches are rejected
-        rather than spilled.  Passing both ``topology=`` and ``nodes=``
-        raises the conflicting-axes validation error.  :attr:`fleet` is
-        the priced fleet either way - the ``nodes=`` spelling as the
-        uniform fleet of the handle's device ``Solver.predict`` folds it
-        to - and the runner composes the executed graph over it.
+        batches are priced through ``Solver.predict(topology=...)`` and
+        the in-core budget scales with the fleet's total rank count.
+        Passing both ``topology=`` and ``nodes=`` raises the
+        conflicting-axes validation error.  :attr:`fleet` is the priced
+        fleet either way - the ``nodes=`` spelling as the uniform fleet
+        of the handle's device ``Solver.predict`` folds it to - and the
+        runner composes the executed graph over it.  Over-budget batches
+        spill out-of-core when :attr:`fleet` is one device of the
+        handle's own type, however it was spelled, and are rejected on
+        any other fleet, since out-of-core streaming does not compose
+        with fleet execution.
         """
         if nodes < 1:
             raise InvalidParamsError(
@@ -119,7 +121,6 @@ class AdmissionController:
                 topology, nodes=nodes if nodes != 1 else None
             )
             nodes = topology.nodes
-        self.topology = topology
         self.nodes = int(nodes)
         self.fleet = (
             topology if topology is not None
@@ -212,9 +213,10 @@ class AdmissionController:
         """Predicted service seconds of ``count`` problems of one class.
 
         In-core when the batch footprint fits the memory budget, spilled
-        to out-of-core otherwise; raises
-        :class:`~repro.errors.CapacityError` only when even the
-        streaming window cannot hold one problem.
+        to out-of-core otherwise on a one-device fleet of the handle's
+        own type; raises :class:`~repro.errors.CapacityError` when the
+        fleet is any other (spilling does not compose with it) or when
+        even the streaming window cannot hold one problem.
         """
         key = (cls, count)
         hit = self._prices.get(key)
@@ -233,23 +235,17 @@ class AdmissionController:
                 predicted_s=result.total_s, out_of_core=False, streams=streams
             )
         else:
-            if self.topology is not None:
+            fleet = self.fleet
+            if fleet.ngpu > 1 or is_weighted_fleet(fleet, self.config):
                 raise CapacityError(
                     f"batch of {count} problems of class {cls} exceeds the "
-                    f"in-core budget across the {self.topology.ngpu} ranks "
-                    f"of {self.topology!r}, and out-of-core spilling does "
-                    f"not compose with fleet execution"
-                )
-            if self.nodes > 1:
-                raise CapacityError(
-                    f"batch of {count} problems of class {cls} exceeds the "
-                    f"in-core budget across {self.nodes} nodes, and "
-                    f"out-of-core spilling does not compose with "
-                    f"multi-node execution"
+                    f"in-core budget across the {fleet.ngpu} ranks of "
+                    f"{fleet!r}, and out-of-core spilling does not compose "
+                    f"with fleet execution"
                 )
             result = self.solver.predict(
                 cls.npad, batch=count, out_of_core=True,
-                oc_budget_gb=self.mem_budget_bytes / 2**30,
+                oc_budget_gb=self.mem_budget_bytes / 2**30, topology=fleet,
             )
             priced = PricedBatch(
                 predicted_s=result.total_s, out_of_core=True, streams=1

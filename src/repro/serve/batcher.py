@@ -176,9 +176,8 @@ class BatchRunner:
     The graph is emitted at the class's ``npad`` (so heterogeneous
     ``n`` within the class share it), composed over the service's fleet
     by :func:`repro.solver.compose_graph` (the identity on one device)
-    and memoized per ``(npad, count, streams, out_of_core)`` - the
-    serving analogue of :class:`repro.SvdPlan`'s precomputed graph, with
-    hit counters surfaced in :class:`~repro.serve.ServiceStats`.
+    and memoized per ``(npad, count, streams, out_of_core)``, with hit
+    counters surfaced in :class:`~repro.serve.ServiceStats`.
     Numerics are :func:`~repro.core.batched.replay_batched_graph`'s, the
     path every stack takes: each request's *original* matrix is uploaded
     (rescale factor and storage cast), zero-padded to ``npad``, and

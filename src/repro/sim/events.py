@@ -60,8 +60,10 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
 from ..errors import InvalidParamsError
-from .graph import LaunchGraph
+from .graph import LaunchGraph, longest_paths
 from .schedule import TimeBreakdown
 from .table import stream_costs
 from .tracing import Stage
@@ -205,7 +207,6 @@ def simulate_events(
     nodes: Optional[int] = None,
     ngpu: Optional[int] = None,
     fabric_lanes: int = 1,
-    cache: Optional[dict] = None,
     device_scale=None,
     device_labels: Tuple[str, ...] = (),
 ) -> EventSchedule:
@@ -263,7 +264,7 @@ def simulate_events(
 
     table = graph.table()
     durs_arr, stage_seconds, launches, serial_s = stream_costs(
-        table, config, storage, cache, device_scale=device_scale
+        table, config, storage, device_scale=device_scale
     )
     durs = durs_arr.tolist()
     kinds = table.kinds
@@ -276,8 +277,9 @@ def simulate_events(
     gpn = max(1, graph.ngpu // graph.nnodes)
 
     N = len(graph.nodes)
-    ptr_a, kids_a, indeg_a = graph.dependents()
-    ptr, kids, indeg = ptr_a.tolist(), kids_a.tolist(), indeg_a.tolist()
+    ptr_a, kids_a = graph.dependents()
+    ptr, kids = ptr_a.tolist(), kids_a.tolist()
+    indeg = np.bincount(kids_a, minlength=N).tolist()
 
     # serial per-tier comm folds (node order, like the analytic pricers)
     comm_intra_s = 0.0
@@ -361,14 +363,7 @@ def simulate_events(
     makespan = max(finish) if N else 0.0
 
     # dependency-only lower bound (infinite resources)
-    cp = [0.0] * N
-    for i in range(N - 1, -1, -1):
-        best = 0.0
-        for c in kids[ptr[i]:ptr[i + 1]]:
-            if cp[c] > best:
-                best = cp[c]
-        cp[i] = durs[i] + best
-    critical = max(cp) if N else 0.0
+    critical = max(longest_paths(ptr, kids, durs)) if N else 0.0
 
     # exact makespan decomposition along the critical chain
     chain = {k: 0.0 for k in _CHAIN_KEYS}

@@ -12,9 +12,9 @@ node carries
 
 * ``kind``  - the kernel name (``"geqrt"``, ``"ftsmqr"``, ...);
 * ``stage`` - the Figure 6 attribution tag (:class:`~repro.sim.tracing.Stage`);
-* ``key``   - the cost-model key, in the same namespace as
-  ``Session.cost_cache`` so numeric execution and analytic pricing share
-  one launch-price memo;
+* ``key``   - the cost-model key: the one input of the launch's price,
+  read alike by numeric execution (``Session.record``) and analytic
+  pricing;
 * ``meta``  - the tile coordinates needed to run the numerics;
 * ``deps``  - indices of earlier nodes this launch must wait for (used by
   the multi-stream scheduler; list order is already a topological order);
@@ -85,6 +85,7 @@ __all__ = [
     "TRANSFER_KINDS",
     "lift_batched",
     "lift_batched_columns",
+    "longest_paths",
     "node_overhead_s",
     "price_key",
     "price_node",
@@ -298,7 +299,7 @@ class LaunchGraph:
     _table: Optional[object] = field(
         default=None, init=False, repr=False, compare=False
     )
-    _dependents: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = field(
+    _dependents: Optional[Tuple[np.ndarray, np.ndarray]] = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -321,14 +322,15 @@ class LaunchGraph:
             self._table = NodeTable.from_graph(self)
         return self._table
 
-    def dependents(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Dependency skeleton ``(ptr, idx, indeg)``, built once and memoized.
+    def dependents(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Dependency skeleton ``(ptr, idx)``, built once and memoized.
 
         The children of node ``i`` are ``idx[ptr[i]:ptr[i + 1]]``, in
-        ascending node order (CSR form), and ``indeg[i]`` is
-        ``len(nodes[i].deps)``; all three are int32 arrays.  The list
-        scheduler and the event simulator both walk it.  Safe to cache for
-        the reason :meth:`table` is; kept as arrays rather than per-node
+        ascending node order (CSR form); both are int32 arrays, and node
+        ``i``'s in-degree ``len(nodes[i].deps)`` is
+        ``np.bincount(idx, minlength=len(self))[i]``.  The list scheduler
+        and the event simulator both walk it.  Safe to cache for the
+        reason :meth:`table` is; kept as arrays rather than per-node
         lists, so the graphs the bound-structure memo retains add nothing
         for the cyclic garbage collector to traverse.
         """
@@ -346,7 +348,7 @@ class LaunchGraph:
             idx = np.repeat(np.arange(n, dtype=np.int32), indeg)[order]
             ptr = np.zeros(n + 1, dtype=np.int32)
             ptr[1:] = np.cumsum(np.bincount(parents, minlength=n))
-            self._dependents = (ptr, idx, indeg)
+            self._dependents = (ptr, idx)
         return self._dependents
 
     def launch_counts(self) -> Dict[str, int]:
@@ -355,6 +357,28 @@ class LaunchGraph:
         for node in self.nodes:
             counts[node.kind] = counts.get(node.kind, 0) + node.count
         return counts
+
+
+def longest_paths(
+    ptr: List[int], kids: List[int], durs: List[float]
+) -> List[float]:
+    """Each node's longest path to a sink, itself included.
+
+    ``ptr`` / ``kids`` are :meth:`LaunchGraph.dependents` as lists and
+    ``durs`` the per-node durations: node ``i`` gets ``durs[i]`` plus the
+    largest value among its children (``0.0`` for a sink), folded from
+    the last node back (node order is topological).  Both schedulers
+    call it: these are the list scheduler's priorities and the event
+    simulator's critical path.
+    """
+    paths = [0.0] * len(durs)
+    for i in range(len(durs) - 1, -1, -1):
+        down = 0.0
+        for c in kids[ptr[i]:ptr[i + 1]]:
+            if paths[c] > down:
+                down = paths[c]
+        paths[i] = durs[i] + down
+    return paths
 
 
 # --------------------------------------------------------------------- #
@@ -369,13 +393,15 @@ def price_node(
 ) -> LaunchCost:
     """Price one node against a resolved config.
 
-    The one launch pricer: the analytic executors and
+    The one launch pricer: the analytic scalar oracles and
     :meth:`repro.sim.session.Session.record` (every traced numeric
-    launch) both call it, so a plan-owned ``cache`` keyed by
-    ``node.key`` is shared between analytic pricing and numeric
-    execution.  ``config`` needs only ``backend``, ``params`` and
-    ``coeffs`` (a :class:`~repro.sim.session.Session` has them).
-    Non-primary nodes are free (overhead-only launches).
+    launch) both call it, and the price depends on ``node.key`` alone.
+    ``cache`` is a caller's per-call memo keyed by ``node.key`` (the
+    scalar oracles pass a local dict, since one graph prices the same
+    few keys over and over); no pricer keeps one across calls.
+    ``config`` needs only ``backend``, ``params`` and ``coeffs`` (a
+    :class:`~repro.sim.session.Session` has them).  Non-primary nodes
+    are free (overhead-only launches).
     """
     if not node.primary:
         return ZERO_COST
@@ -495,17 +521,16 @@ class AnalyticExecutor:
     oracle, the array path is the implementation.
     """
 
-    def __init__(self, config, storage, cache: Optional[dict] = None) -> None:
+    def __init__(self, config, storage) -> None:
         self.config = config
         self.storage = storage
         self.compute = config.backend.compute_precision(storage)
-        self.cache = cache
 
     def run(self, graph: LaunchGraph) -> "TimeBreakdown":
         """Return the priced :class:`~repro.sim.schedule.TimeBreakdown`."""
         from .table import price_table  # table imports this module
 
-        return price_table(graph.table(), self.config, self.storage, self.cache)
+        return price_table(graph.table(), self.config, self.storage)
 
     def run_scalar(self, graph: LaunchGraph) -> "TimeBreakdown":
         """Price node by node (the reference oracle for :meth:`run`)."""
@@ -515,7 +540,7 @@ class AnalyticExecutor:
         # a fixed shape prices the same few launch shapes repeatedly
         # (both sweeps of a diagonal step share keys); even a run-local
         # memo roughly halves the cost-model arithmetic
-        cache = self.cache if self.cache is not None else {}
+        cache: Dict[Tuple, LaunchCost] = {}
         cost_s: Dict[str, float] = {}
         over_s: Dict[str, float] = {}
         launches: Dict[str, int] = {}
@@ -576,8 +601,7 @@ class NumericExecutor:
     block, within a stated tolerance of the paper's reflector-at-a-time
     loops (their ``*_reference`` twins).  After each node runs, it is
     handed to ``session.record`` (when a session is given), which prices
-    it with :func:`price_node` under the node's own key, so a plan-shared
-    ``Session.cost_cache`` is hit, never re-priced.
+    it with :func:`price_node` under the node's own key.
 
     Partitioned graphs (``ngpu > 1``) replay too: each sharded update
     chunk runs against its device's tile-row views of the shared

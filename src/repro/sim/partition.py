@@ -84,7 +84,7 @@ import math
 from typing import Dict, List, Optional, Tuple
 
 from ..errors import CapacityError, ShapeError
-from .costmodel import FabricSpec, LinkSpec, update_rate
+from .costmodel import FabricSpec, LaunchCost, LinkSpec, update_rate
 from .graph import (
     LaunchGraph,
     LaunchNode,
@@ -1000,10 +1000,7 @@ def _partition_batched(
 
 
 def _price_batched_partitioned(
-    graph: LaunchGraph,
-    config,
-    storage,
-    cache: Optional[dict] = None,
+    graph: LaunchGraph, config, storage
 ) -> TimeBreakdown:
     """Price a partitioned batched graph into a :class:`TimeBreakdown`.
 
@@ -1015,8 +1012,7 @@ def _price_batched_partitioned(
     """
     spec = config.backend.device
     compute = config.backend.compute_precision(storage)
-    if cache is None:
-        cache = {}
+    cache: Dict[Tuple, LaunchCost] = {}  # per-call memo of key prices
 
     # stage -> device -> accumulated seconds (incl. overheads)
     per_dev: Dict[str, Dict[int, float]] = {}
@@ -1065,12 +1061,7 @@ def _price_batched_partitioned(
     )
 
 
-def price_partitioned(
-    graph: LaunchGraph,
-    config,
-    storage,
-    cache: Optional[dict] = None,
-) -> TimeBreakdown:
+def price_partitioned(graph: LaunchGraph, config, storage) -> TimeBreakdown:
     """Price a partitioned graph into a :class:`TimeBreakdown`.
 
     Array implementation over the graph's struct-of-arrays table: serial
@@ -1081,14 +1072,11 @@ def price_partitioned(
     """
     from .table import price_partitioned_table  # table imports this module
 
-    return price_partitioned_table(graph.table(), config, storage, cache)
+    return price_partitioned_table(graph.table(), config, storage)
 
 
 def price_partitioned_scalar(
-    graph: LaunchGraph,
-    config,
-    storage,
-    cache: Optional[dict] = None,
+    graph: LaunchGraph, config, storage
 ) -> TimeBreakdown:
     """Price a partitioned graph node by node (the reference oracle).
 
@@ -1106,11 +1094,10 @@ def price_partitioned_scalar(
     problem subsets), with the gather as ``comm_s``.
     """
     if graph.kind == "batched":
-        return _price_batched_partitioned(graph, config, storage, cache)
+        return _price_batched_partitioned(graph, config, storage)
     spec = config.backend.device
     compute = config.backend.compute_precision(storage)
-    if cache is None:
-        cache = {}
+    cache: Dict[Tuple, LaunchCost] = {}  # per-call memo of key prices
 
     cost_s: Dict[str, float] = {}
     over_s: Dict[str, float] = {}

@@ -11,21 +11,18 @@ with the analytic executor's own :func:`~repro.sim.graph.price_node` and
 
 There is one launch pricer: a traced run charges exactly what the
 prediction of the same graph charges (pinned in ``tests/test_graph.py``).
+A session keeps no price memo: each node is priced under its own key
+when it is recorded.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 from ..backends.backend import Backend, BackendLike, resolve_backend
 from ..precision import Precision, PrecisionLike
-from .costmodel import (
-    DEFAULT_COEFFS,
-    CostCoefficients,
-    LaunchCost,
-    brd_launch_count,
-)
+from .costmodel import DEFAULT_COEFFS, CostCoefficients, brd_launch_count
 from .graph import LaunchNode, node_overhead_s, price_node
 from .params import KernelParams
 from .tracing import LaunchRecord, Tracer
@@ -47,12 +44,6 @@ class Session:
     params: KernelParams
     coeffs: CostCoefficients = DEFAULT_COEFFS
     tracer: Tracer = field(default_factory=Tracer)
-    #: Optional launch-shape -> LaunchCost memo.  The launch schedule of a
-    #: fixed problem shape prices the same few launch shapes over and over;
-    #: an :class:`~repro.solver.SvdPlan` shares one cache across repeated
-    #: solves so only the first run pays the cost-model arithmetic.
-    #: ``LaunchCost`` is frozen, so sharing instances is safe.
-    cost_cache: Optional[Dict[Tuple, LaunchCost]] = None
 
     # ------------------------------------------------------------------ #
     @classmethod
@@ -83,19 +74,18 @@ class Session:
 
         The session stands in for the resolved config that
         :func:`~repro.sim.graph.price_node` reads (``backend``, ``params``,
-        ``coeffs``), and the price goes through ``cost_cache`` under the
-        node's own key, so a plan's analytic pricing and its numeric
-        replays share one memo.  Follow-up launches of the stage-2 chase
-        (``primary=False``) cost nothing but their launch overhead.
+        ``coeffs``), and the node is priced under its own key - the key
+        the analytic pricers price, so a traced run charges what the
+        prediction of its graph charges.  Follow-up launches of the
+        stage-2 chase (``primary=False``) cost nothing but their launch
+        overhead.
         """
         grid, block = self._launch_shape(node)
         self.tracer.record(
             LaunchRecord(
                 kernel=node.kind,
                 stage=node.stage,
-                cost=price_node(
-                    node, self, self.storage, self.compute, self.cost_cache
-                ),
+                cost=price_node(node, self, self.storage, self.compute),
                 overhead_s=node_overhead_s(node, self.backend.device),
                 grid=grid,
                 block=block,

@@ -54,7 +54,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .costmodel import LaunchCost
 from .occupancy import (
     BASE_REG_BYTES_PER_THREAD,
     SATURATION_THREADS_PER_SM,
@@ -241,7 +240,7 @@ class NodeTable:
 
     # ------------------------------------------------------------------ #
     def key_tuples(self) -> List[Tuple]:
-        """Unique cost-key tuples (the scalar cache namespace), memoized."""
+        """Unique cost-key tuples (the scalar pricer's keys), memoized."""
         if self._keys is None:
             self._keys = [
                 _key_tuple(FAMILIES[f], op)
@@ -511,42 +510,16 @@ def _price_keys(table: NodeTable, config, storage) -> PricedKeys:
 # --------------------------------------------------------------------- #
 # per-node cost columns (shared by the three table pricers)
 # --------------------------------------------------------------------- #
-def _node_costs(table: NodeTable, config, storage, cache: Optional[dict]):
+def _node_costs(table: NodeTable, config, storage):
     """Per-node (seconds, overhead, flops, bytes) arrays.
 
     Non-primary nodes price to zero (they charge only overhead), matching
-    ``price_node``'s ``ZERO_COST`` early-out.  A caller-provided ``cache``
-    keeps the scalar contract: pre-existing entries override the table's
-    prices, missing keys are filled with equal-valued
-    :class:`~repro.sim.costmodel.LaunchCost` objects (the launch-price
-    memo a plan shares with numeric replay).
+    ``price_node``'s ``ZERO_COST`` early-out.  The key prices come from
+    :meth:`NodeTable.priced`, the one launch-price memo (per
+    ``(config, storage)``).
     """
     pk = table.priced(config, storage)
     sec, flo, byt = pk.seconds, pk.flops, pk.nbytes
-    if cache is not None:
-        overrides = []
-        for i, key in enumerate(table.key_tuples()):
-            cost = cache.get(key)
-            if cost is None:
-                cache[key] = LaunchCost(
-                    seconds=float(sec[i]),
-                    flops=float(flo[i]),
-                    bytes=float(byt[i]),
-                    compute_seconds=float(pk.compute_seconds[i]),
-                    memory_seconds=float(pk.memory_seconds[i]),
-                )
-            elif (
-                cost.seconds != sec[i]
-                or cost.flops != flo[i]
-                or cost.bytes != byt[i]
-            ):
-                overrides.append((i, cost))
-        if overrides:
-            sec, flo, byt = sec.copy(), flo.copy(), byt.copy()
-            for i, cost in overrides:
-                sec[i] = cost.seconds
-                flo[i] = cost.flops
-                byt[i] = cost.bytes
     kid = table.key_id
     node_sec = np.where(table.primary, sec[kid], 0.0)
     node_flops = np.where(table.primary, flo[kid], 0.0)
@@ -569,7 +542,7 @@ def _launches(table: NodeTable) -> Dict[str, int]:
 # --------------------------------------------------------------------- #
 # table pricers
 # --------------------------------------------------------------------- #
-def price_table(table: NodeTable, config, storage, cache=None):
+def price_table(table: NodeTable, config, storage):
     """Price a table with the serial per-stage accounting.
 
     Array implementation of
@@ -577,15 +550,15 @@ def price_table(table: NodeTable, config, storage, cache=None):
     kernel seconds and overheads fold in node order (counted nodes
     expanded by repetition), so every
     :class:`~repro.sim.schedule.TimeBreakdown` field is float-identical
-    to the scalar loop.  With ``cache=None`` the aggregated fields are
-    memoized on the table, making a repeat pricing O(1).
+    to the scalar loop.  The aggregated fields are memoized on the
+    table, making a repeat pricing O(1).
     """
     from .schedule import TimeBreakdown  # avoid import cycle
 
     memo_key = ("serial", config, storage)
-    fields = table._agg_memo.get(memo_key) if cache is None else None
+    fields = table._agg_memo.get(memo_key)
     if fields is None:
-        sec, over, flo, byt = _node_costs(table, config, storage, cache)
+        sec, over, flo, byt = _node_costs(table, config, storage)
         stage = table.stage_id
         counts = table.counts
         if counts.max(initial=1) > 1:
@@ -601,8 +574,7 @@ def price_table(table: NodeTable, config, storage, cache=None):
             mask = stage == si
             totals.append(_seqsum(sec[mask]) + _seqsum(over[mask]))
         fields = (tuple(totals), _seqsum(flo), _seqsum(byt))
-        if cache is None:
-            table._agg_memo[memo_key] = fields
+        table._agg_memo[memo_key] = fields
     (panel_s, update_s, brd_s, solve_s, comm_s, io_s), flops, nbytes = fields
     return TimeBreakdown(
         n=table.n,
@@ -640,7 +612,7 @@ def _group_totals(sec, over, codes):
     return ucodes, np.add.accumulate(M, axis=1)[:, -1]
 
 
-def price_partitioned_table(table: NodeTable, config, storage, cache=None):
+def price_partitioned_table(table: NodeTable, config, storage):
     """Price a partitioned table (device maxima as grouped reductions).
 
     Array implementation of
@@ -654,15 +626,14 @@ def price_partitioned_table(table: NodeTable, config, storage, cache=None):
     from .schedule import TimeBreakdown  # avoid import cycle
 
     memo_key = ("part", config, storage)
-    fields = table._agg_memo.get(memo_key) if cache is None else None
+    fields = table._agg_memo.get(memo_key)
     if fields is None:
-        sec, over, flo, byt = _node_costs(table, config, storage, cache)
+        sec, over, flo, byt = _node_costs(table, config, storage)
         if table.kind == "batched":
             fields = _partitioned_batched_fields(table, sec, over, flo, byt)
         else:
             fields = _partitioned_square_fields(table, sec, over, flo, byt)
-        if cache is None:
-            table._agg_memo[memo_key] = fields
+        table._agg_memo[memo_key] = fields
     (
         (panel_s, update_s, brd_s, solve_s, comm_s, io_s),
         (comm_intra, comm_inter),
@@ -774,8 +745,7 @@ def _partitioned_batched_fields(table, sec, over, flo, byt):
     )
 
 
-def stream_costs(table: NodeTable, config, storage, cache=None,
-                 device_scale=None):
+def stream_costs(table: NodeTable, config, storage, device_scale=None):
     """Per-node durations plus the serial accounting of the scheduler.
 
     Array implementation of the pricing prologue of
@@ -792,7 +762,7 @@ def stream_costs(table: NodeTable, config, storage, cache=None,
     against their link specs and are not scaled, nor are launch
     overheads (host-side).  ``None`` (or all-ones) is the identity.
     """
-    sec, over, _flo, _byt = _node_costs(table, config, storage, cache)
+    sec, over, _flo, _byt = _node_costs(table, config, storage)
     if device_scale is not None:
         scale_arr = np.asarray(device_scale, dtype=np.float64)
         factor = scale_arr[table.device]

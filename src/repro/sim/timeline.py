@@ -22,12 +22,12 @@ from __future__ import annotations
 import heapq
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 
 from ..report import format_seconds, format_table
-from .graph import LaunchGraph
+from .graph import LaunchGraph, longest_paths
 from .table import stream_costs
 from .tracing import Stage, Tracer
 
@@ -177,7 +177,6 @@ def schedule_streams(
     config,
     storage,
     streams: int,
-    cache: Optional[dict] = None,
 ) -> StreamSchedule:
     """Greedy critical-path schedule of ``graph`` onto ``streams`` streams.
 
@@ -191,7 +190,9 @@ def schedule_streams(
     :class:`~repro.sim.graph.AnalyticExecutor` charges.  The walk reads
     the graph's memoized dependency skeleton
     (:meth:`~repro.sim.graph.LaunchGraph.dependents`) and table, so a
-    graph shared by several configs pays for them once.
+    graph shared by several configs pays for them once; the priorities
+    are :func:`~repro.sim.graph.longest_paths`, the event simulator's
+    critical path.
 
     Partitioned graphs (``graph.ngpu > 1``) schedule device-aware: every
     device owns its own pool of ``streams`` compute lanes plus one link
@@ -216,20 +217,14 @@ def schedule_streams(
     # below stays scalar - it is inherently sequential
     table = graph.table()
     durs_arr, stage_seconds, launches, serial_s = stream_costs(
-        table, config, storage, cache
+        table, config, storage
     )
     durs = durs_arr.tolist()
-    ptr_a, kids_a, indeg_a = graph.dependents()
-    ptr, kids, indeg = ptr_a.tolist(), kids_a.tolist(), indeg_a.tolist()
+    ptr_a, kids_a = graph.dependents()
+    ptr, kids = ptr_a.tolist(), kids_a.tolist()
+    indeg = np.bincount(kids_a, minlength=nnodes).tolist()
 
-    # longest path to a sink (node list order is topological)
-    prio = [0.0] * nnodes
-    for i in range(nnodes - 1, -1, -1):
-        down = 0.0
-        for c in kids[ptr[i]:ptr[i + 1]]:
-            if prio[c] > down:
-                down = prio[c]
-        prio[i] = durs[i] + down
+    prio = longest_paths(ptr, kids, durs)
     # the ready heap holds ranks in (-prio, index) order: the highest
     # priority pops first, ties to the lowest node index
     order_a = np.lexsort((np.arange(nnodes), -np.asarray(prio)))

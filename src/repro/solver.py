@@ -18,11 +18,11 @@ math libraries (cuSOLVER handles, FFTW plans):
 * :meth:`Solver.tune` searches those axes analytically (plus the kernel
   hyperparameters) and returns a ranked :class:`~repro.tuning.TunePlan`
   that constructs the winning handle;
-* :meth:`Solver.plan` returns a reusable :class:`SvdPlan` that precomputes
-  the padding/tiling metadata, capacity check, padded workspace and launch
-  prices for one problem shape, so repeated same-shape solves skip the
-  per-call setup entirely (results are bitwise identical to one-shot
-  calls).
+* :meth:`Solver.plan` returns an :class:`SvdPlan` that validates one
+  problem shape up front (precision, capacity, padding metadata); its
+  :meth:`~SvdPlan.execute` checks each input against that shape and then
+  makes :meth:`Solver.solve`'s own driver call, so its results are a
+  solve's by construction.
 
 The handle is the only front door and the two-stage QR pipeline its only
 method, so there is exactly one dispatch point where batching, caching
@@ -36,14 +36,14 @@ Quickstart
 >>> sv = solver.solve(A)                        # square driver
 >>> sv3 = solver.solve(A[None].repeat(4, 0))    # batched driver
 >>> bd = solver.predict(32768)                  # analytic prediction
->>> plan = solver.plan((128, 128))              # amortize per-call setup
+>>> plan = solver.plan((128, 128))              # shape checked once
 >>> sv_again = plan.execute(A[:128, :128])
 """
 
 from __future__ import annotations
 
 from functools import lru_cache, partial
-from typing import Callable, Dict, Optional, Sequence, Tuple, Union
+from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -54,12 +54,13 @@ from .errors import InvalidParamsError, ShapeError
 from .precision import Precision, PrecisionLike
 from .sim.costmodel import CostCoefficients, FabricSpec, LinkSpec
 from .sim.events import EventSchedule, simulate_events
-from .sim.graph import AnalyticExecutor, LaunchGraph
+from .sim.graph import LaunchGraph
 from .sim.params import KernelParams
 from .sim.schedule import TimeBreakdown
 from .sim.timeline import StreamSchedule, schedule_streams
 from .core.batched import (
     bind_batched_table,
+    check_stack,
     emit_batched_graph,
     svdvals_batched_resolved,
 )
@@ -173,7 +174,7 @@ def price_composed(
         return schedule_streams(graph, config, storage, streams)
     if topology.ngpu > 1:
         return price_partitioned(graph, config, storage)
-    return price_table(graph.table(), config, storage, None)
+    return price_table(graph.table(), config, storage)
 
 
 @lru_cache(maxsize=64)
@@ -577,7 +578,7 @@ class Solver:
             )
         single = topology.ngpu == 1 and not weighted
         if single and streams == 1 and not out_of_core:
-            return price_table(bind(), config, storage, None)
+            return price_table(bind(), config, storage)
         budget_bytes = (
             oc_budget_gb * 2**30 if oc_budget_gb is not None else None
         )
@@ -658,12 +659,12 @@ class Solver:
     # plan/execute
     # ------------------------------------------------------------------ #
     def plan(self, shape: Union[int, Tuple[int, ...]]) -> "SvdPlan":
-        """Build a reusable :class:`SvdPlan` for one problem shape.
+        """Build an :class:`SvdPlan`, a checked solve of one problem shape.
 
         ``shape`` is ``n`` or ``(n, n)`` for square problems, ``(m, n)``
         for rectangular ones, or ``(batch, n, n)`` for stacks.  Requires a
-        handle constructed with an explicit precision (the plan pins the
-        storage dtype of its workspace).
+        handle constructed with an explicit precision (the plan checks
+        capacity in that storage precision).
         """
         return SvdPlan(self._config, shape)
 
@@ -691,21 +692,19 @@ class Solver:
 
 
 class SvdPlan:
-    """Precomputed execution plan for repeated same-shape solves.
+    """A checked :meth:`Solver.solve` for one problem shape.
 
-    Construction resolves everything a solve of this shape needs beyond
-    the numerics: the padded problem size and tile grid, the capacity
-    check, a reusable padded workspace in storage precision, the emitted
-    :class:`~repro.sim.graph.LaunchGraph` of the static schedule, and its
-    full launch-price table (filled by pricing the graph analytically).
-    :meth:`execute` then replays the cached graph with zero
-    schedule-construction cost — results are bitwise identical to
-    one-shot :meth:`Solver.solve` calls.  A batched plan instead keeps
-    one batched graph per batch count (the planned count's emitted up
-    front) and replays a whole stack through it at once.
-
-    A plan owns one workspace buffer, so a single plan instance must not
-    be executed concurrently from multiple threads.
+    Construction validates the shape once: it normalizes it, requires an
+    explicit precision, runs the capacity check the driver would run and
+    records the padded order ``npad`` and tile-grid side ``nbt`` of the
+    square stage-1 problem.  :meth:`execute` then checks an input against
+    the planned shape and makes exactly the driver call
+    :meth:`Solver.solve` makes, so a plan's values and report are a
+    solve's by construction, not by a cache kept in step.  Every solve
+    emits and prices its launch graph afresh, a small cost next to the
+    numeric replay (measured in ARCHITECTURE.md, "Replay"), so a plan
+    keeps no workspace, graph or launch-price memo and holds no state
+    that concurrent executions could share.
     """
 
     def __init__(
@@ -725,13 +724,9 @@ class SvdPlan:
             )
 
         storage = config.require_precision("plan")
-        # pin the precision so execution cannot re-infer from input dtypes
         self.config = config
         self.shape = shape
         self.storage = storage
-        self.compute = config.backend.compute_precision(storage)
-
-        ts = config.params.tilesize
         if len(shape) == 3:
             self.kind = "batched"
             self.batch: Optional[int] = shape[0]
@@ -746,95 +741,44 @@ class SvdPlan:
             # the tall-QR chain runs on the transpose when m < n
             m, n = max(shape), min(shape)
         self.m, self.n = m, n
+        ts = config.params.tilesize
         #: Padded order of the square stage-1 problem (tiling metadata).
         self.npad = ntiles(n, ts) * ts
         #: Tile-grid side of the square stage-1 problem.
         self.nbt = self.npad // ts
-
-        # capacity is checked once, exactly as the per-call drivers would
-        if self.kind == "rect":
-            config.backend.check_capacity(int(np.sqrt(m * n)) + 1, storage)
-            self.mpad = ntiles(m, ts) * ts
-            self._workspace = np.zeros(
-                (self.mpad, self.npad), dtype=storage.dtype
-            )
-            # the square solve of the R factor reuses its own buffer too
-            self._square_workspace: Optional[np.ndarray] = np.zeros(
-                (self.npad, self.npad), dtype=storage.dtype
-            )
-        else:
-            # a batched plan checks one matrix, as Solver.solve does, and
-            # its replay allocates the padded stack per call
-            config.backend.check_capacity(n, storage)
-            self.mpad = self.npad
-            self._workspace = (
-                None if self.kind == "batched"
-                else np.zeros((self.npad, self.npad), dtype=storage.dtype)
-            )
-            self._square_workspace = None
-
-        #: Shared launch-price memo (see ``Session.cost_cache``), filled
-        #: by pricing the cached graph(s) - the numeric replay requests
-        #: exactly these keys, so no cost-model arithmetic remains on the
-        #: solve path.  Batched replay traces no launches, so a batched
-        #: plan prices nothing.
-        self._cost_cache: dict = {}
-        #: A batched plan's emitted graph per batch count (the planned
-        #: count's up front): a stack replays once through its count's.
-        self._batched_graphs: Dict[int, LaunchGraph] = {}
-        if self.kind == "batched":
-            self._graph = self._batched_graphs[self.batch] = (
-                emit_batched_graph(n, self.batch, config)
-            )
-            self._prep_graph = None
-            return
-        #: The emitted launch graph of the planned square solve; rect
-        #: plans additionally cache the tall-QR preprocessing graph.
-        self._graph = emit_svd_graph(self.n, config)
-        self._prep_graph = (
-            emit_tallqr_graph(self.m, self.n, config)
-            if self.kind == "rect" else None
-        )
-        pricer = AnalyticExecutor(config, storage, cache=self._cost_cache)
-        self._square_breakdown = pricer.run(self._graph)
-        self._prep_breakdown = (
-            pricer.run(self._prep_graph) if self._prep_graph else None
+        # capacity is checked once, exactly as the driver checks it (a
+        # batched plan checks one matrix, as Solver.solve does)
+        config.backend.check_capacity(
+            int(np.sqrt(m * n)) + 1 if self.kind == "rect" else n, storage
         )
 
     # ------------------------------------------------------------------ #
     @property
-    def graph(self):
-        """The cached :class:`~repro.sim.graph.LaunchGraph` of the planned shape.
+    def graph(self) -> LaunchGraph:
+        """The :class:`~repro.sim.graph.LaunchGraph` a solve replays, emitted now.
 
-        Square and rect plans replay it per solve; a batched plan's is
-        the batched graph of its planned batch count.
+        The square graph of order ``n`` (a rect plan replays it after the
+        tall-QR chain); a batched plan's is the batched graph of its
+        planned batch count.
         """
-        return self._graph
-
-    @property
-    def launch_prices(self) -> int:
-        """Number of pre-priced launch shapes in the plan's table."""
-        return len(self._cost_cache)
+        if self.kind == "batched":
+            return emit_batched_graph(self.n, self.batch, self.config)
+        return emit_svd_graph(self.n, self.config)
 
     def breakdown(self) -> TimeBreakdown:
         """Analytic runtime prediction for this plan's shape.
 
-        Rectangular plans include the tall-QR preprocessing on top of the
+        :meth:`Solver.predict` of the planned order (and batch count).
+        Rectangular plans add the tall-QR preprocessing on top of the
         square ``min(m, n)`` solve (matching the merged ``return_info``
         accounting of the rectangular driver).
         """
-        if self.kind == "batched":
-            return Solver.from_config(self.config).predict(
-                self.n, batch=self.batch
-            )
-        sq = self._square_breakdown
-        bd = TimeBreakdown(
-            n=sq.n, panel_s=sq.panel_s, update_s=sq.update_s,
-            brd_s=sq.brd_s, solve_s=sq.solve_s, launches=dict(sq.launches),
-            flops=sq.flops, bytes=sq.bytes,
-        )
+        bd = Solver.from_config(self.config).predict(self.n, batch=self.batch)
         if self.kind == "rect":
-            pre = self._prep_breakdown
+            pre = price_table(
+                emit_tallqr_graph(self.m, self.n, self.config).table(),
+                self.config, self.storage,
+            )
             bd.panel_s += pre.panel_s
             bd.update_s += pre.update_s
             for kernel, count in pre.launches.items():
@@ -846,45 +790,29 @@ class SvdPlan:
     def execute(
         self, A: Union[np.ndarray, Sequence[np.ndarray]], return_info: bool = False
     ):
-        """Run the planned solve on one input of the planned shape.
+        """Check ``A`` against the planned shape, then :meth:`Solver.solve` it.
 
-        Square and rectangular plans expect exactly ``plan.shape`` (or its
-        transpose for rectangular inputs); batched plans accept any batch
-        count of ``(n, n)`` matrices.  Values are bitwise identical to the
-        corresponding one-shot :meth:`Solver.solve` call.
+        Square plans take exactly ``plan.shape``, rectangular plans the
+        shape or its transpose, batched plans any count of ``(n, n)``
+        matrices of the planned order; anything else raises
+        :class:`~repro.errors.ShapeError` naming the planned shape.
         """
         if self.kind == "batched":
-            return svdvals_batched_resolved(
-                A, self.config, return_info=return_info,
-                graphs=self._batched_graphs,
-            )
-        A = np.asarray(A)
-        if self.kind == "square":
-            if A.shape != self.shape:
+            _, order = check_stack(A)
+            if order != self.n:
+                raise ShapeError(
+                    f"plan was built for stacks of {self.n}x{self.n} "
+                    f"matrices (shape {self.shape}, any count), got "
+                    f"{order}x{order} matrices"
+                )
+        else:
+            A = np.asarray(A)
+            if A.shape not in (self.shape, self.shape[::-1]):
                 raise ShapeError(
                     f"plan was built for shape {self.shape}, got {A.shape}"
                 )
-            return svdvals_resolved(
-                A,
-                self.config,
-                return_info=return_info,
-                workspace=self._workspace,
-                cost_cache=self._cost_cache,
-                graph=self._graph,
-            )
-        if A.shape not in ((self.m, self.n), (self.n, self.m)):
-            raise ShapeError(
-                f"plan was built for shape {self.shape}, got {A.shape}"
-            )
-        return svdvals_rect_resolved(
-            A,
-            self.config,
-            return_info=return_info,
-            workspace=self._workspace,
-            cost_cache=self._cost_cache,
-            square_workspace=self._square_workspace,
-            prep_graph=self._prep_graph,
-            square_graph=self._graph,
+        return Solver.from_config(self.config).solve(
+            A, return_info=return_info
         )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

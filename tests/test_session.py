@@ -148,20 +148,6 @@ class TestLaunches:
         assert rec.cost.seconds > 0
         assert (rec.grid, rec.block) == (1, 1)
 
-    def test_cost_cache_keyed_by_node_key(self):
-        """A plan's analytic prices are the replay's: the cache is read
-        and filled under the node's own key."""
-        key = ("update", 64, 2, True)
-        marker = LaunchCost(1.0)
-        self.sess.cost_cache = {key: marker}
-        self.sess.record(LaunchNode("ftsmqr", Stage.UPDATE, key))
-        assert self.sess.tracer.records[-1].cost is marker
-        self.sess.record(LaunchNode("geqrt", Stage.PANEL, ("panel", 1, 1)))
-        assert (
-            self.sess.cost_cache[("panel", 1, 1)]
-            is self.sess.tracer.records[-1].cost
-        )
-
     def test_simulated_seconds_accumulates(self):
         t0 = self.sess.simulated_seconds
         self.record("geqrt", Stage.PANEL, ("panel", 1, 1))

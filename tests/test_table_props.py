@@ -184,7 +184,7 @@ class TestVectorizedPricingIsTheScalarOracle:
                 graph, config, storage, budget_bytes=budget
             )
         durs, stage_seconds, launches, serial_s = stream_costs(
-            graph.table(), config, storage, None
+            graph.table(), config, storage
         )
         spec = config.backend.device
         compute = config.backend.compute_precision(storage)
@@ -222,8 +222,8 @@ class TestBoundTablesMatchEmittedGraphs:
         emitted = emit_svd_graph(n, config, counted=True).table()
         assert_tables_equal(bound, emitted)
         assert_breakdowns_identical(
-            price_table(bound, config, storage, None),
-            price_table(emitted, config, storage, None),
+            price_table(bound, config, storage),
+            price_table(emitted, config, storage),
         )
 
     @given(
@@ -244,35 +244,9 @@ class TestBoundTablesMatchEmittedGraphs:
         emitted = emit_batched_graph(n, batch, config, streams=streams).table()
         assert_tables_equal(bound, emitted)
         assert_breakdowns_identical(
-            price_table(bound, config, storage, None),
-            price_table(emitted, config, storage, None),
+            price_table(bound, config, storage),
+            price_table(emitted, config, storage),
         )
-
-
-class TestCacheOverlaySemantics:
-    """A shared LaunchCost cache behaves identically on both paths."""
-
-    @given(
-        n=st.integers(16, 400),
-        precision=st.sampled_from(PRECISIONS),
-    )
-    @settings(max_examples=15, deadline=None)
-    def test_cache_filled_identically(self, n, precision):
-        config, storage = resolved("h100", precision)
-        graph = emit_svd_graph(n, config)
-        c_table: dict = {}
-        c_scalar: dict = {}
-        bd_t = AnalyticExecutor(config, storage, cache=c_table).run(graph)
-        bd_s = AnalyticExecutor(config, storage, cache=c_scalar).run_scalar(
-            graph
-        )
-        assert_breakdowns_identical(bd_t, bd_s)
-        assert set(c_table) == set(c_scalar)
-        for key, cost in c_scalar.items():
-            assert c_table[key] == cost, key
-        # replay through the warm cache: still identical
-        bd_t2 = AnalyticExecutor(config, storage, cache=c_table).run(graph)
-        assert_breakdowns_identical(bd_t2, bd_s)
 
 
 @st.composite
@@ -366,8 +340,8 @@ class TestStructureIgnoresCostOnlyParams:
         assert after["misses"] == before["misses"]
         assert after["hits"] == before["hits"] + 1
         assert_breakdowns_identical(
-            price_table(bound, cfg_b, storage, None),
-            price_table(emitted.table(), cfg_b, storage, None),
+            price_table(bound, cfg_b, storage),
+            price_table(emitted.table(), cfg_b, storage),
         )
 
     @given(

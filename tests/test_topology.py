@@ -234,6 +234,25 @@ class TestAdmissionTopology:
         ).price(cls, 4)
         assert topo.predicted_s == legacy.predicted_s
 
+    def test_one_device_topology_spills_like_default(self, solver):
+        """The handle's own device as a one-rank fleet is the default
+        spelling: an over-budget batch spills at the default's price."""
+        cls = shape_class(256, solver.config)
+        budget = 2.5 * cls.npad * cls.npad * 4 * 1.25
+        one = Topology.uniform("h100", 1)
+        default = AdmissionController(
+            solver.config, mem_budget_bytes=budget
+        ).price(cls, 4)
+        topo = AdmissionController(
+            solver.config, mem_budget_bytes=budget, topology=one
+        ).price(cls, 4)
+        assert default.out_of_core and topo.out_of_core
+        assert topo.predicted_s == default.predicted_s
+        assert topo.predicted_s == solver.predict(
+            256, batch=4, out_of_core=True, oc_budget_gb=budget / 2**30,
+            topology=one,
+        ).total_s
+
     def test_served_fleet_results_stay_bitwise(self, solver):
         rng = np.random.default_rng(5)
         mats = [rng.standard_normal((64, 64)) for _ in range(3)]
