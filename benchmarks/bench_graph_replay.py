@@ -16,8 +16,9 @@ times each phase separately across the paper's size grid:
   pre-vectorization pricing path and the correctness oracle;
 * **sched**  - greedy 2-stream list scheduling of the emitted graph.
 
-plus an end-to-end one-shot ``Solver.solve`` vs ``plan.execute``
-comparison (bitwise identity asserted).  ``--breakdown out.json`` dumps
+plus a check that ``plan.execute`` and ``Solver.solve`` give bitwise
+identical values (``bench_solver_plan.py`` times the two doors side by
+side).  ``--breakdown out.json`` dumps
 the per-phase rows as JSON (uploaded as a CI artifact by the bench-gate
 job), followed by one row per cold ``Solver.tune`` of :data:`TUNE_SIZES`
 (seconds, evaluations and bound-structure misses), so the tune path is
@@ -280,15 +281,8 @@ def tune_rows(solver, sizes=TUNE_SIZES) -> list:
     return rows
 
 
-def run(
-    solver, sizes=SIZES, end_to_end_reps: int = 5, strict_timing: bool = True
-) -> str:
-    """Per-phase table + end-to-end plan comparison (as text).
-
-    ``strict_timing=False`` (the CI smoke slice) still checks bitwise
-    identity but skips the replay-no-slower wall-clock assertion, which
-    is too noisy for best-of-2 samples on shared runners.
-    """
+def run(solver, sizes=SIZES) -> str:
+    """Per-phase table (as text), after a plan-vs-solve bitwise check."""
     rows = [
         [
             str(r["n"]),
@@ -302,30 +296,10 @@ def run(
         for r in phase_rows(solver, sizes)
     ]
 
-    # end-to-end: a plan is Solver.solve behind a shape check, so both
-    # emit and price the graph per call; the plan must add nothing
-    rng = np.random.default_rng(0)
-    A = rng.standard_normal((N, N)).astype(np.float32)
-    plan = solver.plan((N, N))
-    oneshot = solver.solve(A)
-    np.testing.assert_array_equal(plan.execute(A), oneshot)
-
-    t_oneshot = _time(lambda: solver.solve(A), end_to_end_reps)
-    t_replay = _time(lambda: plan.execute(A), end_to_end_reps)
-    if strict_timing:
-        assert t_replay <= t_oneshot * 1.05, (t_replay, t_oneshot)
-
-    rows.append(["", "", "", "", "", "", ""])
-    rows.append(
-        [
-            f"{N} solve",
-            str(len(plan.graph)),
-            f"{t_oneshot * 1e3:9.2f} ms",
-            "",
-            f"{t_replay * 1e3:9.2f} ms",
-            "",
-            f"{(t_oneshot - t_replay) / t_oneshot:+.1%} replay",
-        ]
+    # a plan is Solver.solve behind a shape check: same values
+    A = np.random.default_rng(0).standard_normal((N, N)).astype(np.float32)
+    np.testing.assert_array_equal(
+        solver.plan((N, N)).execute(A), solver.solve(A)
     )
     return format_table(
         ["n", "nodes", "emit", "bind", "price", "scalar", "sched(2)"],
@@ -433,7 +407,7 @@ if __name__ == "__main__":
     parser.add_argument(
         "--quick",
         action="store_true",
-        help="smoke slice: small sizes only, fewer repetitions",
+        help="smoke slice: small sizes only",
     )
     parser.add_argument(
         "--breakdown",
@@ -445,11 +419,7 @@ if __name__ == "__main__":
     args = parser.parse_args()
     shared = repro.Solver(backend="h100", precision="fp32")
     sizes = QUICK_SIZES if args.quick else SIZES
-    if args.quick:
-        print(run(shared, sizes=sizes, end_to_end_reps=2,
-                  strict_timing=False))
-    else:
-        print(run(shared))
+    print(run(shared, sizes=sizes))
     if args.breakdown:
         with open(args.breakdown, "w") as fh:
             json.dump(phase_rows(shared, sizes) + tune_rows(shared), fh,

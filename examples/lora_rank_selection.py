@@ -47,7 +47,7 @@ def main() -> None:
     print(f"selected LoRA rank:   {rank}  (90% spectral energy)")
     print(f"spectral gap:         sv[{planted_rank - 1}]={sv[planted_rank - 1]:.3f} "
           f"-> sv[{planted_rank}]={sv[planted_rank]:.3f}")
-    print(f"simulated H100 time:  {info.simulated_seconds * 1e3:.2f} ms (FP16)")
+    print(f"simulated H100 time:  {info.total_s * 1e3:.2f} ms (FP16)")
 
     # FP16 halves the memory: the paper reports H100-resident problems up
     # to 131072^2 in FP16 vs 92681^2 in FP32

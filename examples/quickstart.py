@@ -29,17 +29,21 @@ def main(n: int = 256) -> None:
     ref = np.linalg.svd(A.astype(np.float64), compute_uv=False)
     err = np.linalg.norm(values - ref) / np.linalg.norm(ref)
 
-    print(f"matrix:               {n} x {n} FP32 on {info.backend}")
+    print(f"matrix:               {n} x {n} FP32 on {solver.backend.name}")
     print(f"largest singular val: {values[0]:.6f}")
     print(f"smallest:             {values[-1]:.3e}")
     print(f"relative error:       {err:.2e}  (vs LAPACK FP64)")
-    print(f"simulated GPU time:   {info.simulated_seconds * 1e3:.3f} ms")
-    print(f"hyperparameters:      {info.params}")
+    print(f"simulated GPU time:   {info.total_s * 1e3:.3f} ms")
+    print(f"hyperparameters:      {solver.params}")
     print("stage breakdown:")
-    for stage, seconds in sorted(info.stage_seconds.items()):
-        share = seconds / info.simulated_seconds
+    for stage, seconds in (("panel", info.panel_s), ("update", info.update_s),
+                           ("brd", info.brd_s), ("solve", info.solve_s)):
+        share = seconds / info.total_s
         print(f"  {stage:8s} {seconds * 1e3:8.3f} ms  ({share:5.1%})")
-    print(f"kernel launches:      {info.launch_counts}")
+    print(f"kernel launches:      {info.launches}")
+    # the report is the price of the graph the solve replayed, so the
+    # prediction of the same shape charges the same launches
+    assert info.launches == solver.predict(n).launches
 
     # the same handle solves any supported shape: rectangular inputs run
     # the tall-QR preprocessing, 3-D stacks the batched driver

@@ -62,17 +62,19 @@ out-of-core spilling) and executed through the batched graph replay —
 bitwise identical to synchronous solves.
 
 Pass ``return_info=True`` to any solve for the simulated per-stage timing
-report.  ``Solver`` is the only front door: the one-shot free functions
-of versions before 4.0 (``svdvals``, ``svdvals_rect``,
-``svdvals_batched``, ``svd_full``, ``predict``, ``predict_batched``,
-``predict_multi_gpu``, ``predict_out_of_core``) are gone, and each has a
+report: the :class:`~repro.sim.TimeBreakdown` price of the launch graph
+the solve replayed, the type :meth:`Solver.predict` returns.  ``Solver``
+is the only front door: the one-shot free functions of versions before
+4.0 (``svdvals``, ``svdvals_rect``, ``svdvals_batched``, ``svd_full``,
+``predict``, ``predict_batched``, ``predict_multi_gpu``,
+``predict_out_of_core``) are gone, and each has a
 one-line ``Solver`` spelling with the same arguments (``CHANGES.md``
 maps them).
 """
 
 from .backends import Backend, DeviceMatrix, DeviceSpec, list_backends, resolve_backend
 from .config import SolveConfig
-from .core import SVDInfo, SVDResult
+from .core import SVDResult
 from .errors import (
     CapacityError,
     ConvergenceError,
@@ -89,7 +91,7 @@ from .sim import REFERENCE_PARAMS, KernelParams, Topology
 from .solver import Solver, SvdPlan
 from .serve import ServiceStats, SvdService
 
-__version__ = "5.0.0"
+__version__ = "6.0.0"
 
 __all__ = [
     # unified handle surface (the recommended API)
@@ -111,7 +113,6 @@ __all__ = [
     "resolve_backend",
     "resolve_precision",
     # result types
-    "SVDInfo",
     "SVDResult",
     # errors
     "CapacityError",

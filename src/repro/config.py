@@ -24,7 +24,6 @@ from .sim.costmodel import (
     LinkSpec,
 )
 from .sim.params import KernelParams
-from .sim.session import Session
 
 __all__ = ["SolveConfig"]
 
@@ -213,18 +212,3 @@ class SolveConfig:
                 )
             inter = inter.with_(bandwidth_gbs=float(fabric_gbs))
         return FabricSpec(intra=intra, inter=inter)
-
-    def session(self, storage: Precision) -> Session:
-        """Fresh tracing session bound to this configuration.
-
-        Its :meth:`~repro.sim.session.Session.record` prices each
-        replayed launch of one solve against this configuration's
-        backend, kernel parameters and coefficients.
-        """
-        return Session(
-            backend=self.backend,
-            storage=storage,
-            compute=self.backend.compute_precision(storage),
-            params=self.params,
-            coeffs=self.coeffs,
-        )

@@ -21,11 +21,10 @@ from .rectangular import emit_tallqr_graph, qr_reduce_tall
 from .vectors import SVDResult
 from .bidiag import bisect, golub_kahan, singular_2x2, svdvals_bidiag
 from .brd import band_to_bidiagonal, emit_brd_chase, givens
-from .svd import SVDInfo, bind_svd_table, emit_svd_graph
+from .svd import bind_svd_table, emit_svd_graph
 from .tiling import band_width, extract_band, is_upper_band, ntiles, pad_to_tiles, tile
 
 __all__ = [
-    "SVDInfo",
     "SVDResult",
     "WORKLOADS",
     "WorkloadSpec",

@@ -385,7 +385,7 @@ def replay_batched_graph(
         scales.append(scale)
 
     ex = NumericExecutor(
-        W, graph.ts, storage.eps, session=None,
+        W, graph.ts, storage.eps,
         compute_dtype=compute.dtype if compute is not storage else None,
         storage=storage,
     )

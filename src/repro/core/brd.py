@@ -82,8 +82,8 @@ def emit_brd_chase(
     The chase issues :func:`~repro.sim.costmodel.brd_launch_count` fused
     kernel launches (none for ``band <= 1``); the aggregate stage cost
     rides on the first (primary) node and the follow-up launches
-    (``primary=False``) charge only their overhead, priced and traced
-    like every other node.  ``deps`` anchors the first launch on the
+    (``primary=False``) charge only their overhead, priced like every
+    other node.  ``deps`` anchors the first launch on the
     tail of stage 1, ``start`` is the global index these nodes begin at
     (the chase is a serial chain, so launch ``i`` depends on launch
     ``i - 1``).

@@ -33,10 +33,16 @@ import numpy as np
 from ..config import SolveConfig
 from ..errors import ShapeError
 from ..sim.graph import LaunchGraph, LaunchNode, NumericExecutor
-from ..sim.table import NodeTable, bound_structure, structure_config
+from ..sim.schedule import TimeBreakdown
+from ..sim.table import (
+    NodeTable,
+    bound_structure,
+    price_table,
+    structure_config,
+)
 from ..sim.tracing import Stage
 from .bidiag import _EPS, _MAXITER, _bisect_lanes, _sections, svdvals_bidiag
-from .svd import SVDInfo, bind_svd_table, emit_svd_graph, require_real, upload
+from .svd import bind_svd_table, emit_svd_graph, require_real, upload
 from .tiling import pad_to_tiles
 
 __all__ = [
@@ -161,13 +167,14 @@ def eigh_resolved(
     A: np.ndarray,
     config: SolveConfig,
     return_info: bool = False,
-) -> Union[np.ndarray, Tuple[np.ndarray, SVDInfo]]:
+) -> Union[np.ndarray, Tuple[np.ndarray, TimeBreakdown]]:
     """Eigenvalues of a symmetric matrix against a resolved config.
 
     The shared code path behind :meth:`repro.Solver.eigh`: validates
     symmetry, applies the exact power-of-two shift (:func:`shift_for`),
     replays the eigensolver graph on ``M = A + c I`` and returns
-    ``sigma(M) - c`` in descending order.
+    ``sigma(M) - c`` in descending order; ``return_info`` adds the
+    replayed graph's :func:`~repro.sim.table.price_table`.
     """
     A = np.asarray(A)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -181,9 +188,9 @@ def eigh_resolved(
     A64 = np.asarray(A, dtype=np.float64)
 
     storage = config.storage_for(A.dtype)
-    session = config.session(storage)
+    compute = config.backend.compute_precision(storage)
     config.backend.check_capacity(n, storage)
-    ts = session.params.tilesize
+    ts = config.params.tilesize
 
     c = shift_for(A64)
     # the upload names non-finite input before the symmetry test can
@@ -199,14 +206,13 @@ def eigh_resolved(
         )
 
     W, _ = pad_to_tiles(M, ts)
-    compute_dtype = (
-        session.compute.dtype if session.compute is not storage else None
-    )
     ex = NumericExecutor(
-        W, ts, storage.eps, session=session, compute_dtype=compute_dtype,
+        W, ts, storage.eps,
+        compute_dtype=compute.dtype if compute is not storage else None,
         storage=storage,
     )
-    ex.run(emit_eigh_graph(n, config))
+    graph = emit_eigh_graph(n, config)
+    ex.run(graph)
 
     # sigma(M) >= c/2 > 0, so the padding's zero singular values sort
     # strictly after the n true values
@@ -217,4 +223,4 @@ def eigh_resolved(
 
     if not return_info:
         return vals
-    return vals, SVDInfo.traced(n, session, config.fused)
+    return vals, price_table(graph.table(), config, storage)

@@ -21,10 +21,10 @@ estimates.  :func:`emit_lowrank_graph` emits the schedule declaratively so
 the analytic pricers, the multi-GPU partitioner, the out-of-core rewriter
 and the event simulator all see the workload through the one shared IR.
 The composed graph is analytic-only: numeric execution runs through
-:func:`svd_lowrank_resolved`, which replays the tall-QR and square
-sub-graphs bitwise and hands its GEMM and TRSM launch nodes to
-:meth:`~repro.sim.session.Session.record`, so every step is traced and
-priced by the one launch pricer.
+:func:`svd_lowrank_resolved`, which runs the graph's nodes in order (the
+GEMMs and the TRSM in NumPy, the tall-QR and square sub-graphs through
+their replays), and its ``return_info`` report is the table price of
+the whole graph.
 """
 
 from __future__ import annotations
@@ -37,10 +37,16 @@ from ..config import SolveConfig
 from ..errors import InvalidParamsError, ShapeError
 from ..matrices.generator import gaussian_sketch
 from ..sim.graph import LaunchGraph, LaunchNode
-from ..sim.table import NodeTable, bound_structure, structure_config
+from ..sim.schedule import TimeBreakdown
+from ..sim.table import (
+    NodeTable,
+    bound_structure,
+    price_table,
+    structure_config,
+)
 from ..sim.tracing import Stage
 from .rectangular import _emit_tallqr_nodes, qr_reduce_tall
-from .svd import SVDInfo, emit_svd_graph, svdvals_resolved, upload
+from .svd import emit_svd_graph, svdvals_resolved, upload
 from .tiling import ntiles
 
 __all__ = [
@@ -189,13 +195,14 @@ def svd_lowrank_resolved(
     config: SolveConfig,
     seed: int = 0,
     return_info: bool = False,
-) -> Union[np.ndarray, Tuple[np.ndarray, SVDInfo]]:
+) -> Union[np.ndarray, Tuple[np.ndarray, TimeBreakdown]]:
     """Randomized top-``rank`` singular values against a resolved config.
 
     The shared code path behind :meth:`repro.Solver.svd_lowrank`: the
     composed driver replaying the sketch GEMM, tall-QR, projection,
     TRSM and square-pipeline stages of :func:`emit_lowrank_graph` in
-    order, every launch traced.  ``seed`` keys the Gaussian sketch
+    order; ``return_info`` adds that graph's
+    :func:`~repro.sim.table.price_table`.  ``seed`` keys the Gaussian sketch
     (bitwise reproducible per ``(seed, shape, precision)``); wide inputs
     run on the lazy transpose (singular values are transpose-invariant).
     The TRSM-priced solve against ``R1`` runs in float64 on the CPU
@@ -217,26 +224,22 @@ def svd_lowrank_resolved(
     check_rank(rank, m, n)
 
     storage = config.storage_for(A.dtype)
-    session = config.session(storage)
+    compute = config.backend.compute_precision(storage)
     config.backend.check_capacity(int(np.sqrt(m * n)) + 1, storage)
-    ts = session.params.tilesize
+    ts = config.params.tilesize
     l = sketch_width(rank, m, n, config)
     lpad = ntiles(l, ts) * ts
-    compute_dtype = (
-        session.compute.dtype if session.compute is not storage else None
-    )
+    compute_dtype = compute.dtype if compute is not storage else None
 
     As, scale = upload(A, storage, config)
     Omega = gaussian_sketch(n, l, seed=seed, precision=storage)
     Y = np.asarray(As @ Omega, dtype=storage.dtype)
-    session.record(LaunchNode("gemm", Stage.UPDATE, ("gemm", m, n, l)))
 
     Wy = np.zeros((ntiles(m, ts) * ts, lpad), dtype=storage.dtype)
     Wy[:m, :l] = Y
-    R1 = qr_reduce_tall(Wy, ts, storage.eps, session, compute_dtype)[:l, :l]
+    R1 = qr_reduce_tall(Wy, ts, storage.eps, compute_dtype=compute_dtype)[:l, :l]
 
     Z = np.asarray(As.T @ Y, dtype=storage.dtype)
-    session.record(LaunchNode("gemm", Stage.UPDATE, ("gemm", n, m, l)))
 
     # T = Z R1^+ (= A^T Q): the float64 CPU solve runs through the
     # pseudo-inverse so a rank-deficient sample (Y loses columns when
@@ -246,22 +249,20 @@ def svd_lowrank_resolved(
     T = (
         Z.astype(np.float64) @ np.linalg.pinv(R1.astype(np.float64), rcond)
     ).astype(storage.dtype)
-    session.record(LaunchNode("trsm", Stage.UPDATE, ("trsm", n, l)))
 
     Wt = np.zeros((ntiles(n, ts) * ts, lpad), dtype=storage.dtype)
     Wt[:n, :l] = T
-    R2 = qr_reduce_tall(Wt, ts, storage.eps, session, compute_dtype)[:l, :l]
+    R2 = qr_reduce_tall(Wt, ts, storage.eps, compute_dtype=compute_dtype)[:l, :l]
 
     # pin the inferred precision so the square solve of R2 cannot re-infer
     square_config = (
         config if config.precision is not None
         else config.with_(precision=storage)
     )
-    out = svdvals_resolved(R2, square_config, return_info=return_info)
-    vals, info = out if return_info else (out, None)
-    vals = vals[:rank]
+    vals = svdvals_resolved(R2, square_config)[:rank]
     if scale != 1.0:
         vals /= scale
     if not return_info:
         return vals
-    return vals, info.merge(session)
+    graph = emit_lowrank_graph(m, n, rank, square_config)
+    return vals, price_table(graph.table(), square_config, storage)

@@ -20,16 +20,17 @@ algorithm: the panel chain costs ``O(m n^2)`` and the square solve
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple, Union
+from typing import List, Tuple, Union
 
 import numpy as np
 
 from ..config import SolveConfig
 from ..errors import ShapeError
 from ..sim.graph import LaunchGraph, LaunchNode, NumericExecutor
-from ..sim.session import Session
+from ..sim.schedule import TimeBreakdown
+from ..sim.table import price_table
 from ..sim.tracing import Stage
-from .svd import SVDInfo, svdvals_resolved, upload
+from .svd import svdvals_resolved, upload
 from .tiling import ntiles
 
 __all__ = ["emit_tallqr_graph", "qr_reduce_tall"]
@@ -101,7 +102,7 @@ def qr_reduce_tall(
     A: np.ndarray,
     ts: int,
     eps: float,
-    session: Optional[Session] = None,
+    *,
     compute_dtype=None,
 ) -> np.ndarray:
     """Reduce a tall ``m x n`` matrix (``m >= n``) to its ``n x n`` R factor.
@@ -120,9 +121,9 @@ def qr_reduce_tall(
         raise ShapeError(f"padded shape required, got {A.shape} for ts={ts}")
     if m < n:
         raise ShapeError("qr_reduce_tall expects m >= n")
-    NumericExecutor(
-        A, ts, eps, session=session, compute_dtype=compute_dtype
-    ).run(_emit_tallqr_nodes(m // ts, n // ts, ts))
+    NumericExecutor(A, ts, eps, compute_dtype=compute_dtype).run(
+        _emit_tallqr_nodes(m // ts, n // ts, ts)
+    )
     return np.triu(A[:n, :n])
 
 
@@ -130,11 +131,13 @@ def svdvals_rect_resolved(
     A: np.ndarray,
     config: SolveConfig,
     return_info: bool = False,
-) -> Union[np.ndarray, Tuple[np.ndarray, SVDInfo]]:
+) -> Union[np.ndarray, Tuple[np.ndarray, TimeBreakdown]]:
     """Rectangular-driver implementation against a resolved config.
 
     The code path :meth:`repro.Solver.solve` takes for 2-D non-square
     inputs: the tall-QR chain, then the square driver on ``R``.
+    ``return_info`` adds the square solve's report plus the price of
+    :func:`emit_tallqr_graph` (:meth:`~repro.sim.schedule.TimeBreakdown.plus`).
     """
     A = np.asarray(A)
     if A.ndim != 2:
@@ -149,17 +152,17 @@ def svdvals_rect_resolved(
         return svdvals_rect_resolved(A.T, config, return_info=return_info)
 
     storage = config.storage_for(A.dtype)
-    session = config.session(storage)
+    compute = config.backend.compute_precision(storage)
     config.backend.check_capacity(int(np.sqrt(m * n)) + 1, storage)
-    ts = session.params.tilesize
+    ts = config.params.tilesize
 
     W = np.zeros((ntiles(m, ts) * ts, ntiles(n, ts) * ts), dtype=storage.dtype)
     stored, scale = upload(A, storage, config)
     W[:m, :n] = stored
-    compute_dtype = (
-        session.compute.dtype if session.compute is not session.storage else None
+    R = qr_reduce_tall(
+        W, ts, storage.eps,
+        compute_dtype=compute.dtype if compute is not storage else None,
     )
-    R = qr_reduce_tall(W, ts, storage.eps, session, compute_dtype)
 
     # pin the inferred precision so the square solve of R cannot re-infer
     square_config = (
@@ -172,5 +175,5 @@ def svdvals_rect_resolved(
         vals /= scale
     if not return_info:
         return vals
-    # merge the preprocessing launches into the report
-    return vals, info.merge(session)
+    prep = emit_tallqr_graph(m, n, square_config).table()
+    return vals, info.plus(price_table(prep, square_config, storage))

@@ -12,7 +12,8 @@ Pipeline (two-stage QR reduction, section 3 of the paper):
 2. band -> bidiagonal (Givens bulge chasing, :mod:`repro.core.brd`);
 3. bidiagonal -> singular values (CPU solver, :mod:`repro.core.bidiag`).
 
-Every kernel launch is priced by the simulator; :class:`SVDInfo` reports
+With ``return_info=True`` a solve also returns the
+:class:`~repro.sim.schedule.TimeBreakdown` of the graph it replayed -
 the per-stage simulated times that Figure 6 of the paper plots.
 """
 
@@ -20,8 +21,7 @@ from __future__ import annotations
 
 import math
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -30,12 +30,12 @@ from ..errors import ShapeError
 from ..precision import Precision
 from ..sim.costmodel import brd_launch_count
 from ..sim.graph import LaunchGraph, LaunchNode, NumericExecutor
-from ..sim.params import KernelParams
-from ..sim.session import Session
+from ..sim.schedule import TimeBreakdown
 from ..sim.table import (
     FAMILIES,
     NodeTable,
     bound_structure,
+    price_table,
     structure_config,
 )
 from ..sim.tracing import Stage
@@ -43,75 +43,10 @@ from .banddiag import emit_band_reduction
 from .brd import emit_brd_chase
 from .tiling import ntiles, pad_to_tiles
 
-__all__ = [
-    "SVDInfo", "bind_svd_table", "emit_svd_graph", "require_real", "upload",
-]
+__all__ = ["bind_svd_table", "emit_svd_graph", "require_real", "upload"]
 
 _FAM = {name: i for i, name in enumerate(FAMILIES)}
 _SID = {stage: i for i, stage in enumerate(Stage.ALL)}
-
-
-@dataclass
-class SVDInfo:
-    """Execution report of one traced solve (``return_info=True``)."""
-
-    n: int
-    backend: str
-    precision: str
-    params: KernelParams
-    fused: bool
-    simulated_seconds: float
-    stage_seconds: Dict[str, float] = field(default_factory=dict)
-    launch_counts: Dict[str, int] = field(default_factory=dict)
-    flops: float = 0.0
-    bytes: float = 0.0
-
-    @property
-    def stage1_seconds(self) -> float:
-        """Reduction to band form (panel + trailing update)."""
-        return self.stage_seconds.get(Stage.PANEL, 0.0) + self.stage_seconds.get(
-            Stage.UPDATE, 0.0
-        )
-
-    def stage_fractions(self) -> Dict[str, float]:
-        """Each stage's share of the simulated runtime (Figure 6)."""
-        total = self.simulated_seconds
-        if total <= 0.0:
-            return {}
-        return {k: v / total for k, v in self.stage_seconds.items()}
-
-    @classmethod
-    def traced(cls, n: int, session: Session, fused: bool) -> "SVDInfo":
-        """The report of one run: every launch ``session`` traced."""
-        tracer = session.tracer
-        return cls(
-            n=n,
-            backend=session.backend.name,
-            precision=session.storage.name_lower,
-            params=session.params,
-            fused=fused,
-            simulated_seconds=tracer.total_seconds,
-            stage_seconds=tracer.stage_breakdown(),
-            launch_counts=tracer.kernel_counts(),
-            flops=tracer.total_flops,
-            bytes=tracer.total_bytes,
-        )
-
-    def merge(self, session: Session) -> "SVDInfo":
-        """Add the launches ``session`` traced (say, preprocessing)."""
-        tracer = session.tracer
-        self.simulated_seconds += tracer.total_seconds
-        for stage, seconds in tracer.stage_breakdown().items():
-            self.stage_seconds[stage] = (
-                self.stage_seconds.get(stage, 0.0) + seconds
-            )
-        for kernel, count in tracer.kernel_counts().items():
-            self.launch_counts[kernel] = (
-                self.launch_counts.get(kernel, 0) + count
-            )
-        self.flops += tracer.total_flops
-        self.bytes += tracer.total_bytes
-        return self
 
 
 def _rescale_factor(A: np.ndarray, storage: Precision) -> float:
@@ -415,7 +350,7 @@ def svdvals_resolved(
     config: SolveConfig,
     return_info: bool = False,
     graph: Optional[LaunchGraph] = None,
-) -> Union[np.ndarray, Tuple[np.ndarray, SVDInfo]]:
+) -> Union[np.ndarray, Tuple[np.ndarray, TimeBreakdown]]:
     """Square-driver implementation against a resolved :class:`SolveConfig`.
 
     The code path :meth:`repro.Solver.solve` takes for square inputs
@@ -424,7 +359,8 @@ def svdvals_resolved(
     replayable square graph of the same solve - partitioned by
     :func:`~repro.sim.partition.partition_graph` or rewritten by
     :func:`~repro.sim.outofcore.rewrite_out_of_core` - whose values are
-    bitwise identical.
+    bitwise identical.  ``return_info`` adds the replayed graph's
+    :func:`~repro.sim.table.price_table`.
     """
     A = np.asarray(A)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -438,17 +374,15 @@ def svdvals_resolved(
         raise ShapeError("empty matrix")
 
     storage = config.storage_for(A.dtype)
-    session = config.session(storage)
+    compute = config.backend.compute_precision(storage)
     config.backend.check_capacity(n, storage)
-    ts = session.params.tilesize
+    ts = config.params.tilesize
 
     # upload in storage precision and zero-pad to full tiles
     src, scale = upload(A, storage, config)
     W, _ = pad_to_tiles(src, ts)
 
-    compute_dtype = (
-        session.compute.dtype if session.compute is not storage else None
-    )
+    compute_dtype = compute.dtype if compute is not storage else None
 
     # replay the launch graph: stage 1 (dense -> band), stage 2 (band ->
     # bidiagonal chase) and stage 3 (CPU solve) all live in one IR
@@ -465,8 +399,7 @@ def svdvals_resolved(
             f"square solve (n={n}, ts={ts}, fused={config.fused})"
         )
     ex = NumericExecutor(
-        W, ts, storage.eps, session=session, compute_dtype=compute_dtype,
-        storage=storage,
+        W, ts, storage.eps, compute_dtype=compute_dtype, storage=storage
     )
     ex.run(graph)
 
@@ -477,4 +410,4 @@ def svdvals_resolved(
 
     if not return_info:
         return vals
-    return vals, SVDInfo.traced(n, session, config.fused)
+    return vals, price_table(graph.table(), config, storage)

@@ -27,6 +27,7 @@ import numpy as np
 
 from ..errors import ConvergenceError, ShapeError
 from ..sim.graph import NumericExecutor
+from ..sim.table import price_table
 from .bidiag import _require_finite, _rotg, singular_2x2
 from .tiling import pad_to_tiles
 
@@ -182,7 +183,7 @@ def svd_full_resolved(A: np.ndarray, config, return_info: bool = False):
     :func:`~repro.core.svd.upload`, one replay of the vector graph, then
     signs, order and the basis of the zero singular values.
     """
-    from .svd import SVDInfo, emit_svd_graph, upload
+    from .svd import emit_svd_graph, upload
 
     A = np.asarray(A)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -192,21 +193,22 @@ def svd_full_resolved(A: np.ndarray, config, return_info: bool = False):
         raise ShapeError("empty matrix")
 
     storage = config.storage_for(A.dtype)
-    session = config.session(storage)
+    compute = config.backend.compute_precision(storage)
     config.backend.check_capacity(n, storage)
-    ts = session.params.tilesize
+    ts = config.params.tilesize
 
     # vectors are accumulated in compute precision for stability, and the
     # workspace is kept there too: the executor replays it as its storage,
     # so the bidiagonal reaches stage 3 unrounded
     stored, scale = upload(A, storage, config)
-    W, _ = pad_to_tiles(stored.astype(session.compute.dtype), ts)
+    W, _ = pad_to_tiles(stored.astype(compute.dtype), ts)
     npad = W.shape[0]
     ex = NumericExecutor(
-        W, ts, storage.eps, session=session, storage=session.compute,
+        W, ts, storage.eps, storage=compute,
         Ut=np.eye(npad, dtype=W.dtype), Vt=np.eye(npad, dtype=W.dtype),
     )
-    ex.run(emit_svd_graph(n, config, vectors=True))
+    graph = emit_svd_graph(n, config, vectors=True)
+    ex.run(graph)
     s, U, V = ex.values, ex.U, ex.V
 
     # fix signs, sort descending, strip padding
@@ -231,4 +233,4 @@ def svd_full_resolved(A: np.ndarray, config, return_info: bool = False):
     result = SVDResult(U=U_out, s=s_out, Vt=np.ascontiguousarray(V_out.T))
     if not return_info:
         return result
-    return result, SVDInfo.traced(n, session, config.fused)
+    return result, price_table(graph.table(), config, storage)

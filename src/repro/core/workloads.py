@@ -3,7 +3,7 @@
 The reproduction's emitters (square SVD, tall-QR, batched, randomized
 low-rank, symmetric eigensolver) all target the same
 :class:`~repro.sim.graph.LaunchGraph` IR, so every workload can be proven
-against the same battery: bitwise numeric replay, traced-vs-analytic
+against the same battery: bitwise numeric replay, reported-vs-analytic
 launch-count equality, greedy-scheduler-vs-event-simulator invariants,
 and oracle agreement with the NumPy/LAPACK reference.  This module makes
 that battery *registry-driven*: each workload registers one frozen
@@ -89,15 +89,16 @@ class WorkloadSpec:
     #: ``run(A, config) -> values`` via the resolved driver (bitwise
     #: replay path - run twice, get identical bits).
     run: Callable
-    #: ``run_info(A, config) -> (values, SVDInfo)`` - the traced variant.
+    #: ``run_info(A, config) -> (values, TimeBreakdown)`` - the variant
+    #: that also returns the report (the replayed graph's price).
     run_info: Callable
     #: ``reference(A) -> float64 oracle values`` (NumPy/LAPACK).
     reference: Callable
     #: ``check(values, A, precision_name)`` - oracle agreement for this
     #: workload; raises AssertionError on violation.
     check: Callable
-    #: ``analytic_counts(n, config) -> {kernel: count}`` the traced run
-    #: of ``make_input(n, .)`` must reproduce exactly.
+    #: ``analytic_counts(n, config) -> {kernel: count}`` the report of
+    #: a run on ``make_input(n, .)`` must reproduce exactly.
     analytic_counts: Callable
     #: ``bind(n, config) -> NodeTable`` shape-parametric binder, and the
     #: ``emit_table(n, config) -> NodeTable`` it must equal node for
@@ -258,7 +259,7 @@ register_workload(WorkloadSpec(
 
 def _tallqr_counts(n: int, config: SolveConfig) -> Dict[str, int]:
     # the rectangular driver runs the tall-QR chain then the square
-    # pipeline on the R factor; its trace merges both graphs' launches
+    # pipeline on the R factor; its report merges both graphs' launches
     counts = emit_tallqr_graph(_ASPECT * n, n, config).launch_counts()
     for kernel, c in emit_svd_graph(n, config).launch_counts().items():
         counts[kernel] = counts.get(kernel, 0) + c

@@ -1,12 +1,13 @@
-"""GPU execution simulator: cost model, occupancy, tracing, prediction.
+"""GPU execution simulator: cost model, occupancy, prediction.
 
 The simulator replaces physical GPU timing in this reproduction.  Every
 problem shape is encoded once as a :class:`LaunchGraph` (emitted by the
 drivers in :mod:`repro.core`); the :class:`NumericExecutor` replays it in
-NumPy while pricing each launch with the analytic roofline/occupancy model
-parameterized by the Table 2 device specs, the :class:`AnalyticExecutor`
-prices the same graph without numerics for arbitrary matrix sizes
-(behind :meth:`repro.Solver.predict`, the one prediction door), and
+NumPy and prices nothing, :func:`price_table` prices the same graph with
+the analytic roofline/occupancy model parameterized by the Table 2
+device specs, without numerics and for arbitrary matrix sizes (behind
+:meth:`repro.Solver.predict`, the one prediction door, and behind every
+solve's ``return_info`` report), and
 :func:`schedule_streams` prices multi-stream lookahead overlap with a
 greedy critical-path scheduler.  Graph
 rewriters extend the same IR across devices and memory tiers:
@@ -51,7 +52,6 @@ from .partition import (
     shard_rows_weighted,
 )
 from .schedule import TimeBreakdown, stage1_launch_count
-from .session import Session
 from .table import (
     NodeTable,
     bound_table_stats,
@@ -59,15 +59,8 @@ from .table import (
     price_table,
 )
 from .topology import Topology
-from .timeline import (
-    StreamSchedule,
-    dump_json,
-    kernel_summary,
-    render_timeline,
-    schedule_streams,
-    timeline_rows,
-)
-from .tracing import LaunchRecord, Stage, Tracer
+from .timeline import StreamSchedule, schedule_streams
+from .tracing import Stage
 
 __all__ = [
     "AnalyticExecutor",
@@ -80,18 +73,15 @@ __all__ = [
     "LaunchCost",
     "LaunchGraph",
     "LaunchNode",
-    "LaunchRecord",
     "LinkSpec",
     "NodeTable",
     "NumericExecutor",
     "OccupancyInfo",
     "REFERENCE_PARAMS",
-    "Session",
     "Stage",
     "StreamSchedule",
     "TimeBreakdown",
     "Topology",
-    "Tracer",
     "bidiag_solve_cost",
     "bound_table_stats",
     "brd_cost",
@@ -113,9 +103,5 @@ __all__ = [
     "window_capacity_tiles",
     "update_cost",
     "update_occupancy",
-    "dump_json",
-    "kernel_summary",
-    "render_timeline",
-    "timeline_rows",
     "warp_utilization",
 ]

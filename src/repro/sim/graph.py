@@ -12,9 +12,7 @@ node carries
 
 * ``kind``  - the kernel name (``"geqrt"``, ``"ftsmqr"``, ...);
 * ``stage`` - the Figure 6 attribution tag (:class:`~repro.sim.tracing.Stage`);
-* ``key``   - the cost-model key: the one input of the launch's price,
-  read alike by numeric execution (``Session.record``) and analytic
-  pricing;
+* ``key``   - the cost-model key: the one input of the launch's price;
 * ``meta``  - the tile coordinates needed to run the numerics;
 * ``deps``  - indices of earlier nodes this launch must wait for (used by
   the multi-stream scheduler; list order is already a topological order);
@@ -23,19 +21,18 @@ node carries
 
 Two executors consume the graph:
 
-* :class:`NumericExecutor` replays the nodes in order against a
-  :class:`~repro.sim.session.Session`, invoking the NumPy kernels on a
-  padded workspace.  Node order is the reduction loop's order, so every
-  replay of one graph - partitioned, batched, planned or served - makes
-  the same kernel calls in the same order and gives the same bytes.
+* :class:`NumericExecutor` replays the nodes in order, invoking the
+  NumPy kernels on a padded workspace; it prices nothing.  Node order is
+  the reduction loop's order, so every replay of one graph -
+  partitioned, batched, planned or served - makes the same kernel calls
+  in the same order and gives the same bytes.
 * :class:`AnalyticExecutor` prices the same nodes without touching data,
   producing the :class:`~repro.sim.schedule.TimeBreakdown` that
-  :meth:`repro.Solver.predict` returns.  Because both executors walk the
-  same nodes and price their keys the same way (:func:`price_node` for a
-  traced launch, its float-identical struct-of-arrays mirror in
-  :mod:`repro.sim.table` for a prediction), the consistency between
-  traced and predicted schedules is structural rather than maintained by
-  hand (pinned in ``tests/test_graph.py``).
+  :meth:`repro.Solver.predict` returns.  A solve's ``return_info``
+  report is that same price of the graph it replayed
+  (:func:`~repro.sim.table.price_table` of ``graph.table()``), so the
+  consistency between executed and predicted schedules is structural
+  rather than maintained by hand (pinned in ``tests/test_graph.py``).
 
 Multi-stream graphs (``streams > 1``) model the *lookahead* variant of
 the algorithm: every trailing-update launch is split into a head chunk
@@ -352,7 +349,7 @@ class LaunchGraph:
         return self._dependents
 
     def launch_counts(self) -> Dict[str, int]:
-        """Kernel name -> launch count (matches the traced execution)."""
+        """Kernel name -> launch count (counted nodes expanded)."""
         counts: Dict[str, int] = {}
         for node in self.nodes:
             counts[node.kind] = counts.get(node.kind, 0) + node.count
@@ -393,15 +390,16 @@ def price_node(
 ) -> LaunchCost:
     """Price one node against a resolved config.
 
-    The one launch pricer: the analytic scalar oracles and
-    :meth:`repro.sim.session.Session.record` (every traced numeric
-    launch) both call it, and the price depends on ``node.key`` alone.
-    ``cache`` is a caller's per-call memo keyed by ``node.key`` (the
-    scalar oracles pass a local dict, since one graph prices the same
-    few keys over and over); no pricer keeps one across calls.
-    ``config`` needs only ``backend``, ``params`` and ``coeffs`` (a
-    :class:`~repro.sim.session.Session` has them).  Non-primary nodes
-    are free (overhead-only launches).
+    The scalar oracle of the one launch pricer: the analytic scalar
+    loops (:meth:`AnalyticExecutor.run_scalar`,
+    :func:`~repro.sim.partition.price_partitioned_scalar`) call it, and
+    :mod:`repro.sim.table` mirrors it float-identically as array
+    expressions; the price depends on ``node.key`` alone.  ``cache`` is
+    a caller's per-call memo keyed by ``node.key`` (the scalar oracles
+    pass a local dict, since one graph prices the same few keys over and
+    over); no pricer keeps one across calls.  ``config`` needs only
+    ``backend``, ``params`` and ``coeffs``.  Non-primary nodes are free
+    (overhead-only launches).
     """
     if not node.primary:
         return ZERO_COST
@@ -509,10 +507,9 @@ class AnalyticExecutor:
     """Price a :class:`LaunchGraph` without touching matrix data.
 
     Accumulates per-stage kernel seconds and launch overheads in node
-    order with the exact accounting of the
-    :class:`~repro.sim.tracing.Tracer`, so the per-stage seconds of a
-    traced numeric run and of the analytic pricing are *float-identical*
-    (not merely approximately equal).
+    order, so every per-stage sum is one sequential fold and the array
+    path and this scalar loop are *float-identical* (not merely
+    approximately equal).
 
     :meth:`run` evaluates the graph's struct-of-arrays table
     (:mod:`repro.sim.table`) in whole-array NumPy expressions;
@@ -559,7 +556,7 @@ class AnalyticExecutor:
                 nbytes += cost.bytes
             else:
                 # expand counted nodes by repeated addition so per-stage
-                # sums stay float-identical to the traced per-launch run
+                # sums stay float-identical to the per-launch graph
                 c = cost_s.get(stage, 0.0)
                 o = over_s.get(stage, 0.0)
                 for _ in range(node.count):
@@ -599,9 +596,8 @@ class NumericExecutor:
     for kernel call, so each replay of a graph gives the same bytes; the
     stage-1 update kernels apply each tile's reflectors as one compact-WY
     block, within a stated tolerance of the paper's reflector-at-a-time
-    loops (their ``*_reference`` twins).  After each node runs, it is
-    handed to ``session.record`` (when a session is given), which prices
-    it with :func:`price_node` under the node's own key.
+    loops (their ``*_reference`` twins).  The executor prices nothing: a
+    solve's report is the table price of the graph it replayed.
 
     Partitioned graphs (``ngpu > 1``) replay too: each sharded update
     chunk runs against its device's tile-row views of the shared
@@ -628,7 +624,7 @@ class NumericExecutor:
         W,
         ts: int,
         eps: float,
-        session=None,
+        *,
         compute_dtype=None,
         storage=None,
         Ut=None,
@@ -640,7 +636,6 @@ class NumericExecutor:
         self.Wt = W.T
         self.ts = ts
         self.eps = eps
-        self.session = session
         self.compute_dtype = compute_dtype
         self.storage = storage
         self.Ut = Ut
@@ -701,13 +696,8 @@ class NumericExecutor:
             from .outofcore import WindowTracker
 
             self._window = WindowTracker(graph)
-        session = self.session
         for node in nodes:
             self._dispatch(node)
-            if session is not None:
-                # the one per-node hook: priced by the analytic pricer's
-                # own functions after the launch ran
-                session.record(node)
         return self
 
     # ------------------------------------------------------------------ #
@@ -735,7 +725,7 @@ class NumericExecutor:
         if kind in TRANSFER_KINDS:
             # pure host<->device movement: a numeric no-op on the shared
             # simulation fabric, but it drives the residency window and
-            # is traced and priced like a launch
+            # is priced like a launch
             if self._window is not None:
                 self._window.on_transfer(node)
             return
@@ -872,7 +862,7 @@ class NumericExecutor:
                 self.values = svdvals_bidiag(d, e)
         elif kind in COMM_KINDS:
             # pure data movement: a numeric no-op on the simulation's
-            # shared-memory fabric, but traced and priced like a launch
+            # shared-memory fabric, but priced like a launch
             pass
         else:  # pragma: no cover - emitter bug
             raise ValueError(f"unknown launch kind {kind!r}")
@@ -882,7 +872,7 @@ class NumericExecutor:
         ex = self._subs.get(p)
         if ex is None:
             ex = NumericExecutor(
-                self.W[p], self.ts, self.eps, session=None,
+                self.W[p], self.ts, self.eps,
                 compute_dtype=self.compute_dtype, storage=self.storage,
             )
             self._subs[p] = ex

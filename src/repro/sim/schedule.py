@@ -9,9 +9,10 @@ grid (up to 131072 for FP16 on H100) in milliseconds.  This module holds
 the :class:`TimeBreakdown` every pricer returns and
 :func:`stage1_launch_count`.
 
-Consistency guarantee: the numeric driver replays the *same* graph, so
-``Solver.predict`` charges identical launches and per-stage seconds by
-construction (pinned by the property tests in ``tests/test_graph.py``).
+Consistency guarantee: a solve's report is the table price of the graph
+it replayed, and ``Solver.predict`` prices the same graph structure, so
+the two charge identical launches and per-stage seconds by construction
+(pinned by the property tests in ``tests/test_graph.py``).
 
 Fused vs unfused (Figure 2): ``fused=True`` prices one FTSQRT + one FTSMQR
 launch per sweep; ``fused=False`` prices one TSQRT + one TSMQR launch per
@@ -21,7 +22,7 @@ scaling (:func:`stage1_launch_count` is the closed-form count).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, Tuple
 
 from ..errors import ShapeError
@@ -35,7 +36,9 @@ class TimeBreakdown:
     """Predicted simulated runtime, attributed per stage.
 
     ``panel_s`` / ``update_s`` / ``brd_s`` / ``solve_s`` include the launch
-    overheads of their own kernels, matching the tracer's accounting.
+    overheads of their own kernels.  It is both what
+    :meth:`repro.Solver.predict` returns and the ``return_info`` report
+    of every numeric solve: the price of the graph the solve replayed.
     ``comm_s`` is the device-to-device communication time of partitioned
     (``ngpu > 1``) predictions — zero on single-device runs; for
     partitioned predictions ``update_s`` is the per-device critical path
@@ -91,6 +94,33 @@ class TimeBreakdown:
     def launch_total(self) -> int:
         """Total kernel launches."""
         return sum(self.launches.values())
+
+    def plus(self, other: "TimeBreakdown") -> "TimeBreakdown":
+        """This breakdown followed serially by ``other``'s launches.
+
+        Every seconds field, ``flops`` and ``bytes`` add, and launch
+        counts merge per kernel; ``n`` and the device fields stay
+        ``self``'s.  The rectangular driver's report is its square
+        solve's plus the tall-QR chain's.
+        """
+        launches = dict(self.launches)
+        for kernel, count in other.launches.items():
+            launches[kernel] = launches.get(kernel, 0) + count
+        return replace(
+            self,
+            panel_s=self.panel_s + other.panel_s,
+            update_s=self.update_s + other.update_s,
+            brd_s=self.brd_s + other.brd_s,
+            solve_s=self.solve_s + other.solve_s,
+            comm_s=self.comm_s + other.comm_s,
+            io_s=self.io_s + other.io_s,
+            comm_intra_s=self.comm_intra_s + other.comm_intra_s,
+            comm_inter_s=self.comm_inter_s + other.comm_inter_s,
+            queue_s=self.queue_s + other.queue_s,
+            launches=launches,
+            flops=self.flops + other.flops,
+            bytes=self.bytes + other.bytes,
+        )
 
     def stage_fractions(self) -> Dict[str, float]:
         """Figure 6 quantities: each stage's share of total runtime."""

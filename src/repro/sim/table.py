@@ -563,7 +563,7 @@ def price_table(table: NodeTable, config, storage):
         counts = table.counts
         if counts.max(initial=1) > 1:
             # expand counted nodes by repetition so per-stage sums stay
-            # float-identical to the traced per-launch run
+            # float-identical to the per-launch graph
             sec = np.repeat(sec, counts)
             over = np.repeat(over, counts)
             flo = np.repeat(flo, counts)

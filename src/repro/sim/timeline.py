@@ -1,120 +1,31 @@
-"""Timeline tools: launch-trace export and multi-stream scheduling.
+"""Multi-stream pricing of a launch graph.
 
-The paper's Figure 6 analysis needs per-kernel, per-stage attribution;
-this module turns a :class:`~repro.sim.tracing.Tracer` into human-readable
-and machine-readable artifacts:
-
-* :func:`render_timeline` - fixed-width table of every launch (kernel,
-  stage, grid/block, simulated time, cumulative clock);
-* :func:`timeline_rows` - plain dict rows, JSON/CSV-friendly;
-* :func:`kernel_summary` - per-kernel aggregate (count, total time, share).
-
-It also hosts the multi-stream pricing of a
-:class:`~repro.sim.graph.LaunchGraph`: :func:`schedule_streams` runs a
-greedy critical-path list scheduler over the graph's dependency DAG,
-modelling lookahead execution where the panel chain occupies one stream
-while the split trailing-update remainders overlap on the others (the
-scenario behind ``Solver.predict(..., streams=k)``).
+:func:`schedule_streams` prices a :class:`~repro.sim.graph.LaunchGraph`
+with a greedy critical-path list scheduler over the graph's dependency
+DAG, modelling lookahead execution where the panel chain occupies one
+stream while the split trailing-update remainders overlap on the others
+(the scenario behind ``Solver.predict(..., streams=k)``).  Its
+per-launch durations come from the graph's node table, the same prices
+a solve's ``return_info`` report folds per stage.
 """
 
 from __future__ import annotations
 
 import heapq
-import json
 from dataclasses import dataclass, field
 from typing import Dict, List
 
 import numpy as np
 
-from ..report import format_seconds, format_table
 from .graph import LaunchGraph, longest_paths
 from .table import stream_costs
-from .tracing import Stage, Tracer
+from .tracing import Stage
 
-__all__ = [
-    "StreamSchedule",
-    "schedule_streams",
-    "timeline_rows",
-    "render_timeline",
-    "kernel_summary",
-    "dump_json",
-]
+__all__ = ["StreamSchedule", "schedule_streams"]
 
 #: Stage ids of the launches confined to one link or host-link lane.
 _COMM_ID = Stage.ALL.index(Stage.COMM)
 _TRANSFER_ID = Stage.ALL.index(Stage.TRANSFER)
-
-
-def timeline_rows(tracer: Tracer) -> List[Dict[str, object]]:
-    """Per-launch dict rows with a cumulative simulated clock."""
-    rows: List[Dict[str, object]] = []
-    clock = 0.0
-    for rec in tracer.records:
-        clock += rec.seconds
-        rows.append(
-            {
-                "kernel": rec.kernel,
-                "stage": rec.stage,
-                "grid": rec.grid,
-                "block": rec.block,
-                "seconds": rec.seconds,
-                "overhead_s": rec.overhead_s,
-                "flops": rec.cost.flops,
-                "bytes": rec.cost.bytes,
-                "clock_s": clock,
-            }
-        )
-    return rows
-
-
-def render_timeline(tracer: Tracer, limit: int = 50) -> str:
-    """ASCII table of the first ``limit`` launches plus a summary line."""
-    rows = timeline_rows(tracer)
-    body = [
-        [
-            str(i),
-            r["kernel"],
-            r["stage"],
-            f"{r['grid']}x{r['block']}",
-            format_seconds(float(r["seconds"])).strip(),
-            format_seconds(float(r["clock_s"])).strip(),
-        ]
-        for i, r in enumerate(rows[:limit])
-    ]
-    table = format_table(
-        ["#", "kernel", "stage", "grid", "time", "clock"],
-        body,
-        title=f"simulated timeline ({len(rows)} launches, "
-        f"total {format_seconds(tracer.total_seconds).strip()})",
-    )
-    if len(rows) > limit:
-        table += f"\n... {len(rows) - limit} more launches"
-    return table
-
-
-def kernel_summary(tracer: Tracer) -> List[Dict[str, object]]:
-    """Per-kernel aggregates sorted by total simulated time."""
-    agg: Dict[str, Dict[str, float]] = {}
-    for rec in tracer.records:
-        entry = agg.setdefault(
-            rec.kernel, {"count": 0.0, "seconds": 0.0, "flops": 0.0}
-        )
-        entry["count"] += 1
-        entry["seconds"] += rec.seconds
-        entry["flops"] += rec.cost.flops
-    total = tracer.total_seconds or 1.0
-    out = [
-        {
-            "kernel": kernel,
-            "count": int(v["count"]),
-            "seconds": v["seconds"],
-            "share": v["seconds"] / total,
-            "flops": v["flops"],
-        }
-        for kernel, v in agg.items()
-    ]
-    out.sort(key=lambda r: -float(r["seconds"]))
-    return out
 
 
 @dataclass
@@ -298,15 +209,3 @@ def schedule_streams(
         ngpu=ngpu,
     )
 
-
-def dump_json(tracer: Tracer) -> str:
-    """Serialize the full timeline to a JSON string."""
-    return json.dumps(
-        {
-            "total_seconds": tracer.total_seconds,
-            "stage_seconds": tracer.stage_breakdown(),
-            "kernels": kernel_summary(tracer),
-            "launches": timeline_rows(tracer),
-        },
-        indent=1,
-    )

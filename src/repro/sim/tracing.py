@@ -1,21 +1,16 @@
-"""Launch tracing: the simulator's timeline and stage accounting.
+"""Stage tags: the Figure 6 attribution of every launch.
 
-Every kernel launch performed through a :class:`~repro.sim.session.Session`
-produces a :class:`LaunchRecord`.  The :class:`Tracer` aggregates them into
-per-stage totals - exactly the attribution Figure 6 of the paper reports
-(panel factorization, trailing submatrix update, reduction to bidiagonal,
-reduction to diagonal).
+Each :class:`~repro.sim.graph.LaunchNode` carries one :class:`Stage` tag,
+and every pricer folds launch seconds per tag - exactly the attribution
+Figure 6 of the paper reports (panel factorization, trailing submatrix
+update, reduction to bidiagonal, reduction to diagonal), plus the
+communication and host-transfer launches of partitioned and out-of-core
+graphs.
 """
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
-
-from .costmodel import LaunchCost
-
-__all__ = ["Stage", "LaunchRecord", "Tracer"]
+__all__ = ["Stage"]
 
 
 class Stage:
@@ -29,102 +24,3 @@ class Stage:
     TRANSFER = "transfer"  # host <-> device traffic
 
     ALL = (PANEL, UPDATE, BRD, SOLVE, COMM, TRANSFER)
-
-
-@dataclass(frozen=True)
-class LaunchRecord:
-    """One simulated kernel launch."""
-
-    kernel: str  # e.g. "geqrt", "ftsmqr"
-    stage: str  # one of Stage.ALL
-    cost: LaunchCost  # kernel execution cost (excl. overhead)
-    overhead_s: float  # fixed launch overhead charged
-    grid: int = 1  # workgroups launched
-    block: int = 1  # threads per workgroup
-
-    @property
-    def seconds(self) -> float:
-        """Total simulated wall time of this launch."""
-        return self.cost.seconds + self.overhead_s
-
-
-@dataclass
-class Tracer:
-    """Accumulates launch records and per-stage totals."""
-
-    keep_records: bool = True
-    records: List[LaunchRecord] = field(default_factory=list)
-    _stage_seconds: Dict[str, float] = field(
-        default_factory=lambda: defaultdict(float)
-    )
-    _stage_overhead: Dict[str, float] = field(
-        default_factory=lambda: defaultdict(float)
-    )
-    _kernel_counts: Counter = field(default_factory=Counter)
-    _flops: float = 0.0
-    _bytes: float = 0.0
-
-    # ------------------------------------------------------------------ #
-    def record(self, rec: LaunchRecord) -> None:
-        """Add one launch to the timeline."""
-        if self.keep_records:
-            self.records.append(rec)
-        self._stage_seconds[rec.stage] += rec.cost.seconds
-        self._stage_overhead[rec.stage] += rec.overhead_s
-        self._kernel_counts[rec.kernel] += 1
-        self._flops += rec.cost.flops
-        self._bytes += rec.cost.bytes
-
-    # ------------------------------------------------------------------ #
-    # aggregate views
-    # ------------------------------------------------------------------ #
-    @property
-    def total_seconds(self) -> float:
-        """Simulated end-to-end time (kernel time + launch overheads)."""
-        return sum(self._stage_seconds.values()) + sum(
-            self._stage_overhead.values()
-        )
-
-    def stage_seconds(self, stage: str, include_overhead: bool = True) -> float:
-        """Simulated time attributed to one stage."""
-        t = self._stage_seconds.get(stage, 0.0)
-        if include_overhead:
-            t += self._stage_overhead.get(stage, 0.0)
-        return t
-
-    def stage_breakdown(self) -> Dict[str, float]:
-        """Stage -> seconds map over all recorded stages."""
-        return {
-            stage: self.stage_seconds(stage)
-            for stage in Stage.ALL
-            if self.stage_seconds(stage) > 0.0
-        }
-
-    def launch_count(self, kernel: Optional[str] = None) -> int:
-        """Number of launches, optionally filtered by kernel name."""
-        if kernel is None:
-            return sum(self._kernel_counts.values())
-        return self._kernel_counts.get(kernel, 0)
-
-    def kernel_counts(self) -> Dict[str, int]:
-        """Kernel name -> launch count."""
-        return dict(self._kernel_counts)
-
-    @property
-    def total_flops(self) -> float:
-        """Accumulated floating-point operations across all launches."""
-        return self._flops
-
-    @property
-    def total_bytes(self) -> float:
-        """Accumulated global-memory traffic across all launches."""
-        return self._bytes
-
-    def reset(self) -> None:
-        """Clear the timeline."""
-        self.records.clear()
-        self._stage_seconds.clear()
-        self._stage_overhead.clear()
-        self._kernel_counts.clear()
-        self._flops = 0.0
-        self._bytes = 0.0

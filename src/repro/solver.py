@@ -296,7 +296,11 @@ class Solver:
 
         Returns descending singular values (``(min(m, n),)`` for 2-D
         inputs, ``(batch, n)`` for stacks), plus the execution report when
-        ``return_info=True``.  A sequence of matrices that does not stack
+        ``return_info=True``: the
+        :class:`~repro.sim.schedule.TimeBreakdown` price of the launch
+        graph the solve replayed, the same type :meth:`predict` returns
+        (without ``return_info`` nothing is priced).  A sequence of
+        matrices that does not stack
         (ragged sizes) raises the batched driver's
         :class:`~repro.errors.ShapeError`.
         """
@@ -327,8 +331,8 @@ class Solver:
     def svd(self, A: np.ndarray, return_info: bool = False):
         """Full SVD ``A = U diag(s) Vt`` of a square matrix.
 
-        Returns an :class:`~repro.SVDResult` (plus ``SVDInfo`` with
-        ``return_info=True``).  Replays the launch graph of :meth:`solve`
+        Returns an :class:`~repro.SVDResult` (plus the execution report
+        with ``return_info=True``).  Replays the launch graph of :meth:`solve`
         with the singular-vector accumulator updates added, honoring the
         handle's backend, precision, hyperparameters, coefficients,
         ``fused``, ``rescale`` and ``check_finite``.  Stage 3 is the one
@@ -770,21 +774,15 @@ class SvdPlan:
 
         :meth:`Solver.predict` of the planned order (and batch count).
         Rectangular plans add the tall-QR preprocessing on top of the
-        square ``min(m, n)`` solve (matching the merged ``return_info``
-        accounting of the rectangular driver).
+        square ``min(m, n)`` solve, as the rectangular driver's
+        ``return_info`` report does.
         """
         bd = Solver.from_config(self.config).predict(self.n, batch=self.batch)
         if self.kind == "rect":
-            pre = price_table(
+            bd = bd.plus(price_table(
                 emit_tallqr_graph(self.m, self.n, self.config).table(),
                 self.config, self.storage,
-            )
-            bd.panel_s += pre.panel_s
-            bd.update_s += pre.update_s
-            for kernel, count in pre.launches.items():
-                bd.launches[kernel] = bd.launches.get(kernel, 0) + count
-            bd.flops += pre.flops
-            bd.bytes += pre.bytes
+            ))
         return bd
 
     def execute(

@@ -6,10 +6,10 @@ ngpu x nodes x out_of_core x topology, filtered per workload by its
 ``supports`` flags - asserting, per row:
 
 * **numeric rows**: bitwise replay identity (the resolved driver run
-  twice returns identical bits, with and without tracing), oracle
-  agreement with the NumPy/LAPACK reference at the precision's
-  threshold, and traced-vs-analytic launch-count equality (the tracer's
-  kernel counts equal the emitted graph's, exactly);
+  twice returns identical bits, with and without ``return_info``),
+  oracle agreement with the NumPy/LAPACK reference at the precision's
+  threshold, and reported-vs-analytic launch-count equality (the
+  report's kernel counts equal the emitted graph's, exactly);
 * **analytic rows**: the greedy-scheduler-vs-event-simulator oracle
   invariant - on a single contention-free device with ample streams the
   discrete-event makespan equals the greedy total *exactly* (zero
@@ -147,7 +147,7 @@ def _config_for(row: Row) -> SolveConfig:
 
 
 def check_numeric(row: Row) -> None:
-    """Bitwise replay + oracle agreement + traced-count equality."""
+    """Bitwise replay + oracle agreement + reported-count equality."""
     spec = WORKLOADS[row.workload]
     config = _config_for(row)
     A = spec.make_input(NUMERIC_N, _SEED)
@@ -156,19 +156,15 @@ def check_numeric(row: Row) -> None:
     again = np.asarray(spec.run(A, config))
     assert np.array_equal(first, again), "replay is not bitwise stable"
 
-    traced, info = spec.run_info(A, config)
-    assert np.array_equal(first, np.asarray(traced)), (
-        "tracing changed the numerics"
+    reported, info = spec.run_info(A, config)
+    assert np.array_equal(first, np.asarray(reported)), (
+        "return_info changed the numerics"
     )
     spec.check(first, A, row.precision)
 
     counts = spec.analytic_counts(NUMERIC_N, config)
-    # SVDInfo spells the dict launch_counts, TimeBreakdown launches
-    traced_counts = getattr(info, "launch_counts", None)
-    if traced_counts is None:
-        traced_counts = info.launches
-    assert traced_counts == counts, (
-        f"traced launches {traced_counts} != analytic {counts}"
+    assert info.launches == counts, (
+        f"reported launches {info.launches} != analytic {counts}"
     )
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -35,6 +36,28 @@ def pytest_configure(config):
 def rng() -> np.random.Generator:
     """Seeded generator - deterministic tests."""
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch) -> Counter:
+    """Calls of each stage-1 kernel, counted from executors built after.
+
+    :class:`~repro.sim.graph.NumericExecutor` binds the six kernels of
+    :mod:`repro.kernels` by module attribute when it is constructed, so
+    wrapping them there counts every launch a later replay runs.
+    """
+    import repro.kernels
+
+    calls: Counter = Counter()
+    for name in ("geqrt", "unmqr", "ftsqrt", "ftsmqr", "tsqrt", "tsmqr"):
+        kernel = getattr(repro.kernels, name)
+
+        def counted(*args, _name=name, _kernel=kernel, **kwargs):
+            calls[_name] += 1
+            return _kernel(*args, **kwargs)
+
+        monkeypatch.setattr(repro.kernels, name, counted)
+    return calls
 
 
 def scipy_svdvals(A: np.ndarray) -> np.ndarray:

@@ -21,7 +21,6 @@ REPRO_ALL = [
     "Precision",
     "REFERENCE_PARAMS",
     "ReproError",
-    "SVDInfo",
     "SVDResult",
     "ServiceStats",
     "ShapeError",
@@ -41,7 +40,6 @@ REPRO_ALL = [
 ]
 
 CORE_ALL = [
-    "SVDInfo",
     "SVDResult",
     "WORKLOADS",
     "WorkloadSpec",
@@ -87,40 +85,33 @@ SIM_ALL = [
     "LaunchCost",
     "LaunchGraph",
     "LaunchNode",
-    "LaunchRecord",
     "LinkSpec",
     "NodeTable",
     "NumericExecutor",
     "OccupancyInfo",
     "REFERENCE_PARAMS",
-    "Session",
     "Stage",
     "StreamSchedule",
     "TimeBreakdown",
     "Topology",
-    "Tracer",
     "bidiag_solve_cost",
     "bound_table_stats",
     "brd_cost",
     "check_shard_capacity",
     "clear_bound_tables",
     "comm_cost",
-    "dump_json",
     "fleet_weights",
-    "kernel_summary",
     "panel_cost",
     "param_grid",
     "partition_graph",
     "price_partitioned",
     "price_table",
-    "render_timeline",
     "rewrite_out_of_core",
     "schedule_streams",
     "shard_rows",
     "shard_rows_weighted",
     "simulate_events",
     "stage1_launch_count",
-    "timeline_rows",
     "update_cost",
     "update_occupancy",
     "warp_utilization",

@@ -1,12 +1,12 @@
-"""Coverage backfill for the timeline, occupancy and replay modules.
+"""Coverage backfill for the occupancy and replay modules.
 
-Targets the branches the original suites left dark: the tracer's
-overhead-exclusive stage accounting, occupancy saturation/clamping edges,
-the trace-generator guard messages, and - above all - the ON/OFF
-modulated :func:`repro.serve.replay.bursty_trace` generator, which had no
-tests at all.  Together with the virtual-clock shed / spill paths of
+Targets the branches the original suites left dark: occupancy
+saturation/clamping edges, the trace-generator guard messages, and -
+above all - the ON/OFF modulated
+:func:`repro.serve.replay.bursty_trace` generator, which had no tests at
+all.  Together with the virtual-clock shed / spill paths of
 :func:`repro.serve.replay.simulate_service`, these pin every reachable
-statement of the three modules.
+statement of the two modules.
 """
 
 import numpy as np
@@ -16,83 +16,12 @@ from repro import Solver
 from repro.backends import get_device
 from repro.errors import InvalidParamsError
 from repro.serve.replay import bursty_trace, poisson_trace, simulate_service
-from repro.sim.costmodel import LaunchCost
 from repro.sim.occupancy import (
     SATURATION_THREADS_PER_SM,
     update_occupancy,
     warp_utilization,
 )
 from repro.sim.params import KernelParams
-from repro.sim.tracing import LaunchRecord, Stage, Tracer
-
-
-def _rec(kernel="geqrt", stage=Stage.PANEL, seconds=1.0, overhead=0.5,
-         flops=10.0, nbytes=20.0):
-    return LaunchRecord(
-        kernel=kernel, stage=stage,
-        cost=LaunchCost(seconds=seconds, flops=flops, bytes=nbytes),
-        overhead_s=overhead,
-    )
-
-
-class TestTracerAccounting:
-    """Overhead attribution and the aggregate views."""
-
-    def test_record_seconds_property(self):
-        rec = _rec(seconds=2.0, overhead=0.25)
-        assert rec.seconds == 2.25
-
-    def test_stage_seconds_excluding_overhead(self):
-        tr = Tracer()
-        tr.record(_rec(seconds=2.0, overhead=0.5))
-        assert tr.stage_seconds(Stage.PANEL) == 2.5
-        assert tr.stage_seconds(Stage.PANEL, include_overhead=False) == 2.0
-
-    def test_unknown_stage_is_zero(self):
-        tr = Tracer()
-        tr.record(_rec())
-        assert tr.stage_seconds(Stage.COMM) == 0.0
-        assert tr.stage_seconds(Stage.COMM, include_overhead=False) == 0.0
-
-    def test_total_seconds_sums_overheads(self):
-        tr = Tracer()
-        tr.record(_rec(stage=Stage.PANEL, seconds=1.0, overhead=0.5))
-        tr.record(_rec(stage=Stage.UPDATE, seconds=2.0, overhead=0.25))
-        assert tr.total_seconds == pytest.approx(3.75)
-
-    def test_launch_count_filters_by_kernel(self):
-        tr = Tracer()
-        tr.record(_rec(kernel="geqrt"))
-        tr.record(_rec(kernel="tsqrt"))
-        tr.record(_rec(kernel="tsqrt"))
-        assert tr.launch_count() == 3
-        assert tr.launch_count("tsqrt") == 2
-        assert tr.launch_count("unmqr") == 0
-
-    def test_flops_and_bytes_accumulate(self):
-        tr = Tracer()
-        tr.record(_rec(flops=10.0, nbytes=20.0))
-        tr.record(_rec(flops=5.0, nbytes=7.0))
-        assert tr.total_flops == 15.0
-        assert tr.total_bytes == 27.0
-
-    def test_reset_clears_every_tally(self):
-        tr = Tracer()
-        tr.record(_rec())
-        tr.reset()
-        assert tr.records == []
-        assert tr.total_seconds == 0.0
-        assert tr.total_flops == 0.0
-        assert tr.total_bytes == 0.0
-        assert tr.launch_count() == 0
-        assert tr.stage_breakdown() == {}
-
-    def test_keep_records_false_still_aggregates(self):
-        tr = Tracer(keep_records=False)
-        tr.record(_rec(seconds=1.0, overhead=0.5))
-        assert tr.records == []
-        assert tr.total_seconds == 1.5
-        assert tr.kernel_counts() == {"geqrt": 1}
 
 
 class TestOccupancyEdges:

@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 import repro
-from repro.config import SolveConfig
 from repro.core import emit_batched_graph, emit_svd_graph
 from repro.errors import CapacityError, InvalidParamsError, ShapeError
 from repro.serve.admission import AdmissionController

@@ -1,11 +1,10 @@
 """The stage-graph execution engine: one LaunchGraph, two executors.
 
-Replaces (and strengthens) the old ``test_schedule_consistency``: since
-the drivers and the analytic predictor consume the *same* emitted
-:class:`~repro.sim.LaunchGraph`, the property is no longer "two hand-kept
-walks agree approximately" but "the analytic executor charges the traced
-numeric run's launches *identically*" - per-kernel counts with ``==``,
-per-stage simulated seconds with float equality, totals to 1e-12.
+A numeric solve's ``return_info`` report is the table price of the graph
+it replayed, so the property is "the report *is* the analytic price of
+the replayed graph" (whole ``TimeBreakdown`` objects compared with
+``==``) and "the prediction of the same shape charges identical launches
+and float-identical per-stage seconds".
 """
 
 import numpy as np
@@ -14,7 +13,9 @@ import pytest
 from repro import Solver
 from repro.core import (
     emit_batched_graph,
+    emit_brd_chase,
     emit_eigh_graph,
+    emit_lowrank_graph,
     emit_svd_graph,
     emit_tallqr_graph,
     jacobi_svdvals,
@@ -24,14 +25,18 @@ from repro.errors import InvalidParamsError, ShapeError
 from repro.sim import (
     AnalyticExecutor,
     KernelParams,
+    LaunchNode,
     NumericExecutor,
     Stage,
+    TimeBreakdown,
     partition_graph,
+    price_table,
     rewrite_out_of_core,
     schedule_streams,
     stage1_launch_count,
 )
-from repro.sim.costmodel import brd_launch_count
+from repro.sim.costmodel import ZERO_COST, brd_launch_count
+from repro.sim.graph import node_overhead_s, price_node
 
 SIZES = [(64, 32), (96, 32), (128, 16), (130, 32)]
 BACKENDS = [
@@ -49,26 +54,34 @@ def make_solver(backend, precision, ts, fused):
 
 
 class TestAnalyticMatchesTraced:
-    """Property sweep: sizes x backends x precisions x fusion modes."""
+    """A solve's report against the analytic price of its graph.
+
+    Sweeps sizes x backends x precisions x fusion modes: the report of
+    every numeric door is ``==`` the :func:`~repro.sim.price_table` of
+    the graph the door replayed, and matches :meth:`Solver.predict` of
+    the same shape launch for launch and stage for stage.
+    """
 
     @pytest.mark.parametrize("backend,precision", BACKENDS)
     @pytest.mark.parametrize("fused", [True, False])
     @pytest.mark.parametrize("n,ts", SIZES)
     def test_identical_launches_and_time(self, backend, precision, n, ts, fused):
         solver = make_solver(backend, precision, ts, fused)
+        cfg, storage = solver.config, solver.precision
         A = np.random.default_rng(7).standard_normal((n, n))
         _, info = solver.solve(A, return_info=True)
-        bd = solver.predict(n)
+        assert info == price_table(emit_svd_graph(n, cfg).table(), cfg, storage)
 
+        bd = solver.predict(n)
         # identical launches: every kernel, exact counts
-        assert info.launch_counts == bd.launches
+        assert info.launches == bd.launches
         # identical simulated time: per-stage float equality (both sides
-        # accumulate the same costs in the same node order)
-        assert info.stage_seconds.get(Stage.PANEL, 0.0) == bd.panel_s
-        assert info.stage_seconds.get(Stage.UPDATE, 0.0) == bd.update_s
-        assert info.stage_seconds.get(Stage.BRD, 0.0) == bd.brd_s
-        assert info.stage_seconds.get(Stage.SOLVE, 0.0) == bd.solve_s
-        assert info.simulated_seconds == pytest.approx(bd.total_s, rel=1e-12)
+        # accumulate the same costs in the same per-stage order)
+        assert info.panel_s == bd.panel_s
+        assert info.update_s == bd.update_s
+        assert info.brd_s == bd.brd_s
+        assert info.solve_s == bd.solve_s
+        assert info.total_s == bd.total_s
         # counted analytic graphs accumulate flops/bytes in per-kernel
         # runs rather than interleaved launch order: same terms, so only
         # float-association differs
@@ -82,8 +95,8 @@ class TestAnalyticMatchesTraced:
                  "eigh", "svd"],
     )
     def test_recording_branches(self, backend, precision, fused, case):
-        """Comm, transfer, ``steig_cpu`` and ``*_acc`` launches: a traced
-        replay charges exactly what the analytic executor prices."""
+        """Comm, transfer, ``steig_cpu`` and ``*_acc`` launches: the report
+        of a replay is exactly the analytic price of the replayed graph."""
         n, ts = 130, 32
         solver = make_solver(backend, precision, ts, fused)
         cfg, storage = solver.config, solver.precision
@@ -106,15 +119,8 @@ class TestAnalyticMatchesTraced:
             _, info = svdvals_resolved(A, cfg, graph=graph, return_info=True)
         bd = AnalyticExecutor(cfg, storage).run(graph)
 
-        assert info.launch_counts == bd.launches
-        predicted = {
-            Stage.PANEL: bd.panel_s, Stage.UPDATE: bd.update_s,
-            Stage.BRD: bd.brd_s, Stage.SOLVE: bd.solve_s,
-            Stage.COMM: bd.comm_s, Stage.TRANSFER: bd.io_s,
-        }
-        for stage, seconds in predicted.items():
-            assert info.stage_seconds.get(stage, 0.0) == seconds, stage
-        # each case reaches the recording branch it is named for
+        assert info == bd
+        # each case reaches the launch family it is named for
         reached = {
             "partitioned": bd.comm_s > 0,
             "out_of_core": bd.io_s > 0,
@@ -130,9 +136,146 @@ class TestAnalyticMatchesTraced:
             np.float32
         )
         _, info = solver.solve(A, return_info=True)
-        bd = solver.plan((160, 64)).breakdown()
-        assert info.launch_counts == bd.launches
-        assert info.simulated_seconds == pytest.approx(bd.total_s, rel=1e-12)
+        assert info == solver.plan((160, 64)).breakdown()
+        # the transpose runs the same chain
+        _, wide = solver.solve(A.T, return_info=True)
+        assert wide == info
+
+    @pytest.mark.parametrize("fused", [True, False])
+    @pytest.mark.parametrize("shape", [(256, 96), (96, 256)],
+                             ids=["tall", "wide"])
+    def test_lowrank_report_is_its_graph_price(self, shape, fused):
+        solver = Solver(backend="h100", precision="fp32", fused=fused)
+        cfg, storage = solver.config, solver.precision
+        A = np.random.default_rng(5).standard_normal(shape)
+        _, info = solver.svd_lowrank(A, rank=16, return_info=True)
+        m, n = max(shape), min(shape)
+        graph = emit_lowrank_graph(m, n, 16, cfg)
+        assert info == price_table(graph.table(), cfg, storage)
+
+    def test_lowrank_report_carries_the_matrix_order(self):
+        # the report prices the whole low-rank graph, whose n is the
+        # matrix's, not the sketch width of the inner square solve
+        solver = Solver(backend="h100", precision="fp32")
+        A = np.random.default_rng(6).standard_normal((1024, 128))
+        _, info = solver.svd_lowrank(A, rank=32, return_info=True)
+        assert info.n == 128
+        _, wide = solver.svd_lowrank(A.T, rank=32, return_info=True)
+        assert wide.n == 128
+
+    def test_every_door_reports_one_type(self):
+        solver = Solver(backend="h100", precision="fp32")
+        rng = np.random.default_rng(8)
+        A = rng.standard_normal((64, 64))
+        reports = [
+            solver.solve(A, return_info=True)[1],
+            solver.solve(rng.standard_normal((3, 64, 64)),
+                         return_info=True)[1],
+            solver.solve(rng.standard_normal((96, 64)), return_info=True)[1],
+            solver.eigh(A + A.T, return_info=True)[1],
+            solver.svd(A, return_info=True)[1],
+            solver.svd_lowrank(A, rank=8, return_info=True)[1],
+        ]
+        assert {type(r) for r in reports} == {TimeBreakdown}
+
+
+class TestValuesOnlySolvePricesNothing:
+    """Without ``return_info`` a solve prices no launch at all."""
+
+    def test_no_door_prices_a_key(self, monkeypatch):
+        # the scalar pricer and the table pricer (whose brd / solve keys
+        # it delegates here) both resolve this name per call
+        def refuse(*args, **kwargs):
+            raise AssertionError("a values-only solve priced a launch")
+
+        monkeypatch.setattr("repro.sim.graph.price_key", refuse)
+        solver = Solver(backend="h100", precision="fp32")
+        rng = np.random.default_rng(9)
+        A = rng.standard_normal((64, 64))
+        solver.solve(A)
+        solver.solve(rng.standard_normal((96, 48)))
+        solver.solve(rng.standard_normal((48, 96)))
+        solver.solve(rng.standard_normal((4, 48, 48)))
+        solver.eigh(A + A.T)
+        solver.svd(A)
+        solver.svd_lowrank(rng.standard_normal((128, 64)), rank=8)
+        solver.plan((64, 64)).execute(A)
+        # the patch bites: a report does price
+        with pytest.raises(AssertionError, match="priced a launch"):
+            solver.solve(A, return_info=True)
+
+
+class TestPriceNode:
+    """The scalar launch pricer's per-family rules."""
+
+    def setup_method(self):
+        self.config = Solver(backend="h100", precision="fp16").config
+        self.storage = self.config.precision
+        self.compute = self.config.backend.compute_precision(self.storage)
+        self.device = self.config.backend.device
+
+    def price(self, node):
+        return price_node(node, self.config, self.storage, self.compute)
+
+    @pytest.mark.parametrize("kind,stage,key", [
+        ("ftsqrt", Stage.PANEL, ("panel", 3, 2)),
+        ("unmqr", Stage.UPDATE, ("update", 100, 1, False)),
+        ("gemm", Stage.UPDATE, ("gemm", 512, 256, 100)),
+        ("trsm", Stage.UPDATE, ("trsm", 512, 100)),
+        ("brd_chase", Stage.BRD, ("brd", 1024, 32)),
+        ("geqrt_b", Stage.PANEL, ("panel_b", 8, 1, 1)),
+        ("brd_chase_b", Stage.BRD, ("brd_b", 8, 64, 32)),
+    ], ids=["panel", "update", "gemm", "trsm", "brd", "panel_b", "brd_b"])
+    def test_gpu_launches_pay_the_launch_overhead(self, kind, stage, key):
+        node = LaunchNode(kind, stage, key)
+        assert self.price(node).seconds > 0
+        assert node_overhead_s(node, self.device) == (
+            self.device.launch_overhead_s
+        )
+
+    @pytest.mark.parametrize("kind,stage,key", [
+        ("bdsqr_cpu", Stage.SOLVE, ("solve", 512)),
+        ("bdsqr_cpu_b", Stage.SOLVE, ("solve_b", 8, 64)),
+        ("panel_bcast", Stage.COMM, ("comm", 1024, 2, 450.0, 1.0)),
+        ("h2d_tile", Stage.TRANSFER, ("comm", 1 << 20, 1, 25.0, 10.0)),
+    ], ids=["solve", "solve_b", "comm", "transfer"])
+    def test_cpu_and_link_launches_pay_no_overhead(self, kind, stage, key):
+        node = LaunchNode(kind, stage, key)
+        assert self.price(node).seconds > 0
+        assert node_overhead_s(node, self.device) == 0.0
+
+    def test_comm_launch_moves_the_storage_bytes(self):
+        bcast = self.price(
+            LaunchNode("panel_bcast", Stage.COMM, ("comm", 1024, 2, 450.0, 1.0))
+        )
+        assert bcast.bytes == 2 * 1024 * self.storage.sizeof
+
+    def test_transfer_launch_moves_the_storage_bytes(self):
+        h2d = self.price(
+            LaunchNode("h2d_tile", Stage.TRANSFER,
+                       ("comm", 1 << 20, 1, 25.0, 10.0))
+        )
+        assert h2d.bytes == (1 << 20) * self.storage.sizeof
+        assert h2d.seconds == pytest.approx(10e-6 + h2d.bytes / 25e9)
+
+    def test_brd_launch_counts(self):
+        coeffs = self.config.coeffs
+        chase = emit_brd_chase(1024, 32, coeffs)
+        assert len(chase) == brd_launch_count(1024, 32, coeffs) > 1
+        assert chase[0].primary and self.price(chase[0]).seconds > 0
+
+    def test_brd_followups_cost_only_overhead(self):
+        chase = emit_brd_chase(1024, 32, self.config.coeffs)
+        for node in chase[1:]:
+            assert not node.primary
+            assert self.price(node) == ZERO_COST
+            assert node_overhead_s(node, self.device) == (
+                self.device.launch_overhead_s
+            )
+
+    def test_brd_band_of_one_emits_no_launch(self):
+        # a band of 1 is already bidiagonal: the chase emits no launch
+        assert emit_brd_chase(1024, 1, self.config.coeffs) == []
 
 
 class TestGraphStructure:

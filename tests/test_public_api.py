@@ -54,7 +54,7 @@ class TestReadmeQuickstart:
         sv, info = repro.Solver(backend="mi250", precision="fp64").solve(
             A, return_info=True
         )
-        assert info.simulated_seconds > 0
+        assert info.total_s > 0
         with pytest.raises(repro.UnsupportedPrecisionError):
             repro.Solver(backend="mi250", precision="fp16").solve(A)
         with pytest.raises(repro.UnsupportedPrecisionError):

@@ -4,7 +4,7 @@ import pytest
 
 from repro import Solver
 from repro.errors import CapacityError, ShapeError
-from repro.sim import KernelParams, stage1_launch_count
+from repro.sim import KernelParams, TimeBreakdown, stage1_launch_count
 
 H100 = Solver("h100", "fp32")
 
@@ -107,3 +107,24 @@ class TestPredict:
         Solver("h100", "fp16").predict(131072)
         with pytest.raises(CapacityError):
             H100.predict(131072)
+
+
+class TestBreakdownPlus:
+    def test_plus_adds_every_stage_and_merges_launches(self):
+        square = TimeBreakdown(
+            n=64, panel_s=1.0, update_s=2.0, brd_s=3.0, solve_s=4.0,
+            launches={"geqrt": 3, "bdsqr_cpu": 1}, flops=10.0, bytes=20.0,
+        )
+        chain = TimeBreakdown(
+            n=64, panel_s=0.5, update_s=0.25, comm_s=0.125,
+            launches={"geqrt": 2, "ftsqrt": 2}, flops=1.0, bytes=2.0,
+        )
+        both = square.plus(chain)
+        assert both == TimeBreakdown(
+            n=64, panel_s=1.5, update_s=2.25, brd_s=3.0, solve_s=4.0,
+            comm_s=0.125, launches={"geqrt": 5, "bdsqr_cpu": 1, "ftsqrt": 2},
+            flops=11.0, bytes=22.0,
+        )
+        assert both.total_s == square.total_s + chain.total_s
+        # the operands are left as they were
+        assert square.launches == {"geqrt": 3, "bdsqr_cpu": 1}

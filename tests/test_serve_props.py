@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from repro import Solver
 from repro.errors import CapacityError, ShedError
-from repro.serve import AdmissionController, Batch, DynamicBatcher, SvdRequest
+from repro.serve import AdmissionController, DynamicBatcher, SvdRequest
 from repro.tuning import shape_class
 
 CONFIG = Solver(backend="h100", precision="fp32").config

@@ -110,16 +110,17 @@ class TestShapeDispatch:
     def test_return_info(self, rng, solver):
         A = rng.standard_normal((40, 40)).astype(np.float32)
         vals, info = solver.solve(A, return_info=True)
-        assert info.simulated_seconds > 0
-        assert info.backend == "nvidia-h100"
+        assert info.total_s > 0
 
     def test_precision_inference_when_unset(self, rng):
         auto = Solver(backend="h100")  # precision inferred per input
         A16 = (0.1 * rng.standard_normal((32, 32))).astype(np.float16)
-        _, info = auto.solve(A16, return_info=True)
-        assert info.precision == "fp16"
-        _, info = auto.solve(A16.astype(np.float64), return_info=True)
-        assert info.precision == "fp64"
+        for A, precision in ((A16, "fp16"), (A16.astype(np.float64), "fp64")):
+            _, info = auto.solve(A, return_info=True)
+            _, pinned = Solver(backend="h100", precision=precision).solve(
+                A, return_info=True
+            )
+            assert info == pinned
 
 
 class TestEmptyShapeConsistency:
@@ -220,8 +221,7 @@ class TestPlan:
         plan = solver.plan(96)
         _, info1 = solver.solve(A, return_info=True)
         _, info2 = plan.execute(A, return_info=True)
-        assert info2.simulated_seconds == pytest.approx(info1.simulated_seconds)
-        assert info2.launch_counts == info1.launch_counts
+        assert info2 == info1
 
     def test_batched_plan(self, rng):
         # fp16 / fp64 storage, and an order that is not a tile multiple
@@ -297,8 +297,7 @@ class TestPlan:
             np.float32
         )
         _, info = solver.solve(A, return_info=True)
-        assert tall.total_s == pytest.approx(info.simulated_seconds)
-        assert tall.flops == pytest.approx(info.flops)
+        assert tall == info
 
     def test_wrong_shape_rejected(self, solver):
         plan = solver.plan((64, 64))

@@ -12,7 +12,7 @@ from repro.errors import (
     ShapeError,
     UnsupportedPrecisionError,
 )
-from repro.sim import KernelParams, Stage
+from repro.sim import KernelParams
 
 
 class TestCorrectness:
@@ -41,12 +41,18 @@ class TestCorrectness:
     def test_precision_from_dtype(self, rng):
         A = rng.standard_normal((40, 40)).astype(np.float32)
         _, info = Solver(backend="h100").solve(A, return_info=True)
-        assert info.precision == "fp32"
+        _, fp32 = Solver(backend="h100", precision="fp32").solve(
+            A, return_info=True
+        )
+        assert info == fp32
 
     def test_integer_input_defaults_fp64(self):
         A = np.arange(16, dtype=np.int64).reshape(4, 4)
         _, info = Solver(backend="h100").solve(A, return_info=True)
-        assert info.precision == "fp64"
+        _, fp64 = Solver(backend="h100", precision="fp64").solve(
+            A, return_info=True
+        )
+        assert info == fp64
 
     @pytest.mark.parametrize("stage3", ["gk", "bisect", "lapack", "auto"])
     def test_stage3_methods_agree(self, monkeypatch, rng, stage3):
@@ -161,14 +167,10 @@ class TestInfo:
             A, return_info=True
         )
         assert info.n == 64
-        assert info.backend == "amd-mi250"
-        assert info.precision == "fp64"
-        assert info.fused
-        assert info.simulated_seconds > 0
-        assert set(info.stage_seconds) <= {
-            Stage.PANEL, Stage.UPDATE, Stage.BRD, Stage.SOLVE, Stage.TRANSFER
-        }
-        assert info.launch_counts["bdsqr_cpu"] == 1
+        assert info.total_s > 0
+        # a single-device in-core solve has no comm or transfer time
+        assert info.comm_s == info.io_s == info.queue_s == 0.0
+        assert info.launches["bdsqr_cpu"] == 1
         assert info.flops > 0 and info.bytes > 0
 
     def test_stage_fractions_sum_to_one(self, rng):
@@ -181,14 +183,12 @@ class TestInfo:
         _, info = Solver(backend="h100").solve(
             rng.standard_normal((64, 64)), return_info=True
         )
-        assert info.stage1_seconds == pytest.approx(
-            info.stage_seconds[Stage.PANEL] + info.stage_seconds[Stage.UPDATE]
-        )
+        assert info.stage1_s == info.panel_s + info.update_s > 0
 
     def test_fused_flag_affects_time_not_values(self, rng):
         A = rng.standard_normal((96, 96))
         v1, i1 = Solver(backend="h100", fused=True).solve(A, return_info=True)
         v2, i2 = Solver(backend="h100", fused=False).solve(A, return_info=True)
         np.testing.assert_array_equal(v1, v2)
-        assert i2.simulated_seconds > i1.simulated_seconds
-        assert sum(i2.launch_counts.values()) > sum(i1.launch_counts.values())
+        assert i2.total_s > i1.total_s
+        assert i2.launch_total > i1.launch_total

@@ -3,7 +3,7 @@
 The matrix lives in ``tests/conformance.py`` and is registry-driven: a
 future emitter registers one :class:`repro.core.workloads.WorkloadSpec`
 and inherits the whole battery - bitwise numeric replay, oracle
-agreement, traced-vs-analytic launch counts, binder/table equality and
+agreement, reported-vs-analytic launch counts, binder/table equality and
 the greedy-vs-events scheduler invariant across the composition axes
 its graph kind supports.
 """
