@@ -1,18 +1,15 @@
 """Out-of-core execution through the rewritten stage graph.
 
-PR 4 made out-of-core a graph axis: ``Solver.predict(n, out_of_core=True)``
-rewrites the emitted LaunchGraph into a host-resident plan - pinned
-panels, trailing tile rows streamed through a bounded device window with
-explicit ``h2d_tile``/``d2h_tile`` transfer nodes priced over the PCIe
-link - replacing the closed-form streaming formula.  This bench records
-what the rewriter unlocks:
+``Solver.predict(n, out_of_core=True)`` rewrites the emitted LaunchGraph
+into a host-resident plan - pinned panels, trailing tile rows streamed
+through a bounded device window with explicit ``h2d_tile``/``d2h_tile``
+transfer nodes priced over the PCIe link.  This bench records what the
+rewriter unlocks:
 
 1. the **capacity cliff**: totals and io share across the in-core ->
    streamed boundary of the H100 (io is zero below capacity by
    construction);
-2. the **closed-form oracle**: the graph pricing against the legacy
-   formula on its modeled regime;
-3. the **composition axes**: out_of_core x streams (transfers overlap
+2. the **composition axes**: out_of_core x streams (transfers overlap
    compute on a dedicated host-link lane) and out_of_core x ngpu
    (partition first, then rewrite each shard against its own budget).
 
@@ -24,7 +21,6 @@ Run standalone with ``--quick`` for the CI smoke slice::
 import argparse
 
 from repro.report import format_breakdown, format_seconds, format_table
-from repro.sim.scaling import out_of_core_closed_form_resolved
 
 
 def cliff_rows(solver, sizes, budget_gb=None) -> list:
@@ -56,24 +52,6 @@ def cliff_rows(solver, sizes, budget_gb=None) -> list:
                 format_seconds(bd.io_s).strip(),
                 f"{share:5.1%}",
                 str(bd.launches.get("h2d_tile", 0)),
-            ]
-        )
-    return rows
-
-
-def oracle_rows(solver, sizes) -> list:
-    rows = []
-    for n in sizes:
-        new = solver.predict(n, out_of_core=True)
-        old = out_of_core_closed_form_resolved(n, solver.config)
-        ratio = new.total_s / old.total_s
-        assert abs(ratio - 1.0) < 0.15, f"n={n}: oracle drift {ratio:.3f}"
-        rows.append(
-            [
-                str(n),
-                format_seconds(new.total_s).strip(),
-                format_seconds(old.total_s).strip(),
-                f"{ratio:.3f}",
             ]
         )
     return rows
@@ -122,15 +100,6 @@ def run(quick: bool = False) -> str:
         ["n", "mode", "total", "io", "io share", "h2d launches"],
         cliff, title=title,
     )
-
-    if not quick:
-        cap = solver.backend.max_n("fp32")
-        text += "\n\n" + format_table(
-            ["n", "graph", "closed form", "ratio"],
-            oracle_rows(solver, (int(cap * 1.25), int(cap * 1.6))),
-            title="rewritten-graph pricing vs closed-form oracle "
-            "(agreement within 15%)",
-        )
 
     # pick a per-device budget the 2-GPU shards still overflow, so the
     # ngpu rows of the composition table stream too

@@ -5,10 +5,9 @@ streams=s, out_of_core=...)`` runs the same emit -> partition -> rewrite
 -> price pipeline as every other axis, and ``Solver.tune`` searches that
 whole space analytically.  This example
 
-1. tunes a 64-problem FP32 batch for a 2-device H100 box,
-2. compares the winner against the untuned default and the legacy
-   closed-form batched model (the consistency oracle),
-3. replays the tuned *sharded* batched graph numerically and checks it
+1. tunes a 64-problem FP32 batch for a 2-device H100 box and compares
+   the winner against the untuned default,
+2. replays the tuned *sharded* batched graph numerically and checks it
    is bitwise identical to solving every matrix alone.
 
 Usage::
@@ -21,11 +20,7 @@ import sys
 import numpy as np
 
 import repro
-from repro.core.batched import (
-    batched_closed_form_resolved,
-    emit_batched_graph,
-    replay_batched_graph,
-)
+from repro.core.batched import emit_batched_graph, replay_batched_graph
 from repro.sim.partition import partition_graph
 from repro.tuning.planner import tune_resolved
 
@@ -41,13 +36,10 @@ def main(n: int = 128, batch: int = 64) -> None:
         budget=48, ngpus=(1, NGPU), streams=(1, 2, 4),
     )
     best = plan.best
-    closed_form = batched_closed_form_resolved(n, batch, solver.config)
 
     print(f"workload:            {batch} x ({n} x {n}) FP32 on "
           f"{plan.backend}")
     print(f"oracle evaluations:  {plan.evaluations}")
-    print(f"closed-form model:   {closed_form.total_s * 1e3:8.3f} ms "
-          "(legacy serial chain)")
     print(f"untuned default:     {plan.default.predicted_s * 1e3:8.3f} ms")
     print(f"tuned winner:        {best.predicted_s * 1e3:8.3f} ms "
           f"({plan.speedup:.2f}x, {plan.throughput():,.0f} problems/s)")

@@ -72,7 +72,7 @@ one-line ``Solver`` spelling with the same arguments (``CHANGES.md``
 maps them).
 """
 
-from .backends import Backend, DeviceMatrix, DeviceSpec, list_backends, resolve_backend
+from .backends import Backend, DeviceSpec, list_backends, resolve_backend
 from .config import SolveConfig
 from .core import SVDResult
 from .errors import (
@@ -91,7 +91,7 @@ from .sim import REFERENCE_PARAMS, KernelParams, Topology
 from .solver import Solver, SvdPlan
 from .serve import ServiceStats, SvdService
 
-__version__ = "6.0.0"
+__version__ = "7.0.0"
 
 __all__ = [
     # unified handle surface (the recommended API)
@@ -103,7 +103,6 @@ __all__ = [
     "SvdService",
     # configuration axes
     "Backend",
-    "DeviceMatrix",
     "DeviceSpec",
     "KernelParams",
     "Precision",

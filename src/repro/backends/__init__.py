@@ -8,12 +8,10 @@ capacity, warp width, cache sizes) is data, not code.
 
 from .backend import Backend, BackendLike, list_backends, resolve_backend
 from .device import DeviceSpec, Vendor, get_device, list_devices, register_device
-from .memory import DeviceMatrix
 
 __all__ = [
     "Backend",
     "BackendLike",
-    "DeviceMatrix",
     "DeviceSpec",
     "Vendor",
     "get_device",

@@ -24,6 +24,7 @@ from .sim.costmodel import (
     LinkSpec,
 )
 from .sim.params import KernelParams
+from .sim.topology import require_positive
 
 __all__ = ["SolveConfig"]
 
@@ -98,30 +99,22 @@ class SolveConfig:
             raise InvalidParamsError(
                 f"oversample must be positive, got oversample={oversample}"
             )
-        if link is not None and not isinstance(link, LinkSpec):
-            raise InvalidParamsError(
-                f"link must be a LinkSpec, got {type(link).__name__}"
-            )
-        if link is not None and (
-            link.bandwidth_gbs <= 0 or link.latency_us < 0
-        ):
-            raise InvalidParamsError(
-                f"link needs positive bandwidth and non-negative latency, "
-                f"got {link}"
-            )
+        tiers = {} if link is None else {"link": link}
         if fabric is not None:
             if not isinstance(fabric, FabricSpec):
                 raise InvalidParamsError(
                     f"fabric must be a FabricSpec, got {type(fabric).__name__}"
                 )
-            for tier in (fabric.intra, fabric.inter):
-                if not isinstance(tier, LinkSpec) or (
-                    tier.bandwidth_gbs <= 0 or tier.latency_us < 0
-                ):
-                    raise InvalidParamsError(
-                        f"fabric tiers need positive bandwidth and "
-                        f"non-negative latency, got {fabric}"
-                    )
+            tiers["fabric.intra"] = fabric.intra
+            tiers["fabric.inter"] = fabric.inter
+        for axis, tier in tiers.items():
+            if not isinstance(tier, LinkSpec):
+                raise InvalidParamsError(
+                    f"{axis} must be a LinkSpec, got {type(tier).__name__}"
+                )
+            require_positive(f"{axis}.bandwidth_gbs", tier.bandwidth_gbs)
+            require_positive(f"{axis}.latency_us", tier.latency_us,
+                             zero_ok=True)
         return cls(
             backend=be,
             precision=prec,
@@ -174,10 +167,7 @@ class SolveConfig:
         """
         link = self.link if self.link is not None else self.backend.link
         if link_gbs is not None:
-            if link_gbs <= 0:
-                raise InvalidParamsError(
-                    f"link_gbs must be a positive bandwidth, got {link_gbs}"
-                )
+            require_positive("link_gbs", link_gbs)
             link = link.with_(bandwidth_gbs=float(link_gbs))
         return link
 
@@ -199,16 +189,9 @@ class SolveConfig:
         else:
             intra, inter = self.link_spec(), DEFAULT_INTER_LINK
         if link_gbs is not None:
-            if link_gbs <= 0:
-                raise InvalidParamsError(
-                    f"link_gbs must be a positive bandwidth, got {link_gbs}"
-                )
+            require_positive("link_gbs", link_gbs)
             intra = intra.with_(bandwidth_gbs=float(link_gbs))
         if fabric_gbs is not None:
-            if fabric_gbs <= 0:
-                raise InvalidParamsError(
-                    f"fabric_gbs must be a positive bandwidth, "
-                    f"got {fabric_gbs}"
-                )
+            require_positive("fabric_gbs", fabric_gbs)
             inter = inter.with_(bandwidth_gbs=float(fabric_gbs))
         return FabricSpec(intra=intra, inter=inter)

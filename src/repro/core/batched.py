@@ -33,9 +33,7 @@ round-robin across devices (comm only for the result gather), and
 :func:`repro.sim.outofcore.rewrite_out_of_core` streams whole problems
 through a bounded device window shared by every in-flight problem.
 ``Solver.predict(n, batch=b, ...)`` composes and prices it like every
-other workload; the pre-composition pricing survives as
-:func:`batched_closed_form_resolved`, the consistency oracle the tests
-pin the graph path against.
+other workload.
 :func:`replay_batched_graph` is the one numeric path for a stack: it
 uploads every problem, replays any replayable batched graph (sharded or
 out-of-core) once, and is bitwise identical to solving each matrix
@@ -45,8 +43,6 @@ serving layer's ``BatchRunner`` both run through it.
 
 from __future__ import annotations
 
-import math
-
 from dataclasses import replace
 from typing import Dict, List, Sequence, Tuple, Union
 
@@ -54,13 +50,6 @@ import numpy as np
 
 from ..config import SolveConfig
 from ..errors import ShapeError
-from ..sim.costmodel import (
-    bidiag_solve_cost,
-    brd_cost,
-    brd_launch_count,
-    panel_cost,
-    update_cost,
-)
 from ..sim.graph import (
     LaunchGraph,
     LaunchNode,
@@ -79,7 +68,6 @@ from .svd import bind_svd_table, emit_svd_graph, upload
 from .tiling import ntiles
 
 __all__ = [
-    "batched_closed_form_resolved",
     "bind_batched_table",
     "emit_batched_graph",
     "replay_batched_graph",
@@ -221,94 +209,6 @@ def _lift_table(square: NodeTable, sizes: List[int]) -> NodeTable:
         sweep=tiled(square.sweep),
         fam=np.concatenate(fams),
         ops=np.concatenate(opss),
-    )
-
-
-def batched_closed_form_resolved(
-    n: int, batch: int, config: SolveConfig
-) -> TimeBreakdown:
-    """Legacy closed-form batched model (kept as a consistency oracle).
-
-    This is the pre-composition pricing: one serial chain of aggregate
-    batched launches on one device, summed step by step - no partitioning,
-    no streaming, no transfers.  The graph path
-    (:func:`emit_batched_graph` + analytic pricing) replaced it;
-    ``tests/test_batched_compose.py`` pins the two models against each
-    other within tolerance, so the graph-native pricing cannot silently
-    drift from the physics this formula encodes.
-    """
-    storage = config.require_precision("batched prediction")
-    if n < 1 or batch < 1:
-        raise ShapeError(f"need positive n and batch, got n={n}, batch={batch}")
-    spec = config.backend.device
-    params, coeffs = config.params, config.coeffs
-    compute = config.backend.compute_precision(storage)
-    ts = params.tilesize
-    nbt = ntiles(n, ts)
-    npad = nbt * ts
-    over = spec.launch_overhead_s
-    rounds = max(1, math.ceil(batch / spec.sm_count))
-
-    panel_s = update_s = 0.0
-    flops = nbytes = 0.0
-    launches = {"geqrt_b": 0, "unmqr_b": 0, "ftsqrt_b": 0, "ftsmqr_b": 0}
-
-    def charge_panel(nbodies: int, body_tiles: int) -> float:
-        nonlocal flops, nbytes
-        one = panel_cost(
-            spec, params, storage, compute, nbodies, body_tiles, coeffs
-        )
-        flops += one.flops * batch
-        nbytes += one.bytes * batch
-        return one.seconds * rounds + over
-
-    def charge_update(width: int, nrows: int, top: bool) -> float:
-        nonlocal flops, nbytes
-        cost = update_cost(
-            spec, params, storage, compute, width, nrows, top, coeffs
-        )
-        flops += cost.flops
-        nbytes += cost.bytes
-        return cost.seconds + over
-
-    for k in range(nbt - 1):
-        w = nbt - 1 - k
-        width = w * ts * batch
-        for r in (w, w - 1):  # RQ sweep, then LQ sweep
-            panel_s += charge_panel(1, 1)
-            update_s += charge_update(width, 1, False)
-            launches["geqrt_b"] += 1
-            launches["unmqr_b"] += 1
-            if r > 0:
-                panel_s += charge_panel(r, 2)
-                update_s += charge_update(width, r, True)
-                launches["ftsqrt_b"] += 1
-                launches["ftsmqr_b"] += 1
-    panel_s += charge_panel(1, 1)
-    launches["geqrt_b"] += 1
-
-    one_brd = brd_cost(spec, npad, ts, storage, compute, coeffs)
-    nbrd = brd_launch_count(npad, ts, coeffs)
-    brd_s = (
-        max(
-            one_brd.compute_seconds * batch,
-            one_brd.memory_seconds * batch,
-            one_brd.seconds,
-        )
-        + nbrd * over
-    )
-    flops += one_brd.flops * batch
-    nbytes += one_brd.bytes * batch
-    launches["brd_chase_b"] = nbrd
-
-    one_solve = bidiag_solve_cost(spec, n, storage, coeffs)
-    solve_s = one_solve.compute_seconds * batch + coeffs.cpu_call_overhead_s
-    flops += one_solve.flops * batch
-    launches["bdsqr_cpu_b"] = 1
-
-    return TimeBreakdown(
-        n=n, panel_s=panel_s, update_s=update_s, brd_s=brd_s,
-        solve_s=solve_s, launches=launches, flops=flops, bytes=nbytes,
     )
 
 

@@ -83,11 +83,12 @@ class ShedError(CapacityError):
 class WindowOverflowError(CapacityError):
     """An out-of-core replay exceeded its device-window budget.
 
-    Raised by the tile-residency tracker in :mod:`repro.backends.memory`
-    when a rewritten out-of-core launch graph loads more tiles than its
-    declared window capacity, or when a kernel touches a tile that is not
-    resident - either is a bug in the graph rewriter, so the numeric
-    executor *faults* instead of silently touching host-resident data.
+    Raised by :class:`repro.sim.outofcore.TileResidency`, the
+    tile-residency tracker of an out-of-core replay, when a rewritten
+    launch graph loads more tiles than its declared window capacity, or
+    when a kernel touches a tile that is not resident - either is a bug
+    in the graph rewriter, so the numeric executor *faults* instead of
+    silently touching host-resident data.
     """
 
 

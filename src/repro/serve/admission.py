@@ -43,7 +43,7 @@ from ..config import SolveConfig
 from ..errors import CapacityError, InvalidParamsError, ShedError
 from ..sim.graph import LaunchGraph
 from ..sim.partition import is_weighted_fleet
-from ..sim.topology import Topology, require_no_conflicts
+from ..sim.topology import Topology, require_no_conflicts, require_positive
 from ..solver import Solver, price_composed
 from ..tuning.planner import ShapeClass
 from .batcher import Batch, SvdRequest
@@ -130,14 +130,11 @@ class AdmissionController:
         self.config = config
         self.storage = config.require_precision("serve")
         self.solver = Solver.from_config(config)
-        default_budget = config.backend.device.mem_bytes
-        self.mem_budget_bytes = float(
-            mem_budget_bytes if mem_budget_bytes is not None else default_budget
-        )
-        if self.mem_budget_bytes <= 0:
-            raise CapacityError(
-                f"mem budget must be positive, got {self.mem_budget_bytes}"
-            )
+        if mem_budget_bytes is None:
+            mem_budget_bytes = config.backend.device.mem_bytes
+        require_positive("mem_budget_bytes", mem_budget_bytes,
+                         error=CapacityError)
+        self.mem_budget_bytes = float(mem_budget_bytes)
         self.tune = tune
         self.tune_batch = tune_batch
         self._prices: Dict[Tuple[ShapeClass, int], PricedBatch] = {}

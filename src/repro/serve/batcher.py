@@ -35,7 +35,7 @@ from ..config import SolveConfig
 from ..core.batched import emit_batched_graph, replay_batched_graph
 from ..errors import InvalidParamsError
 from ..sim.graph import LaunchGraph
-from ..sim.topology import Topology
+from ..sim.topology import Topology, require_positive
 from ..solver import compose_graph
 from ..tuning.planner import ShapeClass
 
@@ -108,10 +108,7 @@ class DynamicBatcher:
             raise InvalidParamsError(
                 f"max_batch must be a positive request count, got {max_batch}"
             )
-        if max_wait_s < 0:
-            raise InvalidParamsError(
-                f"max_wait_s must be non-negative, got {max_wait_s}"
-            )
+        require_positive("max_wait_s", max_wait_s, zero_ok=True)
         self.max_batch = max_batch
         self.max_wait_s = max_wait_s
         self._pending: Dict[ShapeClass, List[SvdRequest]] = {}

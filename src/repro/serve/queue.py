@@ -31,6 +31,7 @@ import numpy as np
 
 from ..core.svd import upload
 from ..errors import InvalidParamsError, ShapeError
+from ..sim.topology import require_positive
 from ..tuning.planner import shape_class
 from .admission import AdmissionController
 from .batcher import Batch, BatchRunner, DynamicBatcher, SvdRequest
@@ -188,10 +189,8 @@ class SvdService:
         # the upload the batch replay runs: an input the storage precision
         # cannot hold raises here, as Solver.solve would, not in its batch
         upload(A, self._config.precision, self._config)
-        if slo_s is not None and slo_s <= 0:
-            raise InvalidParamsError(
-                f"slo_s must be a positive deadline, got {slo_s}"
-            )
+        if slo_s is not None:
+            require_positive("slo_s", slo_s)
         await self._sem.acquire()
         self._seq += 1
         req = SvdRequest(

@@ -21,8 +21,8 @@ batched graphs by whole problems).  Cluster graphs are priced by
 :func:`simulate_events` (:mod:`repro.sim.events`), a discrete-event
 simulation in which launches occupy stream/link/fabric resources with
 FIFO queueing; on contention-free graphs it agrees exactly with the
-greedy list scheduler, and on predict graphs it is the faster of the
-two (see :mod:`repro.sim.events`).
+greedy list scheduler, and on predict graphs it is the slower of the
+two, taking 1.1-1.9x its time (see :mod:`repro.sim.events`).
 """
 
 from .costmodel import (

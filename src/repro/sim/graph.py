@@ -15,9 +15,7 @@ node carries
 * ``key``   - the cost-model key: the one input of the launch's price;
 * ``meta``  - the tile coordinates needed to run the numerics;
 * ``deps``  - indices of earlier nodes this launch must wait for (used by
-  the multi-stream scheduler; list order is already a topological order);
-* ``stream`` - the stream the greedy scheduler placed the launch on
-  (``None`` until :func:`repro.sim.timeline.schedule_streams` runs).
+  the multi-stream scheduler; list order is already a topological order).
 
 Two executors consume the graph:
 
@@ -236,7 +234,6 @@ class LaunchNode:
     key: Tuple
     meta: Tuple = ()
     deps: Tuple[int, ...] = ()
-    stream: Optional[int] = None
     primary: bool = True
     #: Identical consecutive launches folded into one node (counted
     #: analytic graphs only; replayable graphs always emit count=1).
@@ -310,8 +307,7 @@ class LaunchGraph:
         The :class:`~repro.sim.table.NodeTable` is the representation the
         array-native pricers consume; node lists stay the source of truth
         for numeric replay.  Safe to cache because nodes are immutable
-        after emission (the scheduler's ``stream`` annotations are not
-        priced).
+        after emission.
         """
         if self._table is None:
             from .table import NodeTable  # table imports this module

@@ -1,9 +1,7 @@
 """Out-of-core graph rewriter: tile panels through a bounded device window.
 
 The paper's closing future work names out-of-core execution alongside
-multi-GPU scaling.  PR 3 made multi-GPU a graph axis; before this module,
-``out_of_core=True`` still priced a closed-form formula that never touched
-the launch graph.  Performance-prediction frameworks like PPT model data
+multi-GPU scaling.  Performance-prediction frameworks like PPT model data
 movement as explicit tasks in the *same* dependency graph as compute -
 that is what lets transfer/compute overlap fall out of the scheduler
 instead of a formula.  This module does the same for the host link:
@@ -38,16 +36,14 @@ into a host-resident plan in the same IR:
 * the rewritten graph carries its window capacity
   (``LaunchGraph.oc_capacity_tiles``); during numeric replay the
   :class:`~repro.sim.graph.NumericExecutor` drives a
-  :class:`~repro.backends.memory.TileResidency` per device through
+  :class:`TileResidency` per device through
   :class:`WindowTracker` and *faults* if any kernel touches a tile the
   transfer schedule did not make resident - out-of-core correctness is
   tested numerically, not just priced.
 
 A graph whose (per-device) working set already fits the budget is
 returned unchanged, so ``io_s`` is nonzero only past capacity and the
-in-core prediction is reproduced exactly.  The pre-rewriter closed form
-survives as :func:`repro.sim.scaling.out_of_core_closed_form_resolved`,
-the consistency oracle the tests pin this path against.
+in-core prediction is reproduced exactly.
 
 Batched graphs rewrite at *problem* granularity instead: a batch is many
 independent small matrices, so whole problems stream through the device
@@ -62,9 +58,9 @@ one.  Replay enforces residency per problem through the same
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from ..errors import CapacityError
+from ..errors import CapacityError, WindowOverflowError
 from .costmodel import LinkSpec
 from .graph import (
     COMM_KINDS,
@@ -73,9 +69,11 @@ from .graph import (
     problem_range,
     rekey_batched,
 )
+from .topology import require_positive
 from .tracing import Stage
 
 __all__ = [
+    "TileResidency",
     "WindowTracker",
     "host_link",
     "rewrite_out_of_core",
@@ -195,8 +193,93 @@ def _node_tiles(node: LaunchNode, ts: int) -> set:
 # --------------------------------------------------------------------- #
 # replay-side residency enforcement
 # --------------------------------------------------------------------- #
+class TileResidency:
+    """Bounded device window of one device of an out-of-core replay.
+
+    Tracks which ``(tile_row, tile_col)`` tiles of the padded matrix are
+    resident in (simulated) device memory, plus the stage-2 band buffer.
+    ``capacity_tiles`` is the window budget the graph rewriter planned
+    against; every violation is a rewriter bug and raises
+    :class:`~repro.errors.WindowOverflowError` rather than silently
+    touching host-resident data.
+    """
+
+    __slots__ = ("capacity_tiles", "device", "resident", "_band_tiles")
+
+    def __init__(self, capacity_tiles: int, device: int = 0) -> None:
+        if capacity_tiles < 1:
+            raise WindowOverflowError(
+                f"device window needs a positive tile capacity, "
+                f"got {capacity_tiles}"
+            )
+        self.capacity_tiles = int(capacity_tiles)
+        self.device = device
+        self.resident: Set[Tuple[int, int]] = set()
+        self._band_tiles = 0  # tile-equivalents held by the band buffer
+
+    # ------------------------------------------------------------------ #
+    @property
+    def resident_tiles(self) -> int:
+        """Tiles currently held in the window (incl. the band buffer)."""
+        return len(self.resident) + self._band_tiles
+
+    def load(self, tiles: Iterable[Tuple[int, int]]) -> None:
+        """Mark tiles resident (an ``h2d_tile`` landing); fault on overflow."""
+        self.resident.update(tiles)
+        self._check_capacity()
+
+    def evict(self, tiles: Iterable[Tuple[int, int]]) -> None:
+        """Drop tiles from the window (a ``d2h_tile`` write-back)."""
+        for t in tiles:
+            # evicting a non-resident tile is a rewriter bookkeeping bug
+            if t not in self.resident:
+                raise WindowOverflowError(
+                    f"device {self.device}: d2h_tile evicts non-resident "
+                    f"tile {t}"
+                )
+            self.resident.discard(t)
+
+    def load_band(self, band_tiles: int) -> None:
+        """Mark the stage-2 band buffer resident (tile-equivalents)."""
+        self._band_tiles = int(band_tiles)
+        self._check_capacity()
+
+    def require(self, tiles: Iterable[Tuple[int, int]], kind: str) -> None:
+        """Fault unless every touched tile is resident."""
+        for t in tiles:
+            if t not in self.resident:
+                raise WindowOverflowError(
+                    f"device {self.device}: {kind} touches tile {t} which "
+                    f"is not resident in the out-of-core window "
+                    f"({len(self.resident)}/{self.capacity_tiles} tiles)"
+                )
+
+    def require_band(self, kind: str) -> None:
+        """Fault unless the band buffer was loaded."""
+        if self._band_tiles == 0:
+            raise WindowOverflowError(
+                f"device {self.device}: {kind} needs the band buffer "
+                "resident but no band h2d_tile was replayed"
+            )
+
+    def _check_capacity(self) -> None:
+        if self.resident_tiles > self.capacity_tiles:
+            raise WindowOverflowError(
+                f"device {self.device}: out-of-core window overflow - "
+                f"{self.resident_tiles} tiles resident, capacity "
+                f"{self.capacity_tiles}"
+            )
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        """Residency summary (resident / capacity tiles)."""
+        return (
+            f"TileResidency(device={self.device}, "
+            f"resident={self.resident_tiles}/{self.capacity_tiles})"
+        )
+
+
 class WindowTracker:
-    """Drive per-device :class:`~repro.backends.memory.TileResidency`.
+    """Drive one :class:`TileResidency` per device through a replay.
 
     Installed by :meth:`repro.sim.graph.NumericExecutor.run` on graphs
     with ``out_of_core=True``: transfer nodes load/evict tiles, every
@@ -206,8 +289,6 @@ class WindowTracker:
     """
 
     def __init__(self, graph: LaunchGraph) -> None:
-        from ..backends.memory import TileResidency
-
         #: Batched graphs track residency at *problem* granularity: the
         #: window holds whole problems, one slot per matrix.
         self.batched = graph.kind == "batched"
@@ -626,10 +707,7 @@ def rewrite_out_of_core(
         )
     if budget_bytes is None:
         budget_bytes = config.backend.device.mem_bytes
-    if budget_bytes <= 0:
-        raise CapacityError(
-            f"device budget must be positive, got {budget_bytes}"
-        )
+    require_positive("budget_bytes", budget_bytes, error=CapacityError)
     if graph.kind == "batched":
         return _rewrite_batched(graph, config, storage, budget_bytes)
     if graph.kind == "lowrank":

@@ -69,17 +69,6 @@ class KernelParams:
         """Largest SPLITK allowed by the thread-block size limit."""
         return max(1, min(tilesize, MAX_BLOCK_THREADS // tilesize))
 
-    # ------------------------------------------------------------------ #
-    @property
-    def panel_threads(self) -> int:
-        """Threads per panel-kernel block (``SPLITK x TILESIZE``)."""
-        return self.splitk * self.tilesize
-
-    @property
-    def update_threads(self) -> int:
-        """Threads per update-kernel block (``COLPERBLOCK``)."""
-        return self.colperblock
-
     def with_(self, **kwargs) -> "KernelParams":
         """Return a copy with some fields replaced (re-validated)."""
         return replace(self, **kwargs)

@@ -1,11 +1,8 @@
 """Graph partitioner: shard a LaunchGraph across devices, comm explicit.
 
-The paper's stated future work is multi-GPU scaling; before PR 3 the
-reproduction modeled it with a closed-form formula in
-:mod:`repro.sim.scaling` that never touched the launch graph, so the
-graph engine and the scaling model could silently diverge.  This module
-makes multi-device execution a first-class axis of the stage-graph
-engine instead: :func:`partition_graph` takes any replayable square
+The paper's stated future work is multi-GPU scaling.  This module makes
+multi-device execution a first-class axis of the stage-graph engine:
+:func:`partition_graph` takes any replayable square
 :class:`~repro.sim.graph.LaunchGraph` and shards it **tile-row-wise**
 across ``g`` devices, producing a graph in the same IR whose nodes carry
 a ``device`` assignment and whose inter-device data movement is explicit

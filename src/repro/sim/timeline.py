@@ -45,7 +45,9 @@ class StreamSchedule:
     that order.  Out-of-core graphs append one more lane per device -
     its host-link (PCIe) copy engine, which the ``h2d_tile`` /
     ``d2h_tile`` transfer nodes occupy - so prefetch overlaps compute
-    but transfers serialize on the host link.
+    but transfers serialize on the host link.  ``lanes`` is the
+    placement: the lane of every node of the scheduled graph, in node
+    order (the graph itself is left untouched).
     """
 
     n: int
@@ -56,6 +58,7 @@ class StreamSchedule:
     launches: Dict[str, int] = field(default_factory=dict)
     stream_busy_s: List[float] = field(default_factory=list)
     ngpu: int = 1
+    lanes: List[int] = field(default_factory=list)
 
     @property
     def total_s(self) -> float:
@@ -95,9 +98,10 @@ def schedule_streams(
     downstream path (critical path including itself); among ready nodes
     the highest priority (then the lowest index) is placed on the first
     lane where it can start earliest (``start = max(lane available, deps
-    finished)``).  The chosen placement is written back to each node's
-    ``stream`` field for inspection (a later call overwrites it).  With
-    ``streams=1`` this degenerates to the serial sum the
+    finished)``).  The chosen placement is returned as
+    :attr:`StreamSchedule.lanes`; the graph is not modified, so one graph
+    may be shared by every config that prices it.  With ``streams=1``
+    this degenerates to the serial sum the
     :class:`~repro.sim.graph.AnalyticExecutor` charges.  The walk reads
     the graph's memoized dependency skeleton
     (:meth:`~repro.sim.graph.LaunchGraph.dependents`) and table, so a
@@ -119,8 +123,7 @@ def schedule_streams(
             "counted graphs fold launch runs and cannot be list-scheduled; "
             "emit with counted=False"
         )
-    nodes = graph.nodes
-    nnodes = len(nodes)
+    nnodes = len(graph)
     ngpu = graph.ngpu
 
     # whole-array pricing over the struct-of-arrays table (float-identical
@@ -195,8 +198,6 @@ def schedule_streams(
             indeg[c] -= 1
             if indeg[c] == 0:
                 heapq.heappush(ready, rank[c])
-    for node, s in zip(nodes, lane):
-        node.stream = s  # record the placement back onto the IR
 
     return StreamSchedule(
         n=graph.n,
@@ -207,5 +208,6 @@ def schedule_streams(
         launches=launches,
         stream_busy_s=busy,
         ngpu=ngpu,
+        lanes=lane,
     )
 

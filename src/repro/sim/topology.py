@@ -27,14 +27,16 @@ path instead (see :func:`repro.sim.partition.shard_rows_weighted`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from numbers import Real
 from typing import Optional, Tuple
 
 import numpy as np
 
 from ..errors import InvalidParamsError
 
-__all__ = ["Topology", "require_int"]
+__all__ = ["Topology", "require_int", "require_positive"]
 
 #: The legacy Solver axes a ``topology=`` argument replaces; used to name
 #: conflicting axes in validation errors.
@@ -51,6 +53,29 @@ def require_int(axis: str, value) -> None:
     if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
         raise InvalidParamsError(
             f"{axis} must be an integer, got {axis}={value!r}"
+        )
+
+
+def require_positive(
+    axis: str, value, zero_ok: bool = False, error=InvalidParamsError
+) -> None:
+    """Reject a bandwidth, latency, budget or deadline that is not positive.
+
+    The value must be a real, finite number greater than 0 (or equal to
+    0 with ``zero_ok``, for latencies and wait times).  A check written
+    ``value <= 0`` lets NaN through, and a NaN bandwidth turns every
+    price it touches into NaN (or vanishes from a ``max``), so NaN, the
+    infinities, ``bool`` and non-numbers all raise ``error`` naming the
+    axis and the value.
+    """
+    if (
+        not isinstance(value, Real) or isinstance(value, bool)
+        or not math.isfinite(value) or value < 0
+        or (value == 0 and not zero_ok)
+    ):
+        bound = "a non-negative" if zero_ok else "a positive"
+        raise error(
+            f"{axis} must be {bound} finite number, got {axis}={value!r}"
         )
 
 
@@ -103,21 +128,15 @@ class Topology:
                 f"{len(names)} devices do not split evenly over "
                 f"{self.nodes} nodes"
             )
-        if self.link_gbs is not None and self.link_gbs <= 0:
-            raise InvalidParamsError(
-                f"link_gbs must be a positive bandwidth, got {self.link_gbs}"
-            )
+        if self.link_gbs is not None:
+            require_positive("link_gbs", self.link_gbs)
         if self.fabric_gbs is not None:
             if self.nodes < 2:
                 raise InvalidParamsError(
                     "fabric_gbs sets the inter-node fabric bandwidth and "
                     "requires nodes >= 2"
                 )
-            if self.fabric_gbs <= 0:
-                raise InvalidParamsError(
-                    f"fabric_gbs must be a positive bandwidth, "
-                    f"got {self.fabric_gbs}"
-                )
+            require_positive("fabric_gbs", self.fabric_gbs)
 
     # ------------------------------------------------------------------ #
     # constructors

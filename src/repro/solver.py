@@ -85,7 +85,12 @@ from .sim.partition import (
     price_partitioned,
 )
 from .sim.table import bound_structure, price_table, structure_config
-from .sim.topology import Topology, require_int, require_no_conflicts
+from .sim.topology import (
+    Topology,
+    require_int,
+    require_no_conflicts,
+    require_positive,
+)
 
 __all__ = ["Solver", "SvdPlan"]
 
@@ -531,11 +536,7 @@ class Solver:
                     "oc_budget_gb sets the out-of-core window budget and "
                     "requires out_of_core=True"
                 )
-            if oc_budget_gb <= 0:
-                raise InvalidParamsError(
-                    f"oc_budget_gb must be a positive budget, "
-                    f"got {oc_budget_gb}"
-                )
+            require_positive("oc_budget_gb", oc_budget_gb)
         storage = self._config.require_precision("predict")
         config = self._config
         if topology is None:

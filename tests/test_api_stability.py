@@ -6,6 +6,9 @@ removed: if intentional, update the snapshot *in the same PR* and mention
 the surface change in CHANGES.md.
 """
 
+import ast
+from pathlib import Path
+
 import repro
 import repro.core
 import repro.sim
@@ -14,7 +17,6 @@ REPRO_ALL = [
     "Backend",
     "CapacityError",
     "ConvergenceError",
-    "DeviceMatrix",
     "DeviceSpec",
     "InvalidParamsError",
     "KernelParams",
@@ -137,3 +139,60 @@ class TestApiSnapshot:
     def test_snapshots_sorted_and_unique(self):
         for snap in (REPRO_ALL, CORE_ALL, SIM_ALL):
             assert snap == sorted(set(snap))
+
+
+#: Modules no other module imports by design: the ``python -m`` entry point.
+ENTRY_POINTS = {"repro.experiments.__main__"}
+
+
+def _package_modules():
+    """``{dotted module name: (path, parsed AST)}`` for the package's files."""
+    root = Path(repro.__file__).resolve().parent
+    modules = {}
+    for path in sorted(root.rglob("*.py")):
+        parts = ("repro",) + path.relative_to(root).with_suffix("").parts
+        if parts[-1] == "__init__":
+            parts = parts[:-1]
+        modules[".".join(parts)] = (path, ast.parse(path.read_text()))
+    return modules
+
+
+def _imported_modules(name, path, tree, known):
+    """The package modules one module's import statements load.
+
+    Importing ``a.b.c`` loads ``a`` and ``a.b`` too, and ``from a.b
+    import c`` loads the module ``a.b.c`` when there is one; relative
+    imports resolve against the importing module's package.
+    """
+    package = name if path.name == "__init__.py" else name.rpartition(".")[0]
+    targets = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bases = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            anchor = package.split(".")
+            base = anchor[: len(anchor) + 1 - node.level] if node.level else []
+            if node.module:
+                base += node.module.split(".")
+            dotted = ".".join(base)
+            bases = [dotted] + [f"{dotted}.{a.name}" for a in node.names]
+        else:
+            continue
+        for dotted in bases:
+            parts = dotted.split(".")
+            targets.update(
+                ".".join(parts[:k]) for k in range(1, len(parts) + 1)
+            )
+    return targets & set(known)
+
+
+class TestNoOrphanModules:
+    def test_every_module_is_imported_by_another(self):
+        """A module no other library module imports is dead code: its
+        only callers are tests, benchmarks or examples."""
+        modules = _package_modules()
+        imported = set()
+        for name, (path, tree) in modules.items():
+            imported |= _imported_modules(name, path, tree, modules) - {name}
+        orphans = sorted(set(modules) - imported - ENTRY_POINTS)
+        assert orphans == []

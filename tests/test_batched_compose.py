@@ -9,8 +9,7 @@ price pipeline as every other axis.  These tests pin
 * bitwise numeric replay of batched graphs - plain, multi-chain,
   sharded, and out-of-core - against per-matrix square solves,
 * the enforced problem-window budget (``WindowOverflowError`` faults),
-* the closed-form oracle: the graph path must stay within 15% of the
-  legacy serial-chain pricing (it is float-identical today), and
+  and
 * composition through ``Solver.predict``.
 """
 
@@ -19,11 +18,7 @@ import pytest
 
 import repro
 from repro import Solver
-from repro.core.batched import (
-    batched_closed_form_resolved,
-    emit_batched_graph,
-    replay_batched_graph,
-)
+from repro.core.batched import emit_batched_graph, replay_batched_graph
 from repro.errors import CapacityError, ShapeError, WindowOverflowError
 from repro.sim.graph import problem_range, rekey_batched
 from repro.sim.outofcore import rewrite_out_of_core
@@ -307,26 +302,3 @@ class TestBatchedReplay:
             replay_batched_graph(
                 self.stack(rng, batch=5), square, solver.config
             )
-
-
-class TestClosedFormOracle:
-    @pytest.mark.parametrize("n,batch", [(64, 16), (128, 64), (512, 8)])
-    def test_graph_path_within_15_percent(self, solver, n, batch):
-        graph = solver.predict(n, batch=batch)
-        oracle = batched_closed_form_resolved(n, batch, solver.config)
-        assert graph.total_s == pytest.approx(oracle.total_s, rel=0.15)
-
-    def test_identical_today(self, solver):
-        """The default single-device path is float-identical, not just
-        within tolerance - launches included."""
-        graph = solver.predict(128, batch=64)
-        oracle = batched_closed_form_resolved(128, 64, solver.config)
-        assert graph.total_s == oracle.total_s
-        assert graph.launches == oracle.launches
-        assert graph.flops == oracle.flops
-
-    def test_oracle_validates_inputs(self, solver):
-        with pytest.raises(ShapeError):
-            batched_closed_form_resolved(0, 4, solver.config)
-        with pytest.raises(ShapeError):
-            batched_closed_form_resolved(64, 0, solver.config)

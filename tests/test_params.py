@@ -42,11 +42,6 @@ class TestValidation:
         with pytest.raises(InvalidParamsError):
             KernelParams(tilesize=32, colperblock=32, splitk=0)
 
-    def test_panel_threads(self):
-        p = KernelParams(32, 32, 8)
-        assert p.panel_threads == 256
-        assert p.update_threads == 32
-
     def test_with_revalidates(self):
         p = KernelParams(32, 32, 8)
         assert p.with_(tilesize=64).tilesize == 64

@@ -8,6 +8,8 @@ on the fleets that used to bypass it, the single memo key the two device
 spellings share, and the fail-fast storage cast of every numeric driver.
 """
 
+import asyncio
+import math
 import re
 from dataclasses import replace
 
@@ -17,13 +19,18 @@ import pytest
 from repro import Solver, Topology
 from repro.backends.device import get_device
 from repro.core.batched import emit_batched_graph, replay_batched_graph
-from repro.core.svd import cast_to_storage
+from repro.core.svd import cast_to_storage, emit_svd_graph
 from repro.errors import CapacityError, InvalidParamsError, ShapeError
 from repro.precision import Precision
+from repro.serve.admission import AdmissionController
+from repro.serve.batcher import DynamicBatcher
+from repro.sim.costmodel import FabricSpec, LinkSpec
 from repro.sim.events import EventSchedule
+from repro.sim.outofcore import rewrite_out_of_core
 from repro.sim.params import KernelParams
 from repro.sim.partition import batch_shares, partition_graph
 from repro.sim.table import bound_table_stats, clear_bound_tables
+from repro.sim.topology import require_positive
 from repro.solver import compose_graph
 
 RTX_PAIR = Topology(("rtx4060",) * 2)
@@ -68,6 +75,121 @@ class TestIntegerAxes:
             np.int64(256), batch=np.int32(2), ngpu=np.int64(2),
             streams=np.int16(2),
         ) == solver.predict(256, batch=2, ngpu=2, streams=2)
+
+
+_FP32 = Solver("h100", precision="fp32")
+
+
+def _submit(slo_s):
+    """Submit one matrix with a deadline to a running service."""
+
+    async def go():
+        async with _FP32.serve() as svc:
+            await svc.submit(np.eye(8), slo_s=slo_s)
+
+    asyncio.run(go())
+
+
+def _link(bandwidth_gbs=100.0, latency_us=1.0):
+    return LinkSpec("test-link", bandwidth_gbs, latency_us)
+
+#: site -> (error type, axis its message names, call passing the value)
+POSITIVE_SITES = {
+    "Topology.link_gbs": (
+        InvalidParamsError, "link_gbs",
+        lambda v: Topology(("h100",) * 2, link_gbs=v),
+    ),
+    "Topology.fabric_gbs": (
+        InvalidParamsError, "fabric_gbs",
+        lambda v: Topology(("h100",) * 4, nodes=2, fabric_gbs=v),
+    ),
+    "predict.link_gbs": (
+        InvalidParamsError, "link_gbs",
+        lambda v: _FP32.predict(2048, ngpu=2, link_gbs=v),
+    ),
+    "predict.fabric_gbs": (
+        InvalidParamsError, "fabric_gbs",
+        lambda v: _FP32.predict(2048, ngpu=2, nodes=2, fabric_gbs=v),
+    ),
+    "link.bandwidth_gbs": (
+        InvalidParamsError, "link.bandwidth_gbs",
+        lambda v: Solver("h100", link=_link(bandwidth_gbs=v)),
+    ),
+    "link.latency_us": (
+        InvalidParamsError, "link.latency_us",
+        lambda v: Solver("h100", link=_link(latency_us=v)),
+    ),
+    "fabric.intra.bandwidth_gbs": (
+        InvalidParamsError, "fabric.intra.bandwidth_gbs",
+        lambda v: Solver("h100", fabric=FabricSpec(_link(v), _link())),
+    ),
+    "fabric.inter.latency_us": (
+        InvalidParamsError, "fabric.inter.latency_us",
+        lambda v: Solver("h100", fabric=FabricSpec(_link(), _link(1.0, v))),
+    ),
+    "link_spec": (
+        InvalidParamsError, "link_gbs",
+        lambda v: _FP32.config.link_spec(v),
+    ),
+    "fabric_spec.link_gbs": (
+        InvalidParamsError, "link_gbs",
+        lambda v: _FP32.config.fabric_spec(link_gbs=v),
+    ),
+    "fabric_spec.fabric_gbs": (
+        InvalidParamsError, "fabric_gbs",
+        lambda v: _FP32.config.fabric_spec(fabric_gbs=v),
+    ),
+    "predict.oc_budget_gb": (
+        InvalidParamsError, "oc_budget_gb",
+        lambda v: _FP32.predict(2048, out_of_core=True, oc_budget_gb=v),
+    ),
+    "rewrite_out_of_core": (
+        CapacityError, "budget_bytes",
+        lambda v: rewrite_out_of_core(
+            emit_svd_graph(256, _FP32.config), _FP32.config,
+            _FP32.precision, v,
+        ),
+    ),
+    "AdmissionController": (
+        CapacityError, "mem_budget_bytes",
+        lambda v: AdmissionController(_FP32.config, mem_budget_bytes=v),
+    ),
+    "SvdService.submit": (InvalidParamsError, "slo_s", _submit),
+    "DynamicBatcher": (
+        InvalidParamsError, "max_wait_s", lambda v: DynamicBatcher(4, v),
+    ),
+}
+
+
+class TestPositiveAxes:
+    """Every bandwidth, latency, budget and deadline must be a finite
+    number: ``x <= 0`` is false for NaN, so a NaN bandwidth used to
+    price NaN seconds (or vanish from a ``max``) and a NaN or infinite
+    budget failed later with a bare ``ValueError`` / ``OverflowError``.
+    Each site raises its own error type naming the axis and the value."""
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
+                             ids=repr)
+    @pytest.mark.parametrize("site", list(POSITIVE_SITES))
+    def test_non_finite_rejected(self, site, value):
+        error, axis, call = POSITIVE_SITES[site]
+        with pytest.raises(error, match=re.escape(f"{axis}={value!r}")):
+            call(value)
+
+    def test_zero_only_for_latency_and_wait(self):
+        Solver("h100", link=_link(latency_us=0.0))
+        DynamicBatcher(4, 0.0)
+        with pytest.raises(InvalidParamsError, match="link_gbs=0.0"):
+            _FP32.predict(2048, ngpu=2, link_gbs=0.0)
+
+    @pytest.mark.parametrize("value", [True, "1", None, 1j], ids=repr)
+    def test_non_numbers_rejected(self, value):
+        with pytest.raises(InvalidParamsError, match="x must be a positive"):
+            require_positive("x", value)
+
+    def test_numpy_scalars_pass(self):
+        require_positive("x", np.float32(0.5))
+        require_positive("x", np.int64(3))
 
 
 class TestBatchedFleetCapacity:

@@ -63,12 +63,6 @@ class TestReadmeQuickstart:
         assert bd.total_s > 0
         assert sum(bd.stage_fractions().values()) == pytest.approx(1.0)
 
-    def test_device_matrix_flow(self):
-        A = np.random.default_rng(1).standard_normal((32, 32))
-        dm = repro.DeviceMatrix.from_host(A, "h100", "fp16")
-        assert dm.T.data.shape == (32, 32)
-        assert dm.compute_dtype == np.float32
-
     def test_extension_flow(self):
         rng = np.random.default_rng(2)
         A = rng.standard_normal((40, 40))

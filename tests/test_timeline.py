@@ -59,13 +59,13 @@ def placement_record(label, graph, sched) -> str:
     return "|".join([
         label, str(len(graph)), sched.makespan_s.hex(),
         ",".join(b.hex() for b in sched.stream_busy_s),
-        ",".join(str(node.stream) for node in graph.nodes),
+        ",".join(str(lane) for lane in sched.lanes),
     ])
 
 
 class TestGreedyPlacementPinned:
     """The greedy pass is pinned exactly: makespan, per-lane busy time and
-    the lane written to every node, on cold and warm skeletons."""
+    the lane of every node, on cold and warm skeletons."""
 
     def test_grid_digest_and_warm_repeat(self):
         cfg = Solver(backend="h100", precision="fp32").config
