@@ -32,12 +32,13 @@ baseline is hand-pinned at 0.08 - with the gate's 25% tolerance the
 check fails exactly when bind-and-price drops below a 10x speedup.
 
 The numeric replay's stage 2 is pinned the same way:
-``brd_wave_scalar_ratio@384`` divides the wavefront bulge chase
-(:func:`repro.core.brd.band_to_bidiagonal`) by the scalar chase it is
-bitwise equal to (:func:`repro.core.brd.band_to_bidiagonal_reference`),
-best of 3 each, on one fp64 ``384 x 384`` band-32 matrix.  Its baseline
-is hand-pinned at 0.53: the gate fails once the wavefront is less than
-1.5x faster.
+``brd_chase_scalar_ratio@384`` divides the Householder bulge chase
+(:func:`repro.core.brd.band_to_bidiagonal`) by the scalar Givens chase
+that is the oracle of its tolerance rule
+(:func:`repro.core.brd.band_to_bidiagonal_reference`), best of 3 each, on
+one fp64 ``384 x 384`` band-32 matrix, after checking both against
+LAPACK under that rule.  Its baseline is hand-pinned at 0.15: the gate
+fails once the Householder chase is less than 5.3x faster.
 
 Stage 3 likewise: ``stage3_kernel_gk_ratio@512`` divides the lock-step
 Sturm kernel (:func:`repro.core.bidiag.bisect`) by Golub-Kahan QR
@@ -110,26 +111,30 @@ def _time(fn, reps: int, trials: int = 3) -> float:
 
 
 def brd_ratio(n: int = BRD_N, band: int = BRD_BAND, trials: int = 3) -> float:
-    """Wavefront over scalar stage-2 wall-clock, best of ``trials`` each.
+    """Householder over scalar Givens stage-2 wall-clock, best of ``trials``.
 
-    The two chases alternate, so a change of host speed during the
-    measurement slows both.
+    Both chases first reduce the band to bidiagonals whose singular values
+    are within the stage-2 oracle rule of LAPACK's: ``2 n eps sigma_max``,
+    the ``CHASE_ORACLE_C = 2`` of ``tests/conftest.py``.  The two chases
+    alternate, so a change of host speed during the measurement slows both.
     """
     from repro.core.brd import band_to_bidiagonal, band_to_bidiagonal_reference
     from repro.core.tiling import extract_band
 
     A = extract_band(np.random.default_rng(0).standard_normal((n, n)), band)
-    wave = band_to_bidiagonal(A, band)  # warm the wave-schedule memo
-    scalar = band_to_bidiagonal_reference(A, band)
-    for got, want in zip(wave, scalar):
-        np.testing.assert_array_equal(got, want)
-    wave_s = scalar_s = float("inf")
+    want = np.linalg.svd(A, compute_uv=False)
+    bound = 2.0 * n * np.finfo(A.dtype).eps * want[0]
+    for chase in (band_to_bidiagonal, band_to_bidiagonal_reference):
+        d, e = chase(A, band)
+        got = np.linalg.svd(np.diag(d) + np.diag(e, 1), compute_uv=False)
+        assert np.abs(got - want).max() <= bound, chase.__name__
+    chase_s = scalar_s = float("inf")
     for _ in range(trials):
-        wave_s = min(wave_s, _time(lambda: band_to_bidiagonal(A, band), 1, 1))
+        chase_s = min(chase_s, _time(lambda: band_to_bidiagonal(A, band), 1, 1))
         scalar_s = min(
             scalar_s, _time(lambda: band_to_bidiagonal_reference(A, band), 1, 1)
         )
-    return wave_s / scalar_s
+    return chase_s / scalar_s
 
 
 def stage3_ratio(shape: tuple = (STAGE3_N,), trials: int = 3) -> float:
@@ -313,7 +318,7 @@ def metrics() -> dict:
 
     Simulated predicted seconds (deterministic across machines), plus
     speedup guards: the dimensionless ``bindprice_emitscalar_ratio``,
-    ``brd_wave_scalar_ratio``, ``stage3_kernel_gk_ratio``,
+    ``brd_chase_scalar_ratio``, ``stage3_kernel_gk_ratio``,
     ``stage3_stack_gk_ratio`` and ``stage1_block_ref_ratio`` (both
     timings of each share the host, so
     their baselines transfer) and the
@@ -349,8 +354,8 @@ def metrics() -> dict:
     new_s = _time(lambda: solver.predict(RATIO_N), 3, trials=2)
     out[f"graph_replay/bindprice_emitscalar_ratio@{RATIO_N}"] = new_s / old_s
 
-    # stage 2 of the numeric replay: the wavefront vs the scalar chase
-    out[f"graph_replay/brd_wave_scalar_ratio@{BRD_N}"] = brd_ratio()
+    # stage 2 of the numeric replay: the Householder vs the Givens chase
+    out[f"graph_replay/brd_chase_scalar_ratio@{BRD_N}"] = brd_ratio()
 
     # stage 3 of the numeric replay: the Sturm kernel vs QR iteration
     out[f"graph_replay/stage3_kernel_gk_ratio@{STAGE3_N}"] = stage3_ratio()

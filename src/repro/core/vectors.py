@@ -10,8 +10,8 @@ replay (``emit_svd_graph(n, config, vectors=True)``):
   computes ``B = Q1^T A Q2`` sweep by sweep, and the accumulators update as
   ``U <- U Q1`` = ``(Q1^T U^T)^T`` — one more instance of the paper's
   transpose trick, no new kernels, one ``*_acc`` launch per update;
-* **Stage 2** the wavefront chase rotates the accumulators wave by wave
-  (:func:`repro.core.brd.band_to_bidiagonal`);
+* **Stage 2** the bulge chase applies each reflector to the accumulators
+  as one block of columns (:func:`repro.core.brd.band_to_bidiagonal`);
 * **Stage 3** runs the Golub-Kahan QR iteration with rotation accumulation
   (the vector-bearing variant of :mod:`repro.core.bidiag`).
 

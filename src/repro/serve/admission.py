@@ -25,8 +25,7 @@ batches bind their table by lifting the memoized square table of their
 shape family per chain (:func:`repro.core.batched.bind_batched_table`)
 instead of emitting launch nodes, so a shed cascade that re-prices a
 shrinking batch each round costs one lift per round rather than a full
-re-emission - the old O(shed^2) node churn is gone
-(:meth:`AdmissionController.bind_stats` exposes the proof counters).
+re-emission - the old O(shed^2) node churn is gone.
 With ``tune=True`` the controller additionally consults
 :meth:`repro.Solver.tune` once per shape class to pick the ``streams``
 axis for in-core batches, restricted to candidates sharing the handle's
@@ -145,19 +144,6 @@ class AdmissionController:
         #: shed cascade increments this once per round, and each of
         #: those rounds is a bound-table rebind, not a re-emission.
         self.reprice_rounds = 0
-
-    def bind_stats(self) -> Dict[str, int]:
-        """Bound-structure memo counters behind this controller's oracle.
-
-        The hit/miss/entry counters of
-        :func:`repro.sim.table.bound_table_stats`: every admission price
-        of an in-core batch binds a memoized structure instead of
-        emitting nodes, so after warm-up repeated traffic shows hits
-        with no new misses (asserted by ``tests/test_serve.py``).
-        """
-        from ..sim.table import bound_table_stats
-
-        return bound_table_stats()
 
     # ------------------------------------------------------------------ #
     # capacity and pricing

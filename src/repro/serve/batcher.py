@@ -35,7 +35,7 @@ from ..config import SolveConfig
 from ..core.batched import emit_batched_graph, replay_batched_graph
 from ..errors import InvalidParamsError
 from ..sim.graph import LaunchGraph
-from ..sim.topology import Topology, require_positive
+from ..sim.topology import Topology, require_int, require_positive
 from ..solver import compose_graph
 from ..tuning.planner import ShapeClass
 
@@ -104,6 +104,7 @@ class DynamicBatcher:
 
     def __init__(self, max_batch: int = 16, max_wait_s: float = 0.002) -> None:
         """Validate and pin the batching knobs."""
+        require_int("max_batch", max_batch)
         if max_batch < 1:
             raise InvalidParamsError(
                 f"max_batch must be a positive request count, got {max_batch}"

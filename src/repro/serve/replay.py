@@ -29,6 +29,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from ..errors import InvalidParamsError
+from ..sim.topology import require_int, require_positive
 from ..tuning.planner import shape_class
 from .admission import AdmissionController
 from .batcher import DynamicBatcher, SvdRequest
@@ -52,6 +53,15 @@ class TraceRequest:
     priority: int = 0
 
 
+def _require_count(num) -> None:
+    """A trace length: a non-negative integer."""
+    require_int("num", num)
+    if num < 0:
+        raise InvalidParamsError(
+            f"num must be a non-negative count, got num={num!r}"
+        )
+
+
 def poisson_trace(
     num: int,
     rate_hz: float,
@@ -60,10 +70,8 @@ def poisson_trace(
     seed: int = 0,
 ) -> List[TraceRequest]:
     """``num`` Poisson arrivals at ``rate_hz``, sizes drawn from ``ns``."""
-    if num < 0:
-        raise InvalidParamsError(f"need a non-negative count, got {num}")
-    if rate_hz <= 0:
-        raise InvalidParamsError(f"need a positive rate, got {rate_hz}")
+    _require_count(num)
+    require_positive("rate_hz", rate_hz)
     rng = np.random.default_rng(seed)
     gaps = rng.exponential(1.0 / rate_hz, size=num)
     times = np.cumsum(gaps)
@@ -92,12 +100,11 @@ def bursty_trace(
     mean rate by roughly ``(mean_on_s + mean_off_s) / mean_on_s`` - the
     workload that separates a latency-bounded batcher from a naive one.
     """
-    if num < 0:
-        raise InvalidParamsError(f"need a non-negative count, got {num}")
-    if rate_on_hz <= 0:
-        raise InvalidParamsError(f"need a positive ON rate, got {rate_on_hz}")
-    if mean_on_s <= 0 or mean_off_s <= 0:
-        raise InvalidParamsError("need positive mean ON/OFF durations")
+    _require_count(num)
+    require_positive("rate_on_hz", rate_on_hz)
+    require_positive("mean_on_s", mean_on_s)
+    require_positive("mean_off_s", mean_off_s)
+    require_positive("rate_off_hz", rate_off_hz, zero_ok=True)
     rng = np.random.default_rng(seed)
     out: List[TraceRequest] = []
     t = 0.0

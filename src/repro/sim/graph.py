@@ -887,7 +887,7 @@ class NumericExecutor:
         base = node.kind[:-2]  # strip the "_b" suffix
         if base == "brd_chase":
             if node.primary:
-                # one stacked chase advances every problem's bulges together
+                # one stacked call chases each problem on its own live block
                 self._run_stage2([self._sub(p) for p in probs])
             return
         if base == "bdsqr_cpu":
@@ -912,8 +912,9 @@ class NumericExecutor:
         """Band -> bidiagonal numerics (once, on the first stage-2 node).
 
         ``subs`` (batched replay) are child executors whose bands are
-        chased as one ``(B, n, n)`` stack - bitwise equal to chasing each
-        alone; by default this executor's own workspace is chased.
+        passed as one ``(B, n, n)`` stack, whose chase gives each problem
+        the bytes it gets alone; by default this executor's own workspace
+        is chased.
         """
         from ..core.brd import band_to_bidiagonal
 

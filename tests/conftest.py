@@ -113,6 +113,19 @@ KERNEL_CASES = dict(
 #: any algebra slip shows as an O(1) gap.
 BLOCK_ORACLE_C = 4.0
 
+#: The stage-2 oracle rule: the Householder chase's bidiagonal has
+#: singular values within ``CHASE_ORACLE_C * n * eps(dtype) * sigma_max``
+#: of LAPACK's on the fp64 cast of its input, and so has the scalar
+#: Givens chase it replaced; with accumulators, ``U B V^T`` is within the
+#: same multiple of ``n eps |U_0| sigma_max |V_0|`` (spectral norms) of
+#: ``U_0 A V_0^T``.  Over 1,000 random, graded, clustered, rank-deficient,
+#: tiny-entry and zero-laden bands (n 3-80, fp16/32/64) both chases read
+#: at most 0.44 and the accumulators 0.24, except fp64 bands scaled to
+#: 1e-150, whose squared entries approach the subnormal range: up to 0.87.
+#: So c = 2 leaves a margin of 4.5 at unit scale, while an algebra slip
+#: shows as a gap of order sigma_max, far past the bound.
+CHASE_ORACLE_C = 2.0
+
 
 def kernel_operand(rng, shape, dtype, lq=False, scale=1.0):
     """Random ``shape`` operand in ``dtype``; a lazy-transpose view when

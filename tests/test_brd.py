@@ -8,12 +8,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.core.brd as brd
-from tests.conftest import rel_err, same_bytes, scipy_svdvals
+from tests.conftest import (
+    CHASE_ORACLE_C,
+    clone,
+    rel_err,
+    same_bytes,
+    scipy_svdvals,
+)
+from repro.core.bidiag import svdvals_bidiag
 from repro.core.brd import (
     band_to_bidiagonal,
     band_to_bidiagonal_reference,
     givens,
-    wave_schedule,
 )
 from repro.core.tiling import extract_band
 from repro.errors import InvalidParamsError, ShapeError
@@ -184,19 +190,49 @@ class TestNumericalCases:
         assert rel_err(scipy_svdvals(bidiag_dense(d, e)), scipy_svdvals(A)) < 1e-11
 
 
-def chase_inputs(rng, B, n, band, dtype, zeros, negzeros, keep):
-    """``B`` random band matrices with exact zeros, -0.0 entries and a
-    zero-padded trailing block from row/column ``keep`` (tile padding)."""
+def chase_inputs(rng, B, n, band, dtype, zeros, negzeros, keeps):
+    """``B`` random band matrices with exact zeros, -0.0 entries and, for
+    problem ``p``, a zero-padded trailing block from row/column
+    ``keeps[p]`` (tile padding)."""
     A = np.stack([extract_band(rng.standard_normal((n, n)), band) for _ in range(B)])
     A[rng.random(A.shape) < zeros] = 0.0
     A[rng.random(A.shape) < negzeros] = -0.0
-    A[:, keep:, :] = 0.0
-    A[:, :, keep:] = 0.0
+    for X, keep in zip(A, keeps):
+        X[keep:, :] = 0.0
+        X[:, keep:] = 0.0
     return A.astype(dtype)
 
 
-class TestWavefrontOracle:
-    """The wavefront chase equals the scalar chase byte for byte."""
+def chase_bound(A):
+    """The oracle rule's bound for ``A``: ``c n eps(dtype) sigma_max``."""
+    eps = float(np.finfo(A.dtype).eps)
+    return CHASE_ORACLE_C * len(A) * eps * scipy_svdvals(A)[0]
+
+
+def assert_within_rule(A, d, e):
+    """``bidiag(d, e)``'s singular values within the rule of LAPACK's on
+    ``A``'s fp64 cast."""
+    got = scipy_svdvals(bidiag_dense(d.astype(np.float64), e.astype(np.float64)))
+    gap, bound = float(np.abs(got - scipy_svdvals(A)).max()), chase_bound(A)
+    assert gap <= bound, f"gap {gap:.3e} > {bound:.3e}"
+
+
+def assert_accumulated_within_rule(A, d, e, start, U, V):
+    """``U bidiag(d, e) V^T`` within the rule of ``U_0 A V_0^T``, scaled
+    by ``|U_0| |V_0|`` (spectral norms), ``U_0, V_0 = start["U"], start["V"]``."""
+    U0, V0, U, V = (X.astype(np.float64) for X in (start["U"], start["V"], U, V))
+    B = bidiag_dense(d.astype(np.float64), e.astype(np.float64))
+    gap = np.abs(U @ B @ V.T - U0 @ A.astype(np.float64) @ V0.T).max()
+    scale = np.linalg.norm(U0, 2) * np.linalg.norm(V0, 2)
+    assert gap <= scale * chase_bound(A), f"gap {gap:.3e}"
+
+
+def is_bidiagonal(W):
+    return not (np.triu(W, 2).any() or np.tril(W, -1).any())
+
+
+class TestChaseOracle:
+    """The Householder chase and the scalar Givens chase agree in value."""
 
     @given(
         n=st.integers(3, 80),
@@ -206,104 +242,92 @@ class TestWavefrontOracle:
         seed=st.integers(0, 2**32 - 1),
         zeros=st.sampled_from([0.0, 0.05, 0.3]),
         negzeros=st.sampled_from([0.0, 0.1]),
-        pad=st.integers(0, 80),
+        pads=st.lists(st.integers(0, 80), min_size=4, max_size=4),
         accumulate=st.sampled_from(["", "U", "V", "UV"]),
     )
     @settings(max_examples=30, deadline=None)
-    def test_bitwise_equal_to_scalar_chase(
-        self, n, band_over, dtype, B, seed, zeros, negzeros, pad, accumulate
+    def test_values_within_rule_of_scalar_chase(
+        self, n, band_over, dtype, B, seed, zeros, negzeros, pads, accumulate
     ):
         band = 2 + band_over % (n + 4)  # 2 .. n + 5
-        keep = n - pad % n  # 1 .. n kept rows/columns
+        keeps = [n - pad % n for pad in pads]  # 1 .. n kept rows/columns
         rng = np.random.default_rng(seed)
-        A = chase_inputs(rng, B, n, band, dtype, zeros, negzeros, keep)
+        A = chase_inputs(rng, B, n, band, dtype, zeros, negzeros, keeps)
         W = A.copy()
         d, e = band_to_bidiagonal(W, band, inplace=True)
         assert d.dtype == e.dtype == A.dtype
         for p in range(B):
-            # random accumulators, U C-ordered and V a transposed view
-            acc = {
+            # (a) within the rule of LAPACK, and (b) exactly bidiagonal
+            assert_within_rule(A[p], d[p], e[p])
+            assert is_bidiagonal(W[p])
+            # (c) the stack equals its problems chased one at a time, with
+            # or without accumulators (U C-ordered, V a transposed view)
+            both = {
                 "U": rng.standard_normal((n + 3, n)).astype(dtype),
                 "V": rng.standard_normal((n, n + 3)).astype(dtype).T,
             }
-            acc = {k: acc[k] for k in accumulate}
-            ref = {k: X.copy() for k, X in acc.items()}
+            acc = {k: clone(both[k]) for k in accumulate}
             R = A[p].copy()
-            d0, e0 = band_to_bidiagonal_reference(R, band, inplace=True, **ref)
-            same_bytes(d[p], d0)
-            same_bytes(e[p], e0)
-            same_bytes(W[p], R)
-            # the stack equals its problems chased one at a time, and the
-            # 2-D chase's accumulators equal the scalar chase's
-            dp, ep = band_to_bidiagonal(A[p], band, **acc)
-            same_bytes(dp, d0)
-            same_bytes(ep, e0)
+            dp, ep = band_to_bidiagonal(R, band, inplace=True, **acc)
+            same_bytes(dp, d[p])
+            same_bytes(ep, e[p])
+            same_bytes(R, W[p])
+            # (d) with both accumulators U B V^T stays U_0 A V_0^T within
+            # the rule, and each alone gets the bytes it gets beside the
+            # other
+            U, V = clone(both["U"]), clone(both["V"])
+            band_to_bidiagonal(A[p], band, U=U, V=V)
             for k, X in acc.items():
-                same_bytes(X, ref[k])
+                same_bytes(X, {"U": U, "V": V}[k])
+            assert_accumulated_within_rule(A[p], dp, ep, both, U, V)
+            # the Givens oracle meets (a) and (d) too
+            U, V = clone(both["U"]), clone(both["V"])
+            d0, e0 = band_to_bidiagonal_reference(A[p], band, U=U, V=V)
+            assert_within_rule(A[p], d0, e0)
+            assert_accumulated_within_rule(A[p], d0, e0, both, U, V)
 
     @pytest.mark.parametrize("n,band", [(128, 32), (96, 32), (64, 16)])
-    def test_dense_sizes_bitwise(self, rng, n, band):
+    def test_dense_sizes_within_rule(self, rng, n, band):
+        """The dense fp32 sizes of a solve, unpadded: both chases within
+        the rule, with accumulators, and the chase exactly bidiagonal."""
         A = extract_band(rng.standard_normal((n, n)), band).astype(np.float32)
-        W, R = A.copy(), A.copy()
-        d, e = band_to_bidiagonal(W, band, inplace=True)
-        d0, e0 = band_to_bidiagonal_reference(R, band, inplace=True)
-        same_bytes(d, d0)
-        same_bytes(e, e0)
-        same_bytes(W, R)
-
-    def test_counts_the_same_rotations(self, rng, monkeypatch):
-        """Every rotation is still one call of the module's ``givens``
-        (the traced benchmark counts them as ``core.brd.rotations``)."""
-        calls = []
-
-        def counted(f, g):
-            calls.append(1)
-            return givens(f, g)
-
-        monkeypatch.setattr(brd, "givens", counted)
-        A = chase_inputs(rng, 3, 48, 12, np.float32, 0.05, 0.05, 40)
-        band_to_bidiagonal(A, 12)
-        wave = len(calls)
-        calls.clear()
-        for p in range(3):
-            band_to_bidiagonal_reference(A[p], 12)
-        assert wave == len(calls) > 0
+        start = {k: rng.standard_normal((n, n)).astype(np.float32) for k in "UV"}
+        W, U, V = A.copy(), clone(start["U"]), clone(start["V"])
+        d, e = band_to_bidiagonal(W, band, inplace=True, U=U, V=V)
+        assert is_bidiagonal(W)
+        assert_within_rule(A, d, e)
+        assert_accumulated_within_rule(A, d, e, start, U, V)
+        U, V = clone(start["U"]), clone(start["V"])
+        d0, e0 = band_to_bidiagonal_reference(A, band, U=U, V=V)
+        assert_within_rule(A, d0, e0)
+        assert_accumulated_within_rule(A, d0, e0, start, U, V)
 
     @pytest.mark.parametrize("dtype,value", [
         (np.float64, np.nan), (np.float32, -np.inf), (np.float16, 4.0e4),
     ])
     def test_non_finite_with_zero_padding(self, rng, dtype, value):
         """A NaN or Inf entry, or an fp16 band that overflows during the
-        chase, in front of zero-padded rows and columns spreads into them
-        exactly as in the scalar chase (the second matrix stays finite)."""
-        A = chase_inputs(rng, 2, 24, 6, np.float64, 0.0, 0.0, 15)
+        chase, in front of zero-padded rows and columns gives a non-finite
+        bidiagonal, which stage 3 rejects; the second, finite matrix of
+        the stack keeps the bytes it gets alone."""
+        A = chase_inputs(rng, 2, 24, 6, np.float64, 0.0, 0.0, [15, 15])
         if dtype == np.float16:
             A[0, :15, :15] = extract_band(np.full((15, 15), value), 6)
         else:
             A[0, 3, 5] = value
         A = A.astype(dtype)
-        W = A.copy()
         with np.errstate(all="ignore"):
-            d, e = band_to_bidiagonal(W, 6, inplace=True)
-        for p in range(2):
-            R = A[p].copy()
-            U, V = np.eye(24, dtype=dtype), np.eye(24, dtype=dtype)
-            U0, V0 = U.copy(), V.copy()
-            with np.errstate(all="ignore"):
-                d0, e0 = band_to_bidiagonal_reference(
-                    R, 6, inplace=True, U=U0, V=V0
-                )
-                # the rerun of the whole chase restarts the accumulators
-                band_to_bidiagonal(A[p], 6, U=U, V=V)
-            assert np.isfinite(R).all() == (p == 1)
-            same_bytes(d[p], d0)
-            same_bytes(e[p], e0)
-            same_bytes(W[p], R)
-            same_bytes(U, U0)
-            same_bytes(V, V0)
+            d, e = band_to_bidiagonal(A, 6)
+        assert not (np.isfinite(d[0]).all() and np.isfinite(e[0]).all())
+        with pytest.raises(ShapeError, match="NaN or Inf"):
+            svdvals_bidiag(d[0].astype(np.float64), e[0].astype(np.float64))
+        d1, e1 = band_to_bidiagonal(A[1], 6)
+        same_bytes(d[1], d1)
+        same_bytes(e[1], e1)
+        assert_within_rule(A[1], d1, e1)
 
     def test_accumulators_fit_one_matrix(self, rng):
-        A = chase_inputs(rng, 2, 10, 3, np.float32, 0.0, 0.0, 10)
+        A = chase_inputs(rng, 2, 10, 3, np.float32, 0.0, 0.0, [10, 10])
         U = np.eye(10, dtype=np.float32)
         for bad in (
             dict(A=A, U=U),  # a stack
@@ -316,96 +340,13 @@ class TestWavefrontOracle:
             band_to_bidiagonal_reference(A[0], 3, U=U[None])
 
     def test_stack_shapes(self, rng):
-        A = chase_inputs(rng, 3, 10, 3, np.float32, 0.0, 0.0, 10)
+        A = chase_inputs(rng, 3, 10, 3, np.float32, 0.0, 0.0, [10] * 3)
         A0 = A.copy()
         d, e = band_to_bidiagonal(A, 3)
         assert d.shape == (3, 10) and e.shape == (3, 9)
         same_bytes(A, A0)  # not inplace: the stack is left alone
         d, e = band_to_bidiagonal(A, 1)  # passthrough keeps the stack
         assert d.shape == (3, 10) and e.shape == (3, 9)
-
-
-def reference_rotations(n, band):
-    """Every rotation of the scalar chase, in its order, value-independent.
-
-    Yields ``(sweep, kind, f_cell, rows, cols)`` with today's windows:
-    the annihilation (``"ann"``) rotates rows ``i..j`` of columns
-    ``j-1, j``; a left chase rotation rows ``p-1, p`` of columns
-    ``p-1..min(n-1, p+band)``; a right one rows ``p-1..q`` of columns
-    ``q-1, q``.
-    """
-    k = 0
-    for i in range(n - 1):
-        for j in range(min(i + band, n - 1), i + 1, -1):
-            yield k, "ann", (i, j - 1), range(i, j + 1), (j - 1, j)
-            p = j
-            while p < n:
-                yield (k, "left", (p - 1, p - 1), (p - 1, p),
-                       range(p - 1, min(n - 1, p + band) + 1))
-                q = p + band
-                if q > n - 1:
-                    break
-                yield k, "right", (p - 1, q - 1), range(p - 1, q + 1), (q - 1, q)
-                p = q
-            k += 1
-
-
-def check_schedule(n, band):
-    """Each cell's rotations run in strictly increasing wave order.
-
-    Also checks that the schedule lists exactly the scalar chase's
-    rotations, each in a wave of its kind, and the annihilation windows.
-    """
-    eff = min(band, n - 1)
-    nw = n + eff + 2
-    waves = wave_schedule(n, eff, nw)
-    where = {}
-    for w in range(len(waves.top)):
-        lo, hi = int(waves.ptr[w]), int(waves.ptr[w + 1])
-        for t in range(lo, hi):
-            where[(int(waves.top[w]) - (t - lo), int(waves.start[t]))] = (w, t == lo)
-    assert len(where) == len(waves.start)  # no slot listed twice
-    cells, order, wave = [], [], []
-    count = 0
-    for k, kind, (r, c), rows, cols in reference_rotations(n, band):
-        w, first = where[(k, r * nw + c)]
-        assert (w % 2 == 1) == (kind == "left")
-        if kind == "ann":
-            assert first and waves.annlen[w] == len(rows)
-        elif first:
-            assert waves.annlen[w] == 0
-        cell = (np.asarray(rows)[:, None] * n + np.asarray(cols)).ravel()
-        cells.append(cell)
-        order.append(np.full(cell.size, count))
-        wave.append(np.full(cell.size, w))
-        count += 1
-    assert count == len(waves.start)  # no slot the scalar chase lacks
-    cells, order, wave = map(np.concatenate, (cells, order, wave))
-    perm = np.lexsort((order, cells))
-    cells, wave = cells[perm], wave[perm]
-    same = cells[1:] == cells[:-1]
-    assert np.all(np.diff(wave)[same] > 0)
-
-
-class TestWaveSchedule:
-    """Value-independent legality of the wave schedule."""
-
-    @pytest.mark.parametrize("n", range(3, 25))
-    def test_small_sizes_every_band(self, n):
-        for band in range(2, n + 3):
-            check_schedule(n, band)
-
-    @pytest.mark.parametrize("n,band", [(64, 16), (96, 32)])
-    def test_larger(self, n, band):
-        check_schedule(n, band)
-
-    def test_compact_memo(self):
-        """int32, read-only and at most 2 MB at n = 512, band 32."""
-        waves = wave_schedule(512, 32, 546)
-        arrays = (waves.start, waves.ptr, waves.top, waves.annlen)
-        assert all(a.dtype == np.int32 and not a.flags.writeable for a in arrays)
-        assert sum(a.nbytes for a in arrays) <= 2 * 2**20
-        assert wave_schedule(512, 32, 546) is waves
 
 
 class TestBatchedReplay:

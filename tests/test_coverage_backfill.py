@@ -70,28 +70,35 @@ class TestTraceGuards:
     def test_poisson_negative_count(self):
         with pytest.raises(InvalidParamsError) as excinfo:
             poisson_trace(-1, 100.0)
-        assert "need a non-negative count, got -1" in str(excinfo.value)
+        assert "num must be a non-negative count, got num=-1" in str(excinfo.value)
 
     def test_poisson_nonpositive_rate(self):
         with pytest.raises(InvalidParamsError) as excinfo:
             poisson_trace(10, 0.0)
-        assert "need a positive rate, got 0.0" in str(excinfo.value)
+        assert "rate_hz must be a positive finite number, got rate_hz=0.0" in (
+            str(excinfo.value)
+        )
 
     def test_bursty_negative_count(self):
         with pytest.raises(InvalidParamsError) as excinfo:
             bursty_trace(-2, 100.0)
-        assert "need a non-negative count, got -2" in str(excinfo.value)
+        assert "num must be a non-negative count, got num=-2" in str(excinfo.value)
 
     def test_bursty_nonpositive_on_rate(self):
         with pytest.raises(InvalidParamsError) as excinfo:
             bursty_trace(10, -5.0)
-        assert "need a positive ON rate, got -5.0" in str(excinfo.value)
+        assert "rate_on_hz must be a positive finite number, got rate_on_hz=-5.0" in (
+            str(excinfo.value)
+        )
 
     @pytest.mark.parametrize("on_s,off_s", [(0.0, 0.1), (0.1, 0.0)])
     def test_bursty_nonpositive_periods(self, on_s, off_s):
         with pytest.raises(InvalidParamsError) as excinfo:
             bursty_trace(10, 100.0, mean_on_s=on_s, mean_off_s=off_s)
-        assert "need positive mean ON/OFF durations" in str(excinfo.value)
+        axis = "mean_on_s" if on_s == 0.0 else "mean_off_s"
+        assert f"{axis} must be a positive finite number, got {axis}=0.0" in (
+            str(excinfo.value)
+        )
 
 
 class TestBurstyTrace:

@@ -24,6 +24,7 @@ from repro.errors import CapacityError, InvalidParamsError, ShapeError
 from repro.precision import Precision
 from repro.serve.admission import AdmissionController
 from repro.serve.batcher import DynamicBatcher
+from repro.serve.replay import bursty_trace, poisson_trace, simulate_service
 from repro.sim.costmodel import FabricSpec, LinkSpec
 from repro.sim.events import EventSchedule
 from repro.sim.outofcore import rewrite_out_of_core
@@ -43,6 +44,20 @@ def held(graph, ngpu):
             if node.kind == "bdsqr_cpu_b" and node.device == d)
         for d in range(ngpu)
     ]
+
+
+#: site -> (count axis its message names, call passing the value)
+COUNT_SITES = {
+    "poisson_trace": ("num", lambda v: poisson_trace(v, 100.0)),
+    "bursty_trace": ("num", lambda v: bursty_trace(v, 100.0)),
+    "DynamicBatcher": ("max_batch", lambda v: DynamicBatcher(v)),
+    "simulate_service": (
+        "max_batch",
+        lambda v: simulate_service(
+            poisson_trace(6, 1000.0, ns=(64,)), _FP32, max_batch=v
+        ),
+    ),
+}
 
 
 class TestIntegerAxes:
@@ -68,6 +83,19 @@ class TestIntegerAxes:
             Topology.uniform("h100", value)
         with pytest.raises(InvalidParamsError, match="nodes must be an integer"):
             Topology(("h100",) * 2, nodes=value)
+
+    @pytest.mark.parametrize("value", [2.5, 2.0, True, math.nan], ids=repr)
+    @pytest.mark.parametrize("site", list(COUNT_SITES))
+    def test_trace_and_batcher_counts(self, site, value):
+        """A float or bool trace length or batch size used to hang
+        (``bursty_trace``), return a trace or die at the first dispatch
+        with a bare ``TypeError`` (``simulate_service``)."""
+        axis, call = COUNT_SITES[site]
+        with pytest.raises(
+            InvalidParamsError,
+            match=re.escape(f"{axis} must be an integer, got {axis}={value!r}"),
+        ):
+            call(value)
 
     def test_numpy_integers_pass(self):
         solver = Solver("h100", precision="fp32")
@@ -158,6 +186,24 @@ POSITIVE_SITES = {
     "DynamicBatcher": (
         InvalidParamsError, "max_wait_s", lambda v: DynamicBatcher(4, v),
     ),
+    "poisson_trace.rate_hz": (
+        InvalidParamsError, "rate_hz", lambda v: poisson_trace(3, v),
+    ),
+    "bursty_trace.rate_on_hz": (
+        InvalidParamsError, "rate_on_hz", lambda v: bursty_trace(3, v),
+    ),
+    "bursty_trace.rate_off_hz": (
+        InvalidParamsError, "rate_off_hz",
+        lambda v: bursty_trace(3, 100.0, rate_off_hz=v),
+    ),
+    "bursty_trace.mean_on_s": (
+        InvalidParamsError, "mean_on_s",
+        lambda v: bursty_trace(3, 100.0, mean_on_s=v),
+    ),
+    "bursty_trace.mean_off_s": (
+        InvalidParamsError, "mean_off_s",
+        lambda v: bursty_trace(3, 100.0, mean_off_s=v),
+    ),
 }
 
 
@@ -179,6 +225,7 @@ class TestPositiveAxes:
     def test_zero_only_for_latency_and_wait(self):
         Solver("h100", link=_link(latency_us=0.0))
         DynamicBatcher(4, 0.0)
+        assert bursty_trace(3, 100.0, rate_off_hz=0.0)
         with pytest.raises(InvalidParamsError, match="link_gbs=0.0"):
             _FP32.predict(2048, ngpu=2, link_gbs=0.0)
 
