@@ -57,6 +57,20 @@ reflector-at-a-time ``*_reference`` twins (swapped onto
 alternating, after checking that both bands have the same singular values
 within ``ORACLE_TOL``.  Its baseline is hand-pinned at 0.5: the gate fails
 once block stage 1 is less than 1.6x faster.
+
+And the stage-1 panel: ``ftsqrt_wave_ref_ratio@4096`` divides the
+wavefront FTSQRT (:func:`repro.kernels.ftsqrt`) by the column loop that is
+the oracle of its tolerance rule (:func:`repro.kernels.ftsqrt_reference`)
+on one fixed fp32 panel of ``L = 127`` tiles of 32 - the first panel of
+the tall QR of a 4096-row low-rank sample - best of 3 each, alternating,
+after checking both against each other under that rule.  It read
+0.22-0.32 on a 2-core x86-64 host (the high end with the other core
+busy); the baseline is hand-pinned at 0.5, so the gate fails once the
+wave is less than 1.6x faster.
+
+The table :func:`run` renders is this host's wall-clock, so the pytest
+entry point writes it to ``benchmarks/results/graph_replay.txt``
+untracked (as ``bench_solver_plan.py`` does ``solver_plan.txt``).
 """
 
 import argparse
@@ -95,6 +109,11 @@ STAGE1_N = 512
 STAGE1_TS = 32
 #: The update kernels the stage-1 ratio swaps for their ``*_reference``.
 UPDATE_KERNELS = ("unmqr", "tsmqr", "ftsmqr")
+
+#: Tile count and tile size of the gated panel (wave vs column loop)
+#: ratio: a 4096-row tall QR's first panel.
+PANEL_L = 127
+PANEL_TS = 32
 
 #: Orders of the cold ``Solver.tune`` rows in the ``--breakdown`` dump.
 TUNE_SIZES = (1024, 2048)
@@ -214,6 +233,43 @@ def stage1_ratio(
     return block_s / ref_s
 
 
+def panel_ratio(L: int = PANEL_L, ts: int = PANEL_TS, trials: int = 3) -> float:
+    """Wavefront over column-loop FTSQRT wall-clock, best of ``trials``.
+
+    Both factor one fixed fp32 panel (a GEQRT top tile over ``L`` random
+    tiles) and first agree within the panel oracle rule of
+    ``tests/conftest.py`` (``PANEL_ORACLE_C = 4``): ``R`` within
+    ``4 (L + ts) eps max|A|``, tails and taus within ``4 (L + ts) eps``.
+    The two alternate, so a change of host speed slows both.
+    """
+    from repro.kernels import ftsqrt, ftsqrt_reference, geqrt
+
+    eps = float(np.finfo(np.float32).eps)
+    A = np.random.default_rng(0).standard_normal(((L + 1) * ts, ts))
+    A = A.astype(np.float32)
+    R0 = A[:ts].copy()
+    geqrt(R0, np.zeros(ts, np.float32), eps)
+    R0 = np.triu(R0)
+    tiles = [A[(l + 1) * ts : (l + 2) * ts] for l in range(L)]
+
+    def factor(kernel):
+        R, Bs = R0.copy(), [B.copy() for B in tiles]
+        taus = [np.zeros(ts, np.float32) for _ in tiles]
+        t0 = time.perf_counter()
+        kernel(R, Bs, taus, eps)
+        return time.perf_counter() - t0, (R, Bs, taus)
+
+    unit = 4.0 * (L + ts) * eps
+    (_, (Rw, Bw, tw)), (_, (Rr, Br, tr)) = factor(ftsqrt), factor(ftsqrt_reference)
+    assert np.abs(Rw - Rr).max() <= unit * max(np.abs(R0).max(), np.abs(A).max())
+    assert max(np.abs(a - b).max() for a, b in zip(Bw + tw, Br + tr)) <= unit
+    wave_s = ref_s = float("inf")
+    for _ in range(trials):
+        wave_s = min(wave_s, factor(ftsqrt)[0])
+        ref_s = min(ref_s, factor(ftsqrt_reference)[0])
+    return wave_s / ref_s
+
+
 def phase_rows(solver, sizes=SIZES) -> list:
     """Per-size wall-clock phase timings as JSON-friendly dict rows."""
     cfg = solver.config
@@ -319,8 +375,8 @@ def metrics() -> dict:
     Simulated predicted seconds (deterministic across machines), plus
     speedup guards: the dimensionless ``bindprice_emitscalar_ratio``,
     ``brd_chase_scalar_ratio``, ``stage3_kernel_gk_ratio``,
-    ``stage3_stack_gk_ratio`` and ``stage1_block_ref_ratio`` (both
-    timings of each share the host, so
+    ``stage3_stack_gk_ratio``, ``stage1_block_ref_ratio`` and
+    ``ftsqrt_wave_ref_ratio`` (both timings of each share the host, so
     their baselines transfer) and the
     deterministic bound-structure miss
     count per tune candidate (proof the candidate loop binds instead of
@@ -365,6 +421,10 @@ def metrics() -> dict:
 
     # stage 1 of the numeric replay: compact-WY vs per-reflector updates
     out[f"graph_replay/stage1_block_ref_ratio@{STAGE1_N}"] = stage1_ratio()
+    # and its panel: the wavefront vs the column loop
+    out[f"graph_replay/ftsqrt_wave_ref_ratio@{(PANEL_L + 1) * PANEL_TS}"] = (
+        panel_ratio()
+    )
 
     # re-emission is gone from the candidate loop: a cold tune binds a
     # handful of structures (one per tile size and execution-axis

@@ -32,10 +32,13 @@ iteration on one order-512 bidiagonal,
 ``graph_replay/stage3_stack_gk_ratio@64`` pinned at 0.5 fails once the
 kernel on one ``(8, 64)`` stack is less than 1.6x faster than Golub-Kahan
 row by row (the serving-size stage 3),
-and ``graph_replay/stage1_block_ref_ratio@512`` pinned at 0.5
+``graph_replay/stage1_block_ref_ratio@512`` pinned at 0.5
 fails once stage 1 with the compact-WY update kernels is less than 1.6x
-faster than with their reflector-at-a-time references - so they routinely
-print "improved"; do not ``--update`` them down to the measured value.
+faster than with their reflector-at-a-time references, and
+``graph_replay/ftsqrt_wave_ref_ratio@4096`` pinned at 0.5 fails once the
+wavefront FTSQRT is less than 1.6x faster than its column loop on one
+fp32 panel of 127 tiles - so they routinely print "improved"; do not
+``--update`` them down to the measured value.
 """
 
 import argparse

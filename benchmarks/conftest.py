@@ -3,7 +3,9 @@
 Each ``bench_*`` module regenerates one table or figure of the paper and
 asserts its headline shape; ``pytest-benchmark`` times a representative
 slice of the workload.  Rendered tables are echoed to stdout (run with
-``-s`` to see them) and written to ``benchmarks/results/``.
+``-s`` to see them) and written to ``benchmarks/results/``; the two
+host wall-clock tables (``graph_replay.txt``, ``solver_plan.txt``) are
+not tracked, so a local run leaves ``git status`` clean.
 
 Benchmarks share :class:`repro.Solver` handles through :func:`get_solver`
 (and the ``solver`` fixture): the handle is constructed once per

@@ -91,7 +91,7 @@ from .sim import REFERENCE_PARAMS, KernelParams, Topology
 from .solver import Solver, SvdPlan
 from .serve import ServiceStats, SvdService
 
-__version__ = "8.0.0"
+__version__ = "9.0.0"
 
 __all__ = [
     # unified handle surface (the recommended API)

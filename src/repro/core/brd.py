@@ -98,9 +98,25 @@ def givens(f: float, g: float) -> Tuple[float, float, float]:
     return f / r, g / r, r
 
 
-def _live_order(X: np.ndarray) -> int:
-    """One past the last row or column of ``X`` holding a nonzero."""
+def _live_order(
+    X: np.ndarray, band: int, outside: np.ndarray, problem: Optional[int]
+) -> int:
+    """One past the last row or column of ``X`` holding a nonzero.
+
+    The same ``X != 0`` mask checks that no nonzero lies where
+    ``outside`` (off diagonals ``0..band``) is set: one would be mixed
+    into the chase and give wrong values, so it raises
+    :class:`~repro.errors.ShapeError`.
+    """
     nonzero = X != 0
+    stray = nonzero & outside
+    if stray.any():
+        i, j = np.argwhere(stray)[0]
+        where = "" if problem is None else f" in problem {problem}"
+        raise ShapeError(
+            f"expected an upper band matrix of band {band}: entry ({i}, {j})"
+            f"{where} is nonzero; pass stage-1 output through extract_band"
+        )
     live = np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))
     return int(live[-1]) + 1 if live.size else 0
 
@@ -212,8 +228,10 @@ def band_to_bidiagonal(
     ----------
     A:
         ``(n, n)`` array, or ``(B, n, n)`` stack, whose nonzeros lie on
-        diagonals ``0..band``, in float16, float32 or float64.  Below-band
-        content must be zero: pass stage-1 output with resident reflector
+        diagonals ``0..band``, in float16, float32 or float64.  When the
+        chase runs (``band >= 2``, ``n >= 3``), a nonzero anywhere else
+        raises :class:`~repro.errors.ShapeError` naming the entry (and, for
+        a stack, the problem): pass stage-1 output with resident reflector
         tails through :func:`repro.core.tiling.extract_band` first.
     band:
         Upper bandwidth of the input (``TILESIZE`` after stage 1): a
@@ -240,8 +258,10 @@ def band_to_bidiagonal(
     d = np.diagonal(stack, axis1=1, axis2=2).copy()
     e = np.diagonal(stack, 1, axis1=1, axis2=2).copy()
     if band > 1 and n > 2:
-        for X, dp, ep in zip(stack, d, e):
-            m = _live_order(X)
+        # entries left of the diagonal or right of diagonal `band`
+        outside = ~np.tri(n, n, band, dtype=bool) | np.tri(n, n, -1, dtype=bool)
+        for p, (X, dp, ep) in enumerate(zip(stack, d, e)):
+            m = _live_order(X, band, outside, p if A.ndim == 3 else None)
             if m <= 2:
                 continue
             W = X[:m, :m].copy()

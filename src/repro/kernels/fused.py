@@ -4,19 +4,23 @@ The classic schedule launches one TSQRT and one TSMQR *per below-diagonal
 tile row*; launches then scale quadratically with the tile count.  The
 fused kernels process the whole panel in a single launch:
 
-* **FTSQRT** runs the TSQRT bodies for every tile row sequentially against
-  the shared triangular top tile (the dependency chain through ``R`` is
-  inherent, so fusion loses no parallelism);
+* **FTSQRT** runs the TSQRT of every tile row against the shared
+  triangular top tile.  The chain through ``R`` runs per row of ``R``:
+  step ``(l, k)`` waits only on ``(l - 1, k)`` and ``(l, k - 1)``, so
+  :func:`~repro.kernels.tsqrt.tsqrt_panel` replays the launch one
+  anti-diagonal wave of (tile, column) steps at a time;
 * **FTSMQR** keeps the top tile row ``Y`` resident (in registers, per
   Algorithm 5's ``Yi`` private array) while walking the below rows, so the
   top row is loaded from global memory once per launch instead of once per
   tile row.
 
-Numerically the fused kernels execute the *same operations in the same
-order* as the unfused sequence - a property the test suite pins exactly.
-FTSMQR builds the compact-WY ``T`` factors of all its rows in one
-lock-step recurrence, which gives every row the bytes TSMQR builds alone.
-:func:`ftsmqr_reference` is the reflector-at-a-time oracle.
+Numerically the fused kernels give the unfused sequence's bytes - a
+property the test suite pins exactly.  FTSQRT and TSQRT are one wavefront
+kernel (TSQRT its one-tile call), whose lanes' bytes do not depend on the
+wave they run in; FTSMQR builds the compact-WY ``T`` factors of all its
+rows in one lock-step recurrence, which gives every row the bytes TSMQR
+builds alone.  :func:`ftsqrt_reference` (the column loop) and
+:func:`ftsmqr_reference` (reflector at a time) are the oracles.
 """
 
 from __future__ import annotations
@@ -26,9 +30,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .tsmqr import tsmqr_reference, tsmqr_rows
-from .tsqrt import tsqrt_body
+from .tsqrt import tsqrt_body, tsqrt_panel
 
-__all__ = ["ftsmqr", "ftsmqr_reference", "ftsqrt"]
+__all__ = ["ftsmqr", "ftsmqr_reference", "ftsqrt", "ftsqrt_reference"]
 
 
 def ftsqrt(
@@ -57,16 +61,35 @@ def ftsqrt(
         raise ValueError("need one tau vector per below tile")
     if not Bs:
         return
-    if compute_dtype is None or R.dtype == compute_dtype:
-        for B, tau in zip(Bs, taus):
-            tsqrt_body(R, B, tau, eps)
+    tsqrt_panel(R, Bs, taus, eps, compute_dtype)
+
+
+def ftsqrt_reference(
+    R: np.ndarray,
+    Bs: Sequence[np.ndarray],
+    taus: Sequence[np.ndarray],
+    eps: float,
+    compute_dtype: Optional[np.dtype] = None,
+) -> None:
+    """Column-at-a-time FTSQRT: the oracle :func:`ftsqrt` is tested against.
+
+    Same arguments as :func:`ftsqrt`; runs Algorithm 3's column loop tile
+    by tile against ``R``, held in compute precision for the whole launch,
+    and stores each tile back once, in its own precision.
+    """
+    if len(Bs) != len(taus):
+        raise ValueError("need one tau vector per below tile")
+    if not Bs:
         return
-    Rw = R.astype(compute_dtype)
+    dtype = R.dtype if compute_dtype is None else compute_dtype
+    Rw = R if R.dtype == dtype else R.astype(dtype)
     for B, tau in zip(Bs, taus):
-        Bw = B.astype(compute_dtype)
+        Bw = B if B.dtype == dtype else B.astype(dtype)
         tsqrt_body(Rw, Bw, tau, eps)
-        B[...] = Bw  # downcast store per tile row, like the real kernel
-    R[...] = Rw
+        if Bw is not B:
+            B[...] = Bw  # downcast store per tile row, like the real kernel
+    if Rw is not R:
+        R[...] = Rw
 
 
 def ftsmqr(

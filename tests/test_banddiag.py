@@ -112,10 +112,11 @@ class TestReplayLaunches:
 
 
 class TestBlockKernelOracle:
-    """Stage 1 on the compact-WY kernels against the per-reflector loops.
+    """Stage 1 on the compact-WY kernels and the wavefront panel against
+    the paper's loops throughout (the five ``*_reference`` kernels).
 
-    The block form reassociates sums, so band entries move by ulps and are
-    not pinned; the singular values downstream are.
+    Both reassociate sums, so band entries move by ulps and are not
+    pinned; the singular values downstream are.
     """
 
     @pytest.mark.parametrize("precision", ["fp64", "fp32", "fp16"])
@@ -126,7 +127,7 @@ class TestBlockKernelOracle:
         solver = Solver(backend="h100", precision=precision, params=params)
         block = solver.solve(A)
         calls = []
-        for name in ("unmqr", "tsmqr", "ftsmqr"):
+        for name in ("unmqr", "tsqrt", "tsmqr", "ftsqrt", "ftsmqr"):
             ref = getattr(repro.kernels, f"{name}_reference")
 
             def counted(*args, _ref=ref, _name=name):
@@ -136,5 +137,5 @@ class TestBlockKernelOracle:
             # the executor resolves its kernels on repro.kernels when built
             monkeypatch.setattr(repro.kernels, name, counted)
         reference = solver.solve(A)
-        assert {"unmqr", "ftsmqr"} <= set(calls)
+        assert {"unmqr", "ftsqrt", "ftsmqr"} <= set(calls)
         assert rel_err(block, reference) < ORACLE_TOL[precision]

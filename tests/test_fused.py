@@ -1,7 +1,9 @@
 """Tests for the fused FTSQRT/FTSMQR kernels (Figure 2).
 
-The defining property: fused kernels execute exactly the same operations
-in the same order as the unfused sequence, so results are bit-identical.
+The defining property: fused kernels give exactly the bytes of the unfused
+sequence.  FTSQRT is the wavefront panel of which TSQRT is the one-tile
+call, and FTSMQR builds every row's ``T`` factor in lock-step; the column
+and reflector loops they replace are their ``*_reference`` oracles.
 """
 
 import numpy as np
@@ -13,16 +15,20 @@ from repro.kernels import (
     ftsmqr,
     ftsmqr_reference,
     ftsqrt,
+    ftsqrt_reference,
     geqrt,
     tsmqr,
     tsqrt,
 )
 from tests.conftest import (
     KERNEL_CASES,
+    PANEL_CASES,
     assert_near_reference,
+    assert_panel_near_reference,
     clone,
     kernel_operand,
     magnitude,
+    panel_operands,
     same_bytes,
 )
 
@@ -74,6 +80,62 @@ class TestFtsqrtEquivalence:
         R = np.triu(rng.standard_normal((4, 4)))
         with pytest.raises(ValueError):
             ftsqrt(R, [np.zeros((4, 4))], [], EPS64)
+
+
+class TestFtsqrtOracle:
+    """The wavefront panel against the column loop, and against itself."""
+
+    @given(**PANEL_CASES)
+    @settings(max_examples=60, deadline=None)
+    def test_wave_matches_reference(
+        self, seed, prec, ts, L, lq, zero_cols, dependent, scale
+    ):
+        storage, compute = prec
+        rng = np.random.default_rng(seed)
+        R0, Bs0 = panel_operands(
+            rng, L, ts, storage, lq, scale, zero_cols, dependent
+        )
+        eps = float(np.finfo(storage).eps)
+        outs = []
+        for kernel in (ftsqrt, ftsqrt_reference):
+            # identical compute-precision inputs
+            R, Bs = R0.astype(compute), [B.astype(compute) for B in Bs0]
+            taus = [np.zeros(ts, dtype=compute) for _ in Bs]
+            kernel(R, Bs, taus, eps, compute)
+            outs.append((R, Bs, taus))
+        assert_panel_near_reference(
+            *outs, R0, Bs0, eps, compute, full_rank=not zero_cols
+        )
+
+    @given(**PANEL_CASES)
+    @settings(max_examples=60, deadline=None)
+    def test_bitwise_tsqrt_sequence(
+        self, seed, prec, ts, L, lq, zero_cols, dependent, scale
+    ):
+        """A lane's bytes do not depend on its wave: L tiles at once give
+        the bytes of the per-tile TSQRT sequence, whose waves each have
+        one lane, and storage tiles get the compute result rounded once."""
+        storage, compute = prec
+        rng = np.random.default_rng(seed)
+        R0, Bs0 = panel_operands(
+            rng, L, ts, storage, lq, scale, zero_cols, dependent
+        )
+        eps = float(np.finfo(storage).eps)
+        Rf, Bf = R0.astype(compute), [B.astype(compute) for B in Bs0]
+        tf = [np.zeros(ts, dtype=compute) for _ in Bs0]
+        ftsqrt(Rf, Bf, tf, eps, compute)
+        Ru, Bu = R0.astype(compute), [B.astype(compute) for B in Bs0]
+        tu = [np.zeros(ts, dtype=compute) for _ in Bs0]
+        for B, tau in zip(Bu, tu):
+            tsqrt(Ru, B, tau, eps, compute)
+        for a, b in zip([Rf, *Bf, *tf], [Ru, *Bu, *tu]):
+            same_bytes(a, b)
+
+        Rs, Bs = clone(R0), [clone(B) for B in Bs0]
+        taus = [np.zeros(ts, dtype=compute) for _ in Bs0]
+        ftsqrt(Rs, Bs, taus, eps, compute)
+        for a, b in zip([Rs, *Bs, *taus], [Rf, *Bf, *tf]):
+            same_bytes(a, b.astype(a.dtype))
 
 
 class TestFtsmqrEquivalence:

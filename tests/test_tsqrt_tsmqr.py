@@ -4,13 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from repro.kernels import geqrt, tsmqr, tsmqr_reference, tsqrt
+from repro.kernels import geqrt, tsmqr, tsmqr_reference, tsqrt, tsqrt_reference
 from tests.conftest import (
     KERNEL_CASES,
+    PANEL_CASES,
     assert_near_reference,
+    assert_panel_near_reference,
     clone,
     kernel_operand,
     magnitude,
+    panel_operands,
     same_bytes,
 )
 
@@ -102,6 +105,45 @@ class TestTsqrt:
               compute_dtype=np.float32)
         assert R.dtype == np.float16 and B.dtype == np.float16
         assert np.isfinite(R.astype(np.float64)).all()
+
+
+class TestTsqrtOracle:
+    """TSQRT, the one-tile wavefront panel, against the column loop."""
+
+    @given(**{k: v for k, v in PANEL_CASES.items() if k != "L"})
+    @settings(max_examples=60, deadline=None)
+    def test_matches_reference(
+        self, seed, prec, ts, lq, zero_cols, dependent, scale
+    ):
+        storage, compute = prec
+        rng = np.random.default_rng(seed)
+        R0, (B0,) = panel_operands(
+            rng, 1, ts, storage, lq, scale, zero_cols, dependent
+        )
+        eps = float(np.finfo(storage).eps)
+        outs = []
+        for kernel in (tsqrt, tsqrt_reference):
+            R, B = R0.astype(compute), B0.astype(compute)
+            tau = np.zeros(ts, dtype=compute)
+            kernel(R, B, tau, eps, compute)
+            outs.append((R, [B], [tau]))
+        assert_panel_near_reference(
+            *outs, R0, [B0], eps, compute, full_rank=not zero_cols
+        )
+
+        # storage-precision tiles get the compute result, rounded once
+        R, B = clone(R0), clone(B0)
+        tau = np.zeros(ts, dtype=compute)
+        tsqrt(R, B, tau, eps, compute)
+        (Rc, (Bc,), (tc,)) = outs[0]
+        for a, b in zip((R, B, tau), (Rc, Bc, tc)):
+            same_bytes(a, b.astype(a.dtype))
+
+    def test_reference_shape_mismatch(self):
+        with pytest.raises(ValueError):
+            tsqrt_reference(
+                np.zeros((4, 4)), np.zeros((4, 5)), np.zeros(4), 1e-16
+            )
 
 
 class TestTsmqr:
