@@ -228,11 +228,12 @@ def band_to_bidiagonal(
     ----------
     A:
         ``(n, n)`` array, or ``(B, n, n)`` stack, whose nonzeros lie on
-        diagonals ``0..band``, in float16, float32 or float64.  When the
-        chase runs (``band >= 2``, ``n >= 3``), a nonzero anywhere else
-        raises :class:`~repro.errors.ShapeError` naming the entry (and, for
-        a stack, the problem): pass stage-1 output with resident reflector
-        tails through :func:`repro.core.tiling.extract_band` first.
+        diagonals ``0..band``, in float16, float32 or float64.  A nonzero
+        anywhere else raises :class:`~repro.errors.ShapeError` naming the
+        entry (and, for a stack, the problem), also where no chase runs
+        (``band <= 1`` or ``n <= 2``): pass stage-1 output with resident
+        reflector tails through :func:`repro.core.tiling.extract_band`
+        first.
     band:
         Upper bandwidth of the input (``TILESIZE`` after stage 1): a
         non-negative integer, else :class:`~repro.errors.InvalidParamsError`.
@@ -257,19 +258,18 @@ def band_to_bidiagonal(
     stack = A.reshape(-1, n, n)
     d = np.diagonal(stack, axis1=1, axis2=2).copy()
     e = np.diagonal(stack, 1, axis1=1, axis2=2).copy()
-    if band > 1 and n > 2:
-        # entries left of the diagonal or right of diagonal `band`
-        outside = ~np.tri(n, n, band, dtype=bool) | np.tri(n, n, -1, dtype=bool)
-        for p, (X, dp, ep) in enumerate(zip(stack, d, e)):
-            m = _live_order(X, band, outside, p if A.ndim == 3 else None)
-            if m <= 2:
-                continue
-            W = X[:m, :m].copy()
-            _householder_chase(W, min(band, m - 1), U, V)
-            dp[:m] = np.diagonal(W)
-            ep[: m - 1] = np.diagonal(W, 1)
-            if inplace:
-                X[:m, :m] = W
+    # entries left of the diagonal or right of diagonal `band`
+    outside = ~np.tri(n, n, band, dtype=bool) | np.tri(n, n, -1, dtype=bool)
+    for p, (X, dp, ep) in enumerate(zip(stack, d, e)):
+        m = _live_order(X, band, outside, p if A.ndim == 3 else None)
+        if band <= 1 or m <= 2:
+            continue  # already bidiagonal
+        W = X[:m, :m].copy()
+        _householder_chase(W, min(band, m - 1), U, V)
+        dp[:m] = np.diagonal(W)
+        ep[: m - 1] = np.diagonal(W, 1)
+        if inplace:
+            X[:m, :m] = W
     if A.ndim == 2:
         return d[0], e[0]
     return d, e

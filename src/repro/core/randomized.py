@@ -44,6 +44,7 @@ from ..sim.table import (
     price_table,
     structure_config,
 )
+from ..sim.topology import require_int
 from ..sim.tracing import Stage
 from .rectangular import _emit_tallqr_nodes, qr_reduce_tall
 from .svd import emit_svd_graph, svdvals_resolved, upload
@@ -65,7 +66,12 @@ _SWEEP_TRSM = (1 << 30) + 2
 
 
 def check_rank(rank: int, m: int, n: int) -> None:
-    """Validate the ``rank`` axis of a low-rank solve, naming it on error."""
+    """Validate the ``rank`` axis of a low-rank solve, naming it on error.
+
+    ``rank`` must be a Python or NumPy integer (not ``bool``) in
+    ``[1, min(m, n)]``.
+    """
+    require_int("rank", rank)
     if rank < 1:
         raise InvalidParamsError(f"rank must be at least 1, got rank={rank}")
     if rank > min(m, n):

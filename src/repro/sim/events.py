@@ -63,7 +63,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..errors import InvalidParamsError
-from .graph import LaunchGraph, longest_paths
+from .graph import GraphRecord, LaunchGraph, longest_paths
 from .schedule import TimeBreakdown
 from .table import stream_costs
 from .tracing import Stage
@@ -199,7 +199,7 @@ class EventSchedule:
 
 
 def simulate_events(
-    graph: LaunchGraph,
+    graph: LaunchGraph | GraphRecord,
     config,
     storage=None,
     *,
@@ -211,6 +211,11 @@ def simulate_events(
     device_labels: Tuple[str, ...] = (),
 ) -> EventSchedule:
     """Simulate a launch graph through the discrete-event engine.
+
+    ``graph`` is a :class:`~repro.sim.graph.LaunchGraph` or its
+    node-free :class:`~repro.sim.graph.GraphRecord` taken with the
+    skeleton: the simulation reads only the table, the dependency
+    skeleton and the scalar fields.
 
     ``streams`` is the per-device concurrent-launch capacity (the same
     knob :func:`~repro.sim.timeline.schedule_streams` takes);
@@ -276,7 +281,7 @@ def simulate_events(
     transfer_id = stage_names.index(Stage.TRANSFER)
     gpn = max(1, graph.ngpu // graph.nnodes)
 
-    N = len(graph.nodes)
+    N = len(table)
     ptr_a, kids_a = graph.dependents()
     ptr, kids = ptr_a.tolist(), kids_a.tolist()
     indeg = np.bincount(kids_a, minlength=N).tolist()

@@ -323,9 +323,9 @@ class LaunchGraph:
         ``i``'s in-degree ``len(nodes[i].deps)`` is
         ``np.bincount(idx, minlength=len(self))[i]``.  The list scheduler
         and the event simulator both walk it.  Safe to cache for the
-        reason :meth:`table` is; kept as arrays rather than per-node
-        lists, so the graphs the bound-structure memo retains add nothing
-        for the cyclic garbage collector to traverse.
+        reason :meth:`table` is; kept as two arrays rather than per-node
+        lists, so a :class:`GraphRecord` that keeps it holds nothing the
+        cyclic garbage collector must walk.
         """
         if self._dependents is None:
             deps = [node.deps for node in self.nodes]
@@ -350,6 +350,67 @@ class LaunchGraph:
         for node in self.nodes:
             counts[node.kind] = counts.get(node.kind, 0) + node.count
         return counts
+
+    def record(self, skeleton: bool) -> "GraphRecord":
+        """This graph's node-free :class:`GraphRecord`.
+
+        Keeps the graph's :meth:`table` and, when ``skeleton`` is true,
+        its :meth:`dependents`; ask for the skeleton when the graph's
+        pricer walks one (the stream scheduler, the event simulator).
+        """
+        return GraphRecord(
+            n=self.n,
+            ngpu=self.ngpu,
+            nnodes=self.nnodes,
+            counted=self.counted,
+            out_of_core=self.out_of_core,
+            _table=self.table(),
+            _dependents=self.dependents() if skeleton else None,
+        )
+
+
+@dataclass(frozen=True, eq=False)
+class GraphRecord:
+    """A launch graph without its node list: what the pricers read.
+
+    ``Solver.predict`` memoizes one per composed structure
+    (:meth:`LaunchGraph.record`).  It holds the graph's
+    :class:`~repro.sim.table.NodeTable` (the same object, with its price
+    memos), the dependency skeleton when the structure's pricer walks
+    one, and the scalar fields the pricers read.  ``price_table`` (of
+    :meth:`table`), ``price_partitioned``, ``schedule_streams`` and
+    ``simulate_events`` take it as they take the graph, with equal
+    results.  Numeric replay, the scalar oracles and the rewriters walk
+    nodes and take the graph itself.  A record is a handful of objects
+    and arrays, so a memo of records leaves the cyclic garbage collector
+    nothing per node to walk.
+    """
+
+    n: int
+    ngpu: int
+    nnodes: int
+    counted: bool
+    out_of_core: bool
+    _table: object
+    _dependents: Optional[Tuple[np.ndarray, np.ndarray]]
+
+    def __len__(self) -> int:
+        """Number of launch nodes of the recorded graph."""
+        return len(self._table)
+
+    def table(self):
+        """The recorded graph's :class:`~repro.sim.table.NodeTable`."""
+        return self._table
+
+    def dependents(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The recorded graph's dependency skeleton ``(ptr, idx)``."""
+        if self._dependents is None:
+            raise ValueError(
+                "this record was taken without the graph's dependency "
+                "skeleton; take it with record(skeleton=True) to "
+                "list-schedule or event-simulate it"
+            )
+        return self._dependents
 
 
 def longest_paths(

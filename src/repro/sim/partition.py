@@ -83,6 +83,7 @@ from typing import Dict, List, Optional, Tuple
 from ..errors import CapacityError, ShapeError
 from .costmodel import FabricSpec, LaunchCost, LinkSpec, update_rate
 from .graph import (
+    GraphRecord,
     LaunchGraph,
     LaunchNode,
     node_overhead_s,
@@ -1058,11 +1059,15 @@ def _price_batched_partitioned(
     )
 
 
-def price_partitioned(graph: LaunchGraph, config, storage) -> TimeBreakdown:
+def price_partitioned(
+    graph: LaunchGraph | GraphRecord, config, storage
+) -> TimeBreakdown:
     """Price a partitioned graph into a :class:`TimeBreakdown`.
 
-    Array implementation over the graph's struct-of-arrays table: serial
-    stages fold in node order, per-sweep device maxima become grouped
+    Array implementation over the graph's struct-of-arrays table (so
+    ``graph`` may be its node-free
+    :class:`~repro.sim.graph.GraphRecord`): serial stages fold in node
+    order, per-sweep device maxima become grouped
     ``np.maximum.reduceat`` reductions.  Float-identical to
     :func:`price_partitioned_scalar`, the per-node reference oracle it is
     pinned against (``tests/test_table_props.py``).

@@ -37,8 +37,10 @@ aggregated breakdown fields are memoized on the table per
 :func:`bound_structure` is the process-wide LRU memo behind
 shape-parametric emission (``repro.core.svd.bind_svd_table`` /
 ``repro.core.batched.bind_batched_table``) and ``Solver.predict``'s
-composed graphs: entries are keyed by ``(family, structure config, shape
-axes)``, where :func:`structure_config` fixes the kernel parameters that
+composed graphs, which it keeps as node-free records
+(:class:`~repro.sim.graph.GraphRecord`): entries are keyed by
+``(family, structure config, shape axes)``, where
+:func:`structure_config` fixes the kernel parameters that
 only enter prices (``colperblock``, ``splitk``), so configurations that
 differ only in those share one structure and price it each on their own.
 :func:`bound_table_stats` exposes hit/miss counters so callers (tune,
@@ -178,44 +180,20 @@ class NodeTable:
     # ------------------------------------------------------------------ #
     @classmethod
     def from_graph(cls, graph) -> "NodeTable":
-        """Build the table from a materialized node list (one pass)."""
+        """Build the table from a materialized node list.
+
+        Each column is one comprehension over the nodes; keys and kinds
+        are numbered first-seen (``setdefault`` with the next id).
+        """
+        nodes = graph.nodes
         key_ids: Dict[Tuple, int] = {}
-        keys: List[Tuple] = []
-        fam: List[int] = []
-        ops: List[Tuple[float, float, float, float]] = []
+        key_col = [key_ids.setdefault(nd.key, len(key_ids)) for nd in nodes]
         kind_ids: Dict[str, int] = {}
-        kind_col: List[int] = []
-        stage_col: List[int] = []
-        key_col: List[int] = []
-        count_col: List[int] = []
-        primary_col: List[bool] = []
-        device_col: List[int] = []
-        sweep_col: List[int] = []
-        for node in graph.nodes:
-            key = node.key
-            kid = key_ids.get(key)
-            if kid is None:
-                kid = key_ids[key] = len(keys)
-                keys.append(key)
-                fam.append(_FAM_ID[key[0]])
-                row = [float(v) for v in key[1:]]
-                row.extend(0.0 for _ in range(4 - len(row)))
-                ops.append(tuple(row))
-            ki = kind_ids.get(node.kind)
-            if ki is None:
-                ki = kind_ids[node.kind] = len(kind_ids)
-            kind_col.append(ki)
-            stage_col.append(_STAGE_ID[node.stage])
-            key_col.append(kid)
-            count_col.append(node.count)
-            primary_col.append(node.primary)
-            device_col.append(node.device or 0)
-            meta = node.meta
-            sweep_col.append(
-                meta[-1]
-                if node.stage == Stage.UPDATE and meta
-                else -1
-            )
+        kind_col = [
+            kind_ids.setdefault(nd.kind, len(kind_ids)) for nd in nodes
+        ]
+        update = Stage.UPDATE
+        keys = list(key_ids)
         return cls(
             kind=graph.kind,
             n=graph.n,
@@ -227,14 +205,31 @@ class NodeTable:
             out_of_core=graph.out_of_core,
             kinds=tuple(kind_ids),
             kind_id=np.asarray(kind_col, dtype=np.int64),
-            stage_id=np.asarray(stage_col, dtype=np.int64),
+            stage_id=np.asarray(
+                [_STAGE_ID[nd.stage] for nd in nodes], dtype=np.int64
+            ),
             key_id=np.asarray(key_col, dtype=np.int64),
-            counts=np.asarray(count_col, dtype=np.int64),
-            primary=np.asarray(primary_col, dtype=bool),
-            device=np.asarray(device_col, dtype=np.int64),
-            sweep=np.asarray(sweep_col, dtype=np.int64),
-            fam=np.asarray(fam, dtype=np.int64),
-            ops=np.asarray(ops, dtype=np.float64).reshape(len(keys), 4),
+            counts=np.asarray([nd.count for nd in nodes], dtype=np.int64),
+            primary=np.asarray([nd.primary for nd in nodes], dtype=bool),
+            device=np.asarray(
+                [nd.device or 0 for nd in nodes], dtype=np.int64
+            ),
+            sweep=np.asarray(
+                [
+                    nd.meta[-1] if nd.stage == update and nd.meta else -1
+                    for nd in nodes
+                ],
+                dtype=np.int64,
+            ),
+            fam=np.asarray([_FAM_ID[key[0]] for key in keys], dtype=np.int64),
+            # each key's operands (slots 1..4), zero-padded to four
+            ops=np.asarray(
+                [
+                    [float(v) for v in key[1:]] + [0.0] * (5 - len(key))
+                    for key in keys
+                ],
+                dtype=np.float64,
+            ).reshape(len(keys), 4),
             _keys=keys,
         )
 
@@ -814,7 +809,7 @@ def structure_config(config):
 
 
 def bound_structure(key: Tuple, build: Callable[[], object]):
-    """Process-wide LRU memo of bound tables and memoized graphs.
+    """Process-wide LRU memo of bound tables and composed-graph records.
 
     ``key`` must capture every axis the built structure depends on (the
     frozen config hashes by value, so it is a safe component; binders

@@ -17,7 +17,7 @@ from typing import Dict, List
 
 import numpy as np
 
-from .graph import LaunchGraph, longest_paths
+from .graph import GraphRecord, LaunchGraph, longest_paths
 from .table import stream_costs
 from .tracing import Stage
 
@@ -87,7 +87,7 @@ class StreamSchedule:
 
 
 def schedule_streams(
-    graph: LaunchGraph,
+    graph: LaunchGraph | GraphRecord,
     config,
     storage,
     streams: int,
@@ -105,9 +105,11 @@ def schedule_streams(
     :class:`~repro.sim.graph.AnalyticExecutor` charges.  The walk reads
     the graph's memoized dependency skeleton
     (:meth:`~repro.sim.graph.LaunchGraph.dependents`) and table, so a
-    graph shared by several configs pays for them once; the priorities
-    are :func:`~repro.sim.graph.longest_paths`, the event simulator's
-    critical path.
+    graph shared by several configs pays for them once, and it reads
+    nothing else of the nodes: ``graph`` may be the node-free
+    :class:`~repro.sim.graph.GraphRecord` taken with the skeleton.  The
+    priorities are :func:`~repro.sim.graph.longest_paths`, the event
+    simulator's critical path.
 
     Partitioned graphs (``graph.ngpu > 1``) schedule device-aware: every
     device owns its own pool of ``streams`` compute lanes plus one link

@@ -54,7 +54,7 @@ from .errors import InvalidParamsError, ShapeError
 from .precision import Precision, PrecisionLike
 from .sim.costmodel import CostCoefficients, FabricSpec, LinkSpec
 from .sim.events import EventSchedule, simulate_events
-from .sim.graph import LaunchGraph
+from .sim.graph import GraphRecord, LaunchGraph
 from .sim.params import KernelParams
 from .sim.schedule import TimeBreakdown
 from .sim.timeline import StreamSchedule, schedule_streams
@@ -114,7 +114,9 @@ def compose_graph(
     memory).  Partition always precedes rewrite, the fixed order
     ``partition_graph`` enforces.  Pure: the result depends on the
     arguments alone, so callers may memoize it (:meth:`Solver.predict`
-    keys it per axes in the bound-structure memo).
+    keys its node-free record,
+    :meth:`~repro.sim.graph.LaunchGraph.record`, per axes in the
+    bound-structure memo).
 
     Of ``config`` it reads the backend's device (whether the fleet is
     weighted; the default out-of-core budget), ``link`` / ``fabric``
@@ -141,7 +143,7 @@ def compose_graph(
 
 
 def price_composed(
-    graph: LaunchGraph,
+    graph: Union[LaunchGraph, GraphRecord],
     config: SolveConfig,
     storage: Precision,
     topology: Topology,
@@ -163,23 +165,36 @@ def price_composed(
     =============================  ========================  =================
 
     ``topology`` and ``streams`` are the axes ``graph`` was composed
-    with.
+    with.  ``graph`` may be the graph's node-free record (what
+    :meth:`Solver.predict` memoizes), which prices equal to the graph.
     """
+    return _pricer(config, storage, topology, streams)[0](graph)
+
+
+def _pricer(
+    config: SolveConfig, storage: Precision, topology: Topology, streams: int
+) -> Tuple[Callable, bool]:
+    """:func:`price_composed`'s table: the pricer, and whether it walks
+    the graph's dependency skeleton (the two schedulers do)."""
     if is_weighted_fleet(topology, config):
-        return simulate_events(
-            graph, config, storage, streams=streams,
+        return partial(
+            simulate_events, config=config, storage=storage, streams=streams,
             device_scale=fleet_scale(topology, config),
             device_labels=tuple(
                 f"dev{i}:{d}" for i, d in enumerate(topology.devices)
             ),
-        )
+        ), True
     if topology.nodes > 1:
-        return simulate_events(graph, config, storage, streams=streams)
+        return partial(
+            simulate_events, config=config, storage=storage, streams=streams
+        ), True
     if streams > 1:
-        return schedule_streams(graph, config, storage, streams)
+        return partial(
+            schedule_streams, config=config, storage=storage, streams=streams
+        ), True
     if topology.ngpu > 1:
-        return price_partitioned(graph, config, storage)
-    return price_table(graph.table(), config, storage)
+        return partial(price_partitioned, config=config, storage=storage), False
+    return (lambda graph: price_table(graph.table(), config, storage)), False
 
 
 @lru_cache(maxsize=64)
@@ -431,7 +446,9 @@ class Solver:
            binder table; otherwise :func:`compose_graph` (emit ->
            :func:`~repro.sim.partition.partition_graph` ->
            :func:`~repro.sim.outofcore.rewrite_out_of_core`), memoized
-           per axes.  ``streams=k`` emits the lookahead graph (split
+           per axes as its node-free record (its table, and its
+           dependency skeleton when the pricer walks one).
+           ``streams=k`` emits the lookahead graph (split
            trailing updates overlap the next panel; batches split into
            ``k`` chains); partitioning shards tile rows (square
            workloads), sketch GEMM rows (low-rank) or problems (batched)
@@ -587,13 +604,20 @@ class Solver:
         budget_bytes = (
             oc_budget_gb * 2**30 if oc_budget_gb is not None else None
         )
-        graph = bound_structure(
+        price, walks = _pricer(config, storage, topology, streams)
+        # the memo keeps the composed graph's node-free record; a batch
+        # of one shares its structure with every streams value (its memo
+        # shape keeps min(streams, batch)), so it keeps the skeleton for
+        # whichever of them walks it
+        record = bound_structure(
             ("predict_graph", gconfig, shape, topology, out_of_core,
              budget_bytes),
-            partial(compose_graph, emit, gconfig, topology,
-                    out_of_core=out_of_core, budget_bytes=budget_bytes),
+            lambda: compose_graph(
+                emit, gconfig, topology, out_of_core=out_of_core,
+                budget_bytes=budget_bytes,
+            ).record(skeleton=walks or batch == 1),
         )
-        return price_composed(graph, config, storage, topology, streams)
+        return price(record)
 
     # ------------------------------------------------------------------ #
     # analytic autotuning
@@ -628,7 +652,9 @@ class Solver:
         ``nodes`` opts the search into the cluster axis: pass the node
         counts to consider (e.g. ``nodes=(1, 2, 4)``) and multi-node
         candidates are priced through the discrete-event simulator; the
-        default searches single-node topologies only.
+        default searches single-node topologies only.  ``budget`` and
+        each ``nodes`` entry must be Python or NumPy integers, not
+        ``bool``.
 
         ``topology`` (a :class:`repro.Topology`; mutually exclusive with
         ``nodes``) opts the search into the **placement axis** over a

@@ -43,6 +43,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..core.tiling import ntiles
 from ..errors import CapacityError, InvalidParamsError
 from ..sim.params import KernelParams
+from ..sim.topology import require_int
 
 __all__ = [
     "ShapeClass",
@@ -341,6 +342,7 @@ def tune_resolved(
         raise InvalidParamsError(
             f"batch must be a positive problem count, got {batch}"
         )
+    require_int("budget", budget)
     if budget < 1:
         raise InvalidParamsError(
             f"budget must allow at least one evaluation, got {budget}"
@@ -348,6 +350,8 @@ def tune_resolved(
     ngpus = tuple(ngpus)
     streams = tuple(streams)
     nodes = DEFAULT_NODES if nodes is None else tuple(nodes)
+    for nd in nodes:
+        require_int("nodes", nd)
     if not nodes or any(nd < 1 for nd in nodes):
         raise InvalidParamsError(
             f"nodes must be a non-empty sequence of positive node "

@@ -175,6 +175,23 @@ class TestUpperBandCheck:
             same_bytes(dp, d[0])
             same_bytes(ep, e[0])
 
+    @pytest.mark.parametrize(
+        "shape,width,band,entry",
+        [((20, 20), 3, 1, r"\(0, 2\)"), ((2, 2), None, 4, r"\(1, 0\)")],
+        ids=["band3-as-band1", "dense2x2-as-band4"],
+    )
+    def test_passthrough_checks_the_band(self, shape, width, band, entry):
+        """``band <= 1`` and ``n <= 2`` chase nothing but are checked
+        all the same: unchecked, this band-3 matrix passed as band 1 read
+        singular values off by 1.15 (max abs) and this dense 2x2 passed
+        as band 4 off by 0.082."""
+        rng = np.random.default_rng(7)
+        A = rng.standard_normal(shape)
+        if width is not None:
+            A = extract_band(A, width)
+        with pytest.raises(ShapeError, match=rf"band {band}: entry {entry} is"):
+            band_to_bidiagonal(A, band)
+
 
 class TestNumericalCases:
     def test_zero_matrix(self):
@@ -380,8 +397,11 @@ class TestChaseOracle:
         d, e = band_to_bidiagonal(A, 3)
         assert d.shape == (3, 10) and e.shape == (3, 9)
         same_bytes(A, A0)  # not inplace: the stack is left alone
-        d, e = band_to_bidiagonal(A, 1)  # passthrough keeps the stack
+        A1 = chase_inputs(rng, 3, 10, 1, np.float32, 0.0, 0.0, [10] * 3)
+        d, e = band_to_bidiagonal(A1, 1)  # passthrough keeps the stack
         assert d.shape == (3, 10) and e.shape == (3, 9)
+        same_bytes(d, np.diagonal(A1, axis1=1, axis2=2))
+        same_bytes(e, np.diagonal(A1, 1, axis1=1, axis2=2))
 
 
 class TestBatchedReplay:

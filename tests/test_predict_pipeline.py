@@ -9,6 +9,7 @@ spellings share, and the fail-fast storage cast of every numeric driver.
 """
 
 import asyncio
+import gc
 import math
 import re
 from dataclasses import replace
@@ -27,12 +28,16 @@ from repro.serve.batcher import DynamicBatcher
 from repro.serve.replay import bursty_trace, poisson_trace, simulate_service
 from repro.sim.costmodel import FabricSpec, LinkSpec
 from repro.sim.events import EventSchedule
+from repro.sim.graph import LaunchNode
 from repro.sim.outofcore import rewrite_out_of_core
 from repro.sim.params import KernelParams
 from repro.sim.partition import batch_shares, partition_graph
+from repro.sim.schedule import TimeBreakdown
 from repro.sim.table import bound_table_stats, clear_bound_tables
+from repro.sim.timeline import StreamSchedule
 from repro.sim.topology import require_positive
-from repro.solver import compose_graph
+from repro import solver as solver_module
+from repro.solver import compose_graph, price_composed
 
 RTX_PAIR = Topology(("rtx4060",) * 2)
 
@@ -96,6 +101,22 @@ class TestIntegerAxes:
             match=re.escape(f"{axis} must be an integer, got {axis}={value!r}"),
         ):
             call(value)
+
+    @pytest.mark.parametrize(
+        "value", [2.5, True, math.nan, math.inf], ids=repr
+    )
+    @pytest.mark.parametrize("axis", ["budget", "nodes"])
+    def test_tune_counts(self, axis, value):
+        """``tune`` used to run ``budget=2.5`` as 3 evaluations and
+        ``budget=True`` as 1, ``budget=nan`` or ``inf`` as 27 of the
+        default 96 (a slower plan), and ``nodes=(True,)`` to return a
+        candidate reading ``nodes=True``."""
+        solver = Solver("h100", precision="fp32")
+        with pytest.raises(
+            InvalidParamsError,
+            match=re.escape(f"{axis} must be an integer, got {axis}={value!r}"),
+        ):
+            solver.tune(1024, **{axis: (value,) if axis == "nodes" else value})
 
     def test_numpy_integers_pass(self):
         solver = Solver("h100", precision="fp32")
@@ -414,6 +435,71 @@ class TestOnePipeline:
         )
         assert bound_table_stats()["misses"] == misses
         assert fleet == legacy
+
+    @pytest.mark.parametrize(
+        "axis,result",
+        [
+            ("streams2", StreamSchedule),
+            ("ngpu4", TimeBreakdown),
+            ("ngpu4_streams2", StreamSchedule),
+            ("ngpu2_nodes2", EventSchedule),
+            ("out_of_core", TimeBreakdown),
+            ("mixed_topology", EventSchedule),
+        ],
+    )
+    def test_memo_record_prices_like_the_graph(self, axis, result,
+                                               monkeypatch):
+        """The node-free record a predict memoizes prices equal to the
+        graph composed afresh from the same arguments, on each of the
+        four pricer paths."""
+        composed = []
+        compose = solver_module.compose_graph
+        monkeypatch.setattr(
+            solver_module, "compose_graph",
+            lambda *a, **k: composed.append((a, k)) or compose(*a, **k),
+        )
+        solver = Solver("h100", precision="fp32")
+        kwargs = SWEEP_AXES[axis]
+        clear_bound_tables()
+        memo = solver.predict(SWEEP_N, **kwargs)
+        assert solver.predict(SWEEP_N, **kwargs) == memo  # a memo hit
+        (args, compose_kwargs), = composed
+        fresh = price_composed(
+            compose(*args, **compose_kwargs), solver.config,
+            solver.precision, args[2], kwargs.get("streams", 1),
+        )
+        assert type(memo) is type(fresh) is result
+        assert memo == fresh and repr(memo) == repr(fresh)
+
+    def test_memo_keeps_no_launch_nodes(self):
+        """Every composed axis memoizes a record, never its node list."""
+
+        def live_nodes():
+            return sum(isinstance(o, LaunchNode) for o in gc.get_objects())
+
+        solver = Solver("h100", precision="fp32")
+        clear_bound_tables()
+        gc.collect()
+        before = live_nodes()
+        for axis in ("streams2", "ngpu4", "ngpu4_streams2", "ngpu2_nodes2",
+                     "out_of_core", "mixed_topology"):
+            solver.predict(SWEEP_N, **SWEEP_AXES[axis])
+        assert bound_table_stats()["entries"] == 6
+        assert live_nodes() == before
+
+    def test_batch_of_one_keeps_its_skeleton(self):
+        """A batch of one composes one structure for every ``streams``
+        value, so a record taken for the partitioned pricer is list
+        scheduled too."""
+        solver = Solver("h100", precision="fp32")
+        clear_bound_tables()
+        shared = solver.predict(2048, batch=1, ngpu=2)
+        streamed = solver.predict(2048, batch=1, ngpu=2, streams=2)
+        assert bound_table_stats()["misses"] == 1
+        assert isinstance(shared, TimeBreakdown)
+        assert isinstance(streamed, StreamSchedule)
+        clear_bound_tables()
+        assert solver.predict(2048, batch=1, ngpu=2, streams=2) == streamed
 
     def test_compose_is_pure_partition_then_rewrite(self):
         solver = Solver("h100", precision="fp64")

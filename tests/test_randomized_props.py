@@ -17,6 +17,9 @@ Three families of invariants pin :mod:`repro.core.randomized`:
   numeric driver and the prediction front door.
 """
 
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -186,6 +189,25 @@ class TestGuardMessages:
         with pytest.raises(InvalidParamsError) as excinfo:
             check_rank(0, 8, 8)
         assert "rank must be at least 1, got rank=0" in str(excinfo.value)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda r: check_rank(r, 8, 8),
+            lambda r: Solver(precision="fp64").svd_lowrank(np.eye(8), r),
+            lambda r: lowrank_reference(np.eye(8), r),
+        ],
+        ids=["check_rank", "svd_lowrank", "lowrank_reference"],
+    )
+    @pytest.mark.parametrize("rank", [2.5, 3.0, math.nan, True], ids=repr)
+    def test_rank_must_be_an_integer(self, call, rank):
+        """A float rank used to die in a slice with a bare ``TypeError``,
+        and ``rank=True`` ran as rank 1."""
+        with pytest.raises(
+            InvalidParamsError,
+            match=re.escape(f"rank must be an integer, got rank={rank!r}"),
+        ):
+            call(rank)
 
     def test_rank_too_large_names_the_axis(self):
         with pytest.raises(InvalidParamsError) as excinfo:
