@@ -20,7 +20,8 @@ import sys
 import numpy as np
 
 import repro
-from repro.core.batched import emit_batched_graph, replay_batched_graph
+from repro.core.batched import emit_batched_graph
+from repro.core.svd import replay_graph
 from repro.sim.partition import partition_graph
 from repro.tuning.planner import tune_resolved
 
@@ -58,7 +59,7 @@ def main(n: int = 128, batch: int = 64) -> None:
     graph = emit_batched_graph(n, batch, tuned.config, streams=best.streams)
     if best.ngpu > 1:
         graph = partition_graph(graph, best.ngpu, tuned.config.link_spec())
-    values = replay_batched_graph(As, graph, tuned.config)
+    values = replay_graph(As, graph, tuned.config)
 
     singles = np.stack([tuned.solve(a) for a in As])
     assert np.array_equal(values, singles), "sharded replay must be bitwise"

@@ -6,9 +6,10 @@ tuned libraries below 256 because tiny problems cannot occupy a large GPU
 the established answer for many-small-matrix workloads.  This module adds
 that capability on the simulated device:
 
-* numerically, a stack replays its batched launch graph once
-  (:func:`replay_batched_graph`), each matrix running the square
-  pipeline's exact kernel sequence;
+* numerically, a stack replays its batched launch graph once through
+  :func:`~repro.core.svd.replay_graph`, the replay every square door
+  takes too (a matrix is a stack of one), each matrix running the
+  square pipeline's exact kernel sequence;
 * in the cost model, the batch executes as *batched launches*: one grid
   covers all problems at each schedule step, so occupancy is driven by
   ``batch x per-problem work`` and the per-launch overhead is paid once
@@ -33,12 +34,10 @@ round-robin across devices (comm only for the result gather), and
 :func:`repro.sim.outofcore.rewrite_out_of_core` streams whole problems
 through a bounded device window shared by every in-flight problem.
 ``Solver.predict(n, batch=b, ...)`` composes and prices it like every
-other workload.
-:func:`replay_batched_graph` is the one numeric path for a stack: it
-uploads every problem, replays any replayable batched graph (sharded or
-out-of-core) once, and is bitwise identical to solving each matrix
-alone.  ``Solver.solve`` on a stack (and so a batched plan) and the
-serving layer's ``BatchRunner`` both run through it.
+other workload.  ``Solver.solve`` on a stack (and so a batched plan)
+and the serving layer's ``BatchRunner`` both replay it through
+:func:`~repro.core.svd.replay_graph`, bitwise identical to solving each
+matrix alone.
 """
 
 from __future__ import annotations
@@ -53,7 +52,6 @@ from ..errors import ShapeError
 from ..sim.graph import (
     LaunchGraph,
     LaunchNode,
-    NumericExecutor,
     lift_batched,
     lift_batched_columns,
 )
@@ -64,14 +62,9 @@ from ..sim.table import (
     price_table,
     structure_config,
 )
-from .svd import bind_svd_table, emit_svd_graph, upload
-from .tiling import ntiles
+from .svd import bind_svd_table, emit_svd_graph, replay_graph
 
-__all__ = [
-    "bind_batched_table",
-    "emit_batched_graph",
-    "replay_batched_graph",
-]
+__all__ = ["bind_batched_table", "emit_batched_graph"]
 
 
 def _fused(config: SolveConfig) -> SolveConfig:
@@ -114,7 +107,7 @@ def emit_batched_graph(
     overlaps them across streams.
 
     The square meta is what makes batched graphs replayable
-    (:func:`replay_batched_graph`), partitionable (round-robin over
+    (:func:`~repro.core.svd.replay_graph`), partitionable (round-robin over
     devices) and rewritable out-of-core (whole problems streamed through
     the window).
     """
@@ -212,94 +205,6 @@ def _lift_table(square: NodeTable, sizes: List[int]) -> NodeTable:
     )
 
 
-def _problems(As: Union[np.ndarray, Sequence[np.ndarray]]) -> List[np.ndarray]:
-    """The matrices of a ``(batch, n, n)`` array or a sequence of them."""
-    if isinstance(As, np.ndarray) and As.ndim != 3:
-        raise ShapeError(f"expected (batch, n, n) array, got {As.shape}")
-    mats = [np.asarray(a) for a in As]
-    if not mats:
-        raise ShapeError("empty batch")
-    if any(a.ndim != 2 for a in mats):
-        raise ShapeError("all batch matrices must be square and equal-size")
-    return mats
-
-
-def replay_batched_graph(
-    As: Union[np.ndarray, Sequence[np.ndarray]],
-    graph: LaunchGraph,
-    config: SolveConfig,
-) -> Union[np.ndarray, List[np.ndarray]]:
-    """Numerically replay a replayable batched launch graph.
-
-    The one numeric path for a stack of matrices: it uploads each
-    problem (:func:`~repro.core.svd.upload`), zero-pads the stack to
-    ``graph.npad``, runs the :class:`~repro.sim.graph.NumericExecutor`
-    once, and truncates and unscales each problem's values.  Any batched
-    graph in replayable form works - straight from
-    :func:`emit_batched_graph` (any ``streams``), sharded by
-    :func:`repro.sim.partition.partition_graph`, and/or rewritten by
-    :func:`repro.sim.outofcore.rewrite_out_of_core` (replayed under the
-    enforced problem-window budget).  Each problem runs the exact kernel
-    sequence of the square driver, so its values are bitwise identical
-    to solving the matrix alone.
-
-    A problem may have any order that pads to ``graph.npad`` (a serving
-    shape class mixes them).  Returns a ``(batch, n)`` array when every
-    problem has order ``n``, else a list of per-problem value vectors.
-    """
-    mats = _problems(As)
-    if graph.kind != "batched" or graph.counted:
-        raise ShapeError(
-            f"replay_batched_graph needs a replayable batched graph, got "
-            f"kind={graph.kind!r} (counted={graph.counted})"
-        )
-    if graph.ts != config.params.tilesize:
-        raise ShapeError(
-            f"graph tilesize {graph.ts} does not match config tilesize "
-            f"{config.params.tilesize}"
-        )
-    for a in mats:
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ShapeError(
-                f"batch matrices must be square, got shape {a.shape}"
-            )
-        if a.shape[0] == 0:
-            raise ShapeError("empty matrix")
-    orders = [a.shape[0] for a in mats]
-    if graph.batch != len(mats) or any(
-        ntiles(n, graph.ts) * graph.ts != graph.npad for n in orders
-    ):
-        raise ShapeError(
-            f"graph was emitted for batch={graph.batch} padded to "
-            f"npad={graph.npad}, got batch={len(mats)} of orders "
-            f"{sorted(set(orders))}"
-        )
-
-    storage = config.storage_for(mats[0].dtype)
-    compute = config.backend.compute_precision(storage)
-    W = np.zeros((len(mats), graph.npad, graph.npad), dtype=storage.dtype)
-    scales = []
-    for p, (a, n) in enumerate(zip(mats, orders)):
-        stored, scale = upload(a, storage, config)
-        W[p, :n, :n] = stored
-        scales.append(scale)
-
-    ex = NumericExecutor(
-        W, graph.ts, storage.eps,
-        compute_dtype=compute.dtype if compute is not storage else None,
-        storage=storage,
-    )
-    ex.run(graph)
-
-    out = []
-    for p, (n, scale) in enumerate(zip(orders, scales)):
-        vals = ex.values_by_problem[p][:n].copy()
-        if scale != 1.0:
-            vals /= scale
-        out.append(vals)
-    return np.stack(out) if len(set(orders)) == 1 else out
-
-
 def check_stack(
     As: Union[np.ndarray, Sequence[np.ndarray]],
 ) -> Tuple[List[np.ndarray], int]:
@@ -310,7 +215,13 @@ def check_stack(
     sequence of ``(n, n)`` matrices passes; an empty, ragged or
     non-square stack raises :class:`~repro.errors.ShapeError`.
     """
-    mats = _problems(As)
+    if isinstance(As, np.ndarray) and As.ndim != 3:
+        raise ShapeError(f"expected (batch, n, n) array, got {As.shape}")
+    mats = [np.asarray(a) for a in As]
+    if not mats:
+        raise ShapeError("empty batch")
+    if any(a.ndim != 2 for a in mats):
+        raise ShapeError("all batch matrices must be square and equal-size")
     n = mats[0].shape[0]
     if n == 0:
         raise ShapeError("empty matrix")
@@ -330,7 +241,7 @@ def svdvals_batched_resolved(
     The code path behind :meth:`repro.Solver.solve` for 3-D inputs (and
     so batched :meth:`repro.SvdPlan.execute`): checks the per-matrix
     capacity, emits the batched graph of the stack's batch count and
-    replays it once through :func:`replay_batched_graph`.
+    replays it once through :func:`~repro.core.svd.replay_graph`.
     ``return_info`` adds the analytic price of the batched graph.
     """
     mats, n = check_stack(As)
@@ -344,7 +255,7 @@ def svdvals_batched_resolved(
     )
     batch_config.backend.check_capacity(n, storage)
     graph = emit_batched_graph(n, len(mats), batch_config)
-    out = replay_batched_graph(mats, graph, batch_config)
+    out = replay_graph(mats, graph, batch_config)
     if not return_info:
         return out
     bd = price_table(

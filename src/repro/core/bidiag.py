@@ -462,9 +462,10 @@ def bisect(
     return out[:, ::-1].reshape(d.shape).copy()
 
 
-def _require_finite(d: np.ndarray, e: np.ndarray) -> None:
-    """Reject a non-finite bidiagonal before a stage-3 solve sees it."""
-    if not (np.all(np.isfinite(d)) and np.all(np.isfinite(e))):
+def _require_finite(*arrays: np.ndarray) -> None:
+    """Reject a non-finite bidiagonal (or a factor reduced from the input,
+    which the low-rank door checks) before a solve sees it."""
+    if not all(np.all(np.isfinite(a)) for a in arrays):
         raise ShapeError(
             "bidiagonal contains NaN or Inf entries: the input was not finite "
             "or the reduction overflowed its storage precision; construct the "

@@ -32,7 +32,7 @@ import numpy as np
 
 from ..config import SolveConfig
 from ..errors import ShapeError
-from ..sim.graph import LaunchGraph, LaunchNode, NumericExecutor
+from ..sim.graph import LaunchGraph, LaunchNode
 from ..sim.schedule import TimeBreakdown
 from ..sim.table import (
     NodeTable,
@@ -42,8 +42,7 @@ from ..sim.table import (
 )
 from ..sim.tracing import Stage
 from .bidiag import _EPS, _MAXITER, _bisect_lanes, _sections, svdvals_bidiag
-from .svd import bind_svd_table, emit_svd_graph, require_real, upload
-from .tiling import pad_to_tiles
+from .svd import bind_svd_table, emit_svd_graph, replay_graph, require_real
 
 __all__ = [
     "bind_eigh_table",
@@ -163,6 +162,19 @@ def shift_for(A: np.ndarray) -> float:
     return 2.0 ** math.ceil(math.log2(2.0 * rho))
 
 
+def _symmetric(A: np.ndarray) -> bool:
+    """Whether ``A`` is symmetric to 64 ulps of its largest finite entry.
+
+    Only pairs whose two entries are both finite are judged, so
+    non-finite input reaches the upload's finiteness check (or stage
+    3's) instead of being reported as asymmetry.
+    """
+    finite = np.isfinite(A)
+    F = np.where(finite & finite.T, A, 0.0)
+    atol = 64.0 * np.finfo(np.float64).eps * float(np.max(np.abs(F)))
+    return np.allclose(F, F.T, rtol=0.0, atol=atol)
+
+
 def eigh_resolved(
     A: np.ndarray,
     config: SolveConfig,
@@ -172,9 +184,10 @@ def eigh_resolved(
 
     The shared code path behind :meth:`repro.Solver.eigh`: validates
     symmetry, applies the exact power-of-two shift (:func:`shift_for`),
-    replays the eigensolver graph on ``M = A + c I`` and returns
-    ``sigma(M) - c`` in descending order; ``return_info`` adds the
-    replayed graph's :func:`~repro.sim.table.price_table`.
+    replays the eigensolver graph on ``M = A + c I`` through
+    :func:`~repro.core.svd.replay_graph` and returns ``sigma(M) - c`` in
+    descending order; ``return_info`` adds the replayed graph's
+    :func:`~repro.sim.table.price_table`.
     """
     A = np.asarray(A)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -188,37 +201,20 @@ def eigh_resolved(
     A64 = np.asarray(A, dtype=np.float64)
 
     storage = config.storage_for(A.dtype)
-    compute = config.backend.compute_precision(storage)
     config.backend.check_capacity(n, storage)
-    ts = config.params.tilesize
-
-    c = shift_for(A64)
-    # the upload names non-finite input before the symmetry test can
-    # misreport it as asymmetry
-    M, scale = upload(A64 + c * np.eye(n), storage, config)
-    scale_ref = float(np.max(np.abs(A64))) if A64.size else 0.0
-    if not np.allclose(
-        A64, A64.T, rtol=0.0, atol=64.0 * np.finfo(np.float64).eps * scale_ref
-    ):
+    if not _symmetric(A64):
         raise ShapeError(
             "eigh expects a symmetric matrix; symmetrize the input "
             "(A + A.T) / 2 first"
         )
-
-    W, _ = pad_to_tiles(M, ts)
-    ex = NumericExecutor(
-        W, ts, storage.eps,
-        compute_dtype=compute.dtype if compute is not storage else None,
-        storage=storage,
-    )
+    # M is float64 whatever A was: pin the precision A's dtype chose
+    if config.precision is None:
+        config = config.with_(precision=storage)
+    c = shift_for(A64)
     graph = emit_eigh_graph(n, config)
-    ex.run(graph)
-
     # sigma(M) >= c/2 > 0, so the padding's zero singular values sort
     # strictly after the n true values
-    vals = ex.values[:n].copy()
-    if scale != 1.0:
-        vals /= scale
+    vals = replay_graph([A64 + c * np.eye(n)], graph, config)[0]
     vals -= c
 
     if not return_info:

@@ -46,6 +46,7 @@ from ..sim.table import (
 )
 from ..sim.topology import require_int
 from ..sim.tracing import Stage
+from .bidiag import _require_finite
 from .rectangular import _emit_tallqr_nodes, qr_reduce_tall
 from .svd import emit_svd_graph, svdvals_resolved, upload
 from .tiling import ntiles
@@ -237,8 +238,9 @@ def svd_lowrank_resolved(
     lpad = ntiles(l, ts) * ts
     compute_dtype = compute.dtype if compute is not storage else None
 
-    As, scale = upload(A, storage, config)
+    # drawn first, so a bad seed fails before any pass over A
     Omega = gaussian_sketch(n, l, seed=seed, precision=storage)
+    As, scale = upload(A, storage, config)
     Y = np.asarray(As @ Omega, dtype=storage.dtype)
 
     Wy = np.zeros((ntiles(m, ts) * ts, lpad), dtype=storage.dtype)
@@ -252,6 +254,9 @@ def svd_lowrank_resolved(
     # rank(A) < l) zeroes its null directions instead of amplifying
     # them; the cutoff sits at the *storage* precision's noise floor
     rcond = max(m, n) * float(storage.eps)
+    # non-finite input that check_finite=False let through fails here,
+    # as it would in stage 3, not inside the pseudo-inverse's SVD
+    _require_finite(R1)
     T = (
         Z.astype(np.float64) @ np.linalg.pinv(R1.astype(np.float64), rcond)
     ).astype(storage.dtype)

@@ -9,10 +9,13 @@ behaviour rules and the kernel hyperparameters.
 Pipeline (two-stage QR reduction, section 3 of the paper):
 
 1. dense -> band (tiled Householder QR, :mod:`repro.core.banddiag`);
-2. band -> bidiagonal (Givens bulge chasing, :mod:`repro.core.brd`);
+2. band -> bidiagonal (Householder bulge chasing, :mod:`repro.core.brd`);
 3. bidiagonal -> singular values (CPU solver, :mod:`repro.core.bidiag`).
 
-With ``return_info=True`` a solve also returns the
+:func:`replay_graph` is the one numeric replay of a square or batched
+launch graph - upload, pad into one stack, run, truncate, unscale - that
+the square, eigh, stack and served doors share: a matrix is a stack of
+one.  With ``return_info=True`` a solve also returns the
 :class:`~repro.sim.schedule.TimeBreakdown` of the graph it replayed -
 the per-stage simulated times that Figure 6 of the paper plots.
 """
@@ -21,7 +24,7 @@ from __future__ import annotations
 
 import math
 
-from typing import Optional, Tuple, Union
+from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -41,9 +44,15 @@ from ..sim.table import (
 from ..sim.tracing import Stage
 from .banddiag import emit_band_reduction
 from .brd import emit_brd_chase
-from .tiling import ntiles, pad_to_tiles
+from .tiling import ntiles
 
-__all__ = ["bind_svd_table", "emit_svd_graph", "require_real", "upload"]
+__all__ = [
+    "bind_svd_table",
+    "emit_svd_graph",
+    "replay_graph",
+    "require_real",
+    "upload",
+]
 
 _FAM = {name: i for i, name in enumerate(FAMILIES)}
 _SID = {stage: i for i, stage in enumerate(Stage.ALL)}
@@ -345,21 +354,92 @@ def _build_svd_table(n: int, config: SolveConfig) -> NodeTable:
     )
 
 
+def replay_graph(
+    mats: Sequence[np.ndarray], graph: LaunchGraph, config: SolveConfig
+) -> Union[np.ndarray, List[np.ndarray]]:
+    """Numerically replay a replayable square or batched launch graph.
+
+    The one numeric replay behind the square, eigh, stack and served
+    doors: it uploads each matrix (:func:`upload`), zero-pads them into
+    one ``(B, npad, npad)`` stack, runs the
+    :class:`~repro.sim.graph.NumericExecutor` once, and truncates and
+    unscales each problem's values.  A square graph covers one problem
+    (a matrix is a stack of one), a batched graph ``graph.batch``; either
+    may come straight from its emitter (a batched one with any
+    ``streams``), sharded by :func:`repro.sim.partition.partition_graph`
+    and/or rewritten by :func:`repro.sim.outofcore.rewrite_out_of_core`
+    (replayed under its enforced window budget).  Each problem runs the
+    square driver's exact kernel sequence, so its values are bitwise
+    identical to solving the matrix alone.
+
+    A problem may have any order that pads to ``graph.npad`` (a serving
+    shape class mixes them).  Returns a ``(B, n)`` array when every
+    problem has order ``n``, else a list of per-problem value vectors.
+    """
+    count = {"square": 1, "batched": graph.batch}.get(graph.kind)
+    if count is None or graph.counted:
+        raise ShapeError(
+            f"replay_graph needs a replayable square or batched graph, got "
+            f"kind={graph.kind!r} (counted={graph.counted})"
+        )
+    ts = config.params.tilesize
+    if graph.ts != ts:
+        raise ShapeError(
+            f"graph tilesize {graph.ts} does not match config tilesize {ts}"
+        )
+    mats = [np.asarray(a) for a in mats]
+    for a in mats:
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise ShapeError(f"matrices must be square, got shape {a.shape}")
+        if a.shape[0] == 0:
+            raise ShapeError("empty matrix")
+    orders = [a.shape[0] for a in mats]
+    if len(mats) != count or any(
+        ntiles(n, ts) * ts != graph.npad for n in orders
+    ):
+        raise ShapeError(
+            f"graph was emitted for batch={count} padded to "
+            f"npad={graph.npad}, got batch={len(mats)} of orders "
+            f"{sorted(set(orders))}"
+        )
+
+    storage = config.storage_for(mats[0].dtype)
+    compute = config.backend.compute_precision(storage)
+    W = np.zeros((count, graph.npad, graph.npad), dtype=storage.dtype)
+    scales = []
+    for p, (a, n) in enumerate(zip(mats, orders)):
+        stored, scale = upload(a, storage, config)
+        W[p, :n, :n] = stored
+        scales.append(scale)
+
+    ex = NumericExecutor(
+        W, ts, storage.eps,
+        compute_dtype=compute.dtype if compute is not storage else None,
+        storage=storage,
+    )
+    ex.run(graph)
+
+    out = []
+    # zero padding contributed exactly (npad - n) zero singular values
+    for values, n, scale in zip(ex.values, orders, scales):
+        vals = values[:n].copy()
+        if scale != 1.0:
+            vals /= scale
+        out.append(vals)
+    return np.stack(out) if len(set(orders)) == 1 else out
+
+
 def svdvals_resolved(
     A: np.ndarray,
     config: SolveConfig,
     return_info: bool = False,
-    graph: Optional[LaunchGraph] = None,
 ) -> Union[np.ndarray, Tuple[np.ndarray, TimeBreakdown]]:
     """Square-driver implementation against a resolved :class:`SolveConfig`.
 
     The code path :meth:`repro.Solver.solve` takes for square inputs
-    (and the square solve of the rectangular driver).  It replays
-    ``emit_svd_graph(n, config)``; ``graph`` replaces it with another
-    replayable square graph of the same solve - partitioned by
-    :func:`~repro.sim.partition.partition_graph` or rewritten by
-    :func:`~repro.sim.outofcore.rewrite_out_of_core` - whose values are
-    bitwise identical.  ``return_info`` adds the replayed graph's
+    (and the square solve of the rectangular and low-rank drivers): it
+    replays ``emit_svd_graph(n, config)`` on ``[A]`` through
+    :func:`replay_graph`.  ``return_info`` adds the replayed graph's
     :func:`~repro.sim.table.price_table`.
     """
     A = np.asarray(A)
@@ -374,40 +454,11 @@ def svdvals_resolved(
         raise ShapeError("empty matrix")
 
     storage = config.storage_for(A.dtype)
-    compute = config.backend.compute_precision(storage)
     config.backend.check_capacity(n, storage)
-    ts = config.params.tilesize
-
-    # upload in storage precision and zero-pad to full tiles
-    src, scale = upload(A, storage, config)
-    W, _ = pad_to_tiles(src, ts)
-
-    compute_dtype = compute.dtype if compute is not storage else None
-
-    # replay the launch graph: stage 1 (dense -> band), stage 2 (band ->
-    # bidiagonal chase) and stage 3 (CPU solve) all live in one IR
-    if graph is None:
-        graph = emit_svd_graph(n, config)
-    elif (
-        graph.kind != "square" or graph.streams != 1 or graph.counted
-        or graph.n != n or graph.ts != ts or graph.fused != config.fused
-    ):
-        raise ShapeError(
-            f"launch graph ({graph.kind}, n={graph.n}, ts={graph.ts}, "
-            f"fused={graph.fused}, streams={graph.streams}, "
-            f"counted={graph.counted}) does not match the replayable "
-            f"square solve (n={n}, ts={ts}, fused={config.fused})"
-        )
-    ex = NumericExecutor(
-        W, ts, storage.eps, compute_dtype=compute_dtype, storage=storage
-    )
-    ex.run(graph)
-
-    # zero padding contributed exactly (npad - n) zero singular values
-    vals = ex.values[:n].copy()
-    if scale != 1.0:
-        vals /= scale
-
+    # stage 1 (dense -> band), stage 2 (band -> bidiagonal chase) and
+    # stage 3 (CPU solve) all live in one launch graph
+    graph = emit_svd_graph(n, config)
+    vals = replay_graph([A], graph, config)[0]
     if not return_info:
         return vals
     return vals, price_table(graph.table(), config, storage)

@@ -209,7 +209,7 @@ def svd_full_resolved(A: np.ndarray, config, return_info: bool = False):
     )
     graph = emit_svd_graph(n, config, vectors=True)
     ex.run(graph)
-    s, U, V = ex.values, ex.U, ex.V
+    s, U, V = ex.values[0], ex.U, ex.V
 
     # fix signs, sort descending, strip padding
     neg = s < 0

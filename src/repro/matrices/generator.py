@@ -12,7 +12,9 @@ from typing import Optional
 
 import numpy as np
 
+from ..errors import InvalidParamsError
 from ..precision import Precision, PrecisionLike, resolve_precision
+from ..sim.topology import require_int
 from .distributions import get_distribution
 
 __all__ = ["gaussian_sketch", "haar_orthogonal", "make_test_matrix", "TestMatrix"]
@@ -47,13 +49,20 @@ def gaussian_sketch(
     same Omega regardless of what else the process sampled before, and
     *different* shapes under one seed draw independent streams instead of
     a shared-prefix one.  Entries are standard normal, drawn in float64
-    and rounded once to the storage precision.
+    and rounded once to the storage precision.  ``seed`` must be a
+    non-negative Python or NumPy integer (not ``bool``); anything else
+    raises :class:`~repro.errors.InvalidParamsError` naming it.
     """
+    require_int("seed", seed)
+    if seed < 0:
+        raise InvalidParamsError(
+            f"seed must be a non-negative integer, got seed={seed}"
+        )
     if n < 1 or l < 1:
         raise ValueError(f"sketch shape must be positive, got ({n}, {l})")
     prec = resolve_precision(precision)
     rng = np.random.default_rng(
-        np.random.SeedSequence(entropy=int(seed), spawn_key=(int(n), int(l)))
+        np.random.SeedSequence(entropy=seed, spawn_key=(int(n), int(l)))
     )
     return rng.standard_normal((n, l)).astype(prec.dtype)
 

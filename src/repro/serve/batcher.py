@@ -19,8 +19,9 @@ for occupancy through the ``max_batch`` / ``max_wait_s`` knobs.
 :class:`BatchRunner` is the execution backend: compose (or reuse) the
 batched graph of a shape class over the service's fleet - partitioned
 across devices, optionally rewritten out-of-core - and replay it through
-:func:`~repro.core.batched.replay_batched_graph`, the same upload and
-batched replay a stack takes through :meth:`repro.Solver.solve`.
+:func:`~repro.core.svd.replay_graph`, the one upload and replay every
+:meth:`repro.Solver.solve` door takes, on one executor for the whole
+batch.
 """
 
 from __future__ import annotations
@@ -32,7 +33,8 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from ..config import SolveConfig
-from ..core.batched import emit_batched_graph, replay_batched_graph
+from ..core.batched import emit_batched_graph
+from ..core.svd import replay_graph
 from ..errors import InvalidParamsError
 from ..sim.graph import LaunchGraph
 from ..sim.topology import Topology, require_int, require_positive
@@ -119,7 +121,12 @@ class DynamicBatcher:
         return sum(len(v) for v in self._pending.values())
 
     def add(self, req: SvdRequest) -> None:
-        """Enqueue one request under its shape class."""
+        """Enqueue one request under its shape class.
+
+        Its ``priority`` must be a Python or NumPy integer (not ``bool``):
+        one NaN would break the pop order of its whole class.
+        """
+        require_int("priority", req.priority)
         self._pending.setdefault(req.cls, []).append(req)
 
     def _ready_time(self, reqs: List[SvdRequest]) -> float:
@@ -176,8 +183,8 @@ class BatchRunner:
     by :func:`repro.solver.compose_graph` (the identity on one device)
     and memoized per ``(npad, count, streams, out_of_core)``, with hit
     counters surfaced in :class:`~repro.serve.ServiceStats`.
-    Numerics are :func:`~repro.core.batched.replay_batched_graph`'s, the
-    path every stack takes: each request's *original* matrix is uploaded
+    Numerics are :func:`~repro.core.svd.replay_graph`'s, the path every
+    solve takes: each request's *original* matrix is uploaded
     (rescale factor and storage cast), zero-padded to ``npad``, and
     receives its leading ``n`` values scaled back.
     """
@@ -246,8 +253,6 @@ class BatchRunner:
             requests[0].cls, len(requests), streams=streams,
             out_of_core=out_of_core, budget_bytes=budget_bytes,
         )
-        values = replay_batched_graph(
-            [req.A for req in requests], graph, self.config
-        )
+        values = replay_graph([req.A for req in requests], graph, self.config)
         replayed_s = price(graph, streams) if price is not None else 0.0
         return list(values), replayed_s

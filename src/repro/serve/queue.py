@@ -31,7 +31,7 @@ import numpy as np
 
 from ..core.svd import upload
 from ..errors import InvalidParamsError, ShapeError
-from ..sim.topology import require_positive
+from ..sim.topology import require_int, require_positive
 from ..tuning.planner import shape_class
 from .admission import AdmissionController
 from .batcher import Batch, BatchRunner, DynamicBatcher, SvdRequest
@@ -83,6 +83,7 @@ class SvdService:
         """
         config = solver.config
         config.require_precision("serve")
+        require_int("max_depth", max_depth)
         if max_depth < 1:
             raise InvalidParamsError(
                 f"max_depth must be a positive queue bound, got {max_depth}"
@@ -191,6 +192,9 @@ class SvdService:
         upload(A, self._config.precision, self._config)
         if slo_s is not None:
             require_positive("slo_s", slo_s)
+        # DynamicBatcher.add checks it too, but only after the wait for a
+        # depth slot: a bad priority fails here, before the queue drains
+        require_int("priority", priority)
         await self._sem.acquire()
         self._seq += 1
         req = SvdRequest(

@@ -20,10 +20,11 @@ node carries
 Two executors consume the graph:
 
 * :class:`NumericExecutor` replays the nodes in order, invoking the
-  NumPy kernels on a padded workspace; it prices nothing.  Node order is
-  the reduction loop's order, so every replay of one graph -
-  partitioned, batched, planned or served - makes the same kernel calls
-  in the same order and gives the same bytes.
+  NumPy kernels on a stack of padded workspaces (a matrix is a stack of
+  one); it prices nothing.  Node order is the reduction loop's order, so
+  every replay of one graph - partitioned, batched, planned or served -
+  makes the same kernel calls in the same order and gives the same
+  bytes.
 * :class:`AnalyticExecutor` prices the same nodes without touching data,
   producing the :class:`~repro.sim.schedule.TimeBreakdown` that
   :meth:`repro.Solver.predict` returns.  A solve's ``return_info``
@@ -55,6 +56,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..errors import ShapeError
 from .costmodel import (
     LaunchCost,
     LinkSpec,
@@ -646,15 +648,31 @@ class AnalyticExecutor:
 # --------------------------------------------------------------------- #
 # numeric executor
 # --------------------------------------------------------------------- #
+#: The problems a square-kind node covers: a matrix is a stack of one.
+_PROBLEM0 = range(1)
+
+
 class NumericExecutor:
-    """Replay a :class:`LaunchGraph` numerically on a padded workspace.
+    """Replay a :class:`LaunchGraph` numerically on a stack of workspaces.
+
+    A matrix is a stack of one: the workspace is always ``(B, rows,
+    cols)`` (a 2-D ``W`` is held as the view ``W[None]``), and one
+    dispatch serves every node.  A batched (``_b``) node covers the
+    problems ``problem_range(meta[0])`` with the square meta
+    ``meta[1:]``; any other node covers problem 0.  A tile launch runs
+    its square body once per covered problem, its tau registers keyed by
+    problem; stages 2 and 3 run once over the covered problems' stack and
+    leave ``(B, .)`` arrays in ``d``, ``e`` and ``values``.  A node
+    covering a problem the workspace does not hold raises
+    :class:`~repro.errors.ShapeError`.
 
     Nodes are executed in list order, Algorithm 2's loop order kernel call
-    for kernel call, so each replay of a graph gives the same bytes; the
-    stage-1 update kernels apply each tile's reflectors as one compact-WY
-    block, within a stated tolerance of the paper's reflector-at-a-time
-    loops (their ``*_reference`` twins).  The executor prices nothing: a
-    solve's report is the table price of the graph it replayed.
+    for kernel call, so each replay of a graph gives each problem the
+    bytes it gets alone; the stage-1 update kernels apply each tile's
+    reflectors as one compact-WY block, within a stated tolerance of the
+    paper's reflector-at-a-time loops (their ``*_reference`` twins).  The
+    executor prices nothing: a solve's report is the table price of the
+    graph it replayed.
 
     Partitioned graphs (``ngpu > 1``) replay too: each sharded update
     chunk runs against its device's tile-row views of the shared
@@ -666,14 +684,13 @@ class NumericExecutor:
     ``tests/test_partition.py``).
 
     Stage-1-only node lists (from ``emit_band_reduction`` /
-    ``emit_tallqr_graph``) need no ``storage``; full square
-    graphs run stage 2/3 as well and leave the singular values in
-    ``self.values``.
+    ``emit_tallqr_graph``) need no ``storage``.
 
-    A vector graph (``emit_svd_graph(..., vectors=True)``) replays with
-    the accumulators ``Ut``, ``Vt`` (``W``'s dtype) attached: ``*_acc``
-    nodes and the chase update them, and ``bdsqr_cpu`` runs the rotation-
-    accumulating QR iteration, leaving float64 factors in ``U``, ``V``.
+    A vector graph (``emit_svd_graph(..., vectors=True)``) replays one
+    problem with the accumulators ``Ut``, ``Vt`` (``W``'s dtype)
+    attached: ``*_acc`` nodes and the chase update them, and
+    ``bdsqr_cpu`` runs the rotation-accumulating QR iteration, leaving
+    float64 factors in ``U``, ``V``.
     """
 
     def __init__(
@@ -687,35 +704,30 @@ class NumericExecutor:
         Ut=None,
         Vt=None,
     ) -> None:
-        import numpy as np
-
-        self.W = W
-        self.Wt = W.T
+        self.W = W[None] if W.ndim == 2 else W
+        #: Per problem: its (QR, LQ) views, indexed by a sweep's ``lq``.
+        self._views = [(Wp, Wp.T) for Wp in self.W]
         self.ts = ts
         self.eps = eps
         self.compute_dtype = compute_dtype
         self.storage = storage
         self.Ut = Ut
         self.Vt = Vt
-        self._np = np
         #: Tile-residency tracker of an out-of-core replay (``None`` for
         #: in-core graphs); installed by :meth:`run` from the graph's
         #: declared window capacity and enforced on every node.
         self._window = None
-        #: Batched replay (``W`` is a ``(batch, npad, npad)`` stack):
-        #: per-problem child executors, created lazily, each replaying
-        #: the square-kind body of a batched launch on its own slice.
-        self._subs: Dict[int, "NumericExecutor"] = {}
-        #: problem index -> float64 singular values (batched replay).
-        self.values_by_problem: Dict[int, object] = {}
-        self._tau0: Dict[int, object] = {}
-        #: sweep -> (first row, stop row, tau list) of the live FTSQRT
-        #: output; partitioned graphs consume it chunk by chunk.
-        self._taus: Dict[int, Tuple[int, int, list]] = {}
-        self._tau1: Dict[Tuple[int, int], object] = {}
-        #: sweep -> compute-precision copy of the pivot tile row, kept
-        #: resident across the row chunks of one fused update launch.
-        self._ylive: Dict[int, object] = {}
+        # tau registers, keyed by (problem, sweep[, tile row])
+        self._tau0: Dict[Tuple, object] = {}
+        #: (problem, sweep) -> (first row, stop row, tau list) of the live
+        #: FTSQRT output; partitioned graphs consume it chunk by chunk.
+        self._taus: Dict[Tuple, Tuple[int, int, list]] = {}
+        self._tau1: Dict[Tuple, object] = {}
+        #: (problem, sweep) -> compute-precision copy of the pivot tile
+        #: row, kept resident across the row chunks of one fused update.
+        self._ylive: Dict[Tuple, object] = {}
+        #: Problems whose band has been chased to bidiagonal form.
+        self._chased: set = set()
         self.d = None
         self.e = None
         self.values = None
@@ -758,14 +770,8 @@ class NumericExecutor:
         return self
 
     # ------------------------------------------------------------------ #
-    def _view(self, lq: bool):
-        return self.Wt if lq else self.W
-
     def _zeros_tau(self):
-        np = self._np
-        return np.zeros(
-            self.ts, dtype=self.compute_dtype or self.W.dtype
-        )
+        return np.zeros(self.ts, dtype=self.compute_dtype or self.W.dtype)
 
     def _read(self, registers, key):
         """A tau register, freed by its last reader: the matrix update,
@@ -776,6 +782,17 @@ class NumericExecutor:
         """Tile row ``l`` of the accumulator of the sweep's side."""
         ts = self.ts
         return (self.Vt if lq else self.Ut)[l * ts : (l + 1) * ts]
+
+    def _covered(self, probs: Tuple) -> range:
+        """A batched node's problems, each of which the workspace holds."""
+        covered = problem_range(probs)
+        if covered and covered[-1] >= len(self.W):
+            raise ShapeError(
+                f"a batched launch covers problem {covered[-1]}, so its "
+                f"graph needs at least {covered[-1] + 1} problems, but the "
+                f"workspace holds {len(self.W)}"
+            )
+        return covered
 
     def _dispatch(self, node: LaunchNode) -> None:
         kind = node.kind
@@ -788,51 +805,73 @@ class NumericExecutor:
             return
         if self._window is not None:
             self._window.require(node)
+        meta = node.meta
         if kind in BATCHED_KINDS:
-            self._dispatch_batched(node)
-            return
+            # the square body over the node's problem subset
+            probs = self._covered(meta[0])
+            kind, meta = kind[:-2], meta[1:]
+        else:
+            probs = _PROBLEM0
+        if kind == "brd_chase":
+            # the whole chase runs on the primary node; its follow-up
+            # launches are numeric no-ops
+            if node.primary:
+                self._run_stage2(probs)
+        elif kind in ("bdsqr_cpu", "steig_cpu"):
+            self._run_stage3(kind, probs)
+        elif kind in COMM_KINDS:
+            # pure data movement: a numeric no-op on the simulation's
+            # shared-memory fabric, but priced like a launch
+            pass
+        else:
+            for p in probs:
+                self._launch(kind, meta, p)
+
+    def _launch(self, kind: str, meta: Tuple, p: int) -> None:
+        """One stage-1 tile launch's square body, on problem ``p``."""
         ts = self.ts
         geqrt, unmqr, ftsqrt, ftsmqr, tsqrt, tsmqr = self._k
         tile = self._tile
+        views = self._views[p]
         if kind == "geqrt":
-            lq, row, col, sweep = node.meta
-            B = self._view(lq)
-            diag = tile(B, row, col, ts)
+            lq, row, col, sweep = meta
             tau0 = self._zeros_tau()
-            self._tau0[sweep] = tau0
-            geqrt(diag, tau0, self.eps, self.compute_dtype)
+            self._tau0[p, sweep] = tau0
+            geqrt(tile(views[lq], row, col, ts), tau0, self.eps,
+                  self.compute_dtype)
         elif kind == "unmqr":
-            lq, row, col, c0t, off, cw, sweep = node.meta
-            B = self._view(lq)
-            diag = tile(B, row, col, ts)
+            lq, row, col, c0t, off, cw, sweep = meta
+            B = views[lq]
             c0 = c0t * ts + off
             view = B[row * ts : (row + 1) * ts, c0 : c0 + cw]
             # popping each tau register at its last reader keeps the
             # replay's live set at one sweep, like the old loops
-            unmqr(diag, self._read(self._tau0, sweep), view, self.compute_dtype)
-        elif kind == "unmqr_acc":
-            lq, row, col, sweep = node.meta
-            diag = tile(self._view(lq), row, col, ts)
             unmqr(
-                diag, self._tau0.pop(sweep), self._acc(lq, row),
-                self.compute_dtype,
+                tile(B, row, col, ts), self._read(self._tau0, (p, sweep)),
+                view, self.compute_dtype,
+            )
+        elif kind == "unmqr_acc":
+            lq, row, col, sweep = meta
+            unmqr(
+                tile(views[lq], row, col, ts), self._tau0.pop((p, sweep)),
+                self._acc(lq, row), self.compute_dtype,
             )
         elif kind == "ftsqrt":
-            lq, row, col, rows, sweep = node.meta
-            B = self._view(lq)
-            diag = tile(B, row, col, ts)
+            lq, row, col, rows, sweep = meta
+            B = views[lq]
             taus = [self._zeros_tau() for _ in range(rows[0], rows[1])]
-            self._taus[sweep] = (rows[0], rows[1], taus)
+            self._taus[p, sweep] = (rows[0], rows[1], taus)
             Bs = [tile(B, l, col, ts) for l in range(rows[0], rows[1])]
-            ftsqrt(diag, Bs, taus, self.eps, self.compute_dtype)
+            ftsqrt(tile(B, row, col, ts), Bs, taus, self.eps,
+                   self.compute_dtype)
         elif kind == "ftsmqr":
             # `rows` may be a sub-range of the FTSQRT rows: a partitioned
             # graph shards one fused update into per-device row chunks,
             # replayed in row order (the inherent chain through Y)
-            lq, row, col, rows, c0t, off, cw, sweep = node.meta
-            B = self._view(lq)
+            lq, row, col, rows, c0t, off, cw, sweep = meta
+            B = views[lq]
             c0 = c0t * ts + off
-            base, stop, taus = self._taus[sweep]
+            base, stop, taus = self._taus[p, sweep]
             lo, hi = rows
             tau_slice = taus[lo - base : hi - base]
             Bs = [tile(B, l, col, ts) for l in range(lo, hi)]
@@ -846,140 +885,63 @@ class NumericExecutor:
                 # precision for the *whole* launch; carrying the live copy
                 # across row chunks keeps sharded replay bitwise identical
                 # to the monolithic launch
-                Yw = self._ylive.get(sweep)
+                Yw = self._ylive.get((p, sweep))
                 if Yw is None:
-                    Yw = self._ylive[sweep] = Y.astype(self.compute_dtype)
+                    Yw = self._ylive[p, sweep] = Y.astype(self.compute_dtype)
             ftsmqr(Bs, tau_slice, Yw, Xs, self.compute_dtype)
             if hi == stop and Yw is not Y:
                 Y[...] = Yw
-                del self._ylive[sweep]
+                del self._ylive[p, sweep]
             if hi == stop and self.Ut is None:
                 # last chunk: the sweep's tau registers are fully consumed
-                del self._taus[sweep]
+                del self._taus[p, sweep]
         elif kind == "ftsmqr_acc":
-            lq, row, col, (lo, hi), sweep = node.meta
-            B = self._view(lq)
-            taus = self._taus.pop(sweep)[2]
+            lq, row, col, (lo, hi), sweep = meta
+            B = views[lq]
+            taus = self._taus.pop((p, sweep))[2]
             ftsmqr(
                 [tile(B, l, col, ts) for l in range(lo, hi)], taus,
                 self._acc(lq, row), [self._acc(lq, l) for l in range(lo, hi)],
                 self.compute_dtype,
             )
         elif kind == "tsqrt":
-            lq, row, col, l, sweep = node.meta
-            B = self._view(lq)
+            lq, row, col, l, sweep = meta
+            B = views[lq]
             taul = self._zeros_tau()
-            self._tau1[(sweep, l)] = taul
+            self._tau1[p, sweep, l] = taul
             tsqrt(
                 tile(B, row, col, ts), tile(B, l, col, ts), taul, self.eps,
                 self.compute_dtype,
             )
         elif kind == "tsmqr":
-            lq, row, col, l, c0t, off, cw, sweep = node.meta
-            B = self._view(lq)
+            lq, row, col, l, c0t, off, cw, sweep = meta
+            B = views[lq]
             c0 = c0t * ts + off
             Y = B[row * ts : (row + 1) * ts, c0 : c0 + cw]
             X = B[l * ts : (l + 1) * ts, c0 : c0 + cw]
             tsmqr(
-                tile(B, l, col, ts), self._read(self._tau1, (sweep, l)), Y, X,
-                self.compute_dtype,
+                tile(B, l, col, ts), self._read(self._tau1, (p, sweep, l)),
+                Y, X, self.compute_dtype,
             )
         elif kind == "tsmqr_acc":
-            lq, row, col, l, sweep = node.meta
+            lq, row, col, l, sweep = meta
             tsmqr(
-                tile(self._view(lq), l, col, ts), self._tau1.pop((sweep, l)),
+                tile(views[lq], l, col, ts), self._tau1.pop((p, sweep, l)),
                 self._acc(lq, row), self._acc(lq, l), self.compute_dtype,
             )
-        elif kind == "brd_chase":
-            # the whole chase runs on the primary node; its follow-up
-            # launches are numeric no-ops
-            if node.primary:
-                self._run_stage2()
-        elif kind in ("bdsqr_cpu", "steig_cpu"):
-            np = self._np
-            self._run_stage2()
-            # round through storage precision, as a device-resident
-            # result would be
-            d = self.d.astype(self.storage.dtype).astype(np.float64)
-            e = self.e.astype(self.storage.dtype).astype(np.float64)
-            if kind == "steig_cpu":
-                # the eigensolver tail is the same solver, by its own name
-                from ..core.eigh import steig_values
-
-                self.values = steig_values(d, e)
-            elif self.Ut is not None:
-                from ..core.vectors import _gk_vectors
-
-                self.U = self.Ut.T.astype(np.float64)
-                self.V = self.Vt.T.astype(np.float64)
-                self.values = _gk_vectors(d, e, self.U, self.V)
-            else:
-                from ..core.bidiag import svdvals_bidiag
-
-                self.values = svdvals_bidiag(d, e)
-        elif kind in COMM_KINDS:
-            # pure data movement: a numeric no-op on the simulation's
-            # shared-memory fabric, but priced like a launch
-            pass
         else:  # pragma: no cover - emitter bug
             raise ValueError(f"unknown launch kind {kind!r}")
 
-    def _sub(self, p: int) -> "NumericExecutor":
-        """Child executor replaying problem ``p`` of a batched workspace."""
-        ex = self._subs.get(p)
-        if ex is None:
-            ex = NumericExecutor(
-                self.W[p], self.ts, self.eps,
-                compute_dtype=self.compute_dtype, storage=self.storage,
-            )
-            self._subs[p] = ex
-        return ex
+    def _run_stage2(self, probs: range) -> None:
+        """Band -> bidiagonal of the covered problems not yet chased.
 
-    def _dispatch_batched(self, node: LaunchNode) -> None:
-        """Replay one batched launch: its square body, per covered problem.
-
-        ``meta[0]`` names the problem subset; ``meta[1:]`` is exactly the
-        square node's meta, so each problem executes kernel-for-kernel the
-        sequence the square driver would run — batched replay is bitwise
-        identical to solving every matrix alone (pinned in
-        ``tests/test_batched_compose.py``).  Requires a 3-D ``W`` stack.
-        """
-        probs = problem_range(node.meta[0])
-        base = node.kind[:-2]  # strip the "_b" suffix
-        if base == "brd_chase":
-            if node.primary:
-                # one stacked call chases each problem on its own live block
-                self._run_stage2([self._sub(p) for p in probs])
-            return
-        if base == "bdsqr_cpu":
-            # one stacked stage-3 call; each problem's values equal its
-            # square replay's (the Sturm kernel's lanes are independent)
-            from ..core.bidiag import svdvals_bidiag
-
-            subs = [self._sub(p) for p in probs]
-            self._run_stage2(subs)
-            np = self._np
-            dtype = self.storage.dtype
-            d = np.stack([ex.d for ex in subs]).astype(dtype).astype(np.float64)
-            e = np.stack([ex.e for ex in subs]).astype(dtype).astype(np.float64)
-            values = svdvals_bidiag(d, e)
-            self.values_by_problem.update(zip(probs, values))
-            return
-        sq = LaunchNode(base, node.stage, node.key, node.meta[1:])
-        for p in probs:
-            self._sub(p)._dispatch(sq)
-
-    def _run_stage2(self, subs=None) -> None:
-        """Band -> bidiagonal numerics (once, on the first stage-2 node).
-
-        ``subs`` (batched replay) are child executors whose bands are
-        passed as one ``(B, n, n)`` stack, whose chase gives each problem
-        the bytes it gets alone; by default this executor's own workspace
-        is chased.
+        Their bands go to the chase as one ``(k, n, n)`` stack, which
+        chases each problem on its own live block, so each gets the bytes
+        it gets alone.
         """
         from ..core.brd import band_to_bidiagonal
 
-        todo = [ex for ex in (subs or [self]) if ex.d is None]
+        todo = [p for p in probs if p not in self._chased]
         if not todo:
             return
         work_dtype = (
@@ -987,14 +949,47 @@ class NumericExecutor:
             if self.compute_dtype is not None
             else self.storage.dtype
         )
-        bands = self._np.stack(
-            [self._extract_band(ex.W, self.ts) for ex in todo]
+        bands = np.stack(
+            [self._extract_band(self.W[p], self.ts) for p in todo]
         ).astype(work_dtype, copy=False)
         if self.Ut is not None:  # a vector graph replays one problem
-            self.d, self.e = band_to_bidiagonal(
+            d, e = band_to_bidiagonal(
                 bands[0], self.ts, U=self.Ut.T, V=self.Vt.T
             )
-            return
-        d, e = band_to_bidiagonal(bands, self.ts)
-        for ex, dp, ep in zip(todo, d, e):
-            ex.d, ex.e = dp, ep
+            d, e = d[None], e[None]
+        else:
+            d, e = band_to_bidiagonal(bands, self.ts)
+        if self.d is None:
+            self.d = np.zeros((len(self.W), d.shape[1]), d.dtype)
+            self.e = np.zeros((len(self.W), e.shape[1]), e.dtype)
+        self.d[todo] = d
+        self.e[todo] = e
+        self._chased.update(todo)
+
+    def _run_stage3(self, kind: str, probs: range) -> None:
+        """Bidiagonal -> values of the covered problems, in one call."""
+        self._run_stage2(probs)
+        rows = slice(probs.start, probs.stop, probs.step)
+        # round through storage precision, as a device-resident result
+        # would be
+        dtype = self.storage.dtype
+        d = self.d[rows].astype(dtype).astype(np.float64)
+        e = self.e[rows].astype(dtype).astype(np.float64)
+        if kind == "steig_cpu":
+            # the eigensolver tail is the same solver, by its own name
+            from ..core.eigh import steig_values
+
+            values = steig_values(d, e)
+        elif self.Ut is not None:
+            from ..core.vectors import _gk_vectors
+
+            self.U = self.Ut.T.astype(np.float64)
+            self.V = self.Vt.T.astype(np.float64)
+            values = _gk_vectors(d[0], e[0], self.U, self.V)[None]
+        else:
+            from ..core.bidiag import svdvals_bidiag
+
+            values = svdvals_bidiag(d, e)
+        if self.values is None:
+            self.values = np.zeros((len(self.W), values.shape[1]), values.dtype)
+        self.values[rows] = values

@@ -693,9 +693,10 @@ class Solver:
         """Build an :class:`SvdPlan`, a checked solve of one problem shape.
 
         ``shape`` is ``n`` or ``(n, n)`` for square problems, ``(m, n)``
-        for rectangular ones, or ``(batch, n, n)`` for stacks.  Requires a
-        handle constructed with an explicit precision (the plan checks
-        capacity in that storage precision).
+        for rectangular ones, or ``(batch, n, n)`` for stacks, each entry
+        a Python or NumPy integer (not ``bool``).  Requires a handle
+        constructed with an explicit precision (the plan checks capacity
+        in that storage precision).
         """
         return SvdPlan(self._config, shape)
 
@@ -741,8 +742,11 @@ class SvdPlan:
     def __init__(
         self, config: SolveConfig, shape: Union[int, Tuple[int, ...]]
     ) -> None:
-        if isinstance(shape, (int, np.integer)):
-            shape = (int(shape), int(shape))
+        if np.ndim(shape) == 0:
+            require_int("shape", shape)
+            shape = (shape, shape)
+        for i, s in enumerate(shape):
+            require_int(f"shape[{i}]", s)
         shape = tuple(int(s) for s in shape)
         if len(shape) not in (2, 3) or any(s < 1 for s in shape):
             raise ShapeError(

@@ -18,7 +18,8 @@ import pytest
 
 import repro
 from repro import Solver
-from repro.core.batched import emit_batched_graph, replay_batched_graph
+from repro.core.batched import emit_batched_graph
+from repro.core.svd import replay_graph
 from repro.errors import CapacityError, ShapeError, WindowOverflowError
 from repro.sim.graph import problem_range, rekey_batched
 from repro.sim.outofcore import rewrite_out_of_core
@@ -205,7 +206,7 @@ class TestBatchedReplay:
         As = self.stack(rng)
         graph = emit_batched_graph(40, 5, solver.config)
         np.testing.assert_array_equal(
-            replay_batched_graph(As, graph, solver.config),
+            replay_graph(As, graph, solver.config),
             self.reference(solver, As),
         )
 
@@ -213,7 +214,7 @@ class TestBatchedReplay:
         As = self.stack(rng)
         graph = emit_batched_graph(40, 5, solver.config, streams=3)
         np.testing.assert_array_equal(
-            replay_batched_graph(As, graph, solver.config),
+            replay_graph(As, graph, solver.config),
             self.reference(solver, As),
         )
 
@@ -224,7 +225,7 @@ class TestBatchedReplay:
             solver.config.link_spec(),
         )
         np.testing.assert_array_equal(
-            replay_batched_graph(As, graph, solver.config),
+            replay_graph(As, graph, solver.config),
             self.reference(solver, As),
         )
 
@@ -251,7 +252,7 @@ class TestBatchedReplay:
         )
         assert og.out_of_core
         np.testing.assert_array_equal(
-            replay_batched_graph(As, og, cfg), self.reference(s, As)
+            replay_graph(As, og, cfg), self.reference(s, As)
         )
 
     def test_uneven_shards_fitting_device_still_loads(self, rng, solver):
@@ -276,7 +277,7 @@ class TestBatchedReplay:
         ]
         assert len(dev1_h2d) == 1  # the fitting device loads once
         np.testing.assert_array_equal(
-            replay_batched_graph(As, og, cfg), self.reference(solver, As)
+            replay_graph(As, og, cfg), self.reference(solver, As)
         )
 
     def test_window_budget_enforced(self, rng, solver):
@@ -290,15 +291,16 @@ class TestBatchedReplay:
         )
         og.oc_capacity_problems = 1  # declared window no longer fits loads
         with pytest.raises(WindowOverflowError):
-            replay_batched_graph(As, og, cfg)
+            replay_graph(As, og, cfg)
 
     def test_graph_mismatch_rejected(self, rng, solver):
         As = self.stack(rng, batch=4)
         graph = emit_batched_graph(40, 5, solver.config)
         with pytest.raises(ShapeError, match="batch"):
-            replay_batched_graph(As, graph, solver.config)
+            replay_graph(As, graph, solver.config)
+        # a square graph covers one problem: a matrix is a stack of one
         square = repro.core.emit_svd_graph(40, solver.config)
-        with pytest.raises(ShapeError, match="batched"):
-            replay_batched_graph(
+        with pytest.raises(ShapeError, match="batch=1"):
+            replay_graph(
                 self.stack(rng, batch=5), square, solver.config
             )

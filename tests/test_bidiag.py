@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import repro
 import repro.core.bidiag as bidiag_mod
 from tests.conftest import rel_err, same_bytes, scipy_svdvals
-from repro.core.batched import emit_batched_graph, replay_batched_graph
+from repro.core.batched import emit_batched_graph
 from repro.core.bidiag import (
     _lapack_bidiag,
     bisect,
@@ -20,6 +20,7 @@ from repro.core.bidiag import (
     svdvals_bidiag,
 )
 from repro.core.eigh import eigh_tridiagonal, steig_values
+from repro.core.svd import replay_graph
 from repro.errors import ShapeError
 
 
@@ -428,7 +429,7 @@ class TestBatchedStage3:
         monkeypatch.setattr(bidiag_mod, "svdvals_bidiag", spy)
         graph = emit_batched_graph(npad, len(mats), config, streams=streams)
         nodes = [nd for nd in graph.nodes if nd.kind == "bdsqr_cpu_b"]
-        got = replay_batched_graph(mats, graph, config)
+        got = replay_graph(mats, graph, config)
         assert len(shapes) == len(nodes) == streams
         assert sum(s[0] for s in shapes) == len(mats)
         assert all(len(s) == 2 and s[1] == npad for s in shapes)

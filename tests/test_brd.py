@@ -410,7 +410,8 @@ class TestBatchedReplay:
         """Batched replay chases each chain's problems in one stacked call,
         bitwise equal to solving every matrix alone."""
         import repro
-        from repro.core.batched import emit_batched_graph, replay_batched_graph
+        from repro.core.batched import emit_batched_graph
+        from repro.core.svd import replay_graph
 
         seen = []
         chase = brd.band_to_bidiagonal
@@ -423,7 +424,7 @@ class TestBatchedReplay:
         solver = repro.Solver(backend="h100", precision="fp32")
         A = rng.standard_normal((8, 32, 32)).astype(np.float32)
         graph = emit_batched_graph(32, 8, solver.config, streams=streams)
-        vals = replay_batched_graph(A, graph, solver.config)
+        vals = replay_graph(A, graph, solver.config)
         assert seen == stacks
         monkeypatch.undo()
         for p in range(8):

@@ -349,7 +349,7 @@ class TestClusterReplay:
     def test_cluster_graph_replays_bitwise(self, solver, config):
         """Cluster comm nodes are numeric no-ops: replaying the
         partitioned graph is bitwise identical to the one-shot solve."""
-        from repro.core.svd import svdvals_resolved
+        from repro.core.svd import replay_graph
 
         rng = np.random.default_rng(7)
         n = 130
@@ -360,5 +360,5 @@ class TestClusterReplay:
             fabric=config.fabric_spec(),
         )
         np.testing.assert_array_equal(
-            svdvals_resolved(A, config, graph=part), oneshot
+            replay_graph([A], part, config)[0], oneshot
         )

@@ -20,7 +20,7 @@ from repro.core import (
     emit_tallqr_graph,
     jacobi_svdvals,
 )
-from repro.core.svd import svdvals_resolved
+from repro.core.svd import replay_graph
 from repro.errors import InvalidParamsError, ShapeError
 from repro.sim import (
     AnalyticExecutor,
@@ -95,8 +95,10 @@ class TestAnalyticMatchesTraced:
                  "eigh", "svd"],
     )
     def test_recording_branches(self, backend, precision, fused, case):
-        """Comm, transfer, ``steig_cpu`` and ``*_acc`` launches: the report
-        of a replay is exactly the analytic price of the replayed graph."""
+        """Comm, transfer, ``steig_cpu`` and ``*_acc`` launches: the eigh
+        and svd reports are exactly the analytic price of the replayed
+        graph, and a partitioned or out-of-core graph replays to the
+        solve's bytes while its price reaches its comm or transfer."""
         n, ts = 130, 32
         solver = make_solver(backend, precision, ts, fused)
         cfg, storage = solver.config, solver.precision
@@ -116,10 +118,13 @@ class TestAnalyticMatchesTraced:
                 # a 16-tile window, smaller than the 5 x 5 tile grid
                 budget = 16 * ts * ts * storage.sizeof * 1.25
                 graph = rewrite_out_of_core(graph, cfg, storage, budget)
-            _, info = svdvals_resolved(A, cfg, graph=graph, return_info=True)
+            np.testing.assert_array_equal(
+                replay_graph([A], graph, cfg)[0], solver.solve(A)
+            )
         bd = AnalyticExecutor(cfg, storage).run(graph)
 
-        assert info == bd
+        if case in ("eigh", "svd"):
+            assert info == bd
         # each case reaches the launch family it is named for
         reached = {
             "partitioned": bd.comm_s > 0,
@@ -375,7 +380,7 @@ class TestGraphReplayBitwise:
         graph = emit_svd_graph(96, cfg)
         for _ in range(3):
             np.testing.assert_array_equal(
-                svdvals_resolved(A, cfg, graph=graph), oneshot
+                replay_graph([A], graph, cfg)[0], oneshot
             )
 
     def test_replay_across_fusion_modes(self):
@@ -393,7 +398,7 @@ class TestGraphReplayBitwise:
         cfg = Solver(backend="h100", precision="fp32").config
         A = np.zeros((64, 64), dtype=np.float32)
         with pytest.raises(ShapeError, match="graph"):
-            svdvals_resolved(A, cfg, graph=emit_svd_graph(96, cfg))
+            replay_graph([A], emit_svd_graph(96, cfg), cfg)
 
     def test_batched_replay_shares_one_graph(self):
         # fp16 / fp64 storage, and an order that is not a tile multiple
@@ -453,6 +458,16 @@ class TestMultiStream:
         W = np.zeros((64, 64), dtype=np.float32)
         with pytest.raises(ValueError, match="analytic-only"):
             NumericExecutor(W, 64, 1e-7).run(graph)
+
+    def test_numeric_executor_rejects_uncovered_problems(self):
+        """A node covering a problem the workspace does not hold names
+        both counts, not a bare ``IndexError``."""
+        cfg = Solver(backend="h100", precision="fp32").config
+        W = np.zeros((64, 64), dtype=np.float32)
+        with pytest.raises(
+            ShapeError, match="at least 2 problems, but the workspace holds 1"
+        ):
+            NumericExecutor(W, 32, 1e-7).run(emit_batched_graph(40, 2, cfg))
 
     def test_streams_composes_with_ngpu_and_batch(self):
         solver = Solver(backend="h100", precision="fp32")

@@ -23,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import Solver, Topology
-from repro.core.svd import emit_svd_graph, svdvals_resolved
+from repro.core.svd import emit_svd_graph, replay_graph
 from repro.sim import partition_graph, shard_rows, shard_rows_weighted
 from repro.sim.outofcore import rewrite_out_of_core
 
@@ -103,7 +103,7 @@ class TestHeteroReplayBitwise:
             emit_svd_graph(130, cfg), topology=topo, config=cfg
         )
         np.testing.assert_array_equal(
-            svdvals_resolved(A, cfg, graph=pg), oneshot
+            replay_graph([A], pg, cfg)[0], oneshot
         )
 
     @pytest.mark.parametrize("streams", [2, 4])
@@ -120,7 +120,7 @@ class TestHeteroReplayBitwise:
             emit_svd_graph(192, cfg), topology=topo, config=cfg
         )
         np.testing.assert_array_equal(
-            svdvals_resolved(A, cfg, graph=pg), s.solve(A)
+            replay_graph([A], pg, cfg)[0], s.solve(A)
         )
 
     def test_out_of_core_composed_replay(self):
@@ -136,7 +136,7 @@ class TestHeteroReplayBitwise:
             pg, cfg, storage, budget_bytes=6 * 64 * 64 * storage.sizeof
         )
         np.testing.assert_array_equal(
-            svdvals_resolved(A, cfg, graph=ooc), s.solve(A)
+            replay_graph([A], ooc, cfg)[0], s.solve(A)
         )
 
     @settings(max_examples=10, deadline=None)
@@ -154,5 +154,5 @@ class TestHeteroReplayBitwise:
             emit_svd_graph(n, cfg), topology=topo, config=cfg
         )
         np.testing.assert_array_equal(
-            svdvals_resolved(A, cfg, graph=pg), s.solve(A)
+            replay_graph([A], pg, cfg)[0], s.solve(A)
         )

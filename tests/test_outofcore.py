@@ -18,7 +18,7 @@ import pytest
 
 from repro import Solver, WindowOverflowError
 from repro.core import emit_svd_graph
-from repro.core.svd import svdvals_resolved
+from repro.core.svd import replay_graph
 from repro.errors import CapacityError, InvalidParamsError
 from repro.sim import (
     AnalyticExecutor,
@@ -308,7 +308,7 @@ class TestReplayBitwise:
                 tile_budget(tiles, sizeof=sizeof),
             )
             np.testing.assert_array_equal(
-                svdvals_resolved(A, cfg, graph=oc), oneshot
+                replay_graph([A], oc, cfg)[0], oneshot
             )
 
     def test_partitioned_then_rewritten_bitwise(self, solver):
@@ -318,7 +318,7 @@ class TestReplayBitwise:
         pg = partition_graph(emit_svd_graph(160, cfg), 3, LINK)
         poc = rewrite_out_of_core(pg, cfg, solver.precision, tile_budget(16))
         np.testing.assert_array_equal(
-            svdvals_resolved(A, cfg, graph=poc), oneshot
+            replay_graph([A], poc, cfg)[0], oneshot
         )
 
     def test_traced_run_attributes_transfer(self, solver):
@@ -327,7 +327,10 @@ class TestReplayBitwise:
             emit_svd_graph(96, cfg), cfg, solver.precision, tile_budget(8)
         )
         A = np.random.default_rng(4).standard_normal((96, 96))
-        _, info = svdvals_resolved(A, cfg, graph=oc, return_info=True)
+        np.testing.assert_array_equal(
+            replay_graph([A], oc, cfg)[0], solver.solve(A)
+        )
+        info = AnalyticExecutor(cfg, solver.precision).run(oc)
         assert info.io_s > 0
         assert info.launches == oc.launch_counts()
 
@@ -362,7 +365,7 @@ class TestWindowEnforcement:
                 del bad.nodes[i]
                 break
         with pytest.raises(WindowOverflowError, match="not resident"):
-            svdvals_resolved(A, solver.config, graph=bad)
+            replay_graph([A], bad, solver.config)[0]
 
     def test_underdeclared_capacity_faults(self, solver):
         oc = self._rewritten(solver)
@@ -370,7 +373,7 @@ class TestWindowEnforcement:
         tight = copy.deepcopy(oc)
         tight.oc_capacity_tiles = 4
         with pytest.raises(WindowOverflowError, match="overflow"):
-            svdvals_resolved(A, solver.config, graph=tight)
+            replay_graph([A], tight, solver.config)[0]
 
     def test_missing_band_load_faults(self, solver):
         oc = self._rewritten(solver)
@@ -381,7 +384,7 @@ class TestWindowEnforcement:
             if not (n.kind == "h2d_tile" and n.meta[0] == "band")
         ]
         with pytest.raises(WindowOverflowError, match="band"):
-            svdvals_resolved(A, solver.config, graph=bad)
+            replay_graph([A], bad, solver.config)[0]
 
     def test_node_tiles_cover_both_orientations(self, solver):
         """LQ-sweep launches touch transposed tiles; the tile decoder

@@ -14,7 +14,7 @@ import pytest
 import repro
 from repro import Solver, Topology
 from repro.core import emit_svd_graph
-from repro.core.svd import svdvals_resolved
+from repro.core.svd import replay_graph
 from repro.errors import CapacityError, InvalidParamsError, ShapeError
 from repro.sim import (
     LinkSpec,
@@ -120,10 +120,10 @@ class TestTopologyPartition:
         )
         assert {n.device for n in pg.nodes} == {0, 1, 2, 3}
         np.testing.assert_array_equal(
-            svdvals_resolved(
-                np.random.default_rng(7).standard_normal((512, 512)), cfg,
-                graph=pg,
-            ),
+            replay_graph(
+                [np.random.default_rng(7).standard_normal((512, 512))], pg,
+                cfg,
+            )[0],
             solver.solve(
                 np.random.default_rng(7).standard_normal((512, 512))
             ),
@@ -150,7 +150,7 @@ class TestTopologyPartition:
         )
         A = np.random.default_rng(11).standard_normal((64, 64))
         np.testing.assert_array_equal(
-            svdvals_resolved(A, cfg, graph=pg), solver.solve(A)
+            replay_graph([A], pg, cfg)[0], solver.solve(A)
         )
 
     def test_weighted_beats_uniform_sharding_on_mixed_fleet(self, solver):
@@ -380,14 +380,17 @@ class TestPartitionedReplayBitwise:
                 emit_svd_graph(130, cfg), g, cfg.backend.link
             )
             np.testing.assert_array_equal(
-                svdvals_resolved(A, cfg, graph=pg), oneshot
+                replay_graph([A], pg, cfg)[0], oneshot
             )
 
     def test_traced_partitioned_run_attributes_comm(self, solver):
         cfg = solver.config
         pg = partition_graph(emit_svd_graph(96, cfg), 4, LINK)
         A = np.random.default_rng(4).standard_normal((96, 96))
-        _, info = svdvals_resolved(A, cfg, graph=pg, return_info=True)
+        np.testing.assert_array_equal(
+            replay_graph([A], pg, cfg)[0], solver.solve(A)
+        )
+        info = price_partitioned(pg, cfg, solver.precision)
         assert info.comm_s > 0
         assert info.launches == pg.launch_counts()
 

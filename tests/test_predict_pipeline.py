@@ -19,8 +19,8 @@ import pytest
 
 from repro import Solver, Topology
 from repro.backends.device import get_device
-from repro.core.batched import emit_batched_graph, replay_batched_graph
-from repro.core.svd import cast_to_storage, emit_svd_graph
+from repro.core.batched import emit_batched_graph
+from repro.core.svd import cast_to_storage, emit_svd_graph, replay_graph
 from repro.errors import CapacityError, InvalidParamsError, ShapeError
 from repro.precision import Precision
 from repro.serve.admission import AdmissionController
@@ -586,7 +586,7 @@ class TestStorageCastFailsFast:
             lambda s, A: s.svd(A),
             lambda s, A: s.eigh(A),
             lambda s, A: s.svd_lowrank(np.vstack([A, A]), 4),
-            lambda s, A: replay_batched_graph(
+            lambda s, A: replay_graph(
                 np.stack([A, A]), emit_batched_graph(32, 2, s.config),
                 s.config,
             ),

@@ -251,6 +251,24 @@ class TestGuardMessages:
             excinfo.value
         )
 
+    @pytest.mark.parametrize("seed", [1.5, True, "3", None, -1], ids=repr)
+    def test_seed_is_a_non_negative_integer(self, seed):
+        """A truncated or coerced seed (``1.5`` and ``True`` as 1, ``"3"``
+        as 3) would silently run another sketch, and ``-1`` / ``None``
+        would die in NumPy with bare errors."""
+        A = np.random.default_rng(0).standard_normal((16, 8))
+        with pytest.raises(InvalidParamsError, match="seed must be"):
+            Solver(precision="fp64").svd_lowrank(A, 2, seed=seed)
+        with pytest.raises(InvalidParamsError, match="seed must be"):
+            gaussian_sketch(8, 4, seed=seed)
+
+    def test_bad_seed_fails_before_the_upload(self):
+        """The sketch is drawn before any pass over ``A``: its seed is
+        rejected ahead of the upload's finiteness check."""
+        A = np.full((16, 8), np.nan)
+        with pytest.raises(InvalidParamsError, match="seed must be"):
+            Solver(precision="fp64").svd_lowrank(A, 2, seed=-1)
+
     def test_sketch_shape_guard(self):
         with pytest.raises(ValueError) as excinfo:
             gaussian_sketch(0, 4)

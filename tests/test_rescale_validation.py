@@ -73,6 +73,34 @@ class TestCheckFinite:
         out = Solver(check_finite=False).solve(A)
         assert np.all(np.isfinite(out))
 
+    @pytest.mark.parametrize("where", ["all", "one"])
+    @pytest.mark.parametrize("door", ["eigh", "svd_lowrank"])
+    def test_unchecked_nan_reaches_stage3(self, door, where):
+        """Unchecked NaN input fails with stage 3's cause: ``eigh`` used
+        to warn inside its symmetry test and call the input asymmetric,
+        and the low-rank door died in the pseudo-inverse's bare
+        ``LinAlgError``."""
+        shape = (8, 8) if door == "eigh" else (16, 8)
+        A = np.full(shape, np.nan)
+        if where == "one":
+            A = np.eye(*shape) + np.eye(*shape, k=1) + np.eye(*shape, k=-1)
+            A[3, 3 if door == "eigh" else 2] = np.nan
+        solver = Solver(precision="fp32", check_finite=False)
+        with pytest.raises(ShapeError, match="bidiagonal contains NaN or Inf"):
+            if door == "eigh":
+                solver.eigh(A)
+            else:
+                solver.svd_lowrank(A, 2)
+
+    @pytest.mark.parametrize("where", ["all", "one"])
+    def test_checked_nan_is_not_called_asymmetry(self, where):
+        A = np.full((8, 8), np.nan)
+        if where == "one":
+            A = np.eye(8)
+            A[2, 5] = np.nan
+        with pytest.raises(ShapeError, match="input matrix contains NaN"):
+            Solver(precision="fp32").eigh(A)
+
     # the overflow below is the point of the test; nothing else is ignored
     @pytest.mark.filterwarnings("ignore:overflow encountered in cast:RuntimeWarning")
     def test_reduction_overflow_fails_fast(self):

@@ -5,6 +5,7 @@ functions so the suite passes with or without pytest-asyncio installed.
 """
 
 import asyncio
+import math
 
 import numpy as np
 import pytest
@@ -17,8 +18,10 @@ from repro.serve import (
     AdmissionController,
     Batch,
     BatchRunner,
+    DynamicBatcher,
     ServiceStats,
     SvdRequest,
+    TraceRequest,
     simulate_service,
     poisson_trace,
 )
@@ -201,6 +204,58 @@ class TestBackpressure:
 
         ra, rb, rc = asyncio.run(go())
         assert all(len(r) > 0 for r in (ra, rb, rc))
+
+
+class TestServiceInputRules:
+    @pytest.mark.parametrize("max_depth", [2.5, math.nan, True], ids=repr)
+    def test_max_depth_is_an_integer(self, max_depth):
+        """A float depth would turn backpressure off (a semaphore blocks
+        only at exactly 0, and 2.5 steps past it), and ``True`` would run
+        as a depth of 1."""
+        solver = Solver(backend="h100", precision="fp32")
+        with pytest.raises(
+            InvalidParamsError, match="max_depth must be an integer"
+        ):
+            solver.serve(max_depth=max_depth)
+
+    @pytest.mark.parametrize("priority", [math.nan, 0.5, True], ids=repr)
+    def test_batcher_priority_is_an_integer(self, priority):
+        """One NaN priority would break the pop order of its whole
+        class."""
+        cls = shape_class(64, Solver(precision="fp32").config)
+        batcher = DynamicBatcher(max_batch=3)
+        with pytest.raises(
+            InvalidParamsError, match="priority must be an integer"
+        ):
+            batcher.add(
+                SvdRequest(seq=1, n=64, cls=cls, t_submit=0.0,
+                           priority=priority)
+            )
+        assert len(batcher) == 0
+
+    def test_simulator_rejects_a_nan_priority(self):
+        solver = Solver(backend="h100", precision="fp32")
+        trace = [TraceRequest(t=0.0, n=64), TraceRequest(t=0.0, n=64,
+                                                         priority=math.nan)]
+        with pytest.raises(InvalidParamsError, match="priority"):
+            simulate_service(trace, solver)
+
+    def test_submit_rejects_a_nan_priority_without_waiting(self, rng):
+        """A full service rejects a NaN priority at once, not after its
+        one depth slot frees (here: after the first batch's 1 s wait)."""
+        solver = Solver(backend="h100", precision="fp32")
+        A = rng.standard_normal((32, 32))
+
+        async def go():
+            async with solver.serve(max_wait_s=1.0, max_depth=1) as svc:
+                first = await svc.submit(A)  # holds the one depth slot
+                with pytest.raises(InvalidParamsError, match="priority"):
+                    await asyncio.wait_for(
+                        svc.submit(A, priority=math.nan), timeout=0.25
+                    )
+                return await first
+
+        assert np.array_equal(asyncio.run(go()), solver.solve(A))
 
 
 class TestShedding:
@@ -444,6 +499,33 @@ class TestBatchRunner:
         assert runner.graph_misses == 1 and runner.graph_hits == 1
         for a, b in zip(v1, v2):
             assert np.array_equal(a, b)
+
+    def test_a_batch_builds_one_executor(self, rng, monkeypatch):
+        """One served batch replays on one executor, not one per request
+        plus the batch's own."""
+        from repro.sim.graph import NumericExecutor
+
+        config = Solver(backend="h100", precision="fp32").config
+        cls = shape_class(64, config)
+        reqs = [
+            SvdRequest(seq=i, n=n, cls=cls, t_submit=0.0,
+                       A=rng.standard_normal((n, n)))
+            for i, n in enumerate((64, 50, 33))
+        ]
+        built = []
+        init = NumericExecutor.__init__
+
+        def spy(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(NumericExecutor, "__init__", spy)
+        values, _ = BatchRunner(config).run(reqs)
+        assert len(built) == 1
+        monkeypatch.undo()
+        solver = Solver.from_config(config)
+        for req, vals in zip(reqs, values):
+            assert np.array_equal(vals, solver.solve(req.A))
 
 
 class TestSimulator:

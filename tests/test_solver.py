@@ -274,6 +274,24 @@ class TestPlan:
         execute(As)
         assert kinds == ["batched"]
 
+    def test_stack_builds_one_executor(self, monkeypatch, rng):
+        """A matrix is a stack of one, so an (8, n, n) stack replays on
+        one executor, not on nine (one per problem plus the stack's)."""
+        from repro.sim.graph import NumericExecutor
+
+        built = []
+        init = NumericExecutor.__init__
+
+        def spy(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(NumericExecutor, "__init__", spy)
+        As = rng.standard_normal((8, 48, 48)).astype(np.float32)
+        Solver(backend="h100", precision="fp32").solve(As)
+        assert len(built) == 1
+        assert built[0].values.shape == (8, 64)  # (B, npad)
+
     def test_rect_plan(self, rng, solver):
         A = rng.standard_normal((80, 40)).astype(np.float32)
         plan = solver.plan((80, 40))
@@ -307,6 +325,17 @@ class TestPlan:
             solver.plan((0, 4))
         with pytest.raises(ShapeError):
             solver.plan((2, 8, 4))
+
+    @pytest.mark.parametrize(
+        "shape", [True, (8.5, 8.5), float("nan"), (8, True), "8"], ids=repr
+    )
+    def test_plan_shape_entries_are_integers(self, solver, shape):
+        """``plan(True)`` would plan a 1x1 solve, ``plan((8.5, 8.5))`` an
+        8x8 one, and ``plan(nan)`` would die with a bare ``TypeError``."""
+        with pytest.raises(
+            InvalidParamsError, match=r"shape(\[\d\])? must be an integer"
+        ):
+            solver.plan(shape)
 
     def test_plan_requires_explicit_precision(self):
         with pytest.raises(InvalidParamsError, match="precision"):
