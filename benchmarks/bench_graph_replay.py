@@ -68,6 +68,15 @@ after checking both against each other under that rule.  It read
 busy); the baseline is hand-pinned at 0.5, so the gate fails once the
 wave is less than 1.6x faster.
 
+And the analytic path's square binder: ``composed_bind_ratio@16384``
+divides the time :func:`repro.core.svd.bind_square_record` takes to bind
+the record of an h100 fp32 ``ngpu=4, streams=2`` predict at ``n = 16384``
+by the time ``compose_graph(...).record(skeleton=True)`` takes to compose
+the same record through its node list, best of 3 each, alternating, the
+structure memo cleared before each run, after checking that the two
+records schedule alike.  Its baseline is hand-pinned at 0.25: the gate
+fails once the binder is less than 3.2x faster.
+
 The table :func:`run` renders is this host's wall-clock, so the pytest
 entry point writes it to ``benchmarks/results/graph_replay.txt``
 untracked (as ``bench_solver_plan.py`` does ``solver_plan.txt``).
@@ -114,6 +123,9 @@ UPDATE_KERNELS = ("unmqr", "tsmqr", "ftsmqr")
 #: ratio: a 4096-row tall QR's first panel.
 PANEL_L = 127
 PANEL_TS = 32
+
+#: Order of the gated square-binder ratio (h100 fp32, 4 GPUs, 2 streams).
+BIND_N = 16384
 
 #: Orders of the cold ``Solver.tune`` rows in the ``--breakdown`` dump.
 TUNE_SIZES = (1024, 2048)
@@ -270,6 +282,49 @@ def panel_ratio(L: int = PANEL_L, ts: int = PANEL_TS, trials: int = 3) -> float:
     return wave_s / ref_s
 
 
+def bind_ratio(n: int = BIND_N, trials: int = 3) -> float:
+    """Closed-form binding over composing one record, best of ``trials``.
+
+    Both build the node-free record of an h100 fp32 ``ngpu=4, streams=2``
+    predict at order ``n``, skeleton included: the square binder from
+    per-sweep index arrays, ``compose_graph`` by emitting and
+    partitioning the node list.  The two records first schedule to the
+    same result; then the two builds alternate, the structure memo
+    cleared before each run, so a change of host speed slows both.
+    """
+    from functools import partial
+
+    from repro import Solver, Topology
+    from repro.core.svd import bind_square_record
+    from repro.sim.table import clear_bound_tables, structure_config
+    from repro.solver import compose_graph, price_composed
+
+    solver = Solver("h100", precision="fp32")
+    config = structure_config(solver.config)
+    topology = Topology.uniform("h100", 4)
+
+    def bind():
+        return bind_square_record(n, config, topology, 2, skeleton=True)
+
+    def compose():
+        return compose_graph(
+            partial(emit_svd_graph, n, config, streams=2), config, topology
+        ).record(skeleton=True)
+
+    bound, composed = (
+        price_composed(record, solver.config, solver.precision, topology, 2)
+        for record in (bind(), compose())
+    )
+    assert bound == composed
+    bind_s = compose_s = float("inf")
+    for _ in range(trials):
+        clear_bound_tables()
+        bind_s = min(bind_s, _time(bind, 1, 1))
+        clear_bound_tables()
+        compose_s = min(compose_s, _time(compose, 1, 1))
+    return bind_s / compose_s
+
+
 def phase_rows(solver, sizes=SIZES) -> list:
     """Per-size wall-clock phase timings as JSON-friendly dict rows."""
     cfg = solver.config
@@ -375,8 +430,9 @@ def metrics() -> dict:
     Simulated predicted seconds (deterministic across machines), plus
     speedup guards: the dimensionless ``bindprice_emitscalar_ratio``,
     ``brd_chase_scalar_ratio``, ``stage3_kernel_gk_ratio``,
-    ``stage3_stack_gk_ratio``, ``stage1_block_ref_ratio`` and
-    ``ftsqrt_wave_ref_ratio`` (both timings of each share the host, so
+    ``stage3_stack_gk_ratio``, ``stage1_block_ref_ratio``,
+    ``ftsqrt_wave_ref_ratio`` and ``composed_bind_ratio`` (both timings
+    of each share the host, so
     their baselines transfer) and the
     deterministic bound-structure miss
     count per tune candidate (proof the candidate loop binds instead of
@@ -425,6 +481,10 @@ def metrics() -> dict:
     out[f"graph_replay/ftsqrt_wave_ref_ratio@{(PANEL_L + 1) * PANEL_TS}"] = (
         panel_ratio()
     )
+
+    # the analytic path: binding a composed square record in closed form
+    # vs composing it through the node list
+    out[f"graph_replay/composed_bind_ratio@{BIND_N}"] = bind_ratio()
 
     # re-emission is gone from the candidate loop: a cold tune binds a
     # handful of structures (one per tile size and execution-axis

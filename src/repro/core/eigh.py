@@ -16,7 +16,7 @@ reintroduced.
 Everything upstream of the final node is byte-for-byte the SVD pipeline:
 :func:`emit_eigh_graph` is :func:`~repro.core.svd.emit_svd_graph` with the
 tail ``bdsqr_cpu`` launch swapped for ``steig_cpu``, and
-:func:`bind_eigh_table` patches the bound SVD table the same way.  The
+:func:`bind_eigh_table` binds the SVD sweeps with that tail.  The
 workload composes with every graph axis (streams, multi-GPU partition,
 out-of-core rewrite) for free.
 """
@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 
-from dataclasses import replace
 from typing import Tuple, Union
 
 import numpy as np
@@ -42,7 +41,7 @@ from ..sim.table import (
 )
 from ..sim.tracing import Stage
 from .bidiag import _EPS, _MAXITER, _bisect_lanes, _sections, svdvals_bidiag
-from .svd import bind_svd_table, emit_svd_graph, replay_graph, require_real
+from .svd import bind_square_record, emit_svd_graph, replay_graph, require_real
 
 __all__ = [
     "bind_eigh_table",
@@ -122,28 +121,22 @@ def emit_eigh_graph(
     return graph
 
 
-def _patch_table(table: NodeTable) -> NodeTable:
-    """Swap the SVD table's ``bdsqr_cpu`` tail for ``steig_cpu``."""
-    kinds = tuple(
-        "steig_cpu" if k == "bdsqr_cpu" else k for k in table.kinds
-    )
-    return replace(table, kinds=kinds)
-
-
 def bind_eigh_table(n: int, config: SolveConfig) -> NodeTable:
     """Bind the eigensolver sweep structure to ``(n, config)`` as a table.
 
     The eigensolver's launch schedule differs from the SVD's only in the
     name of the final CPU launch (the ``("solve", n)`` cost key is
-    shared), so the bound table is the memoized SVD table with the kind
-    string patched - node for node equal to
+    shared), so the bound table is the square binder's counted one with
+    the ``steig_cpu`` tail - node for node equal to
     ``emit_eigh_graph(n, config, counted=True).table()``, keyed by
     :func:`~repro.sim.table.structure_config` like the SVD table.
     """
     skey = structure_config(config)
     return bound_structure(
         ("eigh_table", skey, n),
-        lambda: _patch_table(bind_svd_table(n, skey)),
+        lambda: bind_square_record(
+            n, skey, tail="steig_cpu", counted=True
+        ).table(),
     )
 
 

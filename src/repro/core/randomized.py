@@ -48,7 +48,7 @@ from ..sim.topology import require_int
 from ..sim.tracing import Stage
 from .bidiag import _require_finite
 from .rectangular import _emit_tallqr_nodes, qr_reduce_tall
-from .svd import emit_svd_graph, svdvals_resolved, upload
+from .svd import emit_svd_graph, replay_errstate, svdvals_resolved, upload
 from .tiling import ntiles
 
 __all__ = [
@@ -241,29 +241,30 @@ def svd_lowrank_resolved(
     # drawn first, so a bad seed fails before any pass over A
     Omega = gaussian_sketch(n, l, seed=seed, precision=storage)
     As, scale = upload(A, storage, config)
-    Y = np.asarray(As @ Omega, dtype=storage.dtype)
+    with replay_errstate():
+        Y = np.asarray(As @ Omega, dtype=storage.dtype)
 
-    Wy = np.zeros((ntiles(m, ts) * ts, lpad), dtype=storage.dtype)
-    Wy[:m, :l] = Y
-    R1 = qr_reduce_tall(Wy, ts, storage.eps, compute_dtype=compute_dtype)[:l, :l]
+        Wy = np.zeros((ntiles(m, ts) * ts, lpad), dtype=storage.dtype)
+        Wy[:m, :l] = Y
+        R1 = qr_reduce_tall(Wy, ts, storage.eps, compute_dtype=compute_dtype)[:l, :l]
 
-    Z = np.asarray(As.T @ Y, dtype=storage.dtype)
+        Z = np.asarray(As.T @ Y, dtype=storage.dtype)
 
-    # T = Z R1^+ (= A^T Q): the float64 CPU solve runs through the
-    # pseudo-inverse so a rank-deficient sample (Y loses columns when
-    # rank(A) < l) zeroes its null directions instead of amplifying
-    # them; the cutoff sits at the *storage* precision's noise floor
-    rcond = max(m, n) * float(storage.eps)
-    # non-finite input that check_finite=False let through fails here,
-    # as it would in stage 3, not inside the pseudo-inverse's SVD
-    _require_finite(R1)
-    T = (
-        Z.astype(np.float64) @ np.linalg.pinv(R1.astype(np.float64), rcond)
-    ).astype(storage.dtype)
+        # T = Z R1^+ (= A^T Q): the float64 CPU solve runs through the
+        # pseudo-inverse so a rank-deficient sample (Y loses columns when
+        # rank(A) < l) zeroes its null directions instead of amplifying
+        # them; the cutoff sits at the *storage* precision's noise floor
+        rcond = max(m, n) * float(storage.eps)
+        # non-finite input that check_finite=False let through fails here,
+        # as it would in stage 3, not inside the pseudo-inverse's SVD
+        _require_finite(R1)
+        T = (
+            Z.astype(np.float64) @ np.linalg.pinv(R1.astype(np.float64), rcond)
+        ).astype(storage.dtype)
 
-    Wt = np.zeros((ntiles(n, ts) * ts, lpad), dtype=storage.dtype)
-    Wt[:n, :l] = T
-    R2 = qr_reduce_tall(Wt, ts, storage.eps, compute_dtype=compute_dtype)[:l, :l]
+        Wt = np.zeros((ntiles(n, ts) * ts, lpad), dtype=storage.dtype)
+        Wt[:n, :l] = T
+        R2 = qr_reduce_tall(Wt, ts, storage.eps, compute_dtype=compute_dtype)[:l, :l]
 
     # pin the inferred precision so the square solve of R2 cannot re-infer
     square_config = (

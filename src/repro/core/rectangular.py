@@ -30,7 +30,7 @@ from ..sim.graph import LaunchGraph, LaunchNode, NumericExecutor
 from ..sim.schedule import TimeBreakdown
 from ..sim.table import price_table
 from ..sim.tracing import Stage
-from .svd import svdvals_resolved, upload
+from .svd import replay_errstate, svdvals_resolved, upload
 from .tiling import ntiles
 
 __all__ = ["emit_tallqr_graph", "qr_reduce_tall"]
@@ -159,10 +159,11 @@ def svdvals_rect_resolved(
     W = np.zeros((ntiles(m, ts) * ts, ntiles(n, ts) * ts), dtype=storage.dtype)
     stored, scale = upload(A, storage, config)
     W[:m, :n] = stored
-    R = qr_reduce_tall(
-        W, ts, storage.eps,
-        compute_dtype=compute.dtype if compute is not storage else None,
-    )
+    with replay_errstate():
+        R = qr_reduce_tall(
+            W, ts, storage.eps,
+            compute_dtype=compute.dtype if compute is not storage else None,
+        )
 
     # pin the inferred precision so the square solve of R cannot re-infer
     square_config = (

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 
-from typing import List, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -32,7 +32,18 @@ from ..config import SolveConfig
 from ..errors import ShapeError
 from ..precision import Precision
 from ..sim.costmodel import brd_launch_count
-from ..sim.graph import LaunchGraph, LaunchNode, NumericExecutor
+from ..sim.graph import GraphRecord, LaunchGraph, LaunchNode, NumericExecutor
+from ..sim.partition import (
+    band_elems,
+    bcast_stages,
+    boundary_elems,
+    exchange_shares,
+    fleet_weights,
+    is_weighted_fleet,
+    panel_elems,
+    shard_rows,
+    shard_rows_weighted,
+)
 from ..sim.schedule import TimeBreakdown
 from ..sim.table import (
     FAMILIES,
@@ -41,14 +52,17 @@ from ..sim.table import (
     price_table,
     structure_config,
 )
+from ..sim.topology import Topology
 from ..sim.tracing import Stage
-from .banddiag import emit_band_reduction
+from .banddiag import _chunk_width, emit_band_reduction
 from .brd import emit_brd_chase
 from .tiling import ntiles
 
 __all__ = [
+    "bind_square_record",
     "bind_svd_table",
     "emit_svd_graph",
+    "replay_errstate",
     "replay_graph",
     "require_real",
     "upload",
@@ -56,6 +70,19 @@ __all__ = [
 
 _FAM = {name: i for i, name in enumerate(FAMILIES)}
 _SID = {stage: i for i, stage in enumerate(Stage.ALL)}
+
+
+def replay_errstate() -> np.errstate:
+    """The floating-point state a numeric door replays under.
+
+    Invalid, overflowing and dividing operations stay silent, so an
+    unchecked NaN or Inf (``check_finite=False``) propagates to a
+    finiteness check - stage 3's, or the low-rank door's on its sample
+    factor - which raises :class:`~repro.errors.ShapeError`, instead of
+    stopping at the first kernel's ``RuntimeWarning``.  Each door enters
+    it once around its replay, not once per kernel call.
+    """
+    return np.errstate(invalid="ignore", over="ignore", divide="ignore")
 
 
 def _rescale_factor(A: np.ndarray, storage: Precision) -> float:
@@ -206,151 +233,406 @@ def emit_svd_graph(
 def bind_svd_table(n: int, config: SolveConfig) -> NodeTable:
     """Bind the square sweep structure to ``(n, config)`` as a node table.
 
-    Shape-parametric emission: instead of materializing per-tile
-    :class:`~repro.sim.graph.LaunchNode` objects, the sweep structure of
-    the shape family is assembled directly as the struct-of-arrays
-    :class:`~repro.sim.table.NodeTable` - closed-form index arrays over
-    the sweep count - and memoized process-wide per
-    ``(structure_config(config), n)`` through
+    Shape-parametric emission: the table of
+    :func:`bind_square_record`'s one-device, single-stream, counted
+    record - built from per-sweep index arrays, never from
+    :class:`~repro.sim.graph.LaunchNode` objects - memoized process-wide
+    per ``(structure_config(config), n)`` through
     :func:`~repro.sim.table.bound_structure`, so configs differing only
     in ``colperblock`` / ``splitk`` share one table.  Node for node
     equal to ``emit_svd_graph(n, config, counted=True).table()`` (pinned
     by ``tests/test_table_props.py``): the analytic-only form whose
     unfused TSQRT/TSMQR runs are folded into counted rows.  This is what
-    ``Solver.predict`` / ``Solver.tune`` price instead of re-emitting.
+    ``Solver.predict`` / ``Solver.tune`` price for a one-device,
+    single-stream, in-core query.
     """
     skey = structure_config(config)
     return bound_structure(
-        ("svd_table", skey, n), lambda: _build_svd_table(n, skey)
+        ("svd_table", skey, n),
+        lambda: bind_square_record(n, skey, counted=True).table(),
     )
 
 
-def _build_svd_table(n: int, config: SolveConfig) -> NodeTable:
-    """Assemble the bound square table (see :func:`bind_svd_table`)."""
+#: Kinds a bound square graph may hold, in provisional-id order; the
+#: table numbers them first seen, as ``NodeTable.from_graph`` does.
+_KINDS = (
+    "boundary_x", "boundary_x_inter", "geqrt", "unmqr", "ftsqrt", "tsqrt",
+    "panel_bcast_inter", "panel_bcast", "ftsmqr", "tsmqr", "band_gather",
+    "band_gather_inter", "brd_chase", "bdsqr_cpu", "steig_cpu",
+)
+_KID = {kind: i for i, kind in enumerate(_KINDS)}
+
+
+def _ragged(lengths: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Row and in-row position of every element of rows of ``lengths``."""
+    rows = np.repeat(np.arange(lengths.size), lengths)
+    starts = np.cumsum(lengths) - lengths
+    return rows, np.arange(rows.size) - starts[rows]
+
+
+def _fan(first, count, child) -> Tuple[np.ndarray, np.ndarray]:
+    """Edges from parents ``first .. first + count - 1`` to each ``child``.
+
+    The three arguments broadcast to one length; a ``count`` of zero
+    gives its child no edge.  Returns ``(parents, children)``.
+    """
+    first, count, child = np.broadcast_arrays(first, count, child)
+    rows, pos = _ragged(count.ravel())
+    return first.ravel()[rows] + pos, child.ravel()[rows]
+
+
+def bind_square_record(
+    n: int,
+    config: SolveConfig,
+    topology: Optional[Topology] = None,
+    streams: int = 1,
+    *,
+    tail: str = "bdsqr_cpu",
+    counted: bool = False,
+    skeleton: bool = False,
+) -> GraphRecord:
+    """The composed square graph's node-free record, bound in closed form.
+
+    The one square binder: the :class:`~repro.sim.graph.GraphRecord` of
+    the in-core ``compose_graph`` of ``emit_svd_graph(n, config,
+    streams=streams)`` over ``topology`` (``None``: one device of the
+    handle's type) - its :class:`~repro.sim.table.NodeTable` and, with
+    ``skeleton``, its dependency skeleton - assembled from per-sweep
+    index arrays, without a :class:`~repro.sim.graph.LaunchNode` list.
+    The row shards, broadcast stages and comm sizes come from the
+    helpers :func:`~repro.sim.partition.partition_graph` calls
+    (:func:`~repro.sim.partition.shard_rows`, or
+    :func:`~repro.sim.partition.shard_rows_weighted` over
+    :func:`~repro.sim.partition.fleet_weights` on a weighted fleet;
+    :func:`~repro.sim.partition.bcast_stages`,
+    :func:`~repro.sim.partition.exchange_shares` and the ``*_elems``
+    sizes), the lookahead column chunks from the stage-1 emitter's.
+    ``tail`` names the final CPU launch (``"steig_cpu"`` binds the
+    eigensolver graph); ``counted=True`` (one device, one stream) folds
+    the unfused TSQRT/TSMQR runs, the table of ``emit_svd_graph(n,
+    config, counted=True)``.
+
+    ``compose_graph`` is the oracle: tables equal up to key and kind
+    numbering (kinds first seen, keys by value), skeletons byte-equal and
+    every pricer's result equal (pinned by ``tests/test_table_props.py``).
+    """
     if n < 1:
         raise ShapeError(f"matrix order must be positive, got {n}")
+    total = 1 if topology is None else topology.ngpu
+    nodes = 1 if total == 1 else topology.nodes
+    if counted and (total > 1 or streams != 1):
+        raise ValueError(
+            "counted tables fold a one-device, single-stream graph; bind "
+            "other compositions with counted=False"
+        )
     ts = config.params.tilesize
     nbt = ntiles(n, ts)
     npad = nbt * ts
     fused = config.fused
+    fold = counted and not fused
     nbrd = brd_launch_count(npad, ts, config.coeffs)
     PANEL, UPDATE = _SID[Stage.PANEL], _SID[Stage.UPDATE]
-    BRD, SOLVE = _SID[Stage.BRD], _SID[Stage.SOLVE]
+    BRD, SOLVE, COMM = _SID[Stage.BRD], _SID[Stage.SOLVE], _SID[Stage.COMM]
+    PF, UF, CF = _FAM["panel"], _FAM["update"], _FAM["comm"]
 
-    # unique-key columns: the shared GEQRT panel key, per-k UNMQR widths,
-    # then fused per-r panels and per-sweep updates (or the single folded
-    # TSQRT key and per-k folded TSMQR keys), then the stage-2/3 keys
-    widths = np.arange(nbt - 1, 0, -1, dtype=np.float64) * ts  # k ascending
-    fam = [_FAM["panel"]] + [_FAM["update"]] * (nbt - 1)
-    ops = [(1.0, 1.0, 0.0, 0.0)]
-    ops += [(w, 1.0, 0.0, 0.0) for w in widths.tolist()]
-    S = 2 * (nbt - 1)  # sweeps; the last one has no rows below the pivot
-    F = max(S - 1, 0)  # sweeps emitting a full panel/update pair
-    s = np.arange(F, dtype=np.int64)
+    # the fleet: tier links, gather/exchange shares, shard weights
+    gpn = total // nodes
+    weights = None
+    links = {}
+    if total > 1:
+        if is_weighted_fleet(topology, config):
+            weights = fleet_weights(topology, config)
+        if nodes > 1:
+            fabric = config.fabric_spec(topology.link_gbs,
+                                        topology.fabric_gbs)
+            links = {False: fabric.intra, True: fabric.inter}
+        else:
+            links = {False: config.link_spec(topology.link_gbs)}
+    shares = exchange_shares(gpn, nodes)
+    X = len(shares)
+
+    # per-sweep scalars: sweep s runs on tile column k = s // 2, RQ for
+    # even s and LQ for odd; every sweep but the last has rows below
+    S = 2 * (nbt - 1)
+    s = np.arange(S)
     k = s >> 1
-    r = nbt - 1 - k - (s & 1)  # rows below the pivot, per sweep
-    if fused:
-        fam += [_FAM["panel"]] * (nbt - 1) + [_FAM["update"]] * F
-        ops += [(float(rr), 2.0, 0.0, 0.0) for rr in range(1, nbt)]
-        ops += [
-            (float(w), float(rr), 1.0, 0.0)
-            for w, rr in zip(widths[k].tolist(), r.tolist())
-        ]
-        panel2_id = (nbt - 1) + r  # FTSQRT key per sweep
-        update2_id = (2 * nbt - 1) + s  # FTSMQR key per sweep
-        brd_id = 2 * nbt - 1 + F
+    row0 = k + (s & 1)
+    r = nbt - 1 - row0
+    below = r > 0
+    owner = k % total
+    # the lookahead column chunks of each tile column's updates
+    if streams > 1:
+        split = [_chunk_width((nbt - 1 - j) * ts, ts, streams)
+                 for j in range(nbt - 1)]
     else:
-        fam += [_FAM["panel"]] + [_FAM["update"]] * (nbt - 1)
-        ops += [(1.0, 2.0, 0.0, 0.0)]
-        ops += [(w, 1.0, 1.0, 0.0) for w in widths.tolist()]
-        panel2_id = np.full(F, nbt, dtype=np.int64)  # one folded TSQRT key
-        update2_id = nbt + 1 + k  # folded TSMQR key per k
-        brd_id = 2 * nbt
-    fam += [_FAM["brd"], _FAM["solve"]]
-    ops += [(float(npad), float(ts), 0.0, 0.0), (float(n), 0.0, 0.0, 0.0)]
+        split = [[(0, (nbt - 1 - j) * ts)] for j in range(nbt - 1)]
+    ncol = np.array([len(c) for c in split], dtype=np.int64)
+    col0 = np.cumsum(ncol) - ncol
+    colw = np.array([w for c in split for _, w in c], dtype=np.int64)
+    C = ncol[k]
+    # the row shards of each sweep's fused update: (chunk index, rows)
+    # of every non-empty chunk, the chunk index placing it on device
+    # (owner + index) % total
+    rows_below = r[below].tolist()
+    if weights is None:
+        by_rows = {
+            rr: [(ci, b - a) for ci, (a, b) in enumerate(
+                shard_rows(0, rr, total))]
+            for rr in set(rows_below)
+        }
+        parts = [by_rows[rr] for rr in rows_below]
+    else:
+        rot = [tuple(weights[(o + i) % total] for i in range(total))
+               for o in range(total)]
+        parts = [
+            [(ci, b - a) for ci, (a, b) in enumerate(
+                shard_rows_weighted(0, rr, rot[o])) if b > a]
+            for rr, o in zip(rows_below, owner[below].tolist())
+        ]
+    P = np.zeros(S, dtype=np.int64)
+    P[below] = [len(p) for p in parts]
+    shard0 = np.cumsum(P) - P
+    shard_dev = (
+        owner[np.repeat(s, P)]
+        + np.array([ci for p in parts for ci, _ in p], dtype=np.int64)
+    ) % total
+    shard_size = np.array([m for p in parts for _, m in p], dtype=np.int64)
+    # each sweep's panel broadcast: its (crosses nodes, hops) stages
+    if weights is None:
+        stages = [bcast_stages(gpn, nodes)] * len(parts)
+    else:
+        # most sweeps share a peer set: price each distinct one once
+        by_peers = {}
+        stages = []
+        for p, o in zip(parts, owner[below].tolist()):
+            peers = frozenset([(o + ci) % total for ci, _ in p] + [o])
+            if (peers, o) not in by_peers:
+                by_peers[peers, o] = bcast_stages(gpn, nodes, peers, o)
+            stages.append(by_peers[peers, o])
+    NB = np.zeros(S, dtype=np.int64)
+    NB[below] = [len(st) for st in stages]
+    bc_cross = np.array([c for st in stages for c, _ in st], dtype=np.int64)
+    bc_hops = np.array([h for st in stages for _, h in st], dtype=np.int64)
 
-    # node columns, assembled per segment: F full sweeps of four
-    # launches, the below-less tail sweep (GEQRT + UNMQR), the final
-    # diagonal GEQRT, the stage-2 chain, the CPU solve
-    sweep_kinds = (
-        ("geqrt", "unmqr", "ftsqrt", "ftsmqr")
-        if fused
-        else ("geqrt", "unmqr", "tsqrt", "tsmqr")
-    )
-    if nbt == 1:
-        # a single tile emits no sweeps; only the final GEQRT + stage 2/3
-        # below, and the sweep kinds never appear
-        kinds: Tuple[str, ...] = ("geqrt",)
-        segs = []
+    # node layout: per sweep the blocks below, one after another, then
+    # the tail (final GEQRT, band gather, stage-2 chain, CPU solve)
+    LBX = np.where(s >= 1, X, 0)
+    if fused:
+        names = ("BX", "G", "U", "FQ", "BC", "FM")
+        L = (LBX, np.ones(S, np.int64), C, below.astype(np.int64), NB,
+             C * P)
     else:
-        kinds = sweep_kinds
-        neg = np.full(F, -1, dtype=np.int64)
-        counts4 = np.ones((F, 4), dtype=np.int64)
-        if not fused:  # folded TSQRT/TSMQR runs carry their launch count
-            counts4[:, 2] = r
-            counts4[:, 3] = r
-        segs = [
-            (
-                np.tile(np.arange(4, dtype=np.int64), F),
-                np.tile(
-                    np.array([PANEL, UPDATE, PANEL, UPDATE], np.int64), F
-                ),
-                np.stack(
-                    [np.zeros(F, np.int64), 1 + k, panel2_id, update2_id],
-                    axis=1,
-                ).ravel(),
-                # folded TSMQR nodes carry no meta, hence no sweep tag
-                np.stack([neg, s, neg, s if fused else neg], axis=1).ravel(),
-                counts4.ravel(),
-                np.ones(4 * F, bool),
-            ),
-            (  # tail sweep (s = S-1): GEQRT + UNMQR of width ts
-                np.array([0, 1], np.int64),
-                np.array([PANEL, UPDATE], np.int64),
-                np.array([0, nbt - 1], np.int64),
-                np.array([-1, S - 1], np.int64),
-                np.ones(2, np.int64),
-                np.ones(2, bool),
-            ),
-        ]
-    brd_kind = len(kinds)
-    solve_kind = brd_kind + (1 if nbrd else 0)
-    if nbrd:
-        kinds = kinds + ("brd_chase",)
-    kinds = kinds + ("bdsqr_cpu",)
-    primary_tail = np.ones(nbrd + 2, bool)
-    primary_tail[2:-1] = False  # chase cost rides on the first launch
-    segs.append(
-        (
-            np.r_[0, [brd_kind] * nbrd, solve_kind].astype(np.int64),
-            np.r_[PANEL, [BRD] * nbrd, SOLVE].astype(np.int64),
-            np.r_[0, [brd_id] * nbrd, brd_id + 1].astype(np.int64),
-            np.full(nbrd + 2, -1, dtype=np.int64),
-            np.ones(nbrd + 2, np.int64),
-            primary_tail,
-        )
+        rows_len = 2 * below if fold else r * (1 + C)
+        names = ("BX", "G", "BC", "U", "ROWS")
+        L = (LBX, np.ones(S, np.int64), NB, C, rows_len.astype(np.int64))
+    L = np.stack(L, axis=1)
+    flat = L.ravel()
+    first = (np.cumsum(flat) - flat).reshape(S, len(names))
+    at = {name: first[:, i] for i, name in enumerate(names)}
+    nsweep = int(flat.sum())
+    Xf = X if nbt > 1 else 0
+    gf = nsweep + Xf
+    bg0 = gf + 1
+    Xg = X if nbrd else 0
+    brd0 = bg0 + Xg
+    solve = brd0 + nbrd
+    N = solve + 1
+
+    kind = np.empty(N, dtype=np.int64)
+    stage = np.empty(N, dtype=np.int64)
+    device = np.zeros(N, dtype=np.int64)
+    sweep = np.full(N, -1, dtype=np.int64)
+    counts = np.ones(N, dtype=np.int64)
+    primary = np.ones(N, dtype=bool)
+    # key fields: family, two integer operands and a flag (the update's
+    # top row, or a comm key's tier: its link bandwidth and latency)
+    fam = np.empty(N, dtype=np.int64)
+    op0 = np.zeros(N, dtype=np.int64)
+    op1 = np.zeros(N, dtype=np.int64)
+    flag = np.zeros(N, dtype=np.int64)
+    parents: List[np.ndarray] = []
+    children: List[np.ndarray] = []
+
+    def put(idx, kind_, stage_, dev, fam_, a, b=0, c=0, tag=-1) -> None:
+        kind[idx] = kind_
+        stage[idx] = stage_
+        device[idx] = dev
+        fam[idx] = fam_
+        op0[idx] = a
+        op1[idx] = b
+        flag[idx] = c
+        sweep[idx] = tag
+
+    def edges(pair) -> None:
+        parents.append(pair[0])
+        children.append(pair[1])
+
+    iG = at["G"]
+    # what the next sweep's panel waits on (heads) and its updates too
+    # (rems), as index ranges of this sweep
+    if fused:
+        head = (np.where(below, at["FM"], at["U"]), np.where(below, P, 1))
+        rems = [(at["FM"] + P, (C - 1) * P), (at["U"] + 1, C - 1)]
+    else:
+        last = at["ROWS"] + (1 if fold else (r - 1) * (1 + C) + 1)
+        head = (np.where(below, last, at["U"]), np.ones(S, np.int64))
+        rems = [(np.where(below, last + 1, at["U"] + 1), C - 1)]
+
+    # boundary exchange ahead of every panel but the first
+    for j, (cross, share) in enumerate(shares):
+        idx = at["BX"][1:] + j
+        put(idx, _KID["boundary_x_inter" if cross else "boundary_x"], COMM,
+            owner[1:], CF,
+            boundary_elems(nbt - row0[1:], share, ts).astype(np.int64), 1,
+            int(cross))
+        edges(_fan(head[0][:-1], head[1][:-1], idx))
+        edges((idx, iG[1:]))
+    # the panel and its trailing-update chunks
+    put(iG, _KID["geqrt"], PANEL, owner, PF, 1, 1)
+    edges(_fan(head[0][:-1], head[1][:-1], iG[1:]))
+    u_rows, u_c = _ragged(C)
+    u_idx = at["U"][u_rows] + u_c
+    put(u_idx, _KID["unmqr"], UPDATE, owner[u_rows], UF,
+        colw[col0[k[u_rows]] + u_c], 1, 0, u_rows)
+    edges((iG[u_rows], u_idx))
+    later = u_rows >= 1
+    for rfirst, rcount in rems:
+        prev = u_rows[later] - 1
+        edges(_fan(rfirst[prev], rcount[prev], u_idx[later]))
+    # the panel broadcast, after the factored panel
+    b_rows, b_j = _ragged(NB)
+    b_idx = at["BC"][b_rows] + b_j
+    put(b_idx, np.where(bc_cross == 1, _KID["panel_bcast_inter"],
+                        _KID["panel_bcast"]),
+        COMM, owner[b_rows], CF, panel_elems(r[b_rows], ts), bc_hops,
+        bc_cross)
+    anchor = at["FQ"] if fused else iG
+    edges((np.where(b_j == 0, anchor[b_rows], b_idx - 1), b_idx))
+    bc_last = at["BC"] + NB - 1
+    if fused:
+        sb = s[below]
+        iq = at["FQ"][sb]
+        put(iq, _KID["ftsqrt"], PANEL, owner[sb], PF, r[sb], 2)
+        edges((iG[sb], iq))
+        # the fused update: C column chunks x P row shards, column-major
+        f_rows, f_j = _ragged(C * P)
+        Pf = P[f_rows]
+        f_c, f_p = f_j // Pf, f_j % Pf
+        f_idx = at["FM"][f_rows] + f_j
+        shard = shard0[f_rows] + f_p
+        dev = shard_dev[shard]
+        put(f_idx, _KID["ftsmqr"], UPDATE, dev, UF,
+            colw[col0[k[f_rows]] + f_c], shard_size[shard], 1, f_rows)
+        edges((at["FQ"][f_rows], f_idx))
+        edges((at["U"][f_rows] + f_c, f_idx))
+        far = dev != owner[f_rows]
+        edges((bc_last[f_rows][far], f_idx[far]))
+    elif fold:
+        sb = s[below]
+        iq = at["ROWS"][sb]
+        put(iq, _KID["tsqrt"], PANEL, 0, PF, 1, 2)
+        put(iq + 1, _KID["tsmqr"], UPDATE, 0, UF, (nbt - 1 - k[sb]) * ts, 1, 1)
+        counts[iq] = counts[iq + 1] = r[sb]
+        edges((iG[sb], iq))
+        edges((np.r_[iq, at["U"][sb]], np.r_[iq + 1, iq + 1]))
+    else:
+        # per row below the pivot: TSQRT, then its C TSMQR chunks on the
+        # device whose shard holds the row
+        w_rows, w_j = _ragged(r * (1 + C))
+        step = 1 + C[w_rows]
+        l, q = w_j // step, w_j % step
+        w_idx = at["ROWS"][w_rows] + w_j
+        tq = q == 0
+        t_idx, t_l, t_rows = w_idx[tq], l[tq], w_rows[tq]
+        put(t_idx, _KID["tsqrt"], PANEL, owner[t_rows], PF, 1, 2)
+        edges((np.where(t_l == 0, iG[t_rows], t_idx - step[tq]), t_idx))
+        m_idx, m_l, m_q, m_rows = w_idx[~tq], l[~tq], q[~tq], w_rows[~tq]
+        row_dev = np.repeat(shard_dev, shard_size)
+        dev = row_dev[(np.cumsum(r) - r)[m_rows] + m_l]
+        put(m_idx, _KID["tsmqr"], UPDATE, dev, UF,
+            colw[col0[k[m_rows]] + m_q - 1], 1, 1, m_rows)
+        edges((m_idx - m_q, m_idx))
+        edges((np.where(m_l == 0, at["U"][m_rows] + m_q - 1,
+                        m_idx - step[~tq]), m_idx))
+        far = dev != owner[m_rows]
+        edges((bc_last[m_rows][far], m_idx[far]))
+
+    # the tail: the last sweep's updates feed the final diagonal GEQRT
+    owner_f = (nbt - 1) % total
+    tail_deps = (
+        (at["U"][-1:], C[-1:]) if S else
+        (np.zeros(0, np.int64), np.zeros(0, np.int64))
     )
-    kind_id, stage_id, key_id, sweep, counts, primary = (
-        np.concatenate([seg[i] for seg in segs]) for i in range(6)
-    )
-    return NodeTable(
+    for j, (cross, share) in enumerate(shares[:Xf]):
+        put(nsweep + j, _KID["boundary_x_inter" if cross else "boundary_x"],
+            COMM, owner_f, CF, int(boundary_elems(1, share, ts)), 1,
+            int(cross))
+        edges(_fan(tail_deps[0], tail_deps[1], nsweep + j))
+    put(gf, _KID["geqrt"], PANEL, owner_f, PF, 1, 1)
+    edges(_fan(tail_deps[0], tail_deps[1], gf))
+    edges((np.arange(nsweep, gf), np.full(Xf, gf)))
+    for j, (cross, share) in enumerate(shares[:Xg]):
+        put(bg0 + j, _KID["band_gather_inter" if cross else "band_gather"],
+            COMM, 0, CF, int(band_elems(npad, ts, share)), 1, int(cross))
+    edges((np.full(Xg, gf), np.arange(bg0, brd0)))
+    chain = np.arange(brd0, solve + 1)
+    put(chain[:-1], _KID["brd_chase"], BRD, 0, _FAM["brd"], npad, ts)
+    primary[brd0 + 1:solve] = False
+    put(solve, _KID[tail], SOLVE, 0, _FAM["solve"], n)
+    edges((np.r_[gf, np.arange(bg0, brd0), chain[:-1]],
+           np.r_[chain[0], np.full(Xg, chain[0]), chain[1:]]))
+
+    # keys numbered by value, kinds first seen
+    code = ((op0 * (int(op1.max()) + 1) + op1) * 2 + flag) * len(FAMILIES)
+    _, key_first, key_id = np.unique(code + fam, return_index=True,
+                                     return_inverse=True)
+    kfam = fam[key_first]
+    ops = np.zeros((key_first.size, 4), dtype=np.float64)
+    ops[:, 0] = op0[key_first]
+    ops[:, 1] = op1[key_first]
+    ops[:, 2] = flag[key_first]
+    comm_keys = np.flatnonzero(kfam == CF)
+    if comm_keys.size:
+        tier = flag[key_first[comm_keys]]
+        for cross, link in links.items():
+            rows = comm_keys[tier == int(cross)]
+            ops[rows, 2] = link.bandwidth_gbs
+            ops[rows, 3] = link.latency_us
+    present, kind_first = np.unique(kind, return_index=True)
+    order = present[np.argsort(kind_first)]
+    renumber = np.empty(len(_KINDS), dtype=np.int64)
+    renumber[order] = np.arange(order.size)
+    table = NodeTable(
         kind="square",
         n=n,
         npad=npad,
         ts=ts,
         nbt=nbt,
-        ngpu=1,
+        ngpu=total,
+        nnodes=nodes,
         out_of_core=False,
-        kinds=kinds,
-        kind_id=kind_id,
-        stage_id=stage_id,
-        key_id=key_id,
+        kinds=tuple(_KINDS[i] for i in order.tolist()),
+        kind_id=renumber[kind],
+        stage_id=stage,
+        key_id=key_id.reshape(-1),
         counts=counts,
         primary=primary,
-        device=np.zeros(kind_id.size, dtype=np.int64),
+        device=device,
         sweep=sweep,
-        fam=np.asarray(fam, dtype=np.int64),
-        ops=np.asarray(ops, dtype=np.float64).reshape(len(fam), 4),
+        fam=kfam,
+        ops=ops,
+    )
+    dependents = None
+    if skeleton:
+        parent = np.concatenate(parents)
+        child = np.concatenate(children)
+        pairs = np.sort(parent * N + child)
+        ptr = np.zeros(N + 1, dtype=np.int32)
+        ptr[1:] = np.cumsum(np.bincount(parent, minlength=N))
+        dependents = (ptr, (pairs % N).astype(np.int32))
+    return GraphRecord(
+        n=n, ngpu=total, nnodes=nodes, counted=counted, out_of_core=False,
+        _table=table, _dependents=dependents,
     )
 
 
@@ -417,7 +699,8 @@ def replay_graph(
         compute_dtype=compute.dtype if compute is not storage else None,
         storage=storage,
     )
-    ex.run(graph)
+    with replay_errstate():
+        ex.run(graph)
 
     out = []
     # zero padding contributed exactly (npad - n) zero singular values

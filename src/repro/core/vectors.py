@@ -183,7 +183,7 @@ def svd_full_resolved(A: np.ndarray, config, return_info: bool = False):
     :func:`~repro.core.svd.upload`, one replay of the vector graph, then
     signs, order and the basis of the zero singular values.
     """
-    from .svd import emit_svd_graph, upload
+    from .svd import emit_svd_graph, replay_errstate, upload
 
     A = np.asarray(A)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -208,7 +208,8 @@ def svd_full_resolved(A: np.ndarray, config, return_info: bool = False):
         Ut=np.eye(npad, dtype=W.dtype), Vt=np.eye(npad, dtype=W.dtype),
     )
     graph = emit_svd_graph(n, config, vectors=True)
-    ex.run(graph)
+    with replay_errstate():
+        ex.run(graph)
     s, U, V = ex.values[0], ex.U, ex.V
 
     # fix signs, sort descending, strip padding

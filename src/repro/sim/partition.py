@@ -30,6 +30,14 @@ a ``device`` assignment and whose inter-device data movement is explicit
 same graph object, with zero comm nodes - so single-device pricing is
 reproduced exactly.
 
+The sharding and comm policy lives in this module's helpers -
+:func:`shard_rows` / :func:`shard_rows_weighted` (row shards),
+:func:`bcast_stages` (broadcast tree stages), :func:`exchange_shares`
+(gather and exchange tiers) and the ``*_elems`` payload sizes - which
+``partition_graph`` and the closed-form square binder
+(:func:`repro.core.svd.bind_square_record`) both call, so the policy has
+one home.
+
 :func:`price_partitioned` prices a partitioned graph into the familiar
 :class:`~repro.sim.schedule.TimeBreakdown`: serial stages accumulate in
 node order (float-identical to the single-device accounting), the update
@@ -80,6 +88,8 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
 from ..errors import CapacityError, ShapeError
 from .costmodel import FabricSpec, LaunchCost, LinkSpec, update_rate
 from .graph import (
@@ -96,12 +106,17 @@ from .topology import Topology, require_no_conflicts
 from .tracing import Stage
 
 __all__ = [
+    "band_elems",
     "batch_shares",
+    "bcast_stages",
+    "boundary_elems",
     "check_fleet_capacity",
     "check_shard_capacity",
+    "exchange_shares",
     "fleet_scale",
     "fleet_weights",
     "is_weighted_fleet",
+    "panel_elems",
     "partition_graph",
     "price_partitioned",
     "price_partitioned_scalar",
@@ -178,6 +193,81 @@ def shard_rows_weighted(
         chunks.append((start, start + count))
         start += count
     return chunks
+
+
+def exchange_shares(gpn: int, nodes: int) -> Tuple[Tuple[bool, float], ...]:
+    """The ``(crosses nodes, share)`` tiers of a gather or exchange, in order.
+
+    A boundary exchange or band gather moves what the peers hold: the
+    share ``(gpn - 1) / g`` held by same-node peers on the intra tier
+    (when a node has several devices), then the share ``(g - gpn) / g``
+    held on other nodes on the inter tier (on a cluster), ``g = nodes *
+    gpn`` devices in all.
+    """
+    total = nodes * gpn
+    tiers = []
+    if gpn > 1:
+        tiers.append((False, (gpn - 1) / total))
+    if nodes > 1:
+        tiers.append((True, (total - gpn) / total))
+    return tuple(tiers)
+
+
+def _tree_hops(width: int) -> int:
+    """Stages of a binary broadcast tree over ``width`` members (at least 1)."""
+    return max(1, math.ceil(math.log2(width))) if width > 1 else 1
+
+
+def bcast_stages(
+    gpn: int,
+    nodes: int,
+    peers: Optional[set] = None,
+    owner: int = 0,
+) -> Tuple[Tuple[bool, int], ...]:
+    """The ``(crosses nodes, hops)`` stages of a panel broadcast, in order.
+
+    Without ``peers`` (a uniform fleet) the tree spans the fleet: an
+    inter-node stage over every node (on a cluster), then the node-local
+    tree over every device of a node.  With ``peers`` (the weighted path:
+    the devices holding a shard of the sweep, ``owner`` among them) hops
+    to shard-less devices are trimmed - the inter stage spans the nodes
+    holding a peer, the local stage the most peers one node holds - and
+    when no device but the ``owner`` holds a shard there is no broadcast.
+    """
+    if peers is None:
+        active, local = nodes, gpn
+    else:
+        if not any(p != owner for p in peers):
+            return ()
+        per_node: Dict[int, int] = {}
+        for p in peers:
+            per_node[p // gpn] = per_node.get(p // gpn, 0) + 1
+        active, local = len(per_node), max(per_node.values())
+    stages = []
+    if nodes > 1 and active > 1:
+        stages.append((True, _tree_hops(active)))
+    if local > 1:
+        stages.append((False, _tree_hops(local)))
+    return tuple(stages)
+
+
+def boundary_elems(height, share: float, ts: int):
+    """Elements of a boundary exchange: the ``share`` of ``height`` tiles.
+
+    ``height`` may be an array (one entry per sweep); the result is the
+    tile-rounded element count, as a float (exact below 2**53).
+    """
+    return np.ceil(height * share) * (ts * ts)
+
+
+def panel_elems(rows, ts: int):
+    """Elements of a panel broadcast: ``rows + 1`` reflector tiles and taus."""
+    return (rows + 1) * (ts * ts + ts)
+
+
+def band_elems(npad: int, ts: int, share: float):
+    """Elements of the band gather: the ``share`` of the ``npad x (ts+1)`` band."""
+    return np.ceil(npad * (ts + 1) * share)
 
 
 def fleet_weights(topology: Topology, config) -> Tuple[float, ...]:
@@ -483,11 +573,6 @@ def partition_graph(
     ts, nbt, npad = graph.ts, graph.nbt, graph.npad
     bw, lat = intra.bandwidth_gbs, intra.latency_us
     gpn = ngpu  # devices per node; `total` devices overall
-    intra_hops = max(1, math.ceil(math.log2(gpn))) if gpn > 1 else 1
-    inter_hops = max(1, math.ceil(math.log2(nodes))) if nodes > 1 else 1
-    # fractions of a shared volume held by same-node peers vs other nodes
-    remote = (gpn - 1) / total
-    remote_x = (total - gpn) / total
 
     src_nodes = graph.nodes
     new_nodes: List[LaunchNode] = []
@@ -536,17 +621,16 @@ def partition_graph(
                  device: int) -> Tuple[int, ...]:
         """Tiered gather/exchange: intra share + inter share, as needed.
 
-        ``elems_of(fraction)`` prices the payload held by that fraction
-        of the peers - called once per tier so the single-node partition
-        keeps its exact element counts.
+        ``elems_of(share)`` prices the payload held by that share of the
+        peers (:func:`exchange_shares`) - called once per tier so the
+        single-node partition keeps its exact element counts.
         """
-        out: List[int] = []
-        if gpn > 1:
-            out.append(comm(kind, elems_of(remote), hops, deps, device))
-        if inter is not None:
-            out.append(comm_inter(kind, elems_of(remote_x), hops, deps,
-                                  device))
-        return tuple(out)
+        return tuple(
+            (comm_inter if crosses else comm)(
+                kind, elems_of(share), hops, deps, device
+            )
+            for crosses, share in exchange_shares(gpn, nodes)
+        )
 
     def sweep_chunks(lo: int, hi: int, owner: int) -> List[Tuple[int, int, int]]:
         """Per-device ``(device, start, stop)`` chunks of a sweep's rows.
@@ -573,33 +657,16 @@ def partition_graph(
         """Tiered broadcast tree: inter-node stage feeds the local trees.
 
         ``peers`` (weighted path only) is the set of devices holding a
-        shard of the sweep; hops to shard-less devices are trimmed, and
-        when no other device holds a shard the broadcast is skipped
-        entirely (returns ``-1``).
+        shard of the sweep; :func:`bcast_stages` trims hops to
+        shard-less devices, and when no other device holds a shard the
+        broadcast is skipped entirely (returns ``-1``).
         """
-        if peers is not None:
-            if not any(p != device for p in peers):
-                return -1
-            per_node: Dict[int, int] = {}
-            for p in peers:
-                per_node[p // gpn] = per_node.get(p // gpn, 0) + 1
-            active_nodes = len(per_node)
-            max_local = max(per_node.values())
-            last = -1
-            if inter is not None and active_nodes > 1:
-                hops = max(1, math.ceil(math.log2(active_nodes)))
-                last = comm_inter("panel_bcast", elems, hops, deps, device)
-                deps = (last,)
-            if max_local > 1:
-                hops = max(1, math.ceil(math.log2(max_local)))
-                last = comm("panel_bcast", elems, hops, deps, device)
-            return last
         last = -1
-        if inter is not None:
-            last = comm_inter("panel_bcast", elems, inter_hops, deps, device)
+        for crosses, hops in bcast_stages(gpn, nodes, peers, device):
+            last = (comm_inter if crosses else comm)(
+                "panel_bcast", elems, hops, deps, device
+            )
             deps = (last,)
-        if gpn > 1:
-            last = comm("panel_bcast", elems, intra_hops, deps, device)
         return last
 
     def shard_peers(lo: int, hi: int, owner: int) -> Optional[set]:
@@ -621,7 +688,7 @@ def partition_graph(
                 height = nbt - row0
                 bx = exchange(
                     "boundary_x",
-                    lambda f: math.ceil(height * f) * ts * ts,
+                    lambda f: boundary_elems(height, f, ts),
                     1, deps, owner,
                 )
                 deps = (*deps, *bx)
@@ -633,8 +700,7 @@ def partition_graph(
             if not graph.fused and r > 0:
                 # unfused sweeps pipeline per-row TSQRT outputs; model the
                 # panel shipment as one broadcast issued with the chain
-                elems = (r + 1) * (ts * ts + ts)
-                b = bcast(elems, (i,), owner,
+                b = bcast(panel_elems(r, ts), (i,), owner,
                           shard_peers(row0 + 1, nbt, owner))
                 if b >= 0:
                     bcast_idx[sweep] = b
@@ -645,9 +711,7 @@ def partition_graph(
                 LaunchNode(kind, node.stage, node.key, node.meta, deps,
                            device=owner)
             )
-            r = rows[1] - rows[0]
-            elems = (r + 1) * (ts * ts + ts)
-            b = bcast(elems, (i,), owner,
+            b = bcast(panel_elems(rows[1] - rows[0], ts), (i,), owner,
                       shard_peers(rows[0], rows[1], owner))
             if b >= 0:
                 bcast_idx[sweep] = b
@@ -705,8 +769,7 @@ def partition_graph(
             if not band_gathered:
                 band_gathered = True
                 g = exchange(
-                    "band_gather",
-                    lambda f: math.ceil(npad * (ts + 1) * f),
+                    "band_gather", lambda f: band_elems(npad, ts, f),
                     1, deps, 0,
                 )
                 deps = (*deps, *g)

@@ -14,7 +14,10 @@ math libraries (cuSOLVER handles, FFTW plans):
 * :meth:`Solver.predict` is the one prediction front door: its execution
   axes (``batch``, ``streams``, ``ngpu``, ``nodes``, ``topology``,
   ``out_of_core``) all compose through one emit -> partition -> rewrite
-  -> price pipeline (:func:`compose_graph`, then :func:`price_composed`);
+  -> price pipeline (:func:`compose_graph`, then :func:`price_composed`),
+  whose in-core square structures are bound in closed form
+  (:func:`~repro.core.svd.bind_square_record`, with :func:`compose_graph`
+  as its oracle);
 * :meth:`Solver.tune` searches those axes analytically (plus the kernel
   hyperparameters) and returns a ranked :class:`~repro.tuning.TunePlan`
   that constructs the winning handle;
@@ -72,7 +75,12 @@ from .core.randomized import (
     svd_lowrank_resolved,
 )
 from .core.rectangular import emit_tallqr_graph, svdvals_rect_resolved
-from .core.svd import bind_svd_table, emit_svd_graph, svdvals_resolved
+from .core.svd import (
+    bind_square_record,
+    bind_svd_table,
+    emit_svd_graph,
+    svdvals_resolved,
+)
 from .core.tiling import ntiles
 from .core.vectors import svd_full_resolved
 from .sim.outofcore import rewrite_out_of_core
@@ -91,6 +99,7 @@ from .sim.topology import (
     require_no_conflicts,
     require_positive,
 )
+from .tuning.planner import TunePlan, tune_resolved
 
 __all__ = ["Solver", "SvdPlan"]
 
@@ -117,6 +126,13 @@ def compose_graph(
     keys its node-free record,
     :meth:`~repro.sim.graph.LaunchGraph.record`, per axes in the
     bound-structure memo).
+
+    It has three roles: it composes the graph a numeric replay on a
+    fleet walks (the serving runner's), the structures
+    :meth:`Solver.predict` prices for out-of-core, batched and low-rank
+    queries, and the oracle graphs of
+    :func:`~repro.core.svd.bind_square_record`, which binds every
+    in-core square and eigh composition without a node list.
 
     Of ``config`` it reads the backend's device (whether the fleet is
     weighted; the default out-of-core budget), ``link`` / ``fabric``
@@ -443,11 +459,14 @@ class Solver:
            is exceeding it, and with ``check_capacity=False``;
         2. **structure** - on one device of the handle's own type with
            ``streams=1`` and in-core, the workload's shape-parametric
-           binder table; otherwise :func:`compose_graph` (emit ->
+           binder table; otherwise the composed graph's node-free record
+           (its table, and its dependency skeleton when the pricer walks
+           one), memoized per axes: bound in closed form for an in-core
+           SVD or eigh query
+           (:func:`~repro.core.svd.bind_square_record`), else built by
+           :func:`compose_graph` (emit ->
            :func:`~repro.sim.partition.partition_graph` ->
-           :func:`~repro.sim.outofcore.rewrite_out_of_core`), memoized
-           per axes as its node-free record (its table, and its
-           dependency skeleton when the pricer walks one).
+           :func:`~repro.sim.outofcore.rewrite_out_of_core`).
            ``streams=k`` emits the lookahead graph (split
            trailing updates overlap the next panel; batches split into
            ``k`` chains); partitioning shards tile rows (square
@@ -605,17 +624,28 @@ class Solver:
             oc_budget_gb * 2**30 if oc_budget_gb is not None else None
         )
         price, walks = _pricer(config, storage, topology, streams)
-        # the memo keeps the composed graph's node-free record; a batch
-        # of one shares its structure with every streams value (its memo
-        # shape keeps min(streams, batch)), so it keeps the skeleton for
-        # whichever of them walks it
+        if shape[0] in ("svd", "eigh") and not out_of_core:
+            # an in-core square structure is bound in closed form, no
+            # node list; compose_graph is its oracle
+            build = partial(
+                bind_square_record, n, gconfig, topology, streams,
+                tail="steig_cpu" if shape[0] == "eigh" else "bdsqr_cpu",
+                skeleton=walks,
+            )
+        else:
+            # a batch of one shares its structure with every streams
+            # value (its memo shape keeps min(streams, batch)), so it
+            # keeps the skeleton for whichever of them walks it
+            def build():
+                return compose_graph(
+                    emit, gconfig, topology, out_of_core=out_of_core,
+                    budget_bytes=budget_bytes,
+                ).record(skeleton=walks or batch == 1)
+        # the memo keeps the structure's node-free record
         record = bound_structure(
             ("predict_graph", gconfig, shape, topology, out_of_core,
              budget_bytes),
-            lambda: compose_graph(
-                emit, gconfig, topology, out_of_core=out_of_core,
-                budget_bytes=budget_bytes,
-            ).record(skeleton=walks or batch == 1),
+            build,
         )
         return price(record)
 
@@ -630,7 +660,7 @@ class Solver:
         budget: int = 96,
         nodes: Optional[Tuple[int, ...]] = None,
         topology: Optional[Topology] = None,
-    ) -> "TunePlan":
+    ) -> TunePlan:
         """Search every execution axis analytically for the fastest config.
 
         Runs the staged analytic search of
@@ -674,8 +704,6 @@ class Solver:
                 "the topology"
             )
         self._config.require_precision("tune")
-        from .tuning.planner import tune_resolved
-
         return tune_resolved(
             n,
             self._config,

@@ -2,10 +2,12 @@
 
 Every ``Solver.predict`` query folds its device axes into a
 :class:`repro.Topology`, checks each rank's shard against that rank's own
-memory, composes through :func:`repro.solver.compose_graph` and prices
+memory, binds (an in-core square structure) or composes (through
+:func:`repro.solver.compose_graph`) its structure's record, and prices it
 with the pricer its structure selects.  These tests pin the capacity rule
 on the fleets that used to bypass it, the single memo key the two device
-spellings share, and the fail-fast storage cast of every numeric driver.
+spellings share, which queries bind without a launch node, and the
+fail-fast storage cast of every numeric driver.
 """
 
 import asyncio
@@ -13,6 +15,7 @@ import gc
 import math
 import re
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -31,11 +34,20 @@ from repro.sim.events import EventSchedule
 from repro.sim.graph import LaunchNode
 from repro.sim.outofcore import rewrite_out_of_core
 from repro.sim.params import KernelParams
-from repro.sim.partition import batch_shares, partition_graph
+from repro.sim.partition import (
+    batch_shares,
+    is_weighted_fleet,
+    partition_graph,
+)
 from repro.sim.schedule import TimeBreakdown
-from repro.sim.table import bound_table_stats, clear_bound_tables
+from repro.sim.table import (
+    bound_table_stats,
+    clear_bound_tables,
+    structure_config,
+)
 from repro.sim.timeline import StreamSchedule
 from repro.sim.topology import require_positive
+from repro.tuning.planner import clear_tune_cache
 from repro import solver as solver_module
 from repro.solver import compose_graph, price_composed
 
@@ -404,6 +416,74 @@ class TestLowrankFleetCapacity:
         assert str(lowrank.value) == str(square.value)
 
 
+#: Order of the sweep-axis queries below.
+SWEEP_N = 1024
+
+#: The ten device and workload axes of the analytic sweep benchmark
+#: (``plan_sweep``), as ``Solver.predict`` keyword arguments at SWEEP_N.
+SWEEP_AXES = {
+    "plain": {},
+    "streams2": {"streams": 2},
+    "ngpu4": {"ngpu": 4},
+    "ngpu4_streams2": {"ngpu": 4, "streams": 2},
+    "ngpu2_nodes2": {"ngpu": 2, "nodes": 2},
+    "out_of_core": {"out_of_core": True,
+                    "oc_budget_gb": SWEEP_N**2 * 4 / 4 / 2**30},
+    "batch4": {"batch": 4},
+    "lowrank": {"rank": 64},
+    "eigh": {"workload": "eigh"},
+    "mixed_topology": {"topology": Topology(("h100", "h100", "a100", "a100"))},
+}
+
+#: The in-core square device axes of SWEEP_AXES: bound in closed form.
+SQUARE_AXES = (
+    "streams2", "ngpu4", "ngpu4_streams2", "ngpu2_nodes2", "mixed_topology",
+)
+
+
+def compose_axis(solver, kwargs):
+    """The fleet and the graph ``compose_graph`` composes, called directly
+    with one SVD sweep axis's ``Solver.predict`` arguments at SWEEP_N."""
+    config = solver.config
+    nodes = kwargs.get("nodes", 1)
+    topology = kwargs.get("topology") or Topology.uniform(
+        config.backend.device, kwargs.get("ngpu", 1) * nodes, nodes=nodes
+    )
+    if not is_weighted_fleet(topology, config):
+        config = structure_config(config)
+    budget_gb = kwargs.get("oc_budget_gb")
+    return topology, compose_graph(
+        partial(emit_svd_graph, SWEEP_N, config,
+                streams=kwargs.get("streams", 1)),
+        config, topology, out_of_core=kwargs.get("out_of_core", False),
+        budget_bytes=None if budget_gb is None else budget_gb * 2**30,
+    )
+
+
+def count_launch_nodes(monkeypatch):
+    """A list that grows by one per LaunchNode constructed from now on."""
+    built = []
+    init = LaunchNode.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(None)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(LaunchNode, "__init__", counting)
+    return built
+
+
+def spy_compose(monkeypatch):
+    """A list of the ``compose_graph`` calls Solver.predict makes."""
+    composed = []
+    compose = solver_module.compose_graph
+    monkeypatch.setattr(
+        solver_module, "compose_graph",
+        lambda *a, **k: composed.append((a, k)) or compose(*a, **k),
+    )
+    return composed
+
+
 class TestOnePipeline:
     @pytest.mark.parametrize(
         "axes",
@@ -447,29 +527,63 @@ class TestOnePipeline:
             ("mixed_topology", EventSchedule),
         ],
     )
-    def test_memo_record_prices_like_the_graph(self, axis, result,
-                                               monkeypatch):
-        """The node-free record a predict memoizes prices equal to the
-        graph composed afresh from the same arguments, on each of the
-        four pricer paths."""
-        composed = []
-        compose = solver_module.compose_graph
-        monkeypatch.setattr(
-            solver_module, "compose_graph",
-            lambda *a, **k: composed.append((a, k)) or compose(*a, **k),
-        )
+    def test_memo_record_prices_like_the_graph(self, axis, result):
+        """The node-free record a predict memoizes - bound in closed form
+        for an in-core square axis, composed otherwise - prices equal to
+        the graph ``compose_graph`` composes from the same arguments, on
+        each of the four pricer paths."""
         solver = Solver("h100", precision="fp32")
         kwargs = SWEEP_AXES[axis]
         clear_bound_tables()
         memo = solver.predict(SWEEP_N, **kwargs)
         assert solver.predict(SWEEP_N, **kwargs) == memo  # a memo hit
-        (args, compose_kwargs), = composed
+        topology, graph = compose_axis(solver, kwargs)
         fresh = price_composed(
-            compose(*args, **compose_kwargs), solver.config,
-            solver.precision, args[2], kwargs.get("streams", 1),
+            graph, solver.config, solver.precision, topology,
+            kwargs.get("streams", 1),
         )
         assert type(memo) is type(fresh) is result
         assert memo == fresh and repr(memo) == repr(fresh)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [SWEEP_AXES[axis] for axis in SQUARE_AXES]
+        + [{"workload": "eigh", "ngpu": 2}],
+        ids=list(SQUARE_AXES) + ["eigh_ngpu2"],
+    )
+    def test_square_predicts_build_no_launch_node(self, kwargs,
+                                                  monkeypatch):
+        """An in-core square composed predict binds its record in closed
+        form: no LaunchNode is constructed and compose_graph is not
+        called."""
+        built = count_launch_nodes(monkeypatch)
+        composed = spy_compose(monkeypatch)
+        clear_bound_tables()
+        Solver("h100", precision="fp32").predict(SWEEP_N, **kwargs)
+        assert bound_table_stats()["misses"] == 1
+        assert built == [] and composed == []
+
+    def test_cold_tune_builds_no_launch_node(self, monkeypatch):
+        built = count_launch_nodes(monkeypatch)
+        clear_tune_cache()
+        clear_bound_tables()
+        plan = Solver("h100", precision="fp32").tune(1024)
+        assert plan.evaluations > 1
+        assert built == []
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [SWEEP_AXES["out_of_core"], {"batch": 4, "ngpu": 2},
+         {"batch": 4, "streams": 2}, {"rank": 64, "ngpu": 2},
+         {"rank": 64, "streams": 2}],
+        ids=["out_of_core", "batch_ngpu2", "batch_streams2",
+             "rank_ngpu2", "rank_streams2"],
+    )
+    def test_other_structures_still_compose(self, kwargs, monkeypatch):
+        composed = spy_compose(monkeypatch)
+        clear_bound_tables()
+        Solver("h100", precision="fp32").predict(SWEEP_N, **kwargs)
+        assert len(composed) == 1
 
     def test_memo_keeps_no_launch_nodes(self):
         """Every composed axis memoizes a record, never its node list."""
@@ -517,26 +631,6 @@ class TestOnePipeline:
         plain = compose_graph(emit, config, topo)
         manual = partition_graph(emit(), 2, config.link_spec())
         assert [n.key for n in plain.nodes] == [n.key for n in manual.nodes]
-
-
-#: Order of the sibling-sharing queries below.
-SWEEP_N = 1024
-
-#: The ten device and workload axes of the analytic sweep benchmark
-#: (``plan_sweep``), as ``Solver.predict`` keyword arguments at SWEEP_N.
-SWEEP_AXES = {
-    "plain": {},
-    "streams2": {"streams": 2},
-    "ngpu4": {"ngpu": 4},
-    "ngpu4_streams2": {"ngpu": 4, "streams": 2},
-    "ngpu2_nodes2": {"ngpu": 2, "nodes": 2},
-    "out_of_core": {"out_of_core": True,
-                    "oc_budget_gb": SWEEP_N**2 * 4 / 4 / 2**30},
-    "batch4": {"batch": 4},
-    "lowrank": {"rank": 64},
-    "eigh": {"workload": "eigh"},
-    "mixed_topology": {"topology": Topology(("h100", "h100", "a100", "a100"))},
-}
 
 
 class TestSiblingConfigsShareStructure:

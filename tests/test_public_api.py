@@ -26,6 +26,28 @@ class TestExports:
         for name in sim.__all__:
             assert hasattr(sim, name), name
 
+    def test_type_hints_resolve(self):
+        """Every export's annotations, and those of every public method
+        of an exported class, resolve at run time."""
+        import inspect
+        import typing
+
+        for name in repro.__all__:
+            obj = getattr(repro, name)
+            targets = {name: obj} if callable(obj) else {}
+            if inspect.isclass(obj):
+                targets.update(
+                    (f"{name}.{attr}", member)
+                    for attr, member in inspect.getmembers(obj)
+                    if not attr.startswith("_")
+                    and (inspect.isfunction(member) or inspect.ismethod(member))
+                )
+            for label, fn in targets.items():
+                try:
+                    typing.get_type_hints(fn)
+                except NameError as exc:
+                    raise AssertionError(f"{label}: {exc}") from exc
+
     def test_docstrings_everywhere(self):
         """Every public module and exported callable is documented."""
         import inspect

@@ -2,6 +2,7 @@
 
 import asyncio
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -91,6 +92,30 @@ class TestCheckFinite:
                 solver.eigh(A)
             else:
                 solver.svd_lowrank(A, 2)
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf], ids=["inf", "-inf"])
+    @pytest.mark.parametrize(
+        "door", ["solve", "eigh", "svd", "svd_lowrank", "tall", "stack"]
+    )
+    def test_unchecked_inf_reaches_stage3(self, door, value):
+        """An unchecked Inf on the diagonal of an identity fails with the
+        finiteness check's ShapeError under CI's RuntimeWarning-as-error
+        filter: the replay used to stop at a stage-1 kernel's (or the
+        low-rank sketch's) "invalid value encountered" warning."""
+        shape = {"tall": (16, 8), "stack": (2, 8, 8)}.get(door, (8, 8))
+        A = np.zeros(shape)
+        A[..., :8, :8] = np.eye(8)
+        A[(1,) * (A.ndim - 2) + (3, 3)] = value
+        solver = Solver(precision="fp32", check_finite=False)
+        call = {
+            "eigh": solver.eigh,
+            "svd": solver.svd,
+            "svd_lowrank": lambda M: solver.svd_lowrank(M, 2),
+        }.get(door, solver.solve)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ShapeError, match="NaN or Inf"):
+                call(A)
 
     @pytest.mark.parametrize("where", ["all", "one"])
     def test_checked_nan_is_not_called_asymmetry(self, where):

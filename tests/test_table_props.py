@@ -9,7 +9,9 @@ fused x streams x ngpu x out_of_core x batch:
   to pricing every node through ``price_node``;
 * bound shape-parametric tables (:func:`repro.core.svd.bind_svd_table`,
   :func:`repro.core.batched.bind_batched_table`) are node-for-node equal
-  to the tables of directly-emitted graphs;
+  to the tables of directly-emitted graphs, and the square binder's
+  records (:func:`repro.core.svd.bind_square_record`) to the graphs
+  ``compose_graph`` composes - tables, skeletons and prices;
 * at a fixed tile size, bound tables and composed graphs do not depend on
   ``colperblock`` / ``splitk`` - the fact that lets the memo key them by
   :func:`repro.sim.table.structure_config` and tune candidates share them.
@@ -26,8 +28,12 @@ from repro import Solver, Topology
 from repro.core.batched import bind_batched_table, emit_batched_graph
 from repro.core.eigh import bind_eigh_table, emit_eigh_graph
 from repro.core.randomized import bind_lowrank_table, emit_lowrank_graph
-from repro.core.svd import bind_svd_table, emit_svd_graph
-from repro.errors import CapacityError, UnsupportedPrecisionError
+from repro.core.svd import bind_square_record, bind_svd_table, emit_svd_graph
+from repro.errors import (
+    CapacityError,
+    UnsupportedBackendError,
+    UnsupportedPrecisionError,
+)
 from repro.sim.params import KernelParams
 from repro.sim.graph import AnalyticExecutor, node_overhead_s, price_node
 from repro.sim.outofcore import rewrite_out_of_core
@@ -42,7 +48,7 @@ from repro.sim.table import (
     price_table,
     stream_costs,
 )
-from repro.solver import compose_graph
+from repro.solver import _pricer, compose_graph
 
 
 def resolved(backend, precision):
@@ -249,6 +255,68 @@ class TestBoundTablesMatchEmittedGraphs:
         )
 
 
+#: Registered devices the weighted fleets below mix.
+FLEET_DEVICES = ("h100", "a100", "rtx4060", "mi250", "m1pro", "pvc")
+
+
+@st.composite
+def fleets(draw, backend):
+    """A fleet for a handle on ``backend``: a uniform fleet of its device
+    (up to 8 per node) or a weighted mix of registered devices, on up to
+    three nodes."""
+    nodes = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        return Topology.uniform(
+            backend, draw(st.integers(1, 8)) * nodes, nodes=nodes
+        )
+    size = draw(st.integers(1, 4)) * nodes
+    devices = draw(st.lists(st.sampled_from(FLEET_DEVICES), min_size=size,
+                            max_size=size))
+    return Topology(tuple(devices), nodes=nodes)
+
+
+class TestSquareBinderIsTheComposedGraph:
+    """The closed-form square binder == compose_graph of the emitted graph
+    (its oracle): equal tables, byte-equal skeletons, equal prices."""
+
+    @given(
+        backend=st.sampled_from(BACKENDS),
+        precision=st.sampled_from(PRECISIONS),
+        fused=st.booleans(),
+        n=st.integers(1, 600),
+        streams=st.integers(1, 4),
+        workload=st.sampled_from(("svd", "eigh")),
+        data=st.data(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_composed(self, backend, precision, fused, n, streams,
+                      workload, data):
+        config, storage = resolved(backend, precision)
+        config = config.with_(fused=fused)
+        topology = data.draw(fleets(backend))
+        emit = emit_eigh_graph if workload == "eigh" else emit_svd_graph
+        try:
+            graph = compose_graph(
+                partial(emit, n, config, streams=streams), config, topology
+            )
+        except (UnsupportedBackendError, UnsupportedPrecisionError):
+            assume(False)  # a fleet member lacks the storage precision
+        record = bind_square_record(
+            n, config, topology, streams, skeleton=True,
+            tail="steig_cpu" if workload == "eigh" else "bdsqr_cpu",
+        )
+        for name in ("n", "ngpu", "nnodes", "counted", "out_of_core"):
+            assert getattr(record, name) == getattr(graph, name), name
+        assert record.table().nnodes == graph.table().nnodes
+        assert_tables_equal(record.table(), graph.table())
+        for bound, emitted in zip(record.dependents(), graph.dependents()):
+            assert bound.dtype == emitted.dtype
+            assert np.array_equal(bound, emitted)
+        price = _pricer(config, storage, topology, streams)[0]
+        bound, composed = price(record), price(graph)
+        assert bound == composed and repr(bound) == repr(composed)
+
+
 @st.composite
 def sibling_params(draw):
     """Two kernel-parameter triples sharing a tile size."""
@@ -343,6 +411,45 @@ class TestStructureIgnoresCostOnlyParams:
             price_table(bound, cfg_b, storage),
             price_table(emitted.table(), cfg_b, storage),
         )
+
+    @given(
+        pair=sibling_params(),
+        precision=st.sampled_from(PRECISIONS),
+        fused=st.booleans(),
+        workload=st.sampled_from(("svd", "eigh")),
+        # the binder covers the in-core structures
+        axes=st.sampled_from([a for a in AXIS_FAMILIES if not a[2]]),
+        n=st.integers(1, 400),
+        streams=st.integers(1, 3),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_square_binder(self, pair, precision, fused, workload, axes, n,
+                           streams):
+        g, nodes, _ = axes
+        if g == 1:
+            streams = max(streams, 2)  # one device composes only streams
+        config, storage = resolved("h100", precision)
+        cfg_a, cfg_b = (config.with_(params=p, fused=fused) for p in pair)
+        topology = Topology.uniform("h100", g, nodes=nodes)
+        tail = "steig_cpu" if workload == "eigh" else "bdsqr_cpu"
+        a, b = (
+            bind_square_record(n, cfg, topology, streams, tail=tail,
+                               skeleton=True)
+            for cfg in (cfg_a, cfg_b)
+        )
+        assert_tables_equal(a.table(), b.table())
+        for col_a, col_b in zip(a.dependents(), b.dependents()):
+            assert np.array_equal(col_a, col_b)
+        # so the two siblings' predicts share one memoized record
+        axes_kw = dict(ngpu=g // nodes, nodes=nodes, streams=streams,
+                       workload=workload, check_capacity=False)
+        clear_bound_tables()
+        Solver.from_config(cfg_a).predict(n, **axes_kw)
+        before = bound_table_stats()
+        Solver.from_config(cfg_b).predict(n, **axes_kw)
+        after = bound_table_stats()
+        assert after["misses"] == before["misses"] == 1
+        assert after["hits"] == before["hits"] + 1
 
     @given(
         pair=sibling_params(),
