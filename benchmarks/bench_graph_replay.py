@@ -75,7 +75,12 @@ by the time ``compose_graph(...).record(skeleton=True)`` takes to compose
 the same record through its node list, best of 3 each, alternating, the
 structure memo cleared before each run, after checking that the two
 records schedule alike.  Its baseline is hand-pinned at 0.25: the gate
-fails once the binder is less than 3.2x faster.
+fails once the binder is less than 3.2x faster.  ``ooc_bind_ratio@16384``
+does the same for the one-device out-of-core record whose window is a
+quarter of the matrix, against ``compose_graph(..., out_of_core=True)``
+(emit, then the rewriter's walk over the node list), after checking that
+the two records price alike.  It read 0.04-0.07 on a 2-core x86-64 host;
+its baseline is hand-pinned at 0.25 too.
 
 The table :func:`run` renders is this host's wall-clock, so the pytest
 entry point writes it to ``benchmarks/results/graph_replay.txt``
@@ -124,7 +129,8 @@ UPDATE_KERNELS = ("unmqr", "tsmqr", "ftsmqr")
 PANEL_L = 127
 PANEL_TS = 32
 
-#: Order of the gated square-binder ratio (h100 fp32, 4 GPUs, 2 streams).
+#: Order of the gated square-binder ratios (h100 fp32: 4 GPUs and 2
+#: streams; one device out of core).
 BIND_N = 16384
 
 #: Orders of the cold ``Solver.tune`` rows in the ``--breakdown`` dump.
@@ -282,40 +288,17 @@ def panel_ratio(L: int = PANEL_L, ts: int = PANEL_TS, trials: int = 3) -> float:
     return wave_s / ref_s
 
 
-def bind_ratio(n: int = BIND_N, trials: int = 3) -> float:
-    """Closed-form binding over composing one record, best of ``trials``.
+def _bind_race(bind, compose, price, trials: int) -> float:
+    """Binder over composer wall-clock, best of ``trials`` each.
 
-    Both build the node-free record of an h100 fp32 ``ngpu=4, streams=2``
-    predict at order ``n``, skeleton included: the square binder from
-    per-sweep index arrays, ``compose_graph`` by emitting and
-    partitioning the node list.  The two records first schedule to the
-    same result; then the two builds alternate, the structure memo
-    cleared before each run, so a change of host speed slows both.
+    The two records first price equal; then the two builds alternate,
+    the structure memo cleared before each run, so a change of host
+    speed slows both.
     """
-    from functools import partial
+    from repro.sim.table import clear_bound_tables
 
-    from repro import Solver, Topology
-    from repro.core.svd import bind_square_record
-    from repro.sim.table import clear_bound_tables, structure_config
-    from repro.solver import compose_graph, price_composed
-
-    solver = Solver("h100", precision="fp32")
-    config = structure_config(solver.config)
-    topology = Topology.uniform("h100", 4)
-
-    def bind():
-        return bind_square_record(n, config, topology, 2, skeleton=True)
-
-    def compose():
-        return compose_graph(
-            partial(emit_svd_graph, n, config, streams=2), config, topology
-        ).record(skeleton=True)
-
-    bound, composed = (
-        price_composed(record, solver.config, solver.precision, topology, 2)
-        for record in (bind(), compose())
-    )
-    assert bound == composed
+    bound, composed = price(bind()), price(compose())
+    assert bound == composed and repr(bound) == repr(composed)
     bind_s = compose_s = float("inf")
     for _ in range(trials):
         clear_bound_tables()
@@ -323,6 +306,67 @@ def bind_ratio(n: int = BIND_N, trials: int = 3) -> float:
         clear_bound_tables()
         compose_s = min(compose_s, _time(compose, 1, 1))
     return bind_s / compose_s
+
+
+def bind_ratio(n: int = BIND_N, trials: int = 3) -> float:
+    """Closed-form binding over composing one record, best of ``trials``.
+
+    Both build the node-free record of an h100 fp32 ``ngpu=4, streams=2``
+    predict at order ``n``, skeleton included: the square binder from
+    per-sweep index arrays, ``compose_graph`` by emitting and
+    partitioning the node list.
+    """
+    from functools import partial
+
+    from repro import Solver, Topology
+    from repro.core.svd import bind_square_record
+    from repro.sim.table import structure_config
+    from repro.solver import compose_graph, price_composed
+
+    solver = Solver("h100", precision="fp32")
+    config = structure_config(solver.config)
+    topology = Topology.uniform("h100", 4)
+    return _bind_race(
+        lambda: bind_square_record(n, config, topology, 2, skeleton=True),
+        lambda: compose_graph(
+            partial(emit_svd_graph, n, config, streams=2), config, topology
+        ).record(skeleton=True),
+        partial(price_composed, config=solver.config,
+                storage=solver.precision, topology=topology, streams=2),
+        trials,
+    )
+
+
+def ooc_bind_ratio(n: int = BIND_N, trials: int = 3) -> float:
+    """Out-of-core binding over rewriting one record, best of ``trials``.
+
+    Both build the record of an h100 fp32 one-device predict at order
+    ``n`` whose window is a quarter of the matrix: the square binder in
+    closed form, ``compose_graph(..., out_of_core=True)`` by emitting the
+    node list and walking it through ``rewrite_out_of_core``.
+    """
+    from functools import partial
+
+    from repro import Solver, Topology
+    from repro.core.svd import bind_square_record
+    from repro.sim.table import structure_config
+    from repro.solver import compose_graph, price_composed
+
+    solver = Solver("h100", precision="fp32")
+    config = structure_config(solver.config)
+    topology = Topology.uniform("h100", 1)
+    budget = n * n * 4 / 4
+    return _bind_race(
+        lambda: bind_square_record(n, config, topology, out_of_core=True,
+                                   budget_bytes=budget),
+        lambda: compose_graph(
+            partial(emit_svd_graph, n, config), config, topology,
+            out_of_core=True, budget_bytes=budget,
+        ).record(skeleton=False),
+        partial(price_composed, config=solver.config,
+                storage=solver.precision, topology=topology),
+        trials,
+    )
 
 
 def phase_rows(solver, sizes=SIZES) -> list:
@@ -431,7 +475,8 @@ def metrics() -> dict:
     speedup guards: the dimensionless ``bindprice_emitscalar_ratio``,
     ``brd_chase_scalar_ratio``, ``stage3_kernel_gk_ratio``,
     ``stage3_stack_gk_ratio``, ``stage1_block_ref_ratio``,
-    ``ftsqrt_wave_ref_ratio`` and ``composed_bind_ratio`` (both timings
+    ``ftsqrt_wave_ref_ratio``, ``composed_bind_ratio`` and
+    ``ooc_bind_ratio`` (both timings
     of each share the host, so
     their baselines transfer) and the
     deterministic bound-structure miss
@@ -485,6 +530,8 @@ def metrics() -> dict:
     # the analytic path: binding a composed square record in closed form
     # vs composing it through the node list
     out[f"graph_replay/composed_bind_ratio@{BIND_N}"] = bind_ratio()
+    # and its out-of-core records vs rewriting the node list
+    out[f"graph_replay/ooc_bind_ratio@{BIND_N}"] = ooc_bind_ratio()
 
     # re-emission is gone from the candidate loop: a cold tune binds a
     # handful of structures (one per tile size and execution-axis

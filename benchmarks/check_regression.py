@@ -40,7 +40,10 @@ wavefront FTSQRT is less than 1.6x faster than its column loop on one
 fp32 panel of 127 tiles, and
 ``graph_replay/composed_bind_ratio@16384`` pinned at 0.25 fails once the
 closed-form square binder is less than 3.2x faster than composing the
-same ``ngpu=4, streams=2`` record through its node list - so they
+same ``ngpu=4, streams=2`` record through its node list, and
+``graph_replay/ooc_bind_ratio@16384`` pinned at 0.25 fails once it is
+less than 3.2x faster than composing a one-device out-of-core record
+(window a quarter of the matrix) through the rewriter - so they
 routinely print "improved"; do not ``--update`` them down to the
 measured value.
 """

@@ -29,10 +29,18 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..config import SolveConfig
-from ..errors import ShapeError
+from ..errors import CapacityError, ShapeError
 from ..precision import Precision
 from ..sim.costmodel import brd_launch_count
 from ..sim.graph import GraphRecord, LaunchGraph, LaunchNode, NumericExecutor
+from ..sim.outofcore import (
+    _fits_in_core,
+    _pin_tiles,
+    _sweep_window,
+    _window_range,
+    _window_tiles,
+    host_link,
+)
 from ..sim.partition import (
     band_elems,
     bcast_stages,
@@ -41,8 +49,7 @@ from ..sim.partition import (
     fleet_weights,
     is_weighted_fleet,
     panel_elems,
-    shard_rows,
-    shard_rows_weighted,
+    shard_sizes_weighted,
 )
 from ..sim.schedule import TimeBreakdown
 from ..sim.table import (
@@ -52,7 +59,7 @@ from ..sim.table import (
     price_table,
     structure_config,
 )
-from ..sim.topology import Topology
+from ..sim.topology import Topology, require_positive
 from ..sim.tracing import Stage
 from .banddiag import _chunk_width, emit_band_reduction
 from .brd import emit_brd_chase
@@ -258,9 +265,16 @@ def bind_svd_table(n: int, config: SolveConfig) -> NodeTable:
 _KINDS = (
     "boundary_x", "boundary_x_inter", "geqrt", "unmqr", "ftsqrt", "tsqrt",
     "panel_bcast_inter", "panel_bcast", "ftsmqr", "tsmqr", "band_gather",
-    "band_gather_inter", "brd_chase", "bdsqr_cpu", "steig_cpu",
+    "band_gather_inter", "brd_chase", "bdsqr_cpu", "steig_cpu", "h2d_tile",
+    "d2h_tile",
 )
 _KID = {kind: i for i, kind in enumerate(_KINDS)}
+
+#: The node columns a binder fills: the table's, then the key fields -
+#: family, two integer operands and a flag (an update's top row, or a
+#: comm key's tier: 0 intra, 1 inter, 2 the host link).
+_COLUMNS = ("kind", "stage", "device", "sweep", "counts", "primary", "fam",
+            "op0", "op1", "flag")
 
 
 def _ragged(lengths: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -290,19 +304,22 @@ def bind_square_record(
     tail: str = "bdsqr_cpu",
     counted: bool = False,
     skeleton: bool = False,
+    out_of_core: bool = False,
+    budget_bytes: Optional[float] = None,
 ) -> GraphRecord:
     """The composed square graph's node-free record, bound in closed form.
 
     The one square binder: the :class:`~repro.sim.graph.GraphRecord` of
-    the in-core ``compose_graph`` of ``emit_svd_graph(n, config,
+    the ``compose_graph`` of ``emit_svd_graph(n, config,
     streams=streams)`` over ``topology`` (``None``: one device of the
     handle's type) - its :class:`~repro.sim.table.NodeTable` and, with
     ``skeleton``, its dependency skeleton - assembled from per-sweep
     index arrays, without a :class:`~repro.sim.graph.LaunchNode` list.
     The row shards, broadcast stages and comm sizes come from the
     helpers :func:`~repro.sim.partition.partition_graph` calls
-    (:func:`~repro.sim.partition.shard_rows`, or
-    :func:`~repro.sim.partition.shard_rows_weighted` over
+    (:func:`~repro.sim.partition.shard_sizes_weighted`, the array form
+    of the largest-remainder rule that equals
+    :func:`~repro.sim.partition.shard_rows` at equal weights, over
     :func:`~repro.sim.partition.fleet_weights` on a weighted fleet;
     :func:`~repro.sim.partition.bcast_stages`,
     :func:`~repro.sim.partition.exchange_shares` and the ``*_elems``
@@ -312,6 +329,17 @@ def bind_square_record(
     the unfused TSQRT/TSMQR runs, the table of ``emit_svd_graph(n,
     config, counted=True)``.
 
+    ``out_of_core=True`` binds the composition
+    :func:`~repro.sim.outofcore.rewrite_out_of_core` streams through a
+    window of ``budget_bytes`` per device (default: device memory) on
+    one node: each sweep's pinned panel and pivot row, its
+    double-buffered window loads and evictions, the window-chunked
+    trailing updates, the pinned flush and the band load ahead of stage
+    2, in the rewriter's node order, under the window policy the two
+    share (``sim/outofcore.py``).  A budget that fits returns the
+    in-core record, and one below the minimum window raises the
+    rewriter's :class:`~repro.errors.CapacityError`.
+
     ``compose_graph`` is the oracle: tables equal up to key and kind
     numbering (kinds first seen, keys by value), skeletons byte-equal and
     every pricer's result equal (pinned by ``tests/test_table_props.py``).
@@ -320,10 +348,10 @@ def bind_square_record(
         raise ShapeError(f"matrix order must be positive, got {n}")
     total = 1 if topology is None else topology.ngpu
     nodes = 1 if total == 1 else topology.nodes
-    if counted and (total > 1 or streams != 1):
+    if counted and (total > 1 or streams != 1 or out_of_core):
         raise ValueError(
-            "counted tables fold a one-device, single-stream graph; bind "
-            "other compositions with counted=False"
+            "counted tables fold a one-device, single-stream, in-core "
+            "graph; bind other compositions with counted=False"
         )
     ts = config.params.tilesize
     nbt = ntiles(n, ts)
@@ -345,11 +373,28 @@ def bind_square_record(
         if nodes > 1:
             fabric = config.fabric_spec(topology.link_gbs,
                                         topology.fabric_gbs)
-            links = {False: fabric.intra, True: fabric.inter}
+            links = {0: fabric.intra, 1: fabric.inter}
         else:
-            links = {False: config.link_spec(topology.link_gbs)}
+            links = {0: config.link_spec(topology.link_gbs)}
     shares = exchange_shares(gpn, nodes)
     X = len(shares)
+
+    # the window, when the working set does not fit the budget
+    cap = None
+    if out_of_core:
+        if nodes > 1:
+            raise ValueError(
+                f"out-of-core streaming does not compose with multi-node "
+                f"fleets (nodes={nodes}); drop one of the two axes"
+            )
+        storage = config.require_precision("out-of-core prediction")
+        if budget_bytes is None:
+            budget_bytes = config.backend.device.mem_bytes
+        require_positive("budget_bytes", budget_bytes, error=CapacityError)
+        if not _fits_in_core(n, nbt, ts, total, storage.sizeof,
+                             budget_bytes):
+            cap = _window_tiles(budget_bytes, n, nbt, ts, storage)
+            links[2] = host_link(config)
 
     # per-sweep scalars: sweep s runs on tile column k = s // 2, RQ for
     # even s and LQ for odd; every sweep but the last has rows below
@@ -370,49 +415,58 @@ def bind_square_record(
     col0 = np.cumsum(ncol) - ncol
     colw = np.array([w for c in split for _, w in c], dtype=np.int64)
     C = ncol[k]
-    # the row shards of each sweep's fused update: (chunk index, rows)
-    # of every non-empty chunk, the chunk index placing it on device
-    # (owner + index) % total
-    rows_below = r[below].tolist()
-    if weights is None:
-        by_rows = {
-            rr: [(ci, b - a) for ci, (a, b) in enumerate(
-                shard_rows(0, rr, total))]
-            for rr in set(rows_below)
-        }
-        parts = [by_rows[rr] for rr in rows_below]
+    # the row shards of each sweep's fused update: the chunk index of
+    # every non-empty shard, placing it on device (owner + index) %
+    # total, and its rows - largest-remainder shares of the weights
+    # rotated to start at the owner (equal weights give shard_rows')
+    sb = s[below]
+    if total == 1:
+        sizes = r[below][:, None]
+    elif weights is None:
+        sizes = shard_sizes_weighted(r[below], np.ones(total))
     else:
-        rot = [tuple(weights[(o + i) % total] for i in range(total))
-               for o in range(total)]
-        parts = [
-            [(ci, b - a) for ci, (a, b) in enumerate(
-                shard_rows_weighted(0, rr, rot[o])) if b > a]
-            for rr, o in zip(rows_below, owner[below].tolist())
+        rotated = np.asarray(weights, dtype=np.float64)[
+            (np.arange(total)[:, None] + np.arange(total)) % total
         ]
+        sizes = shard_sizes_weighted(r[below], rotated[owner[below]])
+    held = sizes > 0
     P = np.zeros(S, dtype=np.int64)
-    P[below] = [len(p) for p in parts]
+    P[below] = held.sum(axis=1)
+    shard_ci = np.nonzero(held)[1]
+    shard_size = sizes[held]
     shard0 = np.cumsum(P) - P
-    shard_dev = (
-        owner[np.repeat(s, P)]
-        + np.array([ci for p in parts for ci, _ in p], dtype=np.int64)
-    ) % total
-    shard_size = np.array([m for p in parts for _, m in p], dtype=np.int64)
+    shard_sweep = np.repeat(s, P)
+    shard_dev = (owner[shard_sweep] + shard_ci) % total
+    ahead = np.cumsum(shard_size) - shard_size
+    shard_lo = row0[shard_sweep] + 1 + ahead - ahead[shard0[shard_sweep]]
     # each sweep's panel broadcast: its (crosses nodes, hops) stages
     if weights is None:
-        stages = [bcast_stages(gpn, nodes)] * len(parts)
+        kinds_of = [bcast_stages(gpn, nodes)]
+        stage_of = np.zeros(sb.size, dtype=np.int64)
     else:
-        # most sweeps share a peer set: price each distinct one once
-        by_peers = {}
-        stages = []
-        for p, o in zip(parts, owner[below].tolist()):
-            peers = frozenset([(o + ci) % total for ci, _ in p] + [o])
-            if (peers, o) not in by_peers:
-                by_peers[peers, o] = bcast_stages(gpn, nodes, peers, o)
-            stages.append(by_peers[peers, o])
+        # sweeps sharing a peer set and owner share one broadcast: price
+        # each distinct pair once
+        peers = np.zeros((sb.size, total), dtype=bool)
+        peers[np.repeat(np.arange(sb.size), P[below]), shard_dev] = True
+        peers[np.arange(sb.size), owner[below]] = True
+        pairs, stage_of = np.unique(
+            np.c_[owner[below], peers], axis=0, return_inverse=True
+        )
+        stage_of = stage_of.reshape(-1)
+        kinds_of = [
+            bcast_stages(gpn, nodes, set(np.flatnonzero(row[1:]).tolist()),
+                         int(row[0]))
+            for row in pairs
+        ]
+    nb_of = np.array([len(st) for st in kinds_of], dtype=np.int64)
     NB = np.zeros(S, dtype=np.int64)
-    NB[below] = [len(st) for st in stages]
-    bc_cross = np.array([c for st in stages for c, _ in st], dtype=np.int64)
-    bc_hops = np.array([h for st in stages for _, h in st], dtype=np.int64)
+    NB[below] = nb_of[stage_of]
+    st_rows, st_j = _ragged(NB[below])
+    st_at = (np.cumsum(nb_of) - nb_of)[stage_of[st_rows]] + st_j
+    bc_cross = np.array([c for st in kinds_of for c, _ in st],
+                        dtype=np.int64)[st_at]
+    bc_hops = np.array([h for st in kinds_of for _, h in st],
+                       dtype=np.int64)[st_at]
 
     # node layout: per sweep the blocks below, one after another, then
     # the tail (final GEQRT, band gather, stage-2 chain, CPU solve)
@@ -444,12 +498,13 @@ def bind_square_record(
     sweep = np.full(N, -1, dtype=np.int64)
     counts = np.ones(N, dtype=np.int64)
     primary = np.ones(N, dtype=bool)
-    # key fields: family, two integer operands and a flag (the update's
-    # top row, or a comm key's tier: its link bandwidth and latency)
     fam = np.empty(N, dtype=np.int64)
     op0 = np.zeros(N, dtype=np.int64)
     op1 = np.zeros(N, dtype=np.int64)
     flag = np.zeros(N, dtype=np.int64)
+    # the tile rows each trailing update streams (out of core)
+    rlo = np.zeros(N, dtype=np.int64)
+    rhi = np.zeros(N, dtype=np.int64)
     parents: List[np.ndarray] = []
     children: List[np.ndarray] = []
 
@@ -510,7 +565,6 @@ def bind_square_record(
     edges((np.where(b_j == 0, anchor[b_rows], b_idx - 1), b_idx))
     bc_last = at["BC"] + NB - 1
     if fused:
-        sb = s[below]
         iq = at["FQ"][sb]
         put(iq, _KID["ftsqrt"], PANEL, owner[sb], PF, r[sb], 2)
         edges((iG[sb], iq))
@@ -523,12 +577,13 @@ def bind_square_record(
         dev = shard_dev[shard]
         put(f_idx, _KID["ftsmqr"], UPDATE, dev, UF,
             colw[col0[k[f_rows]] + f_c], shard_size[shard], 1, f_rows)
+        rlo[f_idx] = shard_lo[shard]
+        rhi[f_idx] = shard_lo[shard] + shard_size[shard]
         edges((at["FQ"][f_rows], f_idx))
         edges((at["U"][f_rows] + f_c, f_idx))
         far = dev != owner[f_rows]
         edges((bc_last[f_rows][far], f_idx[far]))
     elif fold:
-        sb = s[below]
         iq = at["ROWS"][sb]
         put(iq, _KID["tsqrt"], PANEL, 0, PF, 1, 2)
         put(iq + 1, _KID["tsmqr"], UPDATE, 0, UF, (nbt - 1 - k[sb]) * ts, 1, 1)
@@ -551,6 +606,8 @@ def bind_square_record(
         dev = row_dev[(np.cumsum(r) - r)[m_rows] + m_l]
         put(m_idx, _KID["tsmqr"], UPDATE, dev, UF,
             colw[col0[k[m_rows]] + m_q - 1], 1, 1, m_rows)
+        rlo[m_idx] = row0[m_rows] + 1 + m_l
+        rhi[m_idx] = rlo[m_idx] + 1
         edges((m_idx - m_q, m_idx))
         edges((np.where(m_l == 0, at["U"][m_rows] + m_q - 1,
                         m_idx - step[~tq]), m_idx))
@@ -582,8 +639,257 @@ def bind_square_record(
     edges((np.r_[gf, np.arange(bg0, brd0), chain[:-1]],
            np.r_[chain[0], np.full(Xg, chain[0]), chain[1:]]))
 
-    # keys numbered by value, kinds first seen
-    code = ((op0 * (int(op1.max()) + 1) + op1) * 2 + flag) * len(FAMILIES)
+    col = dict(zip(_COLUMNS, (kind, stage, device, sweep, counts, primary,
+                              fam, op0, op1, flag)))
+    pairs_ = (np.concatenate(parents), np.concatenate(children))
+    if cap is not None:
+        # every sweep, the tail's final GEQRT last: its tile column, pivot
+        # row and owner; where its panel and the node after it sit, and
+        # the first tail launch
+        home = np.repeat(np.arange(S + 1), np.r_[L.sum(axis=1), N - nsweep])
+        col, pairs_ = _stream_through_window(
+            col, pairs_, home, rlo, rhi,
+            (np.r_[k, nbt - 1], np.r_[row0, nbt - 1], np.r_[owner, owner_f]),
+            (np.r_[iG, gf], np.r_[at["BX"][1:], nsweep], brd0),
+            total, nbt, ts, cap, streams, skeleton,
+        )
+    return _record(n, nbt, ts, total, nodes, counted, cap is not None, col,
+                   links, pairs_ if skeleton else None)
+
+
+def _stream_through_window(
+    col: dict,
+    pairs: Tuple[np.ndarray, np.ndarray],
+    home: np.ndarray,
+    rlo: np.ndarray,
+    rhi: np.ndarray,
+    sweeps: Tuple[np.ndarray, np.ndarray, np.ndarray],
+    anchors: Tuple[np.ndarray, np.ndarray, int],
+    total: int,
+    nbt: int,
+    ts: int,
+    cap: int,
+    streams: int,
+    skeleton: bool,
+) -> Tuple[dict, Optional[Tuple[np.ndarray, np.ndarray]]]:
+    """The in-core columns and edges of a square composition, rewritten
+    as :func:`~repro.sim.outofcore.rewrite_out_of_core` streams them.
+
+    ``home`` is each node's sweep, ``rlo`` / ``rhi`` the tile rows of
+    each trailing update, ``sweeps`` each sweep's ``(k, row0, owner)``
+    and ``anchors`` each sweep's GEQRT, the first node after the sweep
+    (the next boundary exchange on a fleet, else the next GEQRT) and
+    the first tail launch.  Every trailing
+    update splits into one chunk per grid window it spans
+    (:func:`~repro.sim.outofcore._window_range` under the sweep's
+    :func:`~repro.sim.outofcore._sweep_window` rule); each (sweep,
+    device) gets a pinned load and flush, each (sweep, device, window) a
+    load and an eviction, and the tail a band load.  The rewriter's node
+    order is one sort: each node hangs off the in-core node it is
+    emitted with (``anchor``), then by segment - a multi-stream sweep's
+    window-major users at the next sweep's boundary, the previous
+    sweep's close, a pin, the node and its windows.
+    """
+    k, row0, owner = sweeps
+    g_at, x_at, tail_at = anchors
+    S1 = k.size
+    wr, buf, wt = _sweep_window(cap, nbt, row0, k)
+    kind, stage = col["kind"], col["stage"]
+    N0 = kind.size
+    is_win = (kind == _KID["ftsmqr"]) | (kind == _KID["tsmqr"])
+    W = np.flatnonzero(is_win)
+    keep = np.flatnonzero(~is_win)
+    # the chunks: one per trailing update and grid window it spans
+    ws = home[W]
+    jf, jstop = _window_range(row0[ws], wr[ws], rlo[W], rhi[W])
+    nch = jstop - jf
+    cn, cp = _ragged(nch)
+    c_src = W[cn]
+    c_s = ws[cn]
+    c_d = col["device"][c_src]
+    c_j = jf[cn] + cp
+    lo = row0[c_s] + 1 + c_j * wr[c_s]
+    hi = np.minimum(lo + wr[c_s], nbt)
+    c_rows = np.minimum(rhi[c_src], hi) - np.maximum(rlo[c_src], lo)
+    # the windows: distinct (sweep, device, grid index), each loaded
+    # with its first chunk
+    _, w_first, c_w = np.unique((c_s * total + c_d) * nbt + c_j,
+                                return_index=True, return_inverse=True)
+    c_w = c_w.reshape(-1)
+    NW = w_first.size
+    w_s, w_d, w_j = c_s[w_first], c_d[w_first], c_j[w_first]
+    w_open = c_src[w_first]
+    w_elems = (hi[w_first] - lo[w_first]) * wt[w_s] * (ts * ts)
+    # the device-sweeps: each sweep's owner, each device a window streams
+    # to; a window is evicted by the load buf windows on, or at the close
+    dcode = np.unique(np.r_[np.arange(S1) * total + owner, w_s * total + w_d])
+    NP = dcode.size
+    p_s, p_d = dcode // total, dcode % total
+    w_p = np.searchsorted(dcode, w_s * total + w_d)
+    c_p = w_p[c_w]
+    p_w0 = np.searchsorted(w_p, np.arange(NP))
+    p_nw = np.bincount(w_p, minlength=NP)
+    p_win = np.minimum(p_w0, NW - 1)
+    freed = np.arange(NW) - p_w0[w_p] + buf[w_s] < p_nw[w_p]
+    mid, late = np.flatnonzero(freed), np.flatnonzero(~freed)
+    nxt = mid + buf[w_s[mid]]
+    own = np.searchsorted(dcode, np.arange(S1) * total + owner)
+    # a device opens a sweep at its first launch: the owner's GEQRT, or
+    # its first trailing update; the sweep closes at the next sweep's
+    # GEQRT (the tail's at its first launch)
+    p_fwin = w_open[p_win]
+    p_first = np.where(p_d == owner[p_s], g_at[p_s], p_fwin)
+    close_at = np.r_[g_at[1:], tail_at]
+
+    # provisional ids: the kept nodes, the chunks, the window loads and
+    # evictions, the pins and pin flushes, the band load
+    K, NC = keep.size, c_src.size
+    oB = K
+    oC = oB + NC
+    oD = oC + NW
+    oE = oD + NW
+    oF = oE + NP
+    oG = oF + NP
+    N = oG + 1
+    # emission order: (anchor, segment, then two in-segment keys); the
+    # segments at an anchor are 0 a multi-stream sweep's deferred users,
+    # 1 the previous sweep's close, 2 a pin (or the band load), 3 the
+    # node itself and (one stream) its windows
+    key = np.zeros((4, N), dtype=np.int64)
+
+    def order(ids, anchor, segment, a=0, b=0) -> None:
+        key[0, ids], key[1, ids], key[2, ids], key[3, ids] = (
+            anchor, segment, a, b
+        )
+
+    order(slice(0, K), keep, 3)
+    order(slice(oE, oF), p_first, 2)
+    order(slice(oF, oG), close_at[p_s], 1, p_first, nbt)
+    order(oG, tail_at, 2)
+    order(oD + late, close_at[w_s[late]], 1, p_first[w_p[late]], w_j[late])
+    if streams == 1:
+        order(slice(oB, oC), c_src, 3, c_j, 2)
+        order(slice(oC, oD), w_open, 3, w_j, 1)
+        order(oD + mid, w_open[nxt], 3, w_j[nxt], 0)
+    else:
+        # multi-stream sweeps emit their window users window-major, each
+        # device from its lowest row, at the next sweep's first node
+        flush_at = x_at[w_s]
+        M = N0 + 3
+        j0 = w_j[p_win]
+        order(slice(oB, oC), x_at[c_s], 0, p_fwin[c_p],
+              (c_j - j0[c_p]) * M + 2 + c_src)
+        order(slice(oC, oD), flush_at, 0, p_fwin[w_p], (w_j - j0[w_p]) * M + 1)
+        order(oD + mid, flush_at[mid], 0, p_fwin[w_p[mid]],
+              (w_j[nxt] - j0[w_p[mid]]) * M)
+    perm = np.lexsort(key[::-1])
+
+    H2D, D2H = _KID["h2d_tile"], _KID["d2h_tile"]
+    TRANSFER = _SID[Stage.TRANSFER]
+
+    def lay(kept, chunk, window, pin, band) -> np.ndarray:
+        return np.concatenate([
+            kept, np.broadcast_to(chunk, NC), np.broadcast_to(window, NW),
+            np.broadcast_to(window, NW), np.broadcast_to(pin, NP),
+            np.broadcast_to(pin, NP), [band],
+        ])[perm]
+
+    pin_elems = _pin_tiles(nbt, row0[p_s], k[p_s]) * (ts * ts)
+    out = {
+        "kind": np.concatenate([
+            kind[keep], kind[c_src], np.full(NW, H2D), np.full(NW, D2H),
+            np.full(NP, H2D), np.full(NP, D2H), [H2D],
+        ])[perm],
+        "stage": lay(stage[keep], stage[c_src], TRANSFER, TRANSFER, TRANSFER),
+        "device": lay(col["device"][keep], c_d, w_d, p_d, 0),
+        "sweep": lay(col["sweep"][keep], col["sweep"][c_src], -1, -1, -1),
+        "counts": np.ones(N, dtype=np.int64),
+        "primary": lay(col["primary"][keep], True, True, True, True),
+        "fam": lay(col["fam"][keep], col["fam"][c_src], _FAM["comm"],
+                   _FAM["comm"], _FAM["comm"]),
+        "op0": lay(col["op0"][keep], col["op0"][c_src], w_elems, pin_elems,
+                   nbt * ts * (ts + 1)),
+        "op1": lay(col["op1"][keep], c_rows, 1, 1, 1),
+        "flag": lay(col["flag"][keep], col["flag"][c_src], 2, 2, 2),
+    }
+    if not skeleton:
+        return out, None
+
+    pos = np.empty(N, dtype=np.int64)
+    pos[perm] = np.arange(N)
+    # an in-core edge joins every part of its parent to every part of its
+    # child: a trailing update's parts are its chunks
+    part0 = np.empty(N0, dtype=np.int64)
+    npart = np.ones(N0, dtype=np.int64)
+    part0[keep] = np.arange(K)
+    part0[W] = oB + np.cumsum(nch) - nch
+    npart[W] = nch
+    par, chi = pairs
+    e, q = _ragged(npart[par] * npart[chi])
+    nc = npart[chi][e]
+    parents = [part0[par][e] + q // nc]
+    children = [part0[chi][e] + q % nc]
+
+    def edges(a, b) -> None:
+        a, b = np.broadcast_arrays(a, b)
+        parents.append(a.ravel())
+        children.append(b.ravel())
+
+    c_ids = oB + np.arange(NC)
+    # a pin feeds its sweep's pinned launches (the owner's panels and
+    # UNMQRs) and its device's chunks
+    panel = stage[keep] == _SID[Stage.PANEL]
+    pinned = keep[panel | (kind[keep] == _KID["unmqr"])]
+    edges(oE + own[home[pinned]], part0[pinned])
+    edges(oE + c_p, c_ids)
+    # a window load feeds its chunks, its chunks its eviction, and a
+    # trailing update's chunks run in order
+    edges(oC + c_w, c_ids)
+    edges(c_ids, oD + c_w)
+    edges(c_ids[cp > 0] - 1, c_ids[cp > 0])
+    # an eviction frees the buffer of the load buf windows on
+    edges(oD + mid, oC + nxt)
+    # a device's previous pin flush precedes its pin and its loads, and
+    # every device's last one the band load, which feeds the tail
+    by_dev = np.lexsort((p_s, p_d))
+    same = p_d[by_dev][1:] == p_d[by_dev][:-1]
+    prev = np.full(NP, -1, dtype=np.int64)
+    prev[by_dev[1:][same]] = by_dev[:-1][same]
+    has = np.flatnonzero(prev >= 0)
+    edges(oF + prev[has], oE + has)
+    wh = np.flatnonzero(prev[w_p] >= 0)
+    edges(oF + prev[w_p[wh]], oC + wh)
+    edges(oF + by_dev[np.r_[~same, True]], oG)
+    edges(oG, part0[tail_at])
+    # a pin flush waits on its evictions ...
+    edges(oD + np.arange(NW), oF + w_p)
+    parents = [pos[np.concatenate(parents)]]
+    children = [pos[np.concatenate(children)]]
+    # ... and on its device's last panel and last update in emission
+    # order (every device-sweep ran one: the owner its panel, any other
+    # device a window)
+    flush = pos[oF + np.arange(NP)]
+    pan, upd = keep[panel], keep[kind[keep] == _KID["unmqr"]]
+    for p_of, at in ((own[home[pan]], part0[pan]),
+                     (np.r_[own[home[upd]], c_p], np.r_[part0[upd], c_ids])):
+        last = np.full(NP, -1, dtype=np.int64)
+        np.maximum.at(last, p_of, pos[at])
+        ran = last >= 0
+        parents.append(last[ran])
+        children.append(flush[ran])
+    return out, (np.concatenate(parents), np.concatenate(children))
+
+
+def _record(
+    n: int, nbt: int, ts: int, total: int, nodes: int, counted: bool,
+    out_of_core: bool, col: dict, links: dict,
+    pairs: Optional[Tuple[np.ndarray, np.ndarray]],
+) -> GraphRecord:
+    """The record of bound columns: keys numbered by value, kinds first
+    seen, comm keys priced on their tier's link, and the ``(ptr, idx)``
+    skeleton of the ``(parent, child)`` edges when given."""
+    op0, op1, flag, fam = col["op0"], col["op1"], col["flag"], col["fam"]
+    code = ((op0 * (int(op1.max()) + 1) + op1) * 3 + flag) * len(FAMILIES)
     _, key_first, key_id = np.unique(code + fam, return_index=True,
                                      return_inverse=True)
     kfam = fam[key_first]
@@ -591,48 +897,49 @@ def bind_square_record(
     ops[:, 0] = op0[key_first]
     ops[:, 1] = op1[key_first]
     ops[:, 2] = flag[key_first]
-    comm_keys = np.flatnonzero(kfam == CF)
+    comm_keys = np.flatnonzero(kfam == _FAM["comm"])
     if comm_keys.size:
         tier = flag[key_first[comm_keys]]
-        for cross, link in links.items():
-            rows = comm_keys[tier == int(cross)]
+        for t, link in links.items():
+            rows = comm_keys[tier == t]
             ops[rows, 2] = link.bandwidth_gbs
             ops[rows, 3] = link.latency_us
+    kind = col["kind"]
     present, kind_first = np.unique(kind, return_index=True)
     order = present[np.argsort(kind_first)]
     renumber = np.empty(len(_KINDS), dtype=np.int64)
     renumber[order] = np.arange(order.size)
+    N = kind.size
     table = NodeTable(
         kind="square",
         n=n,
-        npad=npad,
+        npad=nbt * ts,
         ts=ts,
         nbt=nbt,
         ngpu=total,
         nnodes=nodes,
-        out_of_core=False,
+        out_of_core=out_of_core,
         kinds=tuple(_KINDS[i] for i in order.tolist()),
         kind_id=renumber[kind],
-        stage_id=stage,
+        stage_id=col["stage"],
         key_id=key_id.reshape(-1),
-        counts=counts,
-        primary=primary,
-        device=device,
-        sweep=sweep,
+        counts=col["counts"],
+        primary=col["primary"],
+        device=col["device"],
+        sweep=col["sweep"],
         fam=kfam,
         ops=ops,
     )
     dependents = None
-    if skeleton:
-        parent = np.concatenate(parents)
-        child = np.concatenate(children)
-        pairs = np.sort(parent * N + child)
+    if pairs is not None:
+        parent, child = pairs
+        ordered = np.sort(parent * N + child)
         ptr = np.zeros(N + 1, dtype=np.int32)
         ptr[1:] = np.cumsum(np.bincount(parent, minlength=N))
-        dependents = (ptr, (pairs % N).astype(np.int32))
+        dependents = (ptr, (ordered % N).astype(np.int32))
     return GraphRecord(
-        n=n, ngpu=total, nnodes=nodes, counted=counted, out_of_core=False,
-        _table=table, _dependents=dependents,
+        n=n, ngpu=total, nnodes=nodes, counted=counted,
+        out_of_core=out_of_core, _table=table, _dependents=dependents,
     )
 
 

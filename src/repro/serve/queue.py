@@ -31,7 +31,7 @@ import numpy as np
 
 from ..core.svd import upload
 from ..errors import InvalidParamsError, ShapeError
-from ..sim.topology import require_int, require_positive
+from ..sim.topology import gib_bytes, require_int, require_positive
 from ..tuning.planner import shape_class
 from .admission import AdmissionController
 from .batcher import Batch, BatchRunner, DynamicBatcher, SvdRequest
@@ -96,7 +96,8 @@ class SvdService:
         self._admission = AdmissionController(
             config,
             mem_budget_bytes=(
-                mem_budget_gb * 2**30 if mem_budget_gb is not None else None
+                gib_bytes("mem_budget_gb", mem_budget_gb)
+                if mem_budget_gb is not None else None
             ),
             tune=tune,
             tune_batch=max_batch,

@@ -29,7 +29,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from ..errors import InvalidParamsError
-from ..sim.topology import require_int, require_positive
+from ..sim.topology import gib_bytes, require_int, require_positive
 from ..tuning.planner import shape_class
 from .admission import AdmissionController
 from .batcher import DynamicBatcher, SvdRequest
@@ -150,7 +150,8 @@ def simulate_service(
     admission = AdmissionController(
         config,
         mem_budget_bytes=(
-            mem_budget_gb * 2**30 if mem_budget_gb is not None else None
+            gib_bytes("mem_budget_gb", mem_budget_gb)
+            if mem_budget_gb is not None else None
         ),
     )
     metrics = MetricsCollector()

@@ -376,9 +376,9 @@ class GraphRecord:
     """A launch graph without its node list: what the pricers read.
 
     ``Solver.predict`` memoizes one per composed structure: taken from a
-    composed graph (:meth:`LaunchGraph.record`), or for an in-core square
-    structure bound directly, without a node list, by
-    :func:`repro.core.svd.bind_square_record`.  It holds the graph's
+    composed graph (:meth:`LaunchGraph.record`), or for a square
+    structure, in core or out of core, bound directly, without a node
+    list, by :func:`repro.core.svd.bind_square_record`.  It holds the graph's
     :class:`~repro.sim.table.NodeTable` (the same object, with its price
     memos), the dependency skeleton when the structure's pricer walks
     one, and the scalar fields the pricers read.  ``price_table`` (of

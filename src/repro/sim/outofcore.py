@@ -45,6 +45,14 @@ A graph whose (per-device) working set already fits the budget is
 returned unchanged, so ``io_s`` is nonzero only past capacity and the
 in-core prediction is reproduced exactly.
 
+The square window policy - whether the working set fits, the window
+capacity and its minimum, the pinned tiles, each sweep's window height
+and buffering, the window grid - lives in module helpers that the
+rewriter and :func:`repro.core.svd.bind_square_record` both call.  The
+binder builds ``Solver.predict``'s out-of-core square records in closed
+form; the rewriter composes the graphs numeric replay walks and is the
+binder's oracle.
+
 Batched graphs rewrite at *problem* granularity instead: a batch is many
 independent small matrices, so whole problems stream through the device
 window (the budget shared across every in-flight problem), each window
@@ -59,6 +67,8 @@ from __future__ import annotations
 
 import math
 from typing import Dict, Iterable, List, Optional, Set, Tuple
+
+import numpy as np
 
 from ..errors import CapacityError, WindowOverflowError
 from .costmodel import LinkSpec
@@ -103,20 +113,87 @@ def window_capacity_tiles(budget_bytes: float, ts: int, sizeof: int) -> int:
     return int(budget_bytes // (ts * ts * sizeof * _WORKING_FACTOR))
 
 
-def _fits_in_core(graph: LaunchGraph, sizeof: int, budget_bytes: float) -> bool:
+def _fits_in_core(
+    n: int, nbt: int, ts: int, ngpu: int, sizeof: int, budget_bytes: float
+) -> bool:
     """True when the (per-device) working set fits the budget in-core."""
-    if graph.ngpu == 1:
+    if ngpu == 1:
         limit = math.isqrt(int(budget_bytes / (sizeof * _WORKING_FACTOR)))
-        return graph.n <= limit
+        return n <= limit
     # per-device tile-row shard plus a panel landing buffer, exactly the
     # footprint check_shard_capacity charges
-    shard_rows_n = math.ceil(graph.nbt / graph.ngpu) * graph.ts
+    npad = nbt * ts
+    shard_rows_n = math.ceil(nbt / ngpu) * ts
     shard_bytes = (
-        (shard_rows_n * graph.npad + graph.npad * graph.ts)
-        * sizeof
-        * _WORKING_FACTOR
+        (shard_rows_n * npad + npad * ts) * sizeof * _WORKING_FACTOR
     )
     return shard_bytes <= budget_bytes
+
+
+# --------------------------------------------------------------------- #
+# the square window policy (shared by the rewriter and the square binder,
+# repro.core.svd.bind_square_record)
+# --------------------------------------------------------------------- #
+def _band_tiles(npad: int, ts: int) -> int:
+    """Tile-equivalents the stage-2 band buffer occupies."""
+    return -(-(npad * (ts + 1)) // ts**2)
+
+
+def _window_tiles(
+    budget_bytes: float, n: int, nbt: int, ts: int, storage
+) -> int:
+    """The window capacity in tiles, or :class:`CapacityError` when it
+    cannot hold the minimum working set.
+
+    The minimum is sweep 0's: the pinned pivot row (``nbt`` tiles) and
+    panel column (``nbt - 1``) plus one streamed tile row (``nbt - 1``),
+    and the stage-2 band buffer after the final flush.
+    """
+    cap = window_capacity_tiles(budget_bytes, ts, storage.sizeof)
+    min_cap = max(3 * nbt - 2, _band_tiles(nbt * ts, ts), 1)
+    if cap < min_cap:
+        raise CapacityError(
+            f"out-of-core window of {budget_bytes / 2**30:.2f} GiB holds "
+            f"{cap} tiles; an n={n} ({storage.name}) solve needs at "
+            f"least {min_cap} (pinned panel + pivot row + one streamed "
+            f"tile row) - raise the budget or shrink the matrix"
+        )
+    return cap
+
+
+def _pin_tiles(nbt, row0, k):
+    """Tiles a sweep pins: its pivot row right of the panel (``nbt - k``)
+    and the panel column below the pivot (``nbt - row0 - 1``).  Takes
+    integers or arrays of sweeps."""
+    return (nbt - k) + (nbt - row0 - 1)
+
+
+def _sweep_window(cap, nbt, row0, k):
+    """A sweep's streaming rule: ``(wr, buffers, w_tiles)`` arrays.
+
+    ``w_tiles`` trailing tile columns per streamed row; the window
+    height ``wr`` in tile rows and the resident window count
+    ``buffers``: double-buffered when what the pins leave holds two
+    rows, single-buffered rows when it holds one, and one window over
+    the whole (empty) trailing block when the sweep streams nothing.
+    """
+    w_tiles = np.asarray(nbt - 1 - k)
+    avail = cap - _pin_tiles(nbt, row0, k)
+    wide = w_tiles > 0
+    double = wide & (avail >= 2 * w_tiles)
+    single = wide & (avail >= w_tiles)
+    wr = np.where(
+        double, avail // np.maximum(2 * w_tiles, 1),
+        np.where(single, 1, np.maximum(w_tiles, 1)),
+    )
+    return wr, np.where(double, 2, 1), w_tiles
+
+
+def _window_range(row0, wr, a, b):
+    """First and stop window-grid index of tile rows ``[a, b)`` of a
+    sweep: window ``j`` streams rows ``row0 + 1 + j * wr`` onwards."""
+    base = row0 + 1
+    return (a - base) // wr, (b - 1 - base) // wr + 1
 
 
 # --------------------------------------------------------------------- #
@@ -304,7 +381,7 @@ class WindowTracker:
         self.ts = graph.ts
         self.nbt = graph.nbt
         #: tile-equivalents the stage-2 band buffer occupies
-        self.band_tiles = -(-(graph.npad * (graph.ts + 1)) // graph.ts**2)
+        self.band_tiles = _band_tiles(graph.npad, graph.ts)
         self._res = {
             d: TileResidency(cap, device=d) for d in range(max(1, graph.ngpu))
         }
@@ -712,24 +789,11 @@ def rewrite_out_of_core(
         return _rewrite_batched(graph, config, storage, budget_bytes)
     if graph.kind == "lowrank":
         return _rewrite_lowrank(graph, config, storage, budget_bytes)
-    sizeof = storage.sizeof
-    if _fits_in_core(graph, sizeof, budget_bytes):
-        return graph
-
     ts, nbt, npad = graph.ts, graph.nbt, graph.npad
-    cap = window_capacity_tiles(budget_bytes, ts, sizeof)
-    band_tiles = -(-(npad * (ts + 1)) // ts**2)
-    # minimum working set at sweep 0: pinned pivot row (nbt tiles) and
-    # panel column (nbt - 1) plus one streamed tile row (nbt - 1), and
-    # the stage-2 band buffer after the final flush
-    min_cap = max(3 * nbt - 2, band_tiles, 1)
-    if cap < min_cap:
-        raise CapacityError(
-            f"out-of-core window of {budget_bytes / 2**30:.2f} GiB holds "
-            f"{cap} tiles; an n={graph.n} ({storage.name}) solve needs at "
-            f"least {min_cap} (pinned panel + pivot row + one streamed "
-            f"tile row) - raise the budget or shrink the matrix"
-        )
+    if _fits_in_core(graph.n, nbt, ts, graph.ngpu, storage.sizeof,
+                     budget_bytes):
+        return graph
+    cap = _window_tiles(budget_bytes, graph.n, nbt, ts, storage)
 
     bw, lat = config.coeffs.pcie_gbs, config.coeffs.pcie_latency_us
     new_nodes: List[LaunchNode] = []
@@ -770,32 +834,20 @@ def rewrite_out_of_core(
 
     # the ("pin", ...) meta and its element count are the contract with
     # _block_tiles / TileResidency: load and evict must stay in lock-step
-    def pin_meta_for(lq: bool, row0: int, k: int) -> Tuple:
-        return ("pin", lq, row0, k, nbt)
-
-    def pin_elems_for(row0: int, k: int) -> int:
-        return ((nbt - k) + (nbt - row0 - 1)) * ts * ts
-
     def pin_meta(st: _DevSweep) -> Tuple:
-        return pin_meta_for(st.lq, st.row0, st.k)
+        return ("pin", st.lq, st.row0, st.k, nbt)
 
     def pin_elems(st: _DevSweep) -> int:
-        return pin_elems_for(st.row0, st.k)
+        return _pin_tiles(nbt, st.row0, st.k) * ts * ts
 
     def open_sweep(dev: int, node: LaunchNode) -> _DevSweep:
         lq, row0, k = node.meta[0], node.meta[1], node.meta[2]
         base = (dev_flush[dev],) if dev in dev_flush else ()
-        pin = xfer("h2d_tile", pin_elems_for(row0, k),
-                   pin_meta_for(lq, row0, k), base, dev)
-        w_tiles = nbt - 1 - k
-        avail = cap - ((nbt - k) + (nbt - row0 - 1))
-        if w_tiles > 0 and avail >= 2 * w_tiles:
-            wr, buffers = avail // (2 * w_tiles), 2
-        elif w_tiles > 0 and avail >= w_tiles:
-            wr, buffers = 1, 1
-        else:
-            wr, buffers = max(1, w_tiles), 1  # no streamed rows this sweep
-        st = _DevSweep(lq, row0, k, pin, base, wr, buffers, w_tiles)
+        wr, buffers, w_tiles = (
+            int(v) for v in _sweep_window(cap, nbt, row0, k)
+        )
+        st = _DevSweep(lq, row0, k, None, base, wr, buffers, w_tiles)
+        st.pin = xfer("h2d_tile", pin_elems(st), pin_meta(st), base, dev)
         sweep_ctx[dev] = st
         return st
 
@@ -834,8 +886,7 @@ def rewrite_out_of_core(
         return w
 
     def window_range(st: _DevSweep, a: int, b: int) -> range:
-        base = st.row0 + 1
-        return range((a - base) // st.wr, (b - 1 - base) // st.wr + 1)
+        return range(*_window_range(st.row0, st.wr, a, b))
 
     def emit_chunks(
         orig: LaunchNode, deps: Tuple[int, ...], st: _DevSweep, dev: int
@@ -877,12 +928,11 @@ def rewrite_out_of_core(
         """Emit deferred multi-stream window users, window-major."""
         if not deferred:
             return
-        local: Dict[int, Tuple[int, ...]] = {}
 
         def resolve(deps: Tuple[int, ...]) -> Tuple[int, ...]:
             seen: List[int] = []
             for d in deps:
-                for m in (mapped[d] if mapped[d] is not None else local[d]):
+                for m in mapped[d]:
                     if m not in seen:
                         seen.append(m)
             return tuple(seen)
@@ -920,10 +970,10 @@ def rewrite_out_of_core(
                     )
                     w.users.append(i)
                     parts[orig_idx].append(i)
+                    # an unfused row's TSMQR waits on the row above it,
+                    # emitted earlier in this (or a lower-row) group
+                    mapped[orig_idx] = tuple(parts[orig_idx])
                     st.last_update = i
-            for orig_idx, p in parts.items():
-                mapped[orig_idx] = tuple(p)
-                local[orig_idx] = tuple(p)
         deferred.clear()
 
     def close_sweep() -> None:

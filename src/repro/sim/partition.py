@@ -122,6 +122,7 @@ __all__ = [
     "price_partitioned_scalar",
     "shard_rows",
     "shard_rows_weighted",
+    "shard_sizes_weighted",
 ]
 
 #: Stage-1 kinds that run on the sweep owner's device (serial chain).
@@ -149,6 +150,16 @@ def shard_rows(lo: int, hi: int, ngpu: int) -> List[Tuple[int, int]]:
     return chunks
 
 
+def _check_weight_sum(weights, total_w) -> None:
+    """Reject weights whose sum overflows the float range: every quota
+    would read zero and the remainder rule would grant no row."""
+    if not math.isfinite(total_w):
+        raise ShapeError(
+            f"device weights must sum to a finite throughput, got "
+            f"{weights} (sum {total_w})"
+        )
+
+
 def shard_rows_weighted(
     lo: int,
     hi: int,
@@ -166,19 +177,23 @@ def shard_rows_weighted(
     with no gap or overlap.  Every device's row count is within one row
     of its exact quota ``rows * w_d / W``, and equal weights reproduce
     :func:`shard_rows`' boundaries exactly (padded with empty trailing
-    chunks when devices outnumber rows).
+    chunks when devices outnumber rows).  Weights must be positive and
+    finite, with a finite sum (:class:`~repro.errors.ShapeError`);
+    :func:`shard_sizes_weighted` is the same rule over many ranges.
     """
     if not weights:
         raise ShapeError("need at least one device weight")
-    if any(w <= 0 for w in weights):
+    if any(not w > 0 or not math.isfinite(w) for w in weights):
         raise ShapeError(
-            f"device weights must be positive throughputs, got {weights}"
+            f"device weights must be positive finite throughputs, got "
+            f"{weights}"
         )
+    total_w = float(sum(weights))
+    _check_weight_sum(weights, total_w)
     rows = hi - lo
     nparts = len(weights)
     if rows <= 0:
         return [(lo, lo)] * nparts
-    total_w = float(sum(weights))
     quotas = [rows * float(w) / total_w for w in weights]
     counts = [int(q) for q in quotas]
     short = rows - sum(counts)
@@ -193,6 +208,46 @@ def shard_rows_weighted(
         chunks.append((start, start + count))
         start += count
     return chunks
+
+
+def shard_sizes_weighted(rows, weights) -> np.ndarray:
+    """:func:`shard_rows_weighted`'s shard sizes for many ranges at once.
+
+    ``rows`` holds ``m`` range heights and ``weights`` the ``(m, g)``
+    device weights of each range (or one ``(g,)`` vector for all of
+    them); returns the ``(m, g)`` row counts, equal entry for entry to
+    the scalar rule's ``stop - start``.  The arithmetic is the scalar
+    rule's, operand for operand: each range's weight sum is a left fold
+    in device order, quotas are ``rows * w / total``, and the remainder
+    rows go by descending fractional part through a stable sort, so
+    ties still favour the lower device index.
+    """
+    rows = np.maximum(np.asarray(rows, dtype=np.int64), 0)
+    w = np.asarray(weights, dtype=np.float64)
+    if w.shape[-1:] == (0,) or w.ndim == 0:
+        raise ShapeError("need at least one device weight")
+    w = np.broadcast_to(w, rows.shape + w.shape[-1:])
+    if not np.all((w > 0) & np.isfinite(w)):
+        raise ShapeError(
+            f"device weights must be positive finite throughputs, got "
+            f"{weights}"
+        )
+    # a left fold in device order, as the scalar rule's sum(); an
+    # overflowing one is rejected below
+    with np.errstate(over="ignore"):
+        total_w = np.add.accumulate(w, axis=-1)[..., -1]
+    if total_w.size:
+        _check_weight_sum(weights, float(total_w.max()))
+    quotas = rows[:, None] * w / total_w[:, None]
+    counts = quotas.astype(np.int64)
+    short = rows - counts.sum(axis=1)
+    order = np.argsort(-(quotas - counts), axis=1, kind="stable")
+    rank = np.empty_like(order)
+    np.put_along_axis(
+        rank, order, np.broadcast_to(np.arange(w.shape[-1]), order.shape),
+        axis=1,
+    )
+    return counts + (rank < short[:, None])
 
 
 def exchange_shares(gpn: int, nodes: int) -> Tuple[Tuple[bool, float], ...]:

@@ -36,7 +36,7 @@ import numpy as np
 
 from ..errors import InvalidParamsError
 
-__all__ = ["Topology", "require_int", "require_positive"]
+__all__ = ["Topology", "gib_bytes", "require_int", "require_positive"]
 
 #: The legacy Solver axes a ``topology=`` argument replaces; used to name
 #: conflicting axes in validation errors.
@@ -68,15 +68,37 @@ def require_positive(
     infinities, ``bool`` and non-numbers all raise ``error`` naming the
     axis and the value.
     """
-    if (
-        not isinstance(value, Real) or isinstance(value, bool)
-        or not math.isfinite(value) or value < 0
-        or (value == 0 and not zero_ok)
-    ):
+    try:
+        finite = (
+            isinstance(value, Real) and not isinstance(value, bool)
+            and math.isfinite(value)
+        )
+    except OverflowError:  # an integer beyond the float range
+        finite = False
+    if not finite or value < 0 or (value == 0 and not zero_ok):
         bound = "a non-negative" if zero_ok else "a positive"
         raise error(
             f"{axis} must be {bound} finite number, got {axis}={value!r}"
         )
+
+
+def gib_bytes(axis: str, value) -> float:
+    """A memory budget given in GiB, as bytes, checked before the multiply.
+
+    ``value`` must pass :func:`require_positive` first, so a ``str`` or a
+    list fails naming ``axis`` instead of being repeated ``2**30`` times,
+    and the byte count must be finite too (``1e300`` GiB overflows to
+    Inf).  Both raise :class:`~repro.errors.InvalidParamsError` naming
+    ``axis``, the argument the caller passed.
+    """
+    require_positive(axis, value)
+    nbytes = float(value) * 2**30
+    if not math.isfinite(nbytes):
+        raise InvalidParamsError(
+            f"{axis} must be a positive number of GiB whose byte count is "
+            f"finite, got {axis}={value!r}"
+        )
+    return nbytes
 
 
 @dataclass(frozen=True)

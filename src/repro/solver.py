@@ -15,9 +15,9 @@ math libraries (cuSOLVER handles, FFTW plans):
   axes (``batch``, ``streams``, ``ngpu``, ``nodes``, ``topology``,
   ``out_of_core``) all compose through one emit -> partition -> rewrite
   -> price pipeline (:func:`compose_graph`, then :func:`price_composed`),
-  whose in-core square structures are bound in closed form
-  (:func:`~repro.core.svd.bind_square_record`, with :func:`compose_graph`
-  as its oracle);
+  whose square structures, in core or out of core, are bound in closed
+  form (:func:`~repro.core.svd.bind_square_record`, with
+  :func:`compose_graph` as its oracle);
 * :meth:`Solver.tune` searches those axes analytically (plus the kernel
   hyperparameters) and returns a ranked :class:`~repro.tuning.TunePlan`
   that constructs the winning handle;
@@ -95,9 +95,9 @@ from .sim.partition import (
 from .sim.table import bound_structure, price_table, structure_config
 from .sim.topology import (
     Topology,
+    gib_bytes,
     require_int,
     require_no_conflicts,
-    require_positive,
 )
 from .tuning.planner import TunePlan, tune_resolved
 
@@ -129,10 +129,10 @@ def compose_graph(
 
     It has three roles: it composes the graph a numeric replay on a
     fleet walks (the serving runner's), the structures
-    :meth:`Solver.predict` prices for out-of-core, batched and low-rank
-    queries, and the oracle graphs of
-    :func:`~repro.core.svd.bind_square_record`, which binds every
-    in-core square and eigh composition without a node list.
+    :meth:`Solver.predict` prices for batched and low-rank queries, and
+    the oracle graphs of :func:`~repro.core.svd.bind_square_record`,
+    which binds every square and eigh composition, in core or out of
+    core, without a node list.
 
     Of ``config`` it reads the backend's device (whether the fleet is
     weighted; the default out-of-core budget), ``link`` / ``fabric``
@@ -461,8 +461,8 @@ class Solver:
            ``streams=1`` and in-core, the workload's shape-parametric
            binder table; otherwise the composed graph's node-free record
            (its table, and its dependency skeleton when the pricer walks
-           one), memoized per axes: bound in closed form for an in-core
-           SVD or eigh query
+           one), memoized per axes: bound in closed form for an SVD or
+           eigh query, in core or out of core
            (:func:`~repro.core.svd.bind_square_record`), else built by
            :func:`compose_graph` (emit ->
            :func:`~repro.sim.partition.partition_graph` ->
@@ -566,13 +566,14 @@ class Solver:
                 f"compose yet; got out_of_core=True with nodes={nodes} "
                 f"(drop one of the two axes)"
             )
+        budget_bytes = None
         if oc_budget_gb is not None:
             if not out_of_core:
                 raise InvalidParamsError(
                     "oc_budget_gb sets the out-of-core window budget and "
                     "requires out_of_core=True"
                 )
-            require_positive("oc_budget_gb", oc_budget_gb)
+            budget_bytes = gib_bytes("oc_budget_gb", oc_budget_gb)
         storage = self._config.require_precision("predict")
         config = self._config
         if topology is None:
@@ -620,17 +621,15 @@ class Solver:
         single = topology.ngpu == 1 and not weighted
         if single and streams == 1 and not out_of_core:
             return price_table(bind(), config, storage)
-        budget_bytes = (
-            oc_budget_gb * 2**30 if oc_budget_gb is not None else None
-        )
         price, walks = _pricer(config, storage, topology, streams)
-        if shape[0] in ("svd", "eigh") and not out_of_core:
-            # an in-core square structure is bound in closed form, no
-            # node list; compose_graph is its oracle
+        if shape[0] in ("svd", "eigh"):
+            # a square structure, in core or out of core, is bound in
+            # closed form, no node list; compose_graph is its oracle
             build = partial(
                 bind_square_record, n, gconfig, topology, streams,
                 tail="steig_cpu" if shape[0] == "eigh" else "bdsqr_cpu",
-                skeleton=walks,
+                skeleton=walks, out_of_core=out_of_core,
+                budget_bytes=budget_bytes,
             )
         else:
             # a batch of one shares its structure with every streams

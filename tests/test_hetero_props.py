@@ -24,7 +24,9 @@ from hypothesis import strategies as st
 
 from repro import Solver, Topology
 from repro.core.svd import emit_svd_graph, replay_graph
+from repro.errors import ShapeError
 from repro.sim import partition_graph, shard_rows, shard_rows_weighted
+from repro.sim.partition import shard_sizes_weighted
 from repro.sim.outofcore import rewrite_out_of_core
 
 ranges = st.tuples(
@@ -81,6 +83,50 @@ def test_equal_weights_reproduce_uniform_sharding(rng, nparts):
     uniform = shard_rows(lo, hi, nparts)
     # shard_rows drops empty chunks; the weighted sharder keeps them
     assert [c for c in weighted if c[1] > c[0]] == uniform
+
+
+#: Weights with repeats: equal weights tie every remainder, and a few
+#: distinct values tie some of them.
+tied_weights = st.lists(
+    st.sampled_from((0.5, 1.0, 1.0, 2.0, 3.7, 1e-3, 1e3)),
+    min_size=1, max_size=8,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.lists(st.integers(min_value=0, max_value=5000), min_size=1,
+                  max_size=6),
+    weights=st.one_of(
+        tied_weights,
+        st.lists(st.floats(min_value=1e-3, max_value=1e3, allow_nan=False,
+                           allow_infinity=False), min_size=1, max_size=8),
+        st.integers(1, 8).map(lambda g: [1.0] * g),
+    ),
+)
+def test_array_rule_is_the_scalar_rule(rows, weights):
+    """shard_sizes_weighted == shard_rows_weighted's sizes, range by range
+    and for each range's own rotation of the weights."""
+    g = len(weights)
+    rot = [weights[i:] + weights[:i] for i in range(g)]
+    per_range = np.array([rot[i % g] for i in range(len(rows))])
+    for table, of in ((shard_sizes_weighted(rows, weights), None),
+                      (shard_sizes_weighted(rows, per_range), per_range)):
+        for i, rr in enumerate(rows):
+            w = weights if of is None else tuple(of[i])
+            ref = [b - a for a, b in shard_rows_weighted(0, rr, w)]
+            assert table[i].tolist() == ref
+
+
+@pytest.mark.parametrize(
+    "weights", [(1.0, float("nan")), (1.0, float("inf")), (1e308, 1e308),
+                (0.0, 1.0), ()],
+)
+def test_both_rules_reject_weights_they_cannot_share_by(weights):
+    with pytest.raises(ShapeError, match="weight"):
+        shard_rows_weighted(0, 10, weights)
+    with pytest.raises(ShapeError, match="weight"):
+        shard_sizes_weighted([10], weights)
 
 
 FLEETS = {

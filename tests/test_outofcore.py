@@ -424,20 +424,22 @@ class TestStreamsComposition:
     def test_multi_stream_rewrite_loads_each_window_once(self, solver):
         """The lookahead graph's column chunks re-scan the streamed rows;
         the rewriter emits windows window-major so io does not scale
-        with the stream count."""
-        cfg = solver.config
-        budget = tile_budget(300)
-        one = rewrite_out_of_core(
-            emit_svd_graph(2048, cfg), cfg, solver.precision, budget
-        )
-        two = rewrite_out_of_core(
-            emit_svd_graph(2048, cfg, streams=2), cfg, solver.precision,
-            budget,
-        )
+        with the stream count, fused or not (unfused, a row's TSMQR
+        chunks wait on the row above's, deferred with them)."""
 
         def io_elems(g):
             return sum(
                 n.key[1] for n in g.nodes if n.kind in TRANSFER_KINDS
             )
 
-        assert io_elems(two) == io_elems(one)
+        budget = tile_budget(300)
+        for fused in (True, False):
+            cfg = solver.config.with_(fused=fused)
+            one, two = (
+                rewrite_out_of_core(
+                    emit_svd_graph(2048, cfg, streams=streams), cfg,
+                    solver.precision, budget,
+                )
+                for streams in (1, 2)
+            )
+            assert io_elems(two) == io_elems(one), fused

@@ -20,7 +20,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from repro import Solver, Topology
+from repro import Solver, SvdService, Topology
 from repro.backends.device import get_device
 from repro.core.batched import emit_batched_graph
 from repro.core.svd import cast_to_storage, emit_svd_graph, replay_graph
@@ -216,6 +216,14 @@ POSITIVE_SITES = {
         lambda v: AdmissionController(_FP32.config, mem_budget_bytes=v),
     ),
     "SvdService.submit": (InvalidParamsError, "slo_s", _submit),
+    "SvdService.mem_budget_gb": (
+        InvalidParamsError, "mem_budget_gb",
+        lambda v: SvdService(_FP32, mem_budget_gb=v),
+    ),
+    "simulate_service.mem_budget_gb": (
+        InvalidParamsError, "mem_budget_gb",
+        lambda v: simulate_service([], _FP32, mem_budget_gb=v),
+    ),
     "DynamicBatcher": (
         InvalidParamsError, "max_wait_s", lambda v: DynamicBatcher(4, v),
     ),
@@ -262,7 +270,8 @@ class TestPositiveAxes:
         with pytest.raises(InvalidParamsError, match="link_gbs=0.0"):
             _FP32.predict(2048, ngpu=2, link_gbs=0.0)
 
-    @pytest.mark.parametrize("value", [True, "1", None, 1j], ids=repr)
+    @pytest.mark.parametrize("value", [True, "1", None, 1j, 10**400],
+                             ids=repr)
     def test_non_numbers_rejected(self, value):
         with pytest.raises(InvalidParamsError, match="x must be a positive"):
             require_positive("x", value)
@@ -270,6 +279,42 @@ class TestPositiveAxes:
     def test_numpy_scalars_pass(self):
         require_positive("x", np.float32(0.5))
         require_positive("x", np.int64(3))
+
+
+class _Unmultipliable:
+    """A budget that fails the test when anything multiplies it."""
+
+    def __mul__(self, other):
+        pytest.fail("a GiB budget was multiplied before it was checked")
+
+    __rmul__ = __mul__
+
+
+#: The doors taking a budget in GiB: (the argument, a call passing it).
+GIB_DOORS = {
+    site: POSITIVE_SITES[site][1:]
+    for site in ("predict.oc_budget_gb", "SvdService.mem_budget_gb",
+                 "simulate_service.mem_budget_gb")
+}
+
+
+class TestGibBudgets:
+    """A budget in GiB is checked before it is turned into bytes, and its
+    byte count must be finite; each door names its own argument."""
+
+    @pytest.mark.parametrize("door", list(GIB_DOORS))
+    def test_checked_before_the_multiply(self, door):
+        axis, call = GIB_DOORS[door]
+        with pytest.raises(InvalidParamsError, match=f"{axis} must be"):
+            call(_Unmultipliable())
+
+    @pytest.mark.parametrize("value", [1e300, 10**300], ids=repr)
+    @pytest.mark.parametrize("door", list(GIB_DOORS))
+    def test_byte_overflow_names_the_argument(self, door, value):
+        axis, call = GIB_DOORS[door]
+        with pytest.raises(InvalidParamsError,
+                           match=re.escape(f"{axis}={value!r}")):
+            call(value)
 
 
 class TestBatchedFleetCapacity:
@@ -440,6 +485,20 @@ SQUARE_AXES = (
     "streams2", "ngpu4", "ngpu4_streams2", "ngpu2_nodes2", "mixed_topology",
 )
 
+#: SWEEP_AXES' out_of_core window alone and with other axes: bound in
+#: closed form too.
+OOC_AXES = {
+    name: dict(SWEEP_AXES["out_of_core"], **extra)
+    for name, extra in (
+        ("out_of_core", {}),
+        ("out_of_core_streams2", {"streams": 2}),
+        ("out_of_core_ngpu2", {"ngpu": 2}),
+        ("out_of_core_mixed", {"topology": Topology(
+            ("h100", "h100", "a100", "a100"))}),
+        ("out_of_core_eigh", {"workload": "eigh"}),
+    )
+}
+
 
 def compose_axis(solver, kwargs):
     """The fleet and the graph ``compose_graph`` composes, called directly
@@ -548,14 +607,14 @@ class TestOnePipeline:
     @pytest.mark.parametrize(
         "kwargs",
         [SWEEP_AXES[axis] for axis in SQUARE_AXES]
-        + [{"workload": "eigh", "ngpu": 2}],
-        ids=list(SQUARE_AXES) + ["eigh_ngpu2"],
+        + [{"workload": "eigh", "ngpu": 2}] + list(OOC_AXES.values()),
+        ids=list(SQUARE_AXES) + ["eigh_ngpu2"] + list(OOC_AXES),
     )
     def test_square_predicts_build_no_launch_node(self, kwargs,
                                                   monkeypatch):
-        """An in-core square composed predict binds its record in closed
-        form: no LaunchNode is constructed and compose_graph is not
-        called."""
+        """A square composed predict, in core or out of core, binds its
+        record in closed form: no LaunchNode is constructed and
+        compose_graph is not called."""
         built = count_launch_nodes(monkeypatch)
         composed = spy_compose(monkeypatch)
         clear_bound_tables()
@@ -573,11 +632,10 @@ class TestOnePipeline:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [SWEEP_AXES["out_of_core"], {"batch": 4, "ngpu": 2},
-         {"batch": 4, "streams": 2}, {"rank": 64, "ngpu": 2},
-         {"rank": 64, "streams": 2}],
-        ids=["out_of_core", "batch_ngpu2", "batch_streams2",
-             "rank_ngpu2", "rank_streams2"],
+        [{"batch": 4, "ngpu": 2}, {"batch": 4, "streams": 2},
+         {"rank": 64, "ngpu": 2}, {"rank": 64, "streams": 2}],
+        ids=["batch_ngpu2", "batch_streams2", "rank_ngpu2",
+             "rank_streams2"],
     )
     def test_other_structures_still_compose(self, kwargs, monkeypatch):
         composed = spy_compose(monkeypatch)

@@ -11,7 +11,8 @@ fused x streams x ngpu x out_of_core x batch:
   :func:`repro.core.batched.bind_batched_table`) are node-for-node equal
   to the tables of directly-emitted graphs, and the square binder's
   records (:func:`repro.core.svd.bind_square_record`) to the graphs
-  ``compose_graph`` composes - tables, skeletons and prices;
+  ``compose_graph`` composes, in core and out of core - tables,
+  skeletons, prices and capacity errors;
 * at a fixed tile size, bound tables and composed graphs do not depend on
   ``colperblock`` / ``splitk`` - the fact that lets the memo key them by
   :func:`repro.sim.table.structure_config` and tune candidates share them.
@@ -21,7 +22,7 @@ from functools import partial
 
 import numpy as np
 
-from hypothesis import assume, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from repro import Solver, Topology
@@ -308,6 +309,84 @@ class TestSquareBinderIsTheComposedGraph:
         for name in ("n", "ngpu", "nnodes", "counted", "out_of_core"):
             assert getattr(record, name) == getattr(graph, name), name
         assert record.table().nnodes == graph.table().nnodes
+        assert_tables_equal(record.table(), graph.table())
+        for bound, emitted in zip(record.dependents(), graph.dependents()):
+            assert bound.dtype == emitted.dtype
+            assert np.array_equal(bound, emitted)
+        price = _pricer(config, storage, topology, streams)[0]
+        bound, composed = price(record), price(graph)
+        assert bound == composed and repr(bound) == repr(composed)
+
+
+@st.composite
+def window_budgets(draw, n, config, storage):
+    """A budget in bytes: a share of the matrix (from a narrow window to
+    one that fits), or a window a few tiles either side of the minimum
+    the rewriter accepts."""
+    if draw(st.booleans()):
+        return draw(st.floats(0.02, 1.5)) * n * n * storage.sizeof
+    ts = config.params.tilesize
+    nbt = -(-n // ts)
+    band = -(-(nbt * ts * (ts + 1)) // ts**2)
+    tiles = max(3 * nbt - 2, band, 1) + draw(st.integers(-2, 6))
+    return (tiles + 0.5) * ts * ts * storage.sizeof * 1.25
+
+
+def outcome(build):
+    """``build()``, or the message of the CapacityError it raises."""
+    try:
+        return build(), None
+    except CapacityError as err:
+        return None, str(err)
+
+
+class TestOutOfCoreBinderIsTheRewrittenGraph:
+    """The square binder's out-of-core record == compose_graph's rewrite
+    of the emitted graph (its oracle): equal tables, byte-equal
+    skeletons, equal prices, and the same CapacityError."""
+
+    @given(
+        backend=st.sampled_from(BACKENDS),
+        precision=st.sampled_from(PRECISIONS),
+        fused=st.booleans(),
+        n=st.integers(1, 600),
+        streams=st.integers(1, 4),
+        workload=st.sampled_from(("svd", "eigh")),
+        data=st.data(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_rewritten(self, backend, precision, fused, n, streams,
+                       workload, data):
+        config, storage = resolved(backend, precision)
+        config = config.with_(fused=fused)
+        if data.draw(st.booleans()):
+            topology = Topology.uniform(backend, data.draw(st.integers(1, 4)))
+        else:
+            topology = Topology(tuple(data.draw(st.lists(
+                st.sampled_from(FLEET_DEVICES), min_size=1, max_size=4))))
+        budget = data.draw(
+            window_budgets(n, config, storage)
+        )
+        emit = emit_eigh_graph if workload == "eigh" else emit_svd_graph
+        try:
+            graph, composed_err = outcome(lambda: compose_graph(
+                partial(emit, n, config, streams=streams), config,
+                topology, out_of_core=True, budget_bytes=budget,
+            ))
+        except (UnsupportedBackendError, UnsupportedPrecisionError):
+            assume(False)  # a fleet member lacks the storage precision
+        record, bound_err = outcome(lambda: bind_square_record(
+            n, config, topology, streams, skeleton=True, out_of_core=True,
+            budget_bytes=budget,
+            tail="steig_cpu" if workload == "eigh" else "bdsqr_cpu",
+        ))
+        assert bound_err == composed_err
+        event("capacity error" if graph is None else
+              "streamed" if graph.out_of_core else "fits in core")
+        if graph is None:
+            return
+        for name in ("n", "ngpu", "nnodes", "counted", "out_of_core"):
+            assert getattr(record, name) == getattr(graph, name), name
         assert_tables_equal(record.table(), graph.table())
         for bound, emitted in zip(record.dependents(), graph.dependents()):
             assert bound.dtype == emitted.dtype
